@@ -118,38 +118,56 @@ def _load_slice(entry: dict, grid: TorusGrid, presets) -> np.ndarray:
     raise ConfigError("u_T / m0 entries need a 'preset' or 'file' key")
 
 
+def _number(value, what: str, kind=float):
+    """``kind(value)``, or a ConfigError naming the offending entry."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
 def build_speed(entry: dict, grid: TorusGrid):
     variant = entry.get("variant", "isotropic")
     if variant == "isotropic":
         radius = entry.get("radius", 1.0)
         if isinstance(radius, dict):
+            if "file" not in radius:
+                raise ConfigError("a tabulated speed radius needs a 'file' key")
             field = read_field(radius["file"])
             radius = np.array(field.values[0])
+        else:
+            radius = _number(radius, "speed radius")
         return IsotropicSpeed(grid.dim, radius, lip=entry.get("lip"))
     if variant == "finite":
         vecs = entry.get("velocities")
         if not vecs:
             raise ConfigError("finite speed variant needs 'velocities'")
-        consts = [np.asarray(v, dtype=float) for v in vecs]
+        missing = [key for key in ("c0", "c1") if key not in entry]
+        if missing:
+            raise ConfigError(f"finite speed variant needs {' and '.join(map(repr, missing))}")
+        try:
+            consts = [np.asarray(v, dtype=float) for v in vecs]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"finite speed velocities must be numbers: {exc}") from exc
         if any(v.shape != (grid.dim,) for v in consts):
             raise ConfigError(f"each velocity must have {grid.dim} components")
         maps = [(lambda x, vv=v: np.broadcast_to(vv, np.shape(x))) for v in consts]
-        return FiniteControlsSpeed(grid.dim, tuple(maps), c0=entry["c0"],
-                                   c1=entry["c1"], lip=entry.get("lip", 0.0))
+        return FiniteControlsSpeed(grid.dim, tuple(maps), c0=_number(entry["c0"], "c0"),
+                                   c1=_number(entry["c1"], "c1"), lip=entry.get("lip", 0.0))
     raise ConfigError(f"unknown speed variant {variant!r}")
 
 
 def build_problem(config: dict) -> pdopt.ProblemInstance:
     prob = config["problem"]
     try:
-        grid = TorusGrid(int(prob["dim"]), tuple(prob["nx"]), int(prob["nt"]),
-                         float(prob["T"]))
-    except (KeyError, TypeError) as exc:
+        grid = TorusGrid(_number(prob["dim"], "dim", int), tuple(prob["nx"]),
+                         _number(prob["nt"], "nt", int), _number(prob["T"], "T"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem geometry: {exc}") from exc
     speed = build_speed(prob.get("speed", {}), grid)
     cost_entry = prob.get("cost", {})
-    cost = CostModel(p=float(cost_entry.get("p", 3.0)),
-                     kappa=float(cost_entry.get("kappa", 1.0)))
+    cost = CostModel(p=_number(cost_entry.get("p", 3.0), "cost p"),
+                     kappa=_number(cost_entry.get("kappa", 1.0), "cost kappa"))
     u_T = _load_slice(prob["u_T"], grid, _preset_u_T)
     m0 = _load_slice(prob["m0"], grid, _preset_m0)
     try:
@@ -160,12 +178,16 @@ def build_problem(config: dict) -> pdopt.ProblemInstance:
 
 def build_solver_config(config: dict) -> pdopt.SolverConfig:
     s = config["solver"]
+
+    def optional(key):
+        return None if s.get(key) is None else _number(s[key], key)
+
     return pdopt.SolverConfig(
-        max_iters=int(s["max_iters"]), tol_gap=float(s["tol_gap"]),
-        tol_cont=float(s["tol_cont"]),
-        tau=None if s.get("tau") is None else float(s["tau"]),
-        sigma=None if s.get("sigma") is None else float(s["sigma"]),
-        over_relax=float(s.get("over_relax", 1.0)))
+        max_iters=_number(s["max_iters"], "max_iters", int),
+        tol_gap=_number(s["tol_gap"], "tol_gap"),
+        tol_cont=_number(s["tol_cont"], "tol_cont"),
+        tau=optional("tau"), sigma=optional("sigma"),
+        over_relax=_number(s.get("over_relax", 1.0), "over_relax"))
 
 
 # -- output helpers ------------------------------------------------------------
@@ -371,14 +393,12 @@ def _reproduce_once(eps: float, window_points: int, nt: int):
     u = hj.solve_value_function(problem, window.obstacle_field())
     max_err = 0.0
     l1_err = 0.0
-    l1_weight = 0.0
     for k in range(grid.nt):
         mask = window.comparison_mask(k)
         diff = np.abs(window.window_values(u, k) - window.exact_window(k))
         if np.any(mask):
             max_err = max(max_err, float(np.max(diff[mask])))
             l1_err += float(np.sum(diff[mask])) * window.dx_window * grid.dt
-            l1_weight += float(np.sum(mask)) * window.dx_window * grid.dt
     return window, u, max_err, l1_err
 
 
@@ -386,9 +406,9 @@ def cmd_reproduce(args) -> int:
     config = load_config(args.config)
     rep = config.get("reproduce", {})
     eps_list = rep.get("eps", [0.2, 0.1, 0.05])
-    window_points = int(rep.get("window_points", 401))
-    nt = int(rep.get("nt", 201))
-    tolerance = float(rep.get("tolerance", 0.05))
+    window_points = _number(rep.get("window_points", 401), "window_points", int)
+    nt = _number(rep.get("nt", 201), "nt", int)
+    tolerance = _number(rep.get("tolerance", 0.05), "tolerance")
     refine = int(args.refine or 0)
     out = _outdir(config, args)
     t0 = time.perf_counter()

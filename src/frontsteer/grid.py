@@ -51,10 +51,6 @@ class TorusGrid:
         return self.horizon / (self.nt - 1)
 
     @property
-    def shape_space(self) -> tuple[int, ...]:
-        return self.nx
-
-    @property
     def n_space(self) -> int:
         return int(np.prod(self.nx))
 
@@ -187,13 +183,6 @@ def interpolate(field: ScalarField, t: int, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def interpolate_vector(field: VecField, t: int, x) -> np.ndarray:
-    """Periodic multilinear interpolation of a vector field at time level t."""
-    t = field.grid.check_time_index(t)
-    x = np.asarray(x, dtype=float)
-    return interp_space(field.values[t], x, field.grid.nx)
-
-
 def integrate_space(field: ScalarField | DensityField, t: int) -> float:
     """Nodal quadrature over the torus at one time level (weight prod(dx))."""
     t = field.grid.check_time_index(t)
@@ -218,33 +207,27 @@ def constant_field(grid: TorusGrid, value: float) -> ScalarField:
     return ScalarField(grid, np.full((grid.nt, *grid.nx), float(value)))
 
 
-def scalar_from_slices(grid: TorusGrid, fn) -> ScalarField:
-    """Build a scalar field from fn(t_value, [axis coordinate arrays]) -> array."""
-    coords = grid.meshgrid()
-    vals = np.stack([np.broadcast_to(fn(t, coords), grid.nx).astype(float)
-                     for t in grid.times()])
-    return ScalarField(grid, vals)
-
-
 # -- field file format -------------------------------------------------------
 
 _KINDS = {"scalar": ScalarField, "density": DensityField, "vector": VecField}
 
 
-def _header(field) -> str:
+def _header(field, enc: str) -> str:
     g = field.grid
     kind = {ScalarField: "scalar", DensityField: "density", VecField: "vector"}[type(field)]
     nxs = ",".join(str(n) for n in g.nx)
-    return f"{FIELD_MAGIC} {FIELD_VERSION} dim={g.dim} nx={nxs} nt={g.nt} T={g.horizon:.17g} kind={kind}\n"
+    return (f"{FIELD_MAGIC} {FIELD_VERSION} dim={g.dim} nx={nxs} nt={g.nt} "
+            f"T={g.horizon:.17g} kind={kind} enc={enc}\n")
 
 
 def write_field(path, field, binary: bool = False) -> None:
-    """Write a field file: header line, then one line of values per time level
-    (text) or raw little-endian float64 in the same order (binary)."""
+    """Write a field file: header line (ending in ``enc=text`` or
+    ``enc=f64le``), then one line of values per time level (text) or raw
+    little-endian float64 in the same order (binary)."""
     g = field.grid
     flat = field.values.reshape(g.nt, -1)
     with open(path, "wb") as fh:
-        fh.write(_header(field).encode())
+        fh.write(_header(field, "f64le" if binary else "text").encode())
         if binary:
             fh.write(flat.astype("<f8").tobytes())
         else:
@@ -253,8 +236,9 @@ def write_field(path, field, binary: bool = False) -> None:
 
 
 def read_field(path):
-    """Read a field file written by write_field; binary payloads are detected
-    by exact byte length."""
+    """Read a field file written by write_field.  The header's ``enc`` token
+    selects the payload encoding; files without it (older v1 writers) are
+    read as binary when the payload is exactly 8 bytes per value."""
     with open(path, "rb") as fh:
         header = fh.readline().decode()
         payload = fh.read()
@@ -272,12 +256,18 @@ def read_field(path):
     grid = TorusGrid(dim, nx, nt, horizon)
     comps = dim if kind == "vector" else 1
     count = nt * grid.n_space * comps
-    if len(payload) == 8 * count:
+    enc = kv.get("enc", "f64le" if len(payload) == 8 * count else "text")
+    if enc == "f64le":
+        if len(payload) != 8 * count:
+            raise ParameterError(
+                f"expected {8 * count} payload bytes in {path}, found {len(payload)}")
         flat = np.frombuffer(payload, dtype="<f8").astype(float)
-    else:
+    elif enc == "text":
         flat = np.array(payload.decode().split(), dtype=float)
         if flat.size != count:
             raise ParameterError(
                 f"expected {count} values in {path}, found {flat.size}")
+    else:
+        raise ParameterError(f"unknown field encoding {enc!r} in {path}")
     shape = (nt, *nx, dim) if kind == "vector" else (nt, *nx)
     return _KINDS[kind](grid, flat.reshape(shape))

@@ -30,13 +30,12 @@ __all__ = [
 ]
 
 
-def control_velocities(speed: SpeedModel, grid: TorusGrid,
-                       extra_directions: int = 0) -> list[np.ndarray]:
+def control_velocities(speed: SpeedModel, grid: TorusGrid) -> list[np.ndarray]:
     """Velocity samples per node, each of shape (*nx, dim).
 
     The zero velocity is always included (the admissible set contains it).
     Isotropic speeds sample rest + 2*dim axis + 2^dim diagonal directions
-    scaled to the local radius; ``extra_directions`` adds a uniform fan (2D).
+    scaled to the local radius.
     """
     nx = grid.nx
     dim = grid.dim
@@ -52,9 +51,6 @@ def control_velocities(speed: SpeedModel, grid: TorusGrid,
         for signs in itertools.product((1.0, -1.0), repeat=dim):
             d = np.array(signs) / np.sqrt(dim)
             dirs.append(d)
-        if extra_directions and dim == 2:
-            ang = 2 * np.pi * np.arange(extra_directions) / extra_directions
-            dirs.extend(np.stack([np.cos(ang), np.sin(ang)], axis=1))
         seen = []
         for d in dirs:
             if any(np.allclose(d, s) for s in seen):
@@ -95,8 +91,7 @@ def _gather(u: np.ndarray, plan) -> np.ndarray:
     return out
 
 
-def solve_value_function(problem, obstacle: ScalarField,
-                         extra_directions: int = 0) -> ScalarField:
+def solve_value_function(problem, obstacle: ScalarField) -> ScalarField:
     """Solve the backward equation by the discrete dynamic programming scheme.
 
     The terminal slice equals the problem's terminal payoff exactly; the
@@ -110,8 +105,7 @@ def solve_value_function(problem, obstacle: ScalarField,
         warnings.warn(
             f"large time step: c1*dt = {problem.speed.c1 * grid.dt:.3g} exceeds "
             f"4 cell diameters; accuracy may degrade", stacklevel=2)
-    plans = [_gather_plan(grid, v)
-             for v in control_velocities(problem.speed, grid, extra_directions)]
+    plans = [_gather_plan(grid, v) for v in control_velocities(problem.speed, grid)]
     values = np.empty((grid.nt, *grid.nx))
     values[-1] = problem.u_T
     for k in range(grid.nt - 2, -1, -1):

@@ -255,10 +255,24 @@ def cost_deriv_conj(model: CostModel, m) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _solve_sqrt_root(lin, coef, rhs):
+    """Closed-form root of lin*m + coef*sqrt(m) = rhs over m >= 0: the
+    quadratic lin*s^2 + coef*s - rhs in s = sqrt(m) has the nonnegative root
+    s = 2*rhs / (coef + sqrt(coef^2 + 4*lin*rhs)), free of cancellation; m = 0
+    wherever rhs <= 0."""
+    rhs_pos = np.maximum(rhs, 0.0)
+    den = coef + np.sqrt(coef * coef + 4.0 * lin * rhs_pos)
+    s = np.divide(2.0 * rhs_pos, den, out=np.zeros(den.shape), where=rhs_pos > 0)
+    return s * s
+
+
 def _solve_power_root(lin, coef, rhs, r):
     """Solve lin*m + coef*m^r = rhs elementwise over m >= 0 (all inputs
-    broadcastable, lin >= 1, coef >= 0, r > 0); monotone Newton with a
-    bisection safeguard, absolute tolerance 1e-12."""
+    broadcastable, lin >= 1, coef >= 0, r > 0).  r = 1/2 (p = 3) has a closed
+    form; other r use monotone Newton with a bisection safeguard, absolute
+    tolerance 1e-12."""
+    if r == 0.5:
+        return _solve_sqrt_root(lin, coef, rhs)
     lin = np.asarray(lin, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     active = rhs > 0
@@ -287,7 +301,8 @@ def _solve_power_root(lin, coef, rhs, r):
 def prox_cost_conj(model: CostModel, m_bar, step: float):
     """argmin over m >= 0 of (m - m_bar)^2/2 + step*K*(m).
 
-    Solves the scalar optimality condition m + step*k(m) = m_bar by monotone
+    Solves the scalar optimality condition m + step*k(m) = m_bar: in closed
+    form for p = 3, where it is a quadratic in sqrt(m), otherwise by monotone
     Newton iteration with a bisection safeguard (tolerance 1e-12).
     Vectorized over arrays.
     """

@@ -8,9 +8,13 @@ between levels k and k+1) with m(0) = m0 enforced as an extra constraint row.
 The Chambolle-Pock iteration ascends in the multiplier of the continuity
 rows and alternates, within each primal step, the pointwise prox of K* and
 the exact projection onto the velocity cone.  The multiplier, sign-flipped,
-converges to the value function u; with the left-Riemann time quadrature the
-discrete problems are in exact duality, so the reported gap
-A(u, f) + B(m, w) is a genuine optimality certificate.
+converges to the value function u.
+
+The gap A(u, f) + B(m, w) that ``optimize`` reports and stops on is a
+Lagrangian gap, not an optimality certificate: it takes f = k(m) and the raw
+multiplier, and checks neither that f dominates the HJ residual of u nor
+that (m, w) satisfies the continuity rows exactly.  The feasibility-checked
+gap is ``certify.duality_gap``, which can read +inf on the same bundle.
 """
 
 from __future__ import annotations
@@ -128,14 +132,32 @@ class OptimalBundle:
 # -- discrete operators ------------------------------------------------------
 
 
+def _centered_diff(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> None:
+    """Periodic centered difference (a[i+1] - a[i-1]) / (2 dx) along ``axis``,
+    written into ``out``: the interior from two slices, then the two wrap
+    rows, with no rolled copies of ``a``."""
+    n = a.shape[axis]
+    lead = (slice(None),) * axis
+
+    def sl(lo, hi):
+        return lead + (slice(lo, hi),)
+
+    np.subtract(a[sl(2, None)], a[sl(None, -2)], out=out[sl(1, -1)])
+    np.subtract(a[sl(1, 2)], a[sl(n - 1, None)], out=out[sl(None, 1)])
+    np.subtract(a[sl(None, 1)], a[sl(n - 2, n - 1)], out=out[sl(n - 1, None)])
+    out /= 2.0 * dx
+
+
 def _centered_divergence(w: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Centered divergence over the space axes; w has shape (..., *nx, dim)
     with arbitrary leading axes."""
-    out = np.zeros(w.shape[:-1])
+    out = np.empty(w.shape[:-1])
     off = w.ndim - 1 - grid.dim
-    for a in range(grid.dim):
-        wa = w[..., a]
-        out += (np.roll(wa, -1, off + a) - np.roll(wa, 1, off + a)) / (2.0 * grid.dx[a])
+    _centered_diff(w[..., 0], off, grid.dx[0], out)
+    for a in range(1, grid.dim):
+        term = np.empty_like(out)
+        _centered_diff(w[..., a], off + a, grid.dx[a], term)
+        out += term
     return out
 
 
@@ -144,8 +166,7 @@ def _centered_gradient(phi: np.ndarray, grid: TorusGrid) -> np.ndarray:
     out = np.empty((*phi.shape, grid.dim))
     off = phi.ndim - grid.dim
     for a in range(grid.dim):
-        out[..., a] = (np.roll(phi, -1, off + a) - np.roll(phi, 1, off + a)) \
-            / (2.0 * grid.dx[a])
+        _centered_diff(phi, off + a, grid.dx[a], out[..., a])
     return out
 
 
@@ -304,10 +325,10 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
 
     Per iteration: dual ascent of the continuity multiplier, a gradient step
     on (m, w) through the adjoint, the pointwise prox of K* in m, and the
-    pointwise cone projection of (m, w).  Stops when the relative duality
-    gap and the continuity residual fall below their tolerances (with the
-    gap above the weak-duality floor -1e-9), or at max_iters with a
-    non-converged flag.
+    pointwise cone projection of (m, w).  Stops when the relative
+    Lagrangian gap (see the module docstring) and the continuity residual
+    fall below their tolerances (with the gap above -1e-9), or at max_iters
+    with a non-converged flag.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -335,43 +356,44 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     m = np.full((grid.nt, *grid.nx), problem.mass)
     w = np.zeros((grid.nt - 1, *grid.nx, grid.dim))
     y = np.zeros((grid.nt, *grid.nx))
-    m_bar, w_bar = m.copy(), w.copy()
+    r = _rows(m, w, problem.m0, grid)
+    r_bar = r
 
     vol = grid.cell_volume
+    # K(k(m)) = (q - 1) K*(m) for the power law, so A and B share one K* sum
+    a_weight = problem.cost.q - 1.0
     gap = float("nan")
 
     for it in range(1, config.max_iters + 1):
-        y += sigma * _rows(m_bar, w_bar, problem.m0, grid)
+        y += sigma * r_bar
 
+        # gradient step, then the prox and cone step in place on the new m
         gm, gw = _rows_adjoint(y, grid)
-        m_prev, w_prev = m, w
-        m_half = m - tau * gm
+        m = m - tau * gm
         w_half = w - tau * gw
-        m_half[-1] -= tau * problem.u_T
+        m[-1] -= tau * problem.u_T
 
-        m = np.empty_like(m_half)
-        m[-1] = np.maximum(m_half[-1], 0.0)
+        np.maximum(m[-1], 0.0, out=m[-1])
         if iso:
             # exact prox of step*K* + cone indicator (closed scalar root)
             m[:-1], w = prox_cost_conj_coned(problem.cost, c_nodes,
-                                             m_half[:-1], w_half, tau * grid.dt)
+                                             m[:-1], w_half, tau * grid.dt)
         else:
             # approximate prox of the sum: K* prox then cone projection
-            m[:-1] = prox_cost_conj(problem.cost, m_half[:-1], tau * grid.dt)
-            m_proj, w = _project_cone_nodes(problem.speed, grid, m[:-1], w_half)
-            m[:-1] = m_proj
+            m[:-1] = prox_cost_conj(problem.cost, m[:-1], tau * grid.dt)
+            m[:-1], w = _project_cone_nodes(problem.speed, grid, m[:-1], w_half)
 
-        m_bar = m + theta * (m - m_prev)
-        w_bar = w + theta * (w - w_prev)
+        # _rows is affine and the weights 1 + theta and -theta sum to one, so
+        # the rows of the over-relaxed point need no second application
+        r_prev, r = r, _rows(m, w, problem.m0, grid)
+        r_bar = r + theta * (r - r_prev)
 
         if it % config.check_every == 0 or it == config.max_iters:
-            f_rec = cost_deriv_conj(problem.cost, m)
-            a_val = float(np.sum(cost(problem.cost, f_rec)[:-1]) * grid.dt * vol
-                          - np.sum(-y[0] * problem.m0) * vol)
-            b_val = float(np.sum(problem.u_T * m[-1]) * vol
-                          + np.sum(cost_conj(problem.cost, m)[:-1]) * grid.dt * vol)
+            k_conj = float(np.sum(cost_conj(problem.cost, m[:-1]))) * grid.dt * vol
+            a_val = float(a_weight * k_conj - np.sum(-y[0] * problem.m0) * vol)
+            b_val = float(np.sum(problem.u_T * m[-1]) * vol + k_conj)
             gap = a_val + b_val
-            cont = _weighted_l2(_rows(m, w, problem.m0, grid) / grid.dt, grid)
+            cont = _weighted_l2(r / grid.dt, grid)
             if not (np.isfinite(gap) and np.isfinite(cont)):
                 raise NumericError(f"non-finite iterate at iteration {it}")
             diag.a_history.append(a_val)

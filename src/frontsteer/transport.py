@@ -146,10 +146,12 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
                         seed: int) -> TrajectoryEnsemble:
     """Monte Carlo realization of the superposition representation.
 
-    Initial positions are drawn from m0 / mass(m0) with a counter-based
-    generator keyed by the seed (draw i belongs to path i, so ensembles are
-    reproducible and order-independent); paths follow forward Euler along
-    the multilinearly interpolated velocity field.
+    Initial positions are drawn from m0 / mass(m0) with a Philox generator
+    keyed by the seed, so an ensemble is reproducible from (seed, count).
+    One stream serves all paths: the ``count`` cell draws come first, then
+    the ``count`` in-cell offsets per axis, so the position of path i changes
+    with ``count``.  Paths follow forward Euler along the multilinearly
+    interpolated velocity field.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from frontsteer.cli import main
 from frontsteer.grid import read_field, write_field
@@ -81,6 +82,39 @@ class TestConfigErrors:
         write_config(cfg_path, problem={"u_T": {"preset": "sawtooth"}})
         assert main(["optimize", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def _assert_config_error(self, tmp_path, capsys, **overrides):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **overrides)
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_numeric_nt(self, tmp_path, capsys):
+        self._assert_config_error(tmp_path, capsys, problem={"nt": "x"})
+
+    def test_non_numeric_cost_exponent(self, tmp_path, capsys):
+        self._assert_config_error(tmp_path, capsys,
+                                  problem={"cost": {"p": "abc"}})
+
+    def test_finite_speed_without_radii(self, tmp_path, capsys):
+        self._assert_config_error(tmp_path, capsys, problem={"speed": {
+            "variant": "finite", "velocities": [[1.0], [-1.0]]}})
+
+    @pytest.mark.parametrize("radius", ["abc", {"path": "r.field"}])
+    def test_malformed_speed_radius(self, tmp_path, capsys, radius):
+        self._assert_config_error(tmp_path, capsys, problem={"speed": {
+            "variant": "isotropic", "radius": radius}})
+
+    def test_non_numeric_solver_setting(self, tmp_path, capsys):
+        self._assert_config_error(tmp_path, capsys, solver={"max_iters": "many"})
+
+    def test_non_numeric_reproduce_setting(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"reproduce": {"nt": "fine"}}))
+        assert main(["reproduce", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestOptimize:

@@ -180,6 +180,49 @@ class TestFieldFiles:
         write_field(tmp_path / "m.field", m)
         assert isinstance(read_field(tmp_path / "m.field"), DensityField)
 
+    @pytest.mark.parametrize("binary,enc", [(False, "text"), (True, "f64le")])
+    def test_header_names_encoding(self, tmp_path, binary, enc):
+        g = grid1d(nx=8, nt=3)
+        path = tmp_path / "f.field"
+        write_field(path, ScalarField(g, np.ones((3, 8))), binary=binary)
+        header = path.read_bytes().split(b"\n", 1)[0].decode()
+        assert header.split()[-1] == f"enc={enc}"
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_constant_text_field_eight_bytes_per_value(self, tmp_path, binary):
+        # "0.03125 " is exactly 8 bytes: a text payload of this constant has
+        # the byte length of a binary one, so the length cannot decide
+        g = grid1d(nx=8, nt=3)
+        f = ScalarField(g, np.full((3, 8), 0.03125))
+        path = tmp_path / "c.field"
+        write_field(path, f, binary=binary)
+        back = read_field(path)
+        assert np.array_equal(back.values, f.values)
+
+    def test_v1_file_without_encoding_token(self, tmp_path):
+        g = grid1d(nx=8, nt=3)
+        rng = np.random.default_rng(7)
+        vals = rng.random((3, 8))
+        header = "frontsteer-field v1 dim=1 nx=8 nt=3 T=1 kind=scalar\n".encode()
+        text, binary = tmp_path / "t.field", tmp_path / "b.field"
+        text.write_bytes(header + "".join(
+            " ".join(f"{v:.17g}" for v in row) + "\n" for row in vals).encode())
+        binary.write_bytes(header + vals.astype("<f8").tobytes())
+        assert np.array_equal(read_field(text).values, vals)
+        assert np.array_equal(read_field(binary).values, vals)
+
+    def test_encoding_mismatch_refused(self, tmp_path):
+        g = grid1d(nx=8, nt=3)
+        path = tmp_path / "f.field"
+        write_field(path, ScalarField(g, np.ones((3, 8))), binary=True)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])                     # truncated payload
+        with pytest.raises(ParameterError):
+            read_field(path)
+        path.write_bytes(raw.replace(b"enc=f64le", b"enc=f32be", 1))
+        with pytest.raises(ParameterError):
+            read_field(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "junk.field"
         path.write_text("not a field file\n1 2 3\n")

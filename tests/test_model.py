@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontsteer.errors import ParameterError
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
-                              conjugate_membership, cost, cost_conj,
-                              cost_deriv_conj, hamiltonian, project_cone,
-                              prox_cost_conj)
+                              _solve_power_root, conjugate_membership, cost,
+                              cost_conj, cost_deriv_conj, hamiltonian,
+                              project_cone, prox_cost_conj)
 
 
 def square_speed():
@@ -220,3 +222,80 @@ class TestProx:
     def test_step_validation(self):
         with pytest.raises(ParameterError):
             prox_cost_conj(CostModel(p=3.0), 1.0, 0.0)
+
+
+def _bisect_sqrt_root(lin, coef, rhs, iters=2000):
+    """Reference root of lin*m + coef*sqrt(m) = rhs on [0, rhs/lin] by
+    bisection to adjacent floats (rhs > 0)."""
+    lo, hi = 0.0, rhs / lin
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if lin * mid + coef * np.sqrt(mid) - rhs > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+_magnitude = st.floats(min_value=1e-12, max_value=1e6)
+
+
+class TestSqrtRootClosedForm:
+    """The p = 3 (r = 1/2) branch of the prox root solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lin=st.floats(min_value=1.0, max_value=1e6),
+           coef=st.one_of(st.just(0.0), _magnitude), rhs=_magnitude)
+    def test_residual_and_bisection_agreement(self, lin, coef, rhs):
+        with np.errstate(all="raise"):
+            m = float(_solve_power_root(lin, coef, rhs, 0.5))
+            residual = abs(lin * m + coef * np.sqrt(m) - rhs)
+            reference = _bisect_sqrt_root(lin, coef, rhs)
+        assert m >= 0.0
+        assert residual <= 1e-12 * (1.0 + rhs)
+        assert abs(m - reference) <= 1e-12 * (1.0 + rhs)
+
+    def test_nonpositive_rhs_gives_zero(self):
+        rhs = np.array([-1e6, -1.0, -1e-12, -0.0, 0.0])
+        with np.errstate(all="raise"):
+            for coef in (0.0, 1e-12, 1.0, 1e6):
+                m = _solve_power_root(1.0, coef, rhs, 0.5)
+                assert np.array_equal(m, np.zeros_like(rhs))
+
+    def test_zero_coefficient_is_linear(self):
+        rhs = np.array([1e-12, 0.5, 3.0, 1e6])
+        lin = np.array([1.0, 2.0, 4.0, 1e6])
+        with np.errstate(all="raise"):
+            m = _solve_power_root(lin, 0.0, rhs, 0.5)
+        np.testing.assert_allclose(m, rhs / lin, rtol=1e-15, atol=0)
+
+    def test_zero_rhs_and_zero_coefficient(self):
+        with np.errstate(all="raise"):
+            m = _solve_power_root(np.array([1.0, 5.0]), 0.0, np.zeros(2), 0.5)
+        assert np.array_equal(m, np.zeros(2))
+
+    def test_broadcasts_like_the_coned_prox(self):
+        # lin and coef per space node, rhs per (time level, node)
+        rng = np.random.default_rng(7)
+        lin = 1.0 + rng.uniform(0, 3, 8) ** 2
+        rhs = rng.uniform(-1, 4, (5, 8))
+        with np.errstate(all="raise"):
+            m = _solve_power_root(lin, 0.3, rhs, 0.5)
+        assert m.shape == (5, 8)
+        for i in np.ndindex(m.shape):
+            expected = _bisect_sqrt_root(lin[i[1]], 0.3, rhs[i]) if rhs[i] > 0 else 0.0
+            assert abs(m[i] - expected) <= 1e-12 * (1.0 + abs(rhs[i]))
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+    def test_prox_uses_closed_form_for_p3(self, kappa):
+        c = CostModel(p=3.0, kappa=kappa)
+        m_bar = np.array([-2.0, 0.0, 1e-12, 0.3, 2.0, 1e6])
+        step = 0.7
+        with np.errstate(all="raise"):
+            m = prox_cost_conj(c, m_bar, step)
+        coef = step * kappa ** (1.0 - c.q)
+        for mb, mi in zip(m_bar, m):
+            expected = _bisect_sqrt_root(1.0, coef, mb) if mb > 0 else 0.0
+            assert abs(mi - expected) <= 1e-12 * (1.0 + abs(mb))

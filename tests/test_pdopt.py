@@ -6,10 +6,31 @@ from frontsteer.errors import ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
 from frontsteer.model import CostModel, IsotropicSpeed, cost, cost_conj
-from frontsteer.pdopt import (ProblemInstance, SolverConfig, _rows,
+from frontsteer.pdopt import (ProblemInstance, SolverConfig,
+                              _centered_divergence, _centered_gradient, _rows,
                               _rows_adjoint, evaluate_A, evaluate_B, optimize,
                               recover_f, recover_velocity,
                               subsolution_residual)
+
+
+def _roll_divergence(w, grid):
+    """np.roll form of the centered divergence, kept as the reference."""
+    out = np.zeros(w.shape[:-1])
+    off = w.ndim - 1 - grid.dim
+    for a in range(grid.dim):
+        wa = w[..., a]
+        out += (np.roll(wa, -1, off + a) - np.roll(wa, 1, off + a)) / (2.0 * grid.dx[a])
+    return out
+
+
+def _roll_gradient(phi, grid):
+    """np.roll form of the centered gradient, kept as the reference."""
+    out = np.empty((*phi.shape, grid.dim))
+    off = phi.ndim - grid.dim
+    for a in range(grid.dim):
+        out[..., a] = (np.roll(phi, -1, off + a) - np.roll(phi, 1, off + a)) \
+            / (2.0 * grid.dx[a])
+    return out
 
 
 class TestProblemInstance:
@@ -96,6 +117,20 @@ class TestOperators:
         gm, gw = _rows_adjoint(y, grid)
         rhs = np.sum(m * gm) + np.sum(w * gw)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("dim,nx", [(1, (5,)), (1, (64,)), (2, (6, 7))])
+    def test_slice_stencils_bitwise_equal_roll(self, dim, nx):
+        grid = TorusGrid(dim, nx, 4, 1.0)
+        rng = np.random.default_rng(11)
+        phi = rng.standard_normal((3, *nx))
+        w = rng.standard_normal((3, *nx, dim))
+        assert _centered_gradient(phi, grid).tobytes() \
+            == _roll_gradient(phi, grid).tobytes()
+        assert _centered_divergence(w, grid).tobytes() \
+            == _roll_divergence(w, grid).tobytes()
+        # no leading axes, as in u_T-sized slices
+        assert _centered_gradient(phi[0], grid).tobytes() \
+            == _roll_gradient(phi[0], grid).tobytes()
 
     def test_subsolution_residual_uniform_closed_form(self, uniform_problem):
         u, f, _, _ = closed_form_uniform_bundle(uniform_problem)
