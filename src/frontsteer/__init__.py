@@ -8,9 +8,8 @@ optimality conditions.
 from .errors import ConfigError, NumericError, ParameterError
 from .grid import (DensityField, ScalarField, TorusGrid, VecField,
                    integrate_space, interpolate, norm_lp, read_field, write_field)
-from .model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
-                    conjugate_membership, cost, cost_conj, cost_deriv_conj,
-                    hamiltonian, project_cone, prox_cost_conj)
+from .model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, cost,
+                    cost_conj, cost_deriv_conj, prox_cost_conj)
 from .pdopt import (OptimalBundle, ProblemInstance, SolverConfig, evaluate_A,
                     evaluate_B, optimize, recover_f, recover_velocity)
 

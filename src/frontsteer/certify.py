@@ -201,6 +201,7 @@ def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -
 def sample_admissible_field(speed: SpeedModel, grid: TorusGrid,
                             rng: np.random.Generator) -> VecField:
     """Smooth random velocity field with values in c(x,A) (strictly inside)."""
+    # per-variant sampling: the order of the RNG draws fixes every seeded bundle
     if isinstance(speed, IsotropicSpeed):
         raw = np.stack([_fourier_scalar(rng, grid) for _ in range(grid.dim)], axis=-1)
         mag = np.linalg.norm(raw, axis=-1)
@@ -299,6 +300,7 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
     speeds produce a skipped report.  ``bound_scale`` rescales the derived
     constant (used by detector-sensitivity tests)."""
     grid = u.grid
+    # the averaging construction needs one fixed ball of admissible velocities
     if not isinstance(speed, IsotropicSpeed) or isinstance(speed.radius, np.ndarray):
         return CertReport(name="holder_bound", passed=True, lhs=0.0, rhs=0.0,
                           slack=0.0, skipped=True)

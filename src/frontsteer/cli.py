@@ -137,7 +137,7 @@ def build_speed(entry: dict, grid: TorusGrid):
             radius = np.array(field.values[0])
         else:
             radius = _number(radius, "speed radius")
-        return IsotropicSpeed(grid.dim, radius, lip=entry.get("lip"))
+        return IsotropicSpeed(grid.dim, radius)
     if variant == "finite":
         vecs = entry.get("velocities")
         if not vecs:
@@ -153,7 +153,7 @@ def build_speed(entry: dict, grid: TorusGrid):
             raise ConfigError(f"each velocity must have {grid.dim} components")
         maps = [(lambda x, vv=v: np.broadcast_to(vv, np.shape(x))) for v in consts]
         return FiniteControlsSpeed(grid.dim, tuple(maps), c0=_number(entry["c0"], "c0"),
-                                   c1=_number(entry["c1"], "c1"), lip=entry.get("lip", 0.0))
+                                   c1=_number(entry["c1"], "c1"))
     raise ConfigError(f"unknown speed variant {variant!r}")
 
 
@@ -409,7 +409,7 @@ def cmd_reproduce(args) -> int:
     window_points = _number(rep.get("window_points", 401), "window_points", int)
     nt = _number(rep.get("nt", 201), "nt", int)
     tolerance = _number(rep.get("tolerance", 0.05), "tolerance")
-    refine = int(args.refine or 0)
+    refine = args.refine
     out = _outdir(config, args)
     t0 = time.perf_counter()
     rows = []
@@ -475,11 +475,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None)
+        # a string default goes through type=int, so a bad value exits 2
         p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("FRONTSTEER_THREADS", "1")),
+                       default=os.environ.get("FRONTSTEER_THREADS", "1"),
                        help="reserved; results never depend on it")
-        p.add_argument("--refine", type=int, default=0,
-                       help="grid-halving study depth")
 
     p = sub.add_parser("solve-hj", help="solve the backward HJ equation")
     common(p)
@@ -500,6 +499,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="blocking counterexample reproduction")
     common(p)
+    p.add_argument("--refine", type=int, default=0,
+                   help="grid-halving study depth")
     return parser
 
 

@@ -240,17 +240,22 @@ def read_field(path):
     selects the payload encoding; files without it (older v1 writers) are
     read as binary when the payload is exactly 8 bytes per value."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
+        header = fh.readline().decode(errors="replace")
         payload = fh.read()
     tokens = header.split()
     if len(tokens) < 7 or tokens[0] != FIELD_MAGIC or tokens[1] != FIELD_VERSION:
         raise ParameterError(f"not a {FIELD_MAGIC} {FIELD_VERSION} file: {path}")
-    kv = dict(tok.split("=", 1) for tok in tokens[2:])
-    dim = int(kv["dim"])
-    nx = tuple(int(s) for s in kv["nx"].split(","))
-    nt = int(kv["nt"])
-    horizon = float(kv["T"])
-    kind = kv["kind"]
+    try:
+        kv = dict(tok.split("=", 1) for tok in tokens[2:])
+        dim = int(kv["dim"])
+        nx = tuple(int(s) for s in kv["nx"].split(","))
+        nt = int(kv["nt"])
+        horizon = float(kv["T"])
+        kind = kv["kind"]
+    except KeyError as exc:
+        raise ParameterError(f"header of {path} lacks {exc.args[0]}=") from exc
+    except ValueError as exc:
+        raise ParameterError(f"malformed header in {path}: {exc}") from exc
     if kind not in _KINDS:
         raise ParameterError(f"unknown field kind {kind!r}")
     grid = TorusGrid(dim, nx, nt, horizon)
@@ -263,7 +268,10 @@ def read_field(path):
                 f"expected {8 * count} payload bytes in {path}, found {len(payload)}")
         flat = np.frombuffer(payload, dtype="<f8").astype(float)
     elif enc == "text":
-        flat = np.array(payload.decode().split(), dtype=float)
+        try:
+            flat = np.array(payload.decode().split(), dtype=float)
+        except ValueError as exc:
+            raise ParameterError(f"non-numeric text payload in {path}: {exc}") from exc
         if flat.size != count:
             raise ParameterError(
                 f"expected {count} values in {path}, found {flat.size}")

@@ -5,10 +5,10 @@ The scheme is the discrete dynamic programming principle
     u(t_k, x) = min_a [ I[u(t_{k+1})](x + dt*c(x,a)) ] + dt*f(t_k, x)
 
 with periodic multilinear interpolation I and a finite set of velocity
-samples per node (rest + axis + diagonal directions for isotropic speeds,
-the given maps for finite control sets).  The min of monotone interpolations
-makes the scheme monotone, so the comparison principle holds exactly for the
-discrete system.
+samples per node (``speed.velocity_samples``: rest + axis + diagonal
+directions for isotropic speeds, the given maps for finite control sets).
+The min of monotone interpolations makes the scheme monotone, so the
+comparison principle holds exactly for the discrete system.
 """
 
 from __future__ import annotations
@@ -21,47 +21,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import DensityField, ScalarField, TorusGrid
-from .model import IsotropicSpeed, SpeedModel
+from .model import IsotropicSpeed
 
 __all__ = [
-    "control_velocities", "solve_value_function", "extract_front",
+    "solve_value_function", "extract_front",
     "counterexample_exact", "counterexample_obstacle", "counterexample_in_band",
     "counterexample_instance", "CounterexampleWindow",
 ]
-
-
-def control_velocities(speed: SpeedModel, grid: TorusGrid) -> list[np.ndarray]:
-    """Velocity samples per node, each of shape (*nx, dim).
-
-    The zero velocity is always included (the admissible set contains it).
-    Isotropic speeds sample rest + 2*dim axis + 2^dim diagonal directions
-    scaled to the local radius.
-    """
-    nx = grid.nx
-    dim = grid.dim
-    vels = [np.zeros((*nx, dim))]
-    if isinstance(speed, IsotropicSpeed):
-        r = speed.radius_nodes(nx)
-        dirs = []
-        for a in range(dim):
-            for s in (1.0, -1.0):
-                e = np.zeros(dim)
-                e[a] = s
-                dirs.append(e)
-        for signs in itertools.product((1.0, -1.0), repeat=dim):
-            d = np.array(signs) / np.sqrt(dim)
-            dirs.append(d)
-        seen = []
-        for d in dirs:
-            if any(np.allclose(d, s) for s in seen):
-                continue
-            seen.append(d)
-            vels.append(r[..., None] * d)
-    else:
-        pts = np.stack(grid.meshgrid(), axis=-1)
-        for vmap in speed.velocities:
-            vels.append(np.asarray(vmap(pts), dtype=float).reshape(*nx, dim))
-    return vels
 
 
 def _gather_plan(grid: TorusGrid, vel: np.ndarray):
@@ -105,7 +71,7 @@ def solve_value_function(problem, obstacle: ScalarField) -> ScalarField:
         warnings.warn(
             f"large time step: c1*dt = {problem.speed.c1 * grid.dt:.3g} exceeds "
             f"4 cell diameters; accuracy may degrade", stacklevel=2)
-    plans = [_gather_plan(grid, v) for v in control_velocities(problem.speed, grid)]
+    plans = [_gather_plan(grid, v) for v in problem.speed.velocity_samples(grid)]
     values = np.empty((grid.nt, *grid.nx))
     values[-1] = problem.u_T
     for k in range(grid.nt - 2, -1, -1):

@@ -3,11 +3,17 @@
 Two speed variants are supported:
 
 * ``IsotropicSpeed``: c(x,A) is the closed ball of radius c(x) (constant or
-  a nodal table over the unit torus).  Hamiltonian, conjugate membership and
-  the cone projection all have closed forms.
+  a nodal table over the unit torus).  The Hamiltonian and the cone check
+  have closed forms; the cone projection is folded into the K* prox
+  (``prox_cost_conj_coned``).
 * ``FiniteControlsSpeed``: finitely many velocity maps x -> c(x, a_i); the
-  admissible set is their convex hull.  Membership and projection work
+  admissible set is their convex hull.  The cone check and projection work
   through support functions sampled over a fixed direction fan.
+
+Each speed owns the nodal operators its callers need, evaluated on the nodes
+of a ``TorusGrid``: ``hamiltonian`` H(x, p) = sup over v in c(x,A) of -v.p,
+``cone_violation`` for w in m*c(x,A), and ``velocity_samples`` for the HJ
+sweep; ``FiniteControlsSpeed.project_cone`` projects onto that cone.
 
 The cost family is the homogeneous power law K(f) = kappa*|f|^p / p with
 conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
@@ -15,12 +21,12 @@ conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .grid import interp_space
 
 _N_SUPPORT_DIRS = 64
 
@@ -37,13 +43,11 @@ class IsotropicSpeed:
     """Ball-valued velocity sets: c(x,A) = closed ball of radius c(x) > 0.
 
     ``radius`` is either a positive constant or a nodal array over the unit
-    torus (shape = points per axis); intermediate x use periodic multilinear
-    interpolation of the table.
+    torus (shape = points per axis, matching the grid it is used on).
     """
 
     dim: int
     radius: float | np.ndarray
-    lip: float | None = None
 
     def __post_init__(self):
         if isinstance(self.radius, np.ndarray):
@@ -54,19 +58,11 @@ class IsotropicSpeed:
             if np.min(arr) <= 0:
                 raise ParameterError("speed radius must be positive")
             object.__setattr__(self, "radius", arr)
-            if self.lip is None:
-                lip = 0.0
-                for a in range(self.dim):
-                    dxa = 1.0 / arr.shape[a]
-                    lip = max(lip, float(np.max(np.abs(np.roll(arr, -1, a) - arr)) / dxa))
-                object.__setattr__(self, "lip", lip)
         else:
             r = float(self.radius)
             if r <= 0:
                 raise ParameterError("speed radius must be positive")
             object.__setattr__(self, "radius", r)
-            if self.lip is None:
-                object.__setattr__(self, "lip", 0.0)
 
     @property
     def c0(self) -> float:
@@ -75,12 +71,6 @@ class IsotropicSpeed:
     @property
     def c1(self) -> float:
         return float(np.max(self.radius))
-
-    def radius_at(self, x) -> np.ndarray | float:
-        if isinstance(self.radius, np.ndarray):
-            return interp_space(self.radius, np.asarray(x, dtype=float), self.radius.shape)
-        x = np.asarray(x, dtype=float)
-        return self.radius if x.ndim <= 1 else np.full(x.shape[:-1], self.radius)
 
     def radius_nodes(self, nx: tuple[int, ...]) -> np.ndarray:
         """Radius sampled on the grid nodes (tables must match the grid)."""
@@ -91,6 +81,32 @@ class IsotropicSpeed:
             return self.radius
         return np.full(nx, self.radius)
 
+    def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
+        """H(x, p) = c(x)|p| on the grid nodes; p has shape (..., *nx, dim)."""
+        return self.radius_nodes(grid.nx) * np.linalg.norm(p, axis=-1)
+
+    def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
+        """Largest excess of |w| over c(x)*m over all nodes (<= 0 inside)."""
+        c = self.radius_nodes(grid.nx)
+        return float(np.max(np.linalg.norm(w, axis=-1) - c * m))
+
+    def velocity_samples(self, grid) -> list[np.ndarray]:
+        """Rest, then the 2*dim axis and 2^dim diagonal unit directions
+        (duplicates dropped) scaled to the node radius; each (*nx, dim)."""
+        dim = grid.dim
+        dirs = []
+        for a in range(dim):
+            for s in (1.0, -1.0):
+                e = np.zeros(dim)
+                e[a] = s
+                dirs.append(e)
+        for signs in itertools.product((1.0, -1.0), repeat=dim):
+            d = np.array(signs) / np.sqrt(dim)
+            if not any(np.allclose(d, seen) for seen in dirs):
+                dirs.append(d)
+        r = self.radius_nodes(grid.nx)
+        return [np.zeros((*grid.nx, dim))] + [r[..., None] * d for d in dirs]
+
 
 @dataclass(frozen=True)
 class FiniteControlsSpeed:
@@ -99,13 +115,14 @@ class FiniteControlsSpeed:
     Each entry of ``velocities`` is a callable taking points of shape
     (..., dim) and returning vectors of shape (..., dim).  ``c0``/``c1`` are
     the declared inner/outer radii; they are spot-checked on a node sample.
+    Cone membership and projection use the support function sampled over a
+    fixed direction fan.
     """
 
     dim: int
     velocities: tuple = ()
     c0: float = 0.0
     c1: float = 0.0
-    lip: float = 0.0
     _dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -133,88 +150,66 @@ class FiniteControlsSpeed:
         x = np.asarray(x, dtype=float)
         return np.stack([np.asarray(v(x), dtype=float) for v in self.velocities])
 
-    def support(self, x, d: np.ndarray) -> np.ndarray:
-        """Support function of c(x,A) in direction(s) d."""
-        vels = self.velocities_at(x)
-        return np.max(np.einsum("m...d,...d->m...", vels, d), axis=0)
+    def _node_velocities(self, grid) -> np.ndarray:
+        """The maps evaluated on the grid nodes, shape (M, *nx, dim)."""
+        return self.velocities_at(np.stack(grid.meshgrid(), axis=-1))
+
+    def _node_support(self, grid) -> np.ndarray:
+        """Support function h(x, d) per fan direction d, shape (K, *nx)."""
+        vels = self._node_velocities(grid)
+        return np.max(np.einsum("m...d,kd->km...", vels, self._dirs), axis=1)
+
+    def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
+        """H(x, p) = max_i -c(x, a_i).p on the grid nodes; p has shape
+        (..., *nx, dim)."""
+        vels = self._node_velocities(grid)
+        return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
+
+    def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
+        """Largest excess of w.d over m*h(x, d) over all nodes and fan
+        directions (<= 0 inside the sampled cone)."""
+        support = np.moveaxis(self._node_support(grid), 0, -1)
+        proj = np.einsum("t...d,kd->t...k", w, self._dirs)
+        return float(np.max(proj - m[..., None] * support))
+
+    def velocity_samples(self, grid) -> list[np.ndarray]:
+        """Rest, then each map on the grid nodes; each (*nx, dim)."""
+        return [np.zeros((*grid.nx, grid.dim)), *self._node_velocities(grid)]
+
+    def project_cone(self, grid, m: np.ndarray, w: np.ndarray,
+                     tol: float = 1e-10, max_sweeps: int = 200):
+        """Nodewise projection onto {(m, w): m >= 0, w in m*c(x,A)}: vectorized
+        Dykstra over the sampled support halfspaces {w.d - m*h(x,d) <= 0} and
+        {m >= 0}.  m has shape (..., *nx), w shape (..., *nx, dim)."""
+        dirs = self._dirs                                     # (K, dim)
+        support = self._node_support(grid)                    # (K, *nx)
+        # halfspace normals per node: n = (-h, d) / |(-h, d)|
+        norms = np.sqrt(support ** 2 + 1.0)
+        zm, zw = m.copy(), w.copy()
+        n_half = len(dirs)
+        corr_m = np.zeros((n_half + 1, *m.shape))
+        corr_w = np.zeros((n_half + 1, *w.shape))
+        for _ in range(max_sweeps):
+            prev_m, prev_w = zm.copy(), zw.copy()
+            for j in range(n_half):
+                ym = zm + corr_m[j]
+                yw = zw + corr_w[j]
+                viol = np.maximum(np.einsum("...d,d->...", yw, dirs[j])
+                                  - ym * support[j], 0.0) / (norms[j] ** 2)
+                zm = ym + viol * support[j]
+                zw = yw - viol[..., None] * dirs[j]
+                corr_m[j] = ym - zm
+                corr_w[j] = yw - zw
+            ym = zm + corr_m[n_half]
+            zm = np.maximum(ym, 0.0)
+            corr_m[n_half] = ym - zm
+            if max(float(np.max(np.abs(zm - prev_m))),
+                   float(np.max(np.abs(zw - prev_w)))) < tol:
+                break
+        return zm, zw
 
 
 SpeedModel = IsotropicSpeed | FiniteControlsSpeed
-
-
-def hamiltonian(speed: SpeedModel, x, p_vec) -> float | np.ndarray:
-    """H(x, p) = sup over admissible velocities v of -v . p.
-
-    Positively 1-homogeneous and subadditive in p; for isotropic speeds it
-    equals c(x)*|p|, so c0*|p| <= H(x,p) <= c1*|p| holds in general.
-    """
-    p_vec = np.asarray(p_vec, dtype=float)
-    if isinstance(speed, IsotropicSpeed):
-        out = speed.radius_at(x) * np.linalg.norm(p_vec, axis=-1)
-    else:
-        out = speed.support(x, -p_vec)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def conjugate_membership(speed: SpeedModel, x, q_vec, tol: float = 1e-12) -> bool:
-    """Whether H*(x, q) = 0, i.e. q lies in -c(x,A)."""
-    q_vec = np.asarray(q_vec, dtype=float)
-    if isinstance(speed, IsotropicSpeed):
-        return bool(np.linalg.norm(q_vec) <= float(speed.radius_at(x)) + tol)
-    dirs = _direction_fan(speed.dim)
-    vels = -speed.velocities_at(np.asarray(x, dtype=float))   # vertices of -c(x,A)
-    support = np.max(vels @ dirs.T, axis=0)
-    return bool(np.all(q_vec @ dirs.T <= support + tol))
-
-
-def project_cone(speed: SpeedModel, x, m_bar: float, w_bar) -> tuple[float, np.ndarray]:
-    """Euclidean projection onto the cone {(m, w): m >= 0, w in m*c(x,A)}.
-
-    Isotropic speeds use the closed-form second-order-cone projection;
-    finite-control hulls use Dykstra iteration over sampled support
-    halfspaces to tolerance 1e-10.
-    """
-    w_bar = np.asarray(w_bar, dtype=float)
-    if isinstance(speed, IsotropicSpeed):
-        c = float(speed.radius_at(x))
-        m, w = _soc_project(np.asarray([m_bar]), w_bar[None, :], np.asarray([c]))
-        return float(m[0]), w[0]
-    return _dykstra_project(speed, x, float(m_bar), w_bar)
-
-
-def _soc_project(m_bar: np.ndarray, w_bar: np.ndarray, c: np.ndarray):
-    """Vectorized projection onto {(m,w): |w| <= c*m}; w_bar shape (..., dim)."""
-    a = np.linalg.norm(w_bar, axis=-1)
-    inside = a <= c * m_bar
-    polar = c * a <= -m_bar
-    m = (m_bar + c * a) / (1.0 + c * c)
-    m = np.where(inside, m_bar, np.where(polar, 0.0, m))
-    scale = np.where(inside, 1.0, np.where(polar, 0.0, np.divide(
-        c * m, a, out=np.zeros_like(a), where=a > 0)))
-    w = w_bar * scale[..., None]
-    return m, w
-
-
-def _dykstra_project(speed: FiniteControlsSpeed, x, m_bar, w_bar,
-                     tol: float = 1e-10, max_iter: int = 500):
-    dirs = _direction_fan(speed.dim)
-    h = speed.support(np.asarray(x, dtype=float), dirs)       # support per direction
-    z = np.concatenate([[m_bar], w_bar])
-    normals = np.concatenate([-h[:, None], dirs], axis=1)     # w.d - m*h <= 0
-    normals = np.vstack([normals, np.concatenate([[-1.0], np.zeros(speed.dim)])])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    corr = np.zeros_like(normals)
-    for _ in range(max_iter):
-        z_prev = z.copy()
-        for j in range(normals.shape[0]):
-            y = z + corr[j]
-            viol = y @ normals[j]
-            z_new = y - max(viol, 0.0) * normals[j]
-            corr[j] = y - z_new
-            z = z_new
-        if np.max(np.abs(z - z_prev)) < tol:
-            break
-    return max(z[0], 0.0), z[1:]
 
 
 @dataclass(frozen=True)

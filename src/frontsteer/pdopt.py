@@ -6,9 +6,11 @@ continuity equation (centered divergence, momentum slice k transporting
 between levels k and k+1) with m(0) = m0 enforced as an extra constraint row.
 
 The Chambolle-Pock iteration ascends in the multiplier of the continuity
-rows and alternates, within each primal step, the pointwise prox of K* and
-the exact projection onto the velocity cone.  The multiplier, sign-flipped,
-converges to the value function u.
+rows, and each primal step ends in a pointwise prox: for isotropic speeds the
+exact joint prox of K* and the velocity-cone indicator; for finite control
+hulls the prox of K* followed by the cone projection, which is not the prox
+of their sum.  The multiplier, sign-flipped, converges to the value
+function u.
 
 The gap A(u, f) + B(m, w) that ``optimize`` reports and stops on is a
 Lagrangian gap, not an optimality certificate: it takes f = k(m) and the raw
@@ -27,9 +29,8 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField
-from .model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, SpeedModel,
-                    _direction_fan, cost, cost_conj, cost_deriv_conj,
-                    prox_cost_conj, prox_cost_conj_coned)
+from .model import (CostModel, IsotropicSpeed, SpeedModel, cost, cost_conj,
+                    cost_deriv_conj, prox_cost_conj, prox_cost_conj_coned)
 
 __all__ = [
     "ProblemInstance", "SolverConfig", "OptimalBundle", "SolverDiagnostics",
@@ -187,15 +188,6 @@ def _rows_adjoint(y: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarra
     return gm, gw
 
 
-def _hamiltonian_nodes(speed: SpeedModel, grid: TorusGrid, p: np.ndarray) -> np.ndarray:
-    """H(x, p) on all nodes; p has shape (..., *nx, dim)."""
-    if isinstance(speed, IsotropicSpeed):
-        return speed.radius_nodes(grid.nx) * np.linalg.norm(p, axis=-1)
-    pts = np.stack(grid.meshgrid(), axis=-1)
-    vels = speed.velocities_at(pts)            # (M, *nx, dim)
-    return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
-
-
 def _operator_norm(grid: TorusGrid) -> float:
     """Largest singular value of the constraint operator, by power iteration."""
     rng = np.random.default_rng(12345)
@@ -245,7 +237,7 @@ def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
     grid = problem.grid
     if m.grid != grid or w.grid != grid:
         raise ParameterError("fields live on a different grid")
-    viol = _cone_violation(problem.speed, grid, m.values, w.values)
+    viol = problem.speed.cone_violation(grid, m.values, w.values)
     if details is not None:
         details["max_violation"] = viol
         details["feasible"] = viol <= cone_tol
@@ -254,19 +246,6 @@ def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
     value = float(np.sum(problem.u_T * m.values[-1]) * grid.cell_volume)
     value += _quad_spacetime(cost_conj(problem.cost, m.values), grid)
     return value
-
-
-def _cone_violation(speed: SpeedModel, grid: TorusGrid,
-                    m: np.ndarray, w: np.ndarray) -> float:
-    if isinstance(speed, IsotropicSpeed):
-        c = speed.radius_nodes(grid.nx)
-        return float(np.max(np.linalg.norm(w, axis=-1) - c * m))
-    pts = np.stack(grid.meshgrid(), axis=-1)
-    vels = speed.velocities_at(pts)
-    dirs = _direction_fan(grid.dim)
-    support = np.max(np.einsum("m...d,kd->m...k", vels, dirs), axis=0)
-    proj = np.einsum("t...d,kd->t...k", w, dirs)
-    return float(np.max(proj - m[..., None] * support))
 
 
 def recover_f(problem: ProblemInstance, m: DensityField) -> ScalarField:
@@ -303,7 +282,7 @@ def subsolution_residual(problem: ProblemInstance, u_values: np.ndarray) -> np.n
     grid = problem.grid
     grad = _centered_gradient(u_values[1:], grid)
     return -(u_values[1:] - u_values[:-1]) / grid.dt \
-        + _hamiltonian_nodes(problem.speed, grid, grad)
+        + problem.speed.hamiltonian(grid, grad)
 
 
 def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
@@ -350,6 +329,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     diag.tau, diag.sigma = tau, sigma
     theta = config.over_relax
 
+    # ball cones get the exact joint prox; both prox names stay globals here for the tracer
     iso = isinstance(problem.speed, IsotropicSpeed)
     c_nodes = problem.speed.radius_nodes(grid.nx) if iso else None
 
@@ -381,7 +361,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         else:
             # approximate prox of the sum: K* prox then cone projection
             m[:-1] = prox_cost_conj(problem.cost, m[:-1], tau * grid.dt)
-            m[:-1], w = _project_cone_nodes(problem.speed, grid, m[:-1], w_half)
+            m[:-1], w = problem.speed.project_cone(grid, m[:-1], w_half)
 
         # _rows is affine and the weights 1 + theta and -theta sum to one, so
         # the rows of the over-relaxed point need no second application
@@ -424,37 +404,3 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         diagnostics=diag,
     )
 
-
-def _project_cone_nodes(speed: FiniteControlsSpeed, grid: TorusGrid,
-                        m: np.ndarray, w: np.ndarray,
-                        tol: float = 1e-10, max_sweeps: int = 200):
-    """Nodewise cone projection for finite control sets: vectorized Dykstra
-    over the sampled support halfspaces {w.d - m*h(x,d) <= 0} and {m >= 0}."""
-    dirs = _direction_fan(grid.dim)                       # (K, dim)
-    pts = np.stack(grid.meshgrid(), axis=-1)
-    support = np.stack([speed.support(pts, np.broadcast_to(d, pts.shape))
-                        for d in dirs])                   # (K, *nx)
-    # halfspace normals per node: n = (-h, d) / |(-h, d)|
-    norms = np.sqrt(support ** 2 + 1.0)
-    zm, zw = m.copy(), w.copy()
-    n_half = len(dirs)
-    corr_m = np.zeros((n_half + 1, *m.shape))
-    corr_w = np.zeros((n_half + 1, *w.shape))
-    for _ in range(max_sweeps):
-        prev_m, prev_w = zm.copy(), zw.copy()
-        for j in range(n_half):
-            ym = zm + corr_m[j]
-            yw = zw + corr_w[j]
-            viol = np.maximum(np.einsum("...d,d->...", yw, dirs[j])
-                              - ym * support[j], 0.0) / (norms[j] ** 2)
-            zm = ym + viol * support[j]
-            zw = yw - viol[..., None] * dirs[j]
-            corr_m[j] = ym - zm
-            corr_w[j] = yw - zw
-        ym = zm + corr_m[n_half]
-        zm = np.maximum(ym, 0.0)
-        corr_m[n_half] = ym - zm
-        if max(float(np.max(np.abs(zm - prev_m))),
-               float(np.max(np.abs(zw - prev_w)))) < tol:
-            break
-    return zm, zw

@@ -63,6 +63,30 @@ class TestSolveHJ:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_malformed_obstacle_file_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        obstacle = tmp_path / "f.field"
+        obstacle.write_text("frontsteer-field v1 dim=1 nx=32 nt=33 T=1 kind=scalar "
+                            "enc=text\n" + "x " * (32 * 33) + "\n")
+        code = main(["solve-hj", "--config", str(cfg_path),
+                     "--obstacle", str(obstacle), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "parameter error:" in capsys.readouterr().err
+
+
+class TestArguments:
+    def test_refine_only_on_reproduce(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--refine", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def test_bad_threads_environment_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRONTSTEER_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
 
 class TestConfigErrors:
     def test_invalid_json(self, tmp_path):

@@ -228,3 +228,23 @@ class TestFieldFiles:
         path.write_text("not a field file\n1 2 3\n")
         with pytest.raises(ParameterError):
             read_field(path)
+        path.write_bytes(b"\xff\xfe not utf-8\n1 2 3\n")
+        with pytest.raises(ParameterError):
+            read_field(path)
+
+    @pytest.mark.parametrize("header", [
+        "frontsteer-field v1 dim=1 nx=3 nt=1 T=1 kind=scalar junk enc=text",
+        "frontsteer-field v1 dims=1 nx=3 nt=1 T=1 kind=scalar enc=text",
+    ], ids=["token_without_equals", "missing_dim"])
+    def test_malformed_header_token(self, tmp_path, header):
+        path = tmp_path / "h.field"
+        path.write_text(header + "\n1 2 3\n")
+        with pytest.raises(ParameterError):
+            read_field(path)
+
+    def test_non_numeric_text_value(self, tmp_path):
+        path = tmp_path / "t.field"
+        path.write_text("frontsteer-field v1 dim=1 nx=3 nt=1 T=1 kind=scalar enc=text\n"
+                        "1 two 3\n")
+        with pytest.raises(ParameterError):
+            read_field(path)

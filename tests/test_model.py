@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontsteer.errors import ParameterError
+from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
-                              _solve_power_root, conjugate_membership, cost,
-                              cost_conj, cost_deriv_conj, hamiltonian,
-                              project_cone, prox_cost_conj)
+                              _solve_power_root, cost, cost_conj, cost_deriv_conj,
+                              prox_cost_conj, prox_cost_conj_coned)
 
 
 def square_speed():
@@ -19,100 +19,121 @@ def square_speed():
     return FiniteControlsSpeed(2, tuple(vels), c0=0.6, c1=0.9)
 
 
+def nodes(grid, vec):
+    """One vector repeated on every space node: shape (*nx, dim)."""
+    return np.broadcast_to(np.asarray(vec, dtype=float), (*grid.nx, grid.dim))
+
+
+GRID_2D = TorusGrid(2, (4, 4), 3, 1.0)
+
+
 class TestHamiltonian:
     def test_unit_ball_norm(self):
         s = IsotropicSpeed(2, 1.0)
-        assert hamiltonian(s, [0.1, 0.2], [3.0, 4.0]) == pytest.approx(5.0)
+        np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [3.0, 4.0])), 5.0,
+                                   rtol=1e-15)
 
     def test_zero_covector(self):
-        assert hamiltonian(IsotropicSpeed(2, 1.7), [0.0, 0.0], [0.0, 0.0]) == 0.0
-        assert hamiltonian(square_speed(), [0.0, 0.0], [0.0, 0.0]) == 0.0
+        zero = nodes(GRID_2D, [0.0, 0.0])
+        assert np.all(IsotropicSpeed(2, 1.7).hamiltonian(GRID_2D, zero) == 0.0)
+        assert np.all(square_speed().hamiltonian(GRID_2D, zero) == 0.0)
 
     def test_radius_scaling(self):
-        assert hamiltonian(IsotropicSpeed(2, 2.0), [0.5, 0.5], [-1.0, 0.0]) \
-            == pytest.approx(2.0)
+        h = IsotropicSpeed(2, 2.0).hamiltonian(GRID_2D, nodes(GRID_2D, [-1.0, 0.0]))
+        np.testing.assert_allclose(h, 2.0, rtol=1e-15)
 
     def test_homogeneous_and_subadditive(self):
         s = IsotropicSpeed(2, 1.3)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.random(2)
-            p1, p2 = rng.standard_normal(2), rng.standard_normal(2)
-            lam = rng.random() * 3
-            assert hamiltonian(s, x, lam * p1) == pytest.approx(
-                lam * hamiltonian(s, x, p1), abs=1e-12)
-            assert hamiltonian(s, x, p1 + p2) \
-                <= hamiltonian(s, x, p1) + hamiltonian(s, x, p2) + 1e-12
+        shape = (50, *GRID_2D.nx, 2)            # 50 covectors per node
+        p1, p2 = rng.standard_normal(shape), rng.standard_normal(shape)
+        lam = 3 * rng.random((50, 1, 1))
+        h1, h2 = s.hamiltonian(GRID_2D, p1), s.hamiltonian(GRID_2D, p2)
+        np.testing.assert_allclose(s.hamiltonian(GRID_2D, lam[..., None] * p1), lam * h1,
+                                   rtol=0, atol=1e-12)
+        assert np.all(s.hamiltonian(GRID_2D, p1 + p2) <= h1 + h2 + 1e-12)
 
     def test_bounds_and_lipschitz_variable_radius(self):
         nx = 32
+        grid = TorusGrid(1, (nx,), 2, 1.0)
         radius = 1.0 + 0.5 * np.sin(2 * np.pi * np.arange(nx) / nx)
         s = IsotropicSpeed(1, radius)
         assert s.c0 == pytest.approx(0.5)
         assert s.c1 == pytest.approx(1.5)
+        # discrete Lipschitz constant of the radius table
+        lip = float(np.max(np.abs(np.roll(radius, -1) - radius))) * nx
         rng = np.random.default_rng(1)
         for _ in range(100):
             i, j = rng.integers(0, nx, 2)
             p = rng.standard_normal(1)
-            hx = hamiltonian(s, [i / nx], p)
-            hy = hamiltonian(s, [j / nx], p)
+            h = s.hamiltonian(grid, nodes(grid, p))
+            hx, hy = h[i], h[j]
             assert s.c0 * abs(p[0]) - 1e-12 <= hx <= s.c1 * abs(p[0]) + 1e-12
-            dist = abs((i - j) / nx + 0.5) % 1.0 - 0.5
             # geodesic torus distance via the node chain
             dist = min(abs(i - j), nx - abs(i - j)) / nx
-            assert abs(hx - hy) <= s.lip * dist * abs(p[0]) + 1e-10
+            assert abs(hx - hy) <= lip * dist * abs(p[0]) + 1e-10
 
     def test_finite_controls_vertices(self):
         s = square_speed()
         # support in direction -p is attained at a hull vertex exactly
-        assert hamiltonian(s, [0.2, 0.7], [1.0, 0.0]) == pytest.approx(0.9)
-        assert hamiltonian(s, [0.2, 0.7], [1.0, 1.0]) == pytest.approx(0.9)
+        np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [1.0, 0.0])), 0.9)
+        np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [1.0, 1.0])), 0.9)
+
+
+def conjugate_member(speed, q, tol=1e-12):
+    """Whether H*(x, q) = 0 at every node, i.e. q lies in -c(x,A): the
+    momentum -q is admissible for unit density."""
+    return speed.cone_violation(GRID_2D, np.ones(GRID_2D.nx),
+                                -nodes(GRID_2D, q)) <= tol
 
 
 class TestConjugateMembership:
     def test_ball_boundary(self):
         s = IsotropicSpeed(2, 1.0)
-        assert conjugate_membership(s, [0.0, 0.0], [0.6, 0.8])
-        assert not conjugate_membership(s, [0.0, 0.0], [1.1, 0.0])
+        assert conjugate_member(s, [0.6, 0.8])
+        assert not conjugate_member(s, [1.1, 0.0])
 
     def test_zero_always_inside(self):
-        assert conjugate_membership(IsotropicSpeed(2, 0.3), [0.1, 0.1], [0.0, 0.0])
-        assert conjugate_membership(square_speed(), [0.1, 0.1], [0.0, 0.0])
+        assert conjugate_member(IsotropicSpeed(2, 0.3), [0.0, 0.0])
+        assert conjugate_member(square_speed(), [0.0, 0.0])
 
     def test_finite_controls_membership(self):
         s = square_speed()
-        assert conjugate_membership(s, [0.0, 0.0], [0.85, 0.0])
-        assert not conjugate_membership(s, [0.0, 0.0], [0.7, 0.7])
+        assert conjugate_member(s, [0.85, 0.0])
+        assert not conjugate_member(s, [0.7, 0.7])
+
+
+def soc_project(c, m_bar, w_bar):
+    """Projection onto {(m, w): |w| <= c*m}: the coned K* prox at zero step."""
+    m, w = prox_cost_conj_coned(CostModel(p=3.0), c, np.array([m_bar], dtype=float),
+                                np.array([w_bar], dtype=float), step=0.0)
+    return float(m[0]), w[0]
 
 
 class TestProjectCone:
     def test_already_feasible(self):
-        s = IsotropicSpeed(2, 1.0)
-        m, w = project_cone(s, [0.0, 0.0], 2.0, [1.0, 0.0])
+        m, w = soc_project(1.0, 2.0, [1.0, 0.0])
         assert m == pytest.approx(2.0)
         np.testing.assert_allclose(w, [1.0, 0.0])
 
     def test_second_order_cone_closed_form(self):
-        s = IsotropicSpeed(2, 1.0)
-        m, w = project_cone(s, [0.0, 0.0], 0.0, [2.0, 0.0])
+        m, w = soc_project(1.0, 0.0, [2.0, 0.0])
         assert m == pytest.approx(1.0)
         np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-14)
 
     def test_polar_cone(self):
-        s = IsotropicSpeed(2, 1.0)
-        m, w = project_cone(s, [0.0, 0.0], -2.0, [0.0, 0.0])
+        m, w = soc_project(1.0, -2.0, [0.0, 0.0])
         assert m == 0.0
         np.testing.assert_allclose(w, [0.0, 0.0])
 
     def test_idempotent_and_nonexpansive(self):
-        s = IsotropicSpeed(2, 0.8)
         rng = np.random.default_rng(2)
         for _ in range(50):
             z1 = (rng.standard_normal(), rng.standard_normal(2) * 2)
             z2 = (rng.standard_normal(), rng.standard_normal(2) * 2)
-            p1 = project_cone(s, [0.0, 0.0], *z1)
-            p2 = project_cone(s, [0.0, 0.0], *z2)
-            pp1 = project_cone(s, [0.0, 0.0], *p1)
+            p1 = soc_project(0.8, *z1)
+            p2 = soc_project(0.8, *z2)
+            pp1 = soc_project(0.8, *p1)
             assert pp1[0] == pytest.approx(p1[0], abs=1e-12)
             np.testing.assert_allclose(pp1[1], p1[1], atol=1e-12)
             dist_p = np.hypot(p1[0] - p2[0], np.linalg.norm(p1[1] - p2[1]))
@@ -122,12 +143,14 @@ class TestProjectCone:
     def test_finite_controls_projection(self):
         s = square_speed()
         # hull contains (0.9, 0); same geometry as the 1D cone along the axis
-        m, w = project_cone(s, [0.0, 0.0], 0.0, [1.8, 0.0])
-        assert m > 0 and abs(w[1]) < 1e-9
+        m, w = s.project_cone(GRID_2D, np.zeros((1, *GRID_2D.nx)),
+                              np.broadcast_to([1.8, 0.0], (1, *GRID_2D.nx, 2)))
+        assert np.all(m > 0) and np.max(np.abs(w[..., 1])) < 1e-9
+        assert s.cone_violation(GRID_2D, m, w) <= 1e-8
         # result feasible and the fixed point of the projection
-        m2, w2 = project_cone(s, [0.0, 0.0], m, w)
-        assert m2 == pytest.approx(m, abs=1e-8)
-        np.testing.assert_allclose(w2, w, atol=1e-8)
+        m2, w2 = s.project_cone(GRID_2D, m, w)
+        np.testing.assert_allclose(m2, m, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(w2, w, rtol=0, atol=1e-8)
 
 
 class TestCostFamily:

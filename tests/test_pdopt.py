@@ -5,7 +5,8 @@ from conftest import closed_form_uniform_bundle, make_uniform_problem
 from frontsteer.errors import ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
-from frontsteer.model import CostModel, IsotropicSpeed, cost, cost_conj
+from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, cost,
+                              cost_conj)
 from frontsteer.pdopt import (ProblemInstance, SolverConfig,
                               _centered_divergence, _centered_gradient, _rows,
                               _rows_adjoint, evaluate_A, evaluate_B, optimize,
@@ -265,3 +266,41 @@ class TestOptimize:
             SolverConfig(max_iters=0)
         with pytest.raises(ParameterError):
             SolverConfig(over_relax=1.5)
+
+
+def _constant_maps(*vectors):
+    return tuple((lambda x, v=np.array(v, dtype=float): np.broadcast_to(v, np.shape(x)))
+                 for v in vectors)
+
+
+def _finite_problem(grid, speed, p):
+    coords = grid.meshgrid()
+    u_T = np.prod([np.cos(2 * np.pi * c) for c in coords], axis=0)
+    m0 = 1.0 + 0.5 * np.prod([np.sin(2 * np.pi * c) for c in coords], axis=0)
+    return ProblemInstance(grid=grid, speed=speed, cost=CostModel(p=p), u_T=u_T, m0=m0)
+
+
+class TestOptimizeFiniteControls:
+    """The K* prox followed by the hull projection.  Agreement with the
+    isotropic path is not asserted: the composed step is not the prox of the
+    sum, so the two paths settle at different points."""
+
+    @pytest.mark.parametrize("case", ["1d_pair", "2d_square"])
+    def test_iterates_stay_in_the_cone(self, case):
+        if case == "1d_pair":
+            grid = TorusGrid(1, (16,), 17, 1.0)
+            speed = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+            prob, iters = _finite_problem(grid, speed, p=3.0), 300
+        else:
+            grid = TorusGrid(2, (8, 8), 9, 1.0)
+            speed = FiniteControlsSpeed(
+                2, _constant_maps([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]),
+                c0=0.6, c1=0.9)
+            prob, iters = _finite_problem(grid, speed, p=4.0), 50
+        bundle = optimize(prob, SolverConfig(max_iters=iters, tol_gap=1e-12,
+                                             tol_cont=1e-12))
+        assert bundle.diagnostics.iterations == iters
+        m, w = bundle.m.values, bundle.w.values
+        assert np.min(m) >= 0.0
+        assert speed.cone_violation(grid, m, w) <= 1e-8
+        assert np.isfinite(evaluate_B(prob, bundle.m, bundle.w))
