@@ -185,7 +185,10 @@ def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
 
 
 def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -> np.ndarray:
-    """Smooth random field over space-time, O(1) amplitude."""
+    """Smooth random field over space-time, O(1) amplitude.
+
+    Each mode's wave is evaluated once per distinct value of ``x @ kvec``
+    and gathered back to the nodes."""
     t = grid.times()[:, None]
     out = np.zeros((grid.nt, grid.n_space))
     x = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
@@ -194,7 +197,10 @@ def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -
         omega = rng.uniform(-2.0, 2.0)
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.uniform(0.3, 1.0)
-        out += amp * np.cos(2 * np.pi * (x @ kvec + omega * t) + phase)
+        # lattice nodes and integer kvec repeat x @ kvec: one cos per distinct value
+        s, inv = np.unique(x @ kvec, return_inverse=True)
+        wave = amp * np.cos(2 * np.pi * (s + omega * t) + phase)
+        out += np.take(wave, inv, axis=1)
     return out.reshape(grid.nt, *grid.nx)
 
 

@@ -141,32 +141,52 @@ class VecField:
         return self.values[self.grid.check_time_index(t)]
 
 
+def _interp_plan(pts: np.ndarray, nx: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Corner plan of periodic multilinear interpolation at ``pts`` (N, dim).
+
+    Returns one ``(flat_index, weight)`` pair per cell corner, in
+    ``itertools.product((0, 1), repeat=dim)`` order: the row-major index of
+    the corner node and the product of the per-axis weights in axis order.
+    """
+    lower, upper, below, above = [], [], [], []
+    for a, n in enumerate(nx):
+        xi = np.mod(pts[:, a], 1.0) * n
+        i0 = np.floor(xi).astype(int)
+        f = xi - i0
+        b = np.mod(i0, n)
+        b1 = b + 1
+        b1[b1 == n] = 0
+        lower.append(b)
+        upper.append(b1)
+        below.append(1.0 - f)
+        above.append(f)
+    plan = []
+    for corner in itertools.product((0, 1), repeat=len(nx)):
+        idx = upper[0] if corner[0] else lower[0]
+        w = above[0] if corner[0] else below[0]
+        for a in range(1, len(nx)):
+            idx = idx * nx[a] + (upper[a] if corner[a] else lower[a])
+            w = w * (above[a] if corner[a] else below[a])
+        plan.append((idx, w))
+    return plan
+
+
 def interp_space(slice_values: np.ndarray, x: np.ndarray, nx: tuple[int, ...]) -> np.ndarray:
     """Periodic multilinear interpolation of a nodal space array.
 
     ``slice_values`` has shape (*nx) or (*nx, comps); ``x`` has shape
-    (..., dim) with coordinates wrapped into [0,1) per axis.
+    (..., dim), each coordinate wrapped into [0,1) per axis.  The corners are
+    gathered by flat index and summed in a fixed corner order, so the value
+    at a point does not depend on the other points of ``x``.
     """
     x = np.asarray(x, dtype=float)
     dim = len(nx)
     pts = x.reshape(-1, dim)
-    base = []
-    frac = []
-    for a in range(dim):
-        xi = np.mod(pts[:, a], 1.0) * nx[a]
-        i0 = np.floor(xi).astype(int)
-        frac.append(xi - i0)
-        base.append(np.mod(i0, nx[a]))
     trailing = slice_values.shape[dim:]
+    flat = np.reshape(slice_values, (-1, *trailing))
     out = np.zeros((pts.shape[0], *trailing))
-    for corner in itertools.product((0, 1), repeat=dim):
-        w = np.ones(pts.shape[0])
-        idx = []
-        for a, c in enumerate(corner):
-            w = w * (frac[a] if c else (1.0 - frac[a]))
-            idx.append(np.mod(base[a] + c, nx[a]))
-        vals = slice_values[tuple(idx)]
-        out += vals * w.reshape(-1, *([1] * len(trailing)))
+    for idx, w in _interp_plan(pts, nx):
+        out += np.take(flat, idx, axis=0) * w.reshape(-1, *([1] * len(trailing)))
     return out.reshape(x.shape[:-1] + trailing)
 
 
@@ -231,8 +251,9 @@ def write_field(path, field, binary: bool = False) -> None:
         if binary:
             fh.write(flat.astype("<f8").tobytes())
         else:
+            fmt = " ".join(["%.17g"] * flat.shape[1]) + "\n"
             for row in flat:
-                fh.write((" ".join(f"{v:.17g}" for v in row) + "\n").encode())
+                fh.write((fmt % tuple(row.tolist())).encode())
 
 
 def read_field(path):

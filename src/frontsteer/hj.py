@@ -13,14 +13,13 @@ comparison principle holds exactly for the discrete system.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import DensityField, ScalarField, TorusGrid
+from .grid import DensityField, ScalarField, TorusGrid, _interp_plan
 from .model import IsotropicSpeed
 
 __all__ = [
@@ -31,30 +30,17 @@ __all__ = [
 
 
 def _gather_plan(grid: TorusGrid, vel: np.ndarray):
-    """Precompute corner indices and weights for I[u](x + dt*vel)."""
+    """Flat corner indices and weights for I[u](x + dt*vel) at every node."""
     foot = np.stack(grid.meshgrid(), axis=-1) + grid.dt * vel
-    base, frac = [], []
-    for a in range(grid.dim):
-        xi = np.mod(foot[..., a], 1.0) * grid.nx[a]
-        i0 = np.floor(xi).astype(int)
-        frac.append(xi - i0)
-        base.append(np.mod(i0, grid.nx[a]))
-    plan = []
-    for corner in itertools.product((0, 1), repeat=grid.dim):
-        w = np.ones(grid.nx)
-        idx = []
-        for a, c in enumerate(corner):
-            w = w * (frac[a] if c else (1.0 - frac[a]))
-            idx.append(np.mod(base[a] + c, grid.nx[a]))
-        plan.append((tuple(idx), w))
-    return plan
+    return _interp_plan(foot.reshape(-1, grid.dim), grid.nx)
 
 
 def _gather(u: np.ndarray, plan) -> np.ndarray:
-    out = np.zeros_like(u)
+    flat = u.reshape(-1)
+    out = np.zeros(flat.shape)
     for idx, w in plan:
-        out += u[idx] * w
-    return out
+        out += np.take(flat, idx) * w
+    return out.reshape(u.shape)
 
 
 def solve_value_function(problem, obstacle: ScalarField) -> ScalarField:

@@ -71,19 +71,6 @@ class ProblemInstance:
     def mass(self) -> float:
         return float(np.sum(self.m0) * self.grid.cell_volume)
 
-    @property
-    def m0_max(self) -> float:
-        return float(np.max(self.m0))
-
-    @property
-    def u_T_lipschitz(self) -> float:
-        """Discrete Lipschitz constant of the terminal payoff."""
-        lip = 0.0
-        for a in range(self.grid.dim):
-            d = np.abs(np.roll(self.u_T, -1, a) - self.u_T) / self.grid.dx[a]
-            lip = max(lip, float(np.max(d)))
-        return lip
-
 
 @dataclass
 class SolverConfig:

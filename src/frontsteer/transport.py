@@ -142,6 +142,11 @@ def _sample_initial(m0: np.ndarray, grid: TorusGrid, count: int,
     return pos
 
 
+# Paths marched together: bounds the interpolation temporaries (corner
+# indices, weights, gathered values) to a few MB whatever the path count.
+_MARCH_BLOCK = 8192
+
+
 def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
                         seed: int) -> TrajectoryEnsemble:
     """Monte Carlo realization of the superposition representation.
@@ -151,7 +156,9 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     One stream serves all paths: the ``count`` cell draws come first, then
     the ``count`` in-cell offsets per axis, so the position of path i changes
     with ``count``.  Paths follow forward Euler along the multilinearly
-    interpolated velocity field.
+    interpolated velocity field.  The march advances blocks of paths, each
+    through all time levels before the next; paths do not interact, so every
+    position is independent of the block size.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -163,9 +170,15 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     pos = np.empty((count, grid.nt, grid.dim))
     pos[:, 0] = _sample_initial(m0, grid, count, rng)
-    for k in range(grid.nt - 1):
-        vel = interp_space(v.values[k], pos[:, k], grid.nx)
-        pos[:, k + 1] = np.mod(pos[:, k] + grid.dt * vel, 1.0)
+    for start in range(0, count, _MARCH_BLOCK):
+        block = slice(start, start + _MARCH_BLOCK)
+        cur = pos[block, 0].copy()
+        for k in range(grid.nt - 1):
+            vel = interp_space(v.values[k], cur, grid.nx)
+            vel *= grid.dt
+            vel += cur
+            cur = np.mod(vel, 1.0)
+            pos[block, k + 1] = cur
     weights = np.full(count, mass / count)
     return TrajectoryEnsemble(grid=grid, positions=pos, weights=weights, seed=int(seed))
 

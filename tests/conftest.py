@@ -1,5 +1,7 @@
 """Shared fixtures: the canonical instances and their solved bundles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,32 @@ def closed_form_uniform_bundle(problem):
     m = DensityField(grid, np.full((grid.nt, *grid.nx), level))
     w = VecField(grid, np.zeros((grid.nt, *grid.nx, grid.dim)))
     return u, f, m, w
+
+
+def interp_space_reference(slice_values, x, nx):
+    """Per-axis fancy-indexing form of ``grid.interp_space``, kept as the
+    bitwise reference for the flat-index gather."""
+    x = np.asarray(x, dtype=float)
+    dim = len(nx)
+    pts = x.reshape(-1, dim)
+    base = []
+    frac = []
+    for a in range(dim):
+        xi = np.mod(pts[:, a], 1.0) * nx[a]
+        i0 = np.floor(xi).astype(int)
+        frac.append(xi - i0)
+        base.append(np.mod(i0, nx[a]))
+    trailing = slice_values.shape[dim:]
+    out = np.zeros((pts.shape[0], *trailing))
+    for corner in itertools.product((0, 1), repeat=dim):
+        w = np.ones(pts.shape[0])
+        idx = []
+        for a, c in enumerate(corner):
+            w = w * (frac[a] if c else (1.0 - frac[a]))
+            idx.append(np.mod(base[a] + c, nx[a]))
+        vals = slice_values[tuple(idx)]
+        out += vals * w.reshape(-1, *([1] * len(trailing)))
+    return out.reshape(x.shape[:-1] + trailing)
 
 
 @pytest.fixture(scope="session")

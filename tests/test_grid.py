@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import interp_space_reference
 from frontsteer.errors import ParameterError
 from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
-                             constant_field, integrate_space, interpolate,
-                             norm_lp, read_field, write_field)
+                             constant_field, integrate_space, interp_space,
+                             interpolate, norm_lp, read_field, write_field)
 
 
 def grid1d(nx=8, nt=5, T=1.0):
@@ -100,6 +101,25 @@ class TestInterpolate:
             interpolate(f, 9, [0.0])
 
 
+    @pytest.mark.parametrize("nx", [(16,), (48,), (64, 64), (12, 20)])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_flat_gather_bitwise_equal_reference(self, nx, vector):
+        dim = len(nx)
+        rng = np.random.default_rng(17)
+        vals = rng.standard_normal((*nx, dim) if vector else nx)
+        edge = [0.0, np.nextafter(1.0, 0.0), -1e-20, -0.3, 1.0, 1.75, -2.5]
+        x = np.concatenate([np.repeat(np.array(edge)[:, None], dim, axis=1),
+                            rng.uniform(-3.0, 4.0, (500, dim))])
+        got = interp_space(vals, x, nx)
+        assert got.shape == interp_space_reference(vals, x, nx).shape
+        assert got.tobytes() == interp_space_reference(vals, x, nx).tobytes()
+        # one point of shape (dim,)
+        for point in (x[1], x[3], x[9]):
+            one = interp_space(vals, point, nx)
+            assert one.shape == vals.shape[dim:]
+            assert one.tobytes() == interp_space_reference(vals, point, nx).tobytes()
+
+
 class TestQuadrature:
     def test_constant_integral(self):
         assert integrate_space(constant_field(grid1d(), 2.0), 0) == pytest.approx(2.0)
@@ -173,6 +193,23 @@ class TestFieldFiles:
         back = read_field(path)
         assert isinstance(back, VecField)
         np.testing.assert_allclose(back.values, v.values, rtol=0, atol=0)
+
+    def test_text_rows_bitwise_equal_reference(self, tmp_path):
+        g = TorusGrid(2, (4, 4), 3, 1.0)
+        special = [-0.0, 5e-324, 1e308, 1.0, -1.0, -2.5e-300, 0.1, -1 / 3,
+                   np.nextafter(1.0, 0.0), 123456789.0, -1e-7, 0.0]
+        rng = np.random.default_rng(8)
+        vals = np.concatenate([special, rng.standard_normal(36)])
+        for field in (ScalarField(g, vals.reshape(3, 4, 4)),
+                      VecField(g, np.concatenate([vals, -vals]).reshape(3, 4, 4, 2))):
+            path = tmp_path / "f.field"
+            write_field(path, field)
+            header, payload = path.read_bytes().split(b"\n", 1)
+            flat = field.values.reshape(g.nt, -1)
+            expected = b"".join((" ".join(f"{v:.17g}" for v in row) + "\n").encode()
+                                for row in flat)
+            assert payload == expected
+            assert read_field(path).values.tobytes() == field.values.tobytes()
 
     def test_density_roundtrip(self, tmp_path):
         g = grid1d()

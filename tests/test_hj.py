@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,43 @@ from frontsteer.hj import (counterexample_exact, counterexample_in_band,
                            solve_value_function)
 from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed
 from frontsteer.pdopt import ProblemInstance
+
+
+def gather_plan_reference(grid, vel):
+    """Per-axis fancy-index form of the HJ interpolation plan, kept as the
+    bitwise reference for the flat-index plan."""
+    foot = np.stack(grid.meshgrid(), axis=-1) + grid.dt * vel
+    base, frac = [], []
+    for a in range(grid.dim):
+        xi = np.mod(foot[..., a], 1.0) * grid.nx[a]
+        i0 = np.floor(xi).astype(int)
+        frac.append(xi - i0)
+        base.append(np.mod(i0, grid.nx[a]))
+    plan = []
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        w = np.ones(grid.nx)
+        idx = []
+        for a, c in enumerate(corner):
+            w = w * (frac[a] if c else (1.0 - frac[a]))
+            idx.append(np.mod(base[a] + c, grid.nx[a]))
+        plan.append((tuple(idx), w))
+    return plan
+
+
+def solve_reference(problem, obstacle):
+    grid = problem.grid
+    plans = [gather_plan_reference(grid, v) for v in problem.speed.velocity_samples(grid)]
+    values = np.empty((grid.nt, *grid.nx))
+    values[-1] = problem.u_T
+    for k in range(grid.nt - 2, -1, -1):
+        best = None
+        for plan in plans:
+            val = np.zeros(grid.nx)
+            for idx, w in plan:
+                val += values[k + 1][idx] * w
+            best = val if best is None else np.minimum(best, val)
+        values[k] = best + grid.dt * obstacle.values[k]
+    return values
 
 
 def make_problem(nx=32, nt=33, radius=1.0, u_T=None, dim=1):
@@ -109,6 +148,23 @@ class TestSolveValueFunction:
                                u_T=np.zeros(32), m0=np.ones(32))
         u = solve_value_function(prob, constant_field(grid, 1.0))
         np.testing.assert_allclose(u.values[0], 1.0, atol=1e-12)
+
+    def test_flat_plan_bitwise_equal_reference(self):
+        grid = TorusGrid(2, (12, 10), 9, 1.0)
+        xs = grid.meshgrid()
+        vels = (lambda x: np.stack([0.7 + 0.1 * np.sin(2 * np.pi * x[..., 1]),
+                                    0.1 * np.cos(2 * np.pi * x[..., 0])], axis=-1),
+                lambda x: np.broadcast_to([-0.7, 0.2], np.shape(x)),
+                lambda x: np.broadcast_to([0.1, 0.75], np.shape(x)),
+                lambda x: np.broadcast_to([0.05, -0.8], np.shape(x)))
+        speed = FiniteControlsSpeed(2, vels, c0=0.2, c1=1.0)
+        rng = np.random.default_rng(4)
+        prob = ProblemInstance(grid=grid, speed=speed, cost=CostModel(4.0),
+                               u_T=np.cos(2 * np.pi * (xs[0] + 2 * xs[1])),
+                               m0=np.ones(grid.nx))
+        obstacle = ScalarField(grid, rng.random((grid.nt, *grid.nx)))
+        u = solve_value_function(prob, obstacle)
+        assert u.values.tobytes() == solve_reference(prob, obstacle).tobytes()
 
     def test_large_step_warns(self):
         grid = TorusGrid(1, (8,), 2, 1.0)   # dt = 1, dx = 1/8

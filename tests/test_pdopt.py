@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import closed_form_uniform_bundle, make_uniform_problem
+from frontsteer.certify import _lip_space
 from frontsteer.errors import ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
@@ -53,8 +54,7 @@ class TestProblemInstance:
         prob = ProblemInstance(grid=grid, speed=IsotropicSpeed(1, 1.0),
                                cost=CostModel(3.0), u_T=u_T, m0=2 * np.ones(16))
         assert prob.mass == pytest.approx(2.0)
-        assert prob.m0_max == pytest.approx(2.0)
-        assert prob.u_T_lipschitz == pytest.approx(2 * np.pi, rel=0.1)
+        assert _lip_space(prob.u_T, grid) == pytest.approx(2 * np.pi, rel=0.1)
 
 
 class TestObjectives:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import interp_space_reference
 from frontsteer.errors import ParameterError
 from frontsteer.grid import ScalarField, TorusGrid, VecField
-from frontsteer.transport import (TrajectoryEnsemble, pairing_defect,
+from frontsteer.transport import (_MARCH_BLOCK, TrajectoryEnsemble, _sample_initial,
+                                  pairing_defect,
                                   pushforward_distance, sample_trajectories,
                                   solve_continuity, write_trajectories)
 
@@ -12,6 +14,19 @@ def const_velocity(grid, vec):
     vals = np.broadcast_to(np.asarray(vec, dtype=float),
                            (grid.nt, *grid.nx, grid.dim)).copy()
     return VecField(grid, vals)
+
+
+def march_reference(m0, v, count, seed):
+    """All-paths-per-step form of the trajectory march, kept as the bitwise
+    reference for the blocked march."""
+    grid = v.grid
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    pos = np.empty((count, grid.nt, grid.dim))
+    pos[:, 0] = _sample_initial(m0, grid, count, rng)
+    for k in range(grid.nt - 1):
+        vel = interp_space_reference(v.values[k], pos[:, k], grid.nx)
+        pos[:, k + 1] = np.mod(pos[:, k] + grid.dt * vel, 1.0)
+    return pos
 
 
 def gaussian_bump(x, center, sigma=0.05):
@@ -136,6 +151,16 @@ class TestSampleTrajectories:
             step = ens.positions[:, k + 1] - ens.positions[:, k] - grid.dt * vel
             wrap = (step + 0.5) % 1.0 - 0.5
             assert np.max(np.abs(wrap)) <= 1e-14
+
+
+    @pytest.mark.parametrize("count", [37, 2 * _MARCH_BLOCK + 101])
+    def test_blocked_march_bitwise_equal_reference(self, count):
+        grid = TorusGrid(2, (16, 12), 9, 1.0)
+        rng = np.random.default_rng(21)
+        v = VecField(grid, rng.uniform(-1.0, 1.0, (9, 16, 12, 2)))
+        m0 = rng.random((16, 12))
+        ens = sample_trajectories(m0, v, count, seed=13)
+        assert ens.positions.tobytes() == march_reference(m0, v, count, seed=13).tobytes()
 
 
 class TestPushforward:
