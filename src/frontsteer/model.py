@@ -7,13 +7,16 @@ Two speed variants are supported:
   have closed forms; the cone projection is folded into the K* prox
   (``prox_cost_conj_coned``).
 * ``FiniteControlsSpeed``: finitely many velocity maps x -> c(x, a_i); the
-  admissible set is their convex hull.  The cone check and projection work
-  through support functions sampled over a fixed direction fan.
+  admissible set is their convex hull, and w in m*c(x,A) means (m, w) lies in
+  the cone spanned by the generators g_i = (1, v_i(x)).  The cone check and
+  the joint prox (``prox_cost_conj_hull``) are exact: they enumerate the
+  faces of at most dim + 1 generators (``hull_faces``) and solve one scalar
+  equation per face in closed form, no iteration.
 
 Each speed owns the nodal operators its callers need, evaluated on the nodes
 of a ``TorusGrid``: ``hamiltonian`` H(x, p) = sup over v in c(x,A) of -v.p,
 ``cone_violation`` for w in m*c(x,A), and ``velocity_samples`` for the HJ
-sweep; ``FiniteControlsSpeed.project_cone`` projects onto that cone.
+sweep.
 
 The cost family is the homogeneous power law K(f) = kappa*|f|^p / p with
 conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
@@ -22,20 +25,16 @@ conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
 
-_N_SUPPORT_DIRS = 64
-
-
-def _direction_fan(dim: int, n: int = _N_SUPPORT_DIRS) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    ang = 2 * np.pi * np.arange(n) / n
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+# a face whose Gram determinant falls below this fraction of the product of
+# its diagonal (Hadamard's bound) has linearly dependent generators
+_GRAM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,15 +114,13 @@ class FiniteControlsSpeed:
     Each entry of ``velocities`` is a callable taking points of shape
     (..., dim) and returning vectors of shape (..., dim).  ``c0``/``c1`` are
     the declared inner/outer radii; they are spot-checked on a node sample.
-    Cone membership and projection use the support function sampled over a
-    fixed direction fan.
+    Cone membership and the joint prox are exact (see ``hull_faces``).
     """
 
     dim: int
     velocities: tuple = ()
     c0: float = 0.0
     c1: float = 0.0
-    _dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.velocities:
@@ -131,7 +128,6 @@ class FiniteControlsSpeed:
         if not (0 < self.c0 <= self.c1):
             raise ParameterError("need 0 < c0 <= c1")
         object.__setattr__(self, "velocities", tuple(self.velocities))
-        object.__setattr__(self, "_dirs", _direction_fan(self.dim))
         self._verify_radii()
 
     def _verify_radii(self, n_sample: int = 8):
@@ -141,7 +137,12 @@ class FiniteControlsSpeed:
         speeds = np.linalg.norm(vels, axis=-1)
         if np.max(speeds) > self.c1 + 1e-9:
             raise ParameterError(f"velocity exceeds declared c1={self.c1}")
-        support = np.max(np.einsum("mnd,kd->mnk", vels, self._dirs), axis=0)
+        if self.dim == 1:
+            fan = np.array([[1.0], [-1.0]])
+        else:
+            ang = 2 * np.pi * np.arange(64) / 64
+            fan = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        support = np.max(np.einsum("mnd,kd->mnk", vels, fan), axis=0)
         if np.min(support) < self.c0 - 1e-9:
             raise ParameterError(
                 f"hull does not contain the ball of radius c0={self.c0}")
@@ -154,11 +155,6 @@ class FiniteControlsSpeed:
         """The maps evaluated on the grid nodes, shape (M, *nx, dim)."""
         return self.velocities_at(np.stack(grid.meshgrid(), axis=-1))
 
-    def _node_support(self, grid) -> np.ndarray:
-        """Support function h(x, d) per fan direction d, shape (K, *nx)."""
-        vels = self._node_velocities(grid)
-        return np.max(np.einsum("m...d,kd->km...", vels, self._dirs), axis=1)
-
     def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
         """H(x, p) = max_i -c(x, a_i).p on the grid nodes; p has shape
         (..., *nx, dim)."""
@@ -166,47 +162,55 @@ class FiniteControlsSpeed:
         return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
 
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
-        """Largest excess of w.d over m*h(x, d) over all nodes and fan
-        directions (<= 0 inside the sampled cone)."""
-        support = np.moveaxis(self._node_support(grid), 0, -1)
-        proj = np.einsum("t...d,kd->t...k", w, self._dirs)
-        return float(np.max(proj - m[..., None] * support))
+        """Largest distance from (m, w) to its projection onto the cone
+        {(m, w): m >= 0, w in m*c(x,A)} over all nodes (0 inside, up to
+        round-off)."""
+        # coef = 0 leaves the projection; r = 1/2 only selects the root solver
+        pm, pw = _hull_prox(self.hull_faces(grid), m, w, 0.0, 0.5)
+        return float(np.max(np.sqrt((m - pm) ** 2 + np.sum((w - pw) ** 2, axis=-1))))
 
     def velocity_samples(self, grid) -> list[np.ndarray]:
         """Rest, then each map on the grid nodes; each (*nx, dim)."""
         return [np.zeros((*grid.nx, grid.dim)), *self._node_velocities(grid)]
 
-    def project_cone(self, grid, m: np.ndarray, w: np.ndarray,
-                     tol: float = 1e-10, max_sweeps: int = 200):
-        """Nodewise projection onto {(m, w): m >= 0, w in m*c(x,A)}: vectorized
-        Dykstra over the sampled support halfspaces {w.d - m*h(x,d) <= 0} and
-        {m >= 0}.  m has shape (..., *nx), w shape (..., *nx, dim)."""
-        dirs = self._dirs                                     # (K, dim)
-        support = self._node_support(grid)                    # (K, *nx)
-        # halfspace normals per node: n = (-h, d) / |(-h, d)|
-        norms = np.sqrt(support ** 2 + 1.0)
-        zm, zw = m.copy(), w.copy()
-        n_half = len(dirs)
-        corr_m = np.zeros((n_half + 1, *m.shape))
-        corr_w = np.zeros((n_half + 1, *w.shape))
-        for _ in range(max_sweeps):
-            prev_m, prev_w = zm.copy(), zw.copy()
-            for j in range(n_half):
-                ym = zm + corr_m[j]
-                yw = zw + corr_w[j]
-                viol = np.maximum(np.einsum("...d,d->...", yw, dirs[j])
-                                  - ym * support[j], 0.0) / (norms[j] ** 2)
-                zm = ym + viol * support[j]
-                zw = yw - viol[..., None] * dirs[j]
-                corr_m[j] = ym - zm
-                corr_w[j] = yw - zw
-            ym = zm + corr_m[n_half]
-            zm = np.maximum(ym, 0.0)
-            corr_m[n_half] = ym - zm
-            if max(float(np.max(np.abs(zm - prev_m))),
-                   float(np.max(np.abs(zw - prev_w)))) < tol:
-                break
-        return zm, zw
+    def hull_faces(self, grid) -> HullFaces:
+        """Per-node data of every face of the cone spanned by the generators
+        g_i = (1, v_i(x)) with at most dim + 1 of them: sum over k <= dim + 1
+        of C(M, k) faces for M maps.  Faces whose generators are linearly
+        dependent at a node get a zero inverse there."""
+        vels = self._node_velocities(grid)                          # (M, *nx, dim)
+        gram = 1.0 + np.einsum("i...d,j...d->...ij", vels, vels)   # (*nx, M, M)
+        faces = []
+        for k in range(1, self.dim + 2):
+            for idx in itertools.combinations(range(len(vels)), k):
+                a = gram[..., idx, :][..., idx]
+                # Hadamard: det(A) <= prod(diag A), with equality for orthogonal g_i
+                diag = np.diagonal(a, axis1=-2, axis2=-1)
+                ok = np.linalg.det(a) > _GRAM_RTOL * np.prod(diag, axis=-1)
+                ainv = np.linalg.inv(np.where(ok[..., None, None], a, np.eye(k)))
+                ainv *= ok[..., None, None]
+                ainv1 = np.sum(ainv, axis=-1)
+                beta = np.where(ok, np.sum(ainv1, axis=-1), 1.0)
+                faces.append(HullFace(idx, ainv, ainv1, beta))
+        return HullFaces(vels, tuple(faces))
+
+
+class HullFace(NamedTuple):
+    """One face of a hull cone: generator indices, per-node A^-1 for the
+    Gram matrix A = G^T G of its generators, A^-1 1 and 1^T A^-1 1."""
+
+    idx: tuple[int, ...]
+    ainv: np.ndarray           # (*nx, k, k)
+    ainv1: np.ndarray          # (*nx, k)
+    beta: np.ndarray           # (*nx,)
+
+
+class HullFaces(NamedTuple):
+    """The velocity maps on the grid nodes, shape (M, *nx, dim), and the
+    faces of their cone; built once per grid by ``hull_faces``."""
+
+    vels: np.ndarray
+    faces: tuple[HullFace, ...]
 
 
 SpeedModel = IsotropicSpeed | FiniteControlsSpeed
@@ -328,3 +332,54 @@ def prox_cost_conj_coned(model: CostModel, c, m_bar, w_bar, step: float):
     scale = np.where(free, 1.0, np.divide(
         c * m_act, a, out=np.zeros_like(a), where=a > 0))
     return m, w_bar * scale[..., None]
+
+
+def _hull_prox(faces: HullFaces, m_bar, w_bar, coef, r):
+    """argmin over the hull cone of |(m, w) - (m_bar, w_bar)|^2 / 2 +
+    coef*m^(r+1)/(r+1), nodewise; m_bar has shape (..., *nx), w_bar shape
+    (..., *nx, dim).
+
+    The minimizer is the origin or lies on a face S of linearly independent
+    generators with weights lam > 0.  With A = G^T G on S, stationarity gives
+    lam = A^-1 G^T z_bar - coef*m^r*A^-1 1, so m = 1^T lam solves
+    m + beta*coef*m^r = alpha with alpha = 1^T A^-1 G^T z_bar and
+    beta = 1^T A^-1 1.  Each face with lam >= 0 and alpha > 0 gives a
+    feasible candidate; the one with the smallest objective wins.  The origin
+    is optimal exactly when no face gives one (then g_i . z_bar <= 0 for
+    all i, which rules out every candidate)."""
+    q = r + 1.0
+    # g_i . z_bar, shared by every face that holds g_i
+    dots = [m_bar + np.einsum("...d,...d->...", w_bar, v) for v in faces.vels]
+    best = np.full(m_bar.shape, np.inf)
+    m = np.zeros(m_bar.shape)
+    w = np.zeros(w_bar.shape)
+    for face in faces.faces:
+        k = len(face.idx)
+        lam0 = [sum(face.ainv[..., j, c] * dots[face.idx[c]] for c in range(k))
+                for j in range(k)]
+        alpha = sum(lam0)
+        mu = _solve_power_root(1.0, face.beta * coef, alpha, r)
+        shift = (alpha - mu) / face.beta
+        lam = [l0 - shift * face.ainv1[..., j] for j, l0 in enumerate(lam0)]
+        m_f = sum(lam)
+        w_f = sum(lam_j[..., None] * faces.vels[i] for lam_j, i in zip(lam, face.idx))
+        obj = 0.5 * ((m_f - m_bar) ** 2 + np.sum((w_f - w_bar) ** 2, axis=-1)) \
+            + coef * np.maximum(m_f, 0.0) ** q / q
+        # a dependent face has a zero inverse, so alpha = 0 rules it out
+        take = (alpha > 0) & (obj < best)
+        for lam_j in lam:
+            take &= lam_j >= 0
+        best = np.where(take, obj, best)
+        m = np.where(take, m_f, m)
+        w = np.where(take[..., None], w_f, w)
+    return m, w
+
+
+def prox_cost_conj_hull(model: CostModel, faces: HullFaces, m_bar, w_bar,
+                        step: float):
+    """Exact joint prox of step*K*(m) plus the indicator of the finite-hull
+    cone {(m, w): m >= 0, w in m*conv{v_i(x)}}, by face enumeration (see
+    ``_hull_prox``); ``faces`` comes from ``FiniteControlsSpeed.hull_faces``.
+    Step 0 is the Euclidean projection onto the cone."""
+    q = model.q
+    return _hull_prox(faces, m_bar, w_bar, step * model.kappa ** (1.0 - q), q - 1.0)

@@ -6,10 +6,11 @@ continuity equation (centered divergence, momentum slice k transporting
 between levels k and k+1) with m(0) = m0 enforced as an extra constraint row.
 
 The Chambolle-Pock iteration ascends in the multiplier of the continuity
-rows, and each primal step ends in a pointwise prox: for isotropic speeds the
-exact joint prox of K* and the velocity-cone indicator; for finite control
-hulls the prox of K* followed by the cone projection, which is not the prox
-of their sum.  The multiplier, sign-flipped, converges to the value
+rows, and each primal step ends in the exact pointwise joint prox of K* and
+the velocity-cone indicator: in closed form for isotropic speeds, by
+enumerating the faces of at most dim + 1 generators for finite control hulls
+(sum over k <= dim + 1 of C(M, k) faces for M maps: 3 for a 1D pair, 14 for
+a 2D square).  The multiplier, sign-flipped, converges to the value
 function u.
 
 The gap A(u, f) + B(m, w) that ``optimize`` reports and stops on is a
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField
 from .model import (CostModel, IsotropicSpeed, SpeedModel, cost, cost_conj,
-                    cost_deriv_conj, prox_cost_conj, prox_cost_conj_coned)
+                    cost_deriv_conj, prox_cost_conj_coned, prox_cost_conj_hull)
+from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it in this namespace
 
 __all__ = [
     "ProblemInstance", "SolverConfig", "OptimalBundle", "SolverDiagnostics",
@@ -290,8 +292,9 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     """Chambolle-Pock iteration for the discrete dual problem.
 
     Per iteration: dual ascent of the continuity multiplier, a gradient step
-    on (m, w) through the adjoint, the pointwise prox of K* in m, and the
-    pointwise cone projection of (m, w).  Stops when the relative
+    on (m, w) through the adjoint, and the exact pointwise joint prox of K*
+    and the velocity cone (closed form for balls, face enumeration for
+    finite hulls, see the module docstring).  Stops when the relative
     Lagrangian gap (see the module docstring) and the continuity residual
     fall below their tolerances (with the gap above -1e-9), or at max_iters
     with a non-converged flag.
@@ -316,9 +319,10 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     diag.tau, diag.sigma = tau, sigma
     theta = config.over_relax
 
-    # ball cones get the exact joint prox; both prox names stay globals here for the tracer
+    # the joint prox takes nodal radii for balls and face data for finite hulls,
+    # built once here; the prox names stay globals here for the tracer
     iso = isinstance(problem.speed, IsotropicSpeed)
-    c_nodes = problem.speed.radius_nodes(grid.nx) if iso else None
+    cone = problem.speed.radius_nodes(grid.nx) if iso else problem.speed.hull_faces(grid)
 
     m = np.full((grid.nt, *grid.nx), problem.mass)
     w = np.zeros((grid.nt - 1, *grid.nx, grid.dim))
@@ -342,13 +346,11 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
 
         np.maximum(m[-1], 0.0, out=m[-1])
         if iso:
-            # exact prox of step*K* + cone indicator (closed scalar root)
-            m[:-1], w = prox_cost_conj_coned(problem.cost, c_nodes,
+            m[:-1], w = prox_cost_conj_coned(problem.cost, cone,
                                              m[:-1], w_half, tau * grid.dt)
         else:
-            # approximate prox of the sum: K* prox then cone projection
-            m[:-1] = prox_cost_conj(problem.cost, m[:-1], tau * grid.dt)
-            m[:-1], w = problem.speed.project_cone(grid, m[:-1], w_half)
+            m[:-1], w = prox_cost_conj_hull(problem.cost, cone,
+                                            m[:-1], w_half, tau * grid.dt)
 
         # _rows is affine and the weights 1 + theta and -theta sum to one, so
         # the rows of the over-relaxed point need no second application

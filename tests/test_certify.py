@@ -9,6 +9,7 @@ from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            solve_value_function)
 from frontsteer.model import CostModel, IsotropicSpeed
 from frontsteer.pdopt import ProblemInstance, recover_velocity
+from frontsteer.transport import upwind_directional_derivative
 from frontsteer import certify
 from frontsteer.certify import (check_holder, check_ibp_inequality,
                                 check_pointwise_hj, check_subsolution,
@@ -29,6 +30,25 @@ def fourier_scalar_reference(rng, grid, modes=3):
         amp = rng.uniform(0.3, 1.0)
         out += amp * np.cos(2 * np.pi * (x @ kvec + omega * t) + phase)
     return out.reshape(grid.nt, *grid.nx)
+
+
+def subsolution_reference(u, f, pairs):
+    """Trial-outer form of the ``check_subsolution`` sums, kept as the bitwise
+    reference for the level-outer loop: (worst lhs - rhs, its trial)."""
+    grid = u.grid
+    vol = grid.cell_volume
+    worst = (-np.inf, None)
+    for trial, (v, phi) in enumerate(pairs):
+        lhs = 0.0
+        rhs = 0.0
+        for k in range(grid.nt - 1):
+            du = (u.values[k + 1] - u.values[k])
+            dd = upwind_directional_derivative(u.values[k + 1], v.values[k], grid)
+            lhs += -vol * float(np.sum(phi[k] * (du + grid.dt * dd)))
+            rhs += vol * grid.dt * float(np.sum(f.values[k] * phi[k]))
+        if lhs - rhs > worst[0]:
+            worst = (lhs - rhs, trial)
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +207,20 @@ class TestSubsolution:
         f = ScalarField(g, np.abs(rng.standard_normal((g.nt, *g.nx))))
         rep = check_subsolution(u, f, uniform_problem.speed, trials=5, seed=0)
         assert rep.passed and rep.lhs <= 0.0
+
+    @pytest.mark.parametrize("nx", [(24,), (12, 10)])
+    def test_level_outer_bitwise_equal_reference(self, nx):
+        grid = TorusGrid(len(nx), nx, 9, 1.0)
+        rng = np.random.default_rng(5)
+        shape = (grid.nt, *grid.nx)
+        u = ScalarField(grid, rng.standard_normal(shape))
+        f = ScalarField(grid, rng.random(shape))
+        pairs = [(VecField(grid, rng.standard_normal((*shape, grid.dim))), rng.random(shape))
+                 for _ in range(6)]
+        rep = check_subsolution(u, f, IsotropicSpeed(grid.dim, 1.0), pairs=pairs)
+        lhs, trial = subsolution_reference(u, f, pairs)
+        assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
+        assert rep.worst_location == (trial,)
 
     def test_sign_discrimination(self, uniform_problem):
         # u = +t is a supersolution (passes); u = -t violates the inequality

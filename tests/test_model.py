@@ -2,21 +2,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from frontsteer.errors import ParameterError
 from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
                               _solve_power_root, cost, cost_conj, cost_deriv_conj,
-                              prox_cost_conj, prox_cost_conj_coned)
+                              prox_cost_conj, prox_cost_conj_coned, prox_cost_conj_hull)
 
 
 def square_speed():
     """Finite control set whose hull is the unit diamond |w|_1 <= 0.9...
     actually the hull of the four axis velocities of length 0.9."""
-    vels = []
-    for d in ([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]):
-        vels.append(lambda x, dd=np.array(d): np.broadcast_to(dd, np.shape(x)))
-    return FiniteControlsSpeed(2, tuple(vels), c0=0.6, c1=0.9)
+    return FiniteControlsSpeed(
+        2, constant_maps([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]), c0=0.6, c1=0.9)
+
+
+def constant_maps(*vectors):
+    return tuple((lambda x, v=np.array(v, dtype=float): np.broadcast_to(v, np.shape(x)))
+                 for v in vectors)
+
+
+def xdep_speed():
+    """Four maps, one of them x-dependent, whose hull changes over the torus."""
+    vels = (lambda x: np.stack([0.7 + 0.1 * np.sin(2 * np.pi * x[..., 1]),
+                                0.1 * np.cos(2 * np.pi * x[..., 0])], axis=-1),
+            *constant_maps([-0.7, 0.2], [0.1, 0.75], [0.05, -0.8]))
+    return FiniteControlsSpeed(2, vels, c0=0.2, c1=1.0)
 
 
 def nodes(grid, vec):
@@ -143,14 +155,138 @@ class TestProjectCone:
     def test_finite_controls_projection(self):
         s = square_speed()
         # hull contains (0.9, 0); same geometry as the 1D cone along the axis
-        m, w = s.project_cone(GRID_2D, np.zeros((1, *GRID_2D.nx)),
-                              np.broadcast_to([1.8, 0.0], (1, *GRID_2D.nx, 2)))
-        assert np.all(m > 0) and np.max(np.abs(w[..., 1])) < 1e-9
-        assert s.cone_violation(GRID_2D, m, w) <= 1e-8
+        m, w = hull_project(s, GRID_2D, np.zeros((1, *GRID_2D.nx)),
+                            np.broadcast_to([1.8, 0.0], (1, *GRID_2D.nx, 2)))
+        assert np.all(m > 0) and np.max(np.abs(w[..., 1])) < 1e-12
+        # onto the ray through g = (1, 0.9, 0): t = g.z / |g|^2 = 1.62 / 1.81
+        np.testing.assert_allclose(m, 1.62 / 1.81, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w[..., 0], 0.9 * 1.62 / 1.81, rtol=0, atol=1e-14)
+        assert s.cone_violation(GRID_2D, m, w) <= 1e-12
         # result feasible and the fixed point of the projection
-        m2, w2 = s.project_cone(GRID_2D, m, w)
-        np.testing.assert_allclose(m2, m, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(w2, w, rtol=0, atol=1e-8)
+        m2, w2 = hull_project(s, GRID_2D, m, w)
+        np.testing.assert_allclose(m2, m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w2, w, rtol=0, atol=1e-12)
+
+
+def hull_project(speed, grid, m, w):
+    """Projection onto the finite-hull cone: the hull prox at zero step."""
+    return prox_cost_conj_hull(CostModel(p=3.0), speed.hull_faces(grid), m, w, step=0.0)
+
+
+def _brute_force_prox(gens, m_bar, w_bar, model, step):
+    """Minimum over lam >= 0 of |G lam - z_bar|^2 / 2 + step*K*(1.lam) by
+    bound-constrained L-BFGS-B from two starts; gens has shape (M, 1 + dim)."""
+    z_bar = np.concatenate([[m_bar], w_bar])
+
+    def fun(lam):
+        r = gens.T @ lam - z_bar
+        mass = float(np.sum(lam))
+        val = 0.5 * r @ r + step * cost_conj(model, mass)
+        grad = gens @ r + step * cost_deriv_conj(model, mass)
+        return val, grad
+
+    best = np.inf
+    for x0 in (np.zeros(len(gens)), np.full(len(gens), 0.5)):
+        res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, None)] * len(gens),
+                       options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000})
+        best = min(best, float(res.fun))
+    return best
+
+
+class TestHullProx:
+    """The exact joint prox of step*K* and the finite-hull cone."""
+
+    def test_triangle_edge_outside(self):
+        verts = np.array([[0.9, 0.1], [-0.5, 0.75], [-0.3, -0.8]])
+        s = FiniteControlsSpeed(2, constant_maps(*verts), c0=0.3, c1=0.91)
+        edge = verts[1] - verts[0]
+        normal = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
+        normal *= np.sign(normal @ verts[0])                  # outward
+        mid = 0.5 * (verts[0] + verts[1])
+        # distance from (1, v) to the plane of the face {(1, v0), (1, v1)}
+        g0, g1 = np.append(1.0, verts[0]), np.append(1.0, verts[1])
+        n3 = np.cross(g0, g1) / np.linalg.norm(np.cross(g0, g1))
+        ones = np.ones(GRID_2D.nx)
+        inside = s.cone_violation(GRID_2D, ones, nodes(GRID_2D, mid - 0.02 * normal))
+        outside = s.cone_violation(GRID_2D, ones, nodes(GRID_2D, mid + 0.02 * normal))
+        assert inside <= 1e-12
+        # the nearest cone point lies on that face, so the distance is to its plane
+        expected = abs(n3 @ np.append(1.0, mid + 0.02 * normal))
+        assert expected > 1e-3
+        assert outside == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("step", [0.0, 0.4])
+    @pytest.mark.parametrize("hull", ["square", "xdep"])
+    def test_matches_brute_force(self, hull, step, p):
+        if hull == "square":
+            grid, s, stride = GRID_2D, square_speed(), 1
+        else:
+            grid, s, stride = TorusGrid(2, (12, 10), 3, 1.0), xdep_speed(), 5
+        model = CostModel(p=p, kappa=0.8)
+        rng = np.random.default_rng(11)
+        m_bar = rng.normal(0.5, 1.0, (2, *grid.nx))
+        w_bar = 0.8 * rng.standard_normal((2, *grid.nx, 2))
+        m, w = prox_cost_conj_hull(model, s.hull_faces(grid), m_bar, w_bar, step)
+        assert s.cone_violation(grid, m, w) <= 1e-12
+        objective = 0.5 * ((m - m_bar) ** 2 + np.sum((w - w_bar) ** 2, axis=-1)) \
+            + step * cost_conj(model, m)
+        gens = np.concatenate([np.ones((4, *grid.nx, 1)), s._node_velocities(grid)], axis=-1)
+        for idx in list(np.ndindex(m.shape))[::stride]:
+            best = _brute_force_prox(gens[(slice(None), *idx[1:])], m_bar[idx],
+                                     w_bar[idx], model, step)
+            assert objective[idx] <= best + 1e-10
+            assert best <= objective[idx] + 1e-9          # the brute force converged
+
+    def test_projection_properties(self):
+        grid, s = TorusGrid(2, (12, 10), 3, 1.0), xdep_speed()
+        rng = np.random.default_rng(12)
+        z1 = (rng.normal(0.3, 1.0, (3, *grid.nx)), rng.standard_normal((3, *grid.nx, 2)))
+        z2 = (rng.normal(0.3, 1.0, (3, *grid.nx)), rng.standard_normal((3, *grid.nx, 2)))
+        p1, p2 = hull_project(s, grid, *z1), hull_project(s, grid, *z2)
+        pp1 = hull_project(s, grid, *p1)
+        np.testing.assert_allclose(pp1[0], p1[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pp1[1], p1[1], rtol=0, atol=1e-12)
+
+        def dist(a, b):
+            return np.sqrt((a[0] - b[0]) ** 2 + np.sum((a[1] - b[1]) ** 2, axis=-1))
+
+        assert np.all(dist(p1, p2) <= dist(z1, z2) + 1e-12)
+        # onto a cone: the residual is orthogonal to the projection
+        inner = (z1[0] - p1[0]) * p1[0] + np.sum((z1[1] - p1[1]) * p1[1], axis=-1)
+        np.testing.assert_allclose(inner, 0.0, rtol=0, atol=1e-12)
+
+    def test_dependent_generators_change_nothing(self):
+        # a repeated vertex and an edge midpoint add only faces with linearly
+        # dependent generators; the hull, and so the prox, stay the square's
+        square = [[0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]]
+        padded = FiniteControlsSpeed(
+            2, constant_maps(*square, [-0.9, 0.0], [0.45, 0.45]), c0=0.6, c1=0.9)
+        model = CostModel(p=3.0)
+        rng = np.random.default_rng(14)
+        m_bar = rng.normal(0.3, 1.0, (20, *GRID_2D.nx))
+        w_bar = rng.standard_normal((20, *GRID_2D.nx, 2))
+        for step in (0.0, 0.3):
+            m, w = prox_cost_conj_hull(model, padded.hull_faces(GRID_2D), m_bar, w_bar, step)
+            m_sq, w_sq = prox_cost_conj_hull(model, square_speed().hull_faces(GRID_2D),
+                                             m_bar, w_bar, step)
+            np.testing.assert_allclose(m, m_sq, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w, w_sq, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_pair_matches_isotropic_prox(self, p):
+        grid = TorusGrid(1, (16,), 3, 1.0)
+        pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        model = CostModel(p=p, kappa=1.3)
+        rng = np.random.default_rng(13)
+        m_bar = rng.normal(0.2, 1.0, (50, 16))
+        w_bar = rng.standard_normal((50, 16, 1))
+        for step in (0.0, 0.05, 2.0):
+            m, w = prox_cost_conj_hull(model, pair.hull_faces(grid), m_bar, w_bar, step)
+            m_iso, w_iso = prox_cost_conj_coned(model, np.full(16, 0.9), m_bar, w_bar, step)
+            np.testing.assert_allclose(m, m_iso, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w, w_iso, rtol=0, atol=1e-12)
 
 
 class TestCostFamily:

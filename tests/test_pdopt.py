@@ -281,9 +281,7 @@ def _finite_problem(grid, speed, p):
 
 
 class TestOptimizeFiniteControls:
-    """The K* prox followed by the hull projection.  Agreement with the
-    isotropic path is not asserted: the composed step is not the prox of the
-    sum, so the two paths settle at different points."""
+    """``optimize`` on finite control hulls, through the exact joint prox."""
 
     @pytest.mark.parametrize("case", ["1d_pair", "2d_square"])
     def test_iterates_stay_in_the_cone(self, case):
@@ -302,5 +300,16 @@ class TestOptimizeFiniteControls:
         assert bundle.diagnostics.iterations == iters
         m, w = bundle.m.values, bundle.w.values
         assert np.min(m) >= 0.0
-        assert speed.cone_violation(grid, m, w) <= 1e-8
+        assert speed.cone_violation(grid, m, w) <= 1e-12
         assert np.isfinite(evaluate_B(prob, bundle.m, bundle.w))
+
+    def test_pair_hull_reproduces_the_isotropic_path(self):
+        # the hull of {+0.9, -0.9} is the ball of radius 0.9: same prox, same iterates
+        grid = TorusGrid(1, (16,), 17, 1.0)
+        config = SolverConfig(max_iters=3000, tol_gap=1e-12, tol_cont=1e-12)
+        pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        finite = optimize(_finite_problem(grid, pair, p=3.0), config)
+        ball = optimize(_finite_problem(grid, IsotropicSpeed(1, 0.9), p=3.0), config)
+        assert finite.diagnostics.iterations == ball.diagnostics.iterations == 3000
+        assert np.max(np.abs(finite.m.values - ball.m.values)) <= 1e-9
+        assert abs(finite.diagnostics.b_history[-1] - ball.diagnostics.b_history[-1]) <= 1e-12
