@@ -6,6 +6,13 @@ Statements proved for the continuum hold discretely only up to consistency
 error, so inequality checks carry an additive slack C_report * (dx + dt)
 whose constant is assembled from field norms, never hard-coded numbers
 alone.
+
+``duality_gap`` certifies a stored bundle in the discrete pairing of
+``pdopt``: the split-momentum continuity rows, with a nodal momentum split by
+sign (the donor-cell form), and the split Hamiltonian.  ``pdopt.optimize``
+records its own certified gap while it iterates, from points it makes
+feasible by construction; a bundle's iterate satisfies the rows only to the
+solver tolerance, so ``duality_gap`` reads +inf on it.
 """
 
 from __future__ import annotations
@@ -362,9 +369,10 @@ def duality_gap(problem: ProblemInstance, u: ScalarField, f: ScalarField,
     the reason in ``details``) when either side is infeasible.
 
     Feasibility means: u(T) = u_T and f dominates the discrete subsolution
-    residual (primal); cone membership and the discrete continuity equation
-    with m(0) = m0 (dual).  For such pairs the value is >= -1e-9 by the
-    exact discrete weak-duality chain."""
+    residual of the split Hamiltonian (primal); cone membership and the
+    discrete continuity equation with m(0) = m0, w split by sign (dual).  For
+    such pairs the value is >= -1e-9 by the exact discrete weak-duality
+    chain."""
     grid = problem.grid
     reasons = []
     scale_u = 1.0 + float(np.max(np.abs(problem.u_T)))

@@ -312,6 +312,7 @@ def run_checks(problem, bundle, seed: int) -> list[cert.CertReport]:
                                           trials=10, seed=seed))
     reports.append(cert.check_holder(u_value, f, problem.cost.p, problem.speed,
                                      samples=200, seed=seed))
+    # the certified gap of the final check: A + B of feasible points, >= 0
     gap = bundle.diagnostics.final_gap
     scale = max(abs(bundle.diagnostics.a_history[-1]),
                 abs(bundle.diagnostics.b_history[-1]), 1e-10)
@@ -343,7 +344,7 @@ def cmd_optimize(args) -> int:
         "command": "optimize", "converged": diag.converged,
         "iterations": diag.iterations, "final_gap": diag.final_gap,
         "final_cont_residual": diag.cont_history[-1] if diag.cont_history else None,
-        "operator_norm": diag.operator_norm, "tau": diag.tau, "sigma": diag.sigma,
+        "tau": diag.tau, "sigma": diag.sigma,
         "wall_time_s": diag.wall_time,
         "all_checks_passed": all(r.passed for r in reports)})
     ok = diag.converged and all(r.passed for r in reports)

@@ -16,7 +16,11 @@ Two speed variants are supported:
 Each speed owns the nodal operators its callers need, evaluated on the nodes
 of a ``TorusGrid``: ``hamiltonian`` H(x, p) = sup over v in c(x,A) of -v.p,
 ``cone_violation`` for w in m*c(x,A), and ``velocity_samples`` for the HJ
-sweep.
+sweep.  The primal-dual solver works with split velocities (a, b), a >= 0 >= b
+per axis, whose net velocity is a + b: ``split_hamiltonian`` is the sup of
+-(a.D+u + b.D-u) over the split velocity set, the ball {|(a, b)| <= c(x)} for
+isotropic speeds and the hull of the split maps (v_i^+, v_i^-) for finite
+ones (``split_hull_faces``).
 
 The cost family is the homogeneous power law K(f) = kappa*|f|^p / p with
 conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
@@ -83,6 +87,13 @@ class IsotropicSpeed:
     def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
         """H(x, p) = c(x)|p| on the grid nodes; p has shape (..., *nx, dim)."""
         return self.radius_nodes(grid.nx) * np.linalg.norm(p, axis=-1)
+
+    def split_hamiltonian(self, grid, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+        """sup over a >= 0 >= b with |(a, b)| <= c(x) of -(a.fwd + b.bwd):
+        the ``hamiltonian`` of (max(-fwd, 0), max(bwd, 0)).  fwd and bwd are
+        the forward and backward differences, each of shape (..., *nx, dim)."""
+        return self.hamiltonian(grid, np.concatenate(
+            [np.maximum(-fwd, 0.0), np.maximum(bwd, 0.0)], axis=-1))
 
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
         """Largest excess of |w| over c(x)*m over all nodes (<= 0 inside)."""
@@ -155,10 +166,23 @@ class FiniteControlsSpeed:
         """The maps evaluated on the grid nodes, shape (M, *nx, dim)."""
         return self.velocities_at(np.stack(grid.meshgrid(), axis=-1))
 
+    def _split_node_velocities(self, grid) -> np.ndarray:
+        """The split maps (v_i^+, v_i^-) on the grid nodes, shape (M, *nx, 2*dim)."""
+        vels = self._node_velocities(grid)
+        return np.concatenate([np.maximum(vels, 0.0), np.minimum(vels, 0.0)], axis=-1)
+
     def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
         """H(x, p) = max_i -c(x, a_i).p on the grid nodes; p has shape
         (..., *nx, dim)."""
         vels = self._node_velocities(grid)
+        return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
+
+    def split_hamiltonian(self, grid, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+        """max_i -(v_i^+.fwd + v_i^-.bwd): the sup over the hull of the split
+        maps.  fwd and bwd are the forward and backward differences, each of
+        shape (..., *nx, dim)."""
+        vels = self._split_node_velocities(grid)
+        p = np.concatenate([fwd, bwd], axis=-1)
         return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
 
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
@@ -178,21 +202,32 @@ class FiniteControlsSpeed:
         g_i = (1, v_i(x)) with at most dim + 1 of them: sum over k <= dim + 1
         of C(M, k) faces for M maps.  Faces whose generators are linearly
         dependent at a node get a zero inverse there."""
-        vels = self._node_velocities(grid)                          # (M, *nx, dim)
-        gram = 1.0 + np.einsum("i...d,j...d->...ij", vels, vels)   # (*nx, M, M)
-        faces = []
-        for k in range(1, self.dim + 2):
-            for idx in itertools.combinations(range(len(vels)), k):
-                a = gram[..., idx, :][..., idx]
-                # Hadamard: det(A) <= prod(diag A), with equality for orthogonal g_i
-                diag = np.diagonal(a, axis1=-2, axis2=-1)
-                ok = np.linalg.det(a) > _GRAM_RTOL * np.prod(diag, axis=-1)
-                ainv = np.linalg.inv(np.where(ok[..., None, None], a, np.eye(k)))
-                ainv *= ok[..., None, None]
-                ainv1 = np.sum(ainv, axis=-1)
-                beta = np.where(ok, np.sum(ainv1, axis=-1), 1.0)
-                faces.append(HullFace(idx, ainv, ainv1, beta))
-        return HullFaces(vels, tuple(faces))
+        return _cone_faces(self._node_velocities(grid))
+
+    def split_hull_faces(self, grid) -> HullFaces:
+        """``hull_faces`` of the split generators (1, v_i^+(x), v_i^-(x)),
+        with at most 2*dim + 1 of them per face: the cone of (m, a*m, b*m)
+        over split velocities (a, b) in the hull of the split maps."""
+        return _cone_faces(self._split_node_velocities(grid))
+
+
+def _cone_faces(vels: np.ndarray) -> HullFaces:
+    """Faces of the cone spanned by g_i = (1, vels[i]) for vels of shape
+    (M, *nx, n), with at most n + 1 generators each."""
+    gram = 1.0 + np.einsum("i...d,j...d->...ij", vels, vels)   # (*nx, M, M)
+    faces = []
+    for k in range(1, vels.shape[-1] + 2):
+        for idx in itertools.combinations(range(len(vels)), k):
+            a = gram[..., idx, :][..., idx]
+            # Hadamard: det(A) <= prod(diag A), with equality for orthogonal g_i
+            diag = np.diagonal(a, axis1=-2, axis2=-1)
+            ok = np.linalg.det(a) > _GRAM_RTOL * np.prod(diag, axis=-1)
+            ainv = np.linalg.inv(np.where(ok[..., None, None], a, np.eye(k)))
+            ainv *= ok[..., None, None]
+            ainv1 = np.sum(ainv, axis=-1)
+            beta = np.where(ok, np.sum(ainv1, axis=-1), 1.0)
+            faces.append(HullFace(idx, ainv, ainv1, beta))
+    return HullFaces(vels, tuple(faces))
 
 
 class HullFace(NamedTuple):
@@ -206,8 +241,9 @@ class HullFace(NamedTuple):
 
 
 class HullFaces(NamedTuple):
-    """The velocity maps on the grid nodes, shape (M, *nx, dim), and the
-    faces of their cone; built once per grid by ``hull_faces``."""
+    """The velocity maps on the grid nodes, shape (M, *nx, n), and the faces
+    of their cone; built once per grid by ``hull_faces`` (n = dim) or
+    ``split_hull_faces`` (n = 2*dim)."""
 
     vels: np.ndarray
     faces: tuple[HullFace, ...]
@@ -265,23 +301,57 @@ def _solve_sqrt_root(lin, coef, rhs):
     return s * s
 
 
+def _solve_cbrt_root(lin, coef, rhs):
+    """Closed-form root of lin*m + coef*m^(1/3) = rhs over m >= 0: in
+    s = m^(1/3) it is the depressed cubic s^3 + P*s + Q = 0 with P = coef/lin
+    and Q = -rhs/lin, monotone for P >= 0, whose one real root is
+    s = -2k*sinh(asinh(1.5*Q/(P*k))/3) with k = sqrt(P/3).  As P -> 0 the
+    root tends to cbrt(-Q), within 0.63*x^(-2/3) relative for the sinh
+    argument x, and is taken so once x passes 1e24; m = 0 wherever
+    rhs <= 0."""
+    lin = np.asarray(lin, dtype=float)
+    q_neg = np.maximum(rhs, 0.0) / lin                     # -Q >= 0
+    p_lin = np.broadcast_to(np.asarray(coef, dtype=float) / lin, q_neg.shape)
+    # the sinh argument x = 1.5*(-Q)/(P*k) is (c/P)^1.5 with
+    # c = cbrt(1.5*sqrt(3)*(-Q))^2; past x = 1e24 the cube root is closer to
+    # the root than the sinh form
+    c = np.cbrt(1.5 * np.sqrt(3.0) * q_neg) ** 2
+    trig = p_lin > 1e-16 * c
+    ratio = np.divide(c, p_lin, out=np.zeros(c.shape), where=trig)
+    k = np.sqrt(p_lin / 3.0)
+    s = np.where(trig, 2.0 * k * np.sinh(np.arcsinh(ratio * np.sqrt(ratio)) / 3.0),
+                 np.cbrt(q_neg))
+    return s * s * s
+
+
 def _solve_power_root(lin, coef, rhs, r):
     """Solve lin*m + coef*m^r = rhs elementwise over m >= 0 (all inputs
-    broadcastable, lin >= 1, coef >= 0, r > 0).  r = 1/2 (p = 3) has a closed
-    form; other r use monotone Newton with a bisection safeguard, absolute
-    tolerance 1e-12."""
+    broadcastable, lin >= 1, coef >= 0, r > 0).  r = 1/2 (p = 3) and r = 1/3
+    (p = 4) have closed forms; other r use monotone Newton with a bisection
+    safeguard (``_newton_power_root``)."""
     if r == 0.5:
         return _solve_sqrt_root(lin, coef, rhs)
+    # p = 4 gives r = q - 1 = 1/3 up to the rounding of q = 4/3
+    if abs(r - 1.0 / 3.0) <= 1e-15:
+        return _solve_cbrt_root(lin, coef, rhs)
+    return _newton_power_root(lin, coef, rhs, r)
+
+
+def _newton_power_root(lin, coef, rhs, r):
+    """Monotone Newton root of lin*m + coef*m^r = rhs over m >= 0 with a
+    bisection safeguard, tolerance 1e-12 * (1 + |rhs|) on the residual (a
+    purely absolute 1e-12 lies below the rounding of rhs once rhs > 1e4)."""
     lin = np.asarray(lin, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     active = rhs > 0
+    tol = 1e-12 * (1.0 + np.abs(rhs))
     m = np.maximum(rhs, 0.0) / lin            # g(m/lin) >= 0: start at the right
     lo = np.zeros(np.broadcast(lin, rhs).shape)
     hi = np.broadcast_to(np.maximum(rhs, 0.0) / lin, lo.shape).copy()
     g = np.zeros_like(lo)
     for _ in range(200):
         g = lin * m + coef * m ** r - rhs
-        if np.max(np.abs(np.where(active, g, 0.0))) < 1e-12:
+        if np.all(np.abs(np.where(active, g, 0.0)) < tol):
             break
         hi = np.where(g > 0, np.minimum(hi, m), hi)
         lo = np.where(g < 0, np.maximum(lo, m), lo)
@@ -301,8 +371,9 @@ def prox_cost_conj(model: CostModel, m_bar, step: float):
     """argmin over m >= 0 of (m - m_bar)^2/2 + step*K*(m).
 
     Solves the scalar optimality condition m + step*k(m) = m_bar: in closed
-    form for p = 3, where it is a quadratic in sqrt(m), otherwise by monotone
-    Newton iteration with a bisection safeguard (tolerance 1e-12).
+    form for p = 3 and p = 4, where it is a quadratic in sqrt(m) or a cubic in
+    cbrt(m), otherwise by monotone Newton iteration with a bisection safeguard
+    (tolerance 1e-12 * (1 + |m_bar|)).
     Vectorized over arrays.
     """
     if not (step > 0):

@@ -1,23 +1,32 @@
-"""First-order primal-dual solver for the discrete dual transport problem.
+"""Preconditioned primal-dual solver for the discrete dual transport problem.
 
 Minimizes   B(m, w) = <u_T, m(T)> + sum_t sum_x K*(m) dx dt
-subject to  m >= 0,  w(t,x) in m(t,x) c(x,A)  nodewise, and the discrete
-continuity equation (centered divergence, momentum slice k transporting
-between levels k and k+1) with m(0) = m0 enforced as an extra constraint row.
+over densities m >= 0 and split momenta w = (w+, w-), w+ >= 0 >= w- per axis,
+with (w+, w-) in m(t,x) times the split velocity set nodewise (the ball
+|(a, b)| <= c(x) for isotropic speeds, the hull of the split maps
+(v_i^+, v_i^-) for finite ones), subject to the discrete continuity equation
+m_{k+1} - m_k + dt div(w_k) = 0 with m(0) = m0 as an extra constraint row.
+The flux through face i+1/2 is w+_i + w-_{i+1}: the donor-cell flux of
+``transport`` in momentum form, so both layers use ``split_divergence``.  Its
+adjoint gives the Engquist-Osher-type Hamiltonian of ``split_hamiltonian``
+(after Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 2010).
 
-The Chambolle-Pock iteration ascends in the multiplier of the continuity
-rows, and each primal step ends in the exact pointwise joint prox of K* and
-the velocity-cone indicator: in closed form for isotropic speeds, by
-enumerating the faces of at most dim + 1 generators for finite control hulls
-(sum over k <= dim + 1 of C(M, k) faces for M maps: 3 for a 1D pair, 14 for
-a 2D square).  The multiplier, sign-flipped, converges to the value
+The iteration is PDHG with the dual step preconditioned by the exact
+(L L^T)^-1 of the constraint operator L (the G-prox PDHG of Jacobs, Leger,
+Li & Osher, SIAM J. Numer. Anal. 2019), so its step rule is tau*sigma < 1
+whatever the grid.  L has constant coefficients on the torus, so L L^T is
+one tridiagonal matrix in time per spatial Fourier mode, solved exactly
+(``_gram_solver``).  Each primal step ends in the exact pointwise joint prox
+of K* and the velocity cone: for balls the SOC prox of the sign-clipped
+momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
+2*dim components.  The multiplier, sign-flipped, converges to the value
 function u.
 
-The gap A(u, f) + B(m, w) that ``optimize`` reports and stops on is a
-Lagrangian gap, not an optimality certificate: it takes f = k(m) and the raw
-multiplier, and checks neither that f dominates the HJ residual of u nor
-that (m, w) satisfies the continuity rows exactly.  The feasibility-checked
-gap is ``certify.duality_gap``, which can read +inf on the same bundle.
+The gap A + B that ``optimize`` records and stops on is a certificate
+(``_certificate``): A belongs to the primal point u = -y, u(T) = u_T,
+f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
+the iterate's split velocities, both exactly feasible, so A + B >= 0 by
+summation by parts and the discrete optimal value lies in [-A, B].
 """
 
 from __future__ import annotations
@@ -33,6 +42,11 @@ from .grid import DensityField, ScalarField, TorusGrid, VecField
 from .model import (CostModel, IsotropicSpeed, SpeedModel, cost, cost_conj,
                     cost_deriv_conj, prox_cost_conj_coned, prox_cost_conj_hull)
 from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it in this namespace
+from .transport import split_divergence
+
+# default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
+_TAU = 16.0
+_SIGMA = 0.06
 
 __all__ = [
     "ProblemInstance", "SolverConfig", "OptimalBundle", "SolverDiagnostics",
@@ -79,8 +93,8 @@ class SolverConfig:
     max_iters: int = 5000
     tol_gap: float = 1e-3          # relative duality gap
     tol_cont: float = 1e-6         # weighted L2 continuity residual
-    tau: float | None = None       # primal step (auto from power iteration)
-    sigma: float | None = None     # dual step
+    tau: float | None = None       # primal step (default 16); tau*sigma < 1
+    sigma: float | None = None     # dual step (default 0.06)
     over_relax: float = 1.0
     check_every: int = 1
 
@@ -93,6 +107,9 @@ class SolverConfig:
 
 @dataclass
 class SolverDiagnostics:
+    """Per-check records of ``optimize``: the certified A, B and gap A + B
+    (see ``_certificate``) and the continuity residual of the iterate."""
+
     iterations: int = 0
     converged: bool = False
     gap_history: list = field(default_factory=list)
@@ -100,7 +117,6 @@ class SolverDiagnostics:
     b_history: list = field(default_factory=list)
     cont_history: list = field(default_factory=list)
     wall_time: float = 0.0
-    operator_norm: float = 0.0
     tau: float = 0.0
     sigma: float = 0.0
     notes: list = field(default_factory=list)
@@ -112,85 +128,88 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class OptimalBundle:
+    """The final iterate: u = -y, f = k(m), m, and the net momentum
+    w = w+ + w- (zero on the last level).  ``w_split`` keeps (w+, w-) on the
+    nt - 1 intervals, shape (nt - 1, *nx, 2*dim), read-only."""
+
     u: ScalarField
     f: ScalarField
     m: DensityField
     w: VecField
+    w_split: np.ndarray
     diagnostics: SolverDiagnostics
 
 
 # -- discrete operators ------------------------------------------------------
 
 
-def _centered_diff(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> None:
-    """Periodic centered difference (a[i+1] - a[i-1]) / (2 dx) along ``axis``,
-    written into ``out``: the interior from two slices, then the two wrap
-    rows, with no rolled copies of ``a``."""
-    n = a.shape[axis]
-    lead = (slice(None),) * axis
-
-    def sl(lo, hi):
-        return lead + (slice(lo, hi),)
-
-    np.subtract(a[sl(2, None)], a[sl(None, -2)], out=out[sl(1, -1)])
-    np.subtract(a[sl(1, 2)], a[sl(n - 1, None)], out=out[sl(None, 1)])
-    np.subtract(a[sl(None, 1)], a[sl(n - 2, n - 1)], out=out[sl(n - 1, None)])
-    out /= 2.0 * dx
-
-
-def _centered_divergence(w: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Centered divergence over the space axes; w has shape (..., *nx, dim)
-    with arbitrary leading axes."""
-    out = np.empty(w.shape[:-1])
-    off = w.ndim - 1 - grid.dim
-    _centered_diff(w[..., 0], off, grid.dx[0], out)
-    for a in range(1, grid.dim):
-        term = np.empty_like(out)
-        _centered_diff(w[..., a], off + a, grid.dx[a], term)
-        out += term
-    return out
-
-
-def _centered_gradient(phi: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Centered gradient over the space axes; phi has shape (..., *nx)."""
-    out = np.empty((*phi.shape, grid.dim))
+def _one_sided(phi: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward differences D+ phi and D- phi over the space axes;
+    phi has shape (..., *nx), each result (..., *nx, dim)."""
+    fwd = np.empty((*phi.shape, grid.dim))
+    bwd = np.empty_like(fwd)
     off = phi.ndim - grid.dim
     for a in range(grid.dim):
-        _centered_diff(phi, off + a, grid.dx[a], out[..., a])
-    return out
+        fwd[..., a] = (np.roll(phi, -1, off + a) - phi) / grid.dx[a]
+        bwd[..., a] = np.roll(fwd[..., a], 1, off + a)
+    return fwd, bwd
 
 
 def _rows(m: np.ndarray, w: np.ndarray, m0: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Constraint rows: row 0 pins the initial slice, row k+1 is the scaled
-    continuity residual  m_{k+1} - m_k + dt * div(w_k)."""
+    continuity residual  m_{k+1} - m_k + dt * div(w_k)  of the split momenta
+    w_k = (w+, w-), shape (nt - 1, *nx, 2*dim)."""
+    d = grid.dim
     r = np.empty_like(m)
     r[0] = m[0] - m0
-    r[1:] = m[1:] - m[:-1] + grid.dt * _centered_divergence(w, grid)
+    r[1:] = m[1:] - m[:-1] + grid.dt * split_divergence(w[..., :d], w[..., d:], grid)
     return r
 
 
 def _rows_adjoint(y: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """L^T y: the time differences of y, and dt times the adjoint of the split
+    divergence, div^T phi = (-D+ phi, -D- phi), on levels 1..nt-1."""
     gm = np.empty_like(y)
     gm[:-1] = y[:-1] - y[1:]
     gm[-1] = y[-1]
-    gw = -grid.dt * _centered_gradient(y[1:], grid)
+    gw = np.concatenate(_one_sided(y[1:], grid), axis=-1)
+    gw *= -grid.dt
     return gm, gw
 
 
-def _operator_norm(grid: TorusGrid) -> float:
-    """Largest singular value of the constraint operator, by power iteration."""
-    rng = np.random.default_rng(12345)
-    m = rng.standard_normal((grid.nt, *grid.nx))
-    w = rng.standard_normal((grid.nt - 1, *grid.nx, grid.dim))
-    m0 = np.zeros(grid.nx)
-    lam = 1.0
-    for _ in range(80):
-        y = _rows(m, w, m0, grid)
-        m, w = _rows_adjoint(y, grid)
-        lam = np.sqrt(np.sum(m * m) + np.sum(w * w))
-        m /= lam
-        w /= lam
-    return float(np.sqrt(lam) * 1.001)
+def _gram_solver(grid: TorusGrid):
+    """The exact solve x = (L L^T)^-1 b of the operator L of ``_rows``, for b
+    of shape (nt, *nx).
+
+    Per spatial Fourier mode xi, L L^T = M0 + lam_xi (I - e0 e0^T) with
+    M0 = tridiag(-1, [1, 2, ..., 2], -1) from the time differences and
+    lam_xi = 2 dt^2 sum_a (2 - 2 cos xi_a) / dx_a^2 from div div^T = -2 Laplacian,
+    which acts on rows 1..nt-1 only.  One eigh of M0 diagonalizes M0 + lam I
+    for every mode, and Sherman-Morrison removes the rank-one e0 term."""
+    nt = grid.nt
+    time_block = 2.0 * np.eye(nt) - np.eye(nt, k=1) - np.eye(nt, k=-1)
+    time_block[0, 0] = 1.0
+    eig, q = np.linalg.eigh(time_block)
+    modes = (*grid.nx[:-1], grid.nx[-1] // 2 + 1)          # rfftn output shape
+    lam = np.zeros(modes)
+    for a, n in enumerate(grid.nx):
+        symbol = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(modes[a]) / n)) / grid.dx[a] ** 2
+        lam = lam + symbol.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+    # a complex mode is solved as its interleaved real and imaginary parts
+    lam = np.repeat(2.0 * grid.dt ** 2 * lam.ravel(), 2)
+    inv = 1.0 / (eig[:, None] + lam)                 # (M0 + lam I)^-1, eigenbasis
+    g = q @ (q[0][:, None] * inv)                    # (M0 + lam I)^-1 e0
+    coef = lam / (1.0 - lam * g[0])
+    axes = tuple(range(1, grid.dim + 1))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfftn(b, axes=axes)
+        x = q @ (inv * (q.T @ spec.reshape(nt, -1).view(np.float64)))
+        x += g * (coef * x[0])
+        return np.fft.irfftn(x.view(np.complex128).reshape(spec.shape),
+                             s=grid.nx, axes=axes)
+
+    return solve
 
 
 # -- objective evaluation ----------------------------------------------------
@@ -265,39 +284,102 @@ def recover_velocity(m: DensityField, w: VecField, floor: float = 1e-10,
 
 
 def subsolution_residual(problem: ProblemInstance, u_values: np.ndarray) -> np.ndarray:
-    """Discrete residual -(u_{k+1}-u_k)/dt + H(x, Du_{k+1}) on each interval,
-    using the centered gradient paired with the continuity operator.  A pair
-    (u, f) is primal-feasible when f dominates this residual nodewise."""
-    grid = problem.grid
-    grad = _centered_gradient(u_values[1:], grid)
-    return -(u_values[1:] - u_values[:-1]) / grid.dt \
-        + problem.speed.hamiltonian(grid, grad)
+    """Discrete residual -(u_{k+1}-u_k)/dt + H(D+u_{k+1}, D-u_{k+1}) on each
+    interval, with the split Hamiltonian paired with the continuity operator.
+    A pair (u, f) is primal-feasible when f dominates this residual nodewise."""
+    fwd, bwd = _one_sided(u_values[1:], problem.grid)
+    return -(u_values[1:] - u_values[:-1]) / problem.grid.dt \
+        + problem.speed.split_hamiltonian(problem.grid, fwd, bwd)
 
 
 def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
                              w: np.ndarray) -> np.ndarray:
-    """Physical residual per row: [(m(0)-m0)/dt ; dm/dt + div w]."""
+    """Physical residual per row, [(m(0)-m0)/dt ; dm/dt + div w], of a nodal
+    momentum w split by sign into (w^+, w^-): the donor-cell form."""
     w_int = w[:-1] if w.shape[0] == problem.grid.nt else w
-    return _rows(m, w_int, problem.m0, problem.grid) / problem.grid.dt
+    split = np.concatenate([np.maximum(w_int, 0.0), np.minimum(w_int, 0.0)], axis=-1)
+    return _rows(m, split, problem.m0, problem.grid) / problem.grid.dt
 
 
 def _weighted_l2(rows: np.ndarray, grid: TorusGrid) -> float:
     return float(np.sqrt(np.sum(rows * rows) * grid.dt * grid.cell_volume))
 
 
+# -- the certificate ---------------------------------------------------------
+
+
+def _split_velocity(m: np.ndarray, w: np.ndarray,
+                    grid: TorusGrid) -> tuple[np.ndarray, bool]:
+    """Split velocities w/m (0 where m = 0) on the nt - 1 intervals, scaled
+    down where sum_a (a_a - b_a) dt/dx_a exceeds 1 so that their march keeps
+    m >= 0; and whether any node was scaled."""
+    v = np.zeros_like(w)
+    np.divide(w, m[..., None], out=v, where=m[..., None] > 0)
+    d = grid.dim
+    load = sum((v[..., a] - v[..., d + a]) / grid.dx[a] for a in range(d)) * grid.dt
+    over = load > 1.0
+    if not np.any(over):
+        return v, False
+    v[over] /= load[over][..., None]
+    return v, True
+
+
+def _march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """m0 marched through the continuity rows by split velocities v, shape
+    (nt - 1, *nx, 2*dim): m_{k+1} = m_k - dt div(m_k v_k^+, m_k v_k^-)."""
+    d = grid.dim
+    m = np.empty((grid.nt, *grid.nx))
+    m[0] = m0
+    for k in range(grid.nt - 1):
+        wk = m[k][..., None] * v[k]
+        div = split_divergence(wk[..., :d], wk[..., d:], grid)
+        div *= grid.dt
+        np.subtract(m[k], div, out=m[k + 1])
+    return m
+
+
+def _certificate(problem: ProblemInstance, y: np.ndarray, m: np.ndarray,
+                 w: np.ndarray) -> tuple[float, float]:
+    """Certified (A, B) of one iterate (multiplier y, density m, split
+    momenta w).
+
+    Primal point: u = -y with u(T) = u_T and f = max(residual(u), 0), feasible
+    by construction.  Dual point: m0 marched with the iterate's split
+    velocities (``_split_velocity``), which satisfies the continuity rows and,
+    with the velocities in the split set, the cone.  Summation by parts
+    through ``_rows`` then gives A + B >= 0, up to round-off.  A scaled
+    velocity stays in the isotropic ball; a finite hull need not contain
+    rest, so there B is +inf wherever scaling was needed."""
+    grid = problem.grid
+    vol = grid.cell_volume
+    u = -y
+    u[-1] = problem.u_T
+    f = np.maximum(subsolution_residual(problem, u), 0.0)
+    a_val = float(np.sum(cost(problem.cost, f))) * grid.dt * vol \
+        - float(np.sum(u[0] * problem.m0)) * vol
+    v, scaled = _split_velocity(m[:-1], w, grid)
+    if scaled and not isinstance(problem.speed, IsotropicSpeed):
+        return a_val, float("inf")
+    m_dual = _march_split(problem.m0, v, grid)
+    b_val = float(np.sum(problem.u_T * m_dual[-1])) * vol \
+        + float(np.sum(cost_conj(problem.cost, m_dual[:-1]))) * grid.dt * vol
+    return a_val, b_val
+
+
 # -- the solver --------------------------------------------------------------
 
 
 def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> OptimalBundle:
-    """Chambolle-Pock iteration for the discrete dual problem.
+    """Preconditioned primal-dual iteration for the discrete dual problem.
 
-    Per iteration: dual ascent of the continuity multiplier, a gradient step
-    on (m, w) through the adjoint, and the exact pointwise joint prox of K*
-    and the velocity cone (closed form for balls, face enumeration for
-    finite hulls, see the module docstring).  Stops when the relative
-    Lagrangian gap (see the module docstring) and the continuity residual
-    fall below their tolerances (with the gap above -1e-9), or at max_iters
-    with a non-converged flag.
+    Per iteration: the dual step y += sigma (L L^T)^-1 r_bar on the
+    continuity multiplier, a gradient step on (m, w+, w-) through the
+    adjoint, and the exact pointwise joint prox of K* and the velocity cone
+    (see the module docstring).  Every ``check_every`` iterations it records
+    the certified A, B and gap of ``_certificate`` and the continuity residual
+    of the iterate, and stops once the relative certified gap is at most
+    tol_gap and the residual at most tol_cont; at max_iters it stops with a
+    non-converged flag.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -307,36 +389,32 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     if problem.mass == 0:
         warnings.warn("m0 has zero mass; returning the trivial bundle", stacklevel=2)
 
-    norm_l = _operator_norm(grid)
-    diag.operator_norm = norm_l
-    tau = config.tau if config.tau is not None else 0.98 / norm_l
-    sigma = config.sigma if config.sigma is not None else 0.98 / norm_l
+    tau = config.tau if config.tau is not None else _TAU
+    sigma = config.sigma if config.sigma is not None else _SIGMA
     if not (tau > 0 and sigma > 0):
         raise ParameterError("step sizes must be positive")
-    if tau * sigma * norm_l ** 2 > 1.0 + 1e-9:
-        raise ParameterError(
-            f"step rule violated: tau*sigma*L^2 = {tau * sigma * norm_l**2:.4g} > 1")
+    if tau * sigma >= 1.0:
+        raise ParameterError(f"step rule violated: tau*sigma = {tau * sigma:.4g} >= 1")
     diag.tau, diag.sigma = tau, sigma
     theta = config.over_relax
+    dim = grid.dim
 
-    # the joint prox takes nodal radii for balls and face data for finite hulls,
-    # built once here; the prox names stay globals here for the tracer
+    # the joint prox takes nodal radii for balls and split face data for
+    # finite hulls, built once here; the prox names stay globals for the tracer
     iso = isinstance(problem.speed, IsotropicSpeed)
-    cone = problem.speed.radius_nodes(grid.nx) if iso else problem.speed.hull_faces(grid)
+    cone = problem.speed.radius_nodes(grid.nx) if iso \
+        else problem.speed.split_hull_faces(grid)
+    gram_solve = _gram_solver(grid)
 
     m = np.full((grid.nt, *grid.nx), problem.mass)
-    w = np.zeros((grid.nt - 1, *grid.nx, grid.dim))
+    w = np.zeros((grid.nt - 1, *grid.nx, 2 * dim))
     y = np.zeros((grid.nt, *grid.nx))
     r = _rows(m, w, problem.m0, grid)
     r_bar = r
-
-    vol = grid.cell_volume
-    # K(k(m)) = (q - 1) K*(m) for the power law, so A and B share one K* sum
-    a_weight = problem.cost.q - 1.0
-    gap = float("nan")
+    met = False
 
     for it in range(1, config.max_iters + 1):
-        y += sigma * r_bar
+        y += sigma * gram_solve(r_bar)
 
         # gradient step, then the prox and cone step in place on the new m
         gm, gw = _rows_adjoint(y, grid)
@@ -346,6 +424,10 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
 
         np.maximum(m[-1], 0.0, out=m[-1])
         if iso:
+            # the SOC is symmetric under sign flips, so the prox onto its
+            # part with w+ >= 0 >= w- is the SOC prox of the clipped point
+            np.maximum(w_half[..., :dim], 0.0, out=w_half[..., :dim])
+            np.minimum(w_half[..., dim:], 0.0, out=w_half[..., dim:])
             m[:-1], w = prox_cost_conj_coned(problem.cost, cone,
                                              m[:-1], w_half, tau * grid.dt)
         else:
@@ -358,20 +440,22 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         r_bar = r + theta * (r - r_prev)
 
         if it % config.check_every == 0 or it == config.max_iters:
-            k_conj = float(np.sum(cost_conj(problem.cost, m[:-1]))) * grid.dt * vol
-            a_val = float(a_weight * k_conj - np.sum(-y[0] * problem.m0) * vol)
-            b_val = float(np.sum(problem.u_T * m[-1]) * vol + k_conj)
+            a_val, b_val = _certificate(problem, y, m, w)
             gap = a_val + b_val
             cont = _weighted_l2(r / grid.dt, grid)
-            if not (np.isfinite(gap) and np.isfinite(cont)):
+            if np.isnan(gap) or not np.isfinite(cont):
                 raise NumericError(f"non-finite iterate at iteration {it}")
             diag.a_history.append(a_val)
             diag.b_history.append(b_val)
             diag.gap_history.append(gap)
             diag.cont_history.append(cont)
             scale = max(abs(a_val), abs(b_val), 1e-10)
-            if (abs(gap) / scale <= config.tol_gap and cont <= config.tol_cont
-                    and gap >= -1e-9):
+            # both tests must hold at two checks in a row: the residual of
+            # an early iterate can dip below tol_cont once while u is still
+            # first-order off (the gap sees its error only to second order)
+            met, met_before = (np.isfinite(gap) and gap <= config.tol_gap * scale
+                               and cont <= config.tol_cont), met
+            if met and met_before:
                 diag.converged = True
                 diag.iterations = it
                 break
@@ -383,13 +467,15 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
 
     u_vals = -y
     u_vals[-1] = problem.u_T
-    w_full = np.concatenate([w, np.zeros((1, *grid.nx, grid.dim))], axis=0)
+    w_net = np.concatenate([w[..., :dim] + w[..., dim:],
+                            np.zeros((1, *grid.nx, dim))], axis=0)
+    w.setflags(write=False)
     m_field = DensityField(grid, m)
     return OptimalBundle(
         u=ScalarField(grid, u_vals),
         f=recover_f(problem, m_field),
         m=m_field,
-        w=VecField(grid, w_full),
+        w=VecField(grid, w_net),
+        w_split=w,
         diagnostics=diag,
     )
-

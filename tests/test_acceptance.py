@@ -16,8 +16,8 @@ from frontsteer.grid import ScalarField, TorusGrid, VecField
 from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            extract_front, solve_value_function)
 from frontsteer.model import CostModel, IsotropicSpeed, cost, cost_conj
-from frontsteer.pdopt import (ProblemInstance, SolverConfig, optimize,
-                              recover_velocity)
+from frontsteer.pdopt import (ProblemInstance, SolverConfig, _march_split,
+                              _split_velocity, optimize, recover_velocity)
 
 
 def report(num: int, desc: str, ok: bool, detail: str) -> None:
@@ -209,3 +209,18 @@ def test_criterion_11_determinism(tmp_path):
         outs.append((out / "diagnostics.csv").read_bytes())
     report(11, "byte-identical diagnostics across thread counts",
            outs[0] == outs[1], f"{len(outs[0])} bytes compared")
+
+
+def test_criterion_12_certified_gap_and_split_superposition(nontrivial_bundle):
+    problem, bundle = nontrivial_bundle
+    d = bundle.diagnostics
+    grid = problem.grid
+    rel_gap = d.final_gap / max(abs(d.a_history[-1]), abs(d.b_history[-1]))
+    # the recovered split velocities w+/m, w-/m, marched from m0, give back m
+    v, _ = _split_velocity(bundle.m.values[:-1], bundle.w_split, grid)
+    marched = _march_split(problem.m0, v, grid)
+    l1 = float(np.max(np.sum(np.abs(marched - bundle.m.values), axis=1))
+               * grid.cell_volume)
+    ok = d.converged and 0.0 <= rel_gap <= 1e-3 and l1 <= 1e-2
+    report(12, "certified gap and split superposition (nontrivial)", ok,
+           f"relative certified gap {rel_gap:.1e}, march L1 per level {l1:.1e}")

@@ -165,6 +165,30 @@ class TestOptimize:
         assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert (out / "diagnostics.csv").exists()
         assert (out / "m.field").exists()
+        # the duality_gap record is the certified gap of the last diagnostics row
+        last = (out / "diagnostics.csv").read_text().splitlines()[-1].split(",")
+        doc = json.loads((out / "certificates.json").read_text())
+        gap = {c["name"]: c for c in doc["checks"]}["duality_gap"]
+        assert last[0] == "1"
+        assert gap["lhs"] == float(last[3])
+        assert gap["slack"] == max(abs(float(last[1])), abs(float(last[2])))
+
+    def test_converged_run_records_the_certified_gap(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        config = write_config(cfg_path, problem={"u_T": {"preset": "cosine"},
+                                                 "m0": {"preset": "gaussian"}})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        doc = json.loads((out / "certificates.json").read_text())
+        gap = {c["name"]: c for c in doc["checks"]}["duality_gap"]
+        assert gap["passed"]
+        assert 0.0 <= gap["lhs"] <= config["solver"]["tol_gap"] * gap["slack"]
+        rows = [line.split(",") for line in
+                (out / "diagnostics.csv").read_text().splitlines()[1:]]
+        assert min(float(r[3]) for r in rows) >= -1e-12
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["final_gap"] == gap["lhs"]
+        assert "operator_norm" not in manifest
 
     def test_diagnostics_deterministic_across_threads(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

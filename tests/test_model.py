@@ -7,8 +7,9 @@ from scipy.optimize import minimize
 from frontsteer.errors import ParameterError
 from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
-                              _solve_power_root, cost, cost_conj, cost_deriv_conj,
-                              prox_cost_conj, prox_cost_conj_coned, prox_cost_conj_hull)
+                              _newton_power_root, _solve_cbrt_root, _solve_power_root,
+                              cost, cost_conj, cost_deriv_conj, prox_cost_conj,
+                              prox_cost_conj_coned, prox_cost_conj_hull)
 
 
 def square_speed():
@@ -90,6 +91,46 @@ class TestHamiltonian:
         # support in direction -p is attained at a hull vertex exactly
         np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [1.0, 0.0])), 0.9)
         np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [1.0, 1.0])), 0.9)
+
+
+class TestSplitHamiltonian:
+    """sup of -(a.D+u + b.D-u) over split velocities (a >= 0 >= b)."""
+
+    def test_isotropic_closed_form(self):
+        s = IsotropicSpeed(2, 1.5)
+        fwd = nodes(GRID_2D, [-3.0, 1.0])
+        bwd = nodes(GRID_2D, [2.0, -4.0])
+        # a takes -fwd where it is positive, -b takes bwd where it is positive
+        np.testing.assert_allclose(s.split_hamiltonian(GRID_2D, fwd, bwd),
+                                   1.5 * np.hypot(3.0, 2.0), rtol=1e-15)
+
+    @pytest.mark.parametrize("speed", [IsotropicSpeed(2, 0.9), square_speed(), xdep_speed()])
+    def test_consistent_and_monotone(self, speed):
+        grid = TorusGrid(2, (12, 10), 3, 1.0)
+        rng = np.random.default_rng(2)
+        p = rng.standard_normal((20, *grid.nx, 2))
+        h_split = speed.split_hamiltonian(grid, p, p)
+        # equal one-sided differences: the split set contains every (v+, v-)
+        assert np.all(h_split >= speed.hamiltonian(grid, p) - 1e-12)
+        # nonincreasing in D+u, nondecreasing in D-u
+        step = np.abs(rng.standard_normal(p.shape))
+        assert np.all(speed.split_hamiltonian(grid, p + step, p) <= h_split + 1e-12)
+        assert np.all(speed.split_hamiltonian(grid, p, p + step) >= h_split - 1e-12)
+
+    def test_isotropic_1d_equal_differences(self):
+        s = IsotropicSpeed(1, 0.7)
+        grid = TorusGrid(1, (8,), 2, 1.0)
+        p = np.random.default_rng(3).standard_normal((5, 8, 1))
+        np.testing.assert_allclose(s.split_hamiltonian(grid, p, p), s.hamiltonian(grid, p),
+                                   rtol=1e-15)
+
+    def test_finite_hull_vertices(self):
+        pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        grid = TorusGrid(1, (4,), 2, 1.0)
+        fwd = np.full((4, 1), 1.0)
+        bwd = np.full((4, 1), -2.0)
+        # a local minimum of u: both vertices of the split segment point uphill
+        np.testing.assert_allclose(pair.split_hamiltonian(grid, fwd, bwd), -0.9)
 
 
 def conjugate_member(speed, q, tol=1e-12):
@@ -273,6 +314,31 @@ class TestHullProx:
                                              m_bar, w_bar, step)
             np.testing.assert_allclose(m, m_sq, rtol=0, atol=1e-12)
             np.testing.assert_allclose(w, w_sq, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("step", [0.0, 0.4])
+    @pytest.mark.parametrize("speed", ["pair", "square"])
+    def test_split_faces_match_brute_force(self, speed, step):
+        if speed == "pair":
+            grid = TorusGrid(1, (4,), 3, 1.0)
+            s = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        else:
+            grid, s = GRID_2D, square_speed()
+        n = 2 * grid.dim
+        model = CostModel(p=4.0, kappa=0.8)
+        rng = np.random.default_rng(15)
+        m_bar = rng.normal(0.5, 1.0, (2, *grid.nx))
+        w_bar = 0.8 * rng.standard_normal((2, *grid.nx, n))
+        faces = s.split_hull_faces(grid)
+        assert faces.vels.shape == (len(s.velocities), *grid.nx, n)
+        m, w = prox_cost_conj_hull(model, faces, m_bar, w_bar, step)
+        assert np.all(w[..., :grid.dim] >= 0.0) and np.all(w[..., grid.dim:] <= 0.0)
+        objective = 0.5 * ((m - m_bar) ** 2 + np.sum((w - w_bar) ** 2, axis=-1)) \
+            + step * cost_conj(model, m)
+        gens = np.concatenate([np.ones((len(s.velocities), *grid.nx, 1)), faces.vels], axis=-1)
+        for idx in np.ndindex(m.shape):
+            best = _brute_force_prox(gens[(slice(None), *idx[1:])], m_bar[idx],
+                                     w_bar[idx], model, step)
+            assert objective[idx] <= best + 1e-10
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
     def test_pair_matches_isotropic_prox(self, p):
@@ -458,3 +524,74 @@ class TestSqrtRootClosedForm:
         for mb, mi in zip(m_bar, m):
             expected = _bisect_sqrt_root(1.0, coef, mb) if mb > 0 else 0.0
             assert abs(mi - expected) <= 1e-12 * (1.0 + abs(mb))
+
+
+_lin = st.floats(min_value=1.0, max_value=1e6)
+_coef = st.one_of(st.just(0.0), _magnitude)
+
+
+class TestCbrtRootClosedForm:
+    """The p = 4 (r = 1/3) branch of the prox root solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lin=_lin, coef=_coef, rhs=_magnitude)
+    def test_residual_and_newton_agreement(self, lin, coef, rhs):
+        with np.errstate(all="raise"):
+            m = float(_solve_power_root(lin, coef, rhs, 4.0 / 3.0 - 1.0))
+            residual = abs(lin * m + coef * np.cbrt(m) - rhs)
+        with np.errstate(divide="ignore"):
+            reference = float(_newton_power_root(lin, coef, rhs, 1.0 / 3.0))
+        assert m >= 0.0
+        assert residual <= 1e-12 * (1.0 + rhs)
+        assert abs(m - reference) <= 1e-12 * (1.0 + rhs)
+
+    def test_dispatch_for_p4(self):
+        q = CostModel(p=4.0).q
+        rng = np.random.default_rng(8)
+        lin, coef, rhs = 1.0 + rng.random(50), rng.random(50), rng.uniform(-1, 3, 50)
+        assert np.array_equal(_solve_power_root(lin, coef, rhs, q - 1.0),
+                              _solve_cbrt_root(lin, coef, rhs))
+
+    def test_nonpositive_rhs_gives_zero(self):
+        rhs = np.array([-1e6, -1.0, -1e-12, -0.0, 0.0])
+        with np.errstate(all="raise"):
+            for coef in (0.0, 1e-12, 1.0, 1e6):
+                m = _solve_cbrt_root(1.0, coef, rhs)
+                assert np.array_equal(m, np.zeros_like(rhs))
+
+    def test_vanishing_coefficient_is_linear(self):
+        # coef = 0 and coef far below the cube-root guard: m = rhs/lin
+        rhs = np.array([1e-12, 0.5, 3.0, 1e6])
+        lin = np.array([1.0, 2.0, 4.0, 1e6])
+        with np.errstate(all="raise"):
+            for coef in (0.0, 1e-300, 1e-100):
+                m = _solve_cbrt_root(lin, coef, rhs)
+                np.testing.assert_allclose(m, rhs / lin, rtol=1e-15, atol=0)
+
+    def test_both_sides_of_the_cube_root_guard(self):
+        # the guard switches where the sinh argument passes 1e24; the sinh
+        # form loses about log(argument) ulps, 30 at coef = 1e-8
+        bound = 1e-16 * (1.5 * np.sqrt(3.0)) ** (2.0 / 3.0)
+        with np.errstate(all="raise"):
+            for coef in (0.99 * bound, 1.01 * bound, 1e-8, 1.0, 1e6):
+                m = float(_solve_cbrt_root(1.0, coef, 1.0))
+                assert abs(m + coef * np.cbrt(m) - 1.0) <= 1e-14
+
+    def test_broadcasts_like_the_coned_prox(self):
+        rng = np.random.default_rng(9)
+        lin = 1.0 + rng.uniform(0, 3, 8) ** 2
+        rhs = rng.uniform(-1, 4, (5, 8))
+        with np.errstate(all="raise"):
+            m = _solve_cbrt_root(lin, 0.3, rhs)
+        assert m.shape == (5, 8)
+        np.testing.assert_allclose(m, _newton_power_root(lin, 0.3, rhs, 1.0 / 3.0),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+    def test_prox_optimality_for_p4(self, kappa):
+        c = CostModel(p=4.0, kappa=kappa)
+        m_bar = np.array([-2.0, 0.0, 1e-12, 0.3, 2.0, 1e6])
+        with np.errstate(all="raise"):
+            m = prox_cost_conj(c, m_bar, 0.7)
+        np.testing.assert_allclose(m + 0.7 * cost_deriv_conj(c, m), np.maximum(m_bar, 0.0),
+                                   rtol=1e-14, atol=1e-15)
