@@ -95,6 +95,10 @@ class IsotropicSpeed:
         return self.hamiltonian(grid, np.concatenate(
             [np.maximum(-fwd, 0.0), np.maximum(bwd, 0.0)], axis=-1))
 
+    def split_contains_rest(self, grid) -> bool:
+        """Every split ball contains (a, b) = 0."""
+        return True
+
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
         """Largest excess of |w| over c(x)*m over all nodes (<= 0 inside)."""
         c = self.radius_nodes(grid.nx)
@@ -184,6 +188,13 @@ class FiniteControlsSpeed:
         vels = self._split_node_velocities(grid)
         p = np.concatenate([fwd, bwd], axis=-1)
         return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
+
+    def split_contains_rest(self, grid) -> bool:
+        """Whether the hull of the split maps contains (a, b) = 0 at every
+        node: each split map has sum_a (a_a - b_a) = |v|_1 >= 0, so it does
+        exactly where some map is zero."""
+        vels = self._node_velocities(grid)
+        return bool(np.all(np.any(np.all(vels == 0.0, axis=-1), axis=0)))
 
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
         """Largest distance from (m, w) to its projection onto the cone
@@ -301,46 +312,14 @@ def _solve_sqrt_root(lin, coef, rhs):
     return s * s
 
 
-def _solve_cbrt_root(lin, coef, rhs):
-    """Closed-form root of lin*m + coef*m^(1/3) = rhs over m >= 0: in
-    s = m^(1/3) it is the depressed cubic s^3 + P*s + Q = 0 with P = coef/lin
-    and Q = -rhs/lin, monotone for P >= 0, whose one real root is
-    s = -2k*sinh(asinh(1.5*Q/(P*k))/3) with k = sqrt(P/3).  As P -> 0 the
-    root tends to cbrt(-Q), within 0.63*x^(-2/3) relative for the sinh
-    argument x, and is taken so once x passes 1e24; m = 0 wherever
-    rhs <= 0."""
-    lin = np.asarray(lin, dtype=float)
-    q_neg = np.maximum(rhs, 0.0) / lin                     # -Q >= 0
-    p_lin = np.broadcast_to(np.asarray(coef, dtype=float) / lin, q_neg.shape)
-    # the sinh argument x = 1.5*(-Q)/(P*k) is (c/P)^1.5 with
-    # c = cbrt(1.5*sqrt(3)*(-Q))^2; past x = 1e24 the cube root is closer to
-    # the root than the sinh form
-    c = np.cbrt(1.5 * np.sqrt(3.0) * q_neg) ** 2
-    trig = p_lin > 1e-16 * c
-    ratio = np.divide(c, p_lin, out=np.zeros(c.shape), where=trig)
-    k = np.sqrt(p_lin / 3.0)
-    s = np.where(trig, 2.0 * k * np.sinh(np.arcsinh(ratio * np.sqrt(ratio)) / 3.0),
-                 np.cbrt(q_neg))
-    return s * s * s
-
-
 def _solve_power_root(lin, coef, rhs, r):
     """Solve lin*m + coef*m^r = rhs elementwise over m >= 0 (all inputs
-    broadcastable, lin >= 1, coef >= 0, r > 0).  r = 1/2 (p = 3) and r = 1/3
-    (p = 4) have closed forms; other r use monotone Newton with a bisection
-    safeguard (``_newton_power_root``)."""
+    broadcastable, lin >= 1, coef >= 0, r > 0).  r = 1/2 (p = 3) has a closed
+    form; other r use monotone Newton with a bisection safeguard, tolerance
+    1e-12 * (1 + |rhs|) on the residual (a purely absolute 1e-12 lies below
+    the rounding of rhs once rhs > 1e4)."""
     if r == 0.5:
         return _solve_sqrt_root(lin, coef, rhs)
-    # p = 4 gives r = q - 1 = 1/3 up to the rounding of q = 4/3
-    if abs(r - 1.0 / 3.0) <= 1e-15:
-        return _solve_cbrt_root(lin, coef, rhs)
-    return _newton_power_root(lin, coef, rhs, r)
-
-
-def _newton_power_root(lin, coef, rhs, r):
-    """Monotone Newton root of lin*m + coef*m^r = rhs over m >= 0 with a
-    bisection safeguard, tolerance 1e-12 * (1 + |rhs|) on the residual (a
-    purely absolute 1e-12 lies below the rounding of rhs once rhs > 1e4)."""
     lin = np.asarray(lin, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     active = rhs > 0
@@ -371,9 +350,9 @@ def prox_cost_conj(model: CostModel, m_bar, step: float):
     """argmin over m >= 0 of (m - m_bar)^2/2 + step*K*(m).
 
     Solves the scalar optimality condition m + step*k(m) = m_bar: in closed
-    form for p = 3 and p = 4, where it is a quadratic in sqrt(m) or a cubic in
-    cbrt(m), otherwise by monotone Newton iteration with a bisection safeguard
-    (tolerance 1e-12 * (1 + |m_bar|)).
+    form for p = 3, where it is a quadratic in sqrt(m), otherwise by monotone
+    Newton iteration with a bisection safeguard (tolerance
+    1e-12 * (1 + |m_bar|)).
     Vectorized over arrays.
     """
     if not (step > 0):

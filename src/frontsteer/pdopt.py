@@ -108,7 +108,9 @@ class SolverConfig:
 @dataclass
 class SolverDiagnostics:
     """Per-check records of ``optimize``: the certified A, B and gap A + B
-    (see ``_certificate``) and the continuity residual of the iterate."""
+    (see ``_certificate``) and the continuity residual of the iterate.
+    ``w_split`` is the final split momenta (w+, w-) on the nt - 1 intervals,
+    shape (nt - 1, *nx, 2*dim), read-only; the bundle carries only their sum."""
 
     iterations: int = 0
     converged: bool = False
@@ -120,6 +122,7 @@ class SolverDiagnostics:
     tau: float = 0.0
     sigma: float = 0.0
     notes: list = field(default_factory=list)
+    w_split: np.ndarray | None = None
 
     @property
     def final_gap(self) -> float:
@@ -129,14 +132,12 @@ class SolverDiagnostics:
 @dataclass(frozen=True)
 class OptimalBundle:
     """The final iterate: u = -y, f = k(m), m, and the net momentum
-    w = w+ + w- (zero on the last level).  ``w_split`` keeps (w+, w-) on the
-    nt - 1 intervals, shape (nt - 1, *nx, 2*dim), read-only."""
+    w = w+ + w- (zero on the last level)."""
 
     u: ScalarField
     f: ScalarField
     m: DensityField
     w: VecField
-    w_split: np.ndarray
     diagnostics: SolverDiagnostics
 
 
@@ -309,19 +310,20 @@ def _weighted_l2(rows: np.ndarray, grid: TorusGrid) -> float:
 
 
 def _split_velocity(m: np.ndarray, w: np.ndarray,
-                    grid: TorusGrid) -> tuple[np.ndarray, bool]:
+                    grid: TorusGrid) -> tuple[np.ndarray, float]:
     """Split velocities w/m (0 where m = 0) on the nt - 1 intervals, scaled
-    down where sum_a (a_a - b_a) dt/dx_a exceeds 1 so that their march keeps
-    m >= 0; and whether any node was scaled."""
+    down where the load sum_a (a_a - b_a) dt/dx_a exceeds 1 so that their
+    march keeps m >= 0; and the largest load before scaling (a node was
+    scaled iff it exceeds 1)."""
     v = np.zeros_like(w)
     np.divide(w, m[..., None], out=v, where=m[..., None] > 0)
     d = grid.dim
     load = sum((v[..., a] - v[..., d + a]) / grid.dx[a] for a in range(d)) * grid.dt
-    over = load > 1.0
-    if not np.any(over):
-        return v, False
-    v[over] /= load[over][..., None]
-    return v, True
+    peak = float(np.max(load))
+    if peak > 1.0:
+        over = load > 1.0
+        v[over] /= load[over][..., None]
+    return v, peak
 
 
 def _march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -348,8 +350,9 @@ def _certificate(problem: ProblemInstance, y: np.ndarray, m: np.ndarray,
     velocities (``_split_velocity``), which satisfies the continuity rows and,
     with the velocities in the split set, the cone.  Summation by parts
     through ``_rows`` then gives A + B >= 0, up to round-off.  A scaled
-    velocity stays in the isotropic ball; a finite hull need not contain
-    rest, so there B is +inf wherever scaling was needed."""
+    velocity stays in the split set only if that set contains rest
+    (``split_contains_rest``); otherwise B is +inf wherever scaling was
+    needed."""
     grid = problem.grid
     vol = grid.cell_volume
     u = -y
@@ -357,8 +360,8 @@ def _certificate(problem: ProblemInstance, y: np.ndarray, m: np.ndarray,
     f = np.maximum(subsolution_residual(problem, u), 0.0)
     a_val = float(np.sum(cost(problem.cost, f))) * grid.dt * vol \
         - float(np.sum(u[0] * problem.m0)) * vol
-    v, scaled = _split_velocity(m[:-1], w, grid)
-    if scaled and not isinstance(problem.speed, IsotropicSpeed):
+    v, peak = _split_velocity(m[:-1], w, grid)
+    if peak > 1.0 and not problem.speed.split_contains_rest(grid):
         return a_val, float("inf")
     m_dual = _march_split(problem.m0, v, grid)
     b_val = float(np.sum(problem.u_T * m_dual[-1])) * vol \
@@ -379,7 +382,8 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     the certified A, B and gap of ``_certificate`` and the continuity residual
     of the iterate, and stops once the relative certified gap is at most
     tol_gap and the residual at most tol_cont; at max_iters it stops with a
-    non-converged flag.
+    non-converged flag and says in ``notes`` whether the certificate had to
+    scale the iterate's velocities.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -462,6 +466,18 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     else:
         diag.iterations = config.max_iters
         diag.notes.append("max_iters reached without convergence")
+        # the a-priori bound sqrt(2*dim) c dt/dx exceeds 1 already in 1D at
+        # dt = dx, where runs certify, so report the load the iterate reached
+        peak = _split_velocity(m[:-1], w, grid)[1]
+        if peak > 1.0:
+            diag.notes.append(
+                f"the certificate scaled split velocities down (largest load "
+                f"sum_a (a_a - b_a) dt/dx_a = {peak:.4g} > 1), which moves its "
+                f"dual point off the iterate"
+                + ("" if problem.speed.split_contains_rest(grid)
+                   else " and makes B +inf, as the split hull lacks rest")
+                + f"; nt >= {int(np.ceil((grid.nt - 1) * peak - 1e-9)) + 1} keeps "
+                f"this load <= 1 (balls: dt <= dx/(sqrt(2*dim)*c) for any iterate)")
 
     diag.wall_time = time.perf_counter() - t0
 
@@ -470,12 +486,12 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     w_net = np.concatenate([w[..., :dim] + w[..., dim:],
                             np.zeros((1, *grid.nx, dim))], axis=0)
     w.setflags(write=False)
+    diag.w_split = w
     m_field = DensityField(grid, m)
     return OptimalBundle(
         u=ScalarField(grid, u_vals),
         f=recover_f(problem, m_field),
         m=m_field,
         w=VecField(grid, w_net),
-        w_split=w,
         diagnostics=diag,
     )

@@ -172,6 +172,8 @@ class TestOptimize:
         assert last[0] == "1"
         assert gap["lhs"] == float(last[3])
         assert gap["slack"] == max(abs(float(last[1])), abs(float(last[2])))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "max_iters reached without convergence" in manifest["notes"]
 
     def test_converged_run_records_the_certified_gap(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -189,6 +191,7 @@ class TestOptimize:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["final_gap"] == gap["lhs"]
         assert "operator_norm" not in manifest
+        assert manifest["notes"] == []
 
     def test_diagnostics_deterministic_across_threads(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
