@@ -7,12 +7,10 @@ error, so inequality checks carry an additive slack C_report * (dx + dt)
 whose constant is assembled from field norms, never hard-coded numbers
 alone.
 
-``duality_gap`` certifies a stored bundle in the discrete pairing of
-``pdopt``: the split-momentum continuity rows, with a nodal momentum split by
-sign (the donor-cell form), and the split Hamiltonian.  ``pdopt.optimize``
-records its own certified gap while it iterates, from points it makes
-feasible by construction; a bundle's iterate satisfies the rows only to the
-solver tolerance, so ``duality_gap`` reads +inf on it.
+``battery`` runs all seven checks; ``optimize`` and ``certify`` both call it.
+Its gap is the certificate ``optimize`` stops on (``pdopt.certificate``), on
+the bundle's u and split momenta (w+, w-), or on w split by sign (the
+donor-cell form) when a bundle lacks them.
 """
 
 from __future__ import annotations
@@ -27,14 +25,16 @@ from scipy.special import gamma as _gamma
 from .errors import ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField, norm_lp, interp_space
 from .model import IsotropicSpeed, SpeedModel, cost_deriv_conj
-from .pdopt import (ProblemInstance, continuity_residual_rows, evaluate_A,
-                    evaluate_B, subsolution_residual)
+from . import pdopt
+from .pdopt import ProblemInstance
+# unused here; perfbench/tracing.py wraps them in this namespace
+from .pdopt import continuity_residual_rows, evaluate_A, evaluate_B, subsolution_residual
 from .transport import upwind_directional_derivative
 
 __all__ = [
     "CertReport", "check_ibp_inequality", "check_weak_solution",
     "check_pointwise_hj", "check_subsolution", "holder_constant",
-    "check_holder", "duality_gap", "reports_to_json",
+    "check_holder", "duality_gap", "battery", "reports_to_json",
 ]
 
 
@@ -360,40 +360,49 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
                       worst_location=worst[1])
 
 
-# -- duality gap --------------------------------------------------------------
+# -- duality gap and the battery ---------------------------------------------
 
 
 def duality_gap(problem: ProblemInstance, u: ScalarField, f: ScalarField,
-                m: DensityField, w: VecField, details: dict | None = None) -> float:
-    """A(u, f) + B(m, w) for feasible pairs; returns the +inf sentinel (with
-    the reason in ``details``) when either side is infeasible.
+                m: DensityField, w, details: dict | None = None) -> float:
+    """Certified gap A + B of a bundle (``pdopt.certificate``), >= 0 by weak
+    duality; the discrete optimal value lies in [-A, B].
 
-    Feasibility means: u(T) = u_T and f dominates the discrete subsolution
-    residual of the split Hamiltonian (primal); cone membership and the
-    discrete continuity equation with m(0) = m0, w split by sign (dual).  For
-    such pairs the value is >= -1e-9 by the exact discrete weak-duality
-    chain."""
-    grid = problem.grid
-    reasons = []
-    scale_u = 1.0 + float(np.max(np.abs(problem.u_T)))
-    if np.max(np.abs(u.values[-1] - problem.u_T)) > 1e-10 * scale_u:
-        reasons.append("u(T) != u_T")
-    res = subsolution_residual(problem, u.values)
-    f_gap = float(np.max(res - f.values[:-1]))
-    if f_gap > 1e-8 * (1.0 + float(np.max(np.abs(f.values)))):
-        reasons.append(f"f below HJ residual by {f_gap:.3g}")
-    if float(np.min(f.values)) < -1e-12:
-        reasons.append("f negative")
-    rows = continuity_residual_rows(problem, m.values, w.values)
-    row_scale = (1.0 + float(np.max(m.values))) / grid.dt
-    if float(np.max(np.abs(rows))) > 1e-8 * row_scale:
-        reasons.append("continuity equation violated")
-    b_details: dict = {}
-    b_val = evaluate_B(problem, m, w, details=b_details)
-    if not np.isfinite(b_val):
-        reasons.append(f"cone violated by {b_details['max_violation']:.3g}")
-    if details is not None:
-        details["reasons"] = reasons
-    if reasons:
-        return float("inf")
-    return evaluate_A(problem, u, f) + b_val
+    ``w`` is the pair (w_plus, w_minus) of split momenta, or a nodal VecField
+    split by sign.  ``f`` is not read: the certificate's obstacle is
+    max(residual(u), 0), the cheapest feasible one.  B is +inf when a split
+    load above 1 had to be scaled and the split hull lacks rest.  Pass a dict
+    as ``details`` to receive A, B, the largest split load and that flag."""
+    if isinstance(w, VecField):
+        pair = (np.maximum(w.values[:-1], 0.0), np.minimum(w.values[:-1], 0.0))
+    else:
+        pair = (w[0].values[:-1], w[1].values[:-1])
+    a_val, b_val = pdopt.certificate(problem, u.values, m.values,
+                                     np.concatenate(pair, axis=-1), details)
+    return a_val + b_val
+
+
+def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
+            m: DensityField, w_split, *, seed: int, tol_gap: float,
+            details: dict | None = None) -> list[CertReport]:
+    """The seven checks of one bundle, in the order of ``certificates.json``.
+
+    ``w_split`` is the pair (w_plus, w_minus), or a nodal VecField split by
+    sign.  The gap passes iff -1e-9 <= A + B <= tol_gap * max(|A|, |B|, 1e-10)
+    (that scale is its slack); ``details`` receives the gap's details."""
+    w_net = w_split if isinstance(w_split, VecField) \
+        else VecField(problem.grid, w_split[0].values + w_split[1].values)
+    v = pdopt.recover_velocity(m, w_net, floor=1e-9, speed=problem.speed)
+    reports = [check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
+    reports.extend(check_weak_solution(problem, u, f, m))
+    reports.append(check_pointwise_hj(u, f, m, v))
+    reports.append(check_subsolution(u, f, problem.speed, trials=10, seed=seed))
+    reports.append(check_holder(u, f, problem.cost.p, problem.speed,
+                                samples=200, seed=seed))
+    details = {} if details is None else details
+    gap = duality_gap(problem, u, f, m, w_split, details=details)
+    scale = max(abs(details["A"]), abs(details["B"]), 1e-10)
+    reports.append(CertReport(
+        name="duality_gap", passed=bool(np.isfinite(gap) and -1e-9 <= gap <= tol_gap * scale),
+        lhs=float(gap), rhs=0.0, slack=float(scale)))
+    return reports

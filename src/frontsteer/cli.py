@@ -251,14 +251,21 @@ def write_pgm(out: Path, stem: str, field: ScalarField) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _read_on_grid(path, kind, grid: TorusGrid):
+    """The field file at ``path``, refused unless it holds a ``kind`` field on
+    the problem grid."""
+    field = read_field(path)
+    if not isinstance(field, kind):
+        raise ConfigError(f"{path} must hold a {kind.__name__}")
+    if field.grid != grid:
+        raise ConfigError(f"{path} grid does not match the problem grid")
+    return field
+
+
 def cmd_solve_hj(args) -> int:
     config = load_config(args.config)
     problem = build_problem(config)
-    obstacle = read_field(args.obstacle)
-    if not isinstance(obstacle, ScalarField):
-        raise ConfigError("obstacle file must hold a scalar field")
-    if obstacle.grid != problem.grid:
-        raise ConfigError("obstacle grid does not match the problem grid")
+    obstacle = _read_on_grid(args.obstacle, ScalarField, problem.grid)
     t0 = time.perf_counter()
     u = hj.solve_value_function(problem, obstacle)
     out = _outdir(config, args)
@@ -274,11 +281,7 @@ def cmd_solve_hj(args) -> int:
 def cmd_solve_transport(args) -> int:
     config = load_config(args.config)
     problem = build_problem(config)
-    v = read_field(args.velocity)
-    if not isinstance(v, VecField):
-        raise ConfigError("velocity file must hold a vector field")
-    if v.grid != problem.grid:
-        raise ConfigError("velocity grid does not match the problem grid")
+    v = _read_on_grid(args.velocity, VecField, problem.grid)
     t0 = time.perf_counter()
     m = transport.solve_continuity(problem.m0, v)
     out = _outdir(config, args)
@@ -300,44 +303,31 @@ def _seed(config: dict, args) -> int:
     return int(args.seed if args.seed is not None else config.get("seed", 0))
 
 
-def run_checks(problem, bundle, seed: int) -> list[cert.CertReport]:
-    """The certification battery run after an optimize."""
-    u, f, m, w = bundle.u, bundle.f, bundle.m, bundle.w
-    v = pdopt.recover_velocity(m, w, floor=1e-9, speed=problem.speed)
-    reports = [cert.check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
-    reports.extend(cert.check_weak_solution(problem, u, f, m))
-    reports.append(cert.check_pointwise_hj(u, f, m, v))
-    u_value = hj.solve_value_function(problem, f)
-    reports.append(cert.check_subsolution(u_value, f, problem.speed,
-                                          trials=10, seed=seed))
-    reports.append(cert.check_holder(u_value, f, problem.cost.p, problem.speed,
-                                     samples=200, seed=seed))
-    # the certified gap of the final check: A + B of feasible points, >= 0
-    gap = bundle.diagnostics.final_gap
-    scale = max(abs(bundle.diagnostics.a_history[-1]),
-                abs(bundle.diagnostics.b_history[-1]), 1e-10)
-    reports.append(cert.CertReport(
-        name="duality_gap", passed=bool(np.isfinite(gap) and gap >= -1e-9),
-        lhs=float(gap), rhs=0.0, slack=float(scale)))
-    return reports
-
-
 def cmd_optimize(args) -> int:
     config = load_config(args.config)
     problem = build_problem(config)
     solver_cfg = build_solver_config(config)
     bundle = pdopt.optimize(problem, solver_cfg)
+    grid = problem.grid
+    # the split momenta, each with a zero last level like w
+    w_split = bundle.diagnostics.w_split
+    last = np.zeros((1, *grid.nx, grid.dim))
+    w_pair = (VecField(grid, np.concatenate([w_split[..., :grid.dim], last])),
+              VecField(grid, np.concatenate([w_split[..., grid.dim:], last])))
     out = _outdir(config, args)
     if config["outputs"].get("emit_fields", True):
         write_field(out / "u.field", bundle.u)
         write_field(out / "f.field", bundle.f)
         write_field(out / "m.field", bundle.m)
         write_field(out / "w.field", bundle.w)
+        write_field(out / "w_plus.field", w_pair[0])
+        write_field(out / "w_minus.field", w_pair[1])
     if config["outputs"].get("emit_csv", True):
         write_diagnostics_csv(out / "diagnostics.csv", bundle.diagnostics)
     if config["outputs"].get("emit_pgm"):
         write_pgm(out, "m", bundle.m)
-    reports = run_checks(problem, bundle, _seed(config, args))
+    reports = cert.battery(problem, bundle.u, bundle.f, bundle.m, w_pair,
+                           seed=_seed(config, args), tol_gap=solver_cfg.tol_gap)
     cert.reports_to_json(reports, out / "certificates.json")
     diag = bundle.diagnostics
     write_manifest(out, config, {
@@ -352,33 +342,27 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    """The battery of ``optimize`` on stored fields: on the split momenta
+    w_plus/w_minus when the bundle has them, else on w split by sign."""
     config = load_config(args.config)
     problem = build_problem(config)
+    solver_cfg = build_solver_config(config)
+    grid = problem.grid
     src = Path(args.bundle if args.bundle else config["outputs"]["directory"])
-    u = read_field(src / "u.field")
-    f = read_field(src / "f.field")
-    m = read_field(src / "m.field")
-    w = read_field(src / "w.field")
+    u, f, m = (_read_on_grid(src / f"{name}.field", ScalarField, grid) for name in "ufm")
     if not isinstance(m, DensityField):
-        m = DensityField(m.grid, np.maximum(m.values, 0.0))
-    reports = [cert.check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
-    reports.extend(cert.check_weak_solution(problem, u, f, m))
-    v = pdopt.recover_velocity(m, w, floor=1e-9, speed=problem.speed)
-    reports.append(cert.check_pointwise_hj(u, f, m, v))
-    reports.append(cert.check_subsolution(u, f, problem.speed, trials=10,
-                                          seed=_seed(config, args)))
-    reports.append(cert.check_holder(u, f, problem.cost.p, problem.speed,
-                                     samples=200, seed=_seed(config, args)))
+        m = DensityField(grid, m.values)
+    if (src / "w_plus.field").exists():
+        w = tuple(_read_on_grid(src / f"w_{part}.field", VecField, grid)
+                  for part in ("plus", "minus"))
+    else:
+        w = _read_on_grid(src / "w.field", VecField, grid)
     details: dict = {}
-    gap = cert.duality_gap(problem, u, f, m, w, details=details)
-    reports.append(cert.CertReport(
-        name="duality_gap", passed=bool(np.isfinite(gap) and gap >= -1e-9),
-        lhs=float(gap), rhs=0.0, slack=0.0,
-        worst_location=None))
+    reports = cert.battery(problem, u, f, m, w, seed=_seed(config, args),
+                           tol_gap=solver_cfg.tol_gap, details=details)
     out = _outdir(config, args)
     cert.reports_to_json(reports, out / "certificates.json")
-    write_manifest(out, config, {"command": "certify",
-                                 "gap_details": details.get("reasons", []),
+    write_manifest(out, config, {"command": "certify", "gap_details": details,
                                  "all_checks_passed": all(r.passed for r in reports)})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MATH
 
@@ -496,7 +480,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="re-run certification on stored fields")
     common(p)
-    p.add_argument("--bundle", help="directory holding u/f/m/w field files")
+    p.add_argument("--bundle", help="directory holding u/f/m/w (and w_plus/w_minus) field files")
 
     p = sub.add_parser("reproduce", help="blocking counterexample reproduction")
     common(p)

@@ -23,10 +23,12 @@ momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
 function u.
 
 The gap A + B that ``optimize`` records and stops on is a certificate
-(``_certificate``): A belongs to the primal point u = -y, u(T) = u_T,
+(``certificate``): A belongs to the primal point u = -y, u(T) = u_T,
 f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
 the iterate's split velocities, both exactly feasible, so A + B >= 0 by
-summation by parts and the discrete optimal value lies in [-A, B].
+summation by parts and the discrete optimal value lies in [-A, B].  The same
+function certifies a stored bundle (``certify.duality_gap``), so a bundle
+written with its split momenta re-certifies to the gap ``optimize`` recorded.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ _SIGMA = 0.06
 
 __all__ = [
     "ProblemInstance", "SolverConfig", "OptimalBundle", "SolverDiagnostics",
-    "optimize", "evaluate_A", "evaluate_B", "recover_f", "recover_velocity",
-    "subsolution_residual", "continuity_residual_rows",
+    "optimize", "certificate", "evaluate_A", "evaluate_B", "recover_f",
+    "recover_velocity", "subsolution_residual", "continuity_residual_rows",
 ]
 
 
@@ -96,7 +98,6 @@ class SolverConfig:
     tau: float | None = None       # primal step (default 16); tau*sigma < 1
     sigma: float | None = None     # dual step (default 0.06)
     over_relax: float = 1.0
-    check_every: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -107,10 +108,10 @@ class SolverConfig:
 
 @dataclass
 class SolverDiagnostics:
-    """Per-check records of ``optimize``: the certified A, B and gap A + B
-    (see ``_certificate``) and the continuity residual of the iterate.
+    """Per-iteration records of ``optimize``: the certified A, B and gap
+    A + B (see ``certificate``) and the continuity residual of the iterate.
     ``w_split`` is the final split momenta (w+, w-) on the nt - 1 intervals,
-    shape (nt - 1, *nx, 2*dim), read-only; the bundle carries only their sum."""
+    shape (nt - 1, *nx, 2*dim), read-only; the bundle's ``w`` is their sum."""
 
     iterations: int = 0
     converged: bool = False
@@ -340,32 +341,36 @@ def _march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return m
 
 
-def _certificate(problem: ProblemInstance, y: np.ndarray, m: np.ndarray,
-                 w: np.ndarray) -> tuple[float, float]:
-    """Certified (A, B) of one iterate (multiplier y, density m, split
-    momenta w).
+def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
+                w: np.ndarray, details: dict | None = None) -> tuple[float, float]:
+    """Certified (A, B) of nodal values u, density m (nt levels) and split
+    momenta w = (w+, w-), shape (nt - 1, *nx, 2*dim).
 
-    Primal point: u = -y with u(T) = u_T and f = max(residual(u), 0), feasible
-    by construction.  Dual point: m0 marched with the iterate's split
-    velocities (``_split_velocity``), which satisfies the continuity rows and,
-    with the velocities in the split set, the cone.  Summation by parts
-    through ``_rows`` then gives A + B >= 0, up to round-off.  A scaled
-    velocity stays in the split set only if that set contains rest
-    (``split_contains_rest``); otherwise B is +inf wherever scaling was
-    needed."""
+    Primal point: u with u(T) pinned to u_T and f = max(residual(u), 0).
+    Dual point: m0 marched with the split velocities w/m
+    (``_split_velocity``), which meets the continuity rows and, with the
+    velocities in the split set, the cone.  Summation by parts through
+    ``_rows`` gives A + B >= 0, up to round-off.  A velocity scaled down
+    stays in the split set only if it contains rest
+    (``split_contains_rest``); otherwise B is +inf.  ``details`` receives A,
+    B, the largest split load and whether B is +inf for want of rest."""
     grid = problem.grid
     vol = grid.cell_volume
-    u = -y
+    u = np.array(u, dtype=float)          # a copy: its last level is pinned
     u[-1] = problem.u_T
     f = np.maximum(subsolution_residual(problem, u), 0.0)
     a_val = float(np.sum(cost(problem.cost, f))) * grid.dt * vol \
         - float(np.sum(u[0] * problem.m0)) * vol
     v, peak = _split_velocity(m[:-1], w, grid)
-    if peak > 1.0 and not problem.speed.split_contains_rest(grid):
-        return a_val, float("inf")
-    m_dual = _march_split(problem.m0, v, grid)
-    b_val = float(np.sum(problem.u_T * m_dual[-1])) * vol \
-        + float(np.sum(cost_conj(problem.cost, m_dual[:-1]))) * grid.dt * vol
+    no_rest = peak > 1.0 and not problem.speed.split_contains_rest(grid)
+    if no_rest:
+        b_val = float("inf")
+    else:
+        m_dual = _march_split(problem.m0, v, grid)
+        b_val = float(np.sum(problem.u_T * m_dual[-1])) * vol \
+            + float(np.sum(cost_conj(problem.cost, m_dual[:-1]))) * grid.dt * vol
+    if details is not None:
+        details.update(A=a_val, B=b_val, max_split_load=peak, b_inf_without_rest=no_rest)
     return a_val, b_val
 
 
@@ -378,9 +383,9 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     Per iteration: the dual step y += sigma (L L^T)^-1 r_bar on the
     continuity multiplier, a gradient step on (m, w+, w-) through the
     adjoint, and the exact pointwise joint prox of K* and the velocity cone
-    (see the module docstring).  Every ``check_every`` iterations it records
-    the certified A, B and gap of ``_certificate`` and the continuity residual
-    of the iterate, and stops once the relative certified gap is at most
+    (see the module docstring).  Every iteration it records the certified A,
+    B and gap of ``certificate`` and the continuity residual of the iterate,
+    and stops once the relative certified gap is at most
     tol_gap and the residual at most tol_cont; at max_iters it stops with a
     non-converged flag and says in ``notes`` whether the certificate had to
     scale the iterate's velocities.
@@ -416,6 +421,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     r = _rows(m, w, problem.m0, grid)
     r_bar = r
     met = False
+    cert_details: dict = {}
 
     for it in range(1, config.max_iters + 1):
         y += sigma * gram_solve(r_bar)
@@ -443,39 +449,38 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         r_prev, r = r, _rows(m, w, problem.m0, grid)
         r_bar = r + theta * (r - r_prev)
 
-        if it % config.check_every == 0 or it == config.max_iters:
-            a_val, b_val = _certificate(problem, y, m, w)
-            gap = a_val + b_val
-            cont = _weighted_l2(r / grid.dt, grid)
-            if np.isnan(gap) or not np.isfinite(cont):
-                raise NumericError(f"non-finite iterate at iteration {it}")
-            diag.a_history.append(a_val)
-            diag.b_history.append(b_val)
-            diag.gap_history.append(gap)
-            diag.cont_history.append(cont)
-            scale = max(abs(a_val), abs(b_val), 1e-10)
-            # both tests must hold at two checks in a row: the residual of
-            # an early iterate can dip below tol_cont once while u is still
-            # first-order off (the gap sees its error only to second order)
-            met, met_before = (np.isfinite(gap) and gap <= config.tol_gap * scale
-                               and cont <= config.tol_cont), met
-            if met and met_before:
-                diag.converged = True
-                diag.iterations = it
-                break
+        a_val, b_val = certificate(problem, -y, m, w, details=cert_details)
+        gap = a_val + b_val
+        cont = _weighted_l2(r / grid.dt, grid)
+        if np.isnan(gap) or not np.isfinite(cont):
+            raise NumericError(f"non-finite iterate at iteration {it}")
+        diag.a_history.append(a_val)
+        diag.b_history.append(b_val)
+        diag.gap_history.append(gap)
+        diag.cont_history.append(cont)
+        scale = max(abs(a_val), abs(b_val), 1e-10)
+        # both tests must hold at two iterations in a row: the residual of
+        # an early iterate can dip below tol_cont once while u is still
+        # first-order off (the gap sees its error only to second order)
+        met, met_before = (np.isfinite(gap) and gap <= config.tol_gap * scale
+                           and cont <= config.tol_cont), met
+        if met and met_before:
+            diag.converged = True
+            diag.iterations = it
+            break
     else:
         diag.iterations = config.max_iters
         diag.notes.append("max_iters reached without convergence")
         # the a-priori bound sqrt(2*dim) c dt/dx exceeds 1 already in 1D at
         # dt = dx, where runs certify, so report the load the iterate reached
-        peak = _split_velocity(m[:-1], w, grid)[1]
+        peak = cert_details["max_split_load"]
         if peak > 1.0:
             diag.notes.append(
                 f"the certificate scaled split velocities down (largest load "
                 f"sum_a (a_a - b_a) dt/dx_a = {peak:.4g} > 1), which moves its "
                 f"dual point off the iterate"
-                + ("" if problem.speed.split_contains_rest(grid)
-                   else " and makes B +inf, as the split hull lacks rest")
+                + (" and makes B +inf, as the split hull lacks rest"
+                   if cert_details["b_inf_without_rest"] else "")
                 + f"; nt >= {int(np.ceil((grid.nt - 1) * peak - 1e-9)) + 1} keeps "
                 f"this load <= 1 (balls: dt <= dx/(sqrt(2*dim)*c) for any iterate)")
 

@@ -7,7 +7,7 @@ from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
                              constant_field)
 from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            solve_value_function)
-from frontsteer.model import CostModel, IsotropicSpeed
+from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed
 from frontsteer.pdopt import ProblemInstance, recover_velocity
 from frontsteer.transport import upwind_directional_derivative
 from frontsteer import certify
@@ -61,19 +61,14 @@ class TestSelfConsistency:
         """The certifier's own self-test: every check passes simultaneously
         on the analytic optimum of the uniform instance."""
         u, f, m, w = closed_bundle
-        v = recover_velocity(m, w, speed=uniform_problem.speed)
-        reports = [check_ibp_inequality(u, f, m, 0, u.grid.nt - 1)]
-        reports.extend(check_weak_solution(uniform_problem, u, f, m))
-        reports.append(check_pointwise_hj(u, f, m, v))
-        reports.append(check_subsolution(u, f, uniform_problem.speed,
-                                         trials=10, seed=0))
-        reports.append(check_holder(u, f, 3.0, uniform_problem.speed,
-                                    samples=400, seed=0))
+        reports = certify.battery(uniform_problem, u, f, m, w, seed=0, tol_gap=1e-3)
+        assert [r.name for r in reports] == [
+            "ibp_inequality", "weak_identity_from_start", "weak_identity_to_end",
+            "pointwise_hj", "subsolution", "holder_bound", "duality_gap"]
         assert all(r.passed for r in reports)
         const = holder_constant(3.0, 1, 1.0, 0.5)
         assert np.isfinite(const) and const > 0
-        gap = duality_gap(uniform_problem, u, f, m, w)
-        assert abs(gap) <= 1e-6
+        assert abs(reports[-1].lhs) <= 1e-6
 
     def test_reports_serialize(self, uniform_problem, closed_bundle, tmp_path):
         u, f, m, w = closed_bundle
@@ -352,17 +347,46 @@ class TestDualityGap:
         gap = duality_gap(uniform_problem, u, f, m, w)
         assert gap >= -1e-9
 
-    def test_infeasible_sentinel_with_reason(self, uniform_problem, closed_bundle):
+    def test_off_row_bundles_get_a_finite_bracket(self, uniform_problem, closed_bundle):
+        # a bundle off the continuity rows or off u(T) = u_T still has a
+        # certificate: its feasible points are built, not checked
         u, f, m, w = closed_bundle
         g = uniform_problem.grid
         bad_m_vals = m.values.copy()
         bad_m_vals[5, 7] += 0.3                    # breaks continuity rows
-        details = {}
-        gap = duality_gap(uniform_problem, u, f,
-                          DensityField(g, bad_m_vals), w, details=details)
-        assert gap == np.inf
-        assert any("continuity" in r for r in details["reasons"])
         bad_u = ScalarField(g, u.values + 0.1)     # breaks u(T) = u_T
+        for uu, mm in ((u, DensityField(g, bad_m_vals)), (bad_u, m)):
+            details = {}
+            gap = duality_gap(uniform_problem, uu, f, mm, w, details=details)
+            assert np.isfinite(gap) and gap >= -1e-12
+            assert gap == details["A"] + details["B"]
+
+    def test_pair_and_sign_split_agree_on_signed_momenta(self, uniform_problem):
+        # a nodal w split by sign is the pair (max(w, 0), min(w, 0))
+        g = uniform_problem.grid
+        rng = np.random.default_rng(2)
+        m = DensityField(g, 1.0 + 0.5 * rng.random((g.nt, *g.nx)))
+        w_vals = 0.3 * rng.standard_normal((g.nt, *g.nx, 1)) * m.values[..., None]
+        u = ScalarField(g, np.zeros((g.nt, *g.nx)))
+        pair = (VecField(g, np.maximum(w_vals, 0.0)), VecField(g, np.minimum(w_vals, 0.0)))
+        assert duality_gap(uniform_problem, u, u, m, VecField(g, w_vals)) \
+            == duality_gap(uniform_problem, u, u, m, pair)
+
+    def test_finite_hull_without_rest_reads_inf(self):
+        # split load 0.9 * 16 * (1/8) = 1.8 > 1 must be scaled, which leaves
+        # the hull of {+-0.9}: B = +inf, and details say why
+        g = TorusGrid(1, (16,), 9, 1.0)
+        maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (0.9, -0.9))
+        speed = FiniteControlsSpeed(1, maps, c0=0.9, c1=0.9)
+        assert not speed.split_contains_rest(g)
+        problem = ProblemInstance(grid=g, speed=speed, cost=CostModel(3.0),
+                                  u_T=np.zeros(16), m0=np.ones(16))
+        m = DensityField(g, np.ones((g.nt, 16)))
+        w = VecField(g, np.full((g.nt, 16, 1), 0.9))
+        u = ScalarField(g, np.zeros((g.nt, 16)))
         details = {}
-        assert duality_gap(uniform_problem, bad_u, f, m, w, details=details) == np.inf
-        assert any("u(T)" in r for r in details["reasons"])
+        assert duality_gap(problem, u, u, m, w, details=details) == np.inf
+        assert details["B"] == np.inf and details["b_inf_without_rest"]
+        assert details["max_split_load"] == pytest.approx(1.8)
+        report = certify.battery(problem, u, u, m, w, seed=0, tol_gap=1e-3)[-1]
+        assert report.name == "duality_gap" and not report.passed

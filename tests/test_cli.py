@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frontsteer.cli import main
-from frontsteer.grid import read_field, write_field
+from frontsteer.grid import ScalarField, read_field, write_field
 from frontsteer.hj import counterexample_instance
 
 
@@ -172,6 +172,7 @@ class TestOptimize:
         assert last[0] == "1"
         assert gap["lhs"] == float(last[3])
         assert gap["slack"] == max(abs(float(last[1])), abs(float(last[2])))
+        assert not gap["passed"]                   # a gap of one iteration is no optimum
         manifest = json.loads((out / "manifest.json").read_text())
         assert "max_iters reached without convergence" in manifest["notes"]
 
@@ -207,6 +208,26 @@ class TestOptimize:
             == (out_b / "certificates.json").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def gaussian_bundle(tmp_path_factory):
+    """Config path and output directory of an optimize run on the 32x33
+    Gaussian/cosine instance."""
+    base = tmp_path_factory.mktemp("gaussian")
+    cfg_path = base / "cfg.json"
+    write_config(cfg_path, problem={"u_T": {"preset": "cosine"},
+                                    "m0": {"preset": "gaussian"}})
+    out = base / "out"
+    assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return cfg_path, out
+
+
+def _copy_bundle(src, dst, names=("u", "f", "m", "w")):
+    dst.mkdir()
+    for name in names:
+        (dst / f"{name}.field").write_bytes((src / f"{name}.field").read_bytes())
+    return dst
+
+
 class TestCertifyCommand:
     def test_recertify_stored_bundle(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -216,11 +237,65 @@ class TestCertifyCommand:
         out2 = tmp_path / "recheck"
         code = main(["certify", "--config", str(cfg_path), "--bundle", str(out),
                      "--out", str(out2)])
-        assert (out2 / "certificates.json").exists()
-        doc = json.loads((out2 / "certificates.json").read_text())
-        names = {c["name"] for c in doc["checks"]}
-        assert "duality_gap" in names
-        assert code in (0, 1)
+        assert code == 0
+        assert (out2 / "certificates.json").read_bytes() \
+            == (out / "certificates.json").read_bytes()
+
+    def test_recertify_gaussian_bundle(self, gaussian_bundle, tmp_path):
+        cfg_path, out = gaussian_bundle
+        for name in ("w_plus.field", "w_minus.field"):
+            assert not np.any(read_field(out / name).values[-1])
+        code = main(["certify", "--config", str(cfg_path), "--bundle", str(out),
+                     "--out", str(tmp_path / "recheck")])
+        assert code == 0
+        assert (tmp_path / "recheck" / "certificates.json").read_bytes() \
+            == (out / "certificates.json").read_bytes()
+        details = json.loads((tmp_path / "recheck" / "manifest.json").read_text())["gap_details"]
+        gap = json.loads((out / "certificates.json").read_text())["checks"][-1]
+        assert details["A"] + details["B"] == gap["lhs"] and gap["passed"]
+        assert not details["b_inf_without_rest"]
+
+    def test_bundle_without_split_pair_is_split_by_sign(self, gaussian_bundle, tmp_path):
+        cfg_path, out = gaussian_bundle
+        bundle = _copy_bundle(out, tmp_path / "net")
+        code = main(["certify", "--config", str(cfg_path), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "recheck")])
+        checks = json.loads((tmp_path / "recheck" / "certificates.json").read_text())["checks"]
+        assert code == (0 if all(c["passed"] for c in checks) else 1)
+        gap = checks[-1]
+        assert gap["name"] == "duality_gap" and np.isfinite(gap["lhs"]) and gap["lhs"] >= 0.0
+        stored = json.loads((out / "certificates.json").read_text())["checks"]
+        assert checks[:-1] == stored[:-1] and gap["lhs"] != stored[-1]["lhs"]
+
+    def test_bundle_on_another_grid_exits_2(self, gaussian_bundle, tmp_path, capsys):
+        _, out = gaussian_bundle
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, problem={"nx": [16], "nt": 17})
+        code = main(["certify", "--config", str(cfg_path), "--bundle", str(out),
+                     "--out", str(tmp_path / "recheck")])
+        assert code == 2
+        assert "grid does not match" in capsys.readouterr().err
+
+    def test_scalar_momentum_exits_2(self, gaussian_bundle, tmp_path, capsys):
+        cfg_path, out = gaussian_bundle
+        bundle = _copy_bundle(out, tmp_path / "scalar_w", names=("u", "f", "m"))
+        write_field(bundle / "w.field", read_field(out / "u.field"))
+        code = main(["certify", "--config", str(cfg_path), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "recheck")])
+        assert code == 2
+        assert "w.field must hold a VecField" in capsys.readouterr().err
+
+    def test_negative_density_exits_2(self, gaussian_bundle, tmp_path, capsys):
+        cfg_path, out = gaussian_bundle
+        bundle = _copy_bundle(out, tmp_path / "negative_m")
+        m = read_field(out / "m.field")
+        values = m.values.copy()
+        values[3, 5] = -1e-3
+        write_field(bundle / "m.field", ScalarField(m.grid, values))
+        code = main(["certify", "--config", str(cfg_path), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "recheck")])
+        assert code == 2
+        assert "density must be >= 0" in capsys.readouterr().err
 
 
 class TestSolveTransport:

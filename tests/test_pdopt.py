@@ -10,7 +10,7 @@ from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, cost,
                               cost_conj)
-from frontsteer.pdopt import (ProblemInstance, SolverConfig, _certificate,
+from frontsteer.pdopt import (ProblemInstance, SolverConfig, certificate,
                               _gram_solver, _march_split, _one_sided, _rows,
                               _rows_adjoint, _split_velocity,
                               continuity_residual_rows, evaluate_A, evaluate_B,
@@ -203,7 +203,7 @@ class TestCertificate:
                                m0=rng.random(grid.nx))
         m, w = _random_iterate(rng, grid, radius)
         y = rng.standard_normal((grid.nt, *grid.nx))
-        a_val, b_val = _certificate(prob, y, m, w)
+        a_val, b_val = certificate(prob, -y, m, w)
         assert np.isfinite(a_val) and np.isfinite(b_val)
         assert a_val + b_val >= -1e-12
         v, _ = _split_velocity(m[:-1], w, grid)
@@ -229,7 +229,7 @@ class TestCertificate:
         # split momenta on the segment between (0.9, 0) and (0, -0.9)
         w = np.stack([0.9 * lam * m[:-1], -0.9 * (1 - lam) * m[:-1]], axis=-1)
         y = rng.standard_normal((grid.nt, 16))
-        a_val, b_val = _certificate(prob, y, m, w)
+        a_val, b_val = certificate(prob, -y, m, w)
         assert np.isfinite(b_val) and a_val + b_val >= -1e-12
 
     def test_finite_hull_scaling_needs_rest(self):
@@ -245,8 +245,8 @@ class TestCertificate:
         w[..., 0] = 0.9                                  # load 0.9 * 6 * 0.5 = 2.7
         assert _split_velocity(m[:-1], w, grid)[1] == pytest.approx(2.7)
         y = np.zeros_like(m)
-        assert _certificate(_finite_problem(grid, square, p=4.0), y, m, w)[1] == np.inf
-        a_val, b_val = _certificate(_finite_problem(grid, resting, p=4.0), y, m, w)
+        assert certificate(_finite_problem(grid, square, p=4.0), -y, m, w)[1] == np.inf
+        a_val, b_val = certificate(_finite_problem(grid, resting, p=4.0), -y, m, w)
         assert np.isfinite(b_val) and a_val + b_val >= -1e-12
 
     def test_march_reproduces_the_transport_solver(self):
