@@ -7,10 +7,11 @@ error, so inequality checks carry an additive slack C_report * (dx + dt)
 whose constant is assembled from field norms, never hard-coded numbers
 alone.
 
-``battery`` runs all seven checks; ``optimize`` and ``certify`` both call it.
-Its gap is the certificate ``optimize`` stops on (``pdopt.certificate``), on
-the bundle's u and split momenta (w+, w-), or on w split by sign (the
-donor-cell form) when a bundle lacks them.
+``battery`` runs all seven checks for ``optimize`` and ``certify``.  Its gap
+is the certificate ``optimize`` stops on (``pdopt.certificate``) on the
+bundle's u and split momenta, or on w split by sign (``split_by_sign``); the
+certificate builds feasible points from any fields, so [-A, B] always
+brackets the discrete optimal value.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .transport import upwind_directional_derivative
 __all__ = [
     "CertReport", "check_ibp_inequality", "check_weak_solution",
     "check_pointwise_hj", "check_subsolution", "holder_constant",
-    "check_holder", "duality_gap", "battery", "reports_to_json",
+    "check_holder", "split_by_sign", "duality_gap", "battery", "reports_to_json",
 ]
 
 
@@ -363,35 +364,33 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
 # -- duality gap and the battery ---------------------------------------------
 
 
+def split_by_sign(w: VecField) -> tuple[VecField, VecField]:
+    """A nodal momentum as split momenta (max(w, 0), min(w, 0)): the
+    donor-cell form, for bundles that lack their own pair."""
+    return (VecField(w.grid, np.maximum(w.values, 0.0)),
+            VecField(w.grid, np.minimum(w.values, 0.0)))
+
+
 def duality_gap(problem: ProblemInstance, u: ScalarField, f: ScalarField,
                 m: DensityField, w, details: dict | None = None) -> float:
-    """Certified gap A + B of a bundle (``pdopt.certificate``), >= 0 by weak
-    duality; the discrete optimal value lies in [-A, B].
-
-    ``w`` is the pair (w_plus, w_minus) of split momenta, or a nodal VecField
-    split by sign.  ``f`` is not read: the certificate's obstacle is
-    max(residual(u), 0), the cheapest feasible one.  B is +inf when a split
-    load above 1 had to be scaled and the split hull lacks rest.  Pass a dict
-    as ``details`` to receive A, B, the largest split load and that flag."""
-    if isinstance(w, VecField):
-        pair = (np.maximum(w.values[:-1], 0.0), np.minimum(w.values[:-1], 0.0))
-    else:
-        pair = (w[0].values[:-1], w[1].values[:-1])
-    a_val, b_val = pdopt.certificate(problem, u.values, m.values,
-                                     np.concatenate(pair, axis=-1), details)
+    """Certified gap A + B >= 0 of a bundle (``pdopt.certificate``, which
+    fills ``details``) on the pair (w_plus, w_minus), or on a nodal VecField
+    split by sign, as the benchmark passes it.  ``f`` is not read: the
+    certificate's obstacle is max(residual(u), 0), the cheapest feasible one."""
+    w_plus, w_minus = split_by_sign(w) if isinstance(w, VecField) else w
+    a_val, b_val = pdopt.certificate(
+        problem, u.values, m.values,
+        np.concatenate([w_plus.values[:-1], w_minus.values[:-1]], axis=-1), details)
     return a_val + b_val
 
 
 def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
-            m: DensityField, w_split, *, seed: int, tol_gap: float,
-            details: dict | None = None) -> list[CertReport]:
-    """The seven checks of one bundle, in the order of ``certificates.json``.
-
-    ``w_split`` is the pair (w_plus, w_minus), or a nodal VecField split by
-    sign.  The gap passes iff -1e-9 <= A + B <= tol_gap * max(|A|, |B|, 1e-10)
-    (that scale is its slack); ``details`` receives the gap's details."""
-    w_net = w_split if isinstance(w_split, VecField) \
-        else VecField(problem.grid, w_split[0].values + w_split[1].values)
+            m: DensityField, w_split: tuple[VecField, VecField], *, seed: int,
+            tol_gap: float, details: dict | None = None) -> list[CertReport]:
+    """The seven checks of a bundle with split momenta (w_plus, w_minus).  The
+    gap passes iff -1e-9 <= A + B <= tol_gap * max(|A|, |B|, 1e-10), its
+    slack; ``details`` receives the gap's details."""
+    w_net = VecField(problem.grid, w_split[0].values + w_split[1].values)
     v = pdopt.recover_velocity(m, w_net, floor=1e-9, speed=problem.speed)
     reports = [check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
     reports.extend(check_weak_solution(problem, u, f, m))

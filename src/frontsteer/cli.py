@@ -310,18 +310,14 @@ def cmd_optimize(args) -> int:
     bundle = pdopt.optimize(problem, solver_cfg)
     grid = problem.grid
     # the split momenta, each with a zero last level like w
-    w_split = bundle.diagnostics.w_split
     last = np.zeros((1, *grid.nx, grid.dim))
-    w_pair = (VecField(grid, np.concatenate([w_split[..., :grid.dim], last])),
-              VecField(grid, np.concatenate([w_split[..., grid.dim:], last])))
+    w_pair = tuple(VecField(grid, np.concatenate([part, last]))
+                   for part in np.split(bundle.diagnostics.w_split, 2, axis=-1))
     out = _outdir(config, args)
     if config["outputs"].get("emit_fields", True):
-        write_field(out / "u.field", bundle.u)
-        write_field(out / "f.field", bundle.f)
-        write_field(out / "m.field", bundle.m)
-        write_field(out / "w.field", bundle.w)
-        write_field(out / "w_plus.field", w_pair[0])
-        write_field(out / "w_minus.field", w_pair[1])
+        for name, fld in zip(("u", "f", "m", "w", "w_plus", "w_minus"),
+                             (bundle.u, bundle.f, bundle.m, bundle.w, *w_pair)):
+            write_field(out / f"{name}.field", fld)
     if config["outputs"].get("emit_csv", True):
         write_diagnostics_csv(out / "diagnostics.csv", bundle.diagnostics)
     if config["outputs"].get("emit_pgm"):
@@ -356,7 +352,7 @@ def cmd_certify(args) -> int:
         w = tuple(_read_on_grid(src / f"w_{part}.field", VecField, grid)
                   for part in ("plus", "minus"))
     else:
-        w = _read_on_grid(src / "w.field", VecField, grid)
+        w = cert.split_by_sign(_read_on_grid(src / "w.field", VecField, grid))
     details: dict = {}
     reports = cert.battery(problem, u, f, m, w, seed=_seed(config, args),
                            tol_gap=solver_cfg.tol_gap, details=details)

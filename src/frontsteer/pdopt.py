@@ -23,12 +23,14 @@ momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
 function u.
 
 The gap A + B that ``optimize`` records and stops on is a certificate
-(``certificate``): A belongs to the primal point u = -y, u(T) = u_T,
+(``_certificate``): A belongs to the primal point u = -y, u(T) = u_T,
 f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
 the iterate's split velocities, both exactly feasible, so A + B >= 0 by
-summation by parts and the discrete optimal value lies in [-A, B].  The same
-function certifies a stored bundle (``certify.duality_gap``), so a bundle
-written with its split momenta re-certifies to the gap ``optimize`` recorded.
+summation by parts and the discrete optimal value lies in [-A, B].  The
+public ``certificate`` first moves any momenta into the split set (an
+iterate's already lie in it) and certifies stored bundles (``certify.duality_gap``), so
+a bundle written with its split momenta re-certifies to the gap ``optimize``
+recorded.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class SolverConfig:
 @dataclass
 class SolverDiagnostics:
     """Per-iteration records of ``optimize``: the certified A, B and gap
-    A + B (see ``certificate``) and the continuity residual of the iterate.
+    A + B (see ``_certificate``) and the continuity residual of the iterate.
     ``w_split`` is the final split momenta (w+, w-) on the nt - 1 intervals,
     shape (nt - 1, *nx, 2*dim), read-only; the bundle's ``w`` is their sum."""
 
@@ -217,9 +219,20 @@ def _gram_solver(grid: TorusGrid):
 # -- objective evaluation ----------------------------------------------------
 
 
-def _quad_spacetime(vals: np.ndarray, grid: TorusGrid) -> float:
-    """Left-Riemann space-time integral of nodal values (terminal weight 0)."""
-    return float(np.sum(vals[:-1]) * grid.dt * grid.cell_volume)
+def _a_value(problem: ProblemInstance, u: np.ndarray, f: np.ndarray) -> float:
+    """A of nodal u and f on the nt - 1 intervals: sum K(f) dt dx - <u(0), m0>."""
+    grid = problem.grid
+    vol = grid.cell_volume
+    return float(np.sum(cost(problem.cost, f))) * grid.dt * vol \
+        - float(np.sum(u[0] * problem.m0)) * vol
+
+
+def _b_value(problem: ProblemInstance, m: np.ndarray) -> float:
+    """B of a nodal density m: <u_T, m(T)> + sum over k < nt - 1 of K*(m) dt dx."""
+    grid = problem.grid
+    vol = grid.cell_volume
+    return float(np.sum(problem.u_T * m[-1])) * vol \
+        + float(np.sum(cost_conj(problem.cost, m[:-1]))) * grid.dt * vol
 
 
 def evaluate_A(problem: ProblemInstance, u: ScalarField, f: ScalarField) -> float:
@@ -234,9 +247,7 @@ def evaluate_A(problem: ProblemInstance, u: ScalarField, f: ScalarField) -> floa
     scale = 1.0 + float(np.max(np.abs(problem.u_T)))
     if np.max(np.abs(u.values[-1] - problem.u_T)) > 1e-10 * scale:
         raise ParameterError("u(T, .) does not match the terminal payoff u_T")
-    k_cost = _quad_spacetime(cost(problem.cost, f.values), grid)
-    reward = float(np.sum(u.values[0] * problem.m0) * grid.cell_volume)
-    return k_cost - reward
+    return _a_value(problem, u.values, f.values[:-1])
 
 
 def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
@@ -253,9 +264,7 @@ def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
         details["feasible"] = viol <= cone_tol
     if viol > cone_tol:
         return float("inf")
-    value = float(np.sum(problem.u_T * m.values[-1]) * grid.cell_volume)
-    value += _quad_spacetime(cost_conj(problem.cost, m.values), grid)
-    return value
+    return _b_value(problem, m.values)
 
 
 def recover_f(problem: ProblemInstance, m: DensityField) -> ScalarField:
@@ -344,31 +353,36 @@ def _march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
                 w: np.ndarray, details: dict | None = None) -> tuple[float, float]:
     """Certified (A, B) of nodal values u, density m (nt levels) and split
-    momenta w = (w+, w-), shape (nt - 1, *nx, 2*dim).
+    momenta w = (w+, w-), shape (nt - 1, *nx, 2*dim), from any fields: w is
+    sign-clipped and moved into m times the split set (``split_project``),
+    then certified by ``_certificate``.  ``details`` also gets the largest
+    component move, 0 for admissible momenta."""
+    d = problem.grid.dim
+    w_in = problem.speed.split_project(problem.grid, m[:-1], np.concatenate(
+        [np.maximum(w[..., :d], 0.0), np.minimum(w[..., d:], 0.0)], axis=-1))
+    if details is not None:
+        details["max_split_excess"] = float(np.max(np.abs(w_in - w)))
+    return _certificate(problem, u, m, w_in, details)
+
+
+def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
+                 w: np.ndarray, details: dict | None = None) -> tuple[float, float]:
+    """Certified (A, B) of u, m and split momenta w in m times the split set.
 
     Primal point: u with u(T) pinned to u_T and f = max(residual(u), 0).
-    Dual point: m0 marched with the split velocities w/m
-    (``_split_velocity``), which meets the continuity rows and, with the
-    velocities in the split set, the cone.  Summation by parts through
-    ``_rows`` gives A + B >= 0, up to round-off.  A velocity scaled down
-    stays in the split set only if it contains rest
-    (``split_contains_rest``); otherwise B is +inf.  ``details`` receives A,
-    B, the largest split load and whether B is +inf for want of rest."""
+    Dual point: m0 marched with the velocities w/m, scaled down where their
+    load exceeds 1 (``_split_velocity``).  Both are feasible, so summation by
+    parts through ``_rows`` gives A + B >= 0 up to round-off.  B is +inf if
+    a scaled velocity leaves a split set without rest.  ``details`` gets A,
+    B, the largest load and that flag."""
     grid = problem.grid
-    vol = grid.cell_volume
     u = np.array(u, dtype=float)          # a copy: its last level is pinned
     u[-1] = problem.u_T
-    f = np.maximum(subsolution_residual(problem, u), 0.0)
-    a_val = float(np.sum(cost(problem.cost, f))) * grid.dt * vol \
-        - float(np.sum(u[0] * problem.m0)) * vol
+    a_val = _a_value(problem, u, np.maximum(subsolution_residual(problem, u), 0.0))
     v, peak = _split_velocity(m[:-1], w, grid)
     no_rest = peak > 1.0 and not problem.speed.split_contains_rest(grid)
-    if no_rest:
-        b_val = float("inf")
-    else:
-        m_dual = _march_split(problem.m0, v, grid)
-        b_val = float(np.sum(problem.u_T * m_dual[-1])) * vol \
-            + float(np.sum(cost_conj(problem.cost, m_dual[:-1]))) * grid.dt * vol
+    b_val = float("inf") if no_rest \
+        else _b_value(problem, _march_split(problem.m0, v, grid))
     if details is not None:
         details.update(A=a_val, B=b_val, max_split_load=peak, b_inf_without_rest=no_rest)
     return a_val, b_val
@@ -384,7 +398,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     continuity multiplier, a gradient step on (m, w+, w-) through the
     adjoint, and the exact pointwise joint prox of K* and the velocity cone
     (see the module docstring).  Every iteration it records the certified A,
-    B and gap of ``certificate`` and the continuity residual of the iterate,
+    B and gap of ``_certificate`` and the continuity residual of the iterate,
     and stops once the relative certified gap is at most
     tol_gap and the residual at most tol_cont; at max_iters it stops with a
     non-converged flag and says in ``notes`` whether the certificate had to
@@ -449,7 +463,8 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         r_prev, r = r, _rows(m, w, problem.m0, grid)
         r_bar = r + theta * (r - r_prev)
 
-        a_val, b_val = certificate(problem, -y, m, w, details=cert_details)
+        # the prox keeps w in the split set: no projection needed
+        a_val, b_val = _certificate(problem, -y, m, w, details=cert_details)
         gap = a_val + b_val
         cont = _weighted_l2(r / grid.dt, grid)
         if np.isnan(gap) or not np.isfinite(cont):

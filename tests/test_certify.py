@@ -61,7 +61,8 @@ class TestSelfConsistency:
         """The certifier's own self-test: every check passes simultaneously
         on the analytic optimum of the uniform instance."""
         u, f, m, w = closed_bundle
-        reports = certify.battery(uniform_problem, u, f, m, w, seed=0, tol_gap=1e-3)
+        reports = certify.battery(uniform_problem, u, f, m, certify.split_by_sign(w),
+                                  seed=0, tol_gap=1e-3)
         assert [r.name for r in reports] == [
             "ibp_inequality", "weak_identity_from_start", "weak_identity_to_end",
             "pointwise_hj", "subsolution", "holder_bound", "duality_gap"]
@@ -388,5 +389,6 @@ class TestDualityGap:
         assert duality_gap(problem, u, u, m, w, details=details) == np.inf
         assert details["B"] == np.inf and details["b_inf_without_rest"]
         assert details["max_split_load"] == pytest.approx(1.8)
-        report = certify.battery(problem, u, u, m, w, seed=0, tol_gap=1e-3)[-1]
+        report = certify.battery(problem, u, u, m, certify.split_by_sign(w),
+                                 seed=0, tol_gap=1e-3)[-1]
         assert report.name == "duality_gap" and not report.passed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frontsteer.cli import main
-from frontsteer.grid import ScalarField, read_field, write_field
+from frontsteer.grid import ScalarField, VecField, read_field, write_field
 from frontsteer.hj import counterexample_instance
 
 
@@ -266,6 +266,25 @@ class TestCertifyCommand:
         assert gap["name"] == "duality_gap" and np.isfinite(gap["lhs"]) and gap["lhs"] >= 0.0
         stored = json.loads((out / "certificates.json").read_text())["checks"]
         assert checks[:-1] == stored[:-1] and gap["lhs"] != stored[-1]["lhs"]
+
+    def test_momenta_outside_the_split_set_fail_the_gap(self, gaussian_bundle, tmp_path):
+        # w_plus doubled at every 4th node leaves the speed ball; the
+        # certificate moves it back, which costs it the optimality of the
+        # stored pair, and says how far it moved
+        cfg_path, out = gaussian_bundle
+        bundle = _copy_bundle(out, tmp_path / "doubled",
+                              names=("u", "f", "m", "w", "w_plus", "w_minus"))
+        w_plus = read_field(out / "w_plus.field")
+        values = w_plus.values.copy()
+        values[:, ::4] *= 2.0
+        write_field(bundle / "w_plus.field", VecField(w_plus.grid, values))
+        code = main(["certify", "--config", str(cfg_path), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "recheck")])
+        assert code == 1
+        gap = json.loads((tmp_path / "recheck" / "certificates.json").read_text())["checks"][-1]
+        assert gap["name"] == "duality_gap" and not gap["passed"] and gap["lhs"] >= 0.0
+        details = json.loads((tmp_path / "recheck" / "manifest.json").read_text())["gap_details"]
+        assert details["max_split_excess"] > 0.0
 
     def test_bundle_on_another_grid_exits_2(self, gaussian_bundle, tmp_path, capsys):
         _, out = gaussian_bundle

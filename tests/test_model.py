@@ -354,6 +354,66 @@ class TestHullProx:
             np.testing.assert_allclose(w, w_iso, rtol=0, atol=1e-12)
 
 
+class TestSplitProject:
+    """``split_project`` moves sign-clipped split momenta into m times the
+    split set."""
+
+    def _momenta(self, rng, grid):
+        m = rng.random((3, *grid.nx)) * (rng.random((3, *grid.nx)) > 0.2)
+        w = 2.0 * np.abs(rng.standard_normal((3, *grid.nx, 2 * grid.dim)))
+        w[..., grid.dim:] *= -1.0
+        return m, w
+
+    @pytest.mark.parametrize("radius", [0.8, "table"])
+    def test_ball_gives_the_nearest_point(self, radius):
+        rng = np.random.default_rng(21)
+        if radius == "table":
+            radius = 0.5 + rng.random(GRID_2D.nx)
+        s = IsotropicSpeed(2, radius)
+        cap = s.radius_nodes(GRID_2D.nx)
+        m, w = self._momenta(rng, GRID_2D)
+        p = s.split_project(GRID_2D, m, w)
+        assert np.all(p[..., :2] >= 0.0) and np.all(p[..., 2:] <= 0.0)
+        assert np.all(np.linalg.norm(p, axis=-1) <= cap * m * (1.0 + 1e-12))
+        assert np.any(p != w)
+        assert np.array_equal(s.split_project(GRID_2D, m, p), p)
+        # the variational inequality of a projection onto a convex set
+        for _ in range(20):
+            z = np.abs(rng.standard_normal(w.shape))
+            z[..., 2:] *= -1.0
+            z *= (cap * m * rng.random(m.shape) / np.linalg.norm(z, axis=-1))[..., None]
+            assert np.max(np.sum((w - p) * (z - p), axis=-1)) <= 1e-12
+
+    def test_ball_leaves_admissible_momenta_alone(self):
+        # round-off above the sphere, as the prox leaves it, is not moved
+        rng = np.random.default_rng(22)
+        s = IsotropicSpeed(2, 0.8)
+        m = rng.random((3, *GRID_2D.nx))
+        w = np.abs(rng.standard_normal((3, *GRID_2D.nx, 4)))
+        w[..., 2:] *= -1.0
+        w *= (0.8 * m * (1.0 + 1e-14) / np.linalg.norm(w, axis=-1))[..., None]
+        assert np.array_equal(s.split_project(GRID_2D, m, w), w)
+
+    @pytest.mark.parametrize("speed", [square_speed, xdep_speed])
+    def test_hull_lands_in_the_split_hull(self, speed):
+        rng = np.random.default_rng(23)
+        s = speed()
+        faces = s.split_hull_faces(GRID_2D)
+        m, w = self._momenta(rng, GRID_2D)
+        p = s.split_project(GRID_2D, m, w)
+        assert np.all(p[m == 0] == 0.0) and np.any(np.abs(p - w) > 1e-3)
+        # (m, p) lies in the split cone: its projection onto it is itself
+        pm, pw = prox_cost_conj_hull(CostModel(p=3.0), faces, m, p, 0.0)
+        np.testing.assert_allclose(pm, m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pw, p, rtol=0, atol=1e-12)
+        # momenta already in the set stay where they are
+        lam = rng.random((len(s.velocities), *m.shape))
+        lam /= np.sum(lam, axis=0)
+        inside = m[..., None] * np.einsum("i...,i...d->...d", lam, faces.vels)
+        np.testing.assert_allclose(s.split_project(GRID_2D, m, inside), inside,
+                                   rtol=0, atol=1e-12)
+
+
 class TestCostFamily:
     def test_conjugate_closed_forms(self):
         c = CostModel(p=3.0, kappa=1.0)

@@ -209,6 +209,29 @@ class TestCertificate:
         v, _ = _split_velocity(m[:-1], w, grid)
         assert np.min(_march_split(prob.m0, v, grid)) >= -1e-15
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           speed=st.sampled_from(["ball", "diamond", "resting diamond"]))
+    def test_weak_duality_off_the_split_set(self, seed, dim, speed):
+        # momenta of any size and sign, as a stored bundle may hold them, are
+        # moved into the split set first: A + B stays nonnegative
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(dim, (8,) * dim if dim == 1 else (5, 6), 7, 1.0)
+        if speed == "ball":
+            speed = IsotropicSpeed(dim, 0.9)
+        else:
+            axes = [s * 0.9 * np.eye(dim)[a] for a in range(dim) for s in (1.0, -1.0)]
+            rest = [np.zeros(dim)] if speed == "resting diamond" else []
+            speed = FiniteControlsSpeed(dim, _constant_maps(*axes, *rest),
+                                        c0=0.9 / np.sqrt(dim), c1=0.9)
+        prob = _finite_problem(grid, speed, p=4.0)
+        m = rng.random((grid.nt, *grid.nx))
+        w = 3.0 * rng.standard_normal((grid.nt - 1, *grid.nx, 2 * dim))
+        details = {}
+        a_val, b_val = certificate(prob, rng.standard_normal(m.shape), m, w, details)
+        assert np.isfinite(a_val) and a_val + b_val >= -1e-12
+        assert details["max_split_excess"] > 0.0
+
     def test_scaled_velocities_keep_the_march_nonnegative(self):
         grid = TorusGrid(2, (6, 6), 5, 1.0)
         rng = np.random.default_rng(3)
