@@ -7,6 +7,9 @@ error, so inequality checks carry an additive slack C_report * (dx + dt)
 whose constant is assembled from field norms, never hard-coded numbers
 alone.
 
+Space differences are ``transport.one_sided``, the adjoint of the split
+divergence that ``pdopt`` and the transport solver march with.
+
 ``battery`` runs all seven checks for ``optimize`` and ``certify``.  Its gap
 is the certificate ``optimize`` stops on (``pdopt.certificate``) on the
 bundle's u and split momenta, or on w split by sign (``split_by_sign``); the
@@ -30,7 +33,8 @@ from . import pdopt
 from .pdopt import ProblemInstance
 # unused here; perfbench/tracing.py wraps them in this namespace
 from .pdopt import continuity_residual_rows, evaluate_A, evaluate_B, subsolution_residual
-from .transport import upwind_directional_derivative
+from . import transport
+from .transport import one_sided, upwind_directional_derivative
 
 __all__ = [
     "CertReport", "check_ibp_inequality", "check_weak_solution",
@@ -66,12 +70,7 @@ def reports_to_json(reports: list[CertReport], path=None) -> str:
 
 
 def _lip_space(values: np.ndarray, grid: TorusGrid) -> float:
-    lip = 0.0
-    off = values.ndim - grid.dim
-    for a in range(grid.dim):
-        d = np.abs(np.roll(values, -1, off + a) - values) / grid.dx[a]
-        lip = max(lip, float(np.max(d)))
-    return lip
+    return float(np.max(np.abs(one_sided(values, grid)[0])))
 
 
 def _disc_scale(grid: TorusGrid) -> float:
@@ -255,6 +254,7 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
                 phi = phi / mx
             pairs.append((v, phi))
     vol = grid.cell_volume
+    d = grid.dim
     lhs = [0.0] * len(pairs)
     rhs = [0.0] * len(pairs)
     for k in range(grid.nt - 1):
@@ -262,13 +262,12 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
         # per level; each trial repeats its float expressions in its order
         u_next = u.values[k + 1]
         du = u_next - u.values[k]
-        fwd = [(np.roll(u_next, -1, a) - u_next) / grid.dx[a] for a in range(grid.dim)]
-        bwd = [(u_next - np.roll(u_next, 1, a)) / grid.dx[a] for a in range(grid.dim)]
+        fwd, bwd = one_sided(u_next, grid)
         for trial, (v, phi) in enumerate(pairs):
+            vs = transport.split_by_sign(v.values[k])
             dd = np.zeros_like(u_next)
-            for a in range(grid.dim):
-                va = v.values[k][..., a]
-                dd += np.maximum(va, 0.0) * fwd[a] + np.minimum(va, 0.0) * bwd[a]
+            for a in range(d):
+                dd += vs[..., a] * fwd[..., a] + vs[..., d + a] * bwd[..., a]
             lhs[trial] += -vol * float(np.sum(phi[k] * (du + grid.dt * dd)))
             rhs[trial] += vol * grid.dt * float(np.sum(f.values[k] * phi[k]))
     worst = (-np.inf, None)
@@ -365,10 +364,12 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
 
 
 def split_by_sign(w: VecField) -> tuple[VecField, VecField]:
-    """A nodal momentum as split momenta (max(w, 0), min(w, 0)): the
-    donor-cell form, for bundles that lack their own pair."""
-    return (VecField(w.grid, np.maximum(w.values, 0.0)),
-            VecField(w.grid, np.minimum(w.values, 0.0)))
+    """A nodal momentum as split momenta (max(w, 0), min(w, 0)) in the
+    donor-cell form of ``transport.split_by_sign``, for bundles that lack
+    their own pair."""
+    split = transport.split_by_sign(w.values)
+    return (VecField(w.grid, split[..., :w.grid.dim]),
+            VecField(w.grid, split[..., w.grid.dim:]))
 
 
 def duality_gap(problem: ProblemInstance, u: ScalarField, f: ScalarField,

@@ -42,9 +42,8 @@ DEFAULT_CONFIG = {
         "m0": {"preset": "uniform"},
     },
     "solver": {"max_iters": 5000, "tol_gap": 1e-3, "tol_cont": 1e-4,
-               "tau": None, "sigma": None, "over_relax": 1.0},
-    "outputs": {"directory": "out", "emit_fields": True, "emit_csv": True,
-                "emit_pgm": False},
+               "tau": None, "sigma": None},
+    "outputs": {"directory": "out"},
     "seed": 0,
 }
 
@@ -186,8 +185,7 @@ def build_solver_config(config: dict) -> pdopt.SolverConfig:
         max_iters=_number(s["max_iters"], "max_iters", int),
         tol_gap=_number(s["tol_gap"], "tol_gap"),
         tol_cont=_number(s["tol_cont"], "tol_cont"),
-        tau=optional("tau"), sigma=optional("sigma"),
-        over_relax=_number(s.get("over_relax", 1.0), "over_relax"))
+        tau=optional("tau"), sigma=optional("sigma"))
 
 
 # -- output helpers ------------------------------------------------------------
@@ -226,28 +224,6 @@ def write_diagnostics_csv(path: Path, diag: pdopt.SolverDiagnostics) -> None:
             fh.write(f"{i},{a:.17g},{b:.17g},{g:.17g},{c:.17g}\n")
 
 
-def write_pgm(out: Path, stem: str, field: ScalarField) -> None:
-    """Grayscale snapshots; values affinely mapped per frame with the min/max
-    recorded alongside."""
-    grid = field.grid
-    ranges = {}
-    frames = [field.values] if grid.dim == 1 else [field.values[k] for k in range(grid.nt)]
-    for idx, frame in enumerate(frames):
-        lo, hi = float(np.min(frame)), float(np.max(frame))
-        span = hi - lo if hi > lo else 1.0
-        img = np.clip((frame - lo) / span * 255.0, 0, 255).astype(np.uint8)
-        if img.ndim == 1:
-            img = img[None, :]
-        name = f"{stem}.pgm" if grid.dim == 1 else f"{stem}_{idx:04d}.pgm"
-        with open(out / name, "wb") as fh:
-            fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-            fh.write(img.tobytes())
-        ranges[name] = {"min": lo, "max": hi}
-    with open(out / f"{stem}_pgm_ranges.json", "w") as fh:
-        json.dump(ranges, fh, indent=2)
-        fh.write("\n")
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -271,8 +247,6 @@ def cmd_solve_hj(args) -> int:
     out = _outdir(config, args)
     write_field(out / "u.field", u)
     write_front_csv(out / "front.csv", u)
-    if config["outputs"].get("emit_pgm"):
-        write_pgm(out, "u", u)
     write_manifest(out, config, {"command": "solve-hj",
                                  "runtime_s": time.perf_counter() - t0})
     return EXIT_OK
@@ -314,14 +288,10 @@ def cmd_optimize(args) -> int:
     w_pair = tuple(VecField(grid, np.concatenate([part, last]))
                    for part in np.split(bundle.diagnostics.w_split, 2, axis=-1))
     out = _outdir(config, args)
-    if config["outputs"].get("emit_fields", True):
-        for name, fld in zip(("u", "f", "m", "w", "w_plus", "w_minus"),
-                             (bundle.u, bundle.f, bundle.m, bundle.w, *w_pair)):
-            write_field(out / f"{name}.field", fld)
-    if config["outputs"].get("emit_csv", True):
-        write_diagnostics_csv(out / "diagnostics.csv", bundle.diagnostics)
-    if config["outputs"].get("emit_pgm"):
-        write_pgm(out, "m", bundle.m)
+    for name, fld in zip(("u", "f", "m", "w", "w_plus", "w_minus"),
+                         (bundle.u, bundle.f, bundle.m, bundle.w, *w_pair)):
+        write_field(out / f"{name}.field", fld)
+    write_diagnostics_csv(out / "diagnostics.csv", bundle.diagnostics)
     reports = cert.battery(problem, bundle.u, bundle.f, bundle.m, w_pair,
                            seed=_seed(config, args), tol_gap=solver_cfg.tol_gap)
     cert.reports_to_json(reports, out / "certificates.json")
@@ -387,6 +357,9 @@ def cmd_reproduce(args) -> int:
     config = load_config(args.config)
     rep = config.get("reproduce", {})
     eps_list = rep.get("eps", [0.2, 0.1, 0.05])
+    if not isinstance(eps_list, list):
+        raise ConfigError(f"reproduce eps must be a list of numbers, got {eps_list!r}")
+    eps_list = [_number(eps, "reproduce eps") for eps in eps_list]
     window_points = _number(rep.get("window_points", 401), "window_points", int)
     nt = _number(rep.get("nt", 201), "nt", int)
     tolerance = _number(rep.get("tolerance", 0.05), "tolerance")

@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ParameterError
+from .transport import split_by_sign
 
 # a face whose Gram determinant falls below this fraction of the product of
 # its diagonal (Hadamard's bound) has linearly dependent generators
@@ -181,8 +182,7 @@ class FiniteControlsSpeed:
 
     def _split_node_velocities(self, grid) -> np.ndarray:
         """The split maps (v_i^+, v_i^-) on the grid nodes, shape (M, *nx, 2*dim)."""
-        vels = self._node_velocities(grid)
-        return np.concatenate([np.maximum(vels, 0.0), np.minimum(vels, 0.0)], axis=-1)
+        return split_by_sign(self._node_velocities(grid))
 
     def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
         """H(x, p) = max_i -c(x, a_i).p on the grid nodes; p has shape

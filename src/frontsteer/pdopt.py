@@ -7,9 +7,12 @@ with (w+, w-) in m(t,x) times the split velocity set nodewise (the ball
 (v_i^+, v_i^-) for finite ones), subject to the discrete continuity equation
 m_{k+1} - m_k + dt div(w_k) = 0 with m(0) = m0 as an extra constraint row.
 The flux through face i+1/2 is w+_i + w-_{i+1}: the donor-cell flux of
-``transport`` in momentum form, so both layers use ``split_divergence``.  Its
-adjoint gives the Engquist-Osher-type Hamiltonian of ``split_hamiltonian``
-(after Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal. 2010).
+``transport`` in momentum form.  The solver, its certificate and ``certify``
+use the one discrete pair of ``transport``: ``split_divergence`` in the rows,
+its adjoint ``one_sided`` in L^T and in the HJ residual, where it gives the
+Engquist-Osher-type Hamiltonian of ``split_hamiltonian`` (after Achdou &
+Capuzzo-Dolcetta, SIAM J. Numer. Anal. 2010), and ``march_split`` for the
+certificate's dual point.
 
 The iteration is PDHG with the dual step preconditioned by the exact
 (L L^T)^-1 of the constraint operator L (the G-prox PDHG of Jacobs, Leger,
@@ -28,9 +31,9 @@ f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
 the iterate's split velocities, both exactly feasible, so A + B >= 0 by
 summation by parts and the discrete optimal value lies in [-A, B].  The
 public ``certificate`` first moves any momenta into the split set (an
-iterate's already lie in it) and certifies stored bundles (``certify.duality_gap``), so
-a bundle written with its split momenta re-certifies to the gap ``optimize``
-recorded.
+iterate's already lie in it) and certifies stored bundles
+(``certify.duality_gap``), so a bundle written with its split momenta
+re-certifies to the gap ``optimize`` recorded.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .grid import DensityField, ScalarField, TorusGrid, VecField
 from .model import (CostModel, IsotropicSpeed, SpeedModel, cost, cost_conj,
                     cost_deriv_conj, prox_cost_conj_coned, prox_cost_conj_hull)
 from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it in this namespace
-from .transport import split_divergence
+from .transport import march_split, one_sided, split_by_sign, split_divergence, split_load
 
 # default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
 _TAU = 16.0
@@ -99,13 +102,10 @@ class SolverConfig:
     tol_cont: float = 1e-6         # weighted L2 continuity residual
     tau: float | None = None       # primal step (default 16); tau*sigma < 1
     sigma: float | None = None     # dual step (default 0.06)
-    over_relax: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
-        if not (0.0 <= self.over_relax <= 1.0):
-            raise ParameterError("over_relax must lie in [0, 1]")
 
 
 @dataclass
@@ -147,18 +147,6 @@ class OptimalBundle:
 # -- discrete operators ------------------------------------------------------
 
 
-def _one_sided(phi: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward differences D+ phi and D- phi over the space axes;
-    phi has shape (..., *nx), each result (..., *nx, dim)."""
-    fwd = np.empty((*phi.shape, grid.dim))
-    bwd = np.empty_like(fwd)
-    off = phi.ndim - grid.dim
-    for a in range(grid.dim):
-        fwd[..., a] = (np.roll(phi, -1, off + a) - phi) / grid.dx[a]
-        bwd[..., a] = np.roll(fwd[..., a], 1, off + a)
-    return fwd, bwd
-
-
 def _rows(m: np.ndarray, w: np.ndarray, m0: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Constraint rows: row 0 pins the initial slice, row k+1 is the scaled
     continuity residual  m_{k+1} - m_k + dt * div(w_k)  of the split momenta
@@ -176,7 +164,7 @@ def _rows_adjoint(y: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarra
     gm = np.empty_like(y)
     gm[:-1] = y[:-1] - y[1:]
     gm[-1] = y[-1]
-    gw = np.concatenate(_one_sided(y[1:], grid), axis=-1)
+    gw = np.concatenate(one_sided(y[1:], grid), axis=-1)
     gw *= -grid.dt
     return gm, gw
 
@@ -298,7 +286,7 @@ def subsolution_residual(problem: ProblemInstance, u_values: np.ndarray) -> np.n
     """Discrete residual -(u_{k+1}-u_k)/dt + H(D+u_{k+1}, D-u_{k+1}) on each
     interval, with the split Hamiltonian paired with the continuity operator.
     A pair (u, f) is primal-feasible when f dominates this residual nodewise."""
-    fwd, bwd = _one_sided(u_values[1:], problem.grid)
+    fwd, bwd = one_sided(u_values[1:], problem.grid)
     return -(u_values[1:] - u_values[:-1]) / problem.grid.dt \
         + problem.speed.split_hamiltonian(problem.grid, fwd, bwd)
 
@@ -308,8 +296,7 @@ def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
     """Physical residual per row, [(m(0)-m0)/dt ; dm/dt + div w], of a nodal
     momentum w split by sign into (w^+, w^-): the donor-cell form."""
     w_int = w[:-1] if w.shape[0] == problem.grid.nt else w
-    split = np.concatenate([np.maximum(w_int, 0.0), np.minimum(w_int, 0.0)], axis=-1)
-    return _rows(m, split, problem.m0, problem.grid) / problem.grid.dt
+    return _rows(m, split_by_sign(w_int), problem.m0, problem.grid) / problem.grid.dt
 
 
 def _weighted_l2(rows: np.ndarray, grid: TorusGrid) -> float:
@@ -327,27 +314,12 @@ def _split_velocity(m: np.ndarray, w: np.ndarray,
     scaled iff it exceeds 1)."""
     v = np.zeros_like(w)
     np.divide(w, m[..., None], out=v, where=m[..., None] > 0)
-    d = grid.dim
-    load = sum((v[..., a] - v[..., d + a]) / grid.dx[a] for a in range(d)) * grid.dt
+    load = split_load(v, grid)
     peak = float(np.max(load))
     if peak > 1.0:
         over = load > 1.0
         v[over] /= load[over][..., None]
     return v, peak
-
-
-def _march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """m0 marched through the continuity rows by split velocities v, shape
-    (nt - 1, *nx, 2*dim): m_{k+1} = m_k - dt div(m_k v_k^+, m_k v_k^-)."""
-    d = grid.dim
-    m = np.empty((grid.nt, *grid.nx))
-    m[0] = m0
-    for k in range(grid.nt - 1):
-        wk = m[k][..., None] * v[k]
-        div = split_divergence(wk[..., :d], wk[..., d:], grid)
-        div *= grid.dt
-        np.subtract(m[k], div, out=m[k + 1])
-    return m
 
 
 def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
@@ -382,7 +354,7 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     v, peak = _split_velocity(m[:-1], w, grid)
     no_rest = peak > 1.0 and not problem.speed.split_contains_rest(grid)
     b_val = float("inf") if no_rest \
-        else _b_value(problem, _march_split(problem.m0, v, grid))
+        else _b_value(problem, march_split(problem.m0, v, grid))
     if details is not None:
         details.update(A=a_val, B=b_val, max_split_load=peak, b_inf_without_rest=no_rest)
     return a_val, b_val
@@ -419,7 +391,6 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     if tau * sigma >= 1.0:
         raise ParameterError(f"step rule violated: tau*sigma = {tau * sigma:.4g} >= 1")
     diag.tau, diag.sigma = tau, sigma
-    theta = config.over_relax
     dim = grid.dim
 
     # the joint prox takes nodal radii for balls and split face data for
@@ -458,10 +429,10 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
             m[:-1], w = prox_cost_conj_hull(problem.cost, cone,
                                             m[:-1], w_half, tau * grid.dt)
 
-        # _rows is affine and the weights 1 + theta and -theta sum to one, so
-        # the rows of the over-relaxed point need no second application
+        # _rows is affine, so the rows of the extrapolated point 2 z - z_prev
+        # need no second application
         r_prev, r = r, _rows(m, w, problem.m0, grid)
-        r_bar = r + theta * (r - r_prev)
+        r_bar = r + (r - r_prev)
 
         # the prox keeps w in the split set: no projection needed
         a_val, b_val = _certificate(problem, -y, m, w, details=cert_details)

@@ -1,16 +1,19 @@
-"""Conservative upwind solver for m_t + div(m v) = 0 and a trajectory sampler.
+"""The discrete operator pair, the continuity solver built on it, and a
+trajectory sampler.
 
-The density update is donor-cell finite volume with nodal velocities: the
-flux through face i+1/2 along each axis is v_i^+ m_i + v_{i+1}^- m_{i+1}.
-In momentum form this is ``split_divergence`` of (m v^+, m v^-), the one
-divergence that the primal-dual solver shares.
-Fluxes telescope over the periodic grid, so total mass is conserved to
-round-off at every level, and the scheme is monotone (m stays >= 0) under
-the CFL condition.
+The pair is the split divergence of Achdou & Capuzzo-Dolcetta (SIAM J.
+Numer. Anal. 2010), ``split_divergence``, and its adjoint up to sign, the
+one-sided differences ``one_sided``.  ``pdopt``, ``certify`` and
+``solve_continuity`` share it, with ``split_by_sign``, the CFL load
+``split_load`` and the march ``march_split``.
 
-The same flux defines, by exact summation by parts, the adjoint directional
-derivative ``upwind_directional_derivative``; ``pairing_defect`` checks the
-resulting discrete integration-by-parts identity for arbitrary fields.
+``solve_continuity`` is donor-cell finite volume with nodal velocities split
+by sign: the flux through face i+1/2 is v_i^+ m_i + v_{i+1}^- m_{i+1}.  Fluxes
+telescope over the periodic grid, so total mass is conserved to round-off,
+and the scheme is monotone (m stays >= 0) under the CFL condition.  By exact
+summation by parts the pair gives ``upwind_directional_derivative``;
+``pairing_defect`` checks the discrete integration-by-parts identity for
+arbitrary fields.
 """
 
 from __future__ import annotations
@@ -23,10 +26,19 @@ from .errors import ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField, interp_space
 
 __all__ = [
+    "split_divergence", "one_sided", "split_by_sign", "split_load", "march_split",
     "solve_continuity", "sample_trajectories", "pushforward_distance",
     "TrajectoryEnsemble", "upwind_directional_derivative", "pairing_defect",
-    "write_trajectories", "split_divergence",
+    "write_trajectories",
 ]
+
+
+def _ends(lead: int, a: int) -> tuple[tuple, ...]:
+    """Index tuples along space axis a after ``lead`` leading axes: the first
+    node, the last node, all but the last (head) and all but the first (tail)."""
+    pre = (slice(None),) * (lead + a)
+    return (pre + (slice(None, 1),), pre + (slice(-1, None),),
+            pre + (slice(None, -1),), pre + (slice(1, None),))
 
 
 def split_divergence(w_plus: np.ndarray, w_minus: np.ndarray,
@@ -34,13 +46,10 @@ def split_divergence(w_plus: np.ndarray, w_minus: np.ndarray,
     """Divergence of split momenta: along each axis the flux through face
     i+1/2 is w_plus_i + w_minus_{i+1} (w_plus >= 0 >= w_minus for a monotone
     scheme).  Both have shape (..., *nx, dim) with arbitrary leading axes;
-    the stencils are slices, equal bit for bit to their np.roll forms."""
+    the stencils are slices, equal bit for bit to their periodic-shift forms."""
     div = np.zeros(w_plus.shape[:-1])
-    lead = (slice(None),) * (w_plus.ndim - 1 - grid.dim)
     for a in range(grid.dim):
-        pre = lead + (slice(None),) * a
-        first, last = pre + (slice(None, 1),), pre + (slice(-1, None),)
-        head, tail = pre + (slice(None, -1),), pre + (slice(1, None),)
+        first, last, head, tail = _ends(w_plus.ndim - 1 - grid.dim, a)
         wm = w_minus[..., a]
         flux = w_plus[..., a].copy()
         flux[head] += wm[tail]
@@ -53,29 +62,59 @@ def split_divergence(w_plus: np.ndarray, w_minus: np.ndarray,
     return div
 
 
-def _flux_divergence(m: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """div of the donor-cell flux of density m under nodal velocities v: the
-    split divergence of the momenta (m v^+, m v^-)."""
-    mv = m[..., None]
-    return split_divergence(mv * np.maximum(v, 0.0), mv * np.minimum(v, 0.0), grid)
-
-
-def _check_cfl(v: np.ndarray, grid: TorusGrid) -> None:
-    load = np.zeros(v.shape[:-1])
+def one_sided(phi: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward differences (D+ phi, D- phi) over the space axes,
+    the adjoint of ``split_divergence`` up to sign: div^T phi = (-D+ phi,
+    -D- phi).  phi has shape (..., *nx) with arbitrary leading axes, each
+    result (..., *nx, dim); the stencils are slices, equal bit for bit to
+    their periodic-shift forms."""
+    fwd = np.empty((*phi.shape, grid.dim))
+    bwd = np.empty_like(fwd)
     for a in range(grid.dim):
-        load = load + np.abs(v[..., a]) / grid.dx[a]
-    worst = float(np.max(load) * grid.dt)
-    if worst > 1.0 + 1e-12:
-        raise ParameterError(
-            f"CFL violation: max speed load {worst:.4g} > 1 "
-            f"(require sum_axes |v_a|*dt/dx_a <= 1 for positivity)")
+        first, last, head, tail = _ends(phi.ndim - grid.dim, a)
+        f, b = fwd[..., a], bwd[..., a]
+        np.subtract(phi[tail], phi[head], out=f[head])
+        np.subtract(phi[first], phi[last], out=f[last])
+        f /= grid.dx[a]
+        b[tail] = f[head]
+        b[first] = f[last]
+    return fwd, bwd
+
+
+def split_by_sign(v: np.ndarray) -> np.ndarray:
+    """Nodal vectors v, shape (..., dim), as split velocities or momenta
+    (max(v, 0), min(v, 0)) along the last axis, shape (..., 2*dim): the
+    donor-cell form."""
+    return np.concatenate([np.maximum(v, 0.0), np.minimum(v, 0.0)], axis=-1)
+
+
+def split_load(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The CFL load sum_a (v+_a - v-_a) dt/dx_a of split velocities v, shape
+    (..., 2*dim); a march keeps m >= 0 where it is at most 1."""
+    d = grid.dim
+    return sum((v[..., a] - v[..., d + a]) / grid.dx[a] for a in range(d)) * grid.dt
+
+
+def march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """m0 marched through the continuity rows by split velocities v, shape
+    (nt - 1, *nx, 2*dim): m_{k+1} = m_k - dt div(m_k v_k^+, m_k v_k^-)."""
+    d = grid.dim
+    m = np.empty((grid.nt, *grid.nx))
+    m[0] = m0
+    for k in range(grid.nt - 1):
+        wk = m[k][..., None] * v[k]
+        div = split_divergence(wk[..., :d], wk[..., d:], grid)
+        div *= grid.dt
+        np.subtract(m[k], div, out=m[k + 1])
+    return m
 
 
 def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
-    """March the continuity equation forward from the initial density slice.
+    """March the continuity equation forward from the initial density slice:
+    ``march_split`` of v split by sign.
 
     Mass is conserved exactly (telescoping fluxes) and nonnegativity is
-    preserved; a CFL violation refuses to run.
+    preserved; a CFL violation on any of the nt levels refuses to run.
     """
     grid = v.grid
     m0 = np.asarray(m0, dtype=float)
@@ -83,11 +122,13 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
         raise ParameterError(f"m0 shape {m0.shape} != grid {grid.nx}")
     if np.min(m0) < 0:
         raise ParameterError("initial density must be >= 0")
-    _check_cfl(v.values, grid)
-    m = np.empty((grid.nt, *grid.nx))
-    m[0] = m0
-    for k in range(grid.nt - 1):
-        m[k + 1] = m[k] - grid.dt * _flux_divergence(m[k], v.values[k], grid)
+    split = split_by_sign(v.values)
+    worst = float(np.max(split_load(split, grid)))
+    if worst > 1.0 + 1e-12:
+        raise ParameterError(
+            f"CFL violation: max speed load {worst:.4g} > 1 "
+            f"(require sum_axes |v_a|*dt/dx_a <= 1 for positivity)")
+    m = march_split(m0, split[:-1], grid)
     # monotone scheme: only round-off can dip below zero
     floor = np.min(m)
     if floor < -1e-12 * max(1.0, np.max(np.abs(m))):
@@ -98,13 +139,13 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
 def upwind_directional_derivative(u_next: np.ndarray, v: np.ndarray,
                                   grid: TorusGrid) -> np.ndarray:
     """v-oriented one-sided derivative of u adjoint to the donor-cell flux:
-    v^+ (u_{i+1}-u_i)/dx + v^- (u_i-u_{i-1})/dx summed over axes."""
+    v^+ D+ u + v^- D- u summed over axes."""
+    d = grid.dim
+    fwd, bwd = one_sided(u_next, grid)
+    vs = split_by_sign(v)
     out = np.zeros_like(u_next)
-    for a in range(grid.dim):
-        va = v[..., a]
-        fwd = (np.roll(u_next, -1, a) - u_next) / grid.dx[a]
-        bwd = (u_next - np.roll(u_next, 1, a)) / grid.dx[a]
-        out += np.maximum(va, 0.0) * fwd + np.minimum(va, 0.0) * bwd
+    for a in range(d):
+        out += vs[..., a] * fwd[..., a] + vs[..., d + a] * bwd[..., a]
     return out
 
 
@@ -124,8 +165,9 @@ def pairing_defect(u: ScalarField, m: ScalarField | DensityField, v: VecField) -
     for k in range(grid.nt - 1):
         du = u.values[k + 1] - u.values[k]
         dm = m.values[k + 1] - m.values[k]
-        total += vol * np.sum(
-            u.values[k + 1] * (dm + grid.dt * _flux_divergence(m.values[k], v.values[k], grid)))
+        wk = m.values[k][..., None] * split_by_sign(v.values[k])
+        div = split_divergence(wk[..., :grid.dim], wk[..., grid.dim:], grid)
+        total += vol * np.sum(u.values[k + 1] * (dm + grid.dt * div))
         total += vol * np.sum(
             m.values[k] * (du + grid.dt * upwind_directional_derivative(
                 u.values[k + 1], v.values[k], grid)))

@@ -16,8 +16,9 @@ from frontsteer.grid import ScalarField, TorusGrid, VecField
 from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            extract_front, solve_value_function)
 from frontsteer.model import CostModel, IsotropicSpeed, cost, cost_conj
-from frontsteer.pdopt import (ProblemInstance, SolverConfig, _march_split,
-                              _split_velocity, optimize, recover_velocity)
+from frontsteer.pdopt import (ProblemInstance, SolverConfig, _split_velocity, optimize,
+                              recover_velocity)
+from frontsteer.transport import march_split
 
 
 def report(num: int, desc: str, ok: bool, detail: str) -> None:
@@ -218,7 +219,7 @@ def test_criterion_12_certified_gap_and_split_superposition(nontrivial_bundle):
     rel_gap = d.final_gap / max(abs(d.a_history[-1]), abs(d.b_history[-1]))
     # the recovered split velocities w+/m, w-/m, marched from m0, give back m
     v, _ = _split_velocity(bundle.m.values[:-1], d.w_split, grid)
-    marched = _march_split(problem.m0, v, grid)
+    marched = march_split(problem.m0, v, grid)
     l1 = float(np.max(np.sum(np.abs(marched - bundle.m.values), axis=1))
                * grid.cell_volume)
     ok = d.converged and 0.0 <= rel_gap <= 1e-3 and l1 <= 1e-2

@@ -140,6 +140,20 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "rep")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_non_numeric_reproduce_eps(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"reproduce": {"eps": ["abc"]}}))
+        assert main(["reproduce", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "reproduce eps must be a number" in capsys.readouterr().err
+
+    def test_reproduce_eps_not_a_list(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"reproduce": {"eps": 0.1}}))
+        assert main(["reproduce", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "reproduce eps must be a list" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_uniform_preset_converges_and_certifies(self, tmp_path):

@@ -4,10 +4,10 @@ import pytest
 from conftest import interp_space_reference
 from frontsteer.errors import ParameterError
 from frontsteer.grid import ScalarField, TorusGrid, VecField
-from frontsteer.transport import (_MARCH_BLOCK, TrajectoryEnsemble, _flux_divergence,
-                                  _sample_initial, pairing_defect, split_divergence,
-                                  pushforward_distance, sample_trajectories,
-                                  solve_continuity, write_trajectories)
+from frontsteer.transport import (_MARCH_BLOCK, TrajectoryEnsemble, _sample_initial,
+                                  pairing_defect, pushforward_distance,
+                                  sample_trajectories, solve_continuity, split_by_sign,
+                                  split_divergence, write_trajectories)
 
 
 def const_velocity(grid, vec):
@@ -41,9 +41,8 @@ class TestSolveContinuity:
         rng = np.random.default_rng(21)
         m = rng.random(nx) * (rng.random(nx) > 0.2)
         v = rng.standard_normal((*nx, dim)) * (rng.random((*nx, dim)) > 0.2)
-        mv = m[..., None]
-        expected = split_divergence(mv * np.maximum(v, 0.0), mv * np.minimum(v, 0.0), grid)
-        assert _flux_divergence(m, v, grid).tobytes() == expected.tobytes()
+        wk = m[..., None] * split_by_sign(v)
+        expected = split_divergence(wk[..., :dim], wk[..., dim:], grid)
         # the donor-cell stencil written out per axis
         ref = np.zeros(nx)
         for a in range(dim):
@@ -101,6 +100,17 @@ class TestSolveContinuity:
         grid = TorusGrid(1, (32,), 17, 1.0)   # dt = 1/16, dx = 1/32
         with pytest.raises(ParameterError):
             solve_continuity(np.ones(32), const_velocity(grid, [1.0]))
+
+    def test_cfl_refusal_on_the_last_level(self):
+        # the march never reads the last level's velocity, but it is checked
+        grid = TorusGrid(2, (8, 8), 5, 1.0)   # dt = 1/4, dx = 1/8
+        vals = np.zeros((grid.nt, 8, 8, 2))
+        vals[:-1, ..., 0] = 0.25              # load 0.5
+        vals[-1, 3, 4, 1] = -2.5              # load 5 at one node
+        assert solve_continuity(np.ones((8, 8)), VecField(grid, np.where(
+            vals < -1.0, 0.0, vals))).values.min() >= 0.0
+        with pytest.raises(ParameterError, match="CFL"):
+            solve_continuity(np.ones((8, 8)), VecField(grid, vals))
 
     def test_negative_initial_density_refused(self):
         grid = TorusGrid(1, (32,), 17, 1.0)
