@@ -68,7 +68,22 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
+    _refuse_unknown(user, [*DEFAULT_CONFIG, "reproduce"], "config")
+    for name in ("solver", "outputs"):
+        section = user.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+        _refuse_unknown(section, DEFAULT_CONFIG[name], name)
     return _merge(DEFAULT_CONFIG, user)
+
+
+def _refuse_unknown(section: dict, known, where: str) -> None:
+    """A ConfigError naming the keys of ``section`` outside ``known``: a
+    misspelt key would otherwise be ignored without a word."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"known: {', '.join(known)}")
 
 
 # -- presets -------------------------------------------------------------------
@@ -219,8 +234,8 @@ def write_front_csv(path: Path, u: ScalarField, level: float = 0.0) -> None:
 def write_diagnostics_csv(path: Path, diag: pdopt.SolverDiagnostics) -> None:
     with open(path, "w") as fh:
         fh.write("iter,A,B,gap,cont_residual\n")
-        for i, (a, b, g, c) in enumerate(zip(diag.a_history, diag.b_history,
-                                             diag.gap_history, diag.cont_history), 1):
+        for i, a, b, g, c in zip(diag.iter_history, diag.a_history, diag.b_history,
+                                 diag.gap_history, diag.cont_history):
             fh.write(f"{i},{a:.17g},{b:.17g},{g:.17g},{c:.17g}\n")
 
 

@@ -29,7 +29,10 @@ The gap A + B that ``optimize`` records and stops on is a certificate
 (``_certificate``): A belongs to the primal point u = -y, u(T) = u_T,
 f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
 the iterate's split velocities, both exactly feasible, so A + B >= 0 by
-summation by parts and the discrete optimal value lies in [-A, B].  The
+summation by parts and the discrete optimal value lies in [-A, B].
+``optimize`` builds it only on the iterations that can stop the run (those
+with a continuity residual at most tol_cont), on the last one and on
+iterations 1, 2, 4, 8, ... for a log-spaced record.  The
 public ``certificate`` first moves any momenta into the split set (an
 iterate's already lie in it) and certifies stored bundles
 (``certify.duality_gap``), so a bundle written with its split momenta
@@ -110,13 +113,15 @@ class SolverConfig:
 
 @dataclass
 class SolverDiagnostics:
-    """Per-iteration records of ``optimize``: the certified A, B and gap
-    A + B (see ``_certificate``) and the continuity residual of the iterate.
-    ``w_split`` is the final split momenta (w+, w-) on the nt - 1 intervals,
-    shape (nt - 1, *nx, 2*dim), read-only; the bundle's ``w`` is their sum."""
+    """Records of ``optimize``, one per checked iteration: its number, the
+    certified A, B and gap A + B (see ``_certificate``) and the continuity
+    residual of the iterate.  ``w_split`` is the final split momenta
+    (w+, w-) on the nt - 1 intervals, shape (nt - 1, *nx, 2*dim), read-only;
+    the bundle's ``w`` is their sum."""
 
     iterations: int = 0
     converged: bool = False
+    iter_history: list = field(default_factory=list)
     gap_history: list = field(default_factory=list)
     a_history: list = field(default_factory=list)
     b_history: list = field(default_factory=list)
@@ -369,12 +374,15 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     Per iteration: the dual step y += sigma (L L^T)^-1 r_bar on the
     continuity multiplier, a gradient step on (m, w+, w-) through the
     adjoint, and the exact pointwise joint prox of K* and the velocity cone
-    (see the module docstring).  Every iteration it records the certified A,
-    B and gap of ``_certificate`` and the continuity residual of the iterate,
-    and stops once the relative certified gap is at most
-    tol_gap and the residual at most tol_cont; at max_iters it stops with a
-    non-converged flag and says in ``notes`` whether the certificate had to
-    scale the iterate's velocities.
+    (see the module docstring).  Every iteration computes the continuity
+    residual of the iterate.  The certified A, B and gap of ``_certificate``
+    are built where they can matter: on iterations whose residual is at most
+    tol_cont, on iteration max_iters and on iterations 1, 2, 4, 8, ...  Each
+    such check is recorded in the diagnostics with its iteration number.
+    The run stops once the relative certified gap is at most tol_gap and the
+    residual at most tol_cont, at two iterations in a row (both therefore
+    checked); at max_iters it stops with a non-converged flag and says in
+    ``notes`` whether the certificate had to scale the iterate's velocities.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -434,22 +442,30 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         r_prev, r = r, _rows(m, w, problem.m0, grid)
         r_bar = r + (r - r_prev)
 
-        # the prox keeps w in the split set: no projection needed
-        a_val, b_val = _certificate(problem, -y, m, w, details=cert_details)
-        gap = a_val + b_val
+        # a NaN or inf iterate shows in its rows, checked or not
         cont = _weighted_l2(r / grid.dt, grid)
-        if np.isnan(gap) or not np.isfinite(cont):
+        if not np.isfinite(cont):
             raise NumericError(f"non-finite iterate at iteration {it}")
-        diag.a_history.append(a_val)
-        diag.b_history.append(b_val)
-        diag.gap_history.append(gap)
-        diag.cont_history.append(cont)
-        scale = max(abs(a_val), abs(b_val), 1e-10)
+        # only an iteration that passes the residual test can stop the run;
+        # the last one and powers of two are checked for the record
+        met_before, met = met, False
+        if cont <= config.tol_cont or it == config.max_iters or it & (it - 1) == 0:
+            # the prox keeps w in the split set: no projection needed
+            a_val, b_val = _certificate(problem, -y, m, w, details=cert_details)
+            gap = a_val + b_val
+            if np.isnan(gap):
+                raise NumericError(f"non-finite iterate at iteration {it}")
+            diag.iter_history.append(it)
+            diag.a_history.append(a_val)
+            diag.b_history.append(b_val)
+            diag.gap_history.append(gap)
+            diag.cont_history.append(cont)
+            scale = max(abs(a_val), abs(b_val), 1e-10)
+            met = (np.isfinite(gap) and gap <= config.tol_gap * scale
+                   and cont <= config.tol_cont)
         # both tests must hold at two iterations in a row: the residual of
         # an early iterate can dip below tol_cont once while u is still
         # first-order off (the gap sees its error only to second order)
-        met, met_before = (np.isfinite(gap) and gap <= config.tol_gap * scale
-                           and cont <= config.tol_cont), met
         if met and met_before:
             diag.converged = True
             diag.iterations = it

@@ -147,6 +147,31 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "rep")]) == 2
         assert "reproduce eps must be a number" in capsys.readouterr().err
 
+    def test_unknown_solver_keys(self, tmp_path, capsys):
+        # a misspelt tolerance and an option that does not exist are refused,
+        # not run with the defaults
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"solver": {"max_iters": 3, "over_relax": 0.5, "tol_gapp": 1e-9}}))
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "'over_relax'" in err and "'tol_gapp'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"outputs": {"dir": "o"}}, "'dir'"),
+        ({"reproduc": {"nt": 11}}, "'reproduc'"),
+        ({"solver": [1]}, "'solver' must be a JSON object"),
+    ])
+    def test_unknown_outputs_and_top_level_keys(self, tmp_path, capsys, overrides, key):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **overrides)
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err
+
     def test_reproduce_eps_not_a_list(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"reproduce": {"eps": 0.1}}))
@@ -233,6 +258,19 @@ def gaussian_bundle(tmp_path_factory):
     out = base / "out"
     assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
     return cfg_path, out
+
+
+def test_diagnostics_iter_column(gaussian_bundle):
+    # one row per certified iteration: every power of two up to the stop,
+    # then the iterations that pass the residual test, ending at the stop
+    _, out = gaussian_bundle
+    its = [int(line.split(",")[0]) for line in
+           (out / "diagnostics.csv").read_text().splitlines()[1:]]
+    stop = json.loads((out / "manifest.json").read_text())["iterations"]
+    assert all(later > earlier for earlier, later in zip(its, its[1:]))
+    assert its[-1] == stop
+    assert {2 ** k for k in range(stop.bit_length())} <= set(its)
+    assert len(its) < stop
 
 
 def _copy_bundle(src, dst, names=("u", "f", "m", "w")):

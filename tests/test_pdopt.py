@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_form_uniform_bundle, make_uniform_problem
+from frontsteer import pdopt
 from frontsteer.certify import _lip_space
-from frontsteer.errors import ParameterError
+from frontsteer.errors import NumericError, ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, cost,
@@ -427,10 +428,77 @@ class TestOptimize:
 
     def test_non_converged_flag(self):
         bundle = optimize(_gauss_problem(32), SolverConfig(max_iters=30))
-        assert not bundle.diagnostics.converged
-        assert bundle.diagnostics.iterations == 30
-        assert len(bundle.diagnostics.gap_history) == 30
-        assert bundle.diagnostics.notes
+        d = bundle.diagnostics
+        assert not d.converged
+        assert d.iterations == 30
+        # no residual reaches tol_cont: powers of two and the last iteration
+        assert d.iter_history == [1, 2, 4, 8, 16, 30]
+        assert len(d.gap_history) == len(d.cont_history) == 6
+        assert d.notes
+
+    @pytest.mark.parametrize("tol_gap,tol_cont", [(1e-3, 1e-3), (1e-4, 1e-2)])
+    def test_stop_on_the_first_pair_passing_both_tests(self, tol_gap, tol_cont):
+        # every iteration passing the residual test is checked, so the stop
+        # is the first two consecutive iterations that pass both tests, as if
+        # every iteration were checked; the second case is gap-bound
+        d = optimize(_gauss_problem(32), SolverConfig(
+            max_iters=5000, tol_gap=tol_gap, tol_cont=tol_cont)).diagnostics
+        n = d.iterations
+        assert d.converged and d.iter_history[-2:] == [n - 1, n]
+        passed = [g <= tol_gap * max(abs(a), abs(b), 1e-10) and c <= tol_cont
+                  for a, b, g, c in zip(d.a_history, d.b_history, d.gap_history,
+                                        d.cont_history)]
+        assert passed[-2:] == [True, True]
+        its = d.iter_history
+        assert not any(passed[k] and passed[k + 1] and its[k + 1] == its[k] + 1
+                       for k in range(len(its) - 2))
+        assert all(later > earlier for earlier, later in zip(its, its[1:]))
+        first = next(k for k, c in enumerate(d.cont_history) if c <= tol_cont)
+        assert its[first:] == list(range(its[first], n + 1))
+
+    def test_certificates_only_where_they_can_stop_the_run(self, monkeypatch):
+        # the cost of the check, counted instead of timed: 64x65 stops at 455
+        # with the gap met long before the residual, so only the powers of
+        # two, the stop and the iteration before it are certified
+        calls = []
+        certify_iterate = pdopt._certificate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return certify_iterate(*args, **kwargs)
+
+        monkeypatch.setattr(pdopt, "_certificate", counted)
+        d = optimize(_gauss_problem(64), SolverConfig(max_iters=5000, tol_gap=1e-3,
+                                                      tol_cont=1e-3)).diagnostics
+        assert d.converged and d.iterations == 455
+        assert len(calls) == len(d.iter_history) <= int(np.log2(455)) + 1 + 2
+
+    def test_overflowing_iterate_raises(self):
+        # u_T = -1e308 sends m(T) to +inf in the first gradient step; the
+        # continuity residual sees it whether or not the iteration is checked
+        grid = TorusGrid(1, (16,), 17, 1.0)
+        prob = ProblemInstance(grid=grid, speed=IsotropicSpeed(1, 1.0), cost=CostModel(3.0),
+                               u_T=np.full(16, -1e308), m0=np.ones(16))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="iteration 1$"):
+            optimize(prob, SolverConfig(max_iters=10))
+
+    def test_nan_iterate_raises_on_an_unchecked_iteration(self, monkeypatch):
+        # a NaN density out of the third prox: iteration 3 builds no
+        # certificate, and the residual still stops the run there
+        calls = []
+        prox = pdopt.prox_cost_conj_coned
+
+        def poisoned(*args):
+            calls.append(1)
+            m, w = prox(*args)
+            if len(calls) == 3:
+                m[0, 0] = np.nan
+            return m, w
+
+        monkeypatch.setattr(pdopt, "prox_cost_conj_coned", poisoned)
+        with pytest.raises(NumericError, match="iteration 3$"):
+            optimize(_gauss_problem(16), SolverConfig(max_iters=10))
 
     def test_split_load_note(self):
         # 2D at dt = dx: the split ball lets the load reach sqrt(2*dim) c dt/dx
