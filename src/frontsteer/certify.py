@@ -20,11 +20,10 @@ brackets the discrete optimal value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.special import gamma as _gamma
 
 from .errors import ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField, norm_lp, interp_space
@@ -291,9 +290,10 @@ def holder_constant(p: float, N: int, c0: float, beta: float) -> float:
 
     Assembled from the averaging construction over straight subcharacteristic
     bundles: the cross-section ball volume |R| = C_N (c0^2 - |theta|^2)^(N/2)
-    and the time integral int_0^(1/2) rho^(N(1-q)) drho of the dilation
-    factor, evaluated by quadrature.  Diverges as p -> N+1 (the integral's
-    exponent reaches -1), hence the strict requirement p > N+1.
+    and the time integral int_0^(1/2) rho^e drho of the dilation factor, with
+    e = N(1-q) = -N/(p-1), q = p/(p-1).  The integral has the closed form
+    (1/2)^(e+1) / (e+1), finite exactly when e + 1 = (p-1-N)/(p-1) > 0,
+    i.e. when p > N+1; it diverges as p -> N+1, hence the strict requirement.
     """
     if not (0.0 <= beta < 1.0):
         raise ParameterError(f"beta must lie in [0, 1), got {beta}")
@@ -304,9 +304,8 @@ def holder_constant(p: float, N: int, c0: float, beta: float) -> float:
             f"p must exceed N+1 = {N + 1} (the time integral diverges), got {p}")
     q = p / (p - 1.0)
     expo = N * (1.0 - q)                       # > -1 exactly when p > N+1
-    integral, _ = _quad(lambda r: r ** expo, 0.0, 0.5)
-    ball = np.pi ** (N / 2.0) / _gamma(N / 2.0 + 1.0)
-    alpha = 1.0 - (N + 1.0) / p
+    integral = 0.5 ** (expo + 1.0) / (expo + 1.0)
+    ball = math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
     return float(2.0 * integral ** (1.0 / q) * ball ** (-1.0 / p)
                  * (1.0 - beta ** 2) ** (-N / (2.0 * p)) * c0 ** (-N / p))
 

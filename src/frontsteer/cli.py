@@ -46,6 +46,15 @@ DEFAULT_CONFIG = {
     "outputs": {"directory": "out"},
     "seed": 0,
 }
+# the keys of each speed variant, of a u_T / m0 entry and of the optional
+# ``reproduce`` section (with its defaults).  load_config checks the user's
+# own sections: the merged config keeps the default speed radius and preset
+# next to a finite speed or a file.
+SPEED_KEYS = {"isotropic": ("variant", "radius"),
+              "finite": ("variant", "velocities", "c0", "c1")}
+SLICE_KEYS = ("preset", "file")
+REPRODUCE_DEFAULTS = {"eps": [0.2, 0.1, 0.05], "window_points": 401, "nt": 201,
+                      "tolerance": 0.05}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -69,12 +78,32 @@ def load_config(path: str | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     _refuse_unknown(user, [*DEFAULT_CONFIG, "reproduce"], "config")
-    for name in ("solver", "outputs"):
-        section = user.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
-        _refuse_unknown(section, DEFAULT_CONFIG[name], name)
+    problem = _section(user, "problem")
+    for parent, where, known in (
+            (user, "solver", DEFAULT_CONFIG["solver"]),
+            (user, "outputs", DEFAULT_CONFIG["outputs"]),
+            (user, "reproduce", REPRODUCE_DEFAULTS),
+            (user, "problem", DEFAULT_CONFIG["problem"]),
+            (problem, "problem.cost", DEFAULT_CONFIG["problem"]["cost"]),
+            (problem, "problem.u_T", SLICE_KEYS),
+            (problem, "problem.m0", SLICE_KEYS)):
+        _refuse_unknown(_section(parent, where), known, where)
+    speed = _section(problem, "problem.speed")
+    variant = speed.get("variant", "isotropic")
+    if isinstance(variant, str) and variant in SPEED_KEYS:   # build_speed refuses the rest
+        _refuse_unknown(speed, SPEED_KEYS[variant], f"problem.speed ({variant})")
+    if isinstance(speed.get("radius"), dict):                # a tabulated radius
+        _refuse_unknown(speed["radius"], ("file",), "problem.speed.radius")
     return _merge(DEFAULT_CONFIG, user)
+
+
+def _section(parent: dict, where: str) -> dict:
+    """The entry named by the last part of the dotted ``where`` ({} when
+    absent), refused unless it is a JSON object."""
+    section = parent.get(where.rpartition(".")[2], {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {where!r} must be a JSON object")
+    return section
 
 
 def _refuse_unknown(section: dict, known, where: str) -> None:
@@ -370,14 +399,14 @@ def _reproduce_once(eps: float, window_points: int, nt: int):
 
 def cmd_reproduce(args) -> int:
     config = load_config(args.config)
-    rep = config.get("reproduce", {})
-    eps_list = rep.get("eps", [0.2, 0.1, 0.05])
+    rep = {**REPRODUCE_DEFAULTS, **config.get("reproduce", {})}
+    eps_list = rep["eps"]
     if not isinstance(eps_list, list):
         raise ConfigError(f"reproduce eps must be a list of numbers, got {eps_list!r}")
     eps_list = [_number(eps, "reproduce eps") for eps in eps_list]
-    window_points = _number(rep.get("window_points", 401), "window_points", int)
-    nt = _number(rep.get("nt", 201), "nt", int)
-    tolerance = _number(rep.get("tolerance", 0.05), "tolerance")
+    window_points = _number(rep["window_points"], "window_points", int)
+    nt = _number(rep["nt"], "nt", int)
+    tolerance = _number(rep["tolerance"], "tolerance")
     refine = args.refine
     out = _outdir(config, args)
     t0 = time.perf_counter()

@@ -51,3 +51,13 @@ def test_bundle_certificate_of_an_optimize_bundle_is_finite(tmp_path):
     figures = workloads.bundle_certificate(problem, *fields)
     assert len(figures) == 3
     assert all(isinstance(x, float) and math.isfinite(x) for x in figures.values())
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_workload_configs_load(name, tmp_path):
+    """``load_config`` refuses unknown keys; every key a workload writes must
+    stay known."""
+    from frontsteer import cli
+    workload = _load("workloads").WORKLOADS[name](1, tmp_path)
+    config = cli.load_config(str(workload.config))
+    assert config["seed"] == 1

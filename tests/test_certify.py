@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import closed_form_uniform_bundle, make_uniform_problem
 from frontsteer.errors import ParameterError
@@ -270,6 +274,28 @@ class TestHolder:
                   * (1.0 - beta ** 2) ** (-N / (2 * p)) * c0 ** (-N / p))
         got = holder_constant(p, N, c0, beta)
         assert got == pytest.approx(oracle, rel=1e-6)
+
+    def test_constant_one_dimensional_cubic_cost_is_two(self):
+        # 2 * int_0^(1/2) r^(-1/2) dr ^ (2/3) * 2^(-1/3) = 2 (sqrt 2)^(2/3) 2^(-1/3)
+        assert abs(holder_constant(3.0, 1, 1.0, 0.0) - 2.0) <= math.ulp(2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.sampled_from([1, 2]), frac=st.floats(0.0, 1.0, exclude_max=True),
+           c0=st.floats(0.25, 4.0), beta=st.floats(0.0, 0.9))
+    def test_closed_form_against_quadrature_oracle(self, N, frac, c0, beta):
+        # the trapezoid oracle above over p in (N + 1.05, 12]; the
+        # substitution rho = s^k with k = 4 / (expo + 1) keeps the integrand
+        # smooth however close p comes to N + 1
+        p = 12.0 - frac * (12.0 - (N + 1.05))
+        q = p / (p - 1.0)
+        expo = N * (1.0 - q)
+        k = 4.0 / (expo + 1.0)
+        s = np.linspace(0.0, 0.5 ** (1.0 / k), 400_001)
+        integral = np.trapezoid(k * s ** (k * (expo + 1.0) - 1.0), s)
+        ball = {1: 2.0, 2: np.pi}[N]                # unit-ball volume
+        oracle = (2.0 * integral ** (1.0 / q) * ball ** (-1.0 / p)
+                  * (1.0 - beta ** 2) ** (-N / (2 * p)) * c0 ** (-N / p))
+        assert holder_constant(p, N, c0, beta) == pytest.approx(oracle, rel=1e-6)
 
     def test_divergent_exponent_refused(self):
         with pytest.raises(ParameterError):

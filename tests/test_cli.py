@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frontsteer
 from frontsteer.cli import main
 from frontsteer.grid import ScalarField, VecField, read_field, write_field
 from frontsteer.hj import counterexample_instance
@@ -171,6 +176,65 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and key in err
+
+    def _assert_unknown_keys(self, tmp_path, capsys, overrides, where, keys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **overrides)
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: unknown {where} key(s) {keys};" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_problem_keys(self, tmp_path, capsys):
+        self._assert_unknown_keys(tmp_path, capsys, {"problem": {"Tend": 2.0, "nxx": [8]}},
+                                  "problem", "'Tend', 'nxx'")
+
+    @pytest.mark.parametrize("speed,where,keys", [
+        ({"variant": "isotropic", "radious": 0.25}, "problem.speed (isotropic)",
+         "'radious'"),
+        ({"radious": 0.25}, "problem.speed (isotropic)", "'radious'"),
+        ({"variant": "finite", "velocities": [[1.0], [-1.0]], "c0": 1.0, "c1": 1.0,
+          "radius": 0.5}, "problem.speed (finite)", "'radius'"),
+        ({"radius": {"file": "r.field", "scale": 2.0}}, "problem.speed.radius", "'scale'"),
+    ])
+    def test_unknown_speed_keys(self, tmp_path, capsys, speed, where, keys):
+        # the keys depend on the variant: a finite hull has no radius, and a
+        # tabulated radius names only its file
+        self._assert_unknown_keys(tmp_path, capsys, {"problem": {"speed": speed}},
+                                  where, keys)
+
+    def test_unknown_cost_keys(self, tmp_path, capsys):
+        self._assert_unknown_keys(tmp_path, capsys,
+                                  {"problem": {"cost": {"p": 3.0, "kapa": 9.0}}},
+                                  "problem.cost", "'kapa'")
+
+    @pytest.mark.parametrize("name", ["u_T", "m0"])
+    def test_unknown_slice_keys(self, tmp_path, capsys, name):
+        self._assert_unknown_keys(tmp_path, capsys,
+                                  {"problem": {name: {"preset": "zero", "fiel": "x"}}},
+                                  f"problem.{name}", "'fiel'")
+
+    def test_unknown_reproduce_keys(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"reproduce": {"eps": [0.1], "tolerence": 0.5}}))
+        assert main(["reproduce", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert ("config error: unknown reproduce key(s) 'tolerence';"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("problem,where", [
+        ({"speed": "isotropic"}, "'problem.speed'"),
+        ({"cost": [3.0]}, "'problem.cost'"),
+        ({"m0": "gaussian"}, "'problem.m0'"),
+    ])
+    def test_problem_sections_must_be_objects(self, tmp_path, capsys, problem, where):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, problem=problem)
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config section {where} must be a JSON object" in capsys.readouterr().err
 
     def test_reproduce_eps_not_a_list(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -403,3 +467,31 @@ class TestReproduce:
         lines = (tmp_path / "rep" / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 3                  # header + two eps + limit row
         assert (tmp_path / "rep" / "slices.csv").exists()
+
+
+def test_optimize_runs_without_scipy(tmp_path):
+    """The package's runtime needs only numpy: a fresh interpreter that
+    imports ``frontsteer.cli`` and runs ``optimize`` with its certification
+    battery loads no scipy module.  (This process already holds scipy.)"""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, problem={"nx": [16], "nt": 17, "u_T": {"preset": "cosine"},
+                                    "m0": {"preset": "gaussian"}},
+                 solver={"max_iters": 5})
+    out = tmp_path / "out"
+    script = (
+        "import json, sys\n"
+        "import frontsteer, frontsteer.cli\n"
+        f"code = frontsteer.cli.main(['optimize', '--config', {str(cfg_path)!r}, "
+        f"'--out', {str(out)!r}])\n"
+        "print(json.dumps({'code': code, 'scipy': sorted(\n"
+        "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))}))\n")
+    src = str(Path(frontsteer.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 1                      # capped at 5 iterations
+    checks = json.loads((out / "certificates.json").read_text())["checks"]
+    assert "holder_bound" in {c["name"] for c in checks}
+    assert result["scipy"] == []
