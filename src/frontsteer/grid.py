@@ -7,6 +7,7 @@ space node) and are immutable once constructed.
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -141,6 +142,15 @@ class VecField:
         return self.values[self.grid.check_time_index(t)]
 
 
+def wrap_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x - floor(x)``: the same bits as ``np.mod(x, 1.0)`` on every finite
+    double (for x < 0 both round the exact sum frac + 1 once; -0.0 gives
+    +0.0), at a fraction of its cost.  A tiny negative x wraps to exactly 1.0
+    in both.  ``out``, if given, must not overlap ``x``."""
+    out = np.floor(x, out=out)
+    return np.subtract(x, out, out=out)
+
+
 def _interp_plan(pts: np.ndarray, nx: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Corner plan of periodic multilinear interpolation at ``pts`` (N, dim).
 
@@ -150,7 +160,8 @@ def _interp_plan(pts: np.ndarray, nx: tuple[int, ...]) -> list[tuple[np.ndarray,
     """
     lower, upper, below, above = [], [], [], []
     for a, n in enumerate(nx):
-        xi = np.mod(pts[:, a], 1.0) * n
+        xi = wrap_unit(pts[:, a])
+        xi *= n
         i0 = np.floor(xi).astype(int)
         f = xi - i0
         b = np.mod(i0, n)
@@ -256,13 +267,8 @@ def write_field(path, field, binary: bool = False) -> None:
                 fh.write((fmt % tuple(row.tolist())).encode())
 
 
-def read_field(path):
-    """Read a field file written by write_field.  The header's ``enc`` token
-    selects the payload encoding; files without it (older v1 writers) are
-    read as binary when the payload is exactly 8 bytes per value."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode(errors="replace")
-        payload = fh.read()
+def _parse_header(header: str, path) -> tuple[str, TorusGrid, str | None]:
+    """Kind, grid and ``enc`` token (None if absent) of a field file header."""
     tokens = header.split()
     if len(tokens) < 7 or tokens[0] != FIELD_MAGIC or tokens[1] != FIELD_VERSION:
         raise ParameterError(f"not a {FIELD_MAGIC} {FIELD_VERSION} file: {path}")
@@ -279,24 +285,55 @@ def read_field(path):
         raise ParameterError(f"malformed header in {path}: {exc}") from exc
     if kind not in _KINDS:
         raise ParameterError(f"unknown field kind {kind!r}")
-    grid = TorusGrid(dim, nx, nt, horizon)
-    comps = dim if kind == "vector" else 1
-    count = nt * grid.n_space * comps
-    enc = kv.get("enc", "f64le" if len(payload) == 8 * count else "text")
-    if enc == "f64le":
-        if len(payload) != 8 * count:
-            raise ParameterError(
-                f"expected {8 * count} payload bytes in {path}, found {len(payload)}")
-        flat = np.frombuffer(payload, dtype="<f8").astype(float)
-    elif enc == "text":
-        try:
-            flat = np.array(payload.decode().split(), dtype=float)
-        except ValueError as exc:
-            raise ParameterError(f"non-numeric text payload in {path}: {exc}") from exc
-        if flat.size != count:
-            raise ParameterError(
-                f"expected {count} values in {path}, found {flat.size}")
-    else:
-        raise ParameterError(f"unknown field encoding {enc!r} in {path}")
-    shape = (nt, *nx, dim) if kind == "vector" else (nt, *nx)
+    return kind, TorusGrid(dim, nx, nt, horizon), kv.get("enc")
+
+
+def _parse_text(fh, rows: int, per_row: int, path) -> np.ndarray:
+    """The rest of binary stream ``fh`` as a text payload: ``rows`` lines of
+    ``per_row`` whitespace-separated numbers each, blank lines skipped.
+
+    numpy's C parser (``np.loadtxt``) reads the stream in chunks, to the
+    same doubles as ``float``, without holding the whole payload or one
+    Python object per value."""
+    start = fh.tell()
+    if all(line.isspace() for line in fh):
+        # loadtxt only warns on a payload without data
+        raise ParameterError(f"empty text payload in {path}")
+    fh.seek(start)
+    layout = f"{rows} lines of {per_row} values"
+    try:
+        values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ParameterError(
+            f"malformed text payload in {path} (expected {layout}): {exc}") from exc
+    if values.shape != (rows, per_row):
+        raise ParameterError(f"expected {layout} in {path}, found {values.shape[0]} "
+                             f"lines of {values.shape[1]}")
+    return values
+
+
+def read_field(path):
+    """Read a field file written by write_field.  The header's ``enc`` token
+    selects the payload encoding; files without it (older v1 writers) are
+    read as binary when the payload is exactly 8 bytes per value."""
+    with open(path, "rb") as fh:
+        kind, grid, enc = _parse_header(fh.readline().decode(errors="replace"), path)
+        comps = grid.dim if kind == "vector" else 1
+        count = grid.nt * grid.n_space * comps
+        data = fh
+        if enc is None:
+            payload = fh.read()
+            enc = "f64le" if len(payload) == 8 * count else "text"
+            data = io.BytesIO(payload)
+        if enc == "f64le":
+            payload = data.read()
+            if len(payload) != 8 * count:
+                raise ParameterError(
+                    f"expected {8 * count} payload bytes in {path}, found {len(payload)}")
+            flat = np.frombuffer(payload, dtype="<f8").astype(float)
+        elif enc == "text":
+            flat = _parse_text(data, grid.nt, count // grid.nt, path)
+        else:
+            raise ParameterError(f"unknown field encoding {enc!r} in {path}")
+    shape = (grid.nt, *grid.nx, comps) if kind == "vector" else (grid.nt, *grid.nx)
     return _KINDS[kind](grid, flat.reshape(shape))

@@ -335,33 +335,45 @@ def _solve_power_root(lin, coef, rhs, r):
     broadcastable, lin >= 1, coef >= 0, r > 0).  r = 1/2 (p = 3) has a closed
     form; other r use monotone Newton with a bisection safeguard, tolerance
     1e-12 * (1 + |rhs|) on the residual (a purely absolute 1e-12 lies below
-    the rounding of rhs once rhs > 1e4)."""
+    the rounding of rhs once rhs > 1e4).  An entry whose residual meets the
+    tolerance is frozen after one more Newton step (kept if it lowers the
+    residual); later steps run over the entries still open, so an entry gets
+    the same bits as when solved alone."""
     if r == 0.5:
         return _solve_sqrt_root(lin, coef, rhs)
-    lin = np.asarray(lin, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    active = rhs > 0
+    lin, coef, rhs = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                           for a in (lin, coef, rhs)))
+    out = np.zeros(rhs.shape)
+    pending = np.flatnonzero(rhs > 0)         # rhs <= 0 has root m = 0
+    lin, coef, rhs = (a.ravel()[pending] for a in (lin, coef, rhs))
     tol = 1e-12 * (1.0 + np.abs(rhs))
-    m = np.maximum(rhs, 0.0) / lin            # g(m/lin) >= 0: start at the right
-    lo = np.zeros(np.broadcast(lin, rhs).shape)
-    hi = np.broadcast_to(np.maximum(rhs, 0.0) / lin, lo.shape).copy()
-    g = np.zeros_like(lo)
+    m = rhs / lin                             # g(rhs/lin) >= 0: start at the right
+    lo = np.zeros_like(m)
+    hi = m.copy()
     for _ in range(200):
         g = lin * m + coef * m ** r - rhs
-        if np.all(np.abs(np.where(active, g, 0.0)) < tol):
-            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m_new = m - g / (lin + coef * r * m ** (r - 1.0))
+        done = np.abs(g) < tol
+        if np.any(done):
+            # one more Newton step takes a met residual on to round-off; it
+            # is kept only where it lowers the residual
+            last = m_new[done]
+            with np.errstate(invalid="ignore"):
+                g_last = lin[done] * last + coef[done] * last ** r - rhs[done]
+            better = np.abs(g_last) <= np.abs(g[done])
+            out.flat[pending[done]] = np.where(better, last, m[done])
+            keep = ~done
+            pending, lin, coef, rhs, tol, m, m_new, lo, hi, g = (
+                a[keep] for a in (pending, lin, coef, rhs, tol, m, m_new, lo, hi, g))
+        if not pending.size:
+            return out
         hi = np.where(g > 0, np.minimum(hi, m), hi)
         lo = np.where(g < 0, np.maximum(lo, m), lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gp = lin + coef * r * m ** (r - 1.0)
-            m_new = m - g / gp
         bad = ~np.isfinite(m_new) | (m_new <= lo) | (m_new >= hi)
         m = np.where(bad, 0.5 * (lo + hi), m_new)
-    else:
-        raise NumericError(
-            f"power-root solve failed to converge; worst residual "
-            f"{np.max(np.abs(np.where(active, g, 0.0)))}")
-    return np.where(active, m, 0.0)
+    raise NumericError(
+        f"power-root solve failed to converge; worst residual {np.max(np.abs(g))}")
 
 
 def prox_cost_conj(model: CostModel, m_bar, step: float):

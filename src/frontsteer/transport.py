@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import DensityField, ScalarField, TorusGrid, VecField, interp_space
+from .grid import DensityField, ScalarField, TorusGrid, VecField, interp_space, wrap_unit
 
 __all__ = [
     "split_divergence", "one_sided", "split_by_sign", "split_load", "march_split",
@@ -177,10 +177,18 @@ def pairing_defect(u: ScalarField, m: ScalarField | DensityField, v: VecField) -
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Sampled Euler polygons of a velocity field with per-path mass."""
+    """Sampled Euler polygons of a velocity field with per-path mass.
+
+    ``positions`` has shape (count, nt, dim), each coordinate wrapped by
+    ``grid.wrap_unit`` into [0,1) (or to exactly 1.0 from within round-off
+    below 0).  ``sample_trajectories`` stores it time-major, as the
+    transpose of a C-ordered (nt, count, dim) array, so ``positions[:, k]``
+    is contiguous; ``positions.tobytes()`` is in (count, nt, dim) order for
+    any layout.
+    """
 
     grid: TorusGrid
-    positions: np.ndarray      # (count, nt, dim), wrapped into [0,1)
+    positions: np.ndarray      # (count, nt, dim)
     weights: np.ndarray        # (count,)
     seed: int
 
@@ -223,7 +231,11 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     with ``count``.  Paths follow forward Euler along the multilinearly
     interpolated velocity field.  The march advances blocks of paths, each
     through all time levels before the next; paths do not interact, so every
-    position is independent of the block size.
+    position is independent of the block size.  Positions are stored
+    time-major, (nt, count, dim): each step reads one contiguous block of
+    level k and writes its wrap (``grid.wrap_unit``, the bits of
+    ``np.mod(x, 1.0)``) straight into level k + 1.  ``positions`` is the
+    (count, nt, dim) transpose of that array.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -233,19 +245,19 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     if not mass > 0:
         raise ParameterError("initial density has zero total mass")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    pos = np.empty((count, grid.nt, grid.dim))
-    pos[:, 0] = _sample_initial(m0, grid, count, rng)
+    paths = np.empty((grid.nt, count, grid.dim))
+    paths[0] = _sample_initial(m0, grid, count, rng)
     for start in range(0, count, _MARCH_BLOCK):
         block = slice(start, start + _MARCH_BLOCK)
-        cur = pos[block, 0].copy()
         for k in range(grid.nt - 1):
-            vel = interp_space(v.values[k], cur, grid.nx)
-            vel *= grid.dt
-            vel += cur
-            cur = np.mod(vel, 1.0)
-            pos[block, k + 1] = cur
+            cur = paths[k, block]
+            step = interp_space(v.values[k], cur, grid.nx)
+            step *= grid.dt
+            step += cur
+            wrap_unit(step, out=paths[k + 1, block])
     weights = np.full(count, mass / count)
-    return TrajectoryEnsemble(grid=grid, positions=pos, weights=weights, seed=int(seed))
+    return TrajectoryEnsemble(grid=grid, positions=paths.transpose(1, 0, 2),
+                              weights=weights, seed=int(seed))
 
 
 def _bin_positions(ens: TrajectoryEnsemble, t: int) -> np.ndarray:
@@ -274,12 +286,17 @@ def pushforward_distance(ens: TrajectoryEnsemble, m: DensityField, t: int) -> fl
 
 
 def write_trajectories(path, ens: TrajectoryEnsemble) -> None:
-    """CSV rows: path_id, t, x_1..x_N, weight."""
-    times = ens.grid.times()
+    """CSV rows: path_id, t, x_1..x_N, weight; one ``%`` format per path."""
+    grid = ens.grid
+    row = "%d," + ",".join(["%.17g"] * (grid.dim + 2)) + "\n"
+    per_path = row * grid.nt
+    cols = np.empty((grid.nt, grid.dim + 3))     # path_id, t, x_1..x_N, weight
+    cols[:, 1] = grid.times()
     with open(path, "w") as fh:
-        cols = ",".join(f"x{a + 1}" for a in range(ens.grid.dim))
-        fh.write(f"path_id,t,{cols},weight\n")
+        xs = ",".join(f"x{a + 1}" for a in range(grid.dim))
+        fh.write(f"path_id,t,{xs},weight\n")
         for i in range(ens.count):
-            for k, t in enumerate(times):
-                xs = ",".join(f"{x:.17g}" for x in ens.positions[i, k])
-                fh.write(f"{i},{t:.17g},{xs},{ens.weights[i]:.17g}\n")
+            cols[:, 0] = i
+            cols[:, 2:-1] = ens.positions[i]
+            cols[:, -1] = ens.weights[i]
+            fh.write(per_path % tuple(cols.ravel().tolist()))

@@ -411,6 +411,19 @@ class TestCertifyCommand:
         assert code == 2
         assert "grid does not match" in capsys.readouterr().err
 
+    def test_ragged_text_field_exits_2(self, gaussian_bundle, tmp_path, capsys):
+        # the right number of values, but one time level split over two lines
+        cfg_path, out = gaussian_bundle
+        bundle = _copy_bundle(out, tmp_path / "ragged")
+        header, payload = (bundle / "m.field").read_bytes().split(b"\n", 1)
+        first, rest = payload.split(b"\n", 1)
+        head, tail = first.rsplit(b" ", 1)
+        (bundle / "m.field").write_bytes(header + b"\n" + head + b"\n" + tail + b"\n" + rest)
+        code = main(["certify", "--config", str(cfg_path), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "recheck")])
+        assert code == 2
+        assert "lines of 32 values" in capsys.readouterr().err
+
     def test_scalar_momentum_exits_2(self, gaussian_bundle, tmp_path, capsys):
         cfg_path, out = gaussian_bundle
         bundle = _copy_bundle(out, tmp_path / "scalar_w", names=("u", "f", "m"))

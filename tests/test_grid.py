@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import interp_space_reference
 from frontsteer.errors import ParameterError
-from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
+from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField, _interp_plan,
                              constant_field, integrate_space, interp_space,
-                             interpolate, norm_lp, read_field, write_field)
+                             interpolate, norm_lp, read_field, wrap_unit, write_field)
 
 
 def grid1d(nx=8, nt=5, T=1.0):
@@ -118,6 +120,33 @@ class TestInterpolate:
             one = interp_space(vals, point, nx)
             assert one.shape == vals.shape[dim:]
             assert one.tobytes() == interp_space_reference(vals, point, nx).tobytes()
+
+
+class TestWrapUnit:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @example([0.0, -0.0, 5e-324, -5e-324, -1e-17, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53),
+              1e300, -1e300])
+    def test_bitwise_equal_mod(self, xs):
+        x = np.array(xs)
+        assert wrap_unit(x).tobytes() == np.mod(x, 1.0).tobytes()
+        out = np.empty_like(x)
+        assert wrap_unit(x, out=out) is out
+        assert out.tobytes() == np.mod(x, 1.0).tobytes()
+
+    def test_tiny_negative_coordinate_takes_the_top_node_branch(self):
+        # -1e-17 wraps to exactly 1.0, so xi = n and i0 = n: the cell index
+        # wraps to node 0 with weight exactly 1
+        assert wrap_unit(np.array([-1e-17])).tolist() == [1.0]
+        nx = (8, 6)
+        pts = np.array([[-1e-17, 0.25]])
+        (lo_lo, w_lo_lo), (lo_up, w_lo_up), (up_lo, w_up_lo), (up_up, w_up_up) = \
+            _interp_plan(pts, nx)
+        assert lo_lo.tolist() == [0 * 6 + 1] and up_lo.tolist() == [1 * 6 + 1]
+        assert w_lo_lo.tolist() == [0.5] and w_up_lo.tolist() == [0.0]
+        vals = np.random.default_rng(4).standard_normal(nx)
+        got = interp_space(vals, pts, nx)
+        assert got.tobytes() == interp_space_reference(vals, pts, nx).tobytes()
+        assert got.tobytes() == interp_space(vals, np.array([[0.0, 0.25]]), nx).tobytes()
 
 
 class TestQuadrature:
@@ -278,6 +307,37 @@ class TestFieldFiles:
         path.write_text(header + "\n1 2 3\n")
         with pytest.raises(ParameterError):
             read_field(path)
+
+    @pytest.mark.parametrize("payload,match", [
+        (b"", "empty text payload"),
+        (b"\n \t\n", "empty text payload"),
+        (b"1 2 3 4\n5 6 7\n8\n", "lines of 4 values"),        # ragged, 8 values in all
+        (b"1 2 3 4 5 6 7 8\n", "lines of 4 values"),          # one line for two levels
+        (b"1 2 3 4\n5 6 7 8\n9 10 11 12\n", "lines of 4 values"),
+        (b"1 2 3 4\n5 nan 7 8\n", "finite"),
+        (b"1 2 3 4\n5 6 7 8 # note\n", "lines of 4 values"),
+    ], ids=["empty", "blank", "ragged", "one_line", "extra_line", "nan", "comment"])
+    def test_text_payload_refused(self, tmp_path, payload, match):
+        path = tmp_path / "t.field"
+        path.write_bytes(b"frontsteer-field v1 dim=1 nx=4 nt=2 T=1 kind=scalar enc=text\n"
+                         + payload)
+        with pytest.raises(ParameterError, match=match):
+            read_field(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p + b"\n\n",                               # trailing blank lines
+        lambda p: b"\n" + p.replace(b"\n", b"\r\n"),          # leading blank line, CRLF
+        lambda p: p.replace(b" ", b" \t  "),                  # any run of spaces and tabs
+        lambda p: b"  " + p.replace(b"\n", b" \n\t"),          # padded lines
+    ], ids=["trailing_blank", "crlf", "tabs", "padded"])
+    def test_text_layouts_accepted(self, tmp_path, edit):
+        g = TorusGrid(2, (4, 4), 3, 1.0)
+        v = VecField(g, np.random.default_rng(9).standard_normal((3, 4, 4, 2)))
+        path = tmp_path / "v.field"
+        write_field(path, v)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n" + edit(payload))
+        assert read_field(path).values.tobytes() == v.values.tobytes()
 
     def test_non_numeric_text_value(self, tmp_path):
         path = tmp_path / "t.field"

@@ -601,6 +601,22 @@ class TestNewtonRootTolerance:
         assert m >= 0.0
         assert abs(lin * m + coef * np.cbrt(m) - rhs) <= 1e-12 * (1.0 + rhs)
 
+    @pytest.mark.parametrize("r", [1.0 / 3.0, 2.0])
+    def test_entry_bits_do_not_depend_on_the_other_entries(self, r):
+        # many entries converge in a few steps and one needs dozens: each is
+        # frozen when it converges, so it has the bits of its own solve
+        rng = np.random.default_rng(31)
+        rhs = rng.uniform(0.5, 2.0, 200)
+        coef = np.full(200, 0.01)
+        rhs[:3] = [-1.0, 0.0, 1e-6]
+        coef[2] = 1e4                   # the slow entry (84 Newton steps at r = 1/3)
+        mixed = _solve_power_root(1.0, coef, rhs, r)
+        assert mixed.shape == (200,) and mixed[0] == 0.0 and mixed[1] == 0.0
+        for i in range(200):
+            alone = _solve_power_root(1.0, coef[i], rhs[i], r)
+            assert alone.tobytes() == mixed[i].tobytes()
+        assert np.all(np.abs(mixed + coef * mixed ** r - rhs)[2:] <= 1e-12 * (1.0 + rhs[2:]))
+
     def test_large_rhs_regression(self):
         m = float(_solve_power_root(23949.0, 1.0, 14638.0, 1.0 / 3.0))
         assert abs(23949.0 * m + np.cbrt(m) - 14638.0) <= 1e-12 * (1.0 + 14638.0)

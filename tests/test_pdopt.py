@@ -11,7 +11,7 @@ from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, cost,
                               cost_conj)
-from frontsteer.pdopt import (ProblemInstance, SolverConfig, certificate,
+from frontsteer.pdopt import (ProblemInstance, SolverConfig, certificate, _certificate,
                               _gram_solver, _rows, _rows_adjoint, _split_velocity,
                               continuity_residual_rows, evaluate_A, evaluate_B,
                               optimize, recover_f, recover_velocity,
@@ -500,17 +500,35 @@ class TestOptimize:
         with pytest.raises(NumericError, match="iteration 3$"):
             optimize(_gauss_problem(16), SolverConfig(max_iters=10))
 
+    @staticmethod
+    def _gauss_2d(nt):
+        grid = TorusGrid(2, (8, 8), nt, 1.0)
+        x, y = grid.meshgrid()
+        m0 = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2 * 0.1 ** 2))
+        return ProblemInstance(grid=grid, speed=IsotropicSpeed(2, 1.0), cost=CostModel(4.0),
+                               u_T=np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y),
+                               m0=m0 / (np.sum(m0) * grid.cell_volume))
+
     def test_split_load_note(self):
         # 2D at dt = dx: the split ball lets the load reach sqrt(2*dim) c dt/dx
         # = 2, the march is scaled, and the non-converged run says so
-        grid = TorusGrid(2, (8, 8), 9, 1.0)
-        x, y = grid.meshgrid()
-        m0 = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2 * 0.1 ** 2))
-        prob = ProblemInstance(grid=grid, speed=IsotropicSpeed(2, 1.0), cost=CostModel(4.0),
-                               u_T=np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y),
-                               m0=m0 / (np.sum(m0) * grid.cell_volume))
-        notes = optimize(prob, SolverConfig(max_iters=50)).diagnostics.notes
+        notes = optimize(self._gauss_2d(9), SolverConfig(max_iters=50)).diagnostics.notes
         assert any("= 2 > 1" in n and "nt >= 17" in n for n in notes)
+
+    def test_no_split_load_note_at_round_off(self):
+        # at dt = dx/(sqrt(2*dim) c) (nt = 2 nx + 1) a saturated iterate has
+        # load 1 + O(1e-16): no note that asks for the nt the run already has
+        prob = self._gauss_2d(17)
+        at_round_off = 0
+        for iters in range(1, 31):
+            bundle = optimize(prob, SolverConfig(max_iters=iters))
+            details = {}
+            _certificate(prob, bundle.u.values, bundle.m.values,
+                         bundle.diagnostics.w_split, details=details)
+            assert details["max_split_load"] <= 1.0 + 1e-12
+            at_round_off += details["max_split_load"] > 1.0
+            assert not any("nt >=" in n for n in bundle.diagnostics.notes)
+        assert at_round_off
 
     @pytest.mark.parametrize("n,cap", [(64, 600), (128, 1000)])
     def test_default_steps_stop_within_the_iteration_budget(self, n, cap):

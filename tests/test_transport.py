@@ -181,6 +181,15 @@ class TestSampleTrajectories:
             assert np.max(np.abs(wrap)) <= 1e-14
 
 
+    def test_positions_shape_and_time_major_layout(self):
+        grid = TorusGrid(2, (6, 5), 7, 1.0)
+        v = VecField(grid, np.random.default_rng(5).uniform(-0.4, 0.4, (7, 6, 5, 2)))
+        ens = sample_trajectories(np.ones((6, 5)), v, 33, seed=4)
+        assert ens.positions.shape == (33, grid.nt, grid.dim) and ens.count == 33
+        assert all(ens.positions[:, k].flags.c_contiguous for k in range(grid.nt))
+        assert ens.positions.tobytes() == np.ascontiguousarray(ens.positions).tobytes()
+        assert np.all((ens.positions >= 0.0) & (ens.positions <= 1.0))
+
     @pytest.mark.parametrize("count", [37, 2 * _MARCH_BLOCK + 101])
     def test_blocked_march_bitwise_equal_reference(self, count):
         grid = TorusGrid(2, (16, 12), 9, 1.0)
@@ -219,6 +228,24 @@ class TestPushforward:
         ens = TrajectoryEnsemble(grid=grid, positions=positions,
                                  weights=np.full(5, 0.05), seed=0)
         assert pushforward_distance(ens, m, 0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("time_major", [False, True])
+    def test_csv_bytes_equal_row_by_row_reference(self, tmp_path, time_major):
+        grid = TorusGrid(2, (4, 4), 3, 0.7)
+        positions = np.random.default_rng(12).random((5, 3, 2))
+        positions[0, 0] = [-0.0, 5e-324]
+        positions[1, 2] = [np.nextafter(1.0, 0.0), 0.0]
+        if time_major:
+            positions = np.ascontiguousarray(positions.transpose(1, 0, 2)).transpose(1, 0, 2)
+        ens = TrajectoryEnsemble(grid=grid, positions=positions,
+                                 weights=np.array([0.2, 5e-324, -0.0, 1 / 3, 0.1]), seed=0)
+        write_trajectories(tmp_path / "paths.csv", ens)
+        rows = ["path_id,t,x1,x2,weight\n"]
+        for i in range(ens.count):
+            for k, t in enumerate(grid.times()):
+                xs = ",".join(f"{x:.17g}" for x in ens.positions[i, k])
+                rows.append(f"{i},{t:.17g},{xs},{ens.weights[i]:.17g}\n")
+        assert (tmp_path / "paths.csv").read_bytes() == "".join(rows).encode()
 
     def test_csv_serialization(self, tmp_path):
         grid = TorusGrid(1, (8,), 3, 1.0)
