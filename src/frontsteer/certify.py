@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField, norm_lp, interp_space
-from .model import IsotropicSpeed, SpeedModel, cost_deriv_conj
+from .model import IsotropicSpeed, SpeedModel, _component_norm, cost_deriv_conj
 from . import pdopt
 from .pdopt import ProblemInstance
 # unused here; perfbench/tracing.py wraps them in this namespace
@@ -216,7 +216,7 @@ def sample_admissible_field(speed: SpeedModel, grid: TorusGrid,
     # per-variant sampling: the order of the RNG draws fixes every seeded bundle
     if isinstance(speed, IsotropicSpeed):
         raw = np.stack([_fourier_scalar(rng, grid) for _ in range(grid.dim)], axis=-1)
-        mag = np.linalg.norm(raw, axis=-1)
+        mag = _component_norm(raw)
         radius = speed.radius_nodes(grid.nx)
         scale = 0.98 * radius / (1.0 + mag)
         return VecField(grid, raw * scale[..., None])
@@ -229,6 +229,15 @@ def sample_admissible_field(speed: SpeedModel, grid: TorusGrid,
     return VecField(grid, mix)
 
 
+def _draw_pair(speed: SpeedModel, grid: TorusGrid, rng: np.random.Generator):
+    """One sampled test pair of ``check_subsolution``: an admissible field
+    and a smooth phi >= 0 scaled to max 1."""
+    v = sample_admissible_field(speed, grid, rng)
+    phi = _fourier_scalar(rng, grid) ** 2
+    mx = np.max(phi)
+    return v, (phi / mx if mx > 0 else phi)
+
+
 def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
                       trials: int = 20, seed: int = 0,
                       slack: float | None = None,
@@ -238,41 +247,37 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     discrete transport pairing.
 
     ``pairs`` optionally supplies explicit (VecField, phi array) test pairs
-    instead of random sampling."""
+    instead of random sampling.  Sampled pairs are streamed: each is summed
+    and dropped before the next is drawn, so memory does not grow with
+    ``trials``."""
     grid = u.grid
     if f.grid != grid:
         raise ParameterError("fields live on different grids")
-    rng = np.random.default_rng(seed)
-    if pairs is None:
-        pairs = []
-        for _ in range(trials):
-            v = sample_admissible_field(speed, grid, rng)
-            phi = _fourier_scalar(rng, grid) ** 2
-            mx = np.max(phi)
-            if mx > 0:
-                phi = phi / mx
-            pairs.append((v, phi))
     vol = grid.cell_volume
     d = grid.dim
-    lhs = [0.0] * len(pairs)
-    rhs = [0.0] * len(pairs)
-    for k in range(grid.nt - 1):
-        # the trial-independent parts of upwind_directional_derivative, once
-        # per level; each trial repeats its float expressions in its order
-        u_next = u.values[k + 1]
-        du = u_next - u.values[k]
-        fwd, bwd = one_sided(u_next, grid)
-        for trial, (v, phi) in enumerate(pairs):
+    # the trial-independent parts of upwind_directional_derivative, once for
+    # all levels; each trial repeats its float expressions level by level
+    du = u.values[1:] - u.values[:-1]
+    fwd, bwd = one_sided(u.values[1:], grid)
+
+    def excess(v: VecField, phi: np.ndarray) -> float:
+        lhs = rhs = 0.0
+        for k in range(grid.nt - 1):
             vs = transport.split_by_sign(v.values[k])
-            dd = np.zeros_like(u_next)
+            dd = np.zeros_like(du[k])
             for a in range(d):
-                dd += vs[..., a] * fwd[..., a] + vs[..., d + a] * bwd[..., a]
-            lhs[trial] += -vol * float(np.sum(phi[k] * (du + grid.dt * dd)))
-            rhs[trial] += vol * grid.dt * float(np.sum(f.values[k] * phi[k]))
+                dd += vs[..., a] * fwd[k, ..., a] + vs[..., d + a] * bwd[k, ..., a]
+            lhs += -vol * float(np.sum(phi[k] * (du[k] + grid.dt * dd)))
+            rhs += vol * grid.dt * float(np.sum(f.values[k] * phi[k]))
+        return lhs - rhs
+
+    rng = np.random.default_rng(seed)
     worst = (-np.inf, None)
-    for trial, (lhs_t, rhs_t) in enumerate(zip(lhs, rhs)):
-        if lhs_t - rhs_t > worst[0]:
-            worst = (lhs_t - rhs_t, trial)
+    for trial in range(trials if pairs is None else len(pairs)):
+        # a sampled pair lives only for its own call
+        gap = excess(*(_draw_pair(speed, grid, rng) if pairs is None else pairs[trial]))
+        if gap > worst[0]:
+            worst = (gap, trial)
     if slack is None:
         c_report = 2.0 * (1.0 + speed.c1) * (1.0 + grid.horizon)
         slack = c_report * _disc_scale(grid)

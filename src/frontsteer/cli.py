@@ -306,13 +306,17 @@ def cmd_solve_transport(args) -> int:
     write_field(out / "m.field", m)
     masses = [float(np.sum(m.values[k]) * problem.grid.cell_volume)
               for k in range(problem.grid.nt)]
+    extra = {}
     if args.paths:
         ens = transport.sample_trajectories(problem.m0, v, args.paths,
                                             seed=_seed(config, args))
         transport.write_trajectories(out / "trajectories.csv", ens)
+        last = problem.grid.nt - 1
+        extra = {"pushforward_l1": transport.pushforward_distance(ens, m, last),
+                 "pushforward_floor": transport.pushforward_floor(m, last, args.paths)}
     write_manifest(out, config, {
         "command": "solve-transport", "mass_per_level": masses,
-        "mass_drift": max(abs(x - masses[0]) for x in masses),
+        "mass_drift": max(abs(x - masses[0]) for x in masses), **extra,
         "runtime_s": time.perf_counter() - t0})
     return EXIT_OK
 

@@ -49,8 +49,9 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField
-from .model import (CostModel, IsotropicSpeed, SpeedModel, cost, cost_conj,
-                    cost_deriv_conj, prox_cost_conj_coned, prox_cost_conj_hull)
+from .model import (CostModel, IsotropicSpeed, SpeedModel, _component_norm, cost,
+                    cost_conj, cost_deriv_conj, prox_cost_conj_coned,
+                    prox_cost_conj_hull)
 from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it in this namespace
 from .transport import march_split, one_sided, split_by_sign, split_divergence, split_load
 
@@ -280,7 +281,7 @@ def recover_velocity(m: DensityField, w: VecField, floor: float = 1e-10,
     np.divide(w.values, m.values[..., None], out=v, where=mask[..., None])
     if speed is not None:
         cap = speed.c1
-        norm = np.linalg.norm(v, axis=-1)
+        norm = _component_norm(v)
         over = norm > cap
         if np.any(over):
             v[over] *= (cap / norm[over])[..., None]

@@ -1,5 +1,5 @@
 """The discrete operator pair, the continuity solver built on it, and a
-trajectory sampler.
+path sampler of the same march.
 
 The pair is the split divergence of Achdou & Capuzzo-Dolcetta (SIAM J.
 Numer. Anal. 2010), ``split_divergence``, and its adjoint up to sign, the
@@ -14,6 +14,11 @@ and the scheme is monotone (m stays >= 0) under the CFL condition.  By exact
 summation by parts the pair gives ``upwind_directional_derivative``;
 ``pairing_defect`` checks the discrete integration-by-parts identity for
 arbitrary fields.
+
+``sample_trajectories`` draws paths of the Markov chain whose law is that
+march (one jump of at most one cell per step), so the expected path
+histogram is the marched density at every level.  The march and the chain
+share one CFL test.
 """
 
 from __future__ import annotations
@@ -23,13 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import DensityField, ScalarField, TorusGrid, VecField, interp_space, wrap_unit
+from .grid import DensityField, ScalarField, TorusGrid, VecField
+# unused here; perfbench/tracing.py wraps it in this namespace
+from .grid import interp_space
 
 __all__ = [
     "split_divergence", "one_sided", "split_by_sign", "split_load", "march_split",
     "solve_continuity", "sample_trajectories", "pushforward_distance",
-    "TrajectoryEnsemble", "upwind_directional_derivative", "pairing_defect",
-    "write_trajectories",
+    "pushforward_floor", "TrajectoryEnsemble", "upwind_directional_derivative",
+    "pairing_defect", "write_trajectories",
 ]
 
 
@@ -84,8 +91,12 @@ def one_sided(phi: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]
 def split_by_sign(v: np.ndarray) -> np.ndarray:
     """Nodal vectors v, shape (..., dim), as split velocities or momenta
     (max(v, 0), min(v, 0)) along the last axis, shape (..., 2*dim): the
-    donor-cell form."""
-    return np.concatenate([np.maximum(v, 0.0), np.minimum(v, 0.0)], axis=-1)
+    donor-cell form; each half is written in place, with no temporary."""
+    d = v.shape[-1]
+    split = np.empty((*v.shape[:-1], 2 * d))
+    np.maximum(v, 0.0, out=split[..., :d])
+    np.minimum(v, 0.0, out=split[..., d:])
+    return split
 
 
 def split_load(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -109,6 +120,19 @@ def march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return m
 
 
+def _split_within_cfl(v: VecField) -> np.ndarray:
+    """v split by sign (``split_by_sign``), refused when its CFL load passes
+    1 + 1e-12 on any level: beyond it the march can go negative and the
+    chain's jump probabilities sum past 1."""
+    split = split_by_sign(v.values)
+    worst = float(np.max(split_load(split, v.grid)))
+    if worst > 1.0 + 1e-12:
+        raise ParameterError(
+            f"CFL violation: max speed load {worst:.4g} > 1 "
+            f"(require sum_axes |v_a|*dt/dx_a <= 1 for positivity)")
+    return split
+
+
 def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
     """March the continuity equation forward from the initial density slice:
     ``march_split`` of v split by sign.
@@ -122,12 +146,7 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
         raise ParameterError(f"m0 shape {m0.shape} != grid {grid.nx}")
     if np.min(m0) < 0:
         raise ParameterError("initial density must be >= 0")
-    split = split_by_sign(v.values)
-    worst = float(np.max(split_load(split, grid)))
-    if worst > 1.0 + 1e-12:
-        raise ParameterError(
-            f"CFL violation: max speed load {worst:.4g} > 1 "
-            f"(require sum_axes |v_a|*dt/dx_a <= 1 for positivity)")
+    split = _split_within_cfl(v)
     m = march_split(m0, split[:-1], grid)
     # monotone scheme: only round-off can dip below zero
     floor = np.min(m)
@@ -177,65 +196,89 @@ def pairing_defect(u: ScalarField, m: ScalarField | DensityField, v: VecField) -
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Sampled Euler polygons of a velocity field with per-path mass.
+    """Sampled paths of the split march's Markov chain, with per-path mass.
 
-    ``positions`` has shape (count, nt, dim), each coordinate wrapped by
-    ``grid.wrap_unit`` into [0,1) (or to exactly 1.0 from within round-off
-    below 0).  ``sample_trajectories`` stores it time-major, as the
-    transpose of a C-ordered (nt, count, dim) array, so ``positions[:, k]``
-    is contiguous; ``positions.tobytes()`` is in (count, nt, dim) order for
-    any layout.
+    ``cells`` holds the flat node index (C order over ``grid.nx``) of every
+    path at every time level, time-major: shape (nt, count), int32, so
+    ``cells[k]`` is one contiguous level.  ``positions`` gives the node
+    coordinates of the same paths on demand, shape (count, nt, dim).
     """
 
     grid: TorusGrid
-    positions: np.ndarray      # (count, nt, dim)
+    cells: np.ndarray          # (nt, count) int32
     weights: np.ndarray        # (count,)
     seed: int
 
     @property
     def count(self) -> int:
-        return self.positions.shape[0]
+        return self.cells.shape[1]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return _node_coords(self.grid, self.cells.T)
 
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
 
-def _sample_initial(m0: np.ndarray, grid: TorusGrid, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    probs = m0.ravel() / np.sum(m0)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    cells = np.searchsorted(cum, rng.random(count), side="right")
+def _node_coords(grid: TorusGrid, cells: np.ndarray) -> np.ndarray:
+    """Coordinates (i_a / n_a per axis) of flat node indices, shape
+    (*cells.shape, dim)."""
     idx = np.unravel_index(cells, grid.nx)
-    pos = np.empty((count, grid.dim))
-    for a in range(grid.dim):
-        # node i owns the cell [x_i - dx/2, x_i + dx/2)
-        pos[:, a] = np.mod((idx[a] - 0.5 + rng.random(count)) * grid.dx[a], 1.0)
-    return pos
+    return np.stack([grid.axis_coords(a)[idx[a]] for a in range(grid.dim)], axis=-1)
 
 
-# Paths marched together: bounds the interpolation temporaries (corner
-# indices, weights, gathered values) to a few MB whatever the path count.
-_MARCH_BLOCK = 8192
+def _level_rng(seed: int, level: int) -> np.random.Generator:
+    """The stream of one time level: Philox keyed by (seed, level), so the
+    draws of path i do not depend on how many paths are drawn."""
+    return np.random.Generator(np.random.Philox(key=[int(seed), level]))
+
+
+def _jump_table(split: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The chain's cumulative jump probabilities, shape (nt - 1, n_space,
+    2*dim), from split velocities of every level, shape (nt, *nx, 2*dim),
+    which it overwrites.  Entry e of a cell is the probability of the jumps
+    0..e, in the order +e_0, .., +e_{dim-1}, -e_0, .., -e_{dim-1}: jump
+    +e_a has probability a_a dt/dx_a and -e_a has -b_a dt/dx_a."""
+    d = grid.dim
+    table = split[:-1].reshape(grid.nt - 1, grid.n_space, 2 * d)
+    for a in range(d):
+        table[..., a] *= grid.dt / grid.dx[a]
+        table[..., d + a] *= -grid.dt / grid.dx[a]
+    return np.cumsum(table, axis=-1, out=table)
+
+
+def _neighbour_table(grid: TorusGrid) -> np.ndarray:
+    """Flat int32 table of (2*dim + 1) entries per cell: the cell after the
+    jumps +e_0, .., -e_{dim-1} of ``_jump_table`` on the torus, then the cell
+    itself (no jump)."""
+    idx = np.arange(grid.n_space, dtype=np.int32).reshape(grid.nx)
+    plus = [np.roll(idx, -1, axis=a) for a in range(grid.dim)]
+    minus = [np.roll(idx, 1, axis=a) for a in range(grid.dim)]
+    return np.stack([*plus, *minus, idx], axis=-1).ravel()
 
 
 def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
                         seed: int) -> TrajectoryEnsemble:
-    """Monte Carlo realization of the superposition representation.
+    """Monte Carlo realization of the superposition representation: paths of
+    the Markov chain whose law is the split march of ``solve_continuity``
+    (the Markov chain approximation of Kushner & Dupuis).
 
-    Initial positions are drawn from m0 / mass(m0) with a Philox generator
-    keyed by the seed, so an ensemble is reproducible from (seed, count).
-    One stream serves all paths: the ``count`` cell draws come first, then
-    the ``count`` in-cell offsets per axis, so the position of path i changes
-    with ``count``.  Paths follow forward Euler along the multilinearly
-    interpolated velocity field.  The march advances blocks of paths, each
-    through all time levels before the next; paths do not interact, so every
-    position is independent of the block size.  Positions are stored
-    time-major, (nt, count, dim): each step reads one contiguous block of
-    level k and writes its wrap (``grid.wrap_unit``, the bits of
-    ``np.mod(x, 1.0)``) straight into level k + 1.  ``positions`` is the
-    (count, nt, dim) transpose of that array.
+    v is split by sign and refused above the CFL load of the march.  A path
+    starts in a cell drawn from m0 / mass(m0); from level k to k + 1 a path
+    in cell i jumps to i + e_a with probability a_a dt/dx_a, to i - e_a with
+    probability -b_a dt/dx_a, and stays otherwise.  The expected histogram
+    at every level is therefore the march of m0 / mass(m0), so
+    ``pushforward_distance`` measures Monte-Carlo error only
+    (``pushforward_floor``).
+
+    Level 0's cell draws and each step's uniforms (one per path) come from
+    Philox keyed by (seed, level), so an ensemble is reproducible from the
+    seed and path i is the same whatever ``count`` is.  A step compares each
+    path's uniform with its cell's row of the cumulative table (nt - 1,
+    n_space, 2*dim) and moves it through a fixed neighbour table.  Cells are
+    stored time-major as int32, (nt, count): 4 bytes per path and level.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -244,39 +287,36 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     mass = float(np.sum(m0) * grid.cell_volume)
     if not mass > 0:
         raise ParameterError("initial density has zero total mass")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    paths = np.empty((grid.nt, count, grid.dim))
-    paths[0] = _sample_initial(m0, grid, count, rng)
-    for start in range(0, count, _MARCH_BLOCK):
-        block = slice(start, start + _MARCH_BLOCK)
-        for k in range(grid.nt - 1):
-            cur = paths[k, block]
-            step = interp_space(v.values[k], cur, grid.nx)
-            step *= grid.dt
-            step += cur
-            wrap_unit(step, out=paths[k + 1, block])
+    jumps = _jump_table(_split_within_cfl(v), grid)
+    neighbours = _neighbour_table(grid)
+    stride = 2 * grid.dim + 1
+    cells = np.empty((grid.nt, count), dtype=np.int32)
+    # one step's scratch, reused: a uniform and a neighbour-table index per path
+    draw = np.empty(count)
+    pick = np.empty(count, dtype=np.int32)
+    cum = np.cumsum(m0.ravel() / np.sum(m0))
+    cum[-1] = 1.0
+    cells[0] = np.searchsorted(cum, _level_rng(seed, 0).random(out=draw), side="right")
+    for k in range(grid.nt - 1):
+        _level_rng(seed, k + 1).random(out=draw)
+        cur = cells[k]
+        np.multiply(cur, stride, out=pick)
+        # fancy indexing casts int32 indices in small buffers, where take
+        # would copy them whole to intp
+        for e in range(stride - 1):
+            pick += jumps[k, :, e][cur] <= draw
+        cells[k + 1] = neighbours[pick]
     weights = np.full(count, mass / count)
-    return TrajectoryEnsemble(grid=grid, positions=paths.transpose(1, 0, 2),
-                              weights=weights, seed=int(seed))
-
-
-def _bin_positions(ens: TrajectoryEnsemble, t: int) -> np.ndarray:
-    grid = ens.grid
-    pos = ens.positions[:, grid.check_time_index(t)]
-    flat_idx = np.zeros(ens.count, dtype=int)
-    for a in range(grid.dim):
-        ia = np.mod(np.floor(pos[:, a] * grid.nx[a] + 0.5).astype(int), grid.nx[a])
-        flat_idx = flat_idx * grid.nx[a] + ia
-    hist = np.bincount(flat_idx, weights=ens.weights, minlength=grid.n_space)
-    return hist.reshape(grid.nx)
+    return TrajectoryEnsemble(grid=grid, cells=cells, weights=weights, seed=int(seed))
 
 
 def pushforward_distance(ens: TrajectoryEnsemble, m: DensityField, t: int) -> float:
-    """L1 distance between the normalized path histogram (nodal binning) and
-    m(t)/mass; lies in [0, 2]."""
+    """L1 distance between the normalized path histogram and m(t)/mass; lies
+    in [0, 2]."""
     if ens.grid != m.grid:
         raise ParameterError("ensemble and density live on different grids")
-    hist = _bin_positions(ens, t)
+    hist = np.bincount(ens.cells[ens.grid.check_time_index(t)], weights=ens.weights,
+                       minlength=ens.grid.n_space).reshape(ens.grid.nx)
     p_hat = hist / np.sum(hist)
     slice_m = m.at(t)
     mass = np.sum(slice_m)
@@ -285,8 +325,18 @@ def pushforward_distance(ens: TrajectoryEnsemble, m: DensityField, t: int) -> fl
     return float(np.sum(np.abs(p_hat - slice_m / mass)))
 
 
+def pushforward_floor(m: DensityField, t: int, count: int) -> float:
+    """Monte-Carlo floor of ``pushforward_distance`` for ``count`` paths
+    whose level-t cells are independent draws from p = m(t)/mass: the
+    normal approximation sqrt(2/pi) * sum_i sqrt(p_i (1 - p_i) / count) of
+    the expected L1 error of their histogram."""
+    p = m.at(t) / np.sum(m.at(t))
+    return float(np.sqrt(2.0 / np.pi) * np.sum(np.sqrt(p * (1.0 - p) / count)))
+
+
 def write_trajectories(path, ens: TrajectoryEnsemble) -> None:
-    """CSV rows: path_id, t, x_1..x_N, weight; one ``%`` format per path."""
+    """CSV rows: path_id, t, x_1..x_N, weight, with node coordinates built
+    one path at a time; one ``%`` format per path."""
     grid = ens.grid
     row = "%d," + ",".join(["%.17g"] * (grid.dim + 2)) + "\n"
     per_path = row * grid.nt
@@ -297,6 +347,6 @@ def write_trajectories(path, ens: TrajectoryEnsemble) -> None:
         fh.write(f"path_id,t,{xs},weight\n")
         for i in range(ens.count):
             cols[:, 0] = i
-            cols[:, 2:-1] = ens.positions[i]
+            cols[:, 2:-1] = _node_coords(grid, ens.cells[:, i])
             cols[:, -1] = ens.weights[i]
             fh.write(per_path % tuple(cols.ravel().tolist()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ def fourier_scalar_reference(rng, grid, modes=3):
 
 
 def subsolution_reference(u, f, pairs):
-    """Trial-outer form of the ``check_subsolution`` sums, kept as the bitwise
-    reference for the level-outer loop: (worst lhs - rhs, its trial)."""
+    """Per-level ``upwind_directional_derivative`` form of the
+    ``check_subsolution`` sums, kept as the bitwise reference for its shared
+    differences: (worst lhs - rhs, its trial)."""
     grid = u.grid
     vol = grid.cell_volume
     worst = (-np.inf, None)
@@ -247,6 +249,47 @@ class TestSubsolution:
                 assert got.tobytes() == fourier_scalar_reference(ref_rng, grid).tobytes()
             # same draws in the same order
             assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("speed", [
+        IsotropicSpeed(2, 1.0),
+        FiniteControlsSpeed(2, c0=0.7, c1=1.0, velocities=tuple(
+            (lambda x, e=e: np.broadcast_to(e, x.shape))
+            for e in np.vstack([np.eye(2), -np.eye(2)])))], ids=["ball", "hull"])
+    def test_streamed_trials_bitwise_equal_pairs_drawn_first(self, speed):
+        # the sampled trials keep the draws of all pairs drawn up front
+        grid = TorusGrid(2, (12, 10), 9, 1.0)
+        rng = np.random.default_rng(4)
+        shape = (grid.nt, *grid.nx)
+        u = ScalarField(grid, rng.standard_normal(shape))
+        f = ScalarField(grid, rng.random(shape))
+        draws = np.random.default_rng(7)
+        pairs = []
+        for _ in range(5):
+            v = certify.sample_admissible_field(speed, grid, draws)
+            phi = certify._fourier_scalar(draws, grid) ** 2
+            pairs.append((v, phi / np.max(phi)))
+        rep = check_subsolution(u, f, speed, trials=5, seed=7)
+        lhs, trial = subsolution_reference(u, f, pairs)
+        assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
+        assert rep.worst_location == (trial,)
+
+    def test_memory_does_not_grow_with_trials(self):
+        grid = TorusGrid(2, (16, 16), 17, 1.0)
+        rng = np.random.default_rng(6)
+        shape = (grid.nt, *grid.nx)
+        u = ScalarField(grid, rng.standard_normal(shape))
+        f = ScalarField(grid, rng.random(shape))
+        speed = IsotropicSpeed(2, 1.0)
+        peaks = {}
+        for trials in (1, 10):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                check_subsolution(u, f, speed, trials=trials, seed=3)
+                peaks[trials] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[10] <= 1.5 * peaks[1]
 
 
 class TestHolder:

@@ -465,6 +465,9 @@ class TestSolveTransport:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mass_drift"] <= 1e-12
         assert (out / "trajectories.csv").exists()
+        # the paths' histogram at T against m(T), next to its Monte-Carlo floor
+        assert 0 < manifest["pushforward_floor"] < 1
+        assert 0 <= manifest["pushforward_l1"] <= 3 * manifest["pushforward_floor"]
 
 
 class TestReproduce:

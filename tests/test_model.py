@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from frontsteer.errors import ParameterError
 from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
-                              _solve_power_root, cost, cost_conj, cost_deriv_conj,
+                              _component_norm, _solve_power_root, cost, cost_conj, cost_deriv_conj,
                               prox_cost_conj, prox_cost_conj_coned, prox_cost_conj_hull)
 
 
@@ -37,6 +37,18 @@ def nodes(grid, vec):
 
 
 GRID_2D = TorusGrid(2, (4, 4), 3, 1.0)
+
+
+class TestComponentNorm:
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_bitwise_equal_linalg_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150):
+            x = rng.standard_normal((9, 8, 7, dim)) * scale
+            x[::3, ..., 0] = 0.0
+            x[1, 1, 1] = -0.0
+            for arr in (x, x[:, ::2], np.asfortranarray(x), x[..., ::-1]):
+                assert _component_norm(arr).tobytes() == np.linalg.norm(arr, axis=-1).tobytes()
 
 
 class TestHamiltonian:

@@ -1,13 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import interp_space_reference
 from frontsteer.errors import ParameterError
 from frontsteer.grid import ScalarField, TorusGrid, VecField
-from frontsteer.transport import (_MARCH_BLOCK, TrajectoryEnsemble, _sample_initial,
-                                  pairing_defect, pushforward_distance,
-                                  sample_trajectories, solve_continuity, split_by_sign,
-                                  split_divergence, write_trajectories)
+from frontsteer.transport import (TrajectoryEnsemble, pairing_defect, pushforward_distance,
+                                  pushforward_floor, sample_trajectories, solve_continuity,
+                                  split_by_sign, split_divergence, write_trajectories)
 
 
 def const_velocity(grid, vec):
@@ -16,17 +16,43 @@ def const_velocity(grid, vec):
     return VecField(grid, vals)
 
 
-def march_reference(m0, v, count, seed):
-    """All-paths-per-step form of the trajectory march, kept as the bitwise
-    reference for the blocked march."""
+def chain_reference(m0, v, count, seed):
+    """Per-path form of the sampler's Markov chain: each path scans its own
+    jump probabilities in order and moves by index arithmetic, kept as the
+    bitwise reference for the vectorized table lookups."""
     grid = v.grid
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    pos = np.empty((count, grid.nt, grid.dim))
-    pos[:, 0] = _sample_initial(m0, grid, count, rng)
-    for k in range(grid.nt - 1):
-        vel = interp_space_reference(v.values[k], pos[:, k], grid.nx)
-        pos[:, k + 1] = np.mod(pos[:, k] + grid.dt * vel, 1.0)
-    return pos
+    d = grid.dim
+    draws = [np.random.Generator(np.random.Philox(key=[seed, k])).random(count)
+             for k in range(grid.nt)]
+    cum = np.cumsum(m0.ravel() / np.sum(m0))
+    cum[-1] = 1.0
+    cells = np.empty((grid.nt, count), dtype=np.int32)
+    for i in range(count):
+        cell = int(np.searchsorted(cum, draws[0][i], side="right"))
+        cells[0, i] = cell
+        for k in range(grid.nt - 1):
+            idx = [int(j) for j in np.unravel_index(cell, grid.nx)]
+            vel = v.values[k][tuple(idx)]
+            probs = [max(vel[a], 0.0) * (grid.dt / grid.dx[a]) for a in range(d)] \
+                + [min(vel[a], 0.0) * (-grid.dt / grid.dx[a]) for a in range(d)]
+            total = 0.0
+            for e, prob in enumerate(probs):
+                total += prob
+                if draws[k + 1][i] < total:
+                    a = e % d
+                    idx[a] = (idx[a] + (1 if e < d else -1)) % grid.nx[a]
+                    break
+            cell = int(np.ravel_multi_index(idx, grid.nx))
+            cells[k + 1, i] = cell
+    return cells
+
+
+def cell_steps(ens):
+    """Per-axis index change of every path at every step, wrapped into
+    [-n/2, n/2), shape (nt - 1, count, dim)."""
+    idx = np.stack(np.unravel_index(ens.cells, ens.grid.nx), axis=-1)
+    n = np.array(ens.grid.nx)
+    return (np.diff(idx, axis=0) + n // 2) % n - n // 2
 
 
 def gaussian_bump(x, center, sigma=0.05):
@@ -135,24 +161,41 @@ class TestSampleTrajectories:
         grid = TorusGrid(1, (32,), 9, 1.0)
         ens = sample_trajectories(np.ones(32), const_velocity(grid, [0.0]), 50, seed=1)
         for k in range(grid.nt):
+            np.testing.assert_array_equal(ens.cells[k], ens.cells[0])
             np.testing.assert_array_equal(ens.positions[:, k], ens.positions[:, 0])
 
-    def test_constant_velocity_exact_euler(self):
+    def test_load_one_moves_every_path_one_cell_per_step(self):
+        # dt = 1/8, dx = 1/32 and |v| = 1/4: every jump has probability 1
         grid = TorusGrid(1, (32,), 9, 1.0)
-        V = 0.3
-        ens = sample_trajectories(np.ones(32), const_velocity(grid, [V]), 20, seed=2)
-        tt = grid.times()
-        expect = np.mod(ens.positions[:, 0, 0][:, None] + V * tt[None, :], 1.0)
-        np.testing.assert_allclose(ens.positions[:, :, 0], expect, atol=1e-12)
+        steps = np.arange(grid.nt)[:, None]
+        for vel, sign in ((0.25, 1), (-0.25, -1)):
+            ens = sample_trajectories(np.ones(32), const_velocity(grid, [vel]), 20, seed=2)
+            np.testing.assert_array_equal(ens.cells, (ens.cells[0] + sign * steps) % 32)
+        # 2D, along the second axis only: dt = 1/4, dx_1 = 1/16
+        grid = TorusGrid(2, (8, 16), 5, 1.0)
+        ens = sample_trajectories(np.ones((8, 16)), const_velocity(grid, [0.0, -0.25]),
+                                  20, seed=3)
+        rows, cols = np.unravel_index(ens.cells, grid.nx)
+        np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+        np.testing.assert_array_equal(cols, (cols[0] - np.arange(grid.nt)[:, None]) % 16)
 
     def test_deterministic_given_seed(self):
         grid = TorusGrid(1, (32,), 9, 1.0)
         v = const_velocity(grid, [0.2])
         a = sample_trajectories(np.ones(32), v, 100, seed=7)
         b = sample_trajectories(np.ones(32), v, 100, seed=7)
-        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.cells, b.cells)
         c = sample_trajectories(np.ones(32), v, 100, seed=8)
-        assert np.any(c.positions != a.positions)
+        assert np.any(c.cells != a.cells)
+
+    def test_path_does_not_depend_on_count(self):
+        grid = TorusGrid(2, (16, 16), 17, 1.0)
+        rng = np.random.default_rng(8)
+        v = VecField(grid, rng.uniform(-0.45, 0.45, (17, 16, 16, 2)))
+        m0 = rng.random((16, 16))
+        few = sample_trajectories(m0, v, 100, seed=5)
+        many = sample_trajectories(m0, v, 1000, seed=5)
+        assert few.cells.tobytes() == np.ascontiguousarray(many.cells[:, :100]).tobytes()
 
     def test_total_weight_matches_mass(self):
         grid = TorusGrid(1, (32,), 9, 1.0)
@@ -167,37 +210,77 @@ class TestSampleTrajectories:
         with pytest.raises(ParameterError):
             sample_trajectories(np.ones(32), const_velocity(grid, [0.0]), 0, seed=0)
 
-    def test_paths_are_euler_polygons(self):
-        # torus-metric defect of the Euler step is zero by construction
-        from frontsteer.grid import interp_space
-        grid = TorusGrid(2, (12, 12), 7, 1.0)
-        rng = np.random.default_rng(6)
-        v = VecField(grid, rng.uniform(-0.3, 0.3, (7, 12, 12, 2)))
-        ens = sample_trajectories(np.ones((12, 12)), v, 40, seed=9)
-        for k in range(grid.nt - 1):
-            vel = interp_space(v.values[k], ens.positions[:, k], grid.nx)
-            step = ens.positions[:, k + 1] - ens.positions[:, k] - grid.dt * vel
-            wrap = (step + 0.5) % 1.0 - 0.5
-            assert np.max(np.abs(wrap)) <= 1e-14
+    def test_over_cfl_refused(self):
+        # the chain's jump probabilities would sum past 1; the last level counts
+        grid = TorusGrid(2, (8, 8), 5, 1.0)   # dt = 1/4, dx = 1/8
+        vals = np.zeros((grid.nt, 8, 8, 2))
+        vals[..., 0] = 0.25                   # load 0.5
+        assert sample_trajectories(np.ones((8, 8)), VecField(grid, vals), 10,
+                                   seed=0).count == 10
+        vals[-1, 3, 4, 1] = -2.5              # load 5 at one node
+        with pytest.raises(ParameterError, match="CFL"):
+            sample_trajectories(np.ones((8, 8)), VecField(grid, vals), 10, seed=0)
+        with pytest.raises(ParameterError, match="CFL"):
+            sample_trajectories(np.ones(32), const_velocity(TorusGrid(1, (32,), 17, 1.0),
+                                                            [1.0]), 10, seed=0)
 
+    def test_steps_are_single_jumps_the_split_allows(self):
+        grid = TorusGrid(2, (12, 12), 7, 1.0)   # dt = 1/6, dx = 1/12
+        rng = np.random.default_rng(6)
+        v = VecField(grid, rng.uniform(-0.24, 0.24, (7, 12, 12, 2)))
+        ens = sample_trajectories(np.ones((12, 12)), v, 400, seed=9)
+        steps = cell_steps(ens)
+        assert np.all(np.abs(steps) <= 1)
+        assert np.all(np.sum(np.abs(steps), axis=-1) <= 1)
+        assert np.any(steps != 0)
+        # a jump along axis a has the sign of v_a in the cell it leaves
+        vel = v.values[:-1].reshape(grid.nt - 1, -1, 2)
+        here = np.take_along_axis(vel, ens.cells[:-1, :, None].astype(np.intp), axis=1)
+        assert np.all(steps * here >= 0)
+        assert np.all((steps == 0) | (here != 0))
 
     def test_positions_shape_and_time_major_layout(self):
         grid = TorusGrid(2, (6, 5), 7, 1.0)
         v = VecField(grid, np.random.default_rng(5).uniform(-0.4, 0.4, (7, 6, 5, 2)))
         ens = sample_trajectories(np.ones((6, 5)), v, 33, seed=4)
-        assert ens.positions.shape == (33, grid.nt, grid.dim) and ens.count == 33
-        assert all(ens.positions[:, k].flags.c_contiguous for k in range(grid.nt))
-        assert ens.positions.tobytes() == np.ascontiguousarray(ens.positions).tobytes()
-        assert np.all((ens.positions >= 0.0) & (ens.positions <= 1.0))
+        assert ens.cells.shape == (grid.nt, 33) and ens.cells.dtype == np.int32
+        assert ens.cells.flags.c_contiguous and ens.count == 33
+        assert ens.positions.shape == (33, grid.nt, grid.dim)
+        i, j = np.unravel_index(ens.cells.T, grid.nx)
+        assert ens.positions[..., 0].tobytes() == grid.axis_coords(0)[i].tobytes()
+        assert ens.positions[..., 1].tobytes() == grid.axis_coords(1)[j].tobytes()
+        assert np.all((ens.positions >= 0.0) & (ens.positions < 1.0))
 
-    @pytest.mark.parametrize("count", [37, 2 * _MARCH_BLOCK + 101])
-    def test_blocked_march_bitwise_equal_reference(self, count):
-        grid = TorusGrid(2, (16, 12), 9, 1.0)
+    @pytest.mark.parametrize("count", [37, 2000])
+    def test_cells_bitwise_equal_per_path_reference(self, count):
+        grid = TorusGrid(2, (16, 12), 9, 1.0)   # dt = 1/8: load <= 0.28 * 3.5
         rng = np.random.default_rng(21)
-        v = VecField(grid, rng.uniform(-1.0, 1.0, (9, 16, 12, 2)))
+        v = VecField(grid, rng.uniform(-0.28, 0.28, (9, 16, 12, 2)))
         m0 = rng.random((16, 12))
         ens = sample_trajectories(m0, v, count, seed=13)
-        assert ens.positions.tobytes() == march_reference(m0, v, count, seed=13).tobytes()
+        assert ens.cells.tobytes() == chain_reference(m0, v, count, seed=13).tobytes()
+
+    def test_memory_is_four_bytes_per_path_and_level(self):
+        # the stored cells, the level tables (split velocities of every level
+        # and the neighbour table) and one step's scratch: a uniform and a
+        # gathered probability (float64), a pick index (int32) and a
+        # comparison, 21 bytes per path, allowed 32; float64 positions alone
+        # would take 16 bytes per path and level here
+        grid = TorusGrid(2, (16, 16), 17, 1.0)
+        rng = np.random.default_rng(3)
+        v = VecField(grid, rng.uniform(-0.45, 0.45, (17, 16, 16, 2)))
+        m0 = rng.random((16, 16))
+        count = 20_000
+        tables = 8 * grid.nt * grid.n_space * 2 * grid.dim + 4 * grid.n_space * 5
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens = sample_trajectories(m0, v, count, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ens.cells.nbytes == 4 * grid.nt * count
+        assert peak <= 4 * grid.nt * count + tables + 32 * count
 
 
 class TestPushforward:
@@ -210,13 +293,33 @@ class TestPushforward:
         assert pushforward_distance(ens, m, 0) <= 0.05
         assert pushforward_distance(ens, m, grid.nt - 1) <= 0.05
 
+    @pytest.mark.parametrize("dim,nx,nt,vmax", [(1, (64,), 65, 0.9), (2, (16, 16), 17, 0.45)])
+    def test_distance_within_three_monte_carlo_floors(self, dim, nx, nt, vmax):
+        # the chain's expected histogram is the march, so only sampling error remains
+        grid = TorusGrid(dim, nx, nt, 1.0)
+        rng = np.random.default_rng(17)
+        v = VecField(grid, rng.uniform(-vmax, vmax, (nt, *nx, dim)))
+        x = np.stack(grid.meshgrid(), axis=-1)
+        m0 = np.exp(-np.sum((x - 0.4) ** 2, axis=-1) / 0.02)
+        m = solve_continuity(m0, v)
+        count = 20_000
+        ens = sample_trajectories(m0, v, count, seed=2)
+        for k in (0, nt // 2, nt - 1):
+            floor = pushforward_floor(m, k, count)
+            assert 0 < floor < 1
+            assert pushforward_distance(ens, m, k) <= 3.0 * floor
+
+    def test_floor_of_a_uniform_density(self):
+        grid = TorusGrid(1, (4,), 3, 1.0)
+        m = solve_continuity(np.ones(4), const_velocity(grid, [0.0]))
+        expect = np.sqrt(2 / np.pi) * 4 * np.sqrt(0.25 * 0.75 / 100)
+        assert pushforward_floor(m, 2, 100) == pytest.approx(expect, rel=1e-14)
+
     def test_identical_distributions_zero(self):
         grid = TorusGrid(1, (4,), 3, 1.0)
         m = solve_continuity(np.ones(4), const_velocity(grid, [0.0]))
-        positions = np.zeros((4, 3, 1))
-        positions[:, :, 0] = np.array([0.0, 0.25, 0.5, 0.75])[:, None]
-        ens = TrajectoryEnsemble(grid=grid, positions=positions,
-                                 weights=np.full(4, 0.25), seed=0)
+        cells = np.tile(np.arange(4, dtype=np.int32), (3, 1))
+        ens = TrajectoryEnsemble(grid=grid, cells=cells, weights=np.full(4, 0.25), seed=0)
         assert pushforward_distance(ens, m, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_disjoint_supports_total_variation(self):
@@ -224,26 +327,25 @@ class TestPushforward:
         m0 = np.zeros(8)
         m0[:2] = 1.0                                   # density on the left
         m = solve_continuity(m0, const_velocity(grid, [0.0]))
-        positions = np.full((5, 3, 1), 0.75)           # paths on the right
-        ens = TrajectoryEnsemble(grid=grid, positions=positions,
-                                 weights=np.full(5, 0.05), seed=0)
+        cells = np.full((3, 5), 6, dtype=np.int32)     # paths on the right
+        ens = TrajectoryEnsemble(grid=grid, cells=cells, weights=np.full(5, 0.05), seed=0)
         assert pushforward_distance(ens, m, 0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("time_major", [False, True])
     def test_csv_bytes_equal_row_by_row_reference(self, tmp_path, time_major):
         grid = TorusGrid(2, (4, 4), 3, 0.7)
-        positions = np.random.default_rng(12).random((5, 3, 2))
-        positions[0, 0] = [-0.0, 5e-324]
-        positions[1, 2] = [np.nextafter(1.0, 0.0), 0.0]
-        if time_major:
-            positions = np.ascontiguousarray(positions.transpose(1, 0, 2)).transpose(1, 0, 2)
-        ens = TrajectoryEnsemble(grid=grid, positions=positions,
+        cells = np.random.default_rng(12).integers(0, 16, (3, 5)).astype(np.int32)
+        cells[0, 0], cells[2, 1] = 0, 15
+        if not time_major:
+            cells = np.ascontiguousarray(cells.T).T      # a path-major array's view
+        ens = TrajectoryEnsemble(grid=grid, cells=cells,
                                  weights=np.array([0.2, 5e-324, -0.0, 1 / 3, 0.1]), seed=0)
         write_trajectories(tmp_path / "paths.csv", ens)
         rows = ["path_id,t,x1,x2,weight\n"]
         for i in range(ens.count):
             for k, t in enumerate(grid.times()):
-                xs = ",".join(f"{x:.17g}" for x in ens.positions[i, k])
+                i0, i1 = np.unravel_index(cells[k, i], grid.nx)
+                xs = f"{i0 / 4:.17g},{i1 / 4:.17g}"
                 rows.append(f"{i},{t:.17g},{xs},{ens.weights[i]:.17g}\n")
         assert (tmp_path / "paths.csv").read_bytes() == "".join(rows).encode()
 
