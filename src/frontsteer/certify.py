@@ -383,9 +383,8 @@ def duality_gap(problem: ProblemInstance, u: ScalarField, f: ScalarField,
     split by sign, as the benchmark passes it.  ``f`` is not read: the
     certificate's obstacle is max(residual(u), 0), the cheapest feasible one."""
     w_plus, w_minus = split_by_sign(w) if isinstance(w, VecField) else w
-    a_val, b_val = pdopt.certificate(
-        problem, u.values, m.values,
-        np.concatenate([w_plus.values[:-1], w_minus.values[:-1]], axis=-1), details)
+    a_val, b_val = pdopt.certificate(problem, u.values, m.values, w_plus.values,
+                                     w_minus.values, details)
     return a_val + b_val
 
 
@@ -394,7 +393,8 @@ def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
             tol_gap: float, details: dict | None = None) -> list[CertReport]:
     """The seven checks of a bundle with split momenta (w_plus, w_minus).  The
     gap passes iff -1e-9 <= A + B <= tol_gap * max(|A|, |B|, 1e-10), its
-    slack; ``details`` receives the gap's details."""
+    slack; ``details`` receives the gap's details and its relative gap
+    ``rel_gap``."""
     w_net = VecField(problem.grid, w_split[0].values + w_split[1].values)
     v = pdopt.recover_velocity(m, w_net, floor=1e-9, speed=problem.speed)
     reports = [check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
@@ -405,6 +405,7 @@ def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
                                 samples=200, seed=seed))
     details = {} if details is None else details
     gap = duality_gap(problem, u, f, m, w_split, details=details)
+    details["rel_gap"] = pdopt._relative_gap(details["A"], details["B"])
     scale = max(abs(details["A"]), abs(details["B"]), 1e-10)
     reports.append(CertReport(
         name="duality_gap", passed=bool(np.isfinite(gap) and -1e-9 <= gap <= tol_gap * scale),

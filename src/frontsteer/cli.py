@@ -347,6 +347,7 @@ def cmd_optimize(args) -> int:
     write_manifest(out, config, {
         "command": "optimize", "converged": diag.converged,
         "iterations": diag.iterations, "final_gap": diag.final_gap,
+        "final_rel_gap": diag.final_rel_gap,
         "final_cont_residual": diag.cont_history[-1] if diag.cont_history else None,
         "tau": diag.tau, "sigma": diag.sigma,
         "wall_time_s": diag.wall_time, "notes": diag.notes,

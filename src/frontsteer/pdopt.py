@@ -11,8 +11,8 @@ The flux through face i+1/2 is w+_i + w-_{i+1}: the donor-cell flux of
 use the one discrete pair of ``transport``: ``split_divergence`` in the rows,
 its adjoint ``one_sided`` in L^T and in the HJ residual, where it gives the
 Engquist-Osher-type Hamiltonian of ``split_hamiltonian`` (after Achdou &
-Capuzzo-Dolcetta, SIAM J. Numer. Anal. 2010), and ``march_split`` for the
-certificate's dual point.
+Capuzzo-Dolcetta, SIAM J. Numer. Anal. 2010), and the level march of
+``march_split`` for the certificate's dual point.
 
 The iteration is PDHG with the dual step preconditioned by the exact
 (L L^T)^-1 of the constraint operator L (the G-prox PDHG of Jacobs, Leger,
@@ -36,7 +36,11 @@ iterations 1, 2, 4, 8, ... for a log-spaced record.  The
 public ``certificate`` first moves any momenta into the split set (an
 iterate's already lie in it) and certifies stored bundles
 (``certify.duality_gap``), so a bundle written with its split momenta
-re-certifies to the gap ``optimize`` recorded.
+re-certifies to the gap ``optimize`` recorded.  Both build A and B in one
+pass over blocks of time levels (about ``_BLOCK_BYTES`` of split momenta
+each, one block for a 1D run at 64 points), so the certificate holds two
+level-sized (nt, *nx) buffers plus one block, never a full momentum or
+velocity array, and gives the bits of a whole-array pass.
 """
 
 from __future__ import annotations
@@ -53,11 +57,15 @@ from .model import (CostModel, IsotropicSpeed, SpeedModel, _component_norm, cost
                     cost_conj, cost_deriv_conj, prox_cost_conj_coned,
                     prox_cost_conj_hull)
 from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it in this namespace
-from .transport import march_split, one_sided, split_by_sign, split_divergence, split_load
+from .transport import (_march_levels, one_sided, split_by_sign, split_divergence,
+                        split_load)
 
 # default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
 _TAU = 16.0
 _SIGMA = 0.06
+# the certificate's block of time levels holds about this many bytes of split
+# momenta: 8 levels at 64^2, 1024 at 64 points in 1D (one block for 64x65)
+_BLOCK_BYTES = 1 << 20
 
 __all__ = [
     "ProblemInstance", "SolverConfig", "OptimalBundle", "SolverDiagnostics",
@@ -137,6 +145,14 @@ class SolverDiagnostics:
     def final_gap(self) -> float:
         return self.gap_history[-1] if self.gap_history else float("nan")
 
+    @property
+    def final_rel_gap(self) -> float:
+        """The relative gap of the last check, the figure tol_gap bounds
+        (``_relative_gap``)."""
+        if not self.gap_history:
+            return float("nan")
+        return _relative_gap(self.a_history[-1], self.b_history[-1])
+
 
 @dataclass(frozen=True)
 class OptimalBundle:
@@ -213,20 +229,27 @@ def _gram_solver(grid: TorusGrid):
 # -- objective evaluation ----------------------------------------------------
 
 
-def _a_value(problem: ProblemInstance, u: np.ndarray, f: np.ndarray) -> float:
-    """A of nodal u and f on the nt - 1 intervals: sum K(f) dt dx - <u(0), m0>."""
+def _a_value(problem: ProblemInstance, u0: np.ndarray, k_f: np.ndarray) -> float:
+    """A of the initial level u(0) and the costs K(f) on the nt - 1
+    intervals: sum K(f) dt dx - <u(0), m0>."""
     grid = problem.grid
     vol = grid.cell_volume
-    return float(np.sum(cost(problem.cost, f))) * grid.dt * vol \
-        - float(np.sum(u[0] * problem.m0)) * vol
+    return float(np.sum(k_f)) * grid.dt * vol - float(np.sum(u0 * problem.m0)) * vol
 
 
-def _b_value(problem: ProblemInstance, m: np.ndarray) -> float:
-    """B of a nodal density m: <u_T, m(T)> + sum over k < nt - 1 of K*(m) dt dx."""
+def _b_value(problem: ProblemInstance, m_T: np.ndarray, k_conj: np.ndarray) -> float:
+    """B of the last level m(T) and the costs K*(m) on the nt - 1 intervals:
+    <u_T, m(T)> + sum K*(m) dt dx."""
     grid = problem.grid
     vol = grid.cell_volume
-    return float(np.sum(problem.u_T * m[-1])) * vol \
-        + float(np.sum(cost_conj(problem.cost, m[:-1]))) * grid.dt * vol
+    return float(np.sum(problem.u_T * m_T)) * vol + float(np.sum(k_conj)) * grid.dt * vol
+
+
+def _relative_gap(a_val: float, b_val: float) -> float:
+    """(A + B) / max(|A|, |B|, 1e-10), the relative gap that tol_gap bounds;
+    +inf when B is."""
+    gap = a_val + b_val
+    return gap / max(abs(a_val), abs(b_val), 1e-10) if np.isfinite(gap) else gap
 
 
 def evaluate_A(problem: ProblemInstance, u: ScalarField, f: ScalarField) -> float:
@@ -241,7 +264,7 @@ def evaluate_A(problem: ProblemInstance, u: ScalarField, f: ScalarField) -> floa
     scale = 1.0 + float(np.max(np.abs(problem.u_T)))
     if np.max(np.abs(u.values[-1] - problem.u_T)) > 1e-10 * scale:
         raise ParameterError("u(T, .) does not match the terminal payoff u_T")
-    return _a_value(problem, u.values, f.values[:-1])
+    return _a_value(problem, u.values[0], cost(problem.cost, f.values[:-1]))
 
 
 def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
@@ -258,7 +281,7 @@ def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
         details["feasible"] = viol <= cone_tol
     if viol > cone_tol:
         return float("inf")
-    return _b_value(problem, m.values)
+    return _b_value(problem, m.values[-1], cost_conj(problem.cost, m.values[:-1]))
 
 
 def recover_f(problem: ProblemInstance, m: DensityField) -> ScalarField:
@@ -292,8 +315,14 @@ def subsolution_residual(problem: ProblemInstance, u_values: np.ndarray) -> np.n
     """Discrete residual -(u_{k+1}-u_k)/dt + H(D+u_{k+1}, D-u_{k+1}) on each
     interval, with the split Hamiltonian paired with the continuity operator.
     A pair (u, f) is primal-feasible when f dominates this residual nodewise."""
-    fwd, bwd = one_sided(u_values[1:], problem.grid)
-    return -(u_values[1:] - u_values[:-1]) / problem.grid.dt \
+    return _hj_residual(problem, u_values[:-1], u_values[1:])
+
+
+def _hj_residual(problem: ProblemInstance, u_now: np.ndarray,
+                 u_next: np.ndarray) -> np.ndarray:
+    """``subsolution_residual`` of the intervals from the levels u_now to u_next."""
+    fwd, bwd = one_sided(u_next, problem.grid)
+    return -(u_next - u_now) / problem.grid.dt \
         + problem.speed.split_hamiltonian(problem.grid, fwd, bwd)
 
 
@@ -329,39 +358,80 @@ def _split_velocity(m: np.ndarray, w: np.ndarray,
 
 
 def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
-                w: np.ndarray, details: dict | None = None) -> tuple[float, float]:
+                w_plus: np.ndarray, w_minus: np.ndarray,
+                details: dict | None = None) -> tuple[float, float]:
     """Certified (A, B) of nodal values u, density m (nt levels) and split
-    momenta w = (w+, w-), shape (nt - 1, *nx, 2*dim), from any fields: w is
+    momenta (w+, w-), each of shape (nt or nt - 1, *nx, dim) with only the
+    first nt - 1 levels read, from any fields: each block of levels is
     sign-clipped and moved into m times the split set (``split_project``),
-    then certified by ``_certificate``.  ``details`` also gets the largest
-    component move, 0 for admissible momenta."""
-    d = problem.grid.dim
-    w_in = problem.speed.split_project(problem.grid, m[:-1], np.concatenate(
-        [np.maximum(w[..., :d], 0.0), np.minimum(w[..., d:], 0.0)], axis=-1))
-    if details is not None:
-        details["max_split_excess"] = float(np.max(np.abs(w_in - w)))
-    return _certificate(problem, u, m, w_in, details)
+    then certified as in ``_certificate``, in the same pass and with the
+    same memory.  ``details`` also gets the largest component move, 0 for
+    admissible momenta."""
+    return _certificate(problem, u, m, w_plus, w_minus, details, project=True)
 
 
 def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
-                 w: np.ndarray, details: dict | None = None) -> tuple[float, float]:
-    """Certified (A, B) of u, m and split momenta w in m times the split set.
+                 w_plus: np.ndarray, w_minus: np.ndarray, details: dict | None = None,
+                 project: bool = False) -> tuple[float, float]:
+    """Certified (A, B) of u, m and split momenta (w+, w-) in m times the
+    split set, read on their first nt - 1 levels.
 
     Primal point: u with u(T) pinned to u_T and f = max(residual(u), 0).
     Dual point: m0 marched with the velocities w/m, scaled down where their
     load exceeds 1 (``_split_velocity``).  Both are feasible, so summation by
     parts through ``_rows`` gives A + B >= 0 up to round-off.  B is +inf if
     a scaled velocity leaves a split set without rest.  ``details`` gets A,
-    B, the largest load and that flag."""
+    B, the largest load and that flag.
+
+    One pass over blocks of time levels, each about ``_BLOCK_BYTES`` of
+    split momenta, builds both points: K(f) of the block's intervals goes
+    into one (nt - 1, *nx) buffer, which then takes K*(m) for B, and the
+    march into one (nt, *nx) density.  So the memory is those two buffers
+    plus one block, and A and B are sums over the same arrays as in a
+    whole-array pass, bit for bit.  ``project`` first moves each block into
+    the split set (``certificate``)."""
     grid = problem.grid
-    u = np.array(u, dtype=float)          # a copy: its last level is pinned
-    u[-1] = problem.u_T
-    a_val = _a_value(problem, u, np.maximum(subsolution_residual(problem, u), 0.0))
-    v, peak = _split_velocity(m[:-1], w, grid)
+    d = grid.dim
+    nt = grid.nt
+    u = np.asarray(u, dtype=float)
+    step = max(1, _BLOCK_BYTES // (grid.n_space * 2 * d * 8))
+    blocks = [(k0, min(k0 + step, nt - 1)) for k0 in range(0, nt - 1, step)]
+    costs = np.empty((nt - 1, *grid.nx))
+    marched = np.empty((nt, *grid.nx))
+    marched[0] = problem.m0
+    excess = peak = -np.inf
+    for k0, k1 in blocks:
+        u_next = u[k0 + 1:k1 + 1]
+        if k1 == nt - 1:
+            u_next = u_next.copy()         # the last level is pinned
+            u_next[-1] = problem.u_T
+        res = _hj_residual(problem, u[k0:k1], u_next)
+        costs[k0:k1] = cost(problem.cost, np.maximum(res, 0.0))
+        w = np.empty((k1 - k0, *grid.nx, 2 * d))
+        if project:
+            np.maximum(w_plus[k0:k1], 0.0, out=w[..., :d])
+            np.minimum(w_minus[k0:k1], 0.0, out=w[..., d:])
+            w = problem.speed.split_project(grid, m[k0:k1], w)
+            excess = np.maximum(excess, np.max(np.abs(w[..., :d] - w_plus[k0:k1])))
+            excess = np.maximum(excess, np.max(np.abs(w[..., d:] - w_minus[k0:k1])))
+        else:
+            w[..., :d] = w_plus[k0:k1]
+            w[..., d:] = w_minus[k0:k1]
+        v, block_peak = _split_velocity(m[k0:k1], w, grid)
+        peak = np.maximum(peak, block_peak)
+        _march_levels(marched, v, k0, grid)
+    a_val = _a_value(problem, u[0], costs)
+    peak = float(peak)
     no_rest = peak > 1.0 and not problem.speed.split_contains_rest(grid)
-    b_val = float("inf") if no_rest \
-        else _b_value(problem, march_split(problem.m0, v, grid))
+    if no_rest:
+        b_val = float("inf")
+    else:
+        for k0, k1 in blocks:
+            costs[k0:k1] = cost_conj(problem.cost, marched[k0:k1])
+        b_val = _b_value(problem, marched[-1], costs)
     if details is not None:
+        if project:
+            details["max_split_excess"] = float(excess)
         details.update(A=a_val, B=b_val, max_split_load=peak, b_inf_without_rest=no_rest)
     return a_val, b_val
 
@@ -452,7 +522,8 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         met_before, met = met, False
         if cont <= config.tol_cont or it == config.max_iters or it & (it - 1) == 0:
             # the prox keeps w in the split set: no projection needed
-            a_val, b_val = _certificate(problem, -y, m, w, details=cert_details)
+            a_val, b_val = _certificate(problem, -y, m, w[..., :dim], w[..., dim:],
+                                        details=cert_details)
             gap = a_val + b_val
             if np.isnan(gap):
                 raise NumericError(f"non-finite iterate at iteration {it}")

@@ -5,7 +5,8 @@ The pair is the split divergence of Achdou & Capuzzo-Dolcetta (SIAM J.
 Numer. Anal. 2010), ``split_divergence``, and its adjoint up to sign, the
 one-sided differences ``one_sided``.  ``pdopt``, ``certify`` and
 ``solve_continuity`` share it, with ``split_by_sign``, the CFL load
-``split_load`` and the march ``march_split``.
+``split_load`` and the march ``march_split``; its level loop,
+``_march_levels``, also builds ``pdopt``'s certificate block by block.
 
 ``solve_continuity`` is donor-cell finite volume with nodal velocities split
 by sign: the flux through face i+1/2 is v_i^+ m_i + v_{i+1}^- m_{i+1}.  Fluxes
@@ -109,15 +110,23 @@ def split_load(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """m0 marched through the continuity rows by split velocities v, shape
     (nt - 1, *nx, 2*dim): m_{k+1} = m_k - dt div(m_k v_k^+, m_k v_k^-)."""
-    d = grid.dim
     m = np.empty((grid.nt, *grid.nx))
     m[0] = m0
-    for k in range(grid.nt - 1):
-        wk = m[k][..., None] * v[k]
+    _march_levels(m, v, 0, grid)
+    return m
+
+
+def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid) -> None:
+    """The levels of ``march_split`` from ``start``, in place: m[start] marched
+    by v[j] into m[start + j + 1] for each of the len(v) levels of v, so a
+    march can be built one block of levels at a time."""
+    d = grid.dim
+    for j, vk in enumerate(v):
+        k = start + j
+        wk = m[k][..., None] * vk
         div = split_divergence(wk[..., :d], wk[..., d:], grid)
         div *= grid.dt
         np.subtract(m[k], div, out=m[k + 1])
-    return m
 
 
 def _split_within_cfl(v: VecField) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared fixtures: the canonical instances and their solved bundles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ def closed_form_uniform_bundle(problem):
     m = DensityField(grid, np.full((grid.nt, *grid.nx), level))
     w = VecField(grid, np.zeros((grid.nt, *grid.nx, grid.dim)))
     return u, f, m, w
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) under tracemalloc: its result and the peak of the
+    traced memory above the level at entry, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def interp_space_reference(slice_values, x, nx):

@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_uniform_bundle, make_uniform_problem
+from conftest import closed_form_uniform_bundle, make_uniform_problem, traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
                              constant_field)
@@ -15,7 +14,7 @@ from frontsteer.hj import (counterexample_instance, counterexample_speed,
 from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed
 from frontsteer.pdopt import ProblemInstance, recover_velocity
 from frontsteer.transport import upwind_directional_derivative
-from frontsteer import certify
+from frontsteer import certify, pdopt
 from frontsteer.certify import (check_holder, check_ibp_inequality,
                                 check_pointwise_hj, check_subsolution,
                                 check_weak_solution, duality_gap,
@@ -280,15 +279,8 @@ class TestSubsolution:
         u = ScalarField(grid, rng.standard_normal(shape))
         f = ScalarField(grid, rng.random(shape))
         speed = IsotropicSpeed(2, 1.0)
-        peaks = {}
-        for trials in (1, 10):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                check_subsolution(u, f, speed, trials=trials, seed=3)
-                peaks[trials] = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+        peaks = {trials: traced_peak(check_subsolution, u, f, speed, trials=trials, seed=3)[1]
+                 for trials in (1, 10)}
         assert peaks[10] <= 1.5 * peaks[1]
 
 
@@ -441,6 +433,27 @@ class TestDualityGap:
         pair = (VecField(g, np.maximum(w_vals, 0.0)), VecField(g, np.minimum(w_vals, 0.0)))
         assert duality_gap(uniform_problem, u, u, m, VecField(g, w_vals)) \
             == duality_gap(uniform_problem, u, u, m, pair)
+
+    def test_memory_is_two_level_buffers_and_one_block(self, monkeypatch):
+        # one level per block on 2D 16^2x17: the certificate holds the costs
+        # of the intervals and the marched density, (nt, *nx) each, and a few
+        # one-level (*nx, 2*dim) arrays; a whole-array pass holds several
+        # (nt - 1, *nx, 2*dim) arrays at once (80 one-level arrays here)
+        grid = TorusGrid(2, (16, 16), 17, 1.0)
+        rng = np.random.default_rng(8)
+        shape = (grid.nt, *grid.nx)
+        x, _ = grid.meshgrid()
+        problem = ProblemInstance(grid=grid, speed=IsotropicSpeed(2, 1.0),
+                                  cost=CostModel(4.0), u_T=np.cos(2 * np.pi * x),
+                                  m0=rng.random(grid.nx))
+        u = ScalarField(grid, rng.standard_normal(shape))
+        m = DensityField(grid, rng.random(shape))
+        pair = certify.split_by_sign(VecField(grid, 0.5 * rng.standard_normal((*shape, 2))))
+        monkeypatch.setattr(pdopt, "_BLOCK_BYTES", 1)
+        gap, peak = traced_peak(duality_gap, problem, u, u, m, pair)
+        assert np.isfinite(gap)
+        level = 8 * grid.n_space * 2 * grid.dim
+        assert peak <= 2 * 8 * grid.nt * grid.n_space + 10 * level
 
     def test_finite_hull_without_rest_reads_inf(self):
         # split load 0.9 * 16 * (1/8) = 1.8 > 1 must be scaled, which leaves

@@ -337,6 +337,22 @@ def test_diagnostics_iter_column(gaussian_bundle):
     assert len(its) < stop
 
 
+def test_manifests_record_the_relative_gap(gaussian_bundle, tmp_path):
+    # next to the absolute gap: optimize's final_rel_gap and certify's
+    # gap_details.rel_gap, the (A + B) / max(|A|, |B|, 1e-10) tol_gap bounds
+    cfg_path, out = gaussian_bundle
+    manifest = json.loads((out / "manifest.json").read_text())
+    last = (out / "diagnostics.csv").read_text().splitlines()[-1].split(",")
+    a_val, b_val, gap = (float(s) for s in last[1:4])
+    assert manifest["final_gap"] == gap
+    assert manifest["final_rel_gap"] == gap / max(abs(a_val), abs(b_val), 1e-10)
+    assert 0.0 <= manifest["final_rel_gap"] <= 1e-3
+    assert main(["certify", "--config", str(cfg_path), "--bundle", str(out),
+                 "--out", str(tmp_path / "recheck")]) == 0
+    details = json.loads((tmp_path / "recheck" / "manifest.json").read_text())["gap_details"]
+    assert details["rel_gap"] == manifest["final_rel_gap"]
+
+
 def _copy_bundle(src, dst, names=("u", "f", "m", "w")):
     dst.mkdir()
     for name in names:

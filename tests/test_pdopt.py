@@ -182,6 +182,73 @@ class TestOperators:
         assert np.max(np.abs(rows)) <= 1e-12 / grid.dt
 
 
+def _halves(w):
+    """Split momenta (..., 2*dim) as the pair (w+, w-) the certificate takes."""
+    d = w.shape[-1] // 2
+    return w[..., :d], w[..., d:]
+
+
+def certificate_reference(problem, u, m, w, details, project):
+    """The whole-array certificate on split momenta w, shape (nt - 1, *nx,
+    2*dim), kept as the bitwise reference of the blocked ``_certificate``
+    (``project``: of ``certificate``)."""
+    grid = problem.grid
+    d = grid.dim
+    vol = grid.cell_volume
+    if project:
+        w_in = problem.speed.split_project(grid, m[:-1], np.concatenate(
+            [np.maximum(w[..., :d], 0.0), np.minimum(w[..., d:], 0.0)], axis=-1))
+        details["max_split_excess"] = float(np.max(np.abs(w_in - w)))
+        w = w_in
+    u = np.array(u, dtype=float)
+    u[-1] = problem.u_T
+    f = np.maximum(subsolution_residual(problem, u), 0.0)
+    a_val = float(np.sum(cost(problem.cost, f))) * grid.dt * vol \
+        - float(np.sum(u[0] * problem.m0)) * vol
+    v, peak = _split_velocity(m[:-1], w, grid)
+    no_rest = peak > 1.0 and not problem.speed.split_contains_rest(grid)
+    if no_rest:
+        b_val = float("inf")
+    else:
+        marched = march_split(problem.m0, v, grid)
+        b_val = float(np.sum(problem.u_T * marched[-1])) * vol \
+            + float(np.sum(cost_conj(problem.cost, marched[:-1]))) * grid.dt * vol
+    details.update(A=a_val, B=b_val, max_split_load=peak, b_inf_without_rest=no_rest)
+    return a_val, b_val
+
+
+def _oracle_case(case):
+    """A problem, u, a density with zeros and momenta of any sign and size
+    (off the split set) for the blocked-certificate oracle."""
+    rng = np.random.default_rng(11)
+    diamond = [s * 0.9 * np.eye(2)[a] for a in range(2) for s in (1.0, -1.0)]
+    if case == "ball 1d":
+        grid = TorusGrid(1, (8,), 8, 1.0)
+        prob = _finite_problem(grid, IsotropicSpeed(1, 0.9), p=3.0)
+    elif case == "radius table 2d":                  # loads up to about 2: scaled
+        grid = TorusGrid(2, (5, 6), 8, 1.0)
+        prob = _finite_problem(grid, IsotropicSpeed(2, 0.5 + rng.random((5, 6))), p=4.0)
+    elif case == "hull with rest 2d":                # load 1.35: scaled, B finite
+        grid = TorusGrid(2, (5, 6), 5, 1.0)
+        speed = FiniteControlsSpeed(2, _constant_maps(*diamond, [0.0, 0.0]),
+                                    c0=0.9 / np.sqrt(2), c1=0.9)
+        prob = _finite_problem(grid, speed, p=4.0)
+    elif case == "hull without rest 2d":             # load 1.35: B = +inf
+        grid = TorusGrid(2, (6, 6), 5, 1.0)
+        speed = FiniteControlsSpeed(2, _constant_maps(*diamond), c0=0.9 / np.sqrt(2), c1=0.9)
+        prob = _finite_problem(grid, speed, p=4.0)
+    else:                                            # pair without rest, load <= 0.9
+        grid = TorusGrid(1, (16,), 17, 1.0)
+        speed = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        prob = _finite_problem(grid, speed, p=3.0)
+    m = rng.random((grid.nt, *grid.nx)) * (rng.random((grid.nt, *grid.nx)) > 0.2)
+    w = 3.0 * rng.standard_normal((grid.nt - 1, *grid.nx, 2 * grid.dim))
+    # the largest move lies in w- in 2D and in w+ in 1D
+    w[..., slice(grid.dim, None) if grid.dim == 2 else slice(None, grid.dim)] *= 4.0
+    u = rng.standard_normal((grid.nt, *grid.nx))
+    return prob, u, m, w
+
+
 def _random_iterate(rng, grid, radius):
     """A density with zeros and split momenta in the split ball of the given
     radius."""
@@ -208,7 +275,7 @@ class TestCertificate:
                                m0=rng.random(grid.nx))
         m, w = _random_iterate(rng, grid, radius)
         y = rng.standard_normal((grid.nt, *grid.nx))
-        a_val, b_val = certificate(prob, -y, m, w)
+        a_val, b_val = certificate(prob, -y, m, *_halves(w))
         assert np.isfinite(a_val) and np.isfinite(b_val)
         assert a_val + b_val >= -1e-12
         v, _ = _split_velocity(m[:-1], w, grid)
@@ -233,7 +300,7 @@ class TestCertificate:
         m = rng.random((grid.nt, *grid.nx))
         w = 3.0 * rng.standard_normal((grid.nt - 1, *grid.nx, 2 * dim))
         details = {}
-        a_val, b_val = certificate(prob, rng.standard_normal(m.shape), m, w, details)
+        a_val, b_val = certificate(prob, rng.standard_normal(m.shape), m, *_halves(w), details)
         assert np.isfinite(a_val) and a_val + b_val >= -1e-12
         assert details["max_split_excess"] > 0.0
 
@@ -256,7 +323,7 @@ class TestCertificate:
         # split momenta on the segment between (0.9, 0) and (0, -0.9)
         w = np.stack([0.9 * lam * m[:-1], -0.9 * (1 - lam) * m[:-1]], axis=-1)
         y = rng.standard_normal((grid.nt, 16))
-        a_val, b_val = certificate(prob, -y, m, w)
+        a_val, b_val = certificate(prob, -y, m, *_halves(w))
         assert np.isfinite(b_val) and a_val + b_val >= -1e-12
 
     def test_finite_hull_scaling_needs_rest(self):
@@ -272,8 +339,8 @@ class TestCertificate:
         w[..., 0] = 0.9                                  # load 0.9 * 6 * 0.5 = 2.7
         assert _split_velocity(m[:-1], w, grid)[1] == pytest.approx(2.7)
         y = np.zeros_like(m)
-        assert certificate(_finite_problem(grid, square, p=4.0), -y, m, w)[1] == np.inf
-        a_val, b_val = certificate(_finite_problem(grid, resting, p=4.0), -y, m, w)
+        assert certificate(_finite_problem(grid, square, p=4.0), -y, m, *_halves(w))[1] == np.inf
+        a_val, b_val = certificate(_finite_problem(grid, resting, p=4.0), -y, m, *_halves(w))
         assert np.isfinite(b_val) and a_val + b_val >= -1e-12
 
     def test_march_reproduces_the_transport_solver(self):
@@ -286,6 +353,44 @@ class TestCertificate:
         assert split_by_sign(v[:-1]).tobytes() == split.tobytes()
         assert march_split(m0, split, grid).tobytes() \
             == solve_continuity(m0, VecField(grid, v)).values.tobytes()
+
+
+class TestBlockedCertificate:
+    """The certificate builds (A, B) over blocks of time levels; it must give
+    the bits of the whole-array pass (``certificate_reference``)."""
+
+    @pytest.mark.parametrize("case", ["ball 1d", "radius table 2d", "hull with rest 2d",
+                                      "hull without rest 2d", "pair without rest 1d"])
+    @pytest.mark.parametrize("levels", [1, 3])
+    @pytest.mark.parametrize("project", [False, True])
+    def test_blocks_give_the_whole_array_bits(self, monkeypatch, case, levels, project):
+        prob, u, m, w = _oracle_case(case)
+        grid = prob.grid
+        d = grid.dim
+        if not project:                      # _certificate takes momenta in the split set
+            w = prob.speed.split_project(grid, m[:-1], np.concatenate(
+                [np.maximum(w[..., :d], 0.0), np.minimum(w[..., d:], 0.0)], axis=-1))
+        expected = {}
+        ref = certificate_reference(prob, u, m, w, expected, project)
+        monkeypatch.setattr(pdopt, "_BLOCK_BYTES", levels * grid.n_space * 2 * d * 8)
+        w_plus, w_minus = _halves(w)
+        if levels == 1:
+            # nt levels, as a bundle stores them: the last one is never read
+            pad = np.full((1, *grid.nx, d), np.nan)
+            w_plus, w_minus = np.concatenate([w_plus, pad]), np.concatenate([w_minus, pad])
+        details = {}
+        got = (certificate if project else _certificate)(prob, u, m, w_plus, w_minus, details)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert list(details) == list(expected)
+        for key, value in expected.items():
+            assert np.float64(details[key]).tobytes() == np.float64(value).tobytes(), key
+        # each case reaches the branch it is there for
+        scaled = expected["max_split_load"] > 1.0
+        assert {"ball 1d": scaled, "radius table 2d": scaled, "hull with rest 2d": scaled,
+                "hull without rest 2d": expected["b_inf_without_rest"],
+                "pair without rest 1d": not scaled and np.isfinite(ref[1])}[case]
+        if project:
+            assert expected["max_split_excess"] > 0.0
 
 
 class TestRecover:
@@ -524,7 +629,7 @@ class TestOptimize:
             bundle = optimize(prob, SolverConfig(max_iters=iters))
             details = {}
             _certificate(prob, bundle.u.values, bundle.m.values,
-                         bundle.diagnostics.w_split, details=details)
+                         *_halves(bundle.diagnostics.w_split), details=details)
             assert details["max_split_load"] <= 1.0 + 1e-12
             at_round_off += details["max_split_load"] > 1.0
             assert not any("nt >=" in n for n in bundle.diagnostics.notes)

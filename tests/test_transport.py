@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import ScalarField, TorusGrid, VecField
 from frontsteer.transport import (TrajectoryEnsemble, pairing_defect, pushforward_distance,
@@ -272,13 +271,7 @@ class TestSampleTrajectories:
         m0 = rng.random((16, 16))
         count = 20_000
         tables = 8 * grid.nt * grid.n_space * 2 * grid.dim + 4 * grid.n_space * 5
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            ens = sample_trajectories(m0, v, count, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        ens, peak = traced_peak(sample_trajectories, m0, v, count, seed=1)
         assert ens.cells.nbytes == 4 * grid.nt * count
         assert peak <= 4 * grid.nt * count + tables + 32 * count
 
