@@ -12,9 +12,9 @@ divergence that ``pdopt`` and the transport solver march with.
 
 ``battery`` runs all seven checks for ``optimize`` and ``certify``.  Its gap
 is the certificate ``optimize`` stops on (``pdopt.certificate``) on the
-bundle's u and split momenta, or on w split by sign (``split_by_sign``); the
-certificate builds feasible points from any fields, so [-A, B] always
-brackets the discrete optimal value.
+bundle's u and split momenta, or on a nodal w as its sign split, which the
+certificate takes block by block; it builds feasible points from any fields,
+so [-A, B] always brackets the discrete optimal value.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .transport import one_sided, upwind_directional_derivative
 __all__ = [
     "CertReport", "check_ibp_inequality", "check_weak_solution",
     "check_pointwise_hj", "check_subsolution", "holder_constant",
-    "check_holder", "split_by_sign", "duality_gap", "battery", "reports_to_json",
+    "check_holder", "duality_gap", "battery", "reports_to_json",
 ]
 
 
@@ -249,25 +249,25 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     ``pairs`` optionally supplies explicit (VecField, phi array) test pairs
     instead of random sampling.  Sampled pairs are streamed: each is summed
     and dropped before the next is drawn, so memory does not grow with
-    ``trials``."""
+    ``trials``.  The differences of u are taken one level at a time inside
+    the sum (the float expressions of ``upwind_directional_derivative``), so
+    beyond the pair the check holds one level's arrays."""
     grid = u.grid
     if f.grid != grid:
         raise ParameterError("fields live on different grids")
     vol = grid.cell_volume
     d = grid.dim
-    # the trial-independent parts of upwind_directional_derivative, once for
-    # all levels; each trial repeats its float expressions level by level
-    du = u.values[1:] - u.values[:-1]
-    fwd, bwd = one_sided(u.values[1:], grid)
 
     def excess(v: VecField, phi: np.ndarray) -> float:
         lhs = rhs = 0.0
         for k in range(grid.nt - 1):
+            du = u.values[k + 1] - u.values[k]
+            fwd, bwd = one_sided(u.values[k + 1], grid)
             vs = transport.split_by_sign(v.values[k])
-            dd = np.zeros_like(du[k])
+            dd = np.zeros_like(du)
             for a in range(d):
-                dd += vs[..., a] * fwd[k, ..., a] + vs[..., d + a] * bwd[k, ..., a]
-            lhs += -vol * float(np.sum(phi[k] * (du[k] + grid.dt * dd)))
+                dd += vs[..., a] * fwd[..., a] + vs[..., d + a] * bwd[..., a]
+            lhs += -vol * float(np.sum(phi[k] * (du + grid.dt * dd)))
             rhs += vol * grid.dt * float(np.sum(f.values[k] * phi[k]))
         return lhs - rhs
 
@@ -367,35 +367,28 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
 # -- duality gap and the battery ---------------------------------------------
 
 
-def split_by_sign(w: VecField) -> tuple[VecField, VecField]:
-    """A nodal momentum as split momenta (max(w, 0), min(w, 0)) in the
-    donor-cell form of ``transport.split_by_sign``, for bundles that lack
-    their own pair."""
-    split = transport.split_by_sign(w.values)
-    return (VecField(w.grid, split[..., :w.grid.dim]),
-            VecField(w.grid, split[..., w.grid.dim:]))
-
-
 def duality_gap(problem: ProblemInstance, u: ScalarField, f: ScalarField,
                 m: DensityField, w, details: dict | None = None) -> float:
     """Certified gap A + B >= 0 of a bundle (``pdopt.certificate``, which
     fills ``details``) on the pair (w_plus, w_minus), or on a nodal VecField
-    split by sign, as the benchmark passes it.  ``f`` is not read: the
-    certificate's obstacle is max(residual(u), 0), the cheapest feasible one."""
-    w_plus, w_minus = split_by_sign(w) if isinstance(w, VecField) else w
-    a_val, b_val = pdopt.certificate(problem, u.values, m.values, w_plus.values,
-                                     w_minus.values, details)
+    w as its sign split, which the certificate takes one block of levels at a
+    time.  ``f`` is not read: the certificate's obstacle is
+    max(residual(u), 0), the cheapest feasible one."""
+    w_plus, w_minus = (w.values, None) if isinstance(w, VecField) \
+        else (w[0].values, w[1].values)
+    a_val, b_val = pdopt.certificate(problem, u.values, m.values, w_plus, w_minus, details)
     return a_val + b_val
 
 
 def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
-            m: DensityField, w_split: tuple[VecField, VecField], *, seed: int,
+            m: DensityField, w: VecField | tuple[VecField, VecField], *, seed: int,
             tol_gap: float, details: dict | None = None) -> list[CertReport]:
-    """The seven checks of a bundle with split momenta (w_plus, w_minus).  The
+    """The seven checks of a bundle with split momenta (w_plus, w_minus) or a
+    nodal momentum w (``duality_gap``), which is its own net momentum.  The
     gap passes iff -1e-9 <= A + B <= tol_gap * max(|A|, |B|, 1e-10), its
     slack; ``details`` receives the gap's details and its relative gap
     ``rel_gap``."""
-    w_net = VecField(problem.grid, w_split[0].values + w_split[1].values)
+    w_net = w if isinstance(w, VecField) else VecField(problem.grid, w[0].values + w[1].values)
     v = pdopt.recover_velocity(m, w_net, floor=1e-9, speed=problem.speed)
     reports = [check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
     reports.extend(check_weak_solution(problem, u, f, m))
@@ -404,7 +397,7 @@ def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
     reports.append(check_holder(u, f, problem.cost.p, problem.speed,
                                 samples=200, seed=seed))
     details = {} if details is None else details
-    gap = duality_gap(problem, u, f, m, w_split, details=details)
+    gap = duality_gap(problem, u, f, m, w, details=details)
     details["rel_gap"] = pdopt._relative_gap(details["A"], details["B"])
     scale = max(abs(details["A"]), abs(details["B"]), 1e-10)
     reports.append(CertReport(

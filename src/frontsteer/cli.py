@@ -358,7 +358,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_certify(args) -> int:
     """The battery of ``optimize`` on stored fields: on the split momenta
-    w_plus/w_minus when the bundle has them, else on w split by sign."""
+    w_plus/w_minus when the bundle has them, else on the nodal w, which the
+    certificate splits by sign one block of levels at a time."""
     config = load_config(args.config)
     problem = build_problem(config)
     solver_cfg = build_solver_config(config)
@@ -371,7 +372,7 @@ def cmd_certify(args) -> int:
         w = tuple(_read_on_grid(src / f"w_{part}.field", VecField, grid)
                   for part in ("plus", "minus"))
     else:
-        w = cert.split_by_sign(_read_on_grid(src / "w.field", VecField, grid))
+        w = _read_on_grid(src / "w.field", VecField, grid)
     details: dict = {}
     reports = cert.battery(problem, u, f, m, w, seed=_seed(config, args),
                            tol_gap=solver_cfg.tol_gap, details=details)

@@ -20,7 +20,8 @@ sweep.  The primal-dual solver works with split velocities (a, b), a >= 0 >= b
 per axis, whose net velocity is a + b: ``split_hamiltonian`` is the sup of
 -(a.D+u + b.D-u) over the split velocity set, the ball {|(a, b)| <= c(x)} for
 isotropic speeds and the hull of the split maps (v_i^+, v_i^-) for finite
-ones (``split_hull_faces``); ``split_project`` moves momenta into m times it.
+ones (``split_hull_faces``); ``split_project`` moves momenta into m times it,
+on the per-grid data of ``split_cone``, which a caller can build once.
 
 The cost family is the homogeneous power law K(f) = kappa*|f|^p / p with
 conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
@@ -108,11 +109,18 @@ class IsotropicSpeed:
         """Every split ball contains (a, b) = 0."""
         return True
 
-    def split_project(self, grid, m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def split_cone(self, grid) -> np.ndarray:
+        """The nodal radii, the per-grid data of ``split_project`` and of the
+        joint prox ``prox_cost_conj_coned``."""
+        return self.radius_nodes(grid.nx)
+
+    def split_project(self, grid, m: np.ndarray, w: np.ndarray,
+                      cone: np.ndarray | None = None) -> np.ndarray:
         """Sign-clipped split momenta w, shape (..., *nx, 2*dim), scaled onto
         |w| = c(x)*m beyond a relative 1e-12 (the prox's round-off, left so an
-        iterate keeps its certificate): the nearest point of m times the ball."""
-        cap = self.radius_nodes(grid.nx) * m
+        iterate keeps its certificate): the nearest point of m times the ball.
+        ``cone`` is ``split_cone(grid)``, built here when not given."""
+        cap = (self.split_cone(grid) if cone is None else cone) * m
         norm = _component_norm(w)
         over = norm > cap * (1.0 + 1e-12)
         return w * np.divide(cap, norm, out=np.ones_like(norm), where=over)[..., None]
@@ -213,12 +221,21 @@ class FiniteControlsSpeed:
         vels = self._node_velocities(grid)
         return bool(np.all(np.any(np.all(vels == 0.0, axis=-1), axis=0)))
 
-    def split_project(self, grid, m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def split_cone(self, grid) -> HullFaces:
+        """The split hull's faces (``split_hull_faces``), the per-grid data of
+        ``split_project`` and of the joint prox ``prox_cost_conj_hull``."""
+        return self.split_hull_faces(grid)
+
+    def split_project(self, grid, m: np.ndarray, w: np.ndarray,
+                      cone: HullFaces | None = None) -> np.ndarray:
         """Sign-clipped split momenta w moved into m times the split hull: the
         projection (m', w') of (m, w) onto the split cone, rescaled to w' m/m'
-        (m' > 0 where m > 0: (m, w) has a positive product with each generator)."""
+        (m' > 0 where m > 0: (m, w) has a positive product with each generator).
+        ``cone`` is ``split_cone(grid)``, built here when not given."""
+        if cone is None:
+            cone = self.split_cone(grid)
         # coef = 0 leaves the projection; r = 1/2 only selects the root solver
-        pm, pw = _hull_prox(self.split_hull_faces(grid), m, w, 0.0, 0.5)
+        pm, pw = _hull_prox(cone, m, w, 0.0, 0.5)
         scale = np.divide(m, pm, out=np.zeros_like(pm), where=pm > 0)
         return pw * scale[..., None]
 

@@ -35,8 +35,9 @@ with a continuity residual at most tol_cont), on the last one and on
 iterations 1, 2, 4, 8, ... for a log-spaced record.  The
 public ``certificate`` first moves any momenta into the split set (an
 iterate's already lie in it) and certifies stored bundles
-(``certify.duality_gap``), so a bundle written with its split momenta
-re-certifies to the gap ``optimize`` recorded.  Both build A and B in one
+(``certify.duality_gap``) on their split pair or on a nodal w split by sign
+block by block, so a bundle written with its split momenta re-certifies to
+the gap ``optimize`` recorded.  Both build A and B in one
 pass over blocks of time levels (about ``_BLOCK_BYTES`` of split momenta
 each, one block for a 1D run at 64 points), so the certificate holds two
 level-sized (nt, *nx) buffers plus one block, never a full momentum or
@@ -358,23 +359,28 @@ def _split_velocity(m: np.ndarray, w: np.ndarray,
 
 
 def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
-                w_plus: np.ndarray, w_minus: np.ndarray,
+                w_plus: np.ndarray, w_minus: np.ndarray | None,
                 details: dict | None = None) -> tuple[float, float]:
     """Certified (A, B) of nodal values u, density m (nt levels) and split
     momenta (w+, w-), each of shape (nt or nt - 1, *nx, dim) with only the
     first nt - 1 levels read, from any fields: each block of levels is
     sign-clipped and moved into m times the split set (``split_project``),
     then certified as in ``_certificate``, in the same pass and with the
-    same memory.  ``details`` also gets the largest component move, 0 for
+    same memory.  With w_minus None, w_plus is a nodal momentum w, certified
+    as its sign split (max(w, 0), min(w, 0)), which the clip of each block
+    gives with no split copy of w.  ``details`` also gets the largest
+    component move from the pair, or from the sign split of a nodal w; 0 for
     admissible momenta."""
     return _certificate(problem, u, m, w_plus, w_minus, details, project=True)
 
 
 def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
-                 w_plus: np.ndarray, w_minus: np.ndarray, details: dict | None = None,
+                 w_plus: np.ndarray, w_minus: np.ndarray | None,
+                 details: dict | None = None,
                  project: bool = False) -> tuple[float, float]:
     """Certified (A, B) of u, m and split momenta (w+, w-) in m times the
-    split set, read on their first nt - 1 levels.
+    split set, read on their first nt - 1 levels (with ``project``, of any
+    pair, or of a nodal w in w_plus when w_minus is None).
 
     Primal point: u with u(T) pinned to u_T and f = max(residual(u), 0).
     Dual point: m0 marched with the velocities w/m, scaled down where their
@@ -389,11 +395,16 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     march into one (nt, *nx) density.  So the memory is those two buffers
     plus one block, and A and B are sums over the same arrays as in a
     whole-array pass, bit for bit.  ``project`` first moves each block into
-    the split set (``certificate``)."""
+    the split set (``certificate``), on the split set's per-grid data
+    (``split_cone``), built once."""
     grid = problem.grid
     d = grid.dim
     nt = grid.nt
     u = np.asarray(u, dtype=float)
+    nodal = w_minus is None
+    if nodal:
+        w_minus = w_plus
+    cone = problem.speed.split_cone(grid) if project else None
     step = max(1, _BLOCK_BYTES // (grid.n_space * 2 * d * 8))
     blocks = [(k0, min(k0 + step, nt - 1)) for k0 in range(0, nt - 1, step)]
     costs = np.empty((nt - 1, *grid.nx))
@@ -411,9 +422,12 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
         if project:
             np.maximum(w_plus[k0:k1], 0.0, out=w[..., :d])
             np.minimum(w_minus[k0:k1], 0.0, out=w[..., d:])
-            w = problem.speed.split_project(grid, m[k0:k1], w)
-            excess = np.maximum(excess, np.max(np.abs(w[..., :d] - w_plus[k0:k1])))
-            excess = np.maximum(excess, np.max(np.abs(w[..., d:] - w_minus[k0:k1])))
+            # a nodal w moves from its sign split, the clipped block itself
+            plus, minus = (w[..., :d], w[..., d:]) if nodal \
+                else (w_plus[k0:k1], w_minus[k0:k1])
+            w = problem.speed.split_project(grid, m[k0:k1], w, cone)
+            excess = np.maximum(excess, np.max(np.abs(w[..., :d] - plus)))
+            excess = np.maximum(excess, np.max(np.abs(w[..., d:] - minus)))
         else:
             w[..., :d] = w_plus[k0:k1]
             w[..., d:] = w_minus[k0:k1]
@@ -475,8 +489,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     # the joint prox takes nodal radii for balls and split face data for
     # finite hulls, built once here; the prox names stay globals for the tracer
     iso = isinstance(problem.speed, IsotropicSpeed)
-    cone = problem.speed.radius_nodes(grid.nx) if iso \
-        else problem.speed.split_hull_faces(grid)
+    cone = problem.speed.split_cone(grid)
     gram_solve = _gram_solver(grid)
 
     m = np.full((grid.nt, *grid.nx), problem.mass)

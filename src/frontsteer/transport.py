@@ -19,7 +19,8 @@ arbitrary fields.
 ``sample_trajectories`` draws paths of the Markov chain whose law is that
 march (one jump of at most one cell per step), so the expected path
 histogram is the marched density at every level.  The march and the chain
-share one CFL test.
+share one CFL test, taken one level at a time; the chain builds its jump
+table one level at a time too.
 """
 
 from __future__ import annotations
@@ -129,17 +130,17 @@ def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid) -> 
         np.subtract(m[k], div, out=m[k + 1])
 
 
-def _split_within_cfl(v: VecField) -> np.ndarray:
-    """v split by sign (``split_by_sign``), refused when its CFL load passes
-    1 + 1e-12 on any level: beyond it the march can go negative and the
-    chain's jump probabilities sum past 1."""
-    split = split_by_sign(v.values)
-    worst = float(np.max(split_load(split, v.grid)))
+def _check_cfl(v: VecField) -> None:
+    """Refuse v when the CFL load of its split by sign passes 1 + 1e-12 on
+    any level: beyond it the march can go negative and the chain's jump
+    probabilities sum past 1.  Loads are taken one level at a time; the
+    message names the largest over all levels."""
+    worst = float(np.max([np.max(split_load(split_by_sign(vk), v.grid))
+                          for vk in v.values]))
     if worst > 1.0 + 1e-12:
         raise ParameterError(
             f"CFL violation: max speed load {worst:.4g} > 1 "
             f"(require sum_axes |v_a|*dt/dx_a <= 1 for positivity)")
-    return split
 
 
 def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
@@ -155,8 +156,8 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
         raise ParameterError(f"m0 shape {m0.shape} != grid {grid.nx}")
     if np.min(m0) < 0:
         raise ParameterError("initial density must be >= 0")
-    split = _split_within_cfl(v)
-    m = march_split(m0, split[:-1], grid)
+    _check_cfl(v)
+    m = march_split(m0, split_by_sign(v.values[:-1]), grid)
     # monotone scheme: only round-off can dip below zero
     floor = np.min(m)
     if floor < -1e-12 * max(1.0, np.max(np.abs(m))):
@@ -208,13 +209,15 @@ class TrajectoryEnsemble:
     """Sampled paths of the split march's Markov chain, with per-path mass.
 
     ``cells`` holds the flat node index (C order over ``grid.nx``) of every
-    path at every time level, time-major: shape (nt, count), int32, so
-    ``cells[k]`` is one contiguous level.  ``positions`` gives the node
-    coordinates of the same paths on demand, shape (count, nt, dim).
+    path at every time level, time-major: shape (nt, count), in the
+    narrowest unsigned integer type that holds n_space - 1 (uint8 up to 256
+    nodes, uint16 up to 65536), so ``cells[k]`` is one contiguous level.
+    ``positions`` gives the node coordinates of the same paths on demand,
+    shape (count, nt, dim).
     """
 
     grid: TorusGrid
-    cells: np.ndarray          # (nt, count) int32
+    cells: np.ndarray          # (nt, count), np.min_scalar_type(n_space - 1)
     weights: np.ndarray        # (count,)
     seed: int
 
@@ -245,24 +248,24 @@ def _level_rng(seed: int, level: int) -> np.random.Generator:
 
 
 def _jump_table(split: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The chain's cumulative jump probabilities, shape (nt - 1, n_space,
-    2*dim), from split velocities of every level, shape (nt, *nx, 2*dim),
-    which it overwrites.  Entry e of a cell is the probability of the jumps
-    0..e, in the order +e_0, .., +e_{dim-1}, -e_0, .., -e_{dim-1}: jump
-    +e_a has probability a_a dt/dx_a and -e_a has -b_a dt/dx_a."""
+    """The chain's cumulative jump probabilities of one level, shape
+    (n_space, 2*dim), from its split velocities, shape (*nx, 2*dim), which
+    it overwrites.  Entry e of a cell is the probability of the jumps 0..e,
+    in the order +e_0, .., +e_{dim-1}, -e_0, .., -e_{dim-1}: jump +e_a has
+    probability a_a dt/dx_a and -e_a has -b_a dt/dx_a."""
     d = grid.dim
-    table = split[:-1].reshape(grid.nt - 1, grid.n_space, 2 * d)
+    table = split.reshape(grid.n_space, 2 * d)
     for a in range(d):
-        table[..., a] *= grid.dt / grid.dx[a]
-        table[..., d + a] *= -grid.dt / grid.dx[a]
+        table[:, a] *= grid.dt / grid.dx[a]
+        table[:, d + a] *= -grid.dt / grid.dx[a]
     return np.cumsum(table, axis=-1, out=table)
 
 
-def _neighbour_table(grid: TorusGrid) -> np.ndarray:
-    """Flat int32 table of (2*dim + 1) entries per cell: the cell after the
-    jumps +e_0, .., -e_{dim-1} of ``_jump_table`` on the torus, then the cell
-    itself (no jump)."""
-    idx = np.arange(grid.n_space, dtype=np.int32).reshape(grid.nx)
+def _neighbour_table(grid: TorusGrid, dtype) -> np.ndarray:
+    """Flat table of (2*dim + 1) entries per cell, of the cells' dtype: the
+    cell after the jumps +e_0, .., -e_{dim-1} of ``_jump_table`` on the
+    torus, then the cell itself (no jump)."""
+    idx = np.arange(grid.n_space, dtype=dtype).reshape(grid.nx)
     plus = [np.roll(idx, -1, axis=a) for a in range(grid.dim)]
     minus = [np.roll(idx, 1, axis=a) for a in range(grid.dim)]
     return np.stack([*plus, *minus, idx], axis=-1).ravel()
@@ -274,20 +277,22 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     the Markov chain whose law is the split march of ``solve_continuity``
     (the Markov chain approximation of Kushner & Dupuis).
 
-    v is split by sign and refused above the CFL load of the march.  A path
-    starts in a cell drawn from m0 / mass(m0); from level k to k + 1 a path
-    in cell i jumps to i + e_a with probability a_a dt/dx_a, to i - e_a with
-    probability -b_a dt/dx_a, and stays otherwise.  The expected histogram
-    at every level is therefore the march of m0 / mass(m0), so
-    ``pushforward_distance`` measures Monte-Carlo error only
-    (``pushforward_floor``).
+    v is refused above the CFL load of the march (the check of
+    ``solve_continuity``).  A path starts in a cell drawn from m0 / mass(m0);
+    from level k to k + 1 a path in cell i jumps to i + e_a with probability
+    a_a dt/dx_a, to i - e_a with probability -b_a dt/dx_a, and stays
+    otherwise.  The expected histogram at every level is therefore the march
+    of m0 / mass(m0), so ``pushforward_distance`` measures Monte-Carlo error
+    only (``pushforward_floor``).
 
     Level 0's cell draws and each step's uniforms (one per path) come from
     Philox keyed by (seed, level), so an ensemble is reproducible from the
-    seed and path i is the same whatever ``count`` is.  A step compares each
-    path's uniform with its cell's row of the cumulative table (nt - 1,
-    n_space, 2*dim) and moves it through a fixed neighbour table.  Cells are
-    stored time-major as int32, (nt, count): 4 bytes per path and level.
+    seed and path i is the same whatever ``count`` is.  Step k builds level
+    k's cumulative table (n_space, 2*dim) from v[k] split by sign, compares
+    each path's uniform with its cell's row and moves it through a fixed
+    neighbour table.  Cells are stored time-major in the narrowest unsigned
+    type that holds every cell index, (nt, count): 2 bytes per path and
+    level at 64^2 nodes, 1 byte up to 256 nodes.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -296,10 +301,10 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     mass = float(np.sum(m0) * grid.cell_volume)
     if not mass > 0:
         raise ParameterError("initial density has zero total mass")
-    jumps = _jump_table(_split_within_cfl(v), grid)
-    neighbours = _neighbour_table(grid)
+    _check_cfl(v)
+    cells = np.empty((grid.nt, count), dtype=np.min_scalar_type(grid.n_space - 1))
+    neighbours = _neighbour_table(grid, cells.dtype)
     stride = 2 * grid.dim + 1
-    cells = np.empty((grid.nt, count), dtype=np.int32)
     # one step's scratch, reused: a uniform and a neighbour-table index per path
     draw = np.empty(count)
     pick = np.empty(count, dtype=np.int32)
@@ -307,13 +312,15 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     cum[-1] = 1.0
     cells[0] = np.searchsorted(cum, _level_rng(seed, 0).random(out=draw), side="right")
     for k in range(grid.nt - 1):
+        jumps = _jump_table(split_by_sign(v.values[k]), grid)
         _level_rng(seed, k + 1).random(out=draw)
         cur = cells[k]
-        np.multiply(cur, stride, out=pick)
-        # fancy indexing casts int32 indices in small buffers, where take
+        # in int32: a narrow cell index times the stride would wrap
+        np.multiply(cur, stride, out=pick, dtype=pick.dtype)
+        # fancy indexing casts narrow indices in small buffers, where take
         # would copy them whole to intp
         for e in range(stride - 1):
-            pick += jumps[k, :, e][cur] <= draw
+            pick += jumps[:, e][cur] <= draw
         cells[k + 1] = neighbours[pick]
     weights = np.full(count, mass / count)
     return TrajectoryEnsemble(grid=grid, cells=cells, weights=weights, seed=int(seed))

@@ -14,7 +14,7 @@ from frontsteer.hj import (counterexample_instance, counterexample_speed,
 from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed
 from frontsteer.pdopt import ProblemInstance, recover_velocity
 from frontsteer.transport import upwind_directional_derivative
-from frontsteer import certify, pdopt
+from frontsteer import certify, pdopt, transport
 from frontsteer.certify import (check_holder, check_ibp_inequality,
                                 check_pointwise_hj, check_subsolution,
                                 check_weak_solution, duality_gap,
@@ -66,8 +66,7 @@ class TestSelfConsistency:
         """The certifier's own self-test: every check passes simultaneously
         on the analytic optimum of the uniform instance."""
         u, f, m, w = closed_bundle
-        reports = certify.battery(uniform_problem, u, f, m, certify.split_by_sign(w),
-                                  seed=0, tol_gap=1e-3)
+        reports = certify.battery(uniform_problem, u, f, m, w, seed=0, tol_gap=1e-3)
         assert [r.name for r in reports] == [
             "ibp_inequality", "weak_identity_from_start", "weak_identity_to_end",
             "pointwise_hj", "subsolution", "holder_bound", "duality_gap"]
@@ -283,6 +282,21 @@ class TestSubsolution:
                  for trials in (1, 10)}
         assert peaks[10] <= 1.5 * peaks[1]
 
+    def test_memory_is_one_draw_and_a_few_levels(self):
+        # beyond drawing one trial pair, the check holds a few one-level
+        # arrays (3 measured); differences of u taken over all nt - 1 levels
+        # at once would add 20 of them here
+        grid = TorusGrid(2, (16, 16), 17, 1.0)
+        rng = np.random.default_rng(6)
+        shape = (grid.nt, *grid.nx)
+        u = ScalarField(grid, rng.standard_normal(shape))
+        f = ScalarField(grid, rng.random(shape))
+        speed = IsotropicSpeed(2, 1.0)
+        _, draw = traced_peak(certify._draw_pair, speed, grid, np.random.default_rng(3))
+        _, peak = traced_peak(check_subsolution, u, f, speed, trials=10, seed=3)
+        level = 8 * grid.n_space * 2 * grid.dim
+        assert peak <= draw + 6 * level
+
 
 class TestHolder:
     def test_constant_monotone_in_beta(self):
@@ -448,12 +462,15 @@ class TestDualityGap:
                                   m0=rng.random(grid.nx))
         u = ScalarField(grid, rng.standard_normal(shape))
         m = DensityField(grid, rng.random(shape))
-        pair = certify.split_by_sign(VecField(grid, 0.5 * rng.standard_normal((*shape, 2))))
+        w = VecField(grid, 0.5 * rng.standard_normal((*shape, 2)))
+        split = transport.split_by_sign(w.values)
+        pair = (VecField(grid, split[..., :2]), VecField(grid, split[..., 2:]))
         monkeypatch.setattr(pdopt, "_BLOCK_BYTES", 1)
-        gap, peak = traced_peak(duality_gap, problem, u, u, m, pair)
-        assert np.isfinite(gap)
         level = 8 * grid.n_space * 2 * grid.dim
-        assert peak <= 2 * 8 * grid.nt * grid.n_space + 10 * level
+        for momenta in (pair, w):               # a nodal w is split block by block
+            gap, peak = traced_peak(duality_gap, problem, u, u, m, momenta)
+            assert np.isfinite(gap)
+            assert peak <= 2 * 8 * grid.nt * grid.n_space + 10 * level
 
     def test_finite_hull_without_rest_reads_inf(self):
         # split load 0.9 * 16 * (1/8) = 1.8 > 1 must be scaled, which leaves
@@ -471,6 +488,5 @@ class TestDualityGap:
         assert duality_gap(problem, u, u, m, w, details=details) == np.inf
         assert details["B"] == np.inf and details["b_inf_without_rest"]
         assert details["max_split_load"] == pytest.approx(1.8)
-        report = certify.battery(problem, u, u, m, certify.split_by_sign(w),
-                                 seed=0, tol_gap=1e-3)[-1]
+        report = certify.battery(problem, u, u, m, w, seed=0, tol_gap=1e-3)[-1]
         assert report.name == "duality_gap" and not report.passed

@@ -9,8 +9,9 @@ import pytest
 
 import frontsteer
 from frontsteer.cli import main
-from frontsteer.grid import ScalarField, VecField, read_field, write_field
+from frontsteer.grid import ScalarField, TorusGrid, VecField, read_field, write_field
 from frontsteer.hj import counterexample_instance
+from frontsteer.transport import split_by_sign
 
 
 def write_config(path, **overrides):
@@ -398,6 +399,43 @@ class TestCertifyCommand:
         assert gap["name"] == "duality_gap" and np.isfinite(gap["lhs"]) and gap["lhs"] >= 0.0
         stored = json.loads((out / "certificates.json").read_text())["checks"]
         assert checks[:-1] == stored[:-1] and gap["lhs"] != stored[-1]["lhs"]
+
+    @pytest.mark.parametrize("speed", [
+        {"variant": "isotropic", "radius": 1.0},
+        {"variant": "finite", "c0": 0.63, "c1": 0.9,     # the diamond with rest
+         "velocities": [[0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9], [0.0, 0.0]]},
+    ], ids=["ball", "hull"])
+    def test_nodal_bundle_certifies_like_its_split_pair(self, tmp_path, speed):
+        # w alone, or w with the pair (max(w, 0), min(w, 0)) written beside it:
+        # the certificate's per-block sign clip is that pair, bit for bit
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, problem={
+            "dim": 2, "nx": [8, 8], "nt": 9, "speed": speed, "cost": {"p": 4.0},
+            "u_T": {"preset": "cosine"}, "m0": {"preset": "gaussian"}})
+        grid = TorusGrid(2, (8, 8), 9, 1.0)
+        rng = np.random.default_rng(31)
+        shape = (grid.nt, *grid.nx)
+        m = rng.random(shape) * (rng.random(shape) > 0.2)
+        w = VecField(grid, 2.0 * rng.standard_normal((*shape, 2)) * m[..., None])
+        split = split_by_sign(w.values)
+        fields = {"u": ScalarField(grid, rng.standard_normal(shape)),
+                  "f": ScalarField(grid, rng.random(shape)), "m": ScalarField(grid, m),
+                  "w": w, "w_plus": VecField(grid, split[..., :2]),
+                  "w_minus": VecField(grid, split[..., 2:])}
+        results = []
+        for kind, names in (("nodal", "ufmw"), ("pair", list(fields))):
+            bundle = tmp_path / kind
+            bundle.mkdir()
+            for name in names:
+                write_field(bundle / f"{name}.field", fields[name])
+            out = tmp_path / f"{kind}_out"
+            code = main(["certify", "--config", str(cfg_path), "--bundle", str(bundle),
+                         "--out", str(out)])
+            manifest = json.loads((out / "manifest.json").read_text())
+            results.append((code, (out / "certificates.json").read_bytes(),
+                            manifest["gap_details"]))
+        assert results[0] == results[1]
+        assert results[0][2]["max_split_excess"] > 0.0
 
     def test_momenta_outside_the_split_set_fail_the_gap(self, gaussian_bundle, tmp_path):
         # w_plus doubled at every 4th node leaves the speed ball; the

@@ -392,6 +392,29 @@ class TestBlockedCertificate:
         if project:
             assert expected["max_split_excess"] > 0.0
 
+    @pytest.mark.parametrize("case", ["ball 1d", "radius table 2d", "hull with rest 2d",
+                                      "hull without rest 2d", "pair without rest 1d"])
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_nodal_momenta_give_the_bits_of_their_sign_split(self, monkeypatch, case,
+                                                             levels):
+        prob, u, m, w = _oracle_case(case)
+        grid = prob.grid
+        d = grid.dim
+        nodal = w[..., :d] + w[..., d:]                  # both signs on every axis
+        expected = {}
+        ref = certificate_reference(prob, u, m, split_by_sign(nodal), expected, True)
+        monkeypatch.setattr(pdopt, "_BLOCK_BYTES", levels * grid.n_space * 2 * d * 8)
+        if levels == 1:
+            # nt levels, as a bundle stores them: the last one is never read
+            nodal = np.concatenate([nodal, np.full((1, *grid.nx, d), np.nan)])
+        details = {}
+        got = certificate(prob, u, m, nodal, None, details)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert list(details) == list(expected)
+        for key, value in expected.items():
+            assert np.float64(details[key]).tobytes() == np.float64(value).tobytes(), key
+        assert expected["max_split_excess"] > 0.0
+
 
 class TestRecover:
     def test_recover_f_zero(self, uniform_problem):

@@ -242,7 +242,7 @@ class TestSampleTrajectories:
         grid = TorusGrid(2, (6, 5), 7, 1.0)
         v = VecField(grid, np.random.default_rng(5).uniform(-0.4, 0.4, (7, 6, 5, 2)))
         ens = sample_trajectories(np.ones((6, 5)), v, 33, seed=4)
-        assert ens.cells.shape == (grid.nt, 33) and ens.cells.dtype == np.int32
+        assert ens.cells.shape == (grid.nt, 33) and ens.cells.dtype == np.uint8
         assert ens.cells.flags.c_contiguous and ens.count == 33
         assert ens.positions.shape == (33, grid.nt, grid.dim)
         i, j = np.unravel_index(ens.cells.T, grid.nx)
@@ -257,23 +257,41 @@ class TestSampleTrajectories:
         v = VecField(grid, rng.uniform(-0.28, 0.28, (9, 16, 12, 2)))
         m0 = rng.random((16, 12))
         ens = sample_trajectories(m0, v, count, seed=13)
-        assert ens.cells.tobytes() == chain_reference(m0, v, count, seed=13).tobytes()
+        assert ens.cells.dtype == np.uint8          # 192 nodes
+        assert ens.cells.astype(np.int32).tobytes() \
+            == chain_reference(m0, v, count, seed=13).tobytes()
 
-    def test_memory_is_four_bytes_per_path_and_level(self):
-        # the stored cells, the level tables (split velocities of every level
-        # and the neighbour table) and one step's scratch: a uniform and a
-        # gathered probability (float64), a pick index (int32) and a
-        # comparison, 21 bytes per path, allowed 32; float64 positions alone
-        # would take 16 bytes per path and level here
+    @pytest.mark.parametrize("nx,vmax,dtype", [
+        ((200,), 0.038, np.uint8),      # dt/dx = 25; cell * 3 passes 255
+        ((24, 16), 0.19, np.uint16),    # dt/dx_a = 3, 2; 384 nodes
+    ])
+    def test_narrow_cells_bitwise_equal_per_path_reference(self, nx, vmax, dtype):
+        grid = TorusGrid(len(nx), nx, 9, 1.0)
+        rng = np.random.default_rng(22)
+        v = VecField(grid, rng.uniform(-vmax, vmax, (grid.nt, *nx, grid.dim)))
+        m0 = rng.random(nx)
+        ens = sample_trajectories(m0, v, 300, seed=14)
+        assert ens.cells.dtype == dtype
+        assert ens.cells.astype(np.int32).tobytes() \
+            == chain_reference(m0, v, 300, seed=14).tobytes()
+
+    def test_memory_is_one_cell_itemsize_per_path_and_level(self):
+        # the stored cells (uint8 at 256 nodes), one level's jump table, the
+        # neighbour table and one step's scratch: a uniform and a gathered
+        # probability (float64), a pick index (int32), a comparison and a
+        # gathered neighbour (uint8), 22 bytes per path, allowed 32; float64
+        # positions alone would take 16 bytes per path and level here
         grid = TorusGrid(2, (16, 16), 17, 1.0)
         rng = np.random.default_rng(3)
         v = VecField(grid, rng.uniform(-0.45, 0.45, (17, 16, 16, 2)))
         m0 = rng.random((16, 16))
         count = 20_000
-        tables = 8 * grid.nt * grid.n_space * 2 * grid.dim + 4 * grid.n_space * 5
         ens, peak = traced_peak(sample_trajectories, m0, v, count, seed=1)
-        assert ens.cells.nbytes == 4 * grid.nt * count
-        assert peak <= 4 * grid.nt * count + tables + 32 * count
+        itemsize = ens.cells.itemsize
+        assert ens.cells.dtype == np.uint8
+        assert ens.cells.nbytes == itemsize * grid.nt * count
+        tables = 8 * grid.n_space * 2 * grid.dim + itemsize * grid.n_space * 5
+        assert peak <= itemsize * grid.nt * count + tables + 32 * count
 
 
 class TestPushforward:
