@@ -3,12 +3,15 @@ conditions on computed or supplied fields.
 
 Every check is deterministic given (inputs, seed) and returns a CertReport.
 Statements proved for the continuum hold discretely only up to consistency
-error, so inequality checks carry an additive slack C_report * (dx + dt)
-whose constant is assembled from field norms, never hard-coded numbers
-alone.
+error.  The IBP inequality, the subsolution inequality and the Hoelder bound
+carry an additive slack C * (dx + dt) whose constant is assembled from field
+norms; the other rules are fixed numbers: a relative 1e-3 for the weak
+identities, a relative 0.1 for the pointwise HJ residual, and the solver's
+tol_gap for the duality gap.
 
 Space differences are ``transport.one_sided``, the adjoint of the split
-divergence that ``pdopt`` and the transport solver march with.
+divergence that ``pdopt`` and the transport solver march with, paired with
+split velocities by ``transport.upwind_directional_derivative``.
 
 ``battery`` runs all seven checks for ``optimize`` and ``certify``.  Its gap
 is the certificate ``optimize`` stops on (``pdopt.certificate``) on the
@@ -80,7 +83,7 @@ def _disc_scale(grid: TorusGrid) -> float:
 
 
 def check_ibp_inequality(u: ScalarField, f: ScalarField, m: DensityField,
-                         t: int, s: int, slack: float | None = None) -> CertReport:
+                         t: int, s: int) -> CertReport:
     """Signed quantity <u(s)m(s)> - <u(t)m(t)> + sum_{t<=k<s} dt <f_k m_k>,
     nonnegative for value functions paired with transported densities up to
     discretization slack."""
@@ -94,12 +97,11 @@ def check_ibp_inequality(u: ScalarField, f: ScalarField, m: DensityField,
     vol = grid.cell_volume
     quantity = vol * (np.sum(u.values[s] * m.values[s]) - np.sum(u.values[t] * m.values[t]))
     quantity += grid.dt * vol * float(np.sum(f.values[t:s] * m.values[t:s]))
-    if slack is None:
-        mass_scale = vol * float(np.max(np.sum(np.abs(m.values), axis=tuple(
-            range(1, grid.dim + 1)))))
-        c_report = 8.0 * mass_scale * (1.0 + _lip_space(u.values, grid)) \
-            * (1.0 + float(np.max(np.abs(f.values)))) * (1.0 + grid.horizon)
-        slack = c_report * _disc_scale(grid)
+    mass_scale = vol * float(np.max(np.sum(np.abs(m.values), axis=tuple(
+        range(1, grid.dim + 1)))))
+    c_report = 8.0 * mass_scale * (1.0 + _lip_space(u.values, grid)) \
+        * (1.0 + float(np.max(np.abs(f.values)))) * (1.0 + grid.horizon)
+    slack = c_report * _disc_scale(grid)
     return CertReport(name="ibp_inequality", passed=bool(quantity >= -slack),
                       lhs=float(quantity), rhs=0.0, slack=float(slack),
                       worst_location=(t, s))
@@ -154,27 +156,35 @@ def check_weak_solution(problem: ProblemInstance, u: ScalarField, f: ScalarField
 
 
 def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
-                       v: VecField, threshold: float | None = None,
-                       slack: float = 0.1) -> CertReport:
-    """Relative L1 residual of -du/dt - v.Du - f over nodes with m > threshold,
-    with one-sided time differences and v-oriented upwind space differences.
+                       w_plus: VecField, w_minus: VecField) -> CertReport:
+    """Relative L1 residual of -du/dt - v.Du - f over the nodes with
+    m > max(1e-9, 1e-3 * max(m)), passed at 0.1: one-sided time differences,
+    and the split velocities v = (max(w_plus, 0), min(w_minus, 0)) / m paired
+    with ``one_sided(u)`` by ``upwind_directional_derivative``, the
+    optimizer's own HJ operator.  A nodal momentum w passed as (w, w) is its
+    sign split.
 
-    The default threshold is 1e-3 * max(m): the multiplier is only pinned on
-    the occupied region, and its kinks at the support boundary would otherwise
-    dominate the residual."""
+    The threshold pins the multiplier on the occupied region only: its kinks
+    at the support boundary would otherwise dominate the residual.  One
+    level's velocities are held at a time."""
     grid = u.grid
-    if threshold is None:
-        threshold = max(1e-9, 1e-3 * float(np.max(m.values)))
+    d = grid.dim
+    threshold = max(1e-9, 1e-3 * float(np.max(m.values)))
+    slack = 0.1
+    v = np.empty((*grid.nx, 2 * d))
     num = 0.0
     den = 0.0
     worst = (0.0, None)
     for k in range(grid.nt - 1):
-        res = -(u.values[k + 1] - u.values[k]) / grid.dt \
-            - upwind_directional_derivative(u.values[k + 1], v.values[k], grid) \
-            - f.values[k]
         mask = m.values[k] > threshold
         if not np.any(mask):
             continue
+        np.maximum(w_plus.values[k], 0.0, out=v[..., :d])
+        np.minimum(w_minus.values[k], 0.0, out=v[..., d:])
+        np.divide(v, m.values[k][..., None], out=v, where=mask[..., None])
+        res = -(u.values[k + 1] - u.values[k]) / grid.dt \
+            - upwind_directional_derivative(*one_sided(u.values[k + 1], grid), v) \
+            - f.values[k]
         num += float(np.sum(np.abs(res[mask])))
         den += float(np.sum(np.abs(f.values[k][mask])))
         j = np.argmax(np.abs(res * mask))
@@ -240,7 +250,6 @@ def _draw_pair(speed: SpeedModel, grid: TorusGrid, rng: np.random.Generator):
 
 def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
                       trials: int = 20, seed: int = 0,
-                      slack: float | None = None,
                       pairs: list | None = None) -> CertReport:
     """For sampled smooth admissible fields v~ in c(x,A) and smooth phi >= 0,
     verifies  -sum phi*du - sum phi*v~.Du <= sum f*phi + slack  in the
@@ -250,23 +259,20 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     instead of random sampling.  Sampled pairs are streamed: each is summed
     and dropped before the next is drawn, so memory does not grow with
     ``trials``.  The differences of u are taken one level at a time inside
-    the sum (the float expressions of ``upwind_directional_derivative``), so
-    beyond the pair the check holds one level's arrays."""
+    the sum and paired with the level's sign split of v~ by
+    ``upwind_directional_derivative``, so beyond the pair the check holds
+    one level's arrays."""
     grid = u.grid
     if f.grid != grid:
         raise ParameterError("fields live on different grids")
     vol = grid.cell_volume
-    d = grid.dim
 
     def excess(v: VecField, phi: np.ndarray) -> float:
         lhs = rhs = 0.0
         for k in range(grid.nt - 1):
             du = u.values[k + 1] - u.values[k]
             fwd, bwd = one_sided(u.values[k + 1], grid)
-            vs = transport.split_by_sign(v.values[k])
-            dd = np.zeros_like(du)
-            for a in range(d):
-                dd += vs[..., a] * fwd[..., a] + vs[..., d + a] * bwd[..., a]
+            dd = upwind_directional_derivative(fwd, bwd, transport.split_by_sign(v.values[k]))
             lhs += -vol * float(np.sum(phi[k] * (du + grid.dt * dd)))
             rhs += vol * grid.dt * float(np.sum(f.values[k] * phi[k]))
         return lhs - rhs
@@ -278,9 +284,7 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
         gap = excess(*(_draw_pair(speed, grid, rng) if pairs is None else pairs[trial]))
         if gap > worst[0]:
             worst = (gap, trial)
-    if slack is None:
-        c_report = 2.0 * (1.0 + speed.c1) * (1.0 + grid.horizon)
-        slack = c_report * _disc_scale(grid)
+    slack = 2.0 * (1.0 + speed.c1) * (1.0 + grid.horizon) * _disc_scale(grid)
     return CertReport(name="subsolution", passed=bool(worst[0] <= slack),
                       lhs=float(worst[0]), rhs=0.0, slack=float(slack),
                       worst_location=(worst[1],) if worst[1] is not None else None)
@@ -316,10 +320,11 @@ def holder_constant(p: float, N: int, c0: float, beta: float) -> float:
 
 
 def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
-                 samples: int = 1000, seed: int = 0, beta: float = 0.5,
+                 samples: int = 1000, seed: int = 0,
                  bound_scale: float = 1.0) -> CertReport:
-    """Sampled verification of the time-Hoelder bound and of the terminal
-    upper bound u(t,x) <= u_T(x) + C (T-t)^alpha ||f||_p.
+    """Sampled verification of the time-Hoelder bound, on point pairs with
+    |x-y| <= beta*c0*(s-t) for beta = 1/2, and of the terminal upper bound
+    u(t,x) <= u_T(x) + C (T-t)^alpha ||f||_p.
 
     Supports isotropic speeds with constant radius only (the averaging
     construction assumes a fixed ball of admissible velocities); other
@@ -331,6 +336,7 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
         return CertReport(name="holder_bound", passed=True, lhs=0.0, rhs=0.0,
                           slack=0.0, skipped=True)
     c0 = float(speed.radius)
+    beta = 0.5
     alpha = 1.0 - (grid.dim + 1.0) / p
     norm_f = norm_lp(f, p)
     c_pair = holder_constant(p, grid.dim, c0, beta) * bound_scale
@@ -384,15 +390,13 @@ def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
             m: DensityField, w: VecField | tuple[VecField, VecField], *, seed: int,
             tol_gap: float, details: dict | None = None) -> list[CertReport]:
     """The seven checks of a bundle with split momenta (w_plus, w_minus) or a
-    nodal momentum w (``duality_gap``), which is its own net momentum.  The
-    gap passes iff -1e-9 <= A + B <= tol_gap * max(|A|, |B|, 1e-10), its
-    slack; ``details`` receives the gap's details and its relative gap
-    ``rel_gap``."""
-    w_net = w if isinstance(w, VecField) else VecField(problem.grid, w[0].values + w[1].values)
-    v = pdopt.recover_velocity(m, w_net, floor=1e-9, speed=problem.speed)
+    nodal momentum w, which ``check_pointwise_hj`` and ``duality_gap`` take
+    as its sign split.  The gap passes iff -1e-9 <= A + B <= tol_gap *
+    max(|A|, |B|, 1e-10), its slack; ``details`` receives the gap's details
+    and its relative gap ``rel_gap``."""
     reports = [check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
     reports.extend(check_weak_solution(problem, u, f, m))
-    reports.append(check_pointwise_hj(u, f, m, v))
+    reports.append(check_pointwise_hj(u, f, m, *((w, w) if isinstance(w, VecField) else w)))
     reports.append(check_subsolution(u, f, problem.speed, trials=10, seed=seed))
     reports.append(check_holder(u, f, problem.cost.p, problem.speed,
                                 samples=200, seed=seed))

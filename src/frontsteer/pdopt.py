@@ -269,18 +269,18 @@ def evaluate_A(problem: ProblemInstance, u: ScalarField, f: ScalarField) -> floa
 
 
 def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
-               cone_tol: float = 1e-8, details: dict | None = None) -> float:
+               details: dict | None = None) -> float:
     """B(m, w) = int u_T m(T) dx + iint K*(m) dx dt, or the +inf sentinel if
-    the cone constraint w in m*c(x,A) is violated beyond cone_tol.  Pass a
-    dict as ``details`` to receive the max violation."""
+    the cone constraint w in m*c(x,A) is violated beyond 1e-8.  Pass a dict
+    as ``details`` to receive the max violation."""
     grid = problem.grid
     if m.grid != grid or w.grid != grid:
         raise ParameterError("fields live on a different grid")
     viol = problem.speed.cone_violation(grid, m.values, w.values)
     if details is not None:
         details["max_violation"] = viol
-        details["feasible"] = viol <= cone_tol
-    if viol > cone_tol:
+        details["feasible"] = viol <= 1e-8
+    if viol > 1e-8:
         return float("inf")
     return _b_value(problem, m.values[-1], cost_conj(problem.cost, m.values[:-1]))
 

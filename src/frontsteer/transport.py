@@ -11,10 +11,9 @@ one-sided differences ``one_sided``.  ``pdopt``, ``certify`` and
 ``solve_continuity`` is donor-cell finite volume with nodal velocities split
 by sign: the flux through face i+1/2 is v_i^+ m_i + v_{i+1}^- m_{i+1}.  Fluxes
 telescope over the periodic grid, so total mass is conserved to round-off,
-and the scheme is monotone (m stays >= 0) under the CFL condition.  By exact
-summation by parts the pair gives ``upwind_directional_derivative``;
-``pairing_defect`` checks the discrete integration-by-parts identity for
-arbitrary fields.
+and the scheme is monotone (m stays >= 0) under the CFL condition.
+``upwind_directional_derivative`` pairs the one-sided differences with split
+velocities, the adjoint side of the march's fluxes.
 
 ``sample_trajectories`` draws paths of the Markov chain whose law is that
 march (one jump of at most one cell per step), so the expected path
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import DensityField, ScalarField, TorusGrid, VecField
+from .grid import DensityField, TorusGrid, VecField
 # unused here; perfbench/tracing.py wraps it in this namespace
 from .grid import interp_space
 
@@ -38,7 +37,7 @@ __all__ = [
     "split_divergence", "one_sided", "split_by_sign", "split_load", "march_split",
     "solve_continuity", "sample_trajectories", "pushforward_distance",
     "pushforward_floor", "TrajectoryEnsemble", "upwind_directional_derivative",
-    "pairing_defect", "write_trajectories",
+    "write_trajectories",
 ]
 
 
@@ -165,43 +164,17 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
     return DensityField(grid, np.maximum(m, 0.0))
 
 
-def upwind_directional_derivative(u_next: np.ndarray, v: np.ndarray,
-                                  grid: TorusGrid) -> np.ndarray:
-    """v-oriented one-sided derivative of u adjoint to the donor-cell flux:
-    v^+ D+ u + v^- D- u summed over axes."""
-    d = grid.dim
-    fwd, bwd = one_sided(u_next, grid)
-    vs = split_by_sign(v)
-    out = np.zeros_like(u_next)
+def upwind_directional_derivative(fwd: np.ndarray, bwd: np.ndarray,
+                                  v: np.ndarray) -> np.ndarray:
+    """The pairing sum_a a_a D+_a u + b_a D-_a u of the one-sided differences
+    (fwd, bwd) = ``one_sided(u)``, each (..., dim), with split velocities
+    v = (a, b), shape (..., 2*dim): the derivative of u along the donor-cell
+    flux, the pairing counterpart of ``split_hamiltonian``."""
+    d = fwd.shape[-1]
+    out = np.zeros(fwd.shape[:-1])
     for a in range(d):
-        out += vs[..., a] * fwd[..., a] + vs[..., d + a] * bwd[..., a]
+        out += v[..., a] * fwd[..., a] + v[..., d + a] * bwd[..., a]
     return out
-
-
-def pairing_defect(u: ScalarField, m: ScalarField | DensityField, v: VecField) -> float:
-    """Residual of the discrete integration-by-parts identity
-
-        sum u*(dm + dt*div(mv)) + sum m*(du + dt*v.Du_upwind)
-            = <u(T), m(T)> - <u(0), m(0)>
-
-    which holds to round-off for arbitrary fields (it defines the adjoint
-    pairing used by the primal-dual solver and the certifiers)."""
-    grid = u.grid
-    if m.grid != grid or v.grid != grid:
-        raise ParameterError("fields live on different grids")
-    vol = grid.cell_volume
-    total = 0.0
-    for k in range(grid.nt - 1):
-        du = u.values[k + 1] - u.values[k]
-        dm = m.values[k + 1] - m.values[k]
-        wk = m.values[k][..., None] * split_by_sign(v.values[k])
-        div = split_divergence(wk[..., :grid.dim], wk[..., grid.dim:], grid)
-        total += vol * np.sum(u.values[k + 1] * (dm + grid.dt * div))
-        total += vol * np.sum(
-            m.values[k] * (du + grid.dt * upwind_directional_derivative(
-                u.values[k + 1], v.values[k], grid)))
-    boundary = vol * (np.sum(u.values[-1] * m.values[-1]) - np.sum(u.values[0] * m.values[0]))
-    return float(total - boundary)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -61,3 +62,35 @@ def test_workload_configs_load(name, tmp_path):
     workload = _load("workloads").WORKLOADS[name](1, tmp_path)
     config = cli.load_config(str(workload.config))
     assert config["seed"] == 1
+
+
+def test_traced_certify_of_a_nodal_bundle(tmp_path):
+    """The traced run's wrappers and hooks (which read positional arguments)
+    over ``frontsteer certify`` of a nodal 8^2x9 bundle: all seven checks
+    are counted, the subsolution check is timed, and every metric is
+    finite."""
+    from frontsteer import cli
+    from frontsteer.grid import ScalarField, TorusGrid, VecField, write_field
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "problem": {"dim": 2, "nx": [8, 8], "nt": 9, "cost": {"p": 4.0},
+                    "u_T": {"preset": "cosine"}, "m0": {"preset": "gaussian"}}}))
+    grid = TorusGrid(2, (8, 8), 9, 1.0)
+    rng = np.random.default_rng(8)
+    shape = (grid.nt, *grid.nx)
+    m = rng.random(shape) * (rng.random(shape) > 0.2)
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for name, fld in (("u", ScalarField(grid, rng.standard_normal(shape))),
+                      ("f", ScalarField(grid, rng.random(shape))),
+                      ("m", ScalarField(grid, m)),
+                      ("w", VecField(grid, rng.standard_normal((*shape, 2)) * m[..., None]))):
+        write_field(bundle / f"{name}.field", fld)
+    tracer = _load("tracing").Tracer()
+    code = tracer.run(lambda: cli.main(["certify", "--config", str(cfg_path), "--bundle",
+                                        str(bundle), "--out", str(tmp_path / "out")]))
+    assert code in (0, 1)
+    metrics = tracer.metrics(1.0, {})
+    assert metrics["certify.checks_run"] == 7
+    assert metrics["certify.subsolution_s"] > 0
+    assert all(math.isfinite(x) for x in metrics.values())

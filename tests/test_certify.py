@@ -13,7 +13,7 @@ from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            solve_value_function)
 from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed
 from frontsteer.pdopt import ProblemInstance, recover_velocity
-from frontsteer.transport import upwind_directional_derivative
+from frontsteer.transport import one_sided, split_by_sign, upwind_directional_derivative
 from frontsteer import certify, pdopt, transport
 from frontsteer.certify import (check_holder, check_ibp_inequality,
                                 check_pointwise_hj, check_subsolution,
@@ -38,8 +38,9 @@ def fourier_scalar_reference(rng, grid, modes=3):
 
 def subsolution_reference(u, f, pairs):
     """Per-level ``upwind_directional_derivative`` form of the
-    ``check_subsolution`` sums, kept as the bitwise reference for its shared
-    differences: (worst lhs - rhs, its trial)."""
+    ``check_subsolution`` sums, on ``one_sided(u)`` and the sign split of v,
+    kept as the bitwise reference for its shared differences: (worst
+    lhs - rhs, its trial)."""
     grid = u.grid
     vol = grid.cell_volume
     worst = (-np.inf, None)
@@ -48,12 +49,43 @@ def subsolution_reference(u, f, pairs):
         rhs = 0.0
         for k in range(grid.nt - 1):
             du = (u.values[k + 1] - u.values[k])
-            dd = upwind_directional_derivative(u.values[k + 1], v.values[k], grid)
+            dd = upwind_directional_derivative(*one_sided(u.values[k + 1], grid),
+                                               split_by_sign(v.values[k]))
             lhs += -vol * float(np.sum(phi[k] * (du + grid.dt * dd)))
             rhs += vol * grid.dt * float(np.sum(f.values[k] * phi[k]))
         if lhs - rhs > worst[0]:
             worst = (lhs - rhs, trial)
     return worst
+
+
+def pointwise_hj_net_reference(u, f, m, w):
+    """``check_pointwise_hj`` of a nodal w on its net velocity, the form
+    before the check took split velocities: ``recover_velocity(m, w,
+    floor=1e-9)``, split by sign one level at a time, kept as the bitwise
+    oracle for the sign split of w."""
+    grid = u.grid
+    threshold = max(1e-9, 1e-3 * float(np.max(m.values)))
+    v = recover_velocity(m, w, floor=1e-9)
+    num = den = 0.0
+    worst = (0.0, None)
+    for k in range(grid.nt - 1):
+        res = -(u.values[k + 1] - u.values[k]) / grid.dt \
+            - upwind_directional_derivative(*one_sided(u.values[k + 1], grid),
+                                            split_by_sign(v.values[k])) \
+            - f.values[k]
+        mask = m.values[k] > threshold
+        if not np.any(mask):
+            continue
+        num += float(np.sum(np.abs(res[mask])))
+        den += float(np.sum(np.abs(f.values[k][mask])))
+        j = np.argmax(np.abs(res * mask))
+        loc_val = float(np.abs(res.ravel()[j]))
+        if loc_val > worst[0]:
+            worst = (loc_val, (k, *np.unravel_index(j, grid.nx)))
+    rel = num / max(den, 1e-12)
+    return certify.CertReport(
+        name="pointwise_hj", passed=bool(rel <= 0.1), lhs=float(rel), rhs=0.0, slack=0.1,
+        worst_location=tuple(int(i) for i in worst[1]) if worst[1] else None)
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +193,7 @@ class TestWeakSolution:
 class TestPointwiseHJ:
     def test_uniform_optimum_zero_residual(self, uniform_problem, closed_bundle):
         u, f, m, w = closed_bundle
-        v = recover_velocity(m, w, speed=uniform_problem.speed)
-        rep = check_pointwise_hj(u, f, m, v)
+        rep = check_pointwise_hj(u, f, m, w, w)
         assert rep.passed and rep.lhs == pytest.approx(0.0, abs=1e-13)
 
     def test_constant_obstacle_zero_residual(self, uniform_problem):
@@ -172,8 +203,8 @@ class TestPointwiseHJ:
         u = ScalarField(g, np.broadcast_to((1.0 - tt) * F, (g.nt, *g.nx)).copy())
         f = constant_field(g, F)
         m = DensityField(g, np.ones((g.nt, *g.nx)))
-        v = VecField(g, np.zeros((g.nt, *g.nx, 1)))
-        rep = check_pointwise_hj(u, f, m, v)
+        w = VecField(g, np.zeros((g.nt, *g.nx, 1)))
+        rep = check_pointwise_hj(u, f, m, w, w)
         assert rep.passed and rep.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_wrong_slope_detected(self, uniform_problem):
@@ -184,10 +215,33 @@ class TestPointwiseHJ:
                                            (g.nt, *g.nx)).copy())
         f = constant_field(g, F)
         m = DensityField(g, np.ones((g.nt, *g.nx)))
-        v = VecField(g, np.zeros((g.nt, *g.nx, 1)))
-        rep = check_pointwise_hj(u, f, m, v)
+        w = VecField(g, np.zeros((g.nt, *g.nx, 1)))
+        rep = check_pointwise_hj(u, f, m, w, w)
         assert not rep.passed
         assert rep.lhs == pytest.approx(1.0)       # relative residual = F/F
+
+    @pytest.mark.parametrize("nx", [(24,), (8, 10)])
+    def test_nodal_w_sign_split_and_net_velocity_agree_bitwise(self, nx):
+        # a nodal w as (w, w), as its sign-split pair, and the net velocity
+        # w/m split by sign give one report, bit for bit; the density has
+        # holes (m = 0) and nodes between 1e-9 and the support threshold
+        grid = TorusGrid(len(nx), nx, 9, 1.0)
+        rng = np.random.default_rng(17)
+        shape = (grid.nt, *grid.nx)
+        m_vals = rng.random(shape) * (rng.random(shape) > 0.3)
+        m_vals[rng.random(shape) < 0.1] = 1e-5
+        m = DensityField(grid, m_vals)
+        w = VecField(grid, 1.5 * rng.standard_normal((*shape, grid.dim)) * m_vals[..., None])
+        split = split_by_sign(w.values)
+        pair = (VecField(grid, split[..., :grid.dim]), VecField(grid, split[..., grid.dim:]))
+        u = ScalarField(grid, rng.standard_normal(shape))
+        f = ScalarField(grid, rng.random(shape))
+        nodal = check_pointwise_hj(u, f, m, w, w)
+        assert nodal == check_pointwise_hj(u, f, m, *pair)
+        oracle = pointwise_hj_net_reference(u, f, m, w)
+        assert nodal == oracle
+        assert np.float64(nodal.lhs).tobytes() == np.float64(oracle.lhs).tobytes()
+        assert nodal.worst_location is not None
 
 
 class TestSubsolution:

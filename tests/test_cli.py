@@ -398,7 +398,45 @@ class TestCertifyCommand:
         gap = checks[-1]
         assert gap["name"] == "duality_gap" and np.isfinite(gap["lhs"]) and gap["lhs"] >= 0.0
         stored = json.loads((out / "certificates.json").read_text())["checks"]
-        assert checks[:-1] == stored[:-1] and gap["lhs"] != stored[-1]["lhs"]
+        assert gap["lhs"] != stored[-1]["lhs"]
+        # w's sign split is not the stored pair where both halves are nonzero:
+        # only the two checks that read the momenta may differ
+        moved = ("pointwise_hj", "duality_gap")
+        assert [c for c in checks if c["name"] not in moved] \
+            == [c for c in stored if c["name"] not in moved]
+        hj = [c["name"] for c in checks].index("pointwise_hj")
+        assert checks[hj]["passed"] and stored[hj]["passed"]
+
+    def test_pointwise_hj_is_the_per_node_split_velocity_residual(self, gaussian_bundle):
+        # the stored record, written out one node at a time: the residual of
+        # u along the split velocities max(w_plus, 0)/m and min(w_minus, 0)/m
+        # over the nodes with m > 1e-3 max(m)
+        _, out = gaussian_bundle
+        fields = {n: read_field(out / f"{n}.field") for n in ("u", "f", "m", "w_plus", "w_minus")}
+        grid = fields["u"].grid
+        u, f, m, wp, wm = (fields[n].values for n in ("u", "f", "m", "w_plus", "w_minus"))
+        n, dx, dt = grid.nx[0], grid.dx[0], grid.dt
+        threshold = max(1e-9, 1e-3 * float(np.max(m)))
+        num = den = 0.0
+        worst = (0.0, None)
+        for k in range(grid.nt - 1):
+            mask = m[k] > threshold
+            res = np.zeros(n)
+            for i in np.flatnonzero(mask):
+                a = max(wp[k, i, 0], 0.0) / m[k, i]
+                b = min(wm[k, i, 0], 0.0) / m[k, i]
+                fwd = (u[k + 1, (i + 1) % n] - u[k + 1, i]) / dx
+                bwd = (u[k + 1, i] - u[k + 1, i - 1]) / dx
+                res[i] = -(u[k + 1, i] - u[k, i]) / dt - (a * fwd + b * bwd) - f[k, i]
+                if abs(res[i]) > worst[0]:
+                    worst = (abs(res[i]), [k, int(i)])
+            if mask.any():
+                num += float(np.sum(np.abs(res[mask])))
+                den += float(np.sum(np.abs(f[k][mask])))
+        stored = next(c for c in json.loads((out / "certificates.json").read_text())["checks"]
+                      if c["name"] == "pointwise_hj")
+        assert stored["lhs"] == num / den and stored["worst_location"] == worst[1]
+        assert stored["passed"] and stored["slack"] == 0.1
 
     @pytest.mark.parametrize("speed", [
         {"variant": "isotropic", "radius": 1.0},

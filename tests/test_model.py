@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from conftest import traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
@@ -49,6 +50,13 @@ class TestComponentNorm:
             x[1, 1, 1] = -0.0
             for arr in (x, x[:, ::2], np.asfortranarray(x), x[..., ::-1]):
                 assert _component_norm(arr).tobytes() == np.linalg.norm(arr, axis=-1).tobytes()
+
+    def test_memory_is_one_buffer_and_one_product(self):
+        # the running sum and the square of one component; summing into a
+        # fresh array per component would hold a third node-sized array
+        x = np.random.default_rng(0).standard_normal((64, 64, 4))
+        _, peak = traced_peak(_component_norm, x)
+        assert peak <= 2 * x[..., 0].nbytes + 4096
 
 
 class TestHamiltonian:

@@ -144,7 +144,7 @@ class TestOperators:
         grid = TorusGrid(dim, nx, 4, 1.0)
         phi = np.random.default_rng(12).standard_normal((3, *nx))
         # with leading time axes, as the solver passes y, and without, as
-        # check_subsolution and upwind_directional_derivative pass one level
+        # check_subsolution and check_pointwise_hj pass one level
         for field in (phi, phi[0]):
             fwd, bwd = one_sided(field, grid)
             assert fwd.shape == bwd.shape == (*field.shape, dim)
