@@ -352,10 +352,13 @@ def _solve_sqrt_root(lin, coef, rhs):
     """Closed-form root of lin*m + coef*sqrt(m) = rhs over m >= 0: the
     quadratic lin*s^2 + coef*s - rhs in s = sqrt(m) has the nonnegative root
     s = 2*rhs / (coef + sqrt(coef^2 + 4*lin*rhs)), free of cancellation; m = 0
-    wherever rhs <= 0."""
+    wherever rhs <= 0 (or is NaN): the division runs unmasked and those
+    entries, 0/0 = NaN for coef = 0, are replaced by 0 after it."""
     rhs_pos = np.maximum(rhs, 0.0)
     den = coef + np.sqrt(coef * coef + 4.0 * lin * rhs_pos)
-    s = np.divide(2.0 * rhs_pos, den, out=np.zeros(den.shape), where=rhs_pos > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 2.0 * rhs_pos / den
+    s = np.where(rhs_pos > 0, s, 0.0)
     return s * s
 
 
@@ -423,24 +426,32 @@ def prox_cost_conj(model: CostModel, m_bar, step: float):
     return float(m[0]) if scalar else m
 
 
-def prox_cost_conj_coned(model: CostModel, c, m_bar, w_bar, step: float):
+def prox_cost_conj_coned(model: CostModel, c, m_bar, w_bar, step: float, out=None):
     """Exact joint prox of step*K*(m) plus the cone indicator of
     {(m, w): m >= 0, |w| <= c*m} (isotropic speeds).
 
     When the unconstrained density prox already dominates |w_bar|/c the
     momentum is kept; otherwise the cone is active and the optimality
-    condition becomes (1 + c^2) m + step*k(m) = m_bar + c*|w_bar|.
-    """
+    condition becomes (1 + c^2) m + step*k(m) = m_bar + c*|w_bar|.  The
+    result (m, w) is written into the pair ``out`` if given, which may be
+    (m_bar, w_bar) themselves; w is scaled one component at a time."""
     q = model.q
     coef = step * model.kappa ** (1.0 - q)
     a = _component_norm(w_bar)
     m_free = _solve_power_root(1.0, coef, m_bar, q - 1.0)
     free = a <= c * m_free
     m_act = _solve_power_root(1.0 + c * c, coef, m_bar + c * a, q - 1.0)
-    m = np.where(free, m_free, m_act)
-    scale = np.where(free, 1.0, np.divide(
-        c * m_act, a, out=np.zeros_like(a), where=a > 0))
-    return m, w_bar * scale[..., None]
+    # a = 0 makes the node free (m_free >= 0), so only free nodes divide by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.multiply(c, m_act)
+        scale /= a
+    np.putmask(scale, free, 1.0)
+    m, w = (np.empty_like(m_act), np.empty_like(w_bar)) if out is None else out
+    np.copyto(m, m_act)
+    np.putmask(m, free, m_free)
+    for k in range(w_bar.shape[-1]):
+        np.multiply(w_bar[..., k], scale, out=w[..., k])
+    return m, w
 
 
 def _hull_prox(faces: HullFaces, m_bar, w_bar, coef, r):

@@ -25,6 +25,17 @@ momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
 2*dim components.  The multiplier, sign-flipped, converges to the value
 function u.
 
+The loop runs in place on one ``_Workspace`` built before it.  Besides the
+state (m and y, (nt, *nx) each, and the split momenta w, 2*dim times that)
+it holds the adjoint's gm and gw (gw also takes the gradient step), two
+row buffers that take turns as r and r_bar, the rows scaled for the
+residual, and the Gram solver's spectrum, product and output buffers:
+(2 + 2*dim) node arrays of state and about (7 + 2*dim) of workspace, plus
+the solver's factors (two of about one node array each and the nt x nt
+eigenbasis).  The prox writes m and w in place.  Each iteration does the
+floating-point operations of the textbook allocating loop in the same
+order, so the iterates are the same bits.
+
 The gap A + B that ``optimize`` records and stops on is a certificate
 (``_certificate``): A belongs to the primal point u = -y, u(T) = u_T,
 f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
@@ -170,37 +181,50 @@ class OptimalBundle:
 # -- discrete operators ------------------------------------------------------
 
 
-def _rows(m: np.ndarray, w: np.ndarray, m0: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def _rows(m: np.ndarray, w: np.ndarray, m0: np.ndarray, grid: TorusGrid,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Constraint rows: row 0 pins the initial slice, row k+1 is the scaled
     continuity residual  m_{k+1} - m_k + dt * div(w_k)  of the split momenta
-    w_k = (w+, w-), shape (nt - 1, *nx, 2*dim)."""
+    w_k = (w+, w-), shape (nt - 1, *nx, 2*dim); written into ``out`` if
+    given."""
     d = grid.dim
-    r = np.empty_like(m)
-    r[0] = m[0] - m0
-    r[1:] = m[1:] - m[:-1] + grid.dt * split_divergence(w[..., :d], w[..., d:], grid)
+    r = np.empty_like(m) if out is None else out
+    np.subtract(m[0], m0, out=r[0])
+    div = split_divergence(w[..., :d], w[..., d:], grid)
+    div *= grid.dt
+    np.subtract(m[1:], m[:-1], out=r[1:])
+    r[1:] += div
     return r
 
 
-def _rows_adjoint(y: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+def _rows_adjoint(y: np.ndarray, grid: TorusGrid, gm: np.ndarray,
+                  gw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L^T y: the time differences of y, and dt times the adjoint of the split
-    divergence, div^T phi = (-D+ phi, -D- phi), on levels 1..nt-1."""
-    gm = np.empty_like(y)
-    gm[:-1] = y[:-1] - y[1:]
+    divergence, div^T phi = (-D+ phi, -D- phi), on levels 1..nt-1; written
+    into ``gm``, shaped as y, and ``gw``, shaped as the split momenta."""
+    d = grid.dim
+    np.subtract(y[:-1], y[1:], out=gm[:-1])
     gm[-1] = y[-1]
-    gw = np.concatenate(one_sided(y[1:], grid), axis=-1)
+    one_sided(y[1:], grid, out=(gw[..., :d], gw[..., d:]))
     gw *= -grid.dt
     return gm, gw
 
 
 def _gram_solver(grid: TorusGrid):
     """The exact solve x = (L L^T)^-1 b of the operator L of ``_rows``, for b
-    of shape (nt, *nx).
+    of shape (nt, *nx).  The solve returns its own output buffer, which the
+    next call overwrites.
 
     Per spatial Fourier mode xi, L L^T = M0 + lam_xi (I - e0 e0^T) with
     M0 = tridiag(-1, [1, 2, ..., 2], -1) from the time differences and
     lam_xi = 2 dt^2 sum_a (2 - 2 cos xi_a) / dx_a^2 from div div^T = -2 Laplacian,
     which acts on rows 1..nt-1 only.  One eigh of M0 diagonalizes M0 + lam I
-    for every mode, and Sherman-Morrison removes the rank-one e0 term."""
+    for every mode, and Sherman-Morrison removes the rank-one e0 term.
+
+    The transforms are those of ``np.fft.rfftn``/``irfftn`` over the space
+    axes, taken axis by axis into buffers built here: the spectrum (its
+    real view is also the second product), one more spectrum-sized product,
+    one mode row and the output, so a solve allocates no (nt, *nx) array."""
     nt = grid.nt
     time_block = 2.0 * np.eye(nt) - np.eye(nt, k=1) - np.eye(nt, k=-1)
     time_block[0, 0] = 1.0
@@ -215,14 +239,27 @@ def _gram_solver(grid: TorusGrid):
     inv = 1.0 / (eig[:, None] + lam)                 # (M0 + lam I)^-1, eigenbasis
     g = q @ (q[0][:, None] * inv)                    # (M0 + lam I)^-1 e0
     coef = lam / (1.0 - lam * g[0])
-    axes = tuple(range(1, grid.dim + 1))
+    last = grid.dim                                  # the last space axis
+    spec = np.empty((nt, *modes), dtype=np.complex128)
+    xb = spec.reshape(nt, -1).view(np.float64)
+    xa = np.empty_like(xb)
+    row = np.empty_like(xb[0])
+    out = np.empty((nt, *grid.nx))
+    q_t = q.T                  # a transposed view: a contiguous copy changes the bits
 
     def solve(b: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfftn(b, axes=axes)
-        x = q @ (inv * (q.T @ spec.reshape(nt, -1).view(np.float64)))
-        x += g * (coef * x[0])
-        return np.fft.irfftn(x.view(np.complex128).reshape(spec.shape),
-                             s=grid.nx, axes=axes)
+        np.fft.rfft(b, grid.nx[-1], last, out=spec)
+        for a in range(grid.dim - 2, -1, -1):
+            np.fft.fft(spec, grid.nx[a], a + 1, out=spec)
+        np.matmul(q_t, xb, out=xa)
+        np.multiply(xa, inv, out=xa)
+        np.matmul(q, xa, out=xb)
+        np.multiply(coef, xb[0], out=row)
+        np.multiply(g, row, out=xa)
+        np.add(xb, xa, out=xb)
+        for a in range(grid.dim - 1):
+            np.fft.ifft(spec, grid.nx[a], a + 1, out=spec)
+        return np.fft.irfft(spec, grid.nx[-1], last, out=out)
 
     return solve
 
@@ -335,21 +372,22 @@ def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
     return _rows(m, split_by_sign(w_int), problem.m0, problem.grid) / problem.grid.dt
 
 
-def _weighted_l2(rows: np.ndarray, grid: TorusGrid) -> float:
-    return float(np.sqrt(np.sum(rows * rows) * grid.dt * grid.cell_volume))
-
-
 # -- the certificate ---------------------------------------------------------
 
 
 def _split_velocity(m: np.ndarray, w: np.ndarray,
                     grid: TorusGrid) -> tuple[np.ndarray, float]:
-    """Split velocities w/m (0 where m = 0) on the nt - 1 intervals, scaled
-    down where the load sum_a (a_a - b_a) dt/dx_a exceeds 1 so that their
-    march keeps m >= 0; and the largest load before scaling (a node was
-    scaled iff it exceeds 1)."""
-    v = np.zeros_like(w)
-    np.divide(w, m[..., None], out=v, where=m[..., None] > 0)
+    """Split velocities w/m (0 where m <= 0; divided one component at a
+    time, then zeroed there) on the nt - 1 intervals, scaled down where the
+    load sum_a (a_a - b_a) dt/dx_a exceeds 1 so that their march keeps
+    m >= 0; and the largest load before scaling (a node was scaled iff it
+    exceeds 1)."""
+    v = np.empty_like(w)
+    empty = ~(m > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(w.shape[-1]):
+            np.divide(w[..., c], m, out=v[..., c])
+            np.putmask(v[..., c], empty, 0.0)
     load = split_load(v, grid)
     peak = float(np.max(load))
     if peak > 1.0:
@@ -453,16 +491,86 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
 # -- the solver --------------------------------------------------------------
 
 
+class _Workspace:
+    """The CP iterate (m, w, y) and every buffer its iteration reuses, built
+    once before the loop (see the module docstring).  ``step`` runs one
+    iteration in place, with no (nt, *nx) array allocated outside the prox
+    and the divergence scratch of ``_rows``."""
+
+    def __init__(self, problem: ProblemInstance, tau: float, sigma: float):
+        grid = problem.grid
+        self.problem, self.tau, self.sigma = problem, tau, sigma
+        # the joint prox takes nodal radii for balls and split face data for
+        # finite hulls, built once here; the prox names stay globals for the tracer
+        self.iso = isinstance(problem.speed, IsotropicSpeed)
+        self.cone = problem.speed.split_cone(grid)
+        self.gram_solve = _gram_solver(grid)
+        self.tau_u_T = tau * problem.u_T
+        self.m = np.full((grid.nt, *grid.nx), problem.mass)
+        self.w = np.zeros((grid.nt - 1, *grid.nx, 2 * grid.dim))
+        self.y = np.zeros((grid.nt, *grid.nx))
+        self.gm = np.empty_like(self.y)
+        self.gw = np.empty_like(self.w)
+        self.r = _rows(self.m, self.w, problem.m0, grid)
+        self.r_bar = self.r.copy()
+        self.scaled = np.empty_like(self.r)
+        self.vol = grid.cell_volume
+
+    def step(self) -> float:
+        """One iteration in place; returns the weighted L2 continuity
+        residual of the new iterate."""
+        problem, tau = self.problem, self.tau
+        grid = problem.grid
+        d = grid.dim
+        m, w, y, gm, gw = self.m, self.w, self.y, self.gm, self.gw
+        dual_step = self.gram_solve(self.r_bar)
+        dual_step *= self.sigma
+        y += dual_step
+
+        # gradient step, then the prox and cone step in place on m and w
+        _rows_adjoint(y, grid, gm, gw)
+        gm *= tau
+        m -= gm
+        gw *= tau
+        w_half = np.subtract(w, gw, out=gw)
+        m[-1] -= self.tau_u_T
+        np.maximum(m[-1], 0.0, out=m[-1])
+        if self.iso:
+            # the SOC is symmetric under sign flips, so the prox onto its
+            # part with w+ >= 0 >= w- is the SOC prox of the clipped point
+            np.maximum(w_half[..., :d], 0.0, out=w_half[..., :d])
+            np.minimum(w_half[..., d:], 0.0, out=w_half[..., d:])
+            prox_cost_conj_coned(problem.cost, self.cone, m[:-1], w_half, tau * grid.dt,
+                                 out=(m[:-1], w))
+        else:
+            m[:-1], w[...] = prox_cost_conj_hull(problem.cost, self.cone, m[:-1], w_half,
+                                                 tau * grid.dt)
+
+        # _rows is affine, so the rows of the extrapolated point 2 z - z_prev
+        # need no second application: r_bar = (r - r_prev) + r, in the buffer
+        # of r_prev
+        r_prev, r = self.r, self.r_bar
+        _rows(m, w, problem.m0, grid, out=r)
+        np.subtract(r, r_prev, out=r_prev)
+        r_prev += r
+        self.r, self.r_bar = r, r_prev
+        # the weighted L2 norm of the physical rows r/dt, squared in place
+        scaled = np.divide(r, grid.dt, out=self.scaled)
+        np.multiply(scaled, scaled, out=scaled)
+        return float(np.sqrt(np.sum(scaled) * grid.dt * self.vol))
+
+
 def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> OptimalBundle:
     """Preconditioned primal-dual iteration for the discrete dual problem.
 
     Per iteration: the dual step y += sigma (L L^T)^-1 r_bar on the
     continuity multiplier, a gradient step on (m, w+, w-) through the
     adjoint, and the exact pointwise joint prox of K* and the velocity cone
-    (see the module docstring).  Every iteration computes the continuity
-    residual of the iterate.  The certified A, B and gap of ``_certificate``
-    are built where they can matter: on iterations whose residual is at most
-    tol_cont, on iteration max_iters and on iterations 1, 2, 4, 8, ...  Each
+    (see the module docstring), in place on one ``_Workspace``.  Every
+    iteration computes the continuity residual of the iterate.  The
+    certified A, B and gap of ``_certificate`` are built where they can
+    matter: on iterations whose residual is at most tol_cont, on iteration
+    max_iters and on iterations 1, 2, 4, 8, ...  Each
     such check is recorded in the diagnostics with its iteration number.
     The run stops once the relative certified gap is at most tol_gap and the
     residual at most tol_cont, at two iterations in a row (both therefore
@@ -486,48 +594,14 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     diag.tau, diag.sigma = tau, sigma
     dim = grid.dim
 
-    # the joint prox takes nodal radii for balls and split face data for
-    # finite hulls, built once here; the prox names stay globals for the tracer
-    iso = isinstance(problem.speed, IsotropicSpeed)
-    cone = problem.speed.split_cone(grid)
-    gram_solve = _gram_solver(grid)
-
-    m = np.full((grid.nt, *grid.nx), problem.mass)
-    w = np.zeros((grid.nt - 1, *grid.nx, 2 * dim))
-    y = np.zeros((grid.nt, *grid.nx))
-    r = _rows(m, w, problem.m0, grid)
-    r_bar = r
+    ws = _Workspace(problem, tau, sigma)
+    m, w, y = ws.m, ws.w, ws.y
     met = False
     cert_details: dict = {}
 
     for it in range(1, config.max_iters + 1):
-        y += sigma * gram_solve(r_bar)
-
-        # gradient step, then the prox and cone step in place on the new m
-        gm, gw = _rows_adjoint(y, grid)
-        m = m - tau * gm
-        w_half = w - tau * gw
-        m[-1] -= tau * problem.u_T
-
-        np.maximum(m[-1], 0.0, out=m[-1])
-        if iso:
-            # the SOC is symmetric under sign flips, so the prox onto its
-            # part with w+ >= 0 >= w- is the SOC prox of the clipped point
-            np.maximum(w_half[..., :dim], 0.0, out=w_half[..., :dim])
-            np.minimum(w_half[..., dim:], 0.0, out=w_half[..., dim:])
-            m[:-1], w = prox_cost_conj_coned(problem.cost, cone,
-                                             m[:-1], w_half, tau * grid.dt)
-        else:
-            m[:-1], w = prox_cost_conj_hull(problem.cost, cone,
-                                            m[:-1], w_half, tau * grid.dt)
-
-        # _rows is affine, so the rows of the extrapolated point 2 z - z_prev
-        # need no second application
-        r_prev, r = r, _rows(m, w, problem.m0, grid)
-        r_bar = r + (r - r_prev)
-
+        cont = ws.step()
         # a NaN or inf iterate shows in its rows, checked or not
-        cont = _weighted_l2(r / grid.dt, grid)
         if not np.isfinite(cont):
             raise NumericError(f"non-finite iterate at iteration {it}")
         # only an iteration that passes the residual test can stop the run;

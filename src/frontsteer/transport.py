@@ -54,15 +54,17 @@ def split_divergence(w_plus: np.ndarray, w_minus: np.ndarray,
     """Divergence of split momenta: along each axis the flux through face
     i+1/2 is w_plus_i + w_minus_{i+1} (w_plus >= 0 >= w_minus for a monotone
     scheme).  Both have shape (..., *nx, dim) with arbitrary leading axes;
-    the stencils are slices, equal bit for bit to their periodic-shift forms."""
+    the stencils are slices, equal bit for bit to their periodic-shift forms;
+    one flux and one term buffer serve every axis."""
     div = np.zeros(w_plus.shape[:-1])
+    flux = np.empty(div.shape)
+    term = np.empty(div.shape)
     for a in range(grid.dim):
         first, last, head, tail = _ends(w_plus.ndim - 1 - grid.dim, a)
         wm = w_minus[..., a]
-        flux = w_plus[..., a].copy()
+        np.copyto(flux, w_plus[..., a])
         flux[head] += wm[tail]
         flux[last] += wm[first]
-        term = np.empty_like(flux)
         np.subtract(flux[tail], flux[head], out=term[tail])
         np.subtract(flux[first], flux[last], out=term[first])
         term /= grid.dx[a]
@@ -70,14 +72,17 @@ def split_divergence(w_plus: np.ndarray, w_minus: np.ndarray,
     return div
 
 
-def one_sided(phi: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+def one_sided(phi: np.ndarray, grid: TorusGrid,
+              out: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward differences (D+ phi, D- phi) over the space axes,
     the adjoint of ``split_divergence`` up to sign: div^T phi = (-D+ phi,
     -D- phi).  phi has shape (..., *nx) with arbitrary leading axes, each
-    result (..., *nx, dim); the stencils are slices, equal bit for bit to
-    their periodic-shift forms."""
-    fwd = np.empty((*phi.shape, grid.dim))
-    bwd = np.empty_like(fwd)
+    result (..., *nx, dim), written into the pair ``out`` if given; the
+    stencils are slices, equal bit for bit to their periodic-shift forms."""
+    if out is None:
+        out = np.empty((*phi.shape, grid.dim)), np.empty((*phi.shape, grid.dim))
+    fwd, bwd = out
     for a in range(grid.dim):
         first, last, head, tail = _ends(phi.ndim - grid.dim, a)
         f, b = fwd[..., a], bwd[..., a]
@@ -119,11 +124,14 @@ def march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid) -> None:
     """The levels of ``march_split`` from ``start``, in place: m[start] marched
     by v[j] into m[start + j + 1] for each of the len(v) levels of v, so a
-    march can be built one block of levels at a time."""
+    march can be built one block of levels at a time.  The level momenta
+    m_k v_k are formed one component at a time in one reused level buffer."""
     d = grid.dim
+    wk = np.empty(v.shape[1:])
     for j, vk in enumerate(v):
         k = start + j
-        wk = m[k][..., None] * vk
+        for c in range(2 * d):
+            np.multiply(m[k], vk[..., c], out=wk[..., c])
         div = split_divergence(wk[..., :d], wk[..., d:], grid)
         div *= grid.dt
         np.subtract(m[k], div, out=m[k + 1])

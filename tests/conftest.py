@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
-from frontsteer.model import CostModel, IsotropicSpeed
+from frontsteer.model import CostModel, IsotropicSpeed, _solve_power_root
 from frontsteer.pdopt import OptimalBundle, ProblemInstance, SolverConfig, optimize
 
 
@@ -19,6 +19,17 @@ def make_uniform_problem(nx=64, nt=65, dim=1, p=3.0, m0_scale=1.0):
     return ProblemInstance(grid=grid, speed=IsotropicSpeed(dim, 1.0),
                            cost=CostModel(p), u_T=np.zeros(shape),
                            m0=np.full(shape, m0_scale))
+
+
+def make_gauss_problem(dim, n, nt, p):
+    """Unit-speed instance on n^dim x nt: a Gaussian m0 (sigma 0.1) at the
+    centre of the torus and u_T = prod_a cos(2 pi x_a)."""
+    grid = TorusGrid(dim, (n,) * dim, nt, 1.0)
+    coords = grid.meshgrid()
+    m0 = np.exp(-sum((c - 0.5) ** 2 for c in coords) / (2 * 0.1 ** 2))
+    return ProblemInstance(grid=grid, speed=IsotropicSpeed(dim, 1.0), cost=CostModel(p),
+                           u_T=np.prod([np.cos(2 * np.pi * c) for c in coords], axis=0),
+                           m0=m0 / (np.sum(m0) * grid.cell_volume))
 
 
 def closed_form_uniform_bundle(problem):
@@ -46,6 +57,36 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def sqrt_root_masked(lin, coef, rhs):
+    """The p = 3 root with its division masked to rhs > 0, the form before
+    the mask-free division; the bitwise reference of ``_solve_sqrt_root``."""
+    rhs_pos = np.maximum(rhs, 0.0)
+    den = coef + np.sqrt(coef * coef + 4.0 * lin * rhs_pos)
+    s = np.divide(2.0 * rhs_pos, den, out=np.zeros(den.shape), where=rhs_pos > 0)
+    return s * s
+
+
+def prox_coned_reference(model, c, m_bar, w_bar, step):
+    """``prox_cost_conj_coned`` with masked divisions, np.where and a
+    broadcast scale, the form before the in-place prox; its bitwise
+    reference."""
+    q = model.q
+    coef = step * model.kappa ** (1.0 - q)
+
+    def root(lin, rhs):
+        if q - 1.0 == 0.5:
+            return sqrt_root_masked(lin, coef, rhs)
+        return _solve_power_root(lin, coef, rhs, q - 1.0)
+
+    a = np.linalg.norm(w_bar, axis=-1)
+    m_free = root(1.0, m_bar)
+    free = a <= c * m_free
+    m_act = root(1.0 + c * c, m_bar + c * a)
+    m = np.where(free, m_free, m_act)
+    scale = np.where(free, 1.0, np.divide(c * m_act, a, out=np.zeros_like(a), where=a > 0))
+    return m, w_bar * scale[..., None]
 
 
 def interp_space_reference(slice_values, x, nx):

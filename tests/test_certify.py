@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import closed_form_uniform_bundle, make_uniform_problem, traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
-                             constant_field)
+                             constant_field, interp_space, norm_lp)
 from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            solve_value_function)
 from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed
@@ -91,6 +91,40 @@ def pointwise_hj_net_reference(u, f, m, w):
 @pytest.fixture(scope="module")
 def closed_bundle(uniform_problem):
     return closed_form_uniform_bundle(uniform_problem)
+
+
+def holder_reference(u, f, p, c0, samples, seed):
+    """``check_holder``'s sample loop with one ``interp_space`` call per
+    sample, the form before the interpolations were gathered in one pass:
+    (worst excess, its level pair)."""
+    grid = u.grid
+    beta = 0.5
+    alpha = 1.0 - (grid.dim + 1.0) / p
+    norm_f = norm_lp(f, p)
+    c_pair = holder_constant(p, grid.dim, c0, beta)
+    c_term = holder_constant(p, grid.dim, c0, 0.0)
+    slack = (1.0 + certify._lip_space(u.values, grid)) * certify._disc_scale(grid)
+    rng = np.random.default_rng(seed)
+    worst = (-np.inf, None)
+    for _ in range(samples):
+        t_idx = int(rng.integers(0, grid.nt - 1))
+        s_idx = int(rng.integers(t_idx + 1, grid.nt))
+        dt_pair = (s_idx - t_idx) * grid.dt
+        x_idx = tuple(int(rng.integers(0, n)) for n in grid.nx)
+        x = np.array([i / n for i, n in zip(x_idx, grid.nx)])
+        delta = rng.uniform(-1.0, 1.0, size=grid.dim)
+        nrm = np.linalg.norm(delta)
+        radius = beta * c0 * dt_pair * rng.uniform(0.0, 1.0)
+        y = x + (delta / nrm * radius if nrm > 0 else 0.0)
+        lhs = float(u.values[t_idx][x_idx]) - float(interp_space(u.values[s_idx], y, grid.nx))
+        rhs = c_pair * norm_f * dt_pair ** alpha + slack
+        if lhs - rhs > worst[0]:
+            worst = (lhs - rhs, (t_idx, s_idx))
+        lhs_t = float(u.values[t_idx][x_idx]) - float(u.values[-1][x_idx])
+        rhs_t = c_term * norm_f * ((grid.nt - 1 - t_idx) * grid.dt) ** alpha + slack
+        if lhs_t - rhs_t > worst[0]:
+            worst = (lhs_t - rhs_t, (t_idx, grid.nt - 1))
+    return worst
 
 
 class TestSelfConsistency:
@@ -276,6 +310,22 @@ class TestSubsolution:
         assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
         assert rep.worst_location == (trial,)
 
+    @pytest.mark.parametrize("nx,levels", [((24,), 1), ((24,), 3), ((24,), 100),
+                                           ((12, 10), 1), ((12, 10), 3)])
+    def test_blocks_of_levels_give_the_per_level_bits(self, monkeypatch, nx, levels):
+        grid = TorusGrid(len(nx), nx, 9, 1.0)
+        rng = np.random.default_rng(8)
+        shape = (grid.nt, *grid.nx)
+        u = ScalarField(grid, rng.standard_normal(shape))
+        f = ScalarField(grid, rng.random(shape))
+        pairs = [(VecField(grid, rng.standard_normal((*shape, grid.dim))), rng.random(shape))
+                 for _ in range(4)]
+        monkeypatch.setattr(certify, "_BLOCK_BYTES", levels * grid.n_space * 2 * grid.dim * 8)
+        rep = check_subsolution(u, f, IsotropicSpeed(grid.dim, 1.0), pairs=pairs)
+        lhs, trial = subsolution_reference(u, f, pairs)
+        assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
+        assert rep.worst_location == (trial,)
+
     def test_sign_discrimination(self, uniform_problem):
         # u = +t is a supersolution (passes); u = -t violates the inequality
         g = uniform_problem.grid
@@ -446,6 +496,22 @@ class TestHolder:
         radius[0] = 0.9
         rep = check_holder(u, f, 3.0, IsotropicSpeed(1, radius), samples=10, seed=0)
         assert rep.skipped and rep.passed
+
+
+    @pytest.mark.parametrize("nx,nt,seed", [((48,), 49, 0), ((64,), 65, 3), ((12, 10), 9, 1),
+                                            ((16, 16), 17, 2)])
+    def test_one_gather_gives_the_per_sample_bits(self, nx, nt, seed):
+        # rough u, so the worst sample moves with the samples' values
+        grid = TorusGrid(len(nx), nx, nt, 1.0)
+        rng = np.random.default_rng(seed)
+        u = ScalarField(grid, rng.standard_normal((nt, *nx)))
+        f = ScalarField(grid, rng.random((nt, *nx)))
+        for samples in (1, 200):
+            rep = check_holder(u, f, 4.0, IsotropicSpeed(grid.dim, 0.8), samples=samples,
+                               seed=seed)
+            lhs, where = holder_reference(u, f, 4.0, 0.8, samples, seed)
+            assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
+            assert rep.worst_location == where
 
 
 class TestDualityGap:

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from conftest import traced_peak
+from conftest import prox_coned_reference, sqrt_root_masked, traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
-                              _component_norm, _solve_power_root, cost, cost_conj, cost_deriv_conj,
+                              _component_norm, _solve_power_root, _solve_sqrt_root, cost, cost_conj, cost_deriv_conj,
                               prox_cost_conj, prox_cost_conj_coned, prox_cost_conj_hull)
 
 
@@ -374,6 +374,26 @@ class TestHullProx:
             np.testing.assert_allclose(w, w_iso, rtol=0, atol=1e-12)
 
 
+class TestConedProxInPlace:
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("step", [0.0, 0.05, 2.0])
+    def test_gives_the_masked_broadcast_bits_into_any_buffers(self, p, step):
+        # free and active nodes, zero momenta and negative densities; the
+        # result written into fresh buffers or over the input itself
+        model = CostModel(p=p, kappa=1.3)
+        rng = np.random.default_rng(17)
+        c = 0.5 + rng.random(16)
+        m_bar = rng.normal(0.2, 1.0, (9, 16))
+        w_bar = rng.standard_normal((9, 16, 2)) * (rng.random((9, 16, 1)) > 0.2)
+        ref_m, ref_w = prox_coned_reference(model, c, m_bar, w_bar, step)
+        m, w = prox_cost_conj_coned(model, c, m_bar, w_bar, step)
+        assert m.tobytes() == ref_m.tobytes() and w.tobytes() == ref_w.tobytes()
+        out = (m_bar.copy(), w_bar.copy())
+        got = prox_cost_conj_coned(model, c, out[0], out[1], step, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert out[0].tobytes() == ref_m.tobytes() and out[1].tobytes() == ref_w.tobytes()
+
+
 class TestSplitProject:
     """``split_project`` moves sign-clipped split momenta into m times the
     split set."""
@@ -579,6 +599,37 @@ class TestSqrtRootClosedForm:
         with np.errstate(all="raise"):
             m = _solve_power_root(np.array([1.0, 5.0]), 0.0, np.zeros(2), 0.5)
         assert np.array_equal(m, np.zeros(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lin=st.one_of(st.floats(min_value=1.0, max_value=1e6),
+                         st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1,
+                                  max_size=1).map(np.array)),
+           coef=st.floats(min_value=5e-324, max_value=1e6),
+           rhs=st.lists(st.one_of(
+               st.floats(min_value=-1e300, max_value=1e300),
+               st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e300, -1e300])),
+               min_size=1, max_size=24).map(np.array))
+    def test_mask_free_division_gives_the_masked_bits(self, lin, coef, rhs):
+        # coef > 0: rhs <= 0 (either zero, subnormal or huge) divides 2*rhs+
+        # = +-0 by coef + sqrt(coef^2) > 0, is set to +0.0 and squares to it,
+        # as the mask did
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _solve_sqrt_root(lin, coef, rhs)
+        assert got.tobytes() == sqrt_root_masked(lin, coef, rhs).tobytes()
+        assert not np.any(np.signbit(got))
+
+    def test_zero_coefficient_keeps_the_guard(self):
+        # the hull projection's coef = 0 with rhs = 0 would divide 0 by 0
+        with np.errstate(all="raise"):
+            m = _solve_sqrt_root(1.0, 0.0, np.array([0.0, -0.0, -1.0, 4.0]))
+        assert m.tobytes() == np.array([0.0, 0.0, 0.0, 4.0]).tobytes()
+
+    @pytest.mark.parametrize("coef", [0.0, 0.3])
+    def test_nan_rhs_gives_zero_as_the_mask_did(self, coef):
+        rhs = np.array([np.nan, 1.0, np.nan, -2.0])
+        got = _solve_sqrt_root(1.5, coef, rhs)
+        assert got.tobytes() == sqrt_root_masked(1.5, coef, rhs).tobytes()
+        assert got[0] == 0.0 and got[2] == 0.0
 
     def test_broadcasts_like_the_coned_prox(self):
         # lin and coef per space node, rhs per (time level, node)

@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_uniform_bundle, make_uniform_problem
+from conftest import (closed_form_uniform_bundle, make_gauss_problem, make_uniform_problem,
+                      prox_coned_reference)
 from frontsteer import pdopt
 from frontsteer.certify import _lip_space
 from frontsteer.errors import NumericError, ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, cost,
-                              cost_conj)
+                              cost_conj, prox_cost_conj_hull)
 from frontsteer.pdopt import (ProblemInstance, SolverConfig, certificate, _certificate,
                               _gram_solver, _rows, _rows_adjoint, _split_velocity,
                               continuity_residual_rows, evaluate_A, evaluate_B,
@@ -123,7 +126,7 @@ class TestOperators:
         w = rng.standard_normal((5, *nx, 2 * dim))
         y = rng.standard_normal((6, *nx))
         lhs = np.sum(_rows(m, w, np.zeros(nx), grid) * y)
-        gm, gw = _rows_adjoint(y, grid)
+        gm, gw = _rows_adjoint(y, grid, np.empty_like(m), np.empty_like(w))
         rhs = np.sum(m * gm) + np.sum(w * gw)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -160,7 +163,8 @@ class TestOperators:
         grid = TorusGrid(dim, nx, 9, 0.7)
         b = np.random.default_rng(13).standard_normal((9, *nx))
         x = _gram_solver(grid)(b)
-        back = _rows(*_rows_adjoint(x, grid), np.zeros(nx), grid)
+        back = _rows(*_rows_adjoint(x, grid, np.empty_like(b), np.empty((8, *nx, 2 * dim))),
+                     np.zeros(nx), grid)
         assert np.max(np.abs(back - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_subsolution_residual_uniform_closed_form(self, uniform_problem):
@@ -617,9 +621,9 @@ class TestOptimize:
         calls = []
         prox = pdopt.prox_cost_conj_coned
 
-        def poisoned(*args):
+        def poisoned(*args, **kwargs):
             calls.append(1)
-            m, w = prox(*args)
+            m, w = prox(*args, **kwargs)
             if len(calls) == 3:
                 m[0, 0] = np.nan
             return m, w
@@ -628,25 +632,17 @@ class TestOptimize:
         with pytest.raises(NumericError, match="iteration 3$"):
             optimize(_gauss_problem(16), SolverConfig(max_iters=10))
 
-    @staticmethod
-    def _gauss_2d(nt):
-        grid = TorusGrid(2, (8, 8), nt, 1.0)
-        x, y = grid.meshgrid()
-        m0 = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2 * 0.1 ** 2))
-        return ProblemInstance(grid=grid, speed=IsotropicSpeed(2, 1.0), cost=CostModel(4.0),
-                               u_T=np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y),
-                               m0=m0 / (np.sum(m0) * grid.cell_volume))
-
     def test_split_load_note(self):
         # 2D at dt = dx: the split ball lets the load reach sqrt(2*dim) c dt/dx
         # = 2, the march is scaled, and the non-converged run says so
-        notes = optimize(self._gauss_2d(9), SolverConfig(max_iters=50)).diagnostics.notes
+        bundle = optimize(make_gauss_problem(2, 8, 9, 4.0), SolverConfig(max_iters=50))
+        notes = bundle.diagnostics.notes
         assert any("= 2 > 1" in n and "nt >= 17" in n for n in notes)
 
     def test_no_split_load_note_at_round_off(self):
         # at dt = dx/(sqrt(2*dim) c) (nt = 2 nx + 1) a saturated iterate has
         # load 1 + O(1e-16): no note that asks for the nt the run already has
-        prob = self._gauss_2d(17)
+        prob = make_gauss_problem(2, 8, 17, 4.0)
         at_round_off = 0
         for iters in range(1, 31):
             bundle = optimize(prob, SolverConfig(max_iters=iters))
@@ -723,3 +719,220 @@ class TestOptimizeFiniteControls:
         assert finite.converged and ball.converged
         assert min(finite.gap_history) >= -1e-12 and min(ball.gap_history) >= -1e-12
         assert finite.b_history[-1] >= -ball.a_history[-1] - 1e-12
+
+
+# -- the in-place iteration against its textbook allocating form ---------------
+
+
+def _gram_reference(grid):
+    """The Gram solve in its allocating form, ``np.fft.rfftn``/``irfftn``
+    over the space axes and fresh products, kept as the bitwise reference
+    of the solver's in-place transforms."""
+    nt = grid.nt
+    time_block = 2.0 * np.eye(nt) - np.eye(nt, k=1) - np.eye(nt, k=-1)
+    time_block[0, 0] = 1.0
+    eig, q = np.linalg.eigh(time_block)
+    modes = (*grid.nx[:-1], grid.nx[-1] // 2 + 1)
+    lam = np.zeros(modes)
+    for a, n in enumerate(grid.nx):
+        symbol = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(modes[a]) / n)) / grid.dx[a] ** 2
+        lam = lam + symbol.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+    lam = np.repeat(2.0 * grid.dt ** 2 * lam.ravel(), 2)
+    inv = 1.0 / (eig[:, None] + lam)
+    g = q @ (q[0][:, None] * inv)
+    coef = lam / (1.0 - lam * g[0])
+    axes = tuple(range(1, grid.dim + 1))
+
+    def solve(b):
+        spec = np.fft.rfftn(b, axes=axes)
+        x = q @ (inv * (q.T @ spec.reshape(nt, -1).view(np.float64)))
+        x += g * (coef * x[0])
+        return np.fft.irfftn(x.view(np.complex128).reshape(spec.shape), s=grid.nx, axes=axes)
+
+    return solve
+
+
+def _rows_reference(m, w, m0, grid):
+    d = grid.dim
+    r = np.empty_like(m)
+    r[0] = m[0] - m0
+    r[1:] = m[1:] - m[:-1] + grid.dt * _roll_split_divergence(w[..., :d], w[..., d:], grid)
+    return r
+
+
+def _rows_adjoint_reference(y, grid):
+    gm = np.empty_like(y)
+    gm[:-1] = y[:-1] - y[1:]
+    gm[-1] = y[-1]
+    phi = y[1:]
+    fwd, bwd = [], []
+    for a in range(grid.dim):
+        ax = 1 + a
+        fwd.append((np.roll(phi, -1, ax) - phi) / grid.dx[a])
+        bwd.append((phi - np.roll(phi, 1, ax)) / grid.dx[a])
+    return gm, -grid.dt * np.stack(fwd + bwd, axis=-1)
+
+
+def cp_reference(problem, iters, tau=16.0, sigma=0.06):
+    """The CP loop of ``optimize`` written with fresh arrays for every
+    intermediate, checked on the same iterations (tol_cont = 0): (m, w, y,
+    checked iterations, gaps) after ``iters`` iterations."""
+    grid = problem.grid
+    dim = grid.dim
+    iso = isinstance(problem.speed, IsotropicSpeed)
+    cone = problem.speed.split_cone(grid)
+    gram_solve = _gram_reference(grid)
+    m = np.full((grid.nt, *grid.nx), problem.mass)
+    w = np.zeros((grid.nt - 1, *grid.nx, 2 * dim))
+    y = np.zeros((grid.nt, *grid.nx))
+    r = _rows_reference(m, w, problem.m0, grid)
+    r_bar = r
+    checked, gaps = [], []
+    for it in range(1, iters + 1):
+        y += sigma * gram_solve(r_bar)
+        gm, gw = _rows_adjoint_reference(y, grid)
+        m = m - tau * gm
+        w_half = w - tau * gw
+        m[-1] -= tau * problem.u_T
+        np.maximum(m[-1], 0.0, out=m[-1])
+        if iso:
+            np.maximum(w_half[..., :dim], 0.0, out=w_half[..., :dim])
+            np.minimum(w_half[..., dim:], 0.0, out=w_half[..., dim:])
+            m[:-1], w = prox_coned_reference(problem.cost, cone, m[:-1], w_half,
+                                              tau * grid.dt)
+        else:
+            m[:-1], w = prox_cost_conj_hull(problem.cost, cone, m[:-1], w_half, tau * grid.dt)
+        r_prev, r = r, _rows_reference(m, w, problem.m0, grid)
+        r_bar = r + (r - r_prev)
+        cont = float(np.sqrt(np.sum((r / grid.dt) * (r / grid.dt))
+                             * grid.dt * grid.cell_volume))
+        if cont <= 0.0 or it == iters or it & (it - 1) == 0:
+            a_val, b_val = _certificate(problem, -y, m, w[..., :dim], w[..., dim:])
+            checked.append(it)
+            gaps.append(a_val + b_val)
+    return m, w, y, checked, gaps
+
+
+def _pair_problem():
+    grid = TorusGrid(1, (16,), 17, 1.0)
+    pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+    return _finite_problem(grid, pair, p=3.0)
+
+
+class TestInPlaceIteration:
+    """``optimize`` iterates in place on one ``_Workspace``; it must give the
+    bits of the allocating loop (``cp_reference``)."""
+
+    @pytest.mark.parametrize("case", ["ball 1d p3", "ball 2d p4", "pair hull 1d p3"])
+    def test_forty_iterations_give_the_reference_bits(self, monkeypatch, case):
+        prob = {"ball 1d p3": lambda: _gauss_problem(16),
+                "ball 2d p4": lambda: make_gauss_problem(2, 8, 17, 4.0),
+                "pair hull 1d p3": _pair_problem}[case]()
+        m, w, y, checked, gaps = cp_reference(prob, 40)
+        seen = []
+        certify_iterate = pdopt._certificate
+
+        def recorded(problem, u, *args, **kwargs):
+            seen.append(np.array(u))
+            return certify_iterate(problem, u, *args, **kwargs)
+
+        monkeypatch.setattr(pdopt, "_certificate", recorded)
+        bundle = optimize(prob, SolverConfig(max_iters=40, tol_gap=0.0, tol_cont=0.0))
+        d = bundle.diagnostics
+        assert d.iterations == 40 and not d.converged
+        assert bundle.m.values.tobytes() == m.tobytes()
+        assert d.w_split.tobytes() == w.tobytes()
+        assert seen[-1].tobytes() == (-y).tobytes()
+        assert d.iter_history == checked == [1, 2, 4, 8, 16, 32, 40]
+        assert np.array(d.gap_history).tobytes() == np.array(gaps).tobytes()
+
+    @pytest.mark.parametrize("dim,nx,nt", [(1, (64,), 65), (1, (17,), 9), (2, (8, 8), 17),
+                                           (2, (7, 5), 9)])
+    def test_gram_solve_gives_the_rfftn_bits(self, dim, nx, nt):
+        grid = TorusGrid(dim, nx, nt, 1.0)
+        solve, reference = _gram_solver(grid), _gram_reference(grid)
+        rng = np.random.default_rng(21)
+        for _ in range(2):                    # the second call reuses the buffers
+            b = rng.standard_normal((nt, *nx))
+            assert solve(b).tobytes() == reference(b).tobytes()
+
+    @staticmethod
+    def _traced_steps(ws, count):
+        """``count`` steps of a workspace under tracemalloc: the peak and the
+        final traced memory above the level at entry, in bytes."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(count):
+                ws.step()
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - base, now - base
+
+    def test_iterations_hold_a_few_node_arrays_above_the_workspace(self, monkeypatch):
+        # iterations 10-50 on 2D 16^2x33, p = 4, in units of one (nt, *nx)
+        # array.  Measured: 21.2 with the prox, whose Newton root solve holds
+        # up to 19 at once, and 5.7 without it (the three (nt - 1, *nx)
+        # scratch arrays of _rows' divergence and numpy's iterator buffers
+        # for strided views).  Nothing
+        # stays behind but small Python objects (about 20 kB in 40 steps,
+        # kept by the interpreter's free lists).
+        prob = make_gauss_problem(2, 16, 33, 4.0)
+        node = 8 * prob.grid.nt * prob.grid.n_space
+        ws = pdopt._Workspace(prob, 16.0, 0.06)
+        for _ in range(10):
+            ws.step()
+        peak, left = self._traced_steps(ws, 40)
+        assert peak <= 22 * node and left < node
+
+        def identity(model, cone, m_bar, w_bar, step, out):
+            np.copyto(out[0], m_bar)
+            np.copyto(out[1], w_bar)
+            return out
+
+        # the rest of the iteration, around an allocation-free prox
+        monkeypatch.setattr(pdopt, "prox_cost_conj_coned", identity)
+        peak, left = self._traced_steps(ws, 40)
+        assert peak <= 6 * node and left < node
+
+
+def split_velocity_reference(m, w, grid):
+    """``_split_velocity`` with its division masked and broadcast over the
+    components, the form before the component-wise division."""
+    v = np.zeros_like(w)
+    np.divide(w, m[..., None], out=v, where=m[..., None] > 0)
+    load = split_load(v, grid)
+    peak = float(np.max(load))
+    if peak > 1.0:
+        over = load > 1.0
+        v[over] /= load[over][..., None]
+    return v, peak
+
+
+def march_reference(m0, v, grid):
+    """``march_split`` with the level momenta broadcast, m_k[..., None] * v_k."""
+    d = grid.dim
+    m = np.empty((grid.nt, *grid.nx))
+    m[0] = m0
+    for k in range(grid.nt - 1):
+        wk = m[k][..., None] * v[k]
+        m[k + 1] = m[k] - grid.dt * _roll_split_divergence(wk[..., :d], wk[..., d:], grid)
+    return m
+
+
+class TestComponentwiseCertificate:
+    @pytest.mark.parametrize("dim,nx,radius", [(1, (16,), 0.25), (1, (16,), 2.5),
+                                               (2, (6, 7), 0.25), (2, (6, 7), 2.5)])
+    def test_split_velocity_and_march_give_the_broadcast_bits(self, dim, nx, radius):
+        # densities with zeros and one negative level, loads below and above 1
+        grid = TorusGrid(dim, nx, 9, 1.0)
+        rng = np.random.default_rng(31)
+        m, w = _random_iterate(rng, grid, radius)
+        m[2] *= -1.0                      # m <= 0 gives v = 0, as the mask did
+        v, peak = _split_velocity(m[:-1], w, grid)
+        ref_v, ref_peak = split_velocity_reference(m[:-1], w, grid)
+        assert v.tobytes() == ref_v.tobytes() and peak == ref_peak
+        assert (peak > 1.0) == (radius > 1.0)
+        m0 = rng.random(nx)
+        assert march_split(m0, v, grid).tobytes() == march_reference(m0, v, grid).tobytes()
