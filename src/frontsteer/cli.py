@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -162,11 +163,18 @@ def _load_slice(entry: dict, grid: TorusGrid, presets) -> np.ndarray:
 
 
 def _number(value, what: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the offending entry."""
+    """``kind(value)``, or a ConfigError naming the offending entry.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, which JSON itself has
+    no numbers for; they are refused here, like any value ``kind`` refuses.
+    """
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return number
 
 
 def build_speed(entry: dict, grid: TorusGrid):

@@ -13,6 +13,7 @@ comparison principle holds exactly for the discrete system.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -85,59 +86,63 @@ def extract_front(field: ScalarField | DensityField, t: int, level: float,
 
 
 # -- blocking counterexample: c == 1, u_T == 0 on the window [0,1] x [0,2] ---
+# The closed forms take scalars or arrays of (t, x) that broadcast together;
+# scalars in give a Python scalar out.
 
 
-def _check_window(t: float, x: float) -> None:
-    if not (0.0 <= t <= 1.0) or not (0.0 <= x <= 2.0):
+def _check_eps(eps) -> None:
+    if not (isinstance(eps, numbers.Real) and 0.0 <= eps < np.inf):
+        raise ParameterError(f"eps must be a finite number >= 0, got {eps!r}")
+
+
+def _check_window(eps: float, t, x) -> None:
+    _check_eps(eps)
+    if not np.all((0.0 <= t) & (t <= 1.0) & (0.0 <= x) & (x <= 2.0)):
         raise ParameterError(f"(t, x) = ({t}, {x}) outside [0,1] x [0,2]")
 
 
-def _cone_gap(t: float, x: float) -> float:
+def _cone_gap(t, x):
     """Signed distance of x to the expanding obstacle cone [1-t, 1+t]."""
-    return abs(x - 1.0) - t
+    return np.abs(x - 1.0) - t
 
 
-def counterexample_obstacle(eps: float, t: float, x: float) -> float:
+def _profile(eps: float, d):
+    """1 on the cone (gap d <= 0), 0 beyond the eps-band (d >= eps), the
+    linear ramp 1 - d/eps inside the band; a step at eps = 0."""
+    if eps == 0:
+        return np.where(d <= 0, 1.0, 0.0)
+    return np.clip(1.0 - d / eps, 0.0, 1.0)
+
+
+def _scalar(v):
+    return v.item() if np.ndim(v) == 0 else v
+
+
+def counterexample_obstacle(eps: float, t, x) -> float | np.ndarray:
     """The growing obstacle: 1 on the cone |x-1| <= t, 0 beyond the eps-band,
     linear ramp in distance to the cone inside the band."""
-    if eps < 0:
-        raise ParameterError("eps must be >= 0")
-    _check_window(t, x)
-    return _obstacle_value(eps, t, x)
+    _check_window(eps, t, x)
+    return _scalar(_profile(eps, _cone_gap(t, x)))
 
 
-def _obstacle_value(eps: float, t: float, x: float) -> float:
-    d = _cone_gap(t, x)
-    if d <= 0:
-        return 1.0
-    if eps == 0 or d >= eps:
-        return 0.0
-    return 1.0 - d / eps
-
-
-def counterexample_exact(eps: float, t: float, x: float) -> float:
+def counterexample_exact(eps: float, t, x) -> float | np.ndarray:
     """Closed-form value function of the blocking counterexample.
 
     (1-t) on the cone, 0 beyond the eps-band; inside the transition band the
     value returned is the linear interpolation of the two regimes and is
     flagged by counterexample_in_band (excluded from exact comparisons).
+    Outside the band (1-t) * obstacle has the bits of 1-t or of 0, since the
+    obstacle there is exactly 1 or 0 and 1-t >= 0.
     """
-    if eps < 0:
-        raise ParameterError("eps must be >= 0")
-    _check_window(t, x)
-    d = _cone_gap(t, x)
-    if d <= 0:
-        return 1.0 - t
-    if eps == 0 or d >= eps:
-        return 0.0
-    return (1.0 - t) * (1.0 - d / eps)
+    _check_window(eps, t, x)
+    return _scalar((1.0 - t) * _profile(eps, _cone_gap(t, x)))
 
 
-def counterexample_in_band(eps: float, t: float, x: float) -> bool:
+def counterexample_in_band(eps: float, t, x) -> bool | np.ndarray:
     """True on the open transition band where the closed form is not exact."""
-    _check_window(t, x)
+    _check_window(eps, t, x)
     d = _cone_gap(t, x)
-    return 0.0 < d < eps
+    return _scalar((0.0 < d) & (d < eps))
 
 
 @dataclass(frozen=True)
@@ -169,24 +174,15 @@ class CounterexampleWindow:
         g = self.grid
         xw = self.scale * g.axis_coords(0)
         xw = np.where(xw > 3.0, xw - self.scale, xw)    # center the buffer at x=3
-        vals = np.empty((g.nt, g.nx[0]))
-        for k, t in enumerate(g.times()):
-            d = np.abs(xw - 1.0) - t
-            if self.eps > 0:
-                vals[k] = np.clip(1.0 - d / self.eps, 0.0, 1.0)
-            else:
-                vals[k] = np.where(d <= 0, 1.0, 0.0)
-        return ScalarField(g, vals)
+        return ScalarField(g, _profile(self.eps, _cone_gap(g.times()[:, None], xw)))
 
     def exact_window(self, t_index: int) -> np.ndarray:
-        t = self.grid.times()[t_index]
-        return np.array([counterexample_exact(self.eps, t, x) for x in self.window_x()])
+        return counterexample_exact(self.eps, self.grid.times()[t_index], self.window_x())
 
     def comparison_mask(self, t_index: int) -> np.ndarray:
         """Window nodes outside the band and a (dx+dt)-neighborhood of the
         cone boundary, where the closed form is exact."""
-        t = self.grid.times()[t_index]
-        d = np.abs(self.window_x() - 1.0) - t
+        d = _cone_gap(self.grid.times()[t_index], self.window_x())
         margin = self.dx_window + self.grid.dt
         return (d <= -margin) | (d >= self.eps + margin)
 
@@ -201,6 +197,7 @@ def counterexample_instance(eps: float, window_points: int = 401,
     """
     if window_points < 5:
         raise ParameterError("window needs at least 5 points")
+    _check_eps(eps)
     scale = 4.0
     nx = 2 * (window_points - 1)
     grid = TorusGrid(1, (nx,), nt, 1.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +153,22 @@ class TestConfigErrors:
         assert main(["reproduce", "--config", str(cfg_path),
                      "--out", str(tmp_path / "rep")]) == 2
         assert "reproduce eps must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,overrides,name", [
+        ("optimize", {"solver": {"max_iters": math.inf}}, "max_iters"),
+        ("optimize", {"solver": {"tol_gap": math.nan}}, "tol_gap"),
+        ("reproduce", {"reproduce": {"eps": [math.nan]}}, "reproduce eps"),
+        ("reproduce", {"reproduce": {"eps": [-math.inf]}}, "reproduce eps"),
+        ("reproduce", {"reproduce": {"eps": [math.inf]}}, "reproduce eps"),
+    ], ids=["max_iters-inf", "tol_gap-nan", "eps-nan", "eps-minus-inf", "eps-inf"])
+    def test_non_finite_number(self, tmp_path, capsys, command, overrides, name):
+        # Python's json reads NaN and Infinity; each exits 2 naming its key
+        # before any output is written
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **overrides)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{name} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_solver_keys(self, tmp_path, capsys):
         # a misspelt tolerance and an option that does not exist are refused,

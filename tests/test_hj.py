@@ -50,6 +50,32 @@ def solve_reference(problem, obstacle):
     return values
 
 
+def obstacle_reference(eps, t, x):
+    """The branchy scalar closed form of the counterexample obstacle, kept as
+    the bitwise reference for the array-valued one."""
+    d = abs(x - 1.0) - t
+    if d <= 0:
+        return 1.0
+    if eps == 0 or d >= eps:
+        return 0.0
+    return 1.0 - d / eps
+
+
+def exact_reference(eps, t, x):
+    """The branchy scalar closed-form value, the reference for the array one."""
+    d = abs(x - 1.0) - t
+    if d <= 0:
+        return 1.0 - t
+    if eps == 0 or d >= eps:
+        return 0.0
+    return (1.0 - t) * (1.0 - d / eps)
+
+
+def on_nodes(fn, eps, t, x):
+    t, x = np.broadcast_arrays(t, x)
+    return np.array([fn(eps, tt, xx) for tt, xx in zip(t.ravel(), x.ravel())]).reshape(t.shape)
+
+
 def make_problem(nx=32, nt=33, radius=1.0, u_T=None, dim=1):
     shape = (nx,) * dim
     grid = TorusGrid(dim, shape, nt, 1.0)
@@ -203,6 +229,68 @@ class TestCounterexampleFormulas:
             counterexample_obstacle(0.1, 0.5, 2.5)
         with pytest.raises(ParameterError):
             counterexample_exact(-0.1, 0.5, 1.0)
+
+    def test_scalars_in_give_python_scalars_out(self):
+        assert type(counterexample_obstacle(0.1, 0.5, 1.0)) is float
+        assert type(counterexample_obstacle(0.0, 0.5, 1.0)) is float
+        assert type(counterexample_exact(0.1, 0.5, 1.55)) is float
+        assert type(counterexample_in_band(0.1, 0.5, 1.55)) is bool
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.5])
+    def test_array_form_bitwise_equal_reference(self, eps):
+        # dyadic nodes make the gap d = |x-1| - t exact, so the grid hits
+        # d = 0 and d = eps for the dyadic eps, besides t = 0 and t = 1
+        t = (np.arange(17) / 16)[:, None]
+        x = np.arange(129) / 64
+        d = np.abs(x - 1.0) - t
+        assert np.all(np.isin([0.0, 0.125, 0.25, 0.5], d))
+        obstacle = counterexample_obstacle(eps, t, x)
+        exact = counterexample_exact(eps, t, x)
+        assert obstacle.tobytes() == on_nodes(obstacle_reference, eps, t, x).tobytes()
+        assert exact.tobytes() == on_nodes(exact_reference, eps, t, x).tobytes()
+        in_band = counterexample_in_band(eps, t, x)
+        assert np.array_equal(in_band, (0.0 < d) & (d < eps))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])
+    def test_window_reference_bitwise_equal_on_canonical_nodes(self, eps):
+        window = counterexample_instance(eps, 401, 201)
+        t = window.grid.times()[:, None]
+        expect = on_nodes(exact_reference, eps, t, window.window_x())
+        got = np.array([window.exact_window(k) for k in range(window.grid.nt)])
+        assert got.tobytes() == expect.tobytes()
+        assert counterexample_exact(eps, t, window.window_x()).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])
+    def test_obstacle_field_equals_reference_everywhere(self, eps):
+        # every torus node, the buffer beyond x = 2 (re-centred at x = 3) included
+        window = counterexample_instance(eps, 101, 51)
+        grid = window.grid
+        xw = window.scale * grid.axis_coords(0)
+        xw = np.where(xw > 3.0, xw - window.scale, xw)
+        assert np.any(xw > 2.0) and np.any(xw < 0.0)
+        expect = on_nodes(obstacle_reference, eps, grid.times()[:, None], xw)
+        assert window.obstacle_field().values.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("fn", [counterexample_obstacle, counterexample_exact,
+                                    counterexample_in_band])
+    @pytest.mark.parametrize("t,x", [
+        (0.5, np.array([0.0, 1.0, 2.0 + 1e-12])),
+        (np.array([0.0, 1.0 + 1e-12]), 1.0),
+        (np.array([0.0, np.nan]), 1.0),
+        (0.5, np.array([-1e-300, 1.0])),
+        (0.5, np.array([1.0, np.nan])),
+    ])
+    def test_array_with_one_node_off_window_refused(self, fn, t, x):
+        with pytest.raises(ParameterError):
+            fn(0.1, t, x)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.1, "0.1", None])
+    def test_bad_eps_refused(self, eps):
+        for fn in (counterexample_obstacle, counterexample_exact, counterexample_in_band):
+            with pytest.raises(ParameterError):
+                fn(eps, 0.5, 1.0)
+        with pytest.raises(ParameterError):
+            counterexample_instance(eps, window_points=11, nt=6)
 
 
 class TestCounterexampleSolve:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import make_gauss_problem
-from frontsteer import pdopt
-from frontsteer.model import prox_cost_conj_coned
+from frontsteer import hj, pdopt
+from frontsteer.model import CostModel, prox_cost_conj_coned
 from frontsteer.transport import march_split
 
 pytest.importorskip("pytest_benchmark")
@@ -71,3 +71,31 @@ def test_prox_p3(benchmark):
     _timed(benchmark, m_bar.size, prox_cost_conj_coned, problem.cost, ws.cone, m_bar, w_bar,
            pdopt._TAU * grid.dt, out=(m, w))
     assert np.min(m) >= 0.0 and np.all(np.abs(w[..., 0]) <= m * (1.0 + 1e-12))
+
+
+def _counterexample(eps=0.1):
+    window = hj.counterexample_instance(eps, 401, 201)
+    grid = window.grid
+    problem = pdopt.ProblemInstance(grid=grid, speed=hj.counterexample_speed(window),
+                                    cost=CostModel(p=3.0), u_T=np.zeros(grid.nx),
+                                    m0=np.ones(grid.nx))
+    return window, problem
+
+
+def test_hj_sweep(benchmark):
+    window, problem = _counterexample()
+    grid = problem.grid
+    obstacle = window.obstacle_field()
+    u = _timed(benchmark, grid.nt * grid.n_space, hj.solve_value_function, problem, obstacle)
+    assert np.array_equal(u.values[-1], problem.u_T) and np.min(u.values) >= 0.0
+
+
+def test_window_reference(benchmark):
+    window, _ = _counterexample()
+    nt = window.grid.nt
+
+    def all_levels():
+        return [window.exact_window(k) for k in range(nt)]
+
+    levels = _timed(benchmark, nt * window.window_points, all_levels)
+    assert levels[0][window.window_points // 2] == 1.0 and levels[-1].max() == 0.0
