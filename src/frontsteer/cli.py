@@ -31,6 +31,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+# The one table of the run configuration: every key, its default and, by the
+# default's type, the values it takes (see ``load_config``).
 DEFAULT_CONFIG = {
     "problem": {
         "dim": 1,
@@ -45,75 +47,104 @@ DEFAULT_CONFIG = {
     "solver": {"max_iters": 5000, "tol_gap": 1e-3, "tol_cont": 1e-4,
                "tau": None, "sigma": None},
     "outputs": {"directory": "out"},
+    "reproduce": {"eps": [0.2, 0.1, 0.05], "window_points": 401, "nt": 201,
+                  "tolerance": 0.05},
     "seed": 0,
 }
-# the keys of each speed variant, of a u_T / m0 entry and of the optional
-# ``reproduce`` section (with its defaults).  load_config checks the user's
-# own sections: the merged config keeps the default speed radius and preset
-# next to a finite speed or a file.
-SPEED_KEYS = {"isotropic": ("variant", "radius"),
-              "finite": ("variant", "velocities", "c0", "c1")}
-SLICE_KEYS = ("preset", "file")
-REPRODUCE_DEFAULTS = {"eps": [0.2, 0.1, 0.05], "window_points": 401, "nt": 201,
-                      "tolerance": 0.05}
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
+# The forms a section takes in place of its default, which have no defaults:
+# their values only give each key its type, and every key is required.  A
+# finite speed, and a field file for a u_T / m0 slice or a speed radius.
+FINITE_SPEED = {"variant": "finite", "velocities": [[0.0]], "c0": 0.0, "c1": 0.0}
+FIELD_FILE = {"file": ""}
 
 
 def load_config(path: str | None) -> dict:
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    with open(path) as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    """The run configuration: the JSON object at ``path`` (none: ``{}``)
+    resolved against DEFAULT_CONFIG.  Each value must have the type of its
+    default and each missing key takes its default; anything else is a
+    ConfigError naming the key.  The result resolves to itself."""
+    user = {}
+    if path is not None:
+        with open(path) as fh:
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError("config root must be a JSON object")
+    return _section(DEFAULT_CONFIG, user, "")
+
+
+def _section(default: dict, user, where: str, required: bool = False) -> dict:
+    """The section ``user`` at the dotted path ``where`` resolved against
+    ``default``; with ``required``, no key may be missing.  A speed takes
+    the keys of its variant, a u_T / m0 slice one preset or one file."""
     if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    _refuse_unknown(user, [*DEFAULT_CONFIG, "reproduce"], "config")
-    problem = _section(user, "problem")
-    for parent, where, known in (
-            (user, "solver", DEFAULT_CONFIG["solver"]),
-            (user, "outputs", DEFAULT_CONFIG["outputs"]),
-            (user, "reproduce", REPRODUCE_DEFAULTS),
-            (user, "problem", DEFAULT_CONFIG["problem"]),
-            (problem, "problem.cost", DEFAULT_CONFIG["problem"]["cost"]),
-            (problem, "problem.u_T", SLICE_KEYS),
-            (problem, "problem.m0", SLICE_KEYS)):
-        _refuse_unknown(_section(parent, where), known, where)
-    speed = _section(problem, "problem.speed")
-    variant = speed.get("variant", "isotropic")
-    if isinstance(variant, str) and variant in SPEED_KEYS:   # build_speed refuses the rest
-        _refuse_unknown(speed, SPEED_KEYS[variant], f"problem.speed ({variant})")
-    if isinstance(speed.get("radius"), dict):                # a tabulated radius
-        _refuse_unknown(speed["radius"], ("file",), "problem.speed.radius")
-    return _merge(DEFAULT_CONFIG, user)
-
-
-def _section(parent: dict, where: str) -> dict:
-    """The entry named by the last part of the dotted ``where`` ({} when
-    absent), refused unless it is a JSON object."""
-    section = parent.get(where.rpartition(".")[2], {})
-    if not isinstance(section, dict):
         raise ConfigError(f"config section {where!r} must be a JSON object")
-    return section
-
-
-def _refuse_unknown(section: dict, known, where: str) -> None:
-    """A ConfigError naming the keys of ``section`` outside ``known``: a
-    misspelt key would otherwise be ignored without a word."""
-    unknown = sorted(set(section) - set(known))
+    label = where or "config"
+    if where == "problem.speed":
+        variant = user.get("variant", default["variant"])
+        if variant == FINITE_SPEED["variant"]:
+            default, required = FINITE_SPEED, True
+        elif variant != default["variant"]:
+            raise ConfigError(f"unknown speed variant {variant!r}")
+        label = f"{where} ({variant})"
+    elif where in ("problem.u_T", "problem.m0") and "file" in user:
+        if "preset" in user:
+            raise ConfigError(f"{where} takes one 'preset' or one 'file', not both")
+        default, required = FIELD_FILE, True
+    # a misspelt key would otherwise be ignored without a word
+    unknown = sorted(set(user) - set(default))
     if unknown:
-        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                          f"known: {', '.join(known)}")
+        raise ConfigError(f"unknown {label} key(s) {', '.join(map(repr, unknown))}; "
+                          f"known: {', '.join(default)}")
+    missing = [key for key in default if key not in user] if required else []
+    if missing:
+        raise ConfigError(f"{label} needs {' and '.join(map(repr, missing))}")
+    # a missing key resolves its default, which makes a fresh copy of it
+    return {key: _resolve(default[key], user.get(key, default[key]), where, key)
+            for key in default}
+
+
+def _resolve(default, value, where: str, key: str):
+    """``value`` at ``key`` of the section ``where``, checked against the
+    type of ``default``: a speed radius may be a field file."""
+    path = f"{where}.{key}" if where else key
+    if isinstance(default, dict):
+        return _section(default, value, path)
+    if path == "problem.speed.radius" and isinstance(value, dict):
+        return _section(FIELD_FILE, value, path, required=True)
+    return _value(default, value, f"{where} {key}" if where else key)
+
+
+def _value(default, value, name: str):
+    """``value`` checked against the type of ``default``, or a ConfigError
+    naming it.  An int takes a whole number, a float any finite number
+    (``bool`` is neither; Python's ``json`` reads ``NaN`` and ``Infinity``,
+    which JSON itself has no numbers for), None null or a number, a string
+    a string and a list a list of its first entry's type."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_value(default[0], entry, name) for entry in value]
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
+    if default is None and value is None:
+        return None
+    whole = isinstance(default, int)
+    kind = ("a number (an integer)" if whole
+            else "a number or null" if default is None else "a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}") from exc
+    if not math.isfinite(number) or (whole and not number.is_integer()):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if whole else number
 
 
 # -- presets -------------------------------------------------------------------
@@ -156,69 +187,30 @@ def _load_slice(entry: dict, grid: TorusGrid, presets) -> np.ndarray:
             raise ConfigError(
                 f"field file {entry['file']} has space shape {field.grid.nx}, "
                 f"expected {grid.nx}")
-        return np.array(field.values[0] if field.values.ndim > grid.dim else field.values)
-    if "preset" in entry:
-        return presets(entry["preset"], grid)
-    raise ConfigError("u_T / m0 entries need a 'preset' or 'file' key")
-
-
-def _number(value, what: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the offending entry.
-
-    Python's ``json`` reads ``NaN`` and ``Infinity``, which JSON itself has
-    no numbers for; they are refused here, like any value ``kind`` refuses.
-    """
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return number
+        return np.array(field.values[0])
+    return presets(entry["preset"], grid)
 
 
 def build_speed(entry: dict, grid: TorusGrid):
-    variant = entry.get("variant", "isotropic")
-    if variant == "isotropic":
-        radius = entry.get("radius", 1.0)
+    if entry["variant"] == "isotropic":
+        radius = entry["radius"]
         if isinstance(radius, dict):
-            if "file" not in radius:
-                raise ConfigError("a tabulated speed radius needs a 'file' key")
-            field = read_field(radius["file"])
-            radius = np.array(field.values[0])
-        else:
-            radius = _number(radius, "speed radius")
+            radius = np.array(read_field(radius["file"]).values[0])
         return IsotropicSpeed(grid.dim, radius)
-    if variant == "finite":
-        vecs = entry.get("velocities")
-        if not vecs:
-            raise ConfigError("finite speed variant needs 'velocities'")
-        missing = [key for key in ("c0", "c1") if key not in entry]
-        if missing:
-            raise ConfigError(f"finite speed variant needs {' and '.join(map(repr, missing))}")
-        try:
-            consts = [np.asarray(v, dtype=float) for v in vecs]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"finite speed velocities must be numbers: {exc}") from exc
-        if any(v.shape != (grid.dim,) for v in consts):
-            raise ConfigError(f"each velocity must have {grid.dim} components")
-        maps = [(lambda x, vv=v: np.broadcast_to(vv, np.shape(x))) for v in consts]
-        return FiniteControlsSpeed(grid.dim, tuple(maps), c0=_number(entry["c0"], "c0"),
-                                   c1=_number(entry["c1"], "c1"))
-    raise ConfigError(f"unknown speed variant {variant!r}")
+    if not entry["velocities"]:
+        raise ConfigError("finite speed variant needs 'velocities'")
+    consts = [np.asarray(v, dtype=float) for v in entry["velocities"]]
+    if any(v.shape != (grid.dim,) for v in consts):
+        raise ConfigError(f"each velocity must have {grid.dim} components")
+    maps = [(lambda x, vv=v: np.broadcast_to(vv, np.shape(x))) for v in consts]
+    return FiniteControlsSpeed(grid.dim, tuple(maps), c0=entry["c0"], c1=entry["c1"])
 
 
 def build_problem(config: dict) -> pdopt.ProblemInstance:
     prob = config["problem"]
-    try:
-        grid = TorusGrid(_number(prob["dim"], "dim", int), tuple(prob["nx"]),
-                         _number(prob["nt"], "nt", int), _number(prob["T"], "T"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad problem geometry: {exc}") from exc
-    speed = build_speed(prob.get("speed", {}), grid)
-    cost_entry = prob.get("cost", {})
-    cost = CostModel(p=_number(cost_entry.get("p", 3.0), "cost p"),
-                     kappa=_number(cost_entry.get("kappa", 1.0), "cost kappa"))
+    grid = TorusGrid(prob["dim"], tuple(prob["nx"]), prob["nt"], prob["T"])
+    speed = build_speed(prob["speed"], grid)
+    cost = CostModel(**prob["cost"])
     u_T = _load_slice(prob["u_T"], grid, _preset_u_T)
     m0 = _load_slice(prob["m0"], grid, _preset_m0)
     try:
@@ -228,16 +220,7 @@ def build_problem(config: dict) -> pdopt.ProblemInstance:
 
 
 def build_solver_config(config: dict) -> pdopt.SolverConfig:
-    s = config["solver"]
-
-    def optional(key):
-        return None if s.get(key) is None else _number(s[key], key)
-
-    return pdopt.SolverConfig(
-        max_iters=_number(s["max_iters"], "max_iters", int),
-        tol_gap=_number(s["tol_gap"], "tol_gap"),
-        tol_cont=_number(s["tol_cont"], "tol_cont"),
-        tau=optional("tau"), sigma=optional("sigma"))
+    return pdopt.SolverConfig(**config["solver"])
 
 
 # -- output helpers ------------------------------------------------------------
@@ -279,6 +262,17 @@ def write_diagnostics_csv(path: Path, diag: pdopt.SolverDiagnostics) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _run_config(args) -> dict:
+    """The resolved config of a run, its seed replaced by ``--seed`` when
+    given: the run and its manifest read one value."""
+    config = load_config(args.config)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    if config["seed"] < 0:      # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
+    return config
+
+
 def _read_on_grid(path, kind, grid: TorusGrid):
     """The field file at ``path``, refused unless it holds a ``kind`` field on
     the problem grid."""
@@ -291,7 +285,7 @@ def _read_on_grid(path, kind, grid: TorusGrid):
 
 
 def cmd_solve_hj(args) -> int:
-    config = load_config(args.config)
+    config = _run_config(args)
     problem = build_problem(config)
     obstacle = _read_on_grid(args.obstacle, ScalarField, problem.grid)
     t0 = time.perf_counter()
@@ -305,7 +299,7 @@ def cmd_solve_hj(args) -> int:
 
 
 def cmd_solve_transport(args) -> int:
-    config = load_config(args.config)
+    config = _run_config(args)
     problem = build_problem(config)
     v = _read_on_grid(args.velocity, VecField, problem.grid)
     t0 = time.perf_counter()
@@ -317,7 +311,7 @@ def cmd_solve_transport(args) -> int:
     extra = {}
     if args.paths:
         ens = transport.sample_trajectories(problem.m0, v, args.paths,
-                                            seed=_seed(config, args))
+                                            seed=config["seed"])
         transport.write_trajectories(out / "trajectories.csv", ens)
         last = problem.grid.nt - 1
         extra = {"pushforward_l1": transport.pushforward_distance(ens, m, last),
@@ -329,12 +323,8 @@ def cmd_solve_transport(args) -> int:
     return EXIT_OK
 
 
-def _seed(config: dict, args) -> int:
-    return int(args.seed if args.seed is not None else config.get("seed", 0))
-
-
 def cmd_optimize(args) -> int:
-    config = load_config(args.config)
+    config = _run_config(args)
     problem = build_problem(config)
     solver_cfg = build_solver_config(config)
     bundle = pdopt.optimize(problem, solver_cfg)
@@ -349,7 +339,7 @@ def cmd_optimize(args) -> int:
         write_field(out / f"{name}.field", fld)
     write_diagnostics_csv(out / "diagnostics.csv", bundle.diagnostics)
     reports = cert.battery(problem, bundle.u, bundle.f, bundle.m, w_pair,
-                           seed=_seed(config, args), tol_gap=solver_cfg.tol_gap)
+                           seed=config["seed"], tol_gap=solver_cfg.tol_gap)
     cert.reports_to_json(reports, out / "certificates.json")
     diag = bundle.diagnostics
     write_manifest(out, config, {
@@ -368,7 +358,7 @@ def cmd_certify(args) -> int:
     """The battery of ``optimize`` on stored fields: on the split momenta
     w_plus/w_minus when the bundle has them, else on the nodal w, which the
     certificate splits by sign one block of levels at a time."""
-    config = load_config(args.config)
+    config = _run_config(args)
     problem = build_problem(config)
     solver_cfg = build_solver_config(config)
     grid = problem.grid
@@ -382,7 +372,7 @@ def cmd_certify(args) -> int:
     else:
         w = _read_on_grid(src / "w.field", VecField, grid)
     details: dict = {}
-    reports = cert.battery(problem, u, f, m, w, seed=_seed(config, args),
+    reports = cert.battery(problem, u, f, m, w, seed=config["seed"],
                            tol_gap=solver_cfg.tol_gap, details=details)
     out = _outdir(config, args)
     cert.reports_to_json(reports, out / "certificates.json")
@@ -393,13 +383,14 @@ def cmd_certify(args) -> int:
 
 def _reproduce_once(eps: float, window_points: int, nt: int):
     """Solve the blocking counterexample at one resolution; return the window
-    object, computed field, and off-band errors."""
+    object, the computed field with its obstacle, and off-band errors."""
     window = hj.counterexample_instance(eps, window_points, nt)
     grid = window.grid
     problem = pdopt.ProblemInstance(
         grid=grid, speed=hj.counterexample_speed(window),
         cost=CostModel(p=3.0), u_T=np.zeros(grid.nx), m0=np.ones(grid.nx))
-    u = hj.solve_value_function(problem, window.obstacle_field())
+    obstacle = window.obstacle_field()
+    u = hj.solve_value_function(problem, obstacle)
     max_err = 0.0
     l1_err = 0.0
     for k in range(grid.nt):
@@ -408,27 +399,19 @@ def _reproduce_once(eps: float, window_points: int, nt: int):
         if np.any(mask):
             max_err = max(max_err, float(np.max(diff[mask])))
             l1_err += float(np.sum(diff[mask])) * window.dx_window * grid.dt
-    return window, u, max_err, l1_err
+    return window, (u, obstacle), max_err, l1_err
 
 
 def cmd_reproduce(args) -> int:
-    config = load_config(args.config)
-    rep = {**REPRODUCE_DEFAULTS, **config.get("reproduce", {})}
-    eps_list = rep["eps"]
-    if not isinstance(eps_list, list):
-        raise ConfigError(f"reproduce eps must be a list of numbers, got {eps_list!r}")
-    eps_list = [_number(eps, "reproduce eps") for eps in eps_list]
-    window_points = _number(rep["window_points"], "window_points", int)
-    nt = _number(rep["nt"], "nt", int)
-    tolerance = _number(rep["tolerance"], "tolerance")
-    refine = args.refine
-    out = _outdir(config, args)
+    config = _run_config(args)
+    rep = config["reproduce"]
+    window_points, nt, refine = rep["window_points"], rep["nt"], args.refine
     t0 = time.perf_counter()
     rows = []
     slices = []
     all_ok = True
-    for eps in eps_list + [0.0]:
-        window, u, max_err, l1_err = _reproduce_once(eps, window_points, nt)
+    for eps in rep["eps"] + [0.0]:
+        window, (u, obstacle), max_err, l1_err = _reproduce_once(eps, window_points, nt)
         grid = window.grid
         orders = []
         errs = [l1_err]
@@ -442,23 +425,20 @@ def cmd_reproduce(args) -> int:
                 orders.append(float("inf"))    # both at round-off: converged
             else:
                 orders.append(float(np.log2(max(coarse, 1e-300) / max(fine, 1e-300))))
-        ok = max_err <= tolerance and all(o >= 0.8 for o in orders)
+        ok = max_err <= rep["tolerance"] and all(o >= 0.8 for o in orders)
+        if eps == 0.0:
+            # blocking: on the window, the burning region {u <= 0} minus the
+            # active obstacle cells is empty at the final time
+            burning = hj.extract_front(u, grid.nt - 1, 0.0) \
+                - hj.extract_front(obstacle, grid.nt - 1, 0.0, mode="obstacle")
+            ok = ok and not any(cell[0] < window.window_points for cell in burning)
         all_ok = all_ok and ok
         rows.append((eps, max_err, l1_err, orders, ok))
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             k = round(frac * (grid.nt - 1))
             for x, val in zip(window.window_x(), window.window_values(u, k)):
                 slices.append((eps, k * grid.dt, x, val))
-        if eps == 0.0:
-            # blocking: on the window, the burning region {u <= 0} minus the
-            # active obstacle cells is empty at the final time
-            obstacle = window.obstacle_field()
-            burning = hj.extract_front(u, grid.nt - 1, 0.0) \
-                - hj.extract_front(obstacle, grid.nt - 1, 0.0, mode="obstacle")
-            in_window = {cell for cell in burning if cell[0] < window.window_points}
-            front_empty = len(in_window) == 0
-            all_ok = all_ok and front_empty
-            rows[-1] = (eps, max_err, l1_err, orders, ok and front_empty)
+    out = _outdir(config, args)
     with open(out / "summary.csv", "w") as fh:
         fh.write("eps,max_err_offband,l1_err_offband,orders,passed\n")
         for eps, max_err, l1_err, orders, ok in rows:
@@ -477,6 +457,14 @@ def cmd_reproduce(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A count argument: argparse exits 2 on anything but an int >= 0."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontsteer",
@@ -486,7 +474,8 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed of the run (overrides config)")
         # a string default goes through type=int, so a bad value exits 2
         p.add_argument("--threads", type=int,
                        default=os.environ.get("FRONTSTEER_THREADS", "1"),
@@ -499,7 +488,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-transport", help="solve the continuity equation")
     common(p)
     p.add_argument("--velocity", required=True, help="velocity field file")
-    p.add_argument("--paths", type=int, default=0,
+    p.add_argument("--paths", type=_count, default=0,
                    help="also sample this many trajectories")
 
     p = sub.add_parser("optimize", help="solve the dual problem and certify")
@@ -511,7 +500,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="blocking counterexample reproduction")
     common(p)
-    p.add_argument("--refine", type=int, default=0,
+    p.add_argument("--refine", type=_count, default=0,
                    help="grid-halving study depth")
     return parser
 

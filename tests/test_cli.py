@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import frontsteer
-from frontsteer.cli import main
+from frontsteer.cli import DEFAULT_CONFIG, load_config, main
 from frontsteer.grid import ScalarField, TorusGrid, VecField, read_field, write_field
 from frontsteer.hj import counterexample_instance
 from frontsteer.transport import split_by_sign
@@ -620,3 +620,147 @@ def test_optimize_runs_without_scipy(tmp_path):
     checks = json.loads((out / "certificates.json").read_text())["checks"]
     assert "holder_bound" in {c["name"] for c in checks}
     assert result["scipy"] == []
+
+
+def _field_file(path, grid, values):
+    write_field(path, ScalarField(grid, np.broadcast_to(values, (grid.nt, *grid.nx))))
+    return str(path)
+
+
+class TestRefusedValues:
+    """A value outside the type of its default exits 2 naming its key,
+    before any output; so does a negative count."""
+
+    @pytest.mark.parametrize("command,overrides,name", [
+        ("optimize", {"seed": "abc"}, "seed"),
+        ("optimize", {"seed": 1.7}, "seed"),
+        ("optimize", {"seed": True}, "seed"),
+        ("optimize", {"outputs": {"directory": 5}}, "outputs directory"),
+        ("optimize", {"problem": {"nt": 17.5}}, "problem nt"),
+        ("optimize", {"problem": {"nx": ["16"]}}, "problem nx"),
+        ("optimize", {"solver": {"max_iters": 2.5}}, "solver max_iters"),
+        ("optimize", {"solver": {"max_iters": True}}, "solver max_iters"),
+        ("optimize", {"solver": {"tol_gap": "0.5"}}, "solver tol_gap"),
+        ("reproduce", {"reproduce": {"eps": [0.2], "window_points": 41.7, "nt": 21}},
+         "reproduce window_points"),
+    ], ids=["seed-string", "seed-fraction", "seed-bool", "directory-number",
+            "nt-fraction", "nx-string", "max_iters-fraction", "max_iters-bool",
+            "tol_gap-string", "window_points-fraction"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, command, overrides, name):
+        # no --out: the configured directory is where output would go
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "cfg.json", **overrides)
+        assert main([command, "--config", "cfg.json"]) == 2
+        assert f"config error: {name} must be " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("seed,flag", [(-1, []), (0, ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seed, flag):
+        # numpy's generators refuse it, once the solve is done
+        write_config(tmp_path / "cfg.json", seed=seed, solver={"max_iters": 8})
+        assert main(["optimize", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o"), *flag]) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["u_T", "m0"])
+    def test_preset_and_file_exits_2(self, tmp_path, capsys, name):
+        # today's file would win over the preset without a word
+        path = _field_file(tmp_path / "slice.field", TorusGrid(1, (32,), 2, 1.0), 1.0)
+        write_config(tmp_path / "cfg.json",
+                     problem={name: {"preset": "zero", "file": path}})
+        assert main(["optimize", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: problem.{name} takes one 'preset' or one 'file'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["reproduce", "--refine", "-1"], "--refine"),
+        (["solve-transport", "--velocity", "v.field", "--paths", "-5"], "--paths"),
+    ], ids=["refine", "paths"])
+    def test_negative_count_exits_2(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestManifestConfig:
+    """A manifest's ``config`` is the resolved configuration of the run: a
+    fixed point of ``load_config`` that runs the same bits again."""
+
+    @staticmethod
+    def _rerun(tmp_path, argv, user):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(user))
+        main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "first")])
+        config = json.loads((tmp_path / "first" / "manifest.json").read_text())["config"]
+        assert config["reproduce"] == {**DEFAULT_CONFIG["reproduce"], **user.get("reproduce", {})}
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(config))
+        assert load_config(str(again)) == config
+        main([*argv, "--config", str(again), "--out", str(tmp_path / "second")])
+        return config
+
+    @pytest.mark.parametrize("speed", [
+        {"variant": "isotropic", "radius": 0.5},
+        {"variant": "finite", "velocities": [[1.0], [-0.5]], "c0": 0.5, "c1": 1.0},
+        "tabulated",
+    ], ids=["isotropic", "finite", "tabulated"])
+    def test_optimize_speeds(self, tmp_path, speed):
+        grid = TorusGrid(1, (16,), 17, 1.0)
+        if speed == "tabulated":
+            radius = 0.75 + 0.25 * np.cos(2 * np.pi * grid.axis_coords(0))
+            speed = {"radius": {"file": _field_file(tmp_path / "r.field", grid, radius)}}
+        user = {"problem": {"nx": [16], "nt": 17, "speed": speed,
+                            "u_T": {"preset": "cosine"}, "m0": {"preset": "gaussian"}},
+                "solver": {"max_iters": 64}}
+        config = self._rerun(tmp_path, ["optimize"], user)
+        assert config["problem"]["speed"] == {"variant": "isotropic", **speed}
+        assert (tmp_path / "first" / "diagnostics.csv").read_bytes() \
+            == (tmp_path / "second" / "diagnostics.csv").read_bytes()
+
+    def test_file_slices(self, tmp_path):
+        grid = TorusGrid(1, (16,), 2, 1.0)
+        x = grid.axis_coords(0)
+        files = {"u_T": _field_file(tmp_path / "u_T.field", grid, np.sin(2 * np.pi * x)),
+                 "m0": _field_file(tmp_path / "m0.field", grid, 1.0 + 0.5 * np.cos(2 * np.pi * x))}
+        user = {"problem": {"nx": [16], "nt": 17,
+                            **{name: {"file": path} for name, path in files.items()}},
+                "solver": {"max_iters": 64}}
+        config = self._rerun(tmp_path, ["optimize"], user)
+        assert {name: config["problem"][name] for name in files} \
+            == {name: {"file": path} for name, path in files.items()}
+        assert (tmp_path / "first" / "diagnostics.csv").read_bytes() \
+            == (tmp_path / "second" / "diagnostics.csv").read_bytes()
+
+    def test_reproduce(self, tmp_path):
+        user = {"reproduce": {"eps": [0.2], "window_points": 41, "nt": 21}}
+        self._rerun(tmp_path, ["reproduce"], user)
+        for name in ("summary.csv", "slices.csv"):
+            assert (tmp_path / "first" / name).read_bytes() \
+                == (tmp_path / "second" / name).read_bytes()
+
+    def test_seed_flag_is_the_recorded_seed(self, tmp_path):
+        # --seed 7 runs the battery of a config whose seed is 7, and says so
+        cfg_path = tmp_path / "cfg.json"
+        runs = {}
+        for name, seed, flag in (("flag", 0, ["--seed", "7"]), ("config", 7, [])):
+            write_config(cfg_path, problem={"nx": [16], "nt": 17}, solver={"max_iters": 64},
+                         seed=seed)
+            main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / name), *flag])
+            runs[name] = tmp_path / name
+        assert json.loads((runs["flag"] / "manifest.json").read_text())["config"]["seed"] == 7
+        assert (runs["flag"] / "certificates.json").read_bytes() \
+            == (runs["config"] / "certificates.json").read_bytes()
+
+
+def test_readme_config_is_the_default(tmp_path):
+    # the JSON example under README's "## CLI" is DEFAULT_CONFIG
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("\n## CLI\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "readme.json").write_text(example)
+    assert load_config(str(tmp_path / "readme.json")) == load_config(None)
