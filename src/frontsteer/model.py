@@ -43,15 +43,16 @@ from .transport import split_by_sign
 _GRAM_RTOL = 1e-12
 
 
-def _component_norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last (component) axis, sqrt(sum_k x_k*x_k)
-    summed in order: equal bit for bit to ``np.linalg.norm(x, axis=-1)``
-    for the 1, 2 and 4 components used here (numpy reduces such short axes
-    in order too), at a fraction of its cost, in one node-sized buffer plus
-    one product."""
-    out = x[..., 0] * x[..., 0]
-    for k in range(1, x.shape[-1]):
-        out += x[..., k] * x[..., k]
+def _component_norm(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Euclidean norm over the component axis, the last (axis=-1) or the
+    first (axis=0), sqrt(sum_k x_k*x_k) summed in order: equal bit for bit
+    to ``np.linalg.norm(x, axis=axis)`` for the 1, 2 and 4 components used
+    here (numpy reduces such short axes in order too), at a fraction of its
+    cost, in one node-sized buffer plus one product."""
+    parts = list(x) if axis == 0 else [x[..., k] for k in range(x.shape[-1])]
+    out = parts[0] * parts[0]
+    for part in parts[1:]:
+        out += part * part
     return np.sqrt(out, out=out)
 
 
@@ -105,9 +106,10 @@ class IsotropicSpeed:
     def split_hamiltonian(self, grid, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
         """sup over a >= 0 >= b with |(a, b)| <= c(x) of -(a.fwd + b.bwd):
         the ``hamiltonian`` of (max(-fwd, 0), max(bwd, 0)).  fwd and bwd are
-        the forward and backward differences, each of shape (..., *nx, dim)."""
-        return self.hamiltonian(grid, np.concatenate(
-            [np.maximum(-fwd, 0.0), np.maximum(bwd, 0.0)], axis=-1))
+        the forward and backward differences of ``one_sided``, each
+        component-major, (dim, ..., *nx)."""
+        split = np.concatenate([np.maximum(-fwd, 0.0), np.maximum(bwd, 0.0)])
+        return self.radius_nodes(grid.nx) * _component_norm(split, axis=0)
 
     def split_contains_rest(self, grid) -> bool:
         """Every split ball contains (a, b) = 0."""
@@ -212,10 +214,11 @@ class FiniteControlsSpeed:
 
     def split_hamiltonian(self, grid, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
         """max_i -(v_i^+.fwd + v_i^-.bwd): the sup over the hull of the split
-        maps.  fwd and bwd are the forward and backward differences, each of
-        shape (..., *nx, dim)."""
+        maps.  fwd and bwd are the forward and backward differences of
+        ``one_sided``, each component-major, (dim, ..., *nx)."""
         vels = self._split_node_velocities(grid)
-        p = np.concatenate([fwd, bwd], axis=-1)
+        # the components last and contiguous, the layout einsum reduces in order
+        p = np.ascontiguousarray(np.moveaxis(np.concatenate([fwd, bwd]), 0, -1))
         return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
 
     def split_contains_rest(self, grid) -> bool:
@@ -352,8 +355,21 @@ def _solve_sqrt_root(lin, coef, rhs):
     """Closed-form root of lin*m + coef*sqrt(m) = rhs over m >= 0: the
     quadratic lin*s^2 + coef*s - rhs in s = sqrt(m) has the nonnegative root
     s = 2*rhs / (coef + sqrt(coef^2 + 4*lin*rhs)), free of cancellation; m = 0
-    wherever rhs <= 0 (or is NaN): the division runs unmasked and those
-    entries, 0/0 = NaN for coef = 0, are replaced by 0 after it."""
+    wherever rhs <= 0 (or is NaN).  A positive scalar coef, as the prox
+    passes, divides by a positive denominator, so rhs+ = fmax(rhs, 0), which
+    is 0 for a NaN rhs, is the whole guard.  Any other coef divides unmasked,
+    with 0/0 = NaN where coef = 0 and rhs <= 0, and those entries are
+    replaced by 0 after it."""
+    if isinstance(coef, float) and coef > 0:
+        # each product and sum of the formula, formed in place in two arrays
+        s = np.fmax(rhs, 0.0, out=np.empty(np.broadcast(lin, rhs).shape))
+        den = np.multiply(4.0 * lin, s, out=np.empty_like(s))
+        den += coef * coef
+        np.sqrt(den, out=den)
+        den += coef
+        s *= 2.0
+        s /= den
+        return np.multiply(s, s, out=s)
     rhs_pos = np.maximum(rhs, 0.0)
     den = coef + np.sqrt(coef * coef + 4.0 * lin * rhs_pos)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -370,42 +386,81 @@ def _solve_power_root(lin, coef, rhs, r):
     the rounding of rhs once rhs > 1e4).  An entry whose residual meets the
     tolerance is frozen after one more Newton step (kept if it lowers the
     residual); later steps run over the entries still open, so an entry gets
-    the same bits as when solved alone."""
+    the same bits as when solved alone.
+
+    Scalar lin and coef stay scalars and the others are gathered to the open
+    entries (a contiguous rhs with every entry open is read in place).  The
+    steps run in place and the open entries' arrays are compressed one at a
+    time, so the solve holds the output, seven arrays of the open entries
+    and two temporaries."""
     if r == 0.5:
         return _solve_sqrt_root(lin, coef, rhs)
-    lin, coef, rhs = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                           for a in (lin, coef, rhs)))
-    out = np.zeros(rhs.shape)
-    pending = np.flatnonzero(rhs > 0)         # rhs <= 0 has root m = 0
-    lin, coef, rhs = (a.ravel()[pending] for a in (lin, coef, rhs))
+    rhs = np.asarray(rhs, dtype=float)
+    shape = np.broadcast_shapes(np.shape(lin), np.shape(coef), rhs.shape)
+    out = np.zeros(shape)
+    pending = np.flatnonzero(np.broadcast_to(rhs, shape) > 0)   # rhs <= 0: root m = 0
+
+    def gather(a):
+        a = np.broadcast_to(np.asarray(a, dtype=float), shape)
+        if pending.size == a.size and a.flags.c_contiguous:
+            return a.reshape(-1)
+        return a.flat[pending]
+
+    lin, coef = (float(a) if np.ndim(a) == 0 else gather(a) for a in (lin, coef))
+    rhs = gather(rhs)
     tol = 1e-12 * (1.0 + np.abs(rhs))
     m = rhs / lin                             # g(rhs/lin) >= 0: start at the right
     lo = np.zeros_like(m)
     hi = m.copy()
     for _ in range(200):
-        g = lin * m + coef * m ** r - rhs
+        # the residual g = lin*m + coef*m^r - rhs and the Newton step
+        # m - g / g', each product and sum of the textbook form, formed in
+        # place; |g| takes the step's buffer first
+        g = m ** r
+        g *= coef
+        m_new = np.multiply(lin, m)
+        g += m_new
+        g -= rhs
+        done = np.abs(g, out=m_new) < tol
         with np.errstate(divide="ignore", invalid="ignore"):
-            m_new = m - g / (lin + coef * r * m ** (r - 1.0))
-        done = np.abs(g) < tol
+            np.power(m, r - 1.0, out=m_new)
+            m_new *= coef * r
+            m_new += lin
+            np.divide(g, m_new, out=m_new)
+        np.subtract(m, m_new, out=m_new)
         if np.any(done):
             # one more Newton step takes a met residual on to round-off; it
             # is kept only where it lowers the residual
             last = m_new[done]
             with np.errstate(invalid="ignore"):
-                g_last = lin[done] * last + coef[done] * last ** r - rhs[done]
-            better = np.abs(g_last) <= np.abs(g[done])
-            out.flat[pending[done]] = np.where(better, last, m[done])
+                g_last = last ** r
+                g_last *= coef if np.ndim(coef) == 0 else coef[done]
+                g_last += last * (lin if np.ndim(lin) == 0 else lin[done])
+                g_last -= rhs[done]
+            better = np.abs(g_last, out=g_last) <= np.abs(g[done])
+            np.copyto(last, m[done], where=~better)
+            out.flat[pending[done]] = last
+        # the bracket and the safeguarded step, then only the open entries
+        np.minimum(hi, m, out=hi, where=g > 0)
+        np.maximum(lo, m, out=lo, where=g < 0)
+        bad = ~np.isfinite(m_new) | (m_new <= lo) | (m_new >= hi)
+        m_new[bad] = 0.5 * (lo[bad] + hi[bad])
+        m = m_new
+        if np.any(done):
             keep = ~done
-            pending, lin, coef, rhs, tol, m, m_new, lo, hi, g = (
-                a[keep] for a in (pending, lin, coef, rhs, tol, m, m_new, lo, hi, g))
+            # one array at a time, each old one freed as its copy is made
+            pending = pending[keep]
+            rhs = rhs[keep]
+            tol = tol[keep]
+            m = m[keep]
+            lo = lo[keep]
+            hi = hi[keep]
+            lin = lin if np.ndim(lin) == 0 else lin[keep]
+            coef = coef if np.ndim(coef) == 0 else coef[keep]
         if not pending.size:
             return out
-        hi = np.where(g > 0, np.minimum(hi, m), hi)
-        lo = np.where(g < 0, np.maximum(lo, m), lo)
-        bad = ~np.isfinite(m_new) | (m_new <= lo) | (m_new >= hi)
-        m = np.where(bad, 0.5 * (lo + hi), m_new)
     raise NumericError(
-        f"power-root solve failed to converge; worst residual {np.max(np.abs(g))}")
+        f"power-root solve failed to converge; worst residual {np.max(np.abs(g[~done]))}")
 
 
 def prox_cost_conj(model: CostModel, m_bar, step: float):
@@ -428,29 +483,43 @@ def prox_cost_conj(model: CostModel, m_bar, step: float):
 
 def prox_cost_conj_coned(model: CostModel, c, m_bar, w_bar, step: float, out=None):
     """Exact joint prox of step*K*(m) plus the cone indicator of
-    {(m, w): m >= 0, |w| <= c*m} (isotropic speeds).
+    {(m, w): m >= 0, |w| <= c*m} (isotropic speeds), for momenta w_bar
+    stored component-major, shape (n, *m_bar.shape).
 
     When the unconstrained density prox already dominates |w_bar|/c the
     momentum is kept; otherwise the cone is active and the optimality
     condition becomes (1 + c^2) m + step*k(m) = m_bar + c*|w_bar|.  The
-    result (m, w) is written into the pair ``out`` if given, which may be
-    (m_bar, w_bar) themselves; w is scaled one component at a time."""
+    closed form (p = 3) solves both roots in one call, on the right-hand
+    sides stacked; Newton, which holds several arrays per entry, solves
+    them in turn.  The result (m, w) is written into the pair ``out`` if
+    given, which may be (m_bar, w_bar) themselves; w is w_bar scaled in one
+    product."""
     q = model.q
+    r = q - 1.0
     coef = step * model.kappa ** (1.0 - q)
-    a = _component_norm(w_bar)
-    m_free = _solve_power_root(1.0, coef, m_bar, q - 1.0)
+    a = _component_norm(w_bar, axis=0)
+    if r == 0.5:
+        # the coefficients 1 and 1 + c^2, broadcast over m_bar
+        lin = np.ones((2, *(1,) * (np.ndim(m_bar) - np.ndim(c)), *np.shape(c)))
+        lin[1] += c * c
+        rhs = np.empty((2, *np.shape(m_bar)))
+        np.copyto(rhs[0], m_bar)
+        np.multiply(c, a, out=rhs[1])
+        rhs[1] += m_bar
+        m_free, m_act = _solve_sqrt_root(lin, coef, rhs)
+    else:
+        m_free = _solve_power_root(1.0, coef, m_bar, r)
+        m_act = _solve_power_root(1.0 + c * c, coef, m_bar + c * a, r)
     free = a <= c * m_free
-    m_act = _solve_power_root(1.0 + c * c, coef, m_bar + c * a, q - 1.0)
     # a = 0 makes the node free (m_free >= 0), so only free nodes divide by 0
+    scale = np.multiply(c, m_act)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.multiply(c, m_act)
         scale /= a
     np.putmask(scale, free, 1.0)
     m, w = (np.empty_like(m_act), np.empty_like(w_bar)) if out is None else out
     np.copyto(m, m_act)
     np.putmask(m, free, m_free)
-    for k in range(w_bar.shape[-1]):
-        np.multiply(w_bar[..., k], scale, out=w[..., k])
+    np.multiply(w_bar, scale, out=w)
     return m, w
 
 

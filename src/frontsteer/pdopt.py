@@ -25,16 +25,23 @@ momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
 2*dim components.  The multiplier, sign-flipped, converges to the value
 function u.
 
-The loop runs in place on one ``_Workspace`` built before it.  Besides the
-state (m and y, (nt, *nx) each, and the split momenta w, 2*dim times that)
-it holds the adjoint's gm and gw (gw also takes the gradient step), two
-row buffers that take turns as r and r_bar, the rows scaled for the
-residual, and the Gram solver's spectrum, product and output buffers:
-(2 + 2*dim) node arrays of state and about (7 + 2*dim) of workspace, plus
-the solver's factors (two of about one node array each and the nt x nt
-eigenbasis).  The prox writes m and w in place.  Each iteration does the
-floating-point operations of the textbook allocating loop in the same
-order, so the iterates are the same bits.
+The loop runs in place on one ``_Workspace`` built before it.  Its split
+momenta are component-major, w = (w+_1..w+_dim, w-_1..w-_dim) of shape
+(2*dim, nt - 1, *nx), so every per-component operation runs over one
+contiguous array; ``optimize`` hands them out in the bundle's layout,
+components last, transposed once at the end.  Besides the state (m and y,
+(nt, *nx) each, and w, 2*dim times that) the workspace holds the
+adjoint's gm and gw (gw also takes the gradient step), the divergence of
+the rows with its flux and term, two row buffers that take turns as r and
+r_bar, the rows scaled for the residual, and the Gram solver's spectrum,
+product and output buffers: (2 + 2*dim) node arrays of state and about
+(10 + 2*dim) of workspace, plus the solver's factors (two of about one
+node array each and the nt x nt eigenbasis).  The stencils of the rows
+and of the adjoint are sliced once, when the workspace is built
+(``transport._divergence``, ``transport._differences``).  The prox writes
+m and w in place.  Each iteration does the floating-point operations of
+the textbook allocating loop in the same order, so the iterates are the
+same bits.
 
 The gap A + B that ``optimize`` records and stops on is a certificate
 (``_certificate``): A belongs to the primal point u = -y, u(T) = u_T,
@@ -57,6 +64,7 @@ velocity array, and gives the bits of a whole-array pass.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -69,8 +77,8 @@ from .model import (CostModel, IsotropicSpeed, SpeedModel, _component_norm, cost
                     cost_conj, cost_deriv_conj, prox_cost_conj_coned,
                     prox_cost_conj_hull)
 from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it in this namespace
-from .transport import (_march_levels, one_sided, split_by_sign, split_divergence,
-                        split_load)
+from .transport import (_differences, _divergence, _march_levels, one_sided, split_by_sign,
+                        split_divergence, split_load)
 
 # default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
 _TAU = 16.0
@@ -182,30 +190,37 @@ class OptimalBundle:
 
 
 def _rows(m: np.ndarray, w: np.ndarray, m0: np.ndarray, grid: TorusGrid,
-          out: np.ndarray | None = None) -> np.ndarray:
+          out: np.ndarray | None = None, divergence=None) -> np.ndarray:
     """Constraint rows: row 0 pins the initial slice, row k+1 is the scaled
     continuity residual  m_{k+1} - m_k + dt * div(w_k)  of the split momenta
-    w_k = (w+, w-), shape (nt - 1, *nx, 2*dim); written into ``out`` if
-    given."""
+    w_k = (w+, w-), component-major, shape (2*dim, nt - 1, *nx); written
+    into ``out`` if given.  ``divergence`` is the split divergence of w
+    prepared once (``transport._divergence``), taken fresh when not given."""
     d = grid.dim
     r = np.empty_like(m) if out is None else out
     np.subtract(m[0], m0, out=r[0])
-    div = split_divergence(w[..., :d], w[..., d:], grid)
+    div = split_divergence(w[:d], w[d:], grid) if divergence is None else divergence()
     div *= grid.dt
     np.subtract(m[1:], m[:-1], out=r[1:])
     r[1:] += div
     return r
 
 
-def _rows_adjoint(y: np.ndarray, grid: TorusGrid, gm: np.ndarray,
-                  gw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rows_adjoint(y: np.ndarray, grid: TorusGrid, gm: np.ndarray, gw: np.ndarray,
+                  differences=None) -> tuple[np.ndarray, np.ndarray]:
     """L^T y: the time differences of y, and dt times the adjoint of the split
     divergence, div^T phi = (-D+ phi, -D- phi), on levels 1..nt-1; written
-    into ``gm``, shaped as y, and ``gw``, shaped as the split momenta."""
+    into ``gm``, shaped as y, and ``gw``, shaped as the split momenta
+    (2*dim, nt - 1, *nx).  ``differences`` is ``one_sided`` of y[1:] into
+    gw prepared once (``transport._differences``), taken fresh when not
+    given."""
     d = grid.dim
     np.subtract(y[:-1], y[1:], out=gm[:-1])
     gm[-1] = y[-1]
-    one_sided(y[1:], grid, out=(gw[..., :d], gw[..., d:]))
+    if differences is None:
+        one_sided(y[1:], grid, out=(gw[:d], gw[d:]))
+    else:
+        differences()
     gw *= -grid.dt
     return gm, gw
 
@@ -369,7 +384,8 @@ def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
     """Physical residual per row, [(m(0)-m0)/dt ; dm/dt + div w], of a nodal
     momentum w split by sign into (w^+, w^-): the donor-cell form."""
     w_int = w[:-1] if w.shape[0] == problem.grid.nt else w
-    return _rows(m, split_by_sign(w_int), problem.m0, problem.grid) / problem.grid.dt
+    split = np.moveaxis(split_by_sign(w_int), -1, 0)
+    return _rows(m, split, problem.m0, problem.grid) / problem.grid.dt
 
 
 # -- the certificate ---------------------------------------------------------
@@ -377,22 +393,20 @@ def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
 
 def _split_velocity(m: np.ndarray, w: np.ndarray,
                     grid: TorusGrid) -> tuple[np.ndarray, float]:
-    """Split velocities w/m (0 where m <= 0; divided one component at a
-    time, then zeroed there) on the nt - 1 intervals, scaled down where the
-    load sum_a (a_a - b_a) dt/dx_a exceeds 1 so that their march keeps
-    m >= 0; and the largest load before scaling (a node was scaled iff it
-    exceeds 1)."""
-    v = np.empty_like(w)
-    empty = ~(m > 0)
+    """Split velocities w/m (0 where m <= 0: divided, then zeroed there) of
+    split momenta w, both component-major, (2*dim, levels, *nx), scaled down
+    where the load sum_a (a_a - b_a) dt/dx_a exceeds 1 so that their march
+    keeps m >= 0; and the largest load before scaling (a node was scaled iff
+    it exceeds 1)."""
+    v = np.empty(w.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c in range(w.shape[-1]):
-            np.divide(w[..., c], m, out=v[..., c])
-            np.putmask(v[..., c], empty, 0.0)
+        np.divide(w, m, out=v)
+    np.copyto(v, 0.0, where=~(m > 0))
     load = split_load(v, grid)
     peak = float(np.max(load))
     if peak > 1.0:
         over = load > 1.0
-        v[over] /= load[over][..., None]
+        v[:, over] /= load[over]
     return v, peak
 
 
@@ -409,16 +423,16 @@ def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     gives with no split copy of w.  ``details`` also gets the largest
     component move from the pair, or from the sign split of a nodal w; 0 for
     admissible momenta."""
-    return _certificate(problem, u, m, w_plus, w_minus, details, project=True)
+    return _certificate(problem, u, m, (w_plus, w_minus), details, project=True)
 
 
-def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
-                 w_plus: np.ndarray, w_minus: np.ndarray | None,
+def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray, w,
                  details: dict | None = None,
                  project: bool = False) -> tuple[float, float]:
-    """Certified (A, B) of u, m and split momenta (w+, w-) in m times the
-    split set, read on their first nt - 1 levels (with ``project``, of any
-    pair, or of a nodal w in w_plus when w_minus is None).
+    """Certified (A, B) of u, m and split momenta w in m times the split
+    set, component-major, (2*dim, nt - 1 or nt, *nx), read on their first
+    nt - 1 levels; with ``project``, w is the pair (w+, w-) of
+    ``certificate``, of any momenta, or (w, None) for a nodal w.
 
     Primal point: u with u(T) pinned to u_T and f = max(residual(u), 0).
     Dual point: m0 marched with the velocities w/m, scaled down where their
@@ -431,18 +445,20 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     split momenta, builds both points: K(f) of the block's intervals goes
     into one (nt - 1, *nx) buffer, which then takes K*(m) for B, and the
     march into one (nt, *nx) density.  So the memory is those two buffers
-    plus one block, and A and B are sums over the same arrays as in a
-    whole-array pass, bit for bit.  ``project`` first moves each block into
-    the split set (``certificate``), on the split set's per-grid data
-    (``split_cone``), built once."""
+    plus one block's velocities, and A and B are sums over the same arrays
+    as in a whole-array pass, bit for bit.  ``project`` first moves each
+    block into the split set (``certificate``), on the split set's per-grid
+    data (``split_cone``), built once."""
     grid = problem.grid
     d = grid.dim
     nt = grid.nt
     u = np.asarray(u, dtype=float)
-    nodal = w_minus is None
-    if nodal:
-        w_minus = w_plus
-    cone = problem.speed.split_cone(grid) if project else None
+    if project:
+        w_plus, w_minus = w
+        nodal = w_minus is None
+        if nodal:
+            w_minus = w_plus
+        cone = problem.speed.split_cone(grid)
     step = max(1, _BLOCK_BYTES // (grid.n_space * 2 * d * 8))
     blocks = [(k0, min(k0 + step, nt - 1)) for k0 in range(0, nt - 1, step)]
     costs = np.empty((nt - 1, *grid.nx))
@@ -456,20 +472,20 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
             u_next[-1] = problem.u_T
         res = _hj_residual(problem, u[k0:k1], u_next)
         costs[k0:k1] = cost(problem.cost, np.maximum(res, 0.0))
-        w = np.empty((k1 - k0, *grid.nx, 2 * d))
         if project:
-            np.maximum(w_plus[k0:k1], 0.0, out=w[..., :d])
-            np.minimum(w_minus[k0:k1], 0.0, out=w[..., d:])
+            block = np.empty((k1 - k0, *grid.nx, 2 * d))
+            np.maximum(w_plus[k0:k1], 0.0, out=block[..., :d])
+            np.minimum(w_minus[k0:k1], 0.0, out=block[..., d:])
             # a nodal w moves from its sign split, the clipped block itself
-            plus, minus = (w[..., :d], w[..., d:]) if nodal \
+            plus, minus = (block[..., :d], block[..., d:]) if nodal \
                 else (w_plus[k0:k1], w_minus[k0:k1])
-            w = problem.speed.split_project(grid, m[k0:k1], w, cone)
-            excess = np.maximum(excess, np.max(np.abs(w[..., :d] - plus)))
-            excess = np.maximum(excess, np.max(np.abs(w[..., d:] - minus)))
+            block = problem.speed.split_project(grid, m[k0:k1], block, cone)
+            excess = np.maximum(excess, np.max(np.abs(block[..., :d] - plus)))
+            excess = np.maximum(excess, np.max(np.abs(block[..., d:] - minus)))
+            block = np.moveaxis(block, -1, 0)
         else:
-            w[..., :d] = w_plus[k0:k1]
-            w[..., d:] = w_minus[k0:k1]
-        v, block_peak = _split_velocity(m[k0:k1], w, grid)
+            block = w[:, k0:k1]
+        v, block_peak = _split_velocity(m[k0:k1], block, grid)
         peak = np.maximum(peak, block_peak)
         _march_levels(marched, v, k0, grid)
     a_val = _a_value(problem, u[0], costs)
@@ -493,9 +509,13 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
 
 class _Workspace:
     """The CP iterate (m, w, y) and every buffer its iteration reuses, built
-    once before the loop (see the module docstring).  ``step`` runs one
-    iteration in place, with no (nt, *nx) array allocated outside the prox
-    and the divergence scratch of ``_rows``."""
+    once before the loop (see the module docstring): w component-major,
+    (2*dim, nt - 1, *nx); gm and gw, the adjoint and the gradient step; the
+    divergence of the rows with its flux and term, three (nt - 1, *nx)
+    arrays behind the prepared ``divergence``; ``differences``, the prepared
+    one-sided differences of y into gw; the row buffers r, r_bar and
+    scaled; and the Gram solver.  ``step`` runs one iteration in place, with
+    no (nt, *nx) array allocated outside the prox."""
 
     def __init__(self, problem: ProblemInstance, tau: float, sigma: float):
         grid = problem.grid
@@ -506,12 +526,19 @@ class _Workspace:
         self.cone = problem.speed.split_cone(grid)
         self.gram_solve = _gram_solver(grid)
         self.tau_u_T = tau * problem.u_T
+        self.prox_step = tau * grid.dt
         self.m = np.full((grid.nt, *grid.nx), problem.mass)
-        self.w = np.zeros((grid.nt - 1, *grid.nx, 2 * grid.dim))
+        self.w = np.zeros((2 * grid.dim, grid.nt - 1, *grid.nx))
         self.y = np.zeros((grid.nt, *grid.nx))
         self.gm = np.empty_like(self.y)
         self.gw = np.empty_like(self.w)
-        self.r = _rows(self.m, self.w, problem.m0, grid)
+        # the stencils of the rows and of the adjoint, sliced once: the
+        # divergence of w (with its flux and term) and the differences of y
+        d = grid.dim
+        self.divergence = _divergence(self.w[:d], self.w[d:], grid,
+                                      *(np.empty((grid.nt - 1, *grid.nx)) for _ in range(3)))
+        self.differences = _differences(self.y[1:], grid, self.gw[:d], self.gw[d:])
+        self.r = _rows(self.m, self.w, problem.m0, grid, divergence=self.divergence)
         self.r_bar = self.r.copy()
         self.scaled = np.empty_like(self.r)
         self.vol = grid.cell_volume
@@ -528,7 +555,7 @@ class _Workspace:
         y += dual_step
 
         # gradient step, then the prox and cone step in place on m and w
-        _rows_adjoint(y, grid, gm, gw)
+        _rows_adjoint(y, grid, gm, gw, self.differences)
         gm *= tau
         m -= gm
         gw *= tau
@@ -538,26 +565,29 @@ class _Workspace:
         if self.iso:
             # the SOC is symmetric under sign flips, so the prox onto its
             # part with w+ >= 0 >= w- is the SOC prox of the clipped point
-            np.maximum(w_half[..., :d], 0.0, out=w_half[..., :d])
-            np.minimum(w_half[..., d:], 0.0, out=w_half[..., d:])
-            prox_cost_conj_coned(problem.cost, self.cone, m[:-1], w_half, tau * grid.dt,
+            np.maximum(w_half[:d], 0.0, out=w_half[:d])
+            np.minimum(w_half[d:], 0.0, out=w_half[d:])
+            prox_cost_conj_coned(problem.cost, self.cone, m[:-1], w_half, self.prox_step,
                                  out=(m[:-1], w))
         else:
-            m[:-1], w[...] = prox_cost_conj_hull(problem.cost, self.cone, m[:-1], w_half,
-                                                 tau * grid.dt)
+            # the hull prox reduces over components last and contiguous
+            m[:-1], w_nodes = prox_cost_conj_hull(
+                problem.cost, self.cone, m[:-1],
+                np.ascontiguousarray(np.moveaxis(w_half, 0, -1)), self.prox_step)
+            np.copyto(w, np.moveaxis(w_nodes, -1, 0))
 
         # _rows is affine, so the rows of the extrapolated point 2 z - z_prev
         # need no second application: r_bar = (r - r_prev) + r, in the buffer
         # of r_prev
         r_prev, r = self.r, self.r_bar
-        _rows(m, w, problem.m0, grid, out=r)
+        _rows(m, w, problem.m0, grid, out=r, divergence=self.divergence)
         np.subtract(r, r_prev, out=r_prev)
         r_prev += r
         self.r, self.r_bar = r, r_prev
         # the weighted L2 norm of the physical rows r/dt, squared in place
         scaled = np.divide(r, grid.dt, out=self.scaled)
         np.multiply(scaled, scaled, out=scaled)
-        return float(np.sqrt(np.sum(scaled) * grid.dt * self.vol))
+        return math.sqrt(scaled.sum() * grid.dt * self.vol)
 
 
 def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> OptimalBundle:
@@ -602,15 +632,14 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     for it in range(1, config.max_iters + 1):
         cont = ws.step()
         # a NaN or inf iterate shows in its rows, checked or not
-        if not np.isfinite(cont):
+        if not math.isfinite(cont):
             raise NumericError(f"non-finite iterate at iteration {it}")
         # only an iteration that passes the residual test can stop the run;
         # the last one and powers of two are checked for the record
         met_before, met = met, False
         if cont <= config.tol_cont or it == config.max_iters or it & (it - 1) == 0:
             # the prox keeps w in the split set: no projection needed
-            a_val, b_val = _certificate(problem, -y, m, w[..., :dim], w[..., dim:],
-                                        details=cert_details)
+            a_val, b_val = _certificate(problem, -y, m, w, details=cert_details)
             gap = a_val + b_val
             if np.isnan(gap):
                 raise NumericError(f"non-finite iterate at iteration {it}")
@@ -649,6 +678,8 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
 
     u_vals = -y
     u_vals[-1] = problem.u_T
+    # the bundle's layout, components last
+    w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
     w_net = np.concatenate([w[..., :dim] + w[..., dim:],
                             np.zeros((1, *grid.nx, dim))], axis=0)
     w.setflags(write=False)

@@ -7,6 +7,12 @@ one-sided differences ``one_sided``.  ``pdopt``, ``certify`` and
 ``solve_continuity`` share it, with ``split_by_sign``, the CFL load
 ``split_load`` and the march ``march_split``; its level loop,
 ``_march_levels``, also builds ``pdopt``'s certificate block by block.
+Split momenta and velocities in the pair, the load and the march are
+component-major, (2*dim, ..., *nx) or (dim, ..., *nx) per half, so each
+component is one contiguous array; nodal fields and ``split_by_sign``
+keep their components last.  Each stencil is one shift of the flat arrays
+with the periodic faces written over after it, prepared once for arrays
+that a solver reuses (``_divergence``, ``_differences``).
 
 ``solve_continuity`` is donor-cell finite volume with nodal velocities split
 by sign: the flux through face i+1/2 is v_i^+ m_i + v_{i+1}^- m_{i+1}.  Fluxes
@@ -24,6 +30,7 @@ table one level at a time too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,35 +48,87 @@ __all__ = [
 ]
 
 
-def _ends(lead: int, a: int) -> tuple[tuple, ...]:
-    """Index tuples along space axis a after ``lead`` leading axes: the first
-    node, the last node, all but the last (head) and all but the first (tail)."""
+def _ends(lead: int, a: int) -> tuple[tuple, tuple]:
+    """Index tuples of the first and the last node along space axis a after
+    ``lead`` leading axes."""
     pre = (slice(None),) * (lead + a)
-    return (pre + (slice(None, 1),), pre + (slice(-1, None),),
-            pre + (slice(None, -1),), pre + (slice(1, None),))
+    return pre + (slice(None, 1),), pre + (slice(-1, None),)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """x as one flat view, so a shift along a space axis is one slice; x
+    must be C-contiguous, or the view would be a copy."""
+    if not x.flags.c_contiguous:
+        raise ValueError("stencil arrays must be C-contiguous")
+    return x.reshape(-1)
+
+
+def _prepared(calls: list, result: np.ndarray):
+    """A function of no arguments that makes the ufunc calls, each a pair
+    (function, arguments) on views of fixed arrays sliced once, and returns
+    ``result``: a stencil run every iteration or every level is sliced only
+    when it is prepared."""
+    def run() -> np.ndarray:
+        for fn, args in calls:
+            fn(*args)
+        return result
+    return run
+
+
+def _divergence(w_plus: np.ndarray, w_minus: np.ndarray, grid: TorusGrid,
+                div: np.ndarray, flux: np.ndarray, term: np.ndarray):
+    """``split_divergence`` of the fixed, C-contiguous arrays w_plus and
+    w_minus into div, with flux and term as scratch, prepared once
+    (``_prepared``).
+
+    Each stencil is one shifted slice of the flat arrays, then the faces
+    across the periodic boundary, where that shift reads the wrong node, are
+    written over from slices of the shaped ones: every entry is the sum or
+    difference of its periodic-shift form, bit for bit."""
+    flux_f, term_f = _flat(flux), _flat(term)
+    calls = []
+    for a in range(grid.dim):
+        first, last = _ends(div.ndim - grid.dim, a)
+        s = math.prod(grid.nx[a + 1:])            # the flat shift of one node along a
+        wp, wm = w_plus[a], w_minus[a]
+        calls += [(np.add, (_flat(wp)[:-s], _flat(wm)[s:], flux_f[:-s])),
+                  (np.add, (wp[last], wm[first], flux[last])),
+                  (np.subtract, (flux_f[s:], flux_f[:-s], term_f[s:])),
+                  (np.subtract, (flux[first], flux[last], term[first])),
+                  (np.divide, (term, grid.dx[a], term)),
+                  # the sum over axes starts from 0, which turns a -0 term into +0
+                  (np.add, (div, term, div) if a else (term, 0.0, div))]
+    return _prepared(calls, div)
 
 
 def split_divergence(w_plus: np.ndarray, w_minus: np.ndarray,
                      grid: TorusGrid) -> np.ndarray:
     """Divergence of split momenta: along each axis the flux through face
     i+1/2 is w_plus_i + w_minus_{i+1} (w_plus >= 0 >= w_minus for a monotone
-    scheme).  Both have shape (..., *nx, dim) with arbitrary leading axes;
-    the stencils are slices, equal bit for bit to their periodic-shift forms;
-    one flux and one term buffer serve every axis."""
-    div = np.zeros(w_plus.shape[:-1])
-    flux = np.empty(div.shape)
-    term = np.empty(div.shape)
+    scheme).  Both are component-major, shape (dim, ..., *nx) with arbitrary
+    axes between; the divergence has shape (..., *nx).  The stencils are
+    flat shifts with the periodic faces written over (``_divergence``)."""
+    div, flux, term = (np.empty(w_plus.shape[1:]) for _ in range(3))
+    return _divergence(np.ascontiguousarray(w_plus), np.ascontiguousarray(w_minus), grid,
+                       div, flux, term)()
+
+
+def _differences(phi: np.ndarray, grid: TorusGrid, fwd: np.ndarray, bwd: np.ndarray):
+    """``one_sided`` of the fixed, C-contiguous phi into fwd and bwd,
+    prepared once (``_prepared``), with the stencils of ``_divergence``."""
+    phi_f = _flat(phi)
+    calls = []
     for a in range(grid.dim):
-        first, last, head, tail = _ends(w_plus.ndim - 1 - grid.dim, a)
-        wm = w_minus[..., a]
-        np.copyto(flux, w_plus[..., a])
-        flux[head] += wm[tail]
-        flux[last] += wm[first]
-        np.subtract(flux[tail], flux[head], out=term[tail])
-        np.subtract(flux[first], flux[last], out=term[first])
-        term /= grid.dx[a]
-        div += term
-    return div
+        first, last = _ends(phi.ndim - grid.dim, a)
+        s = math.prod(grid.nx[a + 1:])
+        f, b = fwd[a], bwd[a]
+        f_f, b_f = _flat(f), _flat(b)
+        calls += [(np.subtract, (phi_f[s:], phi_f[:-s], f_f[:-s])),
+                  (np.subtract, (phi[first], phi[last], f[last])),
+                  (np.divide, (f, grid.dx[a], f)),
+                  (np.copyto, (b_f[s:], f_f[:-s])),
+                  (np.copyto, (b[first], f[last]))]
+    return _prepared(calls, fwd)
 
 
 def one_sided(phi: np.ndarray, grid: TorusGrid,
@@ -78,19 +137,12 @@ def one_sided(phi: np.ndarray, grid: TorusGrid,
     """Forward and backward differences (D+ phi, D- phi) over the space axes,
     the adjoint of ``split_divergence`` up to sign: div^T phi = (-D+ phi,
     -D- phi).  phi has shape (..., *nx) with arbitrary leading axes, each
-    result (..., *nx, dim), written into the pair ``out`` if given; the
-    stencils are slices, equal bit for bit to their periodic-shift forms."""
-    if out is None:
-        out = np.empty((*phi.shape, grid.dim)), np.empty((*phi.shape, grid.dim))
-    fwd, bwd = out
-    for a in range(grid.dim):
-        first, last, head, tail = _ends(phi.ndim - grid.dim, a)
-        f, b = fwd[..., a], bwd[..., a]
-        np.subtract(phi[tail], phi[head], out=f[head])
-        np.subtract(phi[first], phi[last], out=f[last])
-        f /= grid.dx[a]
-        b[tail] = f[head]
-        b[first] = f[last]
+    result is component-major, (dim, ..., *nx), written into the pair
+    ``out`` (C-contiguous) if given.  The stencils are flat shifts with the
+    periodic faces written over (``_differences``)."""
+    fwd, bwd = (np.empty((grid.dim, *phi.shape)), np.empty((grid.dim, *phi.shape))) \
+        if out is None else out
+    _differences(np.ascontiguousarray(phi), grid, fwd, bwd)()
     return fwd, bwd
 
 
@@ -106,33 +158,47 @@ def split_by_sign(v: np.ndarray) -> np.ndarray:
 
 
 def split_load(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The CFL load sum_a (v+_a - v-_a) dt/dx_a of split velocities v, shape
-    (..., 2*dim); a march keeps m >= 0 where it is at most 1."""
+    """The CFL load sum_a (v+_a - v-_a) dt/dx_a of split velocities v,
+    component-major, shape (2*dim, ...); a march keeps m >= 0 where it is at
+    most 1."""
     d = grid.dim
-    return sum((v[..., a] - v[..., d + a]) / grid.dx[a] for a in range(d)) * grid.dt
+    return sum((v[a] - v[d + a]) / grid.dx[a] for a in range(d)) * grid.dt
 
 
 def march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """m0 marched through the continuity rows by split velocities v, shape
-    (nt - 1, *nx, 2*dim): m_{k+1} = m_k - dt div(m_k v_k^+, m_k v_k^-)."""
+    """m0 marched through the continuity rows by split velocities v,
+    component-major, shape (2*dim, nt - 1, *nx):
+    m_{k+1} = m_k - dt div(m_k v_k^+, m_k v_k^-)."""
     m = np.empty((grid.nt, *grid.nx))
     m[0] = m0
     _march_levels(m, v, 0, grid)
     return m
 
 
-def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid) -> None:
-    """The levels of ``march_split`` from ``start``, in place: m[start] marched
-    by v[j] into m[start + j + 1] for each of the len(v) levels of v, so a
-    march can be built one block of levels at a time.  The level momenta
-    m_k v_k are formed one component at a time in one reused level buffer."""
+def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid,
+                  nodal: bool = False) -> None:
+    """The levels of ``march_split`` from ``start``, in place: m[start]
+    marched by the j-th level of v into m[start + j + 1] for each level of v,
+    so a march can be built one block of levels at a time.  v holds split
+    velocities (2*dim, levels, *nx), or with ``nodal`` nodal velocities
+    (levels, *nx, dim), split by sign one level at a time.  The level momenta
+    m_k v_k, the divergence and its flux and term live in level buffers
+    built once, so a level allocates nothing."""
     d = grid.dim
-    wk = np.empty(v.shape[1:])
-    for j, vk in enumerate(v):
+    wk = np.empty((2 * d, *grid.nx))
+    div = np.empty(grid.nx)
+    divergence = _divergence(wk[:d], wk[d:], grid, div, np.empty(grid.nx), np.empty(grid.nx))
+    components_first = (d, *range(d))       # a nodal level (*nx, dim) as (dim, *nx)
+    for j in range(len(v) if nodal else v.shape[1]):
         k = start + j
-        for c in range(2 * d):
-            np.multiply(m[k], vk[..., c], out=wk[..., c])
-        div = split_divergence(wk[..., :d], wk[..., d:], grid)
+        if nodal:
+            vk = v[j].transpose(components_first)
+            np.maximum(vk, 0.0, out=wk[:d])
+            np.minimum(vk, 0.0, out=wk[d:])
+            np.multiply(wk, m[k], out=wk)
+        else:
+            np.multiply(m[k], v[:, j], out=wk)
+        divergence()
         div *= grid.dt
         np.subtract(m[k], div, out=m[k + 1])
 
@@ -142,7 +208,8 @@ def _check_cfl(v: VecField) -> None:
     any level: beyond it the march can go negative and the chain's jump
     probabilities sum past 1.  Loads are taken one level at a time; the
     message names the largest over all levels."""
-    worst = float(np.max([np.max(split_load(split_by_sign(vk), v.grid))
+    d = v.grid.dim
+    worst = float(np.max([np.max(split_load(split_by_sign(vk).transpose(d, *range(d)), v.grid))
                           for vk in v.values]))
     if worst > 1.0 + 1e-12:
         raise ParameterError(
@@ -152,7 +219,8 @@ def _check_cfl(v: VecField) -> None:
 
 def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
     """March the continuity equation forward from the initial density slice:
-    ``march_split`` of v split by sign.
+    ``march_split`` of v split by sign, one level at a time, so the march
+    holds one density and level buffers.
 
     Mass is conserved exactly (telescoping fluxes) and nonnegativity is
     preserved; a CFL violation on any of the nt levels refuses to run.
@@ -164,24 +232,27 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
     if np.min(m0) < 0:
         raise ParameterError("initial density must be >= 0")
     _check_cfl(v)
-    m = march_split(m0, split_by_sign(v.values[:-1]), grid)
+    m = np.empty((grid.nt, *grid.nx))
+    m[0] = m0
+    _march_levels(m, v.values[:-1], 0, grid, nodal=True)
     # monotone scheme: only round-off can dip below zero
-    floor = np.min(m)
-    if floor < -1e-12 * max(1.0, np.max(np.abs(m))):
+    floor, top = np.min(m), np.max(m)
+    if floor < -1e-12 * max(1.0, top, -floor):
         raise ParameterError(f"density went negative ({floor}) despite CFL check")
-    return DensityField(grid, np.maximum(m, 0.0))
+    return DensityField(grid, np.maximum(m, 0.0, out=m))
 
 
 def upwind_directional_derivative(fwd: np.ndarray, bwd: np.ndarray,
                                   v: np.ndarray) -> np.ndarray:
     """The pairing sum_a a_a D+_a u + b_a D-_a u of the one-sided differences
-    (fwd, bwd) = ``one_sided(u)``, each (..., dim), with split velocities
-    v = (a, b), shape (..., 2*dim): the derivative of u along the donor-cell
-    flux, the pairing counterpart of ``split_hamiltonian``."""
-    d = fwd.shape[-1]
-    out = np.zeros(fwd.shape[:-1])
+    (fwd, bwd) = ``one_sided(u)``, each component-major (dim, ...), with
+    split velocities v = (a, b), shape (..., 2*dim): the derivative of u
+    along the donor-cell flux, the pairing counterpart of
+    ``split_hamiltonian``."""
+    d = len(fwd)
+    out = np.zeros(fwd.shape[1:])
     for a in range(d):
-        out += v[..., a] * fwd[..., a] + v[..., d + a] * bwd[..., a]
+        out += v[..., a] * fwd[a] + v[..., d + a] * bwd[a]
     return out
 
 

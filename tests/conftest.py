@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
-from frontsteer.model import CostModel, IsotropicSpeed, _solve_power_root
+from frontsteer.model import CostModel, IsotropicSpeed
 from frontsteer.pdopt import OptimalBundle, ProblemInstance, SolverConfig, optimize
 
 
@@ -68,6 +68,40 @@ def sqrt_root_masked(lin, coef, rhs):
     return s * s
 
 
+def power_root_reference(lin, coef, rhs, r):
+    """The Newton root of ``_solve_power_root`` in its allocating form, with
+    lin and coef gathered to full arrays and each step a fresh expression,
+    the form before the in-place steps; their bitwise reference."""
+    lin, coef, rhs = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                           for a in (lin, coef, rhs)))
+    out = np.zeros(rhs.shape)
+    pending = np.flatnonzero(rhs > 0)
+    lin, coef, rhs = (a.ravel()[pending] for a in (lin, coef, rhs))
+    tol = 1e-12 * (1.0 + np.abs(rhs))
+    m = rhs / lin
+    lo = np.zeros_like(m)
+    hi = m.copy()
+    while pending.size:
+        g = lin * m + coef * m ** r - rhs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m_new = m - g / (lin + coef * r * m ** (r - 1.0))
+        done = np.abs(g) < tol
+        if np.any(done):
+            last = m_new[done]
+            with np.errstate(invalid="ignore"):
+                g_last = lin[done] * last + coef[done] * last ** r - rhs[done]
+            better = np.abs(g_last) <= np.abs(g[done])
+            out.flat[pending[done]] = np.where(better, last, m[done])
+            keep = ~done
+            pending, lin, coef, rhs, tol, m, m_new, lo, hi, g = (
+                a[keep] for a in (pending, lin, coef, rhs, tol, m, m_new, lo, hi, g))
+        hi = np.where(g > 0, np.minimum(hi, m), hi)
+        lo = np.where(g < 0, np.maximum(lo, m), lo)
+        bad = ~np.isfinite(m_new) | (m_new <= lo) | (m_new >= hi)
+        m = np.where(bad, 0.5 * (lo + hi), m_new)
+    return out
+
+
 def prox_coned_reference(model, c, m_bar, w_bar, step):
     """``prox_cost_conj_coned`` with masked divisions, np.where and a
     broadcast scale, the form before the in-place prox; its bitwise
@@ -78,7 +112,7 @@ def prox_coned_reference(model, c, m_bar, w_bar, step):
     def root(lin, rhs):
         if q - 1.0 == 0.5:
             return sqrt_root_masked(lin, coef, rhs)
-        return _solve_power_root(lin, coef, rhs, q - 1.0)
+        return power_root_reference(lin, coef, rhs, q - 1.0)
 
     a = np.linalg.norm(w_bar, axis=-1)
     m_free = root(1.0, m_bar)

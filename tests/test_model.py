@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from conftest import prox_coned_reference, sqrt_root_masked, traced_peak
+from conftest import power_root_reference, prox_coned_reference, sqrt_root_masked, traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
@@ -112,15 +112,23 @@ class TestHamiltonian:
         np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [1.0, 1.0])), 0.9)
 
 
+def components(x):
+    """Nodal vectors (..., dim) as the component-major (dim, ...) arrays of
+    ``one_sided``."""
+    return np.moveaxis(x, -1, 0)
+
+
 class TestSplitHamiltonian:
-    """sup of -(a.D+u + b.D-u) over split velocities (a >= 0 >= b)."""
+    """sup of -(a.D+u + b.D-u) over split velocities (a >= 0 >= b), from the
+    component-major one-sided differences."""
 
     def test_isotropic_closed_form(self):
         s = IsotropicSpeed(2, 1.5)
         fwd = nodes(GRID_2D, [-3.0, 1.0])
         bwd = nodes(GRID_2D, [2.0, -4.0])
         # a takes -fwd where it is positive, -b takes bwd where it is positive
-        np.testing.assert_allclose(s.split_hamiltonian(GRID_2D, fwd, bwd),
+        np.testing.assert_allclose(s.split_hamiltonian(GRID_2D, components(fwd),
+                                                       components(bwd)),
                                    1.5 * np.hypot(3.0, 2.0), rtol=1e-15)
 
     @pytest.mark.parametrize("speed", [IsotropicSpeed(2, 0.9), square_speed(), xdep_speed()])
@@ -128,26 +136,27 @@ class TestSplitHamiltonian:
         grid = TorusGrid(2, (12, 10), 3, 1.0)
         rng = np.random.default_rng(2)
         p = rng.standard_normal((20, *grid.nx, 2))
-        h_split = speed.split_hamiltonian(grid, p, p)
+        pc = components(p)
+        h_split = speed.split_hamiltonian(grid, pc, pc)
         # equal one-sided differences: the split set contains every (v+, v-)
         assert np.all(h_split >= speed.hamiltonian(grid, p) - 1e-12)
         # nonincreasing in D+u, nondecreasing in D-u
-        step = np.abs(rng.standard_normal(p.shape))
-        assert np.all(speed.split_hamiltonian(grid, p + step, p) <= h_split + 1e-12)
-        assert np.all(speed.split_hamiltonian(grid, p, p + step) >= h_split - 1e-12)
+        step = np.abs(rng.standard_normal(pc.shape))
+        assert np.all(speed.split_hamiltonian(grid, pc + step, pc) <= h_split + 1e-12)
+        assert np.all(speed.split_hamiltonian(grid, pc, pc + step) >= h_split - 1e-12)
 
     def test_isotropic_1d_equal_differences(self):
         s = IsotropicSpeed(1, 0.7)
         grid = TorusGrid(1, (8,), 2, 1.0)
         p = np.random.default_rng(3).standard_normal((5, 8, 1))
-        np.testing.assert_allclose(s.split_hamiltonian(grid, p, p), s.hamiltonian(grid, p),
-                                   rtol=1e-15)
+        np.testing.assert_allclose(s.split_hamiltonian(grid, components(p), components(p)),
+                                   s.hamiltonian(grid, p), rtol=1e-15)
 
     def test_finite_hull_vertices(self):
         pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
         grid = TorusGrid(1, (4,), 2, 1.0)
-        fwd = np.full((4, 1), 1.0)
-        bwd = np.full((4, 1), -2.0)
+        fwd = np.full((1, 4), 1.0)
+        bwd = np.full((1, 4), -2.0)
         # a local minimum of u: both vertices of the split segment point uphill
         np.testing.assert_allclose(pair.split_hamiltonian(grid, fwd, bwd), -0.9)
 
@@ -176,10 +185,11 @@ class TestConjugateMembership:
 
 
 def soc_project(c, m_bar, w_bar):
-    """Projection onto {(m, w): |w| <= c*m}: the coned K* prox at zero step."""
+    """Projection onto {(m, w): |w| <= c*m}: the coned K* prox at zero step,
+    on one node with its momentum stored component-major."""
     m, w = prox_cost_conj_coned(CostModel(p=3.0), c, np.array([m_bar], dtype=float),
-                                np.array([w_bar], dtype=float), step=0.0)
-    return float(m[0]), w[0]
+                                np.array(w_bar, dtype=float)[:, None], step=0.0)
+    return float(m[0]), w[:, 0]
 
 
 class TestProjectCone:
@@ -369,9 +379,10 @@ class TestHullProx:
         w_bar = rng.standard_normal((50, 16, 1))
         for step in (0.0, 0.05, 2.0):
             m, w = prox_cost_conj_hull(model, pair.hull_faces(grid), m_bar, w_bar, step)
-            m_iso, w_iso = prox_cost_conj_coned(model, np.full(16, 0.9), m_bar, w_bar, step)
+            m_iso, w_iso = prox_cost_conj_coned(model, np.full(16, 0.9), m_bar,
+                                                components(w_bar), step)
             np.testing.assert_allclose(m, m_iso, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(w, w_iso, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(components(w), w_iso, rtol=0, atol=1e-12)
 
 
 class TestConedProxInPlace:
@@ -379,13 +390,16 @@ class TestConedProxInPlace:
     @pytest.mark.parametrize("step", [0.0, 0.05, 2.0])
     def test_gives_the_masked_broadcast_bits_into_any_buffers(self, p, step):
         # free and active nodes, zero momenta and negative densities; the
-        # result written into fresh buffers or over the input itself
+        # result written into fresh buffers or over the input itself, with
+        # the momenta component-major and the reference's components last
         model = CostModel(p=p, kappa=1.3)
         rng = np.random.default_rng(17)
         c = 0.5 + rng.random(16)
         m_bar = rng.normal(0.2, 1.0, (9, 16))
         w_bar = rng.standard_normal((9, 16, 2)) * (rng.random((9, 16, 1)) > 0.2)
         ref_m, ref_w = prox_coned_reference(model, c, m_bar, w_bar, step)
+        ref_w = np.ascontiguousarray(components(ref_w))
+        w_bar = np.ascontiguousarray(components(w_bar))
         m, w = prox_cost_conj_coned(model, c, m_bar, w_bar, step)
         assert m.tobytes() == ref_m.tobytes() and w.tobytes() == ref_w.tobytes()
         out = (m_bar.copy(), w_bar.copy())
@@ -687,6 +701,22 @@ class TestNewtonRootTolerance:
             alone = _solve_power_root(1.0, coef[i], rhs[i], r)
             assert alone.tobytes() == mixed[i].tobytes()
         assert np.all(np.abs(mixed + coef * mixed ** r - rhs)[2:] <= 1e-12 * (1.0 + rhs[2:]))
+
+    @pytest.mark.parametrize("r", [1.0 / 3.0, 2.0])
+    def test_in_place_steps_give_the_allocating_bits(self, r):
+        # scalar and nodal lin and coef, rhs <= 0, coef = 0 and slow entries:
+        # each step formed in place and the open entries compressed one
+        # array at a time, with scalars kept scalar, give the bits of the
+        # allocating form
+        rng = np.random.default_rng(37)
+        rhs = rng.uniform(-0.5, 3.0, (6, 40))
+        lin = 1.0 + rng.uniform(0.0, 3.0, 40) ** 2
+        coef = rng.uniform(0.0, 50.0, (6, 40))
+        coef[0, :5] = 0.0
+        coef[1, :3] = 1e4
+        for args in ((1.0, 0.3, rhs), (lin, 0.3, rhs), (lin, coef, rhs), (1.0, coef, rhs)):
+            got = _solve_power_root(*args, r)
+            assert got.tobytes() == power_root_reference(*args, r).tobytes()
 
     def test_large_rhs_regression(self):
         m = float(_solve_power_root(23949.0, 1.0, 14638.0, 1.0 / 3.0))

@@ -61,6 +61,16 @@ def test_certificate_march(benchmark):
     np.testing.assert_allclose(mass, problem.mass, rtol=1e-12)
 
 
+def test_certificate(benchmark):
+    # one certificate of an iterate, as optimize builds it on a checked iteration
+    problem = make_gauss_problem(1, 64, 65, 3.0)
+    grid = problem.grid
+    ws = _warm_workspace(problem)
+    a_val, b_val = _timed(benchmark, grid.nt * grid.n_space, pdopt._certificate, problem,
+                          -ws.y, ws.m, ws.w)
+    assert np.isfinite(a_val) and a_val + b_val >= -1e-12
+
+
 def test_prox_p3(benchmark):
     problem = make_gauss_problem(1, 64, 65, 3.0)
     grid = problem.grid
@@ -70,7 +80,7 @@ def test_prox_p3(benchmark):
     m, w = np.empty_like(m_bar), np.empty_like(w_bar)
     _timed(benchmark, m_bar.size, prox_cost_conj_coned, problem.cost, ws.cone, m_bar, w_bar,
            pdopt._TAU * grid.dt, out=(m, w))
-    assert np.min(m) >= 0.0 and np.all(np.abs(w[..., 0]) <= m * (1.0 + 1e-12))
+    assert np.min(m) >= 0.0 and np.all(np.abs(w[0]) <= m * (1.0 + 1e-12))
 
 
 def _counterexample(eps=0.1):
