@@ -354,28 +354,22 @@ def cost_deriv_conj(model: CostModel, m) -> float | np.ndarray:
 def _solve_sqrt_root(lin, coef, rhs):
     """Closed-form root of lin*m + coef*sqrt(m) = rhs over m >= 0: the
     quadratic lin*s^2 + coef*s - rhs in s = sqrt(m) has the nonnegative root
-    s = 2*rhs / (coef + sqrt(coef^2 + 4*lin*rhs)), free of cancellation; m = 0
-    wherever rhs <= 0 (or is NaN).  A positive scalar coef, as the prox
-    passes, divides by a positive denominator, so rhs+ = fmax(rhs, 0), which
-    is 0 for a NaN rhs, is the whole guard.  Any other coef divides unmasked,
-    with 0/0 = NaN where coef = 0 and rhs <= 0, and those entries are
-    replaced by 0 after it."""
-    if isinstance(coef, float) and coef > 0:
-        # each product and sum of the formula, formed in place in two arrays
-        s = np.fmax(rhs, 0.0, out=np.empty(np.broadcast(lin, rhs).shape))
-        den = np.multiply(4.0 * lin, s, out=np.empty_like(s))
-        den += coef * coef
-        np.sqrt(den, out=den)
-        den += coef
-        s *= 2.0
-        s /= den
-        return np.multiply(s, s, out=s)
-    rhs_pos = np.maximum(rhs, 0.0)
-    den = coef + np.sqrt(coef * coef + 4.0 * lin * rhs_pos)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = 2.0 * rhs_pos / den
-    s = np.where(rhs_pos > 0, s, 0.0)
-    return s * s
+    s = 2*rhs+ / (coef + sqrt(coef^2 + 4*lin*rhs+)), free of cancellation,
+    with rhs+ = fmax(rhs, 0), which is 0 for a NaN rhs too, so m = 0 wherever
+    rhs <= 0.  Each product and sum is formed in place in two arrays.  For
+    the lin >= 1 of every caller the denominator is 0 only where coef = 0
+    and rhs+ = 0; it is raised there to the least subnormal, which leaves
+    every positive one as it is and makes that division 0 / 5e-324 = 0,
+    with no mask and no 0/0."""
+    s = np.fmax(rhs, 0.0, out=np.empty(np.broadcast(lin, coef, rhs).shape))
+    den = np.multiply(4.0 * lin, s, out=np.empty_like(s))
+    den += coef * coef
+    np.sqrt(den, out=den)
+    den += coef
+    np.maximum(den, 5e-324, out=den)
+    s *= 2.0
+    s /= den
+    return np.multiply(s, s, out=s)
 
 
 def _solve_power_root(lin, coef, rhs, r):

@@ -423,15 +423,15 @@ def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     gives with no split copy of w.  ``details`` also gets the largest
     component move from the pair, or from the sign split of a nodal w; 0 for
     admissible momenta."""
-    return _certificate(problem, u, m, (w_plus, w_minus), details, project=True)
+    return _certificate(problem, u, m, pair=(w_plus, w_minus), details=details)
 
 
-def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray, w,
-                 details: dict | None = None,
-                 project: bool = False) -> tuple[float, float]:
+def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
+                 w: np.ndarray | None = None, pair: tuple | None = None,
+                 details: dict | None = None) -> tuple[float, float]:
     """Certified (A, B) of u, m and split momenta w in m times the split
     set, component-major, (2*dim, nt - 1 or nt, *nx), read on their first
-    nt - 1 levels; with ``project``, w is the pair (w+, w-) of
+    nt - 1 levels; or, in place of w, of the ``pair`` (w+, w-) of
     ``certificate``, of any momenta, or (w, None) for a nodal w.
 
     Primal point: u with u(T) pinned to u_T and f = max(residual(u), 0).
@@ -446,15 +446,16 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray, w,
     into one (nt - 1, *nx) buffer, which then takes K*(m) for B, and the
     march into one (nt, *nx) density.  So the memory is those two buffers
     plus one block's velocities, and A and B are sums over the same arrays
-    as in a whole-array pass, bit for bit.  ``project`` first moves each
-    block into the split set (``certificate``), on the split set's per-grid
+    as in a whole-array pass, bit for bit.  A ``pair`` first has each block
+    moved into the split set (``certificate``), on the split set's per-grid
     data (``split_cone``), built once."""
     grid = problem.grid
     d = grid.dim
     nt = grid.nt
     u = np.asarray(u, dtype=float)
+    project = pair is not None
     if project:
-        w_plus, w_minus = w
+        w_plus, w_minus = pair
         nodal = w_minus is None
         if nodal:
             w_minus = w_plus

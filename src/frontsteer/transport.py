@@ -175,29 +175,20 @@ def march_split(m0: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return m
 
 
-def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid,
-                  nodal: bool = False) -> None:
+def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid) -> None:
     """The levels of ``march_split`` from ``start``, in place: m[start]
-    marched by the j-th level of v into m[start + j + 1] for each level of v,
-    so a march can be built one block of levels at a time.  v holds split
-    velocities (2*dim, levels, *nx), or with ``nodal`` nodal velocities
-    (levels, *nx, dim), split by sign one level at a time.  The level momenta
-    m_k v_k, the divergence and its flux and term live in level buffers
-    built once, so a level allocates nothing."""
+    marched by v[:, j] into m[start + j + 1] for each level j of the split
+    velocities v, (2*dim, levels, *nx), so a march can be built one block of
+    levels at a time.  The level momenta m_k v_k, the divergence and its
+    flux and term live in level buffers built once, so a level allocates
+    nothing."""
     d = grid.dim
     wk = np.empty((2 * d, *grid.nx))
     div = np.empty(grid.nx)
     divergence = _divergence(wk[:d], wk[d:], grid, div, np.empty(grid.nx), np.empty(grid.nx))
-    components_first = (d, *range(d))       # a nodal level (*nx, dim) as (dim, *nx)
-    for j in range(len(v) if nodal else v.shape[1]):
+    for j in range(v.shape[1]):
         k = start + j
-        if nodal:
-            vk = v[j].transpose(components_first)
-            np.maximum(vk, 0.0, out=wk[:d])
-            np.minimum(vk, 0.0, out=wk[d:])
-            np.multiply(wk, m[k], out=wk)
-        else:
-            np.multiply(m[k], v[:, j], out=wk)
+        np.multiply(m[k], v[:, j], out=wk)
         divergence()
         div *= grid.dt
         np.subtract(m[k], div, out=m[k + 1])
@@ -232,9 +223,15 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
     if np.min(m0) < 0:
         raise ParameterError("initial density must be >= 0")
     _check_cfl(v)
+    d = grid.dim
     m = np.empty((grid.nt, *grid.nx))
     m[0] = m0
-    _march_levels(m, v.values[:-1], 0, grid, nodal=True)
+    split = np.empty((2 * d, 1, *grid.nx))      # one level's split, component-major
+    for k, vk in enumerate(v.values[:-1]):
+        vk = vk.transpose(d, *range(d))
+        np.maximum(vk, 0.0, out=split[:d, 0])
+        np.minimum(vk, 0.0, out=split[d:, 0])
+        _march_levels(m, split, k, grid)
     # monotone scheme: only round-off can dip below zero
     floor, top = np.min(m), np.max(m)
     if floor < -1e-12 * max(1.0, top, -floor):

@@ -618,15 +618,15 @@ class TestSqrtRootClosedForm:
     @given(lin=st.one_of(st.floats(min_value=1.0, max_value=1e6),
                          st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1,
                                   max_size=1).map(np.array)),
-           coef=st.floats(min_value=5e-324, max_value=1e6),
+           coef=st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e6)),
            rhs=st.lists(st.one_of(
                st.floats(min_value=-1e300, max_value=1e300),
                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e300, -1e300])),
                min_size=1, max_size=24).map(np.array))
     def test_mask_free_division_gives_the_masked_bits(self, lin, coef, rhs):
-        # coef > 0: rhs <= 0 (either zero, subnormal or huge) divides 2*rhs+
-        # = +-0 by coef + sqrt(coef^2) > 0, is set to +0.0 and squares to it,
-        # as the mask did
+        # rhs <= 0 (either zero, subnormal or huge) divides 2*rhs+ = +-0 by
+        # coef + sqrt(coef^2) > 0, or by the least subnormal for coef = 0,
+        # and squares to +0.0, as the mask did
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             got = _solve_sqrt_root(lin, coef, rhs)
         assert got.tobytes() == sqrt_root_masked(lin, coef, rhs).tobytes()

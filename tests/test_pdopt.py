@@ -389,7 +389,7 @@ class TestBlockedCertificate:
         details = {}
         # the iterate's certificate takes its split momenta component-major
         got = certificate(prob, u, m, *_halves(w), details) if project \
-            else _certificate(prob, u, m, np.ascontiguousarray(_components(w)), details)
+            else _certificate(prob, u, m, np.ascontiguousarray(_components(w)), details=details)
         assert np.array(got).tobytes() == np.array(ref).tobytes()
         assert list(details) == list(expected)
         for key, value in expected.items():
