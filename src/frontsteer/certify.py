@@ -36,8 +36,7 @@ from .pdopt import ProblemInstance
 # unused here; perfbench/tracing.py wraps them in this namespace
 from .grid import interp_space
 from .pdopt import continuity_residual_rows, evaluate_A, evaluate_B, subsolution_residual
-from . import transport
-from .transport import one_sided, upwind_directional_derivative
+from .transport import one_sided, split_by_sign, upwind_directional_derivative
 
 # a block of levels of check_subsolution holds at most this many bytes of
 # split velocities: 32 levels of a 1D run at 64 points, 4 at 16^2, one at 64^2
@@ -173,10 +172,9 @@ def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
     at the support boundary would otherwise dominate the residual.  One
     level's velocities are held at a time."""
     grid = u.grid
-    d = grid.dim
     threshold = max(1e-9, 1e-3 * float(np.max(m.values)))
     slack = 0.1
-    v = np.empty((*grid.nx, 2 * d))
+    v = np.empty((2 * grid.dim, *grid.nx))
     num = 0.0
     den = 0.0
     worst = (0.0, None)
@@ -184,9 +182,8 @@ def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
         mask = m.values[k] > threshold
         if not np.any(mask):
             continue
-        np.maximum(w_plus.values[k], 0.0, out=v[..., :d])
-        np.minimum(w_minus.values[k], 0.0, out=v[..., d:])
-        np.divide(v, m.values[k][..., None], out=v, where=mask[..., None])
+        split_by_sign((w_plus.values[k], w_minus.values[k]), out=v)
+        np.divide(v, m.values[k], out=v, where=mask)
         res = -(u.values[k + 1] - u.values[k]) / grid.dt \
             - upwind_directional_derivative(*one_sided(u.values[k + 1], grid), v) \
             - f.values[k]
@@ -284,7 +281,7 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
             u_next = u.values[k0 + 1:k1 + 1]
             # the differences and the sign split live only for the pairing
             dd = upwind_directional_derivative(*one_sided(u_next, grid),
-                                               transport.split_by_sign(v.values[k0:k1]))
+                                               split_by_sign(v.values[k0:k1]))
             du = u_next - u.values[k0:k1]
             # one sum per level, each over that level's contiguous nodes
             pairing = np.sum((phi[k0:k1] * (du + grid.dt * dd)).reshape(k1 - k0, -1), axis=1)

@@ -9,6 +9,7 @@ failed certification check; artifacts are still written), 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +33,8 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 # The one table of the run configuration: every key, its default and, by the
-# default's type, the values it takes (see ``load_config``).
+# default's type, the values it takes (see ``load_config``); solver knobs
+# take ``SolverConfig``'s defaults.
 DEFAULT_CONFIG = {
     "problem": {
         "dim": 1,
@@ -44,8 +46,7 @@ DEFAULT_CONFIG = {
         "u_T": {"preset": "zero"},
         "m0": {"preset": "uniform"},
     },
-    "solver": {"max_iters": 5000, "tol_gap": 1e-3, "tol_cont": 1e-4,
-               "tau": None, "sigma": None},
+    "solver": dataclasses.asdict(pdopt.SolverConfig()),
     "outputs": {"directory": "out"},
     "reproduce": {"eps": [0.2, 0.1, 0.05], "window_points": 401, "nt": 201,
                   "tolerance": 0.05},

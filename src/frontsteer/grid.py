@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,19 +44,21 @@ class TorusGrid:
         if not (self.horizon > 0):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
 
-    @property
+    # derived once, on first use; not fields, so equality and hashing ignore them
+
+    @cached_property
     def dx(self) -> tuple[float, ...]:
         return tuple(1.0 / n for n in self.nx)
 
-    @property
+    @cached_property
     def dt(self) -> float:
         return self.horizon / (self.nt - 1)
 
-    @property
+    @cached_property
     def n_space(self) -> int:
         return int(np.prod(self.nx))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
 

@@ -3,8 +3,8 @@
 Two speed variants are supported:
 
 * ``IsotropicSpeed``: c(x,A) is the closed ball of radius c(x) (constant or
-  a nodal table over the unit torus).  The Hamiltonian and the cone check
-  have closed forms; the cone projection is folded into the K* prox
+  a nodal table over the unit torus).  The split Hamiltonian and the cone
+  check have closed forms; the cone projection is folded into the K* prox
   (``prox_cost_conj_coned``).
 * ``FiniteControlsSpeed``: finitely many velocity maps x -> c(x, a_i); the
   admissible set is their convex hull, and w in m*c(x,A) means (m, w) lies in
@@ -13,15 +13,15 @@ Two speed variants are supported:
   faces of at most dim + 1 generators (``hull_faces``) and solve one scalar
   equation per face in closed form, no iteration.
 
-Each speed owns the nodal operators its callers need, evaluated on the nodes
-of a ``TorusGrid``: ``hamiltonian`` H(x, p) = sup over v in c(x,A) of -v.p,
-``cone_violation`` for w in m*c(x,A), and ``velocity_samples`` for the HJ
-sweep.  The primal-dual solver works with split velocities (a, b), a >= 0 >= b
-per axis, whose net velocity is a + b: ``split_hamiltonian`` is the sup of
--(a.D+u + b.D-u) over the split velocity set, the ball {|(a, b)| <= c(x)} for
-isotropic speeds and the hull of the split maps (v_i^+, v_i^-) for finite
-ones (``split_hull_faces``); ``split_project`` moves momenta into m times it,
-on the per-grid data of ``split_cone``, which a caller can build once.
+Each speed owns the operators its callers need, evaluated on the nodes of a
+``TorusGrid``: ``cone_violation`` for a nodal w in m*c(x,A), ``velocity_samples``
+for the HJ sweep, and for the split velocities (a, b), a >= 0 >= b per axis,
+of the primal-dual solver: ``split_hamiltonian``, the sup of -(a.D+u + b.D-u)
+over the ball {|(a, b)| <= c(x)} or the hull of the split maps (v_i^+, v_i^-)
+(``split_hull_faces``), which is H(x, p) = sup_{v in c(x,A)} -v.p at
+D+u = D-u = p, and ``split_project``, which moves momenta into m times the
+split set on the per-grid data of ``split_cone``.  Split arrays, hull faces
+and both joint proxes are component-major, (n, ..., *nx), as in ``transport``.
 
 The cost family is the homogeneous power law K(f) = kappa*|f|^p / p with
 conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
@@ -54,6 +54,13 @@ def _component_norm(x: np.ndarray, axis: int = -1) -> np.ndarray:
     for part in parts[1:]:
         out += part * part
     return np.sqrt(out, out=out)
+
+
+def _dot(x, y):
+    """sum_k x[k] * y[k] over the leading component axis, from +0.  The
+    hull's sums have at most two nonzero terms (dim <= 2 components, or a
+    split map, zero in v+_a or in v-_a), so every order gives their bits."""
+    return sum(a * b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -99,15 +106,11 @@ class IsotropicSpeed:
             return self.radius
         return np.full(nx, self.radius)
 
-    def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
-        """H(x, p) = c(x)|p| on the grid nodes; p has shape (..., *nx, dim)."""
-        return self.radius_nodes(grid.nx) * _component_norm(p)
-
     def split_hamiltonian(self, grid, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
         """sup over a >= 0 >= b with |(a, b)| <= c(x) of -(a.fwd + b.bwd):
-        the ``hamiltonian`` of (max(-fwd, 0), max(bwd, 0)).  fwd and bwd are
-        the forward and backward differences of ``one_sided``, each
-        component-major, (dim, ..., *nx)."""
+        c(x) |(max(-fwd, 0), max(bwd, 0))|, which is H(x, p) = c(x)|p| at
+        fwd = bwd = p.  fwd and bwd are the forward and backward differences
+        of ``one_sided``, each component-major, (dim, ..., *nx)."""
         split = np.concatenate([np.maximum(-fwd, 0.0), np.maximum(bwd, 0.0)])
         return self.radius_nodes(grid.nx) * _component_norm(split, axis=0)
 
@@ -122,17 +125,17 @@ class IsotropicSpeed:
 
     def split_project(self, grid, m: np.ndarray, w: np.ndarray,
                       cone: np.ndarray | None = None) -> np.ndarray:
-        """Sign-clipped split momenta w, shape (..., *nx, 2*dim), scaled onto
+        """Sign-clipped split momenta w, (2*dim, ..., *nx), scaled onto
         |w| = c(x)*m beyond a relative 1e-12 (the prox's round-off, left so an
         iterate keeps its certificate): the nearest point of m times the ball.
         ``cone`` is ``split_cone(grid)``, built here when not given."""
         cap = (self.split_cone(grid) if cone is None else cone) * m
-        norm = _component_norm(w)
+        norm = _component_norm(w, axis=0)
         over = norm > cap * (1.0 + 1e-12)
-        return w * np.divide(cap, norm, out=np.ones_like(norm), where=over)[..., None]
+        return w * np.divide(cap, norm, out=np.ones_like(norm), where=over)
 
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
-        """Largest excess of |w| over c(x)*m over all nodes (<= 0 inside)."""
+        """Largest excess of a nodal |w| over c(x)*m over all nodes (<= 0 inside)."""
         c = self.radius_nodes(grid.nx)
         return float(np.max(_component_norm(w) - c * m))
 
@@ -203,23 +206,16 @@ class FiniteControlsSpeed:
         return self.velocities_at(np.stack(grid.meshgrid(), axis=-1))
 
     def _split_node_velocities(self, grid) -> np.ndarray:
-        """The split maps (v_i^+, v_i^-) on the grid nodes, shape (M, *nx, 2*dim)."""
+        """The split maps (v_i^+, v_i^-) on the grid nodes, shape (2*dim, M, *nx)."""
         return split_by_sign(self._node_velocities(grid))
-
-    def hamiltonian(self, grid, p: np.ndarray) -> np.ndarray:
-        """H(x, p) = max_i -c(x, a_i).p on the grid nodes; p has shape
-        (..., *nx, dim)."""
-        vels = self._node_velocities(grid)
-        return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
 
     def split_hamiltonian(self, grid, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
         """max_i -(v_i^+.fwd + v_i^-.bwd): the sup over the hull of the split
         maps.  fwd and bwd are the forward and backward differences of
         ``one_sided``, each component-major, (dim, ..., *nx)."""
         vels = self._split_node_velocities(grid)
-        # the components last and contiguous, the layout einsum reduces in order
-        p = np.ascontiguousarray(np.moveaxis(np.concatenate([fwd, bwd]), 0, -1))
-        return np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
+        neg = -np.concatenate([fwd, bwd])
+        return np.max([_dot(vels[:, i], neg) for i in range(vels.shape[1])], axis=0)
 
     def split_contains_rest(self, grid) -> bool:
         """Whether the hull of the split maps contains (a, b) = 0 at every
@@ -243,16 +239,16 @@ class FiniteControlsSpeed:
             cone = self.split_cone(grid)
         # coef = 0 leaves the projection; r = 1/2 only selects the root solver
         pm, pw = _hull_prox(cone, m, w, 0.0, 0.5)
-        scale = np.divide(m, pm, out=np.zeros_like(pm), where=pm > 0)
-        return pw * scale[..., None]
+        return pw * np.divide(m, pm, out=np.zeros_like(pm), where=pm > 0)
 
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
         """Largest distance from (m, w) to its projection onto the cone
         {(m, w): m >= 0, w in m*c(x,A)} over all nodes (0 inside, up to
-        round-off)."""
+        round-off), for a nodal w."""
+        w = np.moveaxis(w, -1, 0)
         # coef = 0 leaves the projection; r = 1/2 only selects the root solver
         pm, pw = _hull_prox(self.hull_faces(grid), m, w, 0.0, 0.5)
-        return float(np.max(np.sqrt((m - pm) ** 2 + np.sum((w - pw) ** 2, axis=-1))))
+        return float(np.max(np.sqrt((m - pm) ** 2 + np.sum((w - pw) ** 2, axis=0))))
 
     def velocity_samples(self, grid) -> list[np.ndarray]:
         """Rest, then each map on the grid nodes; each (*nx, dim)."""
@@ -263,7 +259,7 @@ class FiniteControlsSpeed:
         g_i = (1, v_i(x)) with at most dim + 1 of them: sum over k <= dim + 1
         of C(M, k) faces for M maps.  Faces whose generators are linearly
         dependent at a node get a zero inverse there."""
-        return _cone_faces(self._node_velocities(grid))
+        return _cone_faces(np.moveaxis(self._node_velocities(grid), -1, 0))
 
     def split_hull_faces(self, grid) -> HullFaces:
         """``hull_faces`` of the split generators (1, v_i^+(x), v_i^-(x)),
@@ -273,12 +269,14 @@ class FiniteControlsSpeed:
 
 
 def _cone_faces(vels: np.ndarray) -> HullFaces:
-    """Faces of the cone spanned by g_i = (1, vels[i]) for vels of shape
-    (M, *nx, n), with at most n + 1 generators each."""
-    gram = 1.0 + np.einsum("i...d,j...d->...ij", vels, vels)   # (*nx, M, M)
+    """Faces of the cone spanned by g_i = (1, vels[:, i]) for vels of shape
+    (n, M, *nx), with at most n + 1 generators each."""
+    n, count = vels.shape[:2]
+    pairs = [_dot(vels[:, i], vels[:, j]) for i in range(count) for j in range(count)]
+    gram = 1.0 + np.stack(pairs, axis=-1).reshape(*vels.shape[2:], count, count)
     faces = []
-    for k in range(1, vels.shape[-1] + 2):
-        for idx in itertools.combinations(range(len(vels)), k):
+    for k in range(1, n + 2):
+        for idx in itertools.combinations(range(count), k):
             a = gram[..., idx, :][..., idx]
             # Hadamard: det(A) <= prod(diag A), with equality for orthogonal g_i
             diag = np.diagonal(a, axis1=-2, axis2=-1)
@@ -302,7 +300,7 @@ class HullFace(NamedTuple):
 
 
 class HullFaces(NamedTuple):
-    """The velocity maps on the grid nodes, shape (M, *nx, n), and the faces
+    """The velocity maps on the grid nodes, shape (n, M, *nx), and the faces
     of their cone; built once per grid by ``hull_faces`` (n = dim) or
     ``split_hull_faces`` (n = 2*dim)."""
 
@@ -517,10 +515,11 @@ def prox_cost_conj_coned(model: CostModel, c, m_bar, w_bar, step: float, out=Non
     return m, w
 
 
-def _hull_prox(faces: HullFaces, m_bar, w_bar, coef, r):
+def _hull_prox(faces: HullFaces, m_bar, w_bar, coef, r, out=None):
     """argmin over the hull cone of |(m, w) - (m_bar, w_bar)|^2 / 2 +
     coef*m^(r+1)/(r+1), nodewise; m_bar has shape (..., *nx), w_bar shape
-    (..., *nx, dim).
+    (n, ..., *nx).  The pair ``out`` takes the result: its m (written last)
+    may be m_bar, its w may not overlap w_bar.
 
     The minimizer is the origin or lies on a face S of linearly independent
     generators with weights lam > 0.  With A = G^T G on S, stationarity gives
@@ -531,11 +530,14 @@ def _hull_prox(faces: HullFaces, m_bar, w_bar, coef, r):
     is optimal exactly when no face gives one (then g_i . z_bar <= 0 for
     all i, which rules out every candidate)."""
     q = r + 1.0
+    vels = faces.vels       # with a unit axis for each level axis of w_bar
+    vels = vels.reshape(*vels.shape[:2], *(1,) * (w_bar.ndim - vels.ndim + 1), *vels.shape[2:])
     # g_i . z_bar, shared by every face that holds g_i
-    dots = [m_bar + np.einsum("...d,...d->...", w_bar, v) for v in faces.vels]
+    dots = [m_bar + _dot(w_bar, vels[:, i]) for i in range(vels.shape[1])]
     best = np.full(m_bar.shape, np.inf)
     m = np.zeros(m_bar.shape)
-    w = np.zeros(w_bar.shape)
+    w = np.empty(w_bar.shape) if out is None else out[1]
+    w.fill(0.0)
     for face in faces.faces:
         k = len(face.idx)
         lam0 = [sum(face.ainv[..., j, c] * dots[face.idx[c]] for c in range(k))
@@ -545,24 +547,28 @@ def _hull_prox(faces: HullFaces, m_bar, w_bar, coef, r):
         shift = (alpha - mu) / face.beta
         lam = [l0 - shift * face.ainv1[..., j] for j, l0 in enumerate(lam0)]
         m_f = sum(lam)
-        w_f = sum(lam_j[..., None] * faces.vels[i] for lam_j, i in zip(lam, face.idx))
-        obj = 0.5 * ((m_f - m_bar) ** 2 + np.sum((w_f - w_bar) ** 2, axis=-1)) \
+        w_f = sum(lam_j * vels[:, i] for lam_j, i in zip(lam, face.idx))
+        obj = 0.5 * ((m_f - m_bar) ** 2 + np.sum((w_f - w_bar) ** 2, axis=0)) \
             + coef * np.maximum(m_f, 0.0) ** q / q
         # a dependent face has a zero inverse, so alpha = 0 rules it out
         take = (alpha > 0) & (obj < best)
         for lam_j in lam:
             take &= lam_j >= 0
-        best = np.where(take, obj, best)
-        m = np.where(take, m_f, m)
-        w = np.where(take[..., None], w_f, w)
-    return m, w
+        np.copyto(best, obj, where=take)
+        np.copyto(m, m_f, where=take)
+        np.copyto(w, w_f, where=take)
+    if out is None:
+        return m, w
+    np.copyto(out[0], m)
+    return out
 
 
 def prox_cost_conj_hull(model: CostModel, faces: HullFaces, m_bar, w_bar,
-                        step: float):
+                        step: float, out=None):
     """Exact joint prox of step*K*(m) plus the indicator of the finite-hull
     cone {(m, w): m >= 0, w in m*conv{v_i(x)}}, by face enumeration (see
-    ``_hull_prox``); ``faces`` comes from ``FiniteControlsSpeed.hull_faces``.
+    ``_hull_prox``, also for ``out``); ``faces`` comes from
+    ``FiniteControlsSpeed.hull_faces`` or ``split_hull_faces``.
     Step 0 is the Euclidean projection onto the cone."""
     q = model.q
-    return _hull_prox(faces, m_bar, w_bar, step * model.kappa ** (1.0 - q), q - 1.0)
+    return _hull_prox(faces, m_bar, w_bar, step * model.kappa ** (1.0 - q), q - 1.0, out)

@@ -26,9 +26,8 @@ momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
 function u.
 
 The loop runs in place on one ``_Workspace`` built before it.  Its split
-momenta are component-major, w = (w+_1..w+_dim, w-_1..w-_dim) of shape
-(2*dim, nt - 1, *nx), so every per-component operation runs over one
-contiguous array; ``optimize`` hands them out in the bundle's layout,
+momenta are component-major, as in ``transport``, w = (w+_1..w+_dim,
+w-_1..w-_dim) of shape (2*dim, nt - 1, *nx); ``optimize`` hands them out
 components last, transposed once at the end.  Besides the state (m and y,
 (nt, *nx) each, and w, 2*dim times that) the workspace holds the
 adjoint's gm and gw (gw also takes the gradient step), the divergence of
@@ -131,7 +130,7 @@ class ProblemInstance:
 class SolverConfig:
     max_iters: int = 5000
     tol_gap: float = 1e-3          # relative duality gap
-    tol_cont: float = 1e-6         # weighted L2 continuity residual
+    tol_cont: float = 1e-4         # weighted L2 continuity residual
     tau: float | None = None       # primal step (default 16); tau*sigma < 1
     sigma: float | None = None     # dual step (default 0.06)
 
@@ -384,8 +383,7 @@ def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
     """Physical residual per row, [(m(0)-m0)/dt ; dm/dt + div w], of a nodal
     momentum w split by sign into (w^+, w^-): the donor-cell form."""
     w_int = w[:-1] if w.shape[0] == problem.grid.nt else w
-    split = np.moveaxis(split_by_sign(w_int), -1, 0)
-    return _rows(m, split, problem.m0, problem.grid) / problem.grid.dt
+    return _rows(m, split_by_sign(w_int), problem.m0, problem.grid) / problem.grid.dt
 
 
 # -- the certificate ---------------------------------------------------------
@@ -416,7 +414,7 @@ def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     """Certified (A, B) of nodal values u, density m (nt levels) and split
     momenta (w+, w-), each of shape (nt or nt - 1, *nx, dim) with only the
     first nt - 1 levels read, from any fields: each block of levels is
-    sign-clipped and moved into m times the split set (``split_project``),
+    split by sign and moved into m times the split set (``split_project``),
     then certified as in ``_certificate``, in the same pass and with the
     same memory.  With w_minus None, w_plus is a nodal momentum w, certified
     as its sign split (max(w, 0), min(w, 0)), which the clip of each block
@@ -474,16 +472,13 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
         res = _hj_residual(problem, u[k0:k1], u_next)
         costs[k0:k1] = cost(problem.cost, np.maximum(res, 0.0))
         if project:
-            block = np.empty((k1 - k0, *grid.nx, 2 * d))
-            np.maximum(w_plus[k0:k1], 0.0, out=block[..., :d])
-            np.minimum(w_minus[k0:k1], 0.0, out=block[..., d:])
-            # a nodal w moves from its sign split, the clipped block itself
-            plus, minus = (block[..., :d], block[..., d:]) if nodal \
-                else (w_plus[k0:k1], w_minus[k0:k1])
-            block = problem.speed.split_project(grid, m[k0:k1], block, cone)
-            excess = np.maximum(excess, np.max(np.abs(block[..., :d] - plus)))
-            excess = np.maximum(excess, np.max(np.abs(block[..., d:] - minus)))
-            block = np.moveaxis(block, -1, 0)
+            clipped = split_by_sign((w_plus[k0:k1], w_minus[k0:k1]))
+            block = problem.speed.split_project(grid, m[k0:k1], clipped, cone)
+            # a nodal w moves from its sign split, a pair from its stored halves
+            plus, minus = (clipped[:d], clipped[d:]) if nodal else \
+                (np.moveaxis(w_plus[k0:k1], -1, 0), np.moveaxis(w_minus[k0:k1], -1, 0))
+            excess = np.maximum(excess, np.max(np.abs(block[:d] - plus)))
+            excess = np.maximum(excess, np.max(np.abs(block[d:] - minus)))
         else:
             block = w[:, k0:k1]
         v, block_peak = _split_velocity(m[k0:k1], block, grid)
@@ -571,11 +566,8 @@ class _Workspace:
             prox_cost_conj_coned(problem.cost, self.cone, m[:-1], w_half, self.prox_step,
                                  out=(m[:-1], w))
         else:
-            # the hull prox reduces over components last and contiguous
-            m[:-1], w_nodes = prox_cost_conj_hull(
-                problem.cost, self.cone, m[:-1],
-                np.ascontiguousarray(np.moveaxis(w_half, 0, -1)), self.prox_step)
-            np.copyto(w, np.moveaxis(w_nodes, -1, 0))
+            prox_cost_conj_hull(problem.cost, self.cone, m[:-1], w_half, self.prox_step,
+                                out=(m[:-1], w))
 
         # _rows is affine, so the rows of the extrapolated point 2 z - z_prev
         # need no second application: r_bar = (r - r_prev) + r, in the buffer

@@ -7,12 +7,13 @@ one-sided differences ``one_sided``.  ``pdopt``, ``certify`` and
 ``solve_continuity`` share it, with ``split_by_sign``, the CFL load
 ``split_load`` and the march ``march_split``; its level loop,
 ``_march_levels``, also builds ``pdopt``'s certificate block by block.
-Split momenta and velocities in the pair, the load and the march are
-component-major, (2*dim, ..., *nx) or (dim, ..., *nx) per half, so each
-component is one contiguous array; nodal fields and ``split_by_sign``
-keep their components last.  Each stencil is one shift of the flat arrays
-with the periodic faces written over after it, prepared once for arrays
-that a solver reuses (``_divergence``, ``_differences``).
+Split momenta and velocities are component-major throughout the package,
+(2*dim, ..., *nx) with the w+ components first, or (dim, ..., *nx) per
+half, so each component is one contiguous array.  Components come last
+only at the boundary (``VecField``, field files, ``w_split``), which
+``split_by_sign``, the one sign clip, reads.  Each stencil is one shift of
+the flat arrays with the periodic faces written over after it, prepared
+once for arrays that a solver reuses (``_divergence``, ``_differences``).
 
 ``solve_continuity`` is donor-cell finite volume with nodal velocities split
 by sign: the flux through face i+1/2 is v_i^+ m_i + v_{i+1}^- m_{i+1}.  Fluxes
@@ -107,12 +108,11 @@ def split_divergence(w_plus: np.ndarray, w_minus: np.ndarray,
                      grid: TorusGrid) -> np.ndarray:
     """Divergence of split momenta: along each axis the flux through face
     i+1/2 is w_plus_i + w_minus_{i+1} (w_plus >= 0 >= w_minus for a monotone
-    scheme).  Both are component-major, shape (dim, ..., *nx) with arbitrary
-    axes between; the divergence has shape (..., *nx).  The stencils are
-    flat shifts with the periodic faces written over (``_divergence``)."""
+    scheme).  Both are C-contiguous, (dim, ..., *nx) with arbitrary axes
+    between; the divergence has shape (..., *nx).  The stencils are flat
+    shifts with the periodic faces written over (``_divergence``)."""
     div, flux, term = (np.empty(w_plus.shape[1:]) for _ in range(3))
-    return _divergence(np.ascontiguousarray(w_plus), np.ascontiguousarray(w_minus), grid,
-                       div, flux, term)()
+    return _divergence(w_plus, w_minus, grid, div, flux, term)()
 
 
 def _differences(phi: np.ndarray, grid: TorusGrid, fwd: np.ndarray, bwd: np.ndarray):
@@ -148,14 +148,17 @@ def one_sided(phi: np.ndarray, grid: TorusGrid,
     return fwd, bwd
 
 
-def split_by_sign(v: np.ndarray) -> np.ndarray:
-    """Nodal vectors v, shape (..., dim), as split velocities or momenta
-    (max(v, 0), min(v, 0)) along the last axis, shape (..., 2*dim): the
-    donor-cell form; each half is written in place, with no temporary."""
-    d = v.shape[-1]
-    split = np.empty((*v.shape[:-1], 2 * d))
-    np.maximum(v, 0.0, out=split[..., :d])
-    np.minimum(v, 0.0, out=split[..., d:])
+def split_by_sign(w, out: np.ndarray | None = None) -> np.ndarray:
+    """The donor-cell split (max(w_plus, 0), min(w_minus, 0)) of a stored
+    pair (w_plus, w_minus), or of a nodal w, the pair (w, w); inputs have
+    their components last, (..., dim), and the split is component-major,
+    (2*dim, ...), written into ``out`` if given."""
+    w_plus, w_minus = w if isinstance(w, tuple) else (w, w)
+    d = w_plus.shape[-1]
+    split = np.empty((2 * d, *w_plus.shape[:-1])) if out is None else out
+    for a in range(d):
+        np.maximum(w_plus[..., a], 0.0, out=split[a])
+        np.minimum(w_minus[..., a], 0.0, out=split[d + a])
     return split
 
 
@@ -201,9 +204,7 @@ def _check_cfl(v: VecField) -> None:
     any level: beyond it the march can go negative and the chain's jump
     probabilities sum past 1.  Loads are taken one level at a time; the
     message names the largest over all levels."""
-    d = v.grid.dim
-    worst = float(np.max([np.max(split_load(split_by_sign(vk).transpose(d, *range(d)), v.grid))
-                          for vk in v.values]))
+    worst = float(np.max([np.max(split_load(split_by_sign(vk), v.grid)) for vk in v.values]))
     if worst > 1.0 + 1e-12:
         raise ParameterError(
             f"CFL violation: max speed load {worst:.4g} > 1 "
@@ -225,15 +226,11 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
     if np.min(m0) < 0:
         raise ParameterError("initial density must be >= 0")
     _check_cfl(v)
-    d = grid.dim
     m = np.empty((grid.nt, *grid.nx))
     m[0] = m0
-    split = np.empty((2 * d, 1, *grid.nx))      # one level's split, component-major
-    for k, vk in enumerate(v.values[:-1]):
-        vk = vk.transpose(d, *range(d))
-        np.maximum(vk, 0.0, out=split[:d, 0])
-        np.minimum(vk, 0.0, out=split[d:, 0])
-        _march_levels(m, split, k, grid)
+    split = np.empty((2 * grid.dim, 1, *grid.nx))      # one level's split
+    for k in range(grid.nt - 1):
+        _march_levels(m, split_by_sign(v.values[k:k + 1], out=split), k, grid)
     # monotone scheme: only round-off can dip below zero
     floor, top = np.min(m), np.max(m)
     if floor < -1e-12 * max(1.0, top, -floor):
@@ -245,13 +242,13 @@ def upwind_directional_derivative(fwd: np.ndarray, bwd: np.ndarray,
                                   v: np.ndarray) -> np.ndarray:
     """The pairing sum_a a_a D+_a u + b_a D-_a u of the one-sided differences
     (fwd, bwd) = ``one_sided(u)``, each component-major (dim, ...), with
-    split velocities v = (a, b), shape (..., 2*dim): the derivative of u
-    along the donor-cell flux, the pairing counterpart of
+    split velocities v = (a, b), component-major (2*dim, ...): the
+    derivative of u along the donor-cell flux, the pairing counterpart of
     ``split_hamiltonian``."""
     d = len(fwd)
     out = np.zeros(fwd.shape[1:])
     for a in range(d):
-        out += v[..., a] * fwd[a] + v[..., d + a] * bwd[a]
+        out += v[a] * fwd[a] + v[d + a] * bwd[a]
     return out
 
 
@@ -300,16 +297,16 @@ def _level_rng(seed: int, level: int) -> np.random.Generator:
 
 def _jump_table(split: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """The chain's cumulative jump probabilities of one level, shape
-    (n_space, 2*dim), from its split velocities, shape (*nx, 2*dim), which
-    it overwrites.  Entry e of a cell is the probability of the jumps 0..e,
-    in the order +e_0, .., +e_{dim-1}, -e_0, .., -e_{dim-1}: jump +e_a has
+    (2*dim, n_space), from its split velocities (2*dim, *nx), which it
+    overwrites.  Row e holds each cell's probability of the jumps 0..e, in
+    the order +e_0, .., +e_{dim-1}, -e_0, .., -e_{dim-1}: jump +e_a has
     probability a_a dt/dx_a and -e_a has -b_a dt/dx_a."""
     d = grid.dim
-    table = split.reshape(grid.n_space, 2 * d)
+    table = split.reshape(2 * d, grid.n_space)
     for a in range(d):
-        table[:, a] *= grid.dt / grid.dx[a]
-        table[:, d + a] *= -grid.dt / grid.dx[a]
-    return np.cumsum(table, axis=-1, out=table)
+        table[a] *= grid.dt / grid.dx[a]
+        table[d + a] *= -grid.dt / grid.dx[a]
+    return np.cumsum(table, axis=0, out=table)
 
 
 def _neighbour_table(grid: TorusGrid, dtype) -> np.ndarray:
@@ -339,8 +336,8 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     Level 0's cell draws and each step's uniforms (one per path) come from
     Philox keyed by (seed, level), so an ensemble is reproducible from the
     seed and path i is the same whatever ``count`` is.  Step k builds level
-    k's cumulative table (n_space, 2*dim) from v[k] split by sign, compares
-    each path's uniform with its cell's row and moves it through a fixed
+    k's cumulative table (2*dim, n_space) from v[k] split by sign, compares
+    each path's uniform with its cell's entries and moves it through a fixed
     neighbour table.  Cells are stored time-major in the narrowest unsigned
     type that holds every cell index, (nt, count): 2 bytes per path and
     level at 64^2 nodes, 1 byte up to 256 nodes.
@@ -356,14 +353,15 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     cells = np.empty((grid.nt, count), dtype=np.min_scalar_type(grid.n_space - 1))
     neighbours = _neighbour_table(grid, cells.dtype)
     stride = 2 * grid.dim + 1
-    # one step's scratch, reused: a uniform and a neighbour-table index per path
+    # one step's scratch, reused: uniforms, neighbour-table indices, a split
     draw = np.empty(count)
     pick = np.empty(count, dtype=np.int32)
+    split = np.empty((2 * grid.dim, *grid.nx))
     cum = np.cumsum(m0.ravel() / np.sum(m0))
     cum[-1] = 1.0
     cells[0] = np.searchsorted(cum, _level_rng(seed, 0).random(out=draw), side="right")
     for k in range(grid.nt - 1):
-        jumps = _jump_table(split_by_sign(v.values[k]), grid)
+        jumps = _jump_table(split_by_sign(v.values[k], out=split), grid)
         _level_rng(seed, k + 1).random(out=draw)
         cur = cells[k]
         # in int32: a narrow cell index times the stride would wrap
@@ -371,7 +369,7 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
         # fancy indexing casts narrow indices in small buffers, where take
         # would copy them whole to intp
         for e in range(stride - 1):
-            pick += jumps[:, e][cur] <= draw
+            pick += jumps[e][cur] <= draw
         cells[k + 1] = neighbours[pick]
     weights = np.full(count, mass / count)
     return TrajectoryEnsemble(grid=grid, cells=cells, weights=weights, seed=int(seed))

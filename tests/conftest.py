@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
-from frontsteer.model import CostModel, IsotropicSpeed
+from frontsteer.model import CostModel, HullFace, HullFaces, IsotropicSpeed, _solve_power_root
 from frontsteer.pdopt import OptimalBundle, ProblemInstance, SolverConfig, optimize
 
 
@@ -121,6 +121,74 @@ def prox_coned_reference(model, c, m_bar, w_bar, step):
     m = np.where(free, m_free, m_act)
     scale = np.where(free, 1.0, np.divide(c * m_act, a, out=np.zeros_like(a), where=a > 0))
     return m, w_bar * scale[..., None]
+
+
+def split_by_sign_reference(w):
+    """``transport.split_by_sign`` of a nodal w or a pair (w_plus, w_minus)
+    in its components-last form, shape (..., 2*dim), the layout before the
+    split became component-major; its bitwise reference."""
+    w_plus, w_minus = w if isinstance(w, tuple) else (w, w)
+    return np.concatenate([np.maximum(w_plus, 0.0), np.minimum(w_minus, 0.0)], axis=-1)
+
+
+def upwind_directional_derivative_reference(fwd, bwd, v):
+    """``transport.upwind_directional_derivative`` with the split
+    velocities v components last, shape (..., 2*dim); its bitwise
+    reference."""
+    d = len(fwd)
+    out = np.zeros(fwd.shape[1:])
+    for a in range(d):
+        out += v[..., a] * fwd[a] + v[..., d + a] * bwd[a]
+    return out
+
+
+def cone_faces_reference(vels):
+    """``model._cone_faces`` of maps stored components last, shape
+    (M, *nx, n), with the Gram matrices an einsum over the last axis; the
+    bitwise reference of the component-major faces."""
+    gram = 1.0 + np.einsum("i...d,j...d->...ij", vels, vels)
+    faces = []
+    for k in range(1, vels.shape[-1] + 2):
+        for idx in itertools.combinations(range(len(vels)), k):
+            a = gram[..., idx, :][..., idx]
+            diag = np.diagonal(a, axis1=-2, axis2=-1)
+            ok = np.linalg.det(a) > 1e-12 * np.prod(diag, axis=-1)
+            ainv = np.linalg.inv(np.where(ok[..., None, None], a, np.eye(k)))
+            ainv *= ok[..., None, None]
+            ainv1 = np.sum(ainv, axis=-1)
+            beta = np.where(ok, np.sum(ainv1, axis=-1), 1.0)
+            faces.append(HullFace(idx, ainv, ainv1, beta))
+    return HullFaces(vels, tuple(faces))
+
+
+def hull_prox_reference(faces, m_bar, w_bar, coef, r):
+    """``model._hull_prox`` with the momenta w_bar and the maps of
+    ``faces`` (``cone_faces_reference``) components last, dots by einsum
+    and selections by np.where; its bitwise reference."""
+    q = r + 1.0
+    dots = [m_bar + np.einsum("...d,...d->...", w_bar, v) for v in faces.vels]
+    best = np.full(m_bar.shape, np.inf)
+    m = np.zeros(m_bar.shape)
+    w = np.zeros(w_bar.shape)
+    for face in faces.faces:
+        k = len(face.idx)
+        lam0 = [sum(face.ainv[..., j, c] * dots[face.idx[c]] for c in range(k))
+                for j in range(k)]
+        alpha = sum(lam0)
+        mu = _solve_power_root(1.0, face.beta * coef, alpha, r)
+        shift = (alpha - mu) / face.beta
+        lam = [l0 - shift * face.ainv1[..., j] for j, l0 in enumerate(lam0)]
+        m_f = sum(lam)
+        w_f = sum(lam_j[..., None] * faces.vels[i] for lam_j, i in zip(lam, face.idx))
+        obj = 0.5 * ((m_f - m_bar) ** 2 + np.sum((w_f - w_bar) ** 2, axis=-1)) \
+            + coef * np.maximum(m_f, 0.0) ** q / q
+        take = (alpha > 0) & (obj < best)
+        for lam_j in lam:
+            take &= lam_j >= 0
+        best = np.where(take, obj, best)
+        m = np.where(take, m_f, m)
+        w = np.where(take[..., None], w_f, w)
+    return m, w
 
 
 def interp_space_reference(slice_values, x, nx):

@@ -94,3 +94,16 @@ def test_traced_certify_of_a_nodal_bundle(tmp_path):
     assert metrics["certify.checks_run"] == 7
     assert metrics["certify.subsolution_s"] > 0
     assert all(math.isfinite(x) for x in metrics.values())
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]])
+def test_benchmark_workload_passes_its_gate(name, tmp_path):
+    """Each workload the benchmark lists, built at seed 0 and run once as
+    the benchmark runs it: its gate finds no error.  This runs the calls
+    ``perfbench/workloads.py`` makes (``solve_continuity``,
+    ``sample_trajectories``, ``continuity_residual_rows``, ``duality_gap``
+    and the CLI commands) with their current signatures."""
+    workload = _load("workloads").WORKLOADS[name](0, tmp_path)
+    assert workload.gate(workload.run()) == []
+    assert all(math.isfinite(x) for x in workload.bundle().values())

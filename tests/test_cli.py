@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 import frontsteer
-from frontsteer.cli import DEFAULT_CONFIG, load_config, main
+from frontsteer.cli import DEFAULT_CONFIG, build_solver_config, load_config, main
 from frontsteer.grid import ScalarField, TorusGrid, VecField, read_field, write_field
 from frontsteer.hj import counterexample_instance
-from frontsteer.transport import split_by_sign
+from frontsteer.pdopt import SolverConfig
 
 
 def write_config(path, **overrides):
@@ -472,11 +473,10 @@ class TestCertifyCommand:
         shape = (grid.nt, *grid.nx)
         m = rng.random(shape) * (rng.random(shape) > 0.2)
         w = VecField(grid, 2.0 * rng.standard_normal((*shape, 2)) * m[..., None])
-        split = split_by_sign(w.values)
         fields = {"u": ScalarField(grid, rng.standard_normal(shape)),
                   "f": ScalarField(grid, rng.random(shape)), "m": ScalarField(grid, m),
-                  "w": w, "w_plus": VecField(grid, split[..., :2]),
-                  "w_minus": VecField(grid, split[..., 2:])}
+                  "w": w, "w_plus": VecField(grid, np.maximum(w.values, 0.0)),
+                  "w_minus": VecField(grid, np.minimum(w.values, 0.0))}
         results = []
         for kind, names in (("nodal", "ufmw"), ("pair", list(fields))):
             bundle = tmp_path / kind
@@ -756,6 +756,18 @@ class TestManifestConfig:
         assert json.loads((runs["flag"] / "manifest.json").read_text())["config"]["seed"] == 7
         assert (runs["flag"] / "certificates.json").read_bytes() \
             == (runs["config"] / "certificates.json").read_bytes()
+
+
+def test_solver_table_is_the_solver_config_defaults():
+    # one default per knob: the table's solver section, key by key, is
+    # SolverConfig's, and a config without one builds SolverConfig()
+    defaults = SolverConfig()
+    table = DEFAULT_CONFIG["solver"]
+    assert list(table) == [f.name for f in dataclasses.fields(SolverConfig)]
+    for key, value in table.items():
+        assert value == getattr(defaults, key) and type(value) is type(getattr(defaults, key))
+    assert table["tol_cont"] == 1e-4
+    assert build_solver_config(load_config(None)) == defaults
 
 
 def test_readme_config_is_the_default(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -20,6 +22,29 @@ class TestTorusGrid:
         assert g.dx == (0.1, 0.05)
         assert g.dt == pytest.approx(0.2)
         assert g.n_space == 200
+
+    @pytest.mark.parametrize("dim,nx,nt,horizon", [(1, (64,), 65, 1.0), (2, (6, 10), 9, 0.7)])
+    def test_derived_values_are_their_formulas_computed_once(self, dim, nx, nt, horizon):
+        g = TorusGrid(dim, nx, nt, horizon)
+        assert g.dt == horizon / (nt - 1)
+        assert g.dx == tuple(1.0 / n for n in nx)
+        assert g.n_space == int(np.prod(nx)) and type(g.n_space) is int
+        assert g.cell_volume == float(np.prod(g.dx)) and type(g.cell_volume) is float
+        # cached on first read: every later read gives the same object
+        for name in ("dt", "dx", "n_space", "cell_volume"):
+            assert getattr(g, name) is getattr(g, name)
+
+    def test_equality_and_hashing_ignore_the_cached_values(self):
+        read, fresh = TorusGrid(2, (6, 10), 9, 0.7), TorusGrid(2, (6, 10), 9, 0.7)
+        before = hash(read)
+        _ = read.dt, read.dx, read.n_space, read.cell_volume
+        assert read == fresh and hash(read) == hash(fresh) == before
+        assert hash(read) == hash((2, (6, 10), 9, 0.7))
+        assert {fresh: 1}[read] == 1
+        assert read != TorusGrid(2, (6, 10), 17, 0.7)
+        assert [f.name for f in dataclasses.fields(TorusGrid)] == ["dim", "nx", "nt", "horizon"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.nt = 17
 
     @pytest.mark.parametrize("bad", [
         dict(dim=3, nx=(8, 8, 8), nt=5, horizon=1.0),

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from conftest import power_root_reference, prox_coned_reference, sqrt_root_masked, traced_peak
+from conftest import (cone_faces_reference, hull_prox_reference, power_root_reference,
+                      prox_coned_reference, split_by_sign_reference, sqrt_root_masked,
+                      traced_peak)
 from frontsteer.errors import ParameterError
 from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
                               _component_norm, _solve_power_root, _solve_sqrt_root, cost, cost_conj, cost_deriv_conj,
                               prox_cost_conj, prox_cost_conj_coned, prox_cost_conj_hull)
+from frontsteer.transport import split_by_sign
 
 
 def square_speed():
@@ -59,19 +62,49 @@ class TestComponentNorm:
         assert peak <= 2 * x[..., 0].nbytes + 4096
 
 
+def components(x):
+    """Nodal vectors (..., dim) as the component-major (dim, ...) arrays of
+    ``one_sided``."""
+    return np.moveaxis(x, -1, 0)
+
+
+def components_last(x):
+    """Component-major arrays (n, ...) as nodal vectors (..., n)."""
+    return np.moveaxis(x, 0, -1)
+
+
+def hamiltonian(speed, grid, p):
+    """H(x, p) of nodal covectors p, shape (..., *nx, dim): the split
+    Hamiltonian at equal one-sided differences p, which is H exactly for
+    both speeds (max(-p, 0)^2 + max(p, 0)^2 = p^2, v+.p + v-.p = v.p)."""
+    pc = components(p)
+    return speed.split_hamiltonian(grid, pc, pc)
+
+
+def hamiltonian_reference(speed, grid, p):
+    """The nodal Hamiltonian in closed form, c(x)|p| for balls and
+    max_i -v_i(x).p for finite sets, on nodal covectors p."""
+    if isinstance(speed, IsotropicSpeed):
+        return speed.radius_nodes(grid.nx) * np.linalg.norm(p, axis=-1)
+    return np.max(np.einsum("m...d,...d->m...", speed._node_velocities(grid), -p), axis=0)
+
+
 class TestHamiltonian:
+    """H(x, p) = sup over v in c(x,A) of -v.p, as ``split_hamiltonian(grid,
+    p, p)``."""
+
     def test_unit_ball_norm(self):
         s = IsotropicSpeed(2, 1.0)
-        np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [3.0, 4.0])), 5.0,
+        np.testing.assert_allclose(hamiltonian(s, GRID_2D, nodes(GRID_2D, [3.0, 4.0])), 5.0,
                                    rtol=1e-15)
 
     def test_zero_covector(self):
         zero = nodes(GRID_2D, [0.0, 0.0])
-        assert np.all(IsotropicSpeed(2, 1.7).hamiltonian(GRID_2D, zero) == 0.0)
-        assert np.all(square_speed().hamiltonian(GRID_2D, zero) == 0.0)
+        assert np.all(hamiltonian(IsotropicSpeed(2, 1.7), GRID_2D, zero) == 0.0)
+        assert np.all(hamiltonian(square_speed(), GRID_2D, zero) == 0.0)
 
     def test_radius_scaling(self):
-        h = IsotropicSpeed(2, 2.0).hamiltonian(GRID_2D, nodes(GRID_2D, [-1.0, 0.0]))
+        h = hamiltonian(IsotropicSpeed(2, 2.0), GRID_2D, nodes(GRID_2D, [-1.0, 0.0]))
         np.testing.assert_allclose(h, 2.0, rtol=1e-15)
 
     def test_homogeneous_and_subadditive(self):
@@ -80,10 +113,10 @@ class TestHamiltonian:
         shape = (50, *GRID_2D.nx, 2)            # 50 covectors per node
         p1, p2 = rng.standard_normal(shape), rng.standard_normal(shape)
         lam = 3 * rng.random((50, 1, 1))
-        h1, h2 = s.hamiltonian(GRID_2D, p1), s.hamiltonian(GRID_2D, p2)
-        np.testing.assert_allclose(s.hamiltonian(GRID_2D, lam[..., None] * p1), lam * h1,
+        h1, h2 = hamiltonian(s, GRID_2D, p1), hamiltonian(s, GRID_2D, p2)
+        np.testing.assert_allclose(hamiltonian(s, GRID_2D, lam[..., None] * p1), lam * h1,
                                    rtol=0, atol=1e-12)
-        assert np.all(s.hamiltonian(GRID_2D, p1 + p2) <= h1 + h2 + 1e-12)
+        assert np.all(hamiltonian(s, GRID_2D, p1 + p2) <= h1 + h2 + 1e-12)
 
     def test_bounds_and_lipschitz_variable_radius(self):
         nx = 32
@@ -98,7 +131,7 @@ class TestHamiltonian:
         for _ in range(100):
             i, j = rng.integers(0, nx, 2)
             p = rng.standard_normal(1)
-            h = s.hamiltonian(grid, nodes(grid, p))
+            h = hamiltonian(s, grid, nodes(grid, p))
             hx, hy = h[i], h[j]
             assert s.c0 * abs(p[0]) - 1e-12 <= hx <= s.c1 * abs(p[0]) + 1e-12
             # geodesic torus distance via the node chain
@@ -108,14 +141,19 @@ class TestHamiltonian:
     def test_finite_controls_vertices(self):
         s = square_speed()
         # support in direction -p is attained at a hull vertex exactly
-        np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [1.0, 0.0])), 0.9)
-        np.testing.assert_allclose(s.hamiltonian(GRID_2D, nodes(GRID_2D, [1.0, 1.0])), 0.9)
+        np.testing.assert_allclose(hamiltonian(s, GRID_2D, nodes(GRID_2D, [1.0, 0.0])), 0.9)
+        np.testing.assert_allclose(hamiltonian(s, GRID_2D, nodes(GRID_2D, [1.0, 1.0])), 0.9)
 
-
-def components(x):
-    """Nodal vectors (..., dim) as the component-major (dim, ...) arrays of
-    ``one_sided``."""
-    return np.moveaxis(x, -1, 0)
+    @pytest.mark.parametrize("speed", [IsotropicSpeed(2, 0.9), square_speed(), xdep_speed(),
+                                       IsotropicSpeed(1, 0.7), "triple"])
+    def test_equal_differences_give_the_closed_form_bits(self, speed):
+        if speed == "triple":
+            speed = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9], [0.3]), c0=0.9, c1=0.9)
+        grid = TorusGrid(speed.dim, (12, 10)[:speed.dim], 3, 1.0)
+        p = np.random.default_rng(4).standard_normal((20, *grid.nx, speed.dim))
+        p[0] = 0.0
+        assert hamiltonian(speed, grid, p).tobytes() == \
+            hamiltonian_reference(speed, grid, p).tobytes()
 
 
 class TestSplitHamiltonian:
@@ -139,7 +177,7 @@ class TestSplitHamiltonian:
         pc = components(p)
         h_split = speed.split_hamiltonian(grid, pc, pc)
         # equal one-sided differences: the split set contains every (v+, v-)
-        assert np.all(h_split >= speed.hamiltonian(grid, p) - 1e-12)
+        assert np.all(h_split >= hamiltonian_reference(speed, grid, p) - 1e-12)
         # nonincreasing in D+u, nondecreasing in D-u
         step = np.abs(rng.standard_normal(pc.shape))
         assert np.all(speed.split_hamiltonian(grid, pc + step, pc) <= h_split + 1e-12)
@@ -150,7 +188,7 @@ class TestSplitHamiltonian:
         grid = TorusGrid(1, (8,), 2, 1.0)
         p = np.random.default_rng(3).standard_normal((5, 8, 1))
         np.testing.assert_allclose(s.split_hamiltonian(grid, components(p), components(p)),
-                                   s.hamiltonian(grid, p), rtol=1e-15)
+                                   hamiltonian_reference(s, grid, p), rtol=1e-15)
 
     def test_finite_hull_vertices(self):
         pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
@@ -239,8 +277,11 @@ class TestProjectCone:
 
 
 def hull_project(speed, grid, m, w):
-    """Projection onto the finite-hull cone: the hull prox at zero step."""
-    return prox_cost_conj_hull(CostModel(p=3.0), speed.hull_faces(grid), m, w, step=0.0)
+    """Projection onto the finite-hull cone of nodal momenta w (components
+    last): the hull prox at zero step, which takes them component-major."""
+    pm, pw = prox_cost_conj_hull(CostModel(p=3.0), speed.hull_faces(grid), m, components(w),
+                                 step=0.0)
+    return pm, components_last(pw)
 
 
 def _brute_force_prox(gens, m_bar, w_bar, model, step):
@@ -297,15 +338,15 @@ class TestHullProx:
         model = CostModel(p=p, kappa=0.8)
         rng = np.random.default_rng(11)
         m_bar = rng.normal(0.5, 1.0, (2, *grid.nx))
-        w_bar = 0.8 * rng.standard_normal((2, *grid.nx, 2))
+        w_bar = components(0.8 * rng.standard_normal((2, *grid.nx, 2)))
         m, w = prox_cost_conj_hull(model, s.hull_faces(grid), m_bar, w_bar, step)
-        assert s.cone_violation(grid, m, w) <= 1e-12
-        objective = 0.5 * ((m - m_bar) ** 2 + np.sum((w - w_bar) ** 2, axis=-1)) \
+        assert s.cone_violation(grid, m, components_last(w)) <= 1e-12
+        objective = 0.5 * ((m - m_bar) ** 2 + np.sum((w - w_bar) ** 2, axis=0)) \
             + step * cost_conj(model, m)
         gens = np.concatenate([np.ones((4, *grid.nx, 1)), s._node_velocities(grid)], axis=-1)
         for idx in list(np.ndindex(m.shape))[::stride]:
             best = _brute_force_prox(gens[(slice(None), *idx[1:])], m_bar[idx],
-                                     w_bar[idx], model, step)
+                                     w_bar[(slice(None), *idx)], model, step)
             assert objective[idx] <= best + 1e-10
             assert best <= objective[idx] + 1e-9          # the brute force converged
 
@@ -336,7 +377,7 @@ class TestHullProx:
         model = CostModel(p=3.0)
         rng = np.random.default_rng(14)
         m_bar = rng.normal(0.3, 1.0, (20, *GRID_2D.nx))
-        w_bar = rng.standard_normal((20, *GRID_2D.nx, 2))
+        w_bar = components(rng.standard_normal((20, *GRID_2D.nx, 2)))
         for step in (0.0, 0.3):
             m, w = prox_cost_conj_hull(model, padded.hull_faces(GRID_2D), m_bar, w_bar, step)
             m_sq, w_sq = prox_cost_conj_hull(model, square_speed().hull_faces(GRID_2D),
@@ -356,17 +397,18 @@ class TestHullProx:
         model = CostModel(p=4.0, kappa=0.8)
         rng = np.random.default_rng(15)
         m_bar = rng.normal(0.5, 1.0, (2, *grid.nx))
-        w_bar = 0.8 * rng.standard_normal((2, *grid.nx, n))
+        w_bar = components(0.8 * rng.standard_normal((2, *grid.nx, n)))
         faces = s.split_hull_faces(grid)
-        assert faces.vels.shape == (len(s.velocities), *grid.nx, n)
+        assert faces.vels.shape == (n, len(s.velocities), *grid.nx)
         m, w = prox_cost_conj_hull(model, faces, m_bar, w_bar, step)
-        assert np.all(w[..., :grid.dim] >= 0.0) and np.all(w[..., grid.dim:] <= 0.0)
-        objective = 0.5 * ((m - m_bar) ** 2 + np.sum((w - w_bar) ** 2, axis=-1)) \
+        assert np.all(w[:grid.dim] >= 0.0) and np.all(w[grid.dim:] <= 0.0)
+        objective = 0.5 * ((m - m_bar) ** 2 + np.sum((w - w_bar) ** 2, axis=0)) \
             + step * cost_conj(model, m)
-        gens = np.concatenate([np.ones((len(s.velocities), *grid.nx, 1)), faces.vels], axis=-1)
+        gens = np.concatenate([np.ones((len(s.velocities), *grid.nx, 1)),
+                               components_last(faces.vels)], axis=-1)
         for idx in np.ndindex(m.shape):
             best = _brute_force_prox(gens[(slice(None), *idx[1:])], m_bar[idx],
-                                     w_bar[idx], model, step)
+                                     w_bar[(slice(None), *idx)], model, step)
             assert objective[idx] <= best + 1e-10
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
@@ -376,13 +418,12 @@ class TestHullProx:
         model = CostModel(p=p, kappa=1.3)
         rng = np.random.default_rng(13)
         m_bar = rng.normal(0.2, 1.0, (50, 16))
-        w_bar = rng.standard_normal((50, 16, 1))
+        w_bar = components(rng.standard_normal((50, 16, 1)))
         for step in (0.0, 0.05, 2.0):
             m, w = prox_cost_conj_hull(model, pair.hull_faces(grid), m_bar, w_bar, step)
-            m_iso, w_iso = prox_cost_conj_coned(model, np.full(16, 0.9), m_bar,
-                                                components(w_bar), step)
+            m_iso, w_iso = prox_cost_conj_coned(model, np.full(16, 0.9), m_bar, w_bar, step)
             np.testing.assert_allclose(m, m_iso, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(components(w), w_iso, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w, w_iso, rtol=0, atol=1e-12)
 
 
 class TestConedProxInPlace:
@@ -414,8 +455,8 @@ class TestSplitProject:
 
     def _momenta(self, rng, grid):
         m = rng.random((3, *grid.nx)) * (rng.random((3, *grid.nx)) > 0.2)
-        w = 2.0 * np.abs(rng.standard_normal((3, *grid.nx, 2 * grid.dim)))
-        w[..., grid.dim:] *= -1.0
+        w = components(2.0 * np.abs(rng.standard_normal((3, *grid.nx, 2 * grid.dim))))
+        w[grid.dim:] *= -1.0
         return m, w
 
     @pytest.mark.parametrize("radius", [0.8, "table"])
@@ -427,25 +468,25 @@ class TestSplitProject:
         cap = s.radius_nodes(GRID_2D.nx)
         m, w = self._momenta(rng, GRID_2D)
         p = s.split_project(GRID_2D, m, w)
-        assert np.all(p[..., :2] >= 0.0) and np.all(p[..., 2:] <= 0.0)
-        assert np.all(np.linalg.norm(p, axis=-1) <= cap * m * (1.0 + 1e-12))
+        assert np.all(p[:2] >= 0.0) and np.all(p[2:] <= 0.0)
+        assert np.all(np.linalg.norm(p, axis=0) <= cap * m * (1.0 + 1e-12))
         assert np.any(p != w)
         assert np.array_equal(s.split_project(GRID_2D, m, p), p)
         # the variational inequality of a projection onto a convex set
         for _ in range(20):
-            z = np.abs(rng.standard_normal(w.shape))
-            z[..., 2:] *= -1.0
-            z *= (cap * m * rng.random(m.shape) / np.linalg.norm(z, axis=-1))[..., None]
-            assert np.max(np.sum((w - p) * (z - p), axis=-1)) <= 1e-12
+            z = components(np.abs(rng.standard_normal(components_last(w).shape)))
+            z[2:] *= -1.0
+            z *= cap * m * rng.random(m.shape) / np.linalg.norm(z, axis=0)
+            assert np.max(np.sum((w - p) * (z - p), axis=0)) <= 1e-12
 
     def test_ball_leaves_admissible_momenta_alone(self):
         # round-off above the sphere, as the prox leaves it, is not moved
         rng = np.random.default_rng(22)
         s = IsotropicSpeed(2, 0.8)
         m = rng.random((3, *GRID_2D.nx))
-        w = np.abs(rng.standard_normal((3, *GRID_2D.nx, 4)))
-        w[..., 2:] *= -1.0
-        w *= (0.8 * m * (1.0 + 1e-14) / np.linalg.norm(w, axis=-1))[..., None]
+        w = components(np.abs(rng.standard_normal((3, *GRID_2D.nx, 4))))
+        w[2:] *= -1.0
+        w *= 0.8 * m * (1.0 + 1e-14) / np.linalg.norm(w, axis=0)
         assert np.array_equal(s.split_project(GRID_2D, m, w), w)
 
     @pytest.mark.parametrize("speed", [square_speed, xdep_speed])
@@ -455,7 +496,7 @@ class TestSplitProject:
         faces = s.split_hull_faces(GRID_2D)
         m, w = self._momenta(rng, GRID_2D)
         p = s.split_project(GRID_2D, m, w)
-        assert np.all(p[m == 0] == 0.0) and np.any(np.abs(p - w) > 1e-3)
+        assert np.all(p[:, m == 0] == 0.0) and np.any(np.abs(p - w) > 1e-3)
         # (m, p) lies in the split cone: its projection onto it is itself
         pm, pw = prox_cost_conj_hull(CostModel(p=3.0), faces, m, p, 0.0)
         np.testing.assert_allclose(pm, m, rtol=0, atol=1e-12)
@@ -463,9 +504,115 @@ class TestSplitProject:
         # momenta already in the set stay where they are
         lam = rng.random((len(s.velocities), *m.shape))
         lam /= np.sum(lam, axis=0)
-        inside = m[..., None] * np.einsum("i...,i...d->...d", lam, faces.vels)
+        inside = m * np.einsum("i...,di...->d...", lam, faces.vels)
         np.testing.assert_allclose(s.split_project(GRID_2D, m, inside), inside,
                                    rtol=0, atol=1e-12)
+
+
+def _layout_hull(case):
+    """A grid and finite speed for the layout tests: 1D and 2D, with and
+    without rest, one with x-dependent maps."""
+    if case == "pair 1d":
+        return TorusGrid(1, (6,), 3, 1.0), FiniteControlsSpeed(
+            1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+    if case == "triple 1d":
+        return TorusGrid(1, (6,), 3, 1.0), FiniteControlsSpeed(
+            1, constant_maps([0.9], [-0.5], [0.0]), c0=0.5, c1=0.9)
+    if case == "square 2d":
+        return GRID_2D, square_speed()
+    if case == "resting square 2d":
+        return GRID_2D, FiniteControlsSpeed(2, constant_maps(
+            [0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9], [0.0, 0.0]), c0=0.6, c1=0.9)
+    return TorusGrid(2, (6, 5), 3, 1.0), xdep_speed()
+
+
+LAYOUT_HULLS = ["pair 1d", "triple 1d", "square 2d", "resting square 2d", "xdep 2d"]
+
+
+class TestComponentMajorHull:
+    """The hull faces, the hull prox, ``split_project`` and the finite split
+    Hamiltonian take component-major momenta and give the bits of their
+    components-last forms (einsum over the last axis)."""
+
+    @pytest.mark.parametrize("case", LAYOUT_HULLS)
+    def test_faces_give_the_components_last_bits(self, case):
+        grid, s = _layout_hull(case)
+        nodal = s._node_velocities(grid)
+        for got, ref in ((s.hull_faces(grid), cone_faces_reference(nodal)),
+                         (s.split_hull_faces(grid),
+                          cone_faces_reference(split_by_sign_reference(nodal)))):
+            assert got.vels.tobytes() == np.ascontiguousarray(components(ref.vels)).tobytes()
+            assert len(got.faces) == len(ref.faces)
+            for face, ref_face in zip(got.faces, ref.faces):
+                assert face.idx == ref_face.idx
+                for name in ("ainv", "ainv1", "beta"):
+                    assert getattr(face, name).tobytes() == getattr(ref_face, name).tobytes()
+
+    @pytest.mark.parametrize("case", LAYOUT_HULLS)
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_prox_gives_the_components_last_bits(self, case, split, p):
+        grid, s = _layout_hull(case)
+        nodal = s._node_velocities(grid)
+        if split:
+            faces, ref_faces = s.split_hull_faces(grid), \
+                cone_faces_reference(split_by_sign_reference(nodal))
+        else:
+            faces, ref_faces = s.hull_faces(grid), cone_faces_reference(nodal)
+        n = faces.vels.shape[0]
+        model = CostModel(p=p, kappa=0.8)
+        rng = np.random.default_rng(43)
+        m_bar = rng.normal(0.3, 1.0, (4, *grid.nx))
+        w_bar = rng.standard_normal((4, *grid.nx, n))
+        # signed zeros, which an einsum sums to +0
+        m_bar[0] = -0.0
+        w_bar[0] = -0.0
+        w_bar[1, ..., 0] = -0.0
+        w_cm = np.ascontiguousarray(components(w_bar))
+        for step in (0.0, 0.4):
+            coef = step * model.kappa ** (1.0 - model.q)
+            ref_m, ref_w = hull_prox_reference(ref_faces, m_bar, w_bar, coef, model.q - 1.0)
+            ref_w = np.ascontiguousarray(components(ref_w))
+            m, w = prox_cost_conj_hull(model, faces, m_bar, w_cm, step)
+            assert m.tobytes() == ref_m.tobytes() and w.tobytes() == ref_w.tobytes()
+            # written into the state, its density over m_bar itself
+            out = (m_bar.copy(), np.full_like(w_cm, np.nan))
+            got = prox_cost_conj_hull(model, faces, out[0], w_cm, step, out=out)
+            assert got[0] is out[0] and got[1] is out[1]
+            assert out[0].tobytes() == ref_m.tobytes() and out[1].tobytes() == ref_w.tobytes()
+
+    @pytest.mark.parametrize("speed", ["ball 1d", "ball table 2d", *LAYOUT_HULLS])
+    def test_split_project_gives_the_components_last_bits(self, speed):
+        rng = np.random.default_rng(44)
+        if speed == "ball 1d":
+            grid, s = TorusGrid(1, (6,), 3, 1.0), IsotropicSpeed(1, 0.8)
+        elif speed == "ball table 2d":
+            grid, s = GRID_2D, IsotropicSpeed(2, 0.5 + rng.random(GRID_2D.nx))
+        else:
+            grid, s = _layout_hull(speed)
+        m = rng.random((3, *grid.nx)) * (rng.random((3, *grid.nx)) > 0.2)
+        w = split_by_sign_reference(2.0 * rng.standard_normal((3, *grid.nx, grid.dim)))
+        if isinstance(s, IsotropicSpeed):
+            cap = s.radius_nodes(grid.nx) * m
+            norm = _component_norm(w)
+            scale = np.divide(cap, norm, out=np.ones_like(norm), where=norm > cap * (1.0 + 1e-12))
+            ref = w * scale[..., None]
+        else:
+            faces = cone_faces_reference(split_by_sign_reference(s._node_velocities(grid)))
+            pm, pw = hull_prox_reference(faces, m, w, 0.0, 0.5)
+            ref = pw * np.divide(m, pm, out=np.zeros_like(pm), where=pm > 0)[..., None]
+        got = s.split_project(grid, m, split_by_sign((w[..., :grid.dim], w[..., grid.dim:])))
+        assert got.tobytes() == np.ascontiguousarray(components(ref)).tobytes()
+
+    @pytest.mark.parametrize("case", LAYOUT_HULLS)
+    def test_split_hamiltonian_gives_the_components_last_bits(self, case):
+        grid, s = _layout_hull(case)
+        rng = np.random.default_rng(45)
+        fwd, bwd = (rng.standard_normal((grid.dim, 3, *grid.nx)) for _ in range(2))
+        p = np.ascontiguousarray(components_last(np.concatenate([fwd, bwd])))
+        vels = split_by_sign_reference(s._node_velocities(grid))
+        ref = np.max(np.einsum("m...d,...d->m...", vels, -p), axis=0)
+        assert s.split_hamiltonian(grid, fwd, bwd).tobytes() == ref.tobytes()
 
 
 class TestCostFamily:

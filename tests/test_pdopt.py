@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (closed_form_uniform_bundle, make_gauss_problem, make_uniform_problem,
-                      prox_coned_reference)
+from conftest import (closed_form_uniform_bundle, cone_faces_reference, hull_prox_reference,
+                      make_gauss_problem, make_uniform_problem, prox_coned_reference,
+                      split_by_sign_reference)
 from frontsteer import pdopt
 from frontsteer.certify import _lip_space
 from frontsteer.errors import NumericError, ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.hj import solve_value_function
-from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed, cost,
-                              cost_conj, prox_cost_conj_hull)
+from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed, cost, cost_conj
 from frontsteer.pdopt import (ProblemInstance, SolverConfig, certificate, _certificate,
                               _gram_solver, _rows, _rows_adjoint, _split_velocity,
                               continuity_residual_rows, evaluate_A, evaluate_B,
@@ -37,6 +37,12 @@ def _components(w):
     """Split momenta or velocities (..., 2*dim), components last as a bundle
     stores them, as the component-major (2*dim, ...) arrays of the solver."""
     return np.moveaxis(w, -1, 0)
+
+
+def _components_last(w):
+    """Component-major split momenta (2*dim, ...) as a bundle stores them,
+    components last."""
+    return np.moveaxis(w, 0, -1)
 
 
 def _gauss_problem(n):
@@ -142,10 +148,11 @@ class TestOperators:
         rng = np.random.default_rng(11)
         wp = np.abs(rng.standard_normal((3, *nx, dim)))
         wm = -np.abs(rng.standard_normal((3, *nx, dim)))
-        assert split_divergence(_components(wp), _components(wm), grid).tobytes() \
+        cp, cm = (np.ascontiguousarray(_components(x)) for x in (wp, wm))
+        assert split_divergence(cp, cm, grid).tobytes() \
             == _roll_split_divergence(wp, wm, grid).tobytes()
         # no leading axes, as in one transport level
-        assert split_divergence(_components(wp[0]), _components(wm[0]), grid).tobytes() \
+        assert split_divergence(cp[:, 0].copy(), cm[:, 0].copy(), grid).tobytes() \
             == _roll_split_divergence(wp[0], wm[0], grid).tobytes()
 
     @pytest.mark.parametrize("dim,nx", [(1, (5,)), (2, (6, 7))])
@@ -198,16 +205,21 @@ def _halves(w):
     return w[..., :d], w[..., d:]
 
 
+def _split_project(problem, m, w):
+    """Split momenta w (..., 2*dim), components last, sign-clipped and moved
+    into m times the split set by ``split_project``, components last."""
+    clipped = split_by_sign(_halves(w))
+    return _components_last(problem.speed.split_project(problem.grid, m, clipped))
+
+
 def certificate_reference(problem, u, m, w, details, project):
     """The whole-array certificate on split momenta w, shape (nt - 1, *nx,
     2*dim), kept as the bitwise reference of the blocked ``_certificate``
     (``project``: of ``certificate``)."""
     grid = problem.grid
-    d = grid.dim
     vol = grid.cell_volume
     if project:
-        w_in = problem.speed.split_project(grid, m[:-1], np.concatenate(
-            [np.maximum(w[..., :d], 0.0), np.minimum(w[..., d:], 0.0)], axis=-1))
+        w_in = _split_project(problem, m[:-1], w)
         details["max_split_excess"] = float(np.max(np.abs(w_in - w)))
         w = w_in
     u = np.array(u, dtype=float)
@@ -360,7 +372,7 @@ class TestCertificate:
         v = rng.uniform(-0.5, 0.5, (5, 6, 7, 2)) / 7 / grid.dt
         m0 = rng.random((6, 7))
         split = np.concatenate([np.maximum(v[:-1], 0), np.minimum(v[:-1], 0)], axis=-1)
-        assert split_by_sign(v[:-1]).tobytes() == split.tobytes()
+        assert split_by_sign(v[:-1]).tobytes() == np.ascontiguousarray(_components(split)).tobytes()
         assert march_split(m0, _components(split), grid).tobytes() \
             == solve_continuity(m0, VecField(grid, v)).values.tobytes()
 
@@ -378,8 +390,7 @@ class TestBlockedCertificate:
         grid = prob.grid
         d = grid.dim
         if not project:                      # _certificate takes momenta in the split set
-            w = prob.speed.split_project(grid, m[:-1], np.concatenate(
-                [np.maximum(w[..., :d], 0.0), np.minimum(w[..., d:], 0.0)], axis=-1))
+            w = _split_project(prob, m[:-1], w)
         expected = {}
         ref = certificate_reference(prob, u, m, w, expected, project)
         monkeypatch.setattr(pdopt, "_BLOCK_BYTES", levels * grid.n_space * 2 * d * 8)
@@ -412,7 +423,8 @@ class TestBlockedCertificate:
         d = grid.dim
         nodal = w[..., :d] + w[..., d:]                  # both signs on every axis
         expected = {}
-        ref = certificate_reference(prob, u, m, split_by_sign(nodal), expected, True)
+        ref = certificate_reference(prob, u, m, _components_last(split_by_sign(nodal)),
+                                    expected, True)
         monkeypatch.setattr(pdopt, "_BLOCK_BYTES", levels * grid.n_space * 2 * d * 8)
         if levels == 1:
             # nt levels, as a bundle stores them: the last one is never read
@@ -787,6 +799,10 @@ def cp_reference(problem, iters, tau=16.0, sigma=0.06):
     dim = grid.dim
     iso = isinstance(problem.speed, IsotropicSpeed)
     cone = problem.speed.split_cone(grid)
+    if not iso:                      # the split maps components last
+        cone = cone_faces_reference(
+            split_by_sign_reference(problem.speed._node_velocities(grid)))
+        coef = tau * grid.dt * problem.cost.kappa ** (1.0 - problem.cost.q)
     gram_solve = _gram_reference(grid)
     m = np.full((grid.nt, *grid.nx), problem.mass)
     w = np.zeros((grid.nt - 1, *grid.nx, 2 * dim))
@@ -807,7 +823,7 @@ def cp_reference(problem, iters, tau=16.0, sigma=0.06):
             m[:-1], w = prox_coned_reference(problem.cost, cone, m[:-1], w_half,
                                               tau * grid.dt)
         else:
-            m[:-1], w = prox_cost_conj_hull(problem.cost, cone, m[:-1], w_half, tau * grid.dt)
+            m[:-1], w = hull_prox_reference(cone, m[:-1], w_half, coef, problem.cost.q - 1.0)
         r_prev, r = r, _rows_reference(m, w, problem.m0, grid)
         r_bar = r + (r - r_prev)
         cont = float(np.sqrt(np.sum((r / grid.dt) * (r / grid.dt))

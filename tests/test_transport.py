@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import (split_by_sign_reference, traced_peak,
+                      upwind_directional_derivative_reference)
 from frontsteer.errors import ParameterError
 from frontsteer.grid import ScalarField, TorusGrid, VecField
 from frontsteer.transport import (TrajectoryEnsemble, one_sided, pushforward_distance,
@@ -80,7 +81,7 @@ class TestSolveContinuity:
         rng = np.random.default_rng(21)
         m = rng.random(nx) * (rng.random(nx) > 0.2)
         v = rng.standard_normal((*nx, dim)) * (rng.random((*nx, dim)) > 0.2)
-        wk = np.moveaxis(m[..., None] * split_by_sign(v), -1, 0)      # component-major
+        wk = m * split_by_sign(v)                                     # component-major
         expected = split_divergence(wk[:dim], wk[dim:], grid)
         # the donor-cell stencil written out per axis
         ref = np.zeros(nx)
@@ -169,13 +170,44 @@ class TestUpwindPairing:
             phi = rng.standard_normal((*lead, *nx))
             m = rng.random((*lead, *nx))
             v = split_by_sign(rng.uniform(-1.0, 1.0, (*lead, *nx, dim)))
-            mv = np.moveaxis(m[..., None] * v, -1, 0)                 # component-major
+            mv = m * v                                                # component-major
             div = split_divergence(mv[:dim], mv[dim:], grid)
             pairing = upwind_directional_derivative(*one_sided(phi, grid), v)
             assert pairing.shape == phi.shape
             scale = np.max(np.abs(phi)) * np.max(m) * phi.size
             assert np.sum(phi * div) == pytest.approx(-np.sum(m * pairing),
                                                        abs=1e-12 * scale)
+
+
+class TestComponentMajorSplit:
+    """``split_by_sign`` writes the component-major split of nodal fields
+    and stored pairs, and ``upwind_directional_derivative`` reads it; both
+    give the bits of their components-last forms."""
+
+    @pytest.mark.parametrize("nx", [(24,), (8, 10)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_split_by_sign_gives_the_components_last_bits(self, nx, lead):
+        rng = np.random.default_rng(41)
+        shape = (*lead, *nx, len(nx))
+        w, w_minus = (rng.standard_normal(shape) * (rng.random(shape) > 0.2) for _ in range(2))
+        w[rng.random(shape) < 0.1] = -0.0
+        for given in (w, (w, w_minus)):
+            ref = np.ascontiguousarray(np.moveaxis(split_by_sign_reference(given), -1, 0))
+            assert split_by_sign(given).tobytes() == ref.tobytes()
+            out = np.full((2 * len(nx), *lead, *nx), np.nan)
+            assert split_by_sign(given, out=out) is out and out.tobytes() == ref.tobytes()
+        # a nodal w is the pair (w, w)
+        assert split_by_sign(w).tobytes() == split_by_sign((w, w)).tobytes()
+
+    @pytest.mark.parametrize("nx", [(24,), (8, 10)])
+    def test_upwind_pairing_gives_the_components_last_bits(self, nx):
+        grid = TorusGrid(len(nx), nx, 4, 1.0)
+        rng = np.random.default_rng(42)
+        for lead in ((), (3,)):
+            diffs = one_sided(rng.standard_normal((*lead, *nx)), grid)
+            v = split_by_sign_reference(rng.standard_normal((*lead, *nx, grid.dim)))
+            got = upwind_directional_derivative(*diffs, np.ascontiguousarray(np.moveaxis(v, -1, 0)))
+            assert got.tobytes() == upwind_directional_derivative_reference(*diffs, v).tobytes()
 
 
 class TestSampleTrajectories:
