@@ -13,6 +13,11 @@ Space differences are ``transport.one_sided``, the adjoint of the split
 divergence that ``pdopt`` and the transport solver march with, paired with
 split velocities by ``transport.upwind_directional_derivative``.
 
+``check_subsolution`` streams its sampled test pairs, each drawn as its
+Fourier modes and summed one block of time levels at a time, on the block
+rule of the certificate (``pdopt._BLOCK_BYTES``): no check holds a whole
+sampled field, and no bit depends on the block size.
+
 ``battery`` runs all seven checks for ``optimize`` and ``certify``.  Its gap
 is the certificate ``optimize`` stops on (``pdopt.certificate``) on the
 bundle's u and split momenta, or on a nodal w as its sign split, which the
@@ -37,10 +42,6 @@ from .pdopt import ProblemInstance
 from .grid import interp_space
 from .pdopt import continuity_residual_rows, evaluate_A, evaluate_B, subsolution_residual
 from .transport import one_sided, split_by_sign, upwind_directional_derivative
-
-# a block of levels of check_subsolution holds at most this many bytes of
-# split velocities: 32 levels of a 1D run at 64 points, 4 at 16^2, one at 64^2
-_BLOCK_BYTES = 1 << 15
 
 __all__ = [
     "CertReport", "check_ibp_inequality", "check_weak_solution",
@@ -202,52 +203,108 @@ def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
 # -- subsolution inequality against sampled admissible fields -----------------
 
 
-def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -> np.ndarray:
-    """Smooth random field over space-time, O(1) amplitude.
-
-    Each mode's wave is evaluated once per distinct value of ``x @ kvec``
-    and gathered back to the nodes."""
+def _fourier_modes(rng: np.random.Generator, grid: TorusGrid,
+                   modes: int = 3) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The modes of one smooth random space-time field, in draw order: per
+    mode, its wave at each distinct value of ``x @ kvec`` over all levels,
+    (nt, distinct), and the index that gathers those values to the nodes.
+    Lattice nodes and an integer kvec repeat ``x @ kvec``, so a table is
+    much smaller than a field and one cos serves many nodes."""
     t = grid.times()[:, None]
-    out = np.zeros((grid.nt, grid.n_space))
     x = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
+    table = []
     for _ in range(modes):
         kvec = rng.integers(-3, 4, size=grid.dim)
         omega = rng.uniform(-2.0, 2.0)
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.uniform(0.3, 1.0)
-        # lattice nodes and integer kvec repeat x @ kvec: one cos per distinct value
         s, inv = np.unique(x @ kvec, return_inverse=True)
-        wave = amp * np.cos(2 * np.pi * (s + omega * t) + phase)
-        out += np.take(wave, inv, axis=1)
-    return out.reshape(grid.nt, *grid.nx)
+        table.append((amp * np.cos(2 * np.pi * (s + omega * t) + phase), inv))
+    return table
+
+
+def _modes_on(table: list, grid: TorusGrid, k0: int, k1: int) -> np.ndarray:
+    """Levels k0..k1 - 1 of the field of the mode ``table``, (k1 - k0, *nx):
+    the waves gathered to the nodes and summed in draw order, so every
+    level has the bits it has in a whole-field evaluation."""
+    out = np.zeros((k1 - k0, grid.n_space))
+    for wave, inv in table:
+        out += np.take(wave[k0:k1], inv, axis=1)
+    return out.reshape(k1 - k0, *grid.nx)
+
+
+def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -> np.ndarray:
+    """Smooth random field over space-time, O(1) amplitude: the modes of
+    ``_fourier_modes`` on all levels."""
+    return _modes_on(_fourier_modes(rng, grid, modes), grid, 0, grid.nt)
+
+
+def _admissible_nodes(speed: SpeedModel, grid: TorusGrid) -> np.ndarray:
+    """The nodal data of ``_admissible_on``: the radii of a ball, (*nx), or
+    the velocities of a hull's controls, (M, *nx, dim)."""
+    if isinstance(speed, IsotropicSpeed):
+        return speed.radius_nodes(grid.nx)
+    return speed.velocities_at(np.stack(grid.meshgrid(), axis=-1))
+
+
+def _admissible_modes(speed: SpeedModel, grid: TorusGrid,
+                      rng: np.random.Generator) -> list[list]:
+    """The mode tables of one admissible field, one per component of a ball
+    or one logit per control of a hull: the order of these RNG draws fixes
+    every seeded bundle."""
+    count = grid.dim if isinstance(speed, IsotropicSpeed) else len(speed.velocities)
+    return [_fourier_modes(rng, grid) for _ in range(count)]
+
+
+def _admissible_on(speed: SpeedModel, nodes: np.ndarray, tables: list[list],
+                   grid: TorusGrid, k0: int, k1: int) -> np.ndarray:
+    """Levels k0..k1 - 1 of the admissible field of ``tables`` on ``nodes``
+    (``_admissible_nodes``), (k1 - k0, *nx, dim): a ball's raw field scaled
+    strictly inside the radius, or a hull's controls mixed by the softmax of
+    the logits.  Every operation is per node, so a block of levels has the
+    bits of the whole field."""
+    fields = [_modes_on(table, grid, k0, k1) for table in tables]
+    if isinstance(speed, IsotropicSpeed):
+        raw = np.stack(fields, axis=-1)
+        scale = 0.98 * nodes / (1.0 + _component_norm(raw))
+        raw *= scale[..., None]
+        return raw
+    logits = np.stack(fields)
+    lam = np.exp(logits - np.max(logits, axis=0))
+    lam /= np.sum(lam, axis=0)
+    return np.einsum("mt...,m...d->t...d", lam, nodes)
 
 
 def sample_admissible_field(speed: SpeedModel, grid: TorusGrid,
                             rng: np.random.Generator) -> VecField:
-    """Smooth random velocity field with values in c(x,A) (strictly inside)."""
-    # per-variant sampling: the order of the RNG draws fixes every seeded bundle
-    if isinstance(speed, IsotropicSpeed):
-        raw = np.stack([_fourier_scalar(rng, grid) for _ in range(grid.dim)], axis=-1)
-        mag = _component_norm(raw)
-        radius = speed.radius_nodes(grid.nx)
-        scale = 0.98 * radius / (1.0 + mag)
-        return VecField(grid, raw * scale[..., None])
-    pts = np.stack(grid.meshgrid(), axis=-1)
-    vels = speed.velocities_at(pts)                     # (M, *nx, dim)
-    logits = np.stack([_fourier_scalar(rng, grid) for _ in range(len(vels))])
-    lam = np.exp(logits - np.max(logits, axis=0))
-    lam /= np.sum(lam, axis=0)
-    mix = np.einsum("mt...,m...d->t...d", lam, vels)
-    return VecField(grid, mix)
+    """Smooth random velocity field with values in c(x,A) (strictly inside):
+    the field of ``_admissible_modes`` on all levels."""
+    tables = _admissible_modes(speed, grid, rng)
+    return VecField(grid, _admissible_on(speed, _admissible_nodes(speed, grid), tables,
+                                         grid, 0, grid.nt))
 
 
-def _draw_pair(speed: SpeedModel, grid: TorusGrid, rng: np.random.Generator):
-    """One sampled test pair of ``check_subsolution``: an admissible field
-    and a smooth phi >= 0 scaled to max 1."""
-    v = sample_admissible_field(speed, grid, rng)
-    phi = _fourier_scalar(rng, grid) ** 2
-    mx = np.max(phi)
-    return v, (phi / mx if mx > 0 else phi)
+def _sampled_pair(speed: SpeedModel, nodes: np.ndarray, grid: TorusGrid,
+                  rng: np.random.Generator, step: int):
+    """One sampled test pair of ``check_subsolution`` as two functions of a
+    block of levels (k0, k1): the admissible field v~ (``_admissible_on``)
+    and phi = w^2 / max(w^2) >= 0 of a smooth field w, whose maximum over
+    all levels is taken first, ``step`` levels at a time."""
+    v_tables = _admissible_modes(speed, grid, rng)
+    w_table = _fourier_modes(rng, grid)
+    mx = max(float(np.max(np.square(_modes_on(w_table, grid, k, min(k + step, grid.nt)))))
+             for k in range(0, grid.nt, step))
+
+    def v_on(k0: int, k1: int) -> np.ndarray:
+        return _admissible_on(speed, nodes, v_tables, grid, k0, k1)
+
+    def phi_on(k0: int, k1: int) -> np.ndarray:
+        phi = np.square(_modes_on(w_table, grid, k0, k1))
+        if mx > 0:
+            phi /= mx
+        return phi
+
+    return v_on, phi_on
 
 
 def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
@@ -258,44 +315,59 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     discrete transport pairing.
 
     ``pairs`` optionally supplies explicit (VecField, phi array) test pairs
-    instead of random sampling.  Sampled pairs are streamed: each is summed
-    and dropped before the next is drawn, so memory does not grow with
-    ``trials``.  The differences of u are taken inside the sum, one block
-    of levels at a time, and paired with the block's sign split of v~ by
-    ``upwind_directional_derivative``.  A block holds at most
-    ``_BLOCK_BYTES`` of split velocities (32 levels of a 1D run at 64
-    points, one level at 64^2), so beyond the pair the check holds one
-    block's arrays.  Each level is summed on its own and added in level
-    order: the bits of a level-by-level pass."""
+    instead of random sampling.  A sampled pair is drawn as its Fourier
+    modes, in the RNG order of ``sample_admissible_field`` and then
+    ``_fourier_scalar``: v~ is the admissible field of ``_admissible_modes``
+    and phi = w^2 / max(w^2) of one more smooth field w, its maximum taken
+    in a first pass over all levels.  Pairs are streamed, each summed and
+    dropped before the next is drawn, so memory does not grow with
+    ``trials``.  The sums run over blocks of levels of at most
+    ``pdopt._BLOCK_BYTES`` of split velocities (2 levels at 64^2, one block
+    for a 1D run at 64 points): a block evaluates v~ and phi from the
+    pair's modes, takes the differences of u, and pairs them with the sign
+    split of v~ by ``upwind_directional_derivative``.  So beyond the pair's
+    mode tables the check holds one block's arrays, never a whole field.
+    Each level is summed on its own and added in level order, so the
+    report has the bits of a level-by-level pass over whole-field pairs,
+    whatever the block size."""
     grid = u.grid
     if f.grid != grid:
         raise ParameterError("fields live on different grids")
     vol = grid.cell_volume
+    step = max(1, pdopt._BLOCK_BYTES // (grid.n_space * 2 * grid.dim * 8))
 
-    step = max(1, _BLOCK_BYTES // (grid.n_space * 2 * grid.dim * 8))
-
-    def excess(v: VecField, phi: np.ndarray) -> float:
+    def excess(v_on, phi_on) -> float:
         lhs = rhs = 0.0
         for k0 in range(0, grid.nt - 1, step):
             k1 = min(k0 + step, grid.nt - 1)
             u_next = u.values[k0 + 1:k1 + 1]
+            phi = phi_on(k0, k1)
             # the differences and the sign split live only for the pairing
             dd = upwind_directional_derivative(*one_sided(u_next, grid),
-                                               split_by_sign(v.values[k0:k1]))
-            du = u_next - u.values[k0:k1]
+                                               split_by_sign(v_on(k0, k1)))
+            # phi * (du + dt * dd), in place
+            dd *= grid.dt
+            dd += u_next - u.values[k0:k1]
+            dd *= phi
             # one sum per level, each over that level's contiguous nodes
-            pairing = np.sum((phi[k0:k1] * (du + grid.dt * dd)).reshape(k1 - k0, -1), axis=1)
-            costs = np.sum((f.values[k0:k1] * phi[k0:k1]).reshape(k1 - k0, -1), axis=1)
+            pairing = np.sum(dd.reshape(k1 - k0, -1), axis=1)
+            costs = np.sum((f.values[k0:k1] * phi).reshape(k1 - k0, -1), axis=1)
             for pair_k, cost_k in zip(pairing.tolist(), costs.tolist()):
                 lhs += -vol * pair_k
                 rhs += vol * grid.dt * cost_k
         return lhs - rhs
 
-    rng = np.random.default_rng(seed)
+    if pairs is None:
+        rng = np.random.default_rng(seed)
+        nodes = _admissible_nodes(speed, grid)
     worst = (-np.inf, None)
     for trial in range(trials if pairs is None else len(pairs)):
-        # a sampled pair lives only for its own call
-        gap = excess(*(_draw_pair(speed, grid, rng) if pairs is None else pairs[trial]))
+        # a pair lives only for its own call
+        if pairs is None:
+            gap = excess(*_sampled_pair(speed, nodes, grid, rng, step))
+        else:
+            v, phi = pairs[trial]
+            gap = excess(lambda k0, k1: v.values[k0:k1], lambda k0, k1: phi[k0:k1])
         if gap > worst[0]:
             worst = (gap, trial)
     slack = 2.0 * (1.0 + speed.c1) * (1.0 + grid.horizon) * _disc_scale(grid)

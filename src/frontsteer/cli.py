@@ -292,7 +292,7 @@ def cmd_solve_hj(args) -> int:
     t0 = time.perf_counter()
     u = hj.solve_value_function(problem, obstacle)
     out = _outdir(config, args)
-    write_field(out / "u.field", u)
+    write_field(out / "u.field", u, binary=True)
     write_front_csv(out / "front.csv", u)
     write_manifest(out, config, {"command": "solve-hj",
                                  "runtime_s": time.perf_counter() - t0})
@@ -306,7 +306,7 @@ def cmd_solve_transport(args) -> int:
     t0 = time.perf_counter()
     m = transport.solve_continuity(problem.m0, v)
     out = _outdir(config, args)
-    write_field(out / "m.field", m)
+    write_field(out / "m.field", m, binary=True)
     masses = [float(np.sum(m.values[k]) * problem.grid.cell_volume)
               for k in range(problem.grid.nt)]
     extra = {}
@@ -337,7 +337,7 @@ def cmd_optimize(args) -> int:
     out = _outdir(config, args)
     for name, fld in zip(("u", "f", "m", "w", "w_plus", "w_minus"),
                          (bundle.u, bundle.f, bundle.m, bundle.w, *w_pair)):
-        write_field(out / f"{name}.field", fld)
+        write_field(out / f"{name}.field", fld, binary=True)
     write_diagnostics_csv(out / "diagnostics.csv", bundle.diagnostics)
     reports = cert.battery(problem, bundle.u, bundle.f, bundle.m, w_pair,
                            seed=config["seed"], tol_gap=solver_cfg.tol_gap)

@@ -89,8 +89,29 @@ class TorusGrid:
         return t
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _shareable(arr) -> bool:
+    """Whether a field may keep ``arr`` itself: an aligned, C-contiguous
+    float64 array, read-only like every array it views, over memory of its
+    own or of an immutable ``bytes`` (as ``np.frombuffer`` gives), never a
+    writable buffer."""
+    if not (type(arr) is np.ndarray and arr.dtype == np.float64
+            and arr.flags.c_contiguous and arr.flags.aligned):
+        return False
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return base is None or isinstance(base, bytes)
+
+
+def _freeze(values) -> np.ndarray:
+    """The read-only float64 array a field holds: ``values`` itself when it is
+    shareable (``_shareable``), so a parsed field file is not copied again;
+    otherwise a read-only copy, so a caller's writable array stays its own."""
+    if _shareable(values):
+        return values
+    arr = np.array(values, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -257,7 +278,8 @@ def _header(field, enc: str) -> str:
 def write_field(path, field, binary: bool = False) -> None:
     """Write a field file: header line (ending in ``enc=text`` or
     ``enc=f64le``), then one line of values per time level (text) or raw
-    little-endian float64 in the same order (binary)."""
+    little-endian float64 in the same order (binary).  The CLI writes
+    binary; text stays the default, the format of hand-made inputs."""
     g = field.grid
     flat = field.values.reshape(g.nt, -1)
     with open(path, "wb") as fh:
@@ -318,7 +340,8 @@ def _parse_text(fh, rows: int, per_row: int, path) -> np.ndarray:
 def read_field(path):
     """Read a field file written by write_field.  The header's ``enc`` token
     selects the payload encoding; files without it (older v1 writers) are
-    read as binary when the payload is exactly 8 bytes per value."""
+    read as binary when the payload is exactly 8 bytes per value.  The field
+    keeps the parsed payload, read-only, without a second copy."""
     with open(path, "rb") as fh:
         kind, grid, enc = _parse_header(fh.readline().decode(errors="replace"), path)
         comps = grid.dim if kind == "vector" else 1
@@ -329,13 +352,18 @@ def read_field(path):
             enc = "f64le" if len(payload) == 8 * count else "text"
             data = io.BytesIO(payload)
         if enc == "f64le":
-            payload = data.read()
-            if len(payload) != 8 * count:
+            # a sized read fills one bytes object; read() would join the
+            # buffered head to the rest, a second copy of the payload
+            payload = data.read(8 * count)
+            found = len(payload) + len(data.read())
+            if found != 8 * count:
                 raise ParameterError(
-                    f"expected {8 * count} payload bytes in {path}, found {len(payload)}")
-            flat = np.frombuffer(payload, dtype="<f8").astype(float)
+                    f"expected {8 * count} payload bytes in {path}, found {found}")
+            # read-only, over the immutable payload: the field keeps it uncopied
+            flat = np.frombuffer(payload, dtype="<f8")
         elif enc == "text":
             flat = _parse_text(data, grid.nt, count // grid.nt, path)
+            flat.setflags(write=False)
         else:
             raise ParameterError(f"unknown field encoding {enc!r} in {path}")
     shape = (grid.nt, *grid.nx, comps) if kind == "vector" else (grid.nt, *grid.nx)

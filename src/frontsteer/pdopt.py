@@ -82,9 +82,10 @@ from .transport import (_differences, _divergence, _march_levels, one_sided, spl
 # default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
 _TAU = 16.0
 _SIGMA = 0.06
-# the certificate's block of time levels holds about this many bytes of split
-# momenta: 8 levels at 64^2, 1024 at 64 points in 1D (one block for 64x65)
-_BLOCK_BYTES = 1 << 20
+# a block of time levels of the certificate and of certify.check_subsolution
+# holds about this many bytes of split momenta or velocities: 2 levels at
+# 64^2, 256 at 64 points in 1D (one block for 64x65); no bit depends on it
+_BLOCK_BYTES = 1 << 18
 
 __all__ = [
     "ProblemInstance", "SolverConfig", "OptimalBundle", "SolverDiagnostics",

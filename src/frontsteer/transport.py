@@ -289,6 +289,10 @@ def _node_coords(grid: TorusGrid, cells: np.ndarray) -> np.ndarray:
     return np.stack([grid.axis_coords(a)[idx[a]] for a in range(grid.dim)], axis=-1)
 
 
+# paths per chunk of a sampler step: its scratch is O(_CHUNK), not O(count)
+_CHUNK = 1 << 14
+
+
 def _level_rng(seed: int, level: int) -> np.random.Generator:
     """The stream of one time level: Philox keyed by (seed, level), so the
     draws of path i do not depend on how many paths are drawn."""
@@ -338,9 +342,11 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     seed and path i is the same whatever ``count`` is.  Step k builds level
     k's cumulative table (2*dim, n_space) from v[k] split by sign, compares
     each path's uniform with its cell's entries and moves it through a fixed
-    neighbour table.  Cells are stored time-major in the narrowest unsigned
-    type that holds every cell index, (nt, count): 2 bytes per path and
-    level at 64^2 nodes, 1 byte up to 256 nodes.
+    neighbour table, ``_CHUNK`` paths at a time: a level's stream drawn
+    chunk after chunk gives the same uniforms, and the scratch is one
+    chunk's.  Cells are stored time-major in the narrowest unsigned type
+    that holds every cell index, (nt, count): 2 bytes per path and level at
+    64^2 nodes, 1 byte up to 256 nodes.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -353,24 +359,29 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     cells = np.empty((grid.nt, count), dtype=np.min_scalar_type(grid.n_space - 1))
     neighbours = _neighbour_table(grid, cells.dtype)
     stride = 2 * grid.dim + 1
-    # one step's scratch, reused: uniforms, neighbour-table indices, a split
-    draw = np.empty(count)
-    pick = np.empty(count, dtype=np.int32)
+    chunks = [(c0, min(c0 + _CHUNK, count)) for c0 in range(0, count, _CHUNK)]
+    # one chunk's scratch, reused: uniforms, neighbour-table indices; a split
+    draw = np.empty(min(count, _CHUNK))
+    pick = np.empty(min(count, _CHUNK), dtype=np.int32)
     split = np.empty((2 * grid.dim, *grid.nx))
     cum = np.cumsum(m0.ravel() / np.sum(m0))
     cum[-1] = 1.0
-    cells[0] = np.searchsorted(cum, _level_rng(seed, 0).random(out=draw), side="right")
+    stream = _level_rng(seed, 0)
+    for c0, c1 in chunks:
+        cells[0, c0:c1] = np.searchsorted(cum, stream.random(out=draw[:c1 - c0]), side="right")
     for k in range(grid.nt - 1):
         jumps = _jump_table(split_by_sign(v.values[k], out=split), grid)
-        _level_rng(seed, k + 1).random(out=draw)
-        cur = cells[k]
-        # in int32: a narrow cell index times the stride would wrap
-        np.multiply(cur, stride, out=pick, dtype=pick.dtype)
-        # fancy indexing casts narrow indices in small buffers, where take
-        # would copy them whole to intp
-        for e in range(stride - 1):
-            pick += jumps[e][cur] <= draw
-        cells[k + 1] = neighbours[pick]
+        stream = _level_rng(seed, k + 1)
+        for c0, c1 in chunks:
+            uniform = stream.random(out=draw[:c1 - c0])
+            cur, at = cells[k, c0:c1], pick[:c1 - c0]
+            # in int32: a narrow cell index times the stride would wrap
+            np.multiply(cur, stride, out=at, dtype=at.dtype)
+            # fancy indexing casts narrow indices in small buffers, where take
+            # would copy them whole to intp
+            for e in range(stride - 1):
+                at += jumps[e][cur] <= uniform
+            np.take(neighbours, at, out=cells[k + 1, c0:c1])
     weights = np.full(count, mass / count)
     return TrajectoryEnsemble(grid=grid, cells=cells, weights=weights, seed=int(seed))
 

@@ -36,6 +36,61 @@ def fourier_scalar_reference(rng, grid, modes=3):
     return out.reshape(grid.nt, *grid.nx)
 
 
+def sample_admissible_field_reference(speed, grid, rng):
+    """Whole-field form of ``certify.sample_admissible_field`` on
+    ``fourier_scalar_reference``, kept as the bitwise reference for the draw
+    evaluated from its modes."""
+    if isinstance(speed, IsotropicSpeed):
+        raw = np.stack([fourier_scalar_reference(rng, grid) for _ in range(grid.dim)], axis=-1)
+        scale = 0.98 * speed.radius_nodes(grid.nx) / (1.0 + np.linalg.norm(raw, axis=-1))
+        return VecField(grid, raw * scale[..., None])
+    vels = speed.velocities_at(np.stack(grid.meshgrid(), axis=-1))
+    logits = np.stack([fourier_scalar_reference(rng, grid) for _ in range(len(vels))])
+    lam = np.exp(logits - np.max(logits, axis=0))
+    lam /= np.sum(lam, axis=0)
+    return VecField(grid, np.einsum("mt...,m...d->t...d", lam, vels))
+
+
+def admissible_pairs_reference(speed, grid, seed, trials):
+    """The test pairs ``check_subsolution`` samples, drawn as whole fields:
+    an admissible field, then phi = w^2 / max(w^2)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(trials):
+        v = sample_admissible_field_reference(speed, grid, rng)
+        phi = fourier_scalar_reference(rng, grid) ** 2
+        pairs.append((v, phi / np.max(phi)))
+    return pairs
+
+
+def trial_speed(kind, dim):
+    """A ball of constant or nodal radius, or a hull of rotating controls
+    (2D) or of three controls, one of them varying (1D), for grids of 12
+    points per axis."""
+    if kind == "ball":
+        return IsotropicSpeed(dim, 1.0)
+    x = np.arange(12) / 12
+    if kind == "nodal":
+        bump = 0.6 + 0.3 * np.cos(2 * np.pi * x) ** 2
+        return IsotropicSpeed(dim, bump if dim == 1 else np.outer(bump, np.ones(12)))
+    if dim == 1:
+        maps = (lambda p: np.ones(p.shape), lambda p: -np.ones(p.shape),
+                lambda p: 0.5 * np.sin(2 * np.pi * p))
+        return FiniteControlsSpeed(1, maps, c0=1.0, c1=1.0)
+
+    def rotated(e):
+        def v(p):
+            ang = 0.2 * np.sin(2 * np.pi * p[..., 0])
+            c, s = np.cos(ang), np.sin(ang)
+            return np.stack([c * e[0] - s * e[1], s * e[0] + c * e[1]], axis=-1)
+        return v
+    maps = tuple(rotated(e) for e in np.vstack([np.eye(2), -np.eye(2)]))
+    return FiniteControlsSpeed(2, maps, c0=0.7, c1=1.0)
+
+
+SPEEDS = [(kind, dim) for dim in (1, 2) for kind in ("ball", "nodal", "hull")]
+
+
 def subsolution_reference(u, f, pairs):
     """Per-level ``upwind_directional_derivative`` form of the
     ``check_subsolution`` sums, on ``one_sided(u)`` and the sign split of v,
@@ -319,7 +374,7 @@ class TestSubsolution:
         f = ScalarField(grid, rng.random(shape))
         pairs = [(VecField(grid, rng.standard_normal((*shape, grid.dim))), rng.random(shape))
                  for _ in range(4)]
-        monkeypatch.setattr(certify, "_BLOCK_BYTES", levels * grid.n_space * 2 * grid.dim * 8)
+        monkeypatch.setattr(pdopt, "_BLOCK_BYTES", levels * grid.n_space * 2 * grid.dim * 8)
         rep = check_subsolution(u, f, IsotropicSpeed(grid.dim, 1.0), pairs=pairs)
         lhs, trial = subsolution_reference(u, f, pairs)
         assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
@@ -351,26 +406,35 @@ class TestSubsolution:
             # same draws in the same order
             assert rng.random() == ref_rng.random()
 
-    @pytest.mark.parametrize("speed", [
-        IsotropicSpeed(2, 1.0),
-        FiniteControlsSpeed(2, c0=0.7, c1=1.0, velocities=tuple(
-            (lambda x, e=e: np.broadcast_to(e, x.shape))
-            for e in np.vstack([np.eye(2), -np.eye(2)])))], ids=["ball", "hull"])
-    def test_streamed_trials_bitwise_equal_pairs_drawn_first(self, speed):
-        # the sampled trials keep the draws of all pairs drawn up front
-        grid = TorusGrid(2, (12, 10), 9, 1.0)
+    @pytest.mark.parametrize("kind,dim", SPEEDS)
+    def test_sample_admissible_field_bitwise_equal_reference(self, kind, dim):
+        grid = TorusGrid(dim, (12,) * dim, 9, 1.0)
+        speed = trial_speed(kind, dim)
+        for seed in range(2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = certify.sample_admissible_field(speed, grid, rng)
+            assert got.values.tobytes() == \
+                sample_admissible_field_reference(speed, grid, ref_rng).values.tobytes()
+            # same draws in the same order
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 30], ids=["default", "1", "2^30"])
+    @pytest.mark.parametrize("kind,dim", SPEEDS)
+    def test_streamed_trials_bitwise_equal_pairs_drawn_first(self, monkeypatch, kind, dim,
+                                                             block_bytes):
+        # the sampled trials, drawn as modes and evaluated block by block,
+        # keep the bits of whole-field pairs all drawn up front: at one level
+        # per block, at every level in one block and at the default
+        grid = TorusGrid(dim, (12,) * dim, 9, 1.0)
+        speed = trial_speed(kind, dim)
         rng = np.random.default_rng(4)
         shape = (grid.nt, *grid.nx)
         u = ScalarField(grid, rng.standard_normal(shape))
         f = ScalarField(grid, rng.random(shape))
-        draws = np.random.default_rng(7)
-        pairs = []
-        for _ in range(5):
-            v = certify.sample_admissible_field(speed, grid, draws)
-            phi = certify._fourier_scalar(draws, grid) ** 2
-            pairs.append((v, phi / np.max(phi)))
+        if block_bytes is not None:
+            monkeypatch.setattr(pdopt, "_BLOCK_BYTES", block_bytes)
         rep = check_subsolution(u, f, speed, trials=5, seed=7)
-        lhs, trial = subsolution_reference(u, f, pairs)
+        lhs, trial = subsolution_reference(u, f, admissible_pairs_reference(speed, grid, 7, 5))
         assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
         assert rep.worst_location == (trial,)
 
@@ -385,20 +449,23 @@ class TestSubsolution:
                  for trials in (1, 10)}
         assert peaks[10] <= 1.5 * peaks[1]
 
-    def test_memory_is_one_draw_and_a_few_levels(self):
-        # beyond drawing one trial pair, the check holds a few one-level
-        # arrays (3 measured); differences of u taken over all nt - 1 levels
-        # at once would add 20 of them here
+    def test_memory_is_one_draw_and_a_few_levels(self, monkeypatch):
+        # at one level per block, the check holds one pair's mode tables and
+        # a few one-level arrays (8 measured); a whole-field pair alone would
+        # take 13 levels of split velocities here, and its draw 36
         grid = TorusGrid(2, (16, 16), 17, 1.0)
         rng = np.random.default_rng(6)
         shape = (grid.nt, *grid.nx)
         u = ScalarField(grid, rng.standard_normal(shape))
         f = ScalarField(grid, rng.random(shape))
         speed = IsotropicSpeed(2, 1.0)
-        _, draw = traced_peak(certify._draw_pair, speed, grid, np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        tables = sum(wave.nbytes + inv.nbytes for _ in range(grid.dim + 1)
+                     for wave, inv in certify._fourier_modes(draws, grid))
+        monkeypatch.setattr(pdopt, "_BLOCK_BYTES", 1)
         _, peak = traced_peak(check_subsolution, u, f, speed, trials=10, seed=3)
         level = 8 * grid.n_space * 2 * grid.dim
-        assert peak <= draw + 6 * level
+        assert peak <= tables + 10 * level
 
 
 class TestHolder:

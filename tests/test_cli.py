@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import frontsteer
+from frontsteer import cli
 from frontsteer.cli import DEFAULT_CONFIG, build_solver_config, load_config, main
 from frontsteer.grid import ScalarField, TorusGrid, VecField, read_field, write_field
 from frontsteer.hj import counterexample_instance
@@ -524,6 +525,7 @@ class TestCertifyCommand:
         # the right number of values, but one time level split over two lines
         cfg_path, out = gaussian_bundle
         bundle = _copy_bundle(out, tmp_path / "ragged")
+        write_field(bundle / "m.field", read_field(out / "m.field"))     # as text
         header, payload = (bundle / "m.field").read_bytes().split(b"\n", 1)
         first, rest = payload.split(b"\n", 1)
         head, tail = first.rsplit(b" ", 1)
@@ -553,6 +555,72 @@ class TestCertifyCommand:
                      "--out", str(tmp_path / "recheck")])
         assert code == 2
         assert "density must be >= 0" in capsys.readouterr().err
+
+
+class TestFieldOutputs:
+    """Every field file the CLI writes is exact binary, enc=f64le."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        written = []
+        real = cli.write_field
+
+        def record(path, field, binary=False):
+            written.append((path, field))
+            real(path, field, binary=binary)
+        monkeypatch.setattr(cli, "write_field", record)
+        return written
+
+    @staticmethod
+    def _assert_exact_binary(written, names):
+        assert sorted(Path(path).name for path, _ in written) == sorted(names)
+        for path, field in written:
+            assert Path(path).read_bytes().split(b"\n", 1)[0].endswith(b" enc=f64le")
+            back = read_field(path)
+            assert type(back) is type(field) and back.grid == field.grid
+            assert back.values.tobytes() == field.values.tobytes()
+
+    def test_every_command_writes_f64le_that_reads_back_bit_for_bit(self, tmp_path,
+                                                                   monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        config = write_config(cfg_path, problem={"u_T": {"preset": "cosine"},
+                                                 "m0": {"preset": "gaussian"}})
+        grid = cli.build_problem(config).grid
+        written = self._recording(monkeypatch)
+        assert main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        self._assert_exact_binary(written, [f"{n}.field" for n in
+                                            ("u", "f", "m", "w", "w_plus", "w_minus")])
+        written.clear()
+        v_path = tmp_path / "v.field"
+        x = grid.axis_coords(0)
+        write_field(v_path, VecField(grid, np.broadcast_to(
+            (0.3 * np.sin(2 * np.pi * x))[None, :, None], (grid.nt, *grid.nx, 1))))
+        assert main(["solve-transport", "--config", str(cfg_path), "--velocity", str(v_path),
+                     "--out", str(tmp_path / "t")]) == 0
+        self._assert_exact_binary(written, ["m.field"])
+        written.clear()
+        obstacle = tmp_path / "f.field"
+        write_field(obstacle, ScalarField(grid, np.broadcast_to(
+            np.cos(2 * np.pi * x) ** 2, (grid.nt, *grid.nx))))
+        assert main(["solve-hj", "--config", str(cfg_path), "--obstacle", str(obstacle),
+                     "--out", str(tmp_path / "h")]) == 0
+        self._assert_exact_binary(written, ["u.field"])
+
+    def test_binary_bundle_certifies_like_its_text_copy(self, gaussian_bundle, tmp_path):
+        cfg_path, out = gaussian_bundle
+        text = tmp_path / "text"
+        text.mkdir()
+        for name in ("u", "f", "m", "w", "w_plus", "w_minus"):
+            write_field(text / f"{name}.field", read_field(out / f"{name}.field"))
+            assert (text / f"{name}.field").read_bytes().split(b"\n", 1)[0].endswith(
+                b" enc=text")
+        results = []
+        for bundle in (out, text):
+            recheck = tmp_path / f"recheck_{bundle.name}"
+            assert main(["certify", "--config", str(cfg_path), "--bundle", str(bundle),
+                         "--out", str(recheck)]) == 0
+            results.append((recheck / "certificates.json").read_bytes())
+        assert results[0] == results[1]
 
 
 class TestSolveTransport:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import interp_space_reference
+from conftest import interp_space_reference, traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField, _interp_plan,
                              constant_field, integrate_space, interp_space,
@@ -72,6 +72,39 @@ class TestTorusGrid:
         f = constant_field(grid1d(), 1.0)
         with pytest.raises(ValueError):
             f.values[0, 0] = 2.0
+
+
+    def test_a_writable_array_is_copied_and_stays_unshared(self):
+        vals = np.ones((5, 8))
+        f = ScalarField(grid1d(), vals)
+        assert vals.flags.writeable and not np.shares_memory(f.values, vals)
+        vals[0, 0] = 2.0
+        assert f.values[0, 0] == 1.0 and not f.values.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda v: v.copy(),                                     # read-only, owns its data
+        lambda v: np.frombuffer(v.tobytes()).reshape(v.shape),  # over immutable bytes
+    ], ids=["owner", "bytes"])
+    def test_a_read_only_float64_array_is_kept(self, make):
+        vals = make(np.arange(40.0).reshape(5, 8))
+        vals.setflags(write=False)
+        assert ScalarField(grid1d(), vals).values is vals
+
+    @pytest.mark.parametrize("make", [
+        lambda v: v[:],                                               # view of a writable array
+        lambda v: np.frombuffer(bytearray(v.tobytes())).reshape(v.shape),  # writable buffer
+        lambda v: v.astype(np.float32),
+        lambda v: np.asfortranarray(v),
+        lambda v: np.repeat(v, 2, axis=1)[:, ::2],                    # strided
+    ], ids=["writable_base", "bytearray", "float32", "fortran", "strided"])
+    def test_an_array_someone_can_write_or_not_float64_c_order_is_copied(self, make):
+        vals = make(np.arange(40.0).reshape(5, 8))
+        vals.setflags(write=False)
+        f = ScalarField(grid1d(), vals)
+        assert f.values is not vals and f.values.flags.owndata
+        assert f.values.dtype == np.float64 and f.values.flags.c_contiguous
+        assert not f.values.flags.writeable
+        assert np.array_equal(f.values, vals)
 
 
 class TestInterpolate:
@@ -264,6 +297,21 @@ class TestFieldFiles:
                                 for row in flat)
             assert payload == expected
             assert read_field(path).values.tobytes() == field.values.tobytes()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_read_field_keeps_its_parse_uncopied(self, tmp_path, binary):
+        g = TorusGrid(2, (32, 32), 33, 1.0)
+        v = VecField(g, np.random.default_rng(4).standard_normal((33, 32, 32, 2)))
+        path = tmp_path / "v.field"
+        write_field(path, v, binary=binary)
+        back, peak = traced_peak(read_field, path)
+        assert back.values.tobytes() == v.values.tobytes()
+        # the field views its read-only parse; a copy would own its data
+        assert not back.values.flags.owndata and not back.values.flags.writeable
+        if binary:
+            # the payload bytes and nothing of its size beside them
+            assert peak <= 1.1 * v.values.nbytes + 65536
+
 
     def test_density_roundtrip(self, tmp_path):
         g = grid1d()

@@ -6,14 +6,17 @@ runs each case once as a plain test; to time them:
     pytest tests/test_speed.py --benchmark-enable
 
 Each case stores ``ns_per_node`` (mean time over the nodes it touches) in
-its ``extra_info``, which ``--benchmark-json=FILE`` writes out.
+its ``extra_info``, which ``--benchmark-json=FILE`` writes out; the field
+file round trip stores ``MB_per_s`` instead (the field's 8-byte values
+written and read back, over the mean time of both).
 """
 
 import numpy as np
 import pytest
 
 from conftest import make_gauss_problem
-from frontsteer import hj, pdopt
+from frontsteer import certify, hj, pdopt
+from frontsteer.grid import ScalarField, VecField, read_field, write_field
 from frontsteer.model import CostModel, prox_cost_conj_coned
 from frontsteer.transport import march_split
 
@@ -81,6 +84,34 @@ def test_prox_p3(benchmark):
     _timed(benchmark, m_bar.size, prox_cost_conj_coned, problem.cost, ws.cone, m_bar, w_bar,
            pdopt._TAU * grid.dt, out=(m, w))
     assert np.min(m) >= 0.0 and np.all(np.abs(w[0]) <= m * (1.0 + 1e-12))
+
+
+def test_subsolution(benchmark):
+    # the battery's subsolution check: ten sampled pairs on a 2D grid
+    problem = make_gauss_problem(2, 32, 33, 4.0)
+    grid = problem.grid
+    rng = np.random.default_rng(0)
+    u = ScalarField(grid, rng.standard_normal((grid.nt, *grid.nx)))
+    f = ScalarField(grid, rng.random((grid.nt, *grid.nx)))
+    report = _timed(benchmark, grid.nt * grid.n_space, certify.check_subsolution, u, f,
+                    problem.speed, trials=10, seed=0)
+    assert np.isfinite(report.lhs) and report.worst_location is not None
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "f64le"])
+def test_field_round_trip(benchmark, tmp_path, binary):
+    grid = make_gauss_problem(2, 32, 33, 4.0).grid
+    v = VecField(grid, np.random.default_rng(1).standard_normal((grid.nt, *grid.nx, 2)))
+    path = tmp_path / "v.field"
+
+    def round_trip():
+        write_field(path, v, binary=binary)
+        return read_field(path)
+
+    back = benchmark(round_trip)
+    if not benchmark.disabled:
+        benchmark.extra_info["MB_per_s"] = v.values.nbytes / benchmark.stats.stats.mean / 1e6
+    assert back.values.tobytes() == v.values.tobytes()
 
 
 def _counterexample(eps=0.1):

@@ -4,6 +4,7 @@ import pytest
 from conftest import (split_by_sign_reference, traced_peak,
                       upwind_directional_derivative_reference)
 from frontsteer.errors import ParameterError
+from frontsteer import transport
 from frontsteer.grid import ScalarField, TorusGrid, VecField
 from frontsteer.transport import (TrajectoryEnsemble, one_sided, pushforward_distance,
                                   pushforward_floor, sample_trajectories, solve_continuity,
@@ -330,23 +331,51 @@ class TestSampleTrajectories:
         assert ens.cells.astype(np.int32).tobytes() \
             == chain_reference(m0, v, 300, seed=14).tobytes()
 
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 53])
+    def test_chunks_bitwise_equal_per_path_reference(self, monkeypatch, count):
+        # counts 1, chunk - 1, chunk, chunk + 1 and 3 * chunk + 5 at a chunk
+        # of 16 paths: each level's stream drawn chunk after chunk
+        monkeypatch.setattr(transport, "_CHUNK", 16)
+        grid = TorusGrid(2, (16, 12), 9, 1.0)
+        rng = np.random.default_rng(23)
+        v = VecField(grid, rng.uniform(-0.28, 0.28, (9, 16, 12, 2)))
+        m0 = rng.random((16, 12))
+        ens = sample_trajectories(m0, v, count, seed=15)
+        assert ens.cells.astype(np.int32).tobytes() \
+            == chain_reference(m0, v, count, seed=15).tobytes()
+
+    def test_chunks_bitwise_equal_one_chunk(self, monkeypatch):
+        # at the default chunk, 3 * chunk + 5 paths in chunks against one
+        # chunk holding every path
+        count = 3 * transport._CHUNK + 5
+        grid = TorusGrid(2, (24, 16), 9, 1.0)
+        rng = np.random.default_rng(24)
+        v = VecField(grid, rng.uniform(-0.19, 0.19, (9, 24, 16, 2)))
+        m0 = rng.random((24, 16))
+        chunked = sample_trajectories(m0, v, count, seed=16)
+        monkeypatch.setattr(transport, "_CHUNK", count)
+        whole = sample_trajectories(m0, v, count, seed=16)
+        assert chunked.cells.dtype == np.uint16
+        assert chunked.cells.tobytes() == whole.cells.tobytes()
+
     def test_memory_is_one_cell_itemsize_per_path_and_level(self):
-        # the stored cells (uint8 at 256 nodes), one level's jump table, the
-        # neighbour table and one step's scratch: a uniform and a gathered
-        # probability (float64), a pick index (int32), a comparison and a
-        # gathered neighbour (uint8), 22 bytes per path, allowed 32; float64
-        # positions alone would take 16 bytes per path and level here
+        # the stored cells (uint8 at 256 nodes) and the weights (float64),
+        # then one level's jump table, the neighbour table and one chunk's
+        # scratch: a uniform (float64) and a pick index (int32), and for a
+        # moment a gathered probability (float64) and a comparison (bool),
+        # 21 bytes per path of a chunk, allowed 32; float64 positions alone
+        # would take 16 bytes per path and level here
         grid = TorusGrid(2, (16, 16), 17, 1.0)
         rng = np.random.default_rng(3)
         v = VecField(grid, rng.uniform(-0.45, 0.45, (17, 16, 16, 2)))
         m0 = rng.random((16, 16))
-        count = 20_000
+        count = 3 * transport._CHUNK + 5
         ens, peak = traced_peak(sample_trajectories, m0, v, count, seed=1)
         itemsize = ens.cells.itemsize
         assert ens.cells.dtype == np.uint8
         assert ens.cells.nbytes == itemsize * grid.nt * count
         tables = 8 * grid.n_space * 2 * grid.dim + itemsize * grid.n_space * 5
-        assert peak <= itemsize * grid.nt * count + tables + 32 * count
+        assert peak <= itemsize * grid.nt * count + 8 * count + tables + 32 * transport._CHUNK
 
 
 class TestPushforward:
