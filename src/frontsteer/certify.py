@@ -15,14 +15,14 @@ split velocities by ``transport.upwind_directional_derivative``.
 
 ``check_subsolution`` streams its sampled test pairs, each drawn as its
 Fourier modes and summed one block of time levels at a time, on the block
-rule of the certificate (``pdopt._BLOCK_BYTES``): no check holds a whole
+rule of the certificate (``pdopt._block_levels``): no check holds a whole
 sampled field, and no bit depends on the block size.
 
-``battery`` runs all seven checks for ``optimize`` and ``certify``.  Its gap
-is the certificate ``optimize`` stops on (``pdopt.certificate``) on the
-bundle's u and split momenta, or on a nodal w as its sign split, which the
-certificate takes block by block; it builds feasible points from any fields,
-so [-A, B] always brackets the discrete optimal value.
+``battery`` runs all seven checks for ``optimize`` and ``certify`` on a
+bundle's pair (w_plus, w_minus), a nodal w being (w, w).  Its gap is the
+certificate ``optimize`` stops on (``pdopt.certificate``), judged by the
+same rule (``pdopt._gap_certified``); it builds feasible points from any
+fields, so [-A, B] always brackets the discrete optimal value.
 """
 
 from __future__ import annotations
@@ -124,15 +124,15 @@ def check_weak_solution(problem: ProblemInstance, u: ScalarField, f: ScalarField
         <u(t) m(t)> = <u_T m(T)>  + iint_t^T k(m) m
 
     checked at n_levels evenly spaced time levels; the relative defect of
-    each must stay within slack.  Requires f = k(m) nodewise first."""
+    each must stay within slack.  Both require f = k(m) nodewise first, or
+    fail with the defect max |f - k(m)| and its relative slack 1e-6."""
     grid = problem.grid
     vol = grid.cell_volume
     k_of_m = cost_deriv_conj(problem.cost, m.values)
     pre_defect = float(np.max(np.abs(f.values - k_of_m)))
     if pre_defect > 1e-6 * (1.0 + float(np.max(np.abs(k_of_m)))):
-        bad = CertReport(name="weak_solution_precondition", passed=False,
-                         lhs=pre_defect, rhs=0.0, slack=1e-6)
-        return bad, bad
+        return tuple(CertReport(name=name, passed=False, lhs=pre_defect, rhs=0.0, slack=1e-6)
+                     for name in ("weak_identity_from_start", "weak_identity_to_end"))
     fm = np.sum(f.values * m.values, axis=tuple(range(1, grid.dim + 1))) * vol
     um = np.sum(u.values * m.values, axis=tuple(range(1, grid.dim + 1))) * vol
     u0m0 = float(np.sum(u.values[0] * problem.m0) * vol)
@@ -321,11 +321,10 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     and phi = w^2 / max(w^2) of one more smooth field w, its maximum taken
     in a first pass over all levels.  Pairs are streamed, each summed and
     dropped before the next is drawn, so memory does not grow with
-    ``trials``.  The sums run over blocks of levels of at most
-    ``pdopt._BLOCK_BYTES`` of split velocities (2 levels at 64^2, one block
-    for a 1D run at 64 points): a block evaluates v~ and phi from the
-    pair's modes, takes the differences of u, and pairs them with the sign
-    split of v~ by ``upwind_directional_derivative``.  So beyond the pair's
+    ``trials``.  The sums run over blocks of ``pdopt._block_levels`` levels
+    (2 at 64^2, one block for a 1D run at 64 points): a block evaluates v~
+    and phi from the pair's modes, takes the differences of u, and pairs
+    them with the sign split of v~ by ``upwind_directional_derivative``.  So beyond the pair's
     mode tables the check holds one block's arrays, never a whole field.
     Each level is summed on its own and added in level order, so the
     report has the bits of a level-by-level pass over whole-field pairs,
@@ -334,7 +333,7 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     if f.grid != grid:
         raise ParameterError("fields live on different grids")
     vol = grid.cell_volume
-    step = max(1, pdopt._BLOCK_BYTES // (grid.n_space * 2 * grid.dim * 8))
+    step = pdopt._block_levels(grid)
 
     def excess(v_on, phi_on) -> float:
         lhs = rhs = 0.0
@@ -406,16 +405,14 @@ def holder_constant(p: float, N: int, c0: float, beta: float) -> float:
 
 
 def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
-                 samples: int = 1000, seed: int = 0,
-                 bound_scale: float = 1.0) -> CertReport:
+                 samples: int = 1000, seed: int = 0) -> CertReport:
     """Sampled verification of the time-Hoelder bound, on point pairs with
     |x-y| <= beta*c0*(s-t) for beta = 1/2, and of the terminal upper bound
     u(t,x) <= u_T(x) + C (T-t)^alpha ||f||_p.
 
     Supports isotropic speeds with constant radius only (the averaging
     construction assumes a fixed ball of admissible velocities); other
-    speeds produce a skipped report.  ``bound_scale`` rescales the derived
-    constant (used by detector-sensitivity tests)."""
+    speeds produce a skipped report."""
     grid = u.grid
     # the averaging construction needs one fixed ball of admissible velocities
     if not isinstance(speed, IsotropicSpeed) or isinstance(speed.radius, np.ndarray):
@@ -425,8 +422,8 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
     beta = 0.5
     alpha = 1.0 - (grid.dim + 1.0) / p
     norm_f = norm_lp(f, p)
-    c_pair = holder_constant(p, grid.dim, c0, beta) * bound_scale
-    c_term = holder_constant(p, grid.dim, c0, 0.0) * bound_scale
+    c_pair = holder_constant(p, grid.dim, c0, beta)
+    c_term = holder_constant(p, grid.dim, c0, 0.0)
     # covers |u_disc - u| at the two sampled points, first-order in (dx, dt)
     slack = (1.0 + _lip_space(u.values, grid)) * _disc_scale(grid)
     rng = np.random.default_rng(seed)
@@ -474,34 +471,33 @@ def duality_gap(problem: ProblemInstance, u: ScalarField, f: ScalarField,
                 m: DensityField, w, details: dict | None = None) -> float:
     """Certified gap A + B >= 0 of a bundle (``pdopt.certificate``, which
     fills ``details``) on the pair (w_plus, w_minus), or on a nodal VecField
-    w as its sign split, which the certificate takes one block of levels at a
-    time.  ``f`` is not read: the certificate's obstacle is
+    w as the pair (w, w).  ``f`` is not read: the certificate's obstacle is
     max(residual(u), 0), the cheapest feasible one."""
-    w_plus, w_minus = (w.values, None) if isinstance(w, VecField) \
-        else (w[0].values, w[1].values)
-    a_val, b_val = pdopt.certificate(problem, u.values, m.values, w_plus, w_minus, details)
+    w_plus, w_minus = (w, w) if isinstance(w, VecField) else w
+    a_val, b_val = pdopt.certificate(problem, u.values, m.values, w_plus.values,
+                                     w_minus.values, details)
     return a_val + b_val
 
 
 def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
-            m: DensityField, w: VecField | tuple[VecField, VecField], *, seed: int,
+            m: DensityField, w: tuple[VecField, VecField], *, seed: int,
             tol_gap: float, details: dict | None = None) -> list[CertReport]:
-    """The seven checks of a bundle with split momenta (w_plus, w_minus) or a
-    nodal momentum w, which ``check_pointwise_hj`` and ``duality_gap`` take
-    as its sign split.  The gap passes iff -1e-9 <= A + B <= tol_gap *
-    max(|A|, |B|, 1e-10), its slack; ``details`` receives the gap's details
+    """The seven checks of a bundle with split momenta w = (w_plus,
+    w_minus); a nodal momentum w is the pair (w, w).  The gap passes by the
+    rule of ``optimize``'s stop test (``pdopt._gap_certified``), its slack
+    the scale max(|A|, |B|, 1e-10); ``details`` receives the gap's details
     and its relative gap ``rel_gap``."""
     reports = [check_ibp_inequality(u, f, m, 0, problem.grid.nt - 1)]
     reports.extend(check_weak_solution(problem, u, f, m))
-    reports.append(check_pointwise_hj(u, f, m, *((w, w) if isinstance(w, VecField) else w)))
+    reports.append(check_pointwise_hj(u, f, m, *w))
     reports.append(check_subsolution(u, f, problem.speed, trials=10, seed=seed))
     reports.append(check_holder(u, f, problem.cost.p, problem.speed,
                                 samples=200, seed=seed))
     details = {} if details is None else details
     gap = duality_gap(problem, u, f, m, w, details=details)
-    details["rel_gap"] = pdopt._relative_gap(details["A"], details["B"])
-    scale = max(abs(details["A"]), abs(details["B"]), 1e-10)
+    a_val, b_val = details["A"], details["B"]
+    details["rel_gap"] = pdopt._relative_gap(a_val, b_val)
     reports.append(CertReport(
-        name="duality_gap", passed=bool(np.isfinite(gap) and -1e-9 <= gap <= tol_gap * scale),
-        lhs=float(gap), rhs=0.0, slack=float(scale)))
+        name="duality_gap", passed=pdopt._gap_certified(a_val, b_val, tol_gap),
+        lhs=float(gap), rhs=0.0, slack=float(pdopt._gap_scale(a_val, b_val))))
     return reports

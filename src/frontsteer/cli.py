@@ -329,17 +329,12 @@ def cmd_optimize(args) -> int:
     problem = build_problem(config)
     solver_cfg = build_solver_config(config)
     bundle = pdopt.optimize(problem, solver_cfg)
-    grid = problem.grid
-    # the split momenta, each with a zero last level like w
-    last = np.zeros((1, *grid.nx, grid.dim))
-    w_pair = tuple(VecField(grid, np.concatenate([part, last]))
-                   for part in np.split(bundle.diagnostics.w_split, 2, axis=-1))
     out = _outdir(config, args)
-    for name, fld in zip(("u", "f", "m", "w", "w_plus", "w_minus"),
-                         (bundle.u, bundle.f, bundle.m, bundle.w, *w_pair)):
-        write_field(out / f"{name}.field", fld, binary=True)
+    for name in ("u", "f", "m", "w", "w_plus", "w_minus"):
+        write_field(out / f"{name}.field", getattr(bundle, name), binary=True)
     write_diagnostics_csv(out / "diagnostics.csv", bundle.diagnostics)
-    reports = cert.battery(problem, bundle.u, bundle.f, bundle.m, w_pair,
+    reports = cert.battery(problem, bundle.u, bundle.f, bundle.m,
+                           (bundle.w_plus, bundle.w_minus),
                            seed=config["seed"], tol_gap=solver_cfg.tol_gap)
     cert.reports_to_json(reports, out / "certificates.json")
     diag = bundle.diagnostics
@@ -357,8 +352,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_certify(args) -> int:
     """The battery of ``optimize`` on stored fields: on the split momenta
-    w_plus/w_minus when the bundle has them, else on the nodal w, which the
-    certificate splits by sign one block of levels at a time."""
+    w_plus/w_minus when the bundle has them, else on the nodal w as the pair
+    (w, w)."""
     config = _run_config(args)
     problem = build_problem(config)
     solver_cfg = build_solver_config(config)
@@ -371,7 +366,7 @@ def cmd_certify(args) -> int:
         w = tuple(_read_on_grid(src / f"w_{part}.field", VecField, grid)
                   for part in ("plus", "minus"))
     else:
-        w = _read_on_grid(src / "w.field", VecField, grid)
+        w = (_read_on_grid(src / "w.field", VecField, grid),) * 2      # a nodal w is (w, w)
     details: dict = {}
     reports = cert.battery(problem, u, f, m, w, seed=config["seed"],
                            tol_gap=solver_cfg.tol_gap, details=details)

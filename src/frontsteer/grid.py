@@ -39,10 +39,11 @@ class TorusGrid:
             raise ParameterError(f"nx must have {self.dim} entries, got {nx}")
         if any(n < 4 for n in nx):
             raise ParameterError(f"need at least 4 points per axis, got {nx}")
-        if self.nt < 2:
-            raise ParameterError(f"nt must be >= 2, got {self.nt}")
-        if not (self.horizon > 0):
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        if not (float(self.nt).is_integer() and self.nt >= 2):
+            raise ParameterError(f"nt must be an integer >= 2, got {self.nt}")
+        object.__setattr__(self, "nt", int(self.nt))
+        if not (0 < self.horizon < np.inf):
+            raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
 
     # derived once, on first use; not fields, so equality and hashing ignore them
 

@@ -80,13 +80,13 @@ class IsotropicSpeed:
             arr.setflags(write=False)
             if arr.ndim != self.dim:
                 raise ParameterError(f"radius table must be {self.dim}-d")
-            if np.min(arr) <= 0:
-                raise ParameterError("speed radius must be positive")
+            if not np.all((arr > 0) & (arr < np.inf)):
+                raise ParameterError("speed radius must be positive and finite")
             object.__setattr__(self, "radius", arr)
         else:
             r = float(self.radius)
-            if r <= 0:
-                raise ParameterError("speed radius must be positive")
+            if not (0 < r < np.inf):
+                raise ParameterError(f"speed radius must be positive and finite, got {r}")
             object.__setattr__(self, "radius", r)
 
     @property
@@ -175,8 +175,8 @@ class FiniteControlsSpeed:
     def __post_init__(self):
         if not self.velocities:
             raise ParameterError("FiniteControlsSpeed needs at least one velocity map")
-        if not (0 < self.c0 <= self.c1):
-            raise ParameterError("need 0 < c0 <= c1")
+        if not (0 < self.c0 <= self.c1 < np.inf):
+            raise ParameterError(f"need 0 < c0 <= c1 < inf, got c0={self.c0}, c1={self.c1}")
         object.__setattr__(self, "velocities", tuple(self.velocities))
         self._verify_radii()
 
@@ -319,10 +319,10 @@ class CostModel:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if not (self.p > 1):
-            raise ParameterError(f"cost exponent p must be > 1, got {self.p}")
-        if not (self.kappa > 0):
-            raise ParameterError(f"kappa must be > 0, got {self.kappa}")
+        if not (1 < self.p < np.inf):
+            raise ParameterError(f"cost exponent p must be finite and > 1, got {self.p}")
+        if not (0 < self.kappa < np.inf):
+            raise ParameterError(f"kappa must be finite and > 0, got {self.kappa}")
 
     @property
     def q(self) -> float:

@@ -27,7 +27,7 @@ function u.
 
 The loop runs in place on one ``_Workspace`` built before it.  Its split
 momenta are component-major, as in ``transport``, w = (w+_1..w+_dim,
-w-_1..w-_dim) of shape (2*dim, nt - 1, *nx); ``optimize`` hands them out
+w-_1..w-_dim) of shape (2*dim, nt - 1, *nx); the bundle's pair holds them
 components last, transposed once at the end.  Besides the state (m and y,
 (nt, *nx) each, and w, 2*dim times that) the workspace holds the
 adjoint's gm and gw (gw also takes the gradient step), the divergence of
@@ -49,16 +49,14 @@ the iterate's split velocities, both exactly feasible, so A + B >= 0 by
 summation by parts and the discrete optimal value lies in [-A, B].
 ``optimize`` builds it only on the iterations that can stop the run (those
 with a continuity residual at most tol_cont), on the last one and on
-iterations 1, 2, 4, 8, ... for a log-spaced record.  The
-public ``certificate`` first moves any momenta into the split set (an
-iterate's already lie in it) and certifies stored bundles
-(``certify.duality_gap``) on their split pair or on a nodal w split by sign
-block by block, so a bundle written with its split momenta re-certifies to
-the gap ``optimize`` recorded.  Both build A and B in one
-pass over blocks of time levels (about ``_BLOCK_BYTES`` of split momenta
-each, one block for a 1D run at 64 points), so the certificate holds two
+iterations 1, 2, 4, 8, ... for a log-spaced record, and judged by
+``_gap_certified``, as in ``certify.battery``.  The public ``certificate``
+certifies the stored pairs (w+, w-) of ``certify.duality_gap``, a nodal w
+as (w, w), split by sign and moved into the split set block by block, so a
+bundle re-certifies to the gap ``optimize`` recorded.  Both build A and B
+in one pass over blocks of ``_block_levels`` time levels, holding two
 level-sized (nt, *nx) buffers plus one block, never a full momentum or
-velocity array, and gives the bits of a whole-array pass.
+velocity array, and give the bits of a whole-array pass.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ from .model import (CostModel, IsotropicSpeed, SpeedModel, _component_norm, cost
                     cost_conj, cost_deriv_conj, prox_cost_conj_coned,
                     prox_cost_conj_hull)
 from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it in this namespace
-from .transport import (_differences, _divergence, _march_levels, one_sided, split_by_sign,
-                        split_divergence, split_load)
+from .transport import (_CFL_SLACK, _differences, _divergence, _march_levels, one_sided,
+                        split_by_sign, split_divergence, split_load)
 
 # default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
 _TAU = 16.0
@@ -138,15 +136,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
+        if not (self.tol_gap >= 0 and self.tol_cont >= 0):      # 0 runs to max_iters
+            raise ParameterError(f"tolerances must be >= 0, got {self.tol_gap}, {self.tol_cont}")
 
 
 @dataclass
 class SolverDiagnostics:
     """Records of ``optimize``, one per checked iteration: its number, the
     certified A, B and gap A + B (see ``_certificate``) and the continuity
-    residual of the iterate.  ``w_split`` is the final split momenta
-    (w+, w-) on the nt - 1 intervals, shape (nt - 1, *nx, 2*dim), read-only;
-    the bundle's ``w`` is their sum."""
+    residual of the iterate."""
 
     iterations: int = 0
     converged: bool = False
@@ -159,7 +157,6 @@ class SolverDiagnostics:
     tau: float = 0.0
     sigma: float = 0.0
     notes: list = field(default_factory=list)
-    w_split: np.ndarray | None = None
 
     @property
     def final_gap(self) -> float:
@@ -176,14 +173,19 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class OptimalBundle:
-    """The final iterate: u = -y, f = k(m), m, and the net momentum
-    w = w+ + w- (zero on the last level)."""
+    """The final iterate: u = -y, f = k(m), m, and the split momenta
+    w_plus, w_minus (zero on the last level), whose sum is ``w``."""
 
     u: ScalarField
     f: ScalarField
     m: DensityField
-    w: VecField
+    w_plus: VecField
+    w_minus: VecField
     diagnostics: SolverDiagnostics
+
+    @property
+    def w(self) -> VecField:
+        return VecField(self.w_plus.grid, self.w_plus.values + self.w_minus.values)
 
 
 # -- discrete operators ------------------------------------------------------
@@ -298,11 +300,23 @@ def _b_value(problem: ProblemInstance, m_T: np.ndarray, k_conj: np.ndarray) -> f
     return float(np.sum(problem.u_T * m_T)) * vol + float(np.sum(k_conj)) * grid.dt * vol
 
 
+def _gap_scale(a_val: float, b_val: float) -> float:
+    """max(|A|, |B|, 1e-10), the scale of the relative gap."""
+    return max(abs(a_val), abs(b_val), 1e-10)
+
+
 def _relative_gap(a_val: float, b_val: float) -> float:
-    """(A + B) / max(|A|, |B|, 1e-10), the relative gap that tol_gap bounds;
+    """(A + B) / ``_gap_scale``, the relative gap that tol_gap bounds;
     +inf when B is."""
     gap = a_val + b_val
-    return gap / max(abs(a_val), abs(b_val), 1e-10) if np.isfinite(gap) else gap
+    return gap / _gap_scale(a_val, b_val) if np.isfinite(gap) else gap
+
+
+def _gap_certified(a_val: float, b_val: float, tol: float) -> bool:
+    """-1e-9 <= A + B <= tol * ``_gap_scale``: the rule of ``optimize``'s stop
+    test and of the battery's duality_gap; -1e-9 admits round-off only."""
+    gap = a_val + b_val
+    return bool(np.isfinite(gap) and -1e-9 <= gap <= tol * _gap_scale(a_val, b_val))
 
 
 def evaluate_A(problem: ProblemInstance, u: ScalarField, f: ScalarField) -> float:
@@ -383,7 +397,7 @@ def continuity_residual_rows(problem: ProblemInstance, m: np.ndarray,
                              w: np.ndarray) -> np.ndarray:
     """Physical residual per row, [(m(0)-m0)/dt ; dm/dt + div w], of a nodal
     momentum w split by sign into (w^+, w^-): the donor-cell form."""
-    w_int = w[:-1] if w.shape[0] == problem.grid.nt else w
+    w_int = w[:problem.grid.nt - 1]
     return _rows(m, split_by_sign(w_int), problem.m0, problem.grid) / problem.grid.dt
 
 
@@ -410,19 +424,21 @@ def _split_velocity(m: np.ndarray, w: np.ndarray,
 
 
 def certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
-                w_plus: np.ndarray, w_minus: np.ndarray | None,
+                w_plus: np.ndarray, w_minus: np.ndarray,
                 details: dict | None = None) -> tuple[float, float]:
-    """Certified (A, B) of nodal values u, density m (nt levels) and split
-    momenta (w+, w-), each of shape (nt or nt - 1, *nx, dim) with only the
-    first nt - 1 levels read, from any fields: each block of levels is
-    split by sign and moved into m times the split set (``split_project``),
-    then certified as in ``_certificate``, in the same pass and with the
-    same memory.  With w_minus None, w_plus is a nodal momentum w, certified
-    as its sign split (max(w, 0), min(w, 0)), which the clip of each block
-    gives with no split copy of w.  ``details`` also gets the largest
-    component move from the pair, or from the sign split of a nodal w; 0 for
-    admissible momenta."""
+    """Certified (A, B) of nodal values u, density m (nt levels) and stored
+    split momenta (w+, w-), each (nt or nt - 1, *nx, dim) and read on its
+    first nt - 1 levels, from any fields: each block is split by sign and
+    moved into m times the split set (``split_project``), then certified as
+    in ``_certificate``, in the same pass and memory.  A nodal momentum w is
+    the pair (w, w).  ``details`` also gets ``max_split_excess``, the largest
+    component move of ``split_project`` from the sign split (0 inside)."""
     return _certificate(problem, u, m, pair=(w_plus, w_minus), details=details)
+
+
+def _block_levels(grid: TorusGrid) -> int:
+    """Time levels per block of the certificate and of ``check_subsolution``."""
+    return max(1, _BLOCK_BYTES // (grid.n_space * 2 * grid.dim * 8))
 
 
 def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
@@ -431,7 +447,7 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     """Certified (A, B) of u, m and split momenta w in m times the split
     set, component-major, (2*dim, nt - 1 or nt, *nx), read on their first
     nt - 1 levels; or, in place of w, of the ``pair`` (w+, w-) of
-    ``certificate``, of any momenta, or (w, None) for a nodal w.
+    ``certificate``, of any momenta.
 
     Primal point: u with u(T) pinned to u_T and f = max(residual(u), 0).
     Dual point: m0 marched with the velocities w/m, scaled down where their
@@ -440,26 +456,19 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
     a scaled velocity leaves a split set without rest.  ``details`` gets A,
     B, the largest load and that flag.
 
-    One pass over blocks of time levels, each about ``_BLOCK_BYTES`` of
-    split momenta, builds both points: K(f) of the block's intervals goes
-    into one (nt - 1, *nx) buffer, which then takes K*(m) for B, and the
-    march into one (nt, *nx) density.  So the memory is those two buffers
-    plus one block's velocities, and A and B are sums over the same arrays
-    as in a whole-array pass, bit for bit.  A ``pair`` first has each block
-    moved into the split set (``certificate``), on the split set's per-grid
-    data (``split_cone``), built once."""
+    One pass over blocks of ``_block_levels`` time levels builds both
+    points: K(f) of the block's intervals goes into one (nt - 1, *nx)
+    buffer, which then takes K*(m) for B, and the march into one (nt, *nx)
+    density.  So the memory is those two buffers plus one block's
+    velocities, and A and B are sums over the same arrays as in a
+    whole-array pass, bit for bit.  A ``pair`` is moved as ``certificate``
+    says, on the split set's ``split_cone``, built once."""
     grid = problem.grid
     d = grid.dim
     nt = grid.nt
     u = np.asarray(u, dtype=float)
-    project = pair is not None
-    if project:
-        w_plus, w_minus = pair
-        nodal = w_minus is None
-        if nodal:
-            w_minus = w_plus
-        cone = problem.speed.split_cone(grid)
-    step = max(1, _BLOCK_BYTES // (grid.n_space * 2 * d * 8))
+    cone = None if pair is None else problem.speed.split_cone(grid)
+    step = _block_levels(grid)
     blocks = [(k0, min(k0 + step, nt - 1)) for k0 in range(0, nt - 1, step)]
     costs = np.empty((nt - 1, *grid.nx))
     marched = np.empty((nt, *grid.nx))
@@ -472,14 +481,12 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
             u_next[-1] = problem.u_T
         res = _hj_residual(problem, u[k0:k1], u_next)
         costs[k0:k1] = cost(problem.cost, np.maximum(res, 0.0))
-        if project:
-            clipped = split_by_sign((w_plus[k0:k1], w_minus[k0:k1]))
+        if pair is not None:
+            clipped = split_by_sign((pair[0][k0:k1], pair[1][k0:k1]))
             block = problem.speed.split_project(grid, m[k0:k1], clipped, cone)
-            # a nodal w moves from its sign split, a pair from its stored halves
-            plus, minus = (clipped[:d], clipped[d:]) if nodal else \
-                (np.moveaxis(w_plus[k0:k1], -1, 0), np.moveaxis(w_minus[k0:k1], -1, 0))
-            excess = np.maximum(excess, np.max(np.abs(block[:d] - plus)))
-            excess = np.maximum(excess, np.max(np.abs(block[d:] - minus)))
+            # the move from the sign split, one half at a time
+            for half in (slice(None, d), slice(d, None)):
+                excess = np.maximum(excess, np.max(np.abs(block[half] - clipped[half])))
         else:
             block = w[:, k0:k1]
         v, block_peak = _split_velocity(m[k0:k1], block, grid)
@@ -495,7 +502,7 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
             costs[k0:k1] = cost_conj(problem.cost, marched[k0:k1])
         b_val = _b_value(problem, marched[-1], costs)
     if details is not None:
-        if project:
+        if pair is not None:
             details["max_split_excess"] = float(excess)
         details.update(A=a_val, B=b_val, max_split_load=peak, b_inf_without_rest=no_rest)
     return a_val, b_val
@@ -642,9 +649,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
             diag.b_history.append(b_val)
             diag.gap_history.append(gap)
             diag.cont_history.append(cont)
-            scale = max(abs(a_val), abs(b_val), 1e-10)
-            met = (np.isfinite(gap) and gap <= config.tol_gap * scale
-                   and cont <= config.tol_cont)
+            met = _gap_certified(a_val, b_val, config.tol_gap) and cont <= config.tol_cont
         # both tests must hold at two iterations in a row: the residual of
         # an early iterate can dip below tol_cont once while u is still
         # first-order off (the gap sees its error only to second order)
@@ -658,7 +663,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
         # the a-priori bound sqrt(2*dim) c dt/dx exceeds 1 already in 1D at
         # dt = dx, where runs certify, so report the load the iterate reached
         peak = cert_details["max_split_load"]
-        if peak > 1.0 + 1e-12:      # the tolerance of solve_continuity's CFL test
+        if peak > _CFL_SLACK:       # the tolerance of solve_continuity's CFL test
             diag.notes.append(
                 f"the certificate scaled split velocities down (largest load "
                 f"sum_a (a_a - b_a) dt/dx_a = {peak:.4g} > 1), which moves its "
@@ -672,17 +677,16 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
 
     u_vals = -y
     u_vals[-1] = problem.u_T
-    # the bundle's layout, components last
-    w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
-    w_net = np.concatenate([w[..., :dim] + w[..., dim:],
-                            np.zeros((1, *grid.nx, dim))], axis=0)
-    w.setflags(write=False)
-    diag.w_split = w
+    # the bundle's layout: components last, a zero last level
+    w_plus, w_minus = (np.zeros((grid.nt, *grid.nx, dim)) for _ in range(2))
+    w_plus[:-1] = np.moveaxis(w[:dim], 0, -1)
+    w_minus[:-1] = np.moveaxis(w[dim:], 0, -1)
     m_field = DensityField(grid, m)
     return OptimalBundle(
         u=ScalarField(grid, u_vals),
         f=recover_f(problem, m_field),
         m=m_field,
-        w=VecField(grid, w_net),
+        w_plus=VecField(grid, w_plus),
+        w_minus=VecField(grid, w_minus),
         diagnostics=diag,
     )

@@ -10,7 +10,7 @@ one-sided differences ``one_sided``.  ``pdopt``, ``certify`` and
 Split momenta and velocities are component-major throughout the package,
 (2*dim, ..., *nx) with the w+ components first, or (dim, ..., *nx) per
 half, so each component is one contiguous array.  Components come last
-only at the boundary (``VecField``, field files, ``w_split``), which
+only at the boundary (``VecField``, field files, the bundle's pair), which
 ``split_by_sign``, the one sign clip, reads.  Each stencil is one shift of
 the flat arrays with the periodic faces written over after it, prepared
 once for arrays that a solver reuses (``_divergence``, ``_differences``).
@@ -40,6 +40,8 @@ from .errors import ParameterError
 from .grid import DensityField, TorusGrid, VecField
 # unused here; perfbench/tracing.py wraps it in this namespace
 from .grid import interp_space
+
+_CFL_SLACK = 1.0 + 1e-12        # the largest CFL load a march accepts: 1 plus round-off
 
 __all__ = [
     "split_divergence", "one_sided", "split_by_sign", "split_load", "march_split",
@@ -200,12 +202,12 @@ def _march_levels(m: np.ndarray, v: np.ndarray, start: int, grid: TorusGrid) -> 
 
 
 def _check_cfl(v: VecField) -> None:
-    """Refuse v when the CFL load of its split by sign passes 1 + 1e-12 on
+    """Refuse v when the CFL load of its split by sign passes ``_CFL_SLACK`` on
     any level: beyond it the march can go negative and the chain's jump
     probabilities sum past 1.  Loads are taken one level at a time; the
     message names the largest over all levels."""
     worst = float(np.max([np.max(split_load(split_by_sign(vk), v.grid)) for vk in v.values]))
-    if worst > 1.0 + 1e-12:
+    if worst > _CFL_SLACK:
         raise ParameterError(
             f"CFL violation: max speed load {worst:.4g} > 1 "
             f"(require sum_axes |v_a|*dt/dx_a <= 1 for positivity)")

@@ -218,7 +218,8 @@ def test_criterion_12_certified_gap_and_split_superposition(nontrivial_bundle):
     grid = problem.grid
     rel_gap = d.final_gap / max(abs(d.a_history[-1]), abs(d.b_history[-1]))
     # the recovered split velocities w+/m, w-/m, marched from m0, give back m
-    v, _ = _split_velocity(bundle.m.values[:-1], np.moveaxis(d.w_split, -1, 0), grid)
+    w = np.concatenate([bundle.w_plus.values[:-1], bundle.w_minus.values[:-1]], axis=-1)
+    v, _ = _split_velocity(bundle.m.values[:-1], np.moveaxis(w, -1, 0), grid)
     marched = march_split(problem.m0, v, grid)
     l1 = float(np.max(np.sum(np.abs(marched - bundle.m.values), axis=1))
                * grid.cell_volume)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
                              constant_field, interp_space, norm_lp)
 from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            solve_value_function)
-from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed
+from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed, cost_deriv_conj
 from frontsteer.pdopt import ProblemInstance, recover_velocity
 from frontsteer.transport import one_sided, split_by_sign, upwind_directional_derivative
 from frontsteer import certify, pdopt
@@ -187,7 +188,7 @@ class TestSelfConsistency:
         """The certifier's own self-test: every check passes simultaneously
         on the analytic optimum of the uniform instance."""
         u, f, m, w = closed_bundle
-        reports = certify.battery(uniform_problem, u, f, m, w, seed=0, tol_gap=1e-3)
+        reports = certify.battery(uniform_problem, u, f, m, (w, w), seed=0, tol_gap=1e-3)
         assert [r.name for r in reports] == [
             "ibp_inequality", "weak_identity_from_start", "weak_identity_to_end",
             "pointwise_hj", "subsolution", "holder_bound", "duality_gap"]
@@ -272,11 +273,14 @@ class TestWeakSolution:
         assert not (r1.passed and r2.passed)
 
     def test_precondition_f_equals_k_of_m(self, uniform_problem, closed_bundle):
+        # f != k(m) fails both identities under their own names, each with
+        # the precondition's defect and slack
         u, f, m, _ = closed_bundle
         f_bad = ScalarField(f.grid, f.values + 0.5)
-        r1, r2 = check_weak_solution(uniform_problem, u, f_bad, m)
-        assert not r1.passed
-        assert r1.name == "weak_solution_precondition"
+        reports = check_weak_solution(uniform_problem, u, f_bad, m)
+        assert [r.name for r in reports] == ["weak_identity_from_start", "weak_identity_to_end"]
+        for r in reports:
+            assert not r.passed and r.lhs == pytest.approx(0.5) and r.slack == 1e-6
 
 
 class TestPointwiseHJ:
@@ -544,7 +548,7 @@ class TestHolder:
         rep = check_holder(u, f, 3.0, prob.speed, samples=1000, seed=5)
         assert rep.passed
 
-    def test_adversarial_scaled_bound_detected(self):
+    def test_adversarial_scaled_bound_detected(self, monkeypatch):
         window = counterexample_instance(0.1, window_points=201, nt=101)
         grid = window.grid
         prob = ProblemInstance(grid=grid, speed=counterexample_speed(window),
@@ -552,8 +556,9 @@ class TestHolder:
                                m0=np.ones(grid.nx))
         f = window.obstacle_field()
         u = solve_value_function(prob, f)
-        rep = check_holder(u, f, 3.0, prob.speed, samples=1000, seed=5,
-                           bound_scale=0.01)
+        constant = certify.holder_constant
+        monkeypatch.setattr(certify, "holder_constant", lambda *args: 0.01 * constant(*args))
+        rep = check_holder(u, f, 3.0, prob.speed, samples=1000, seed=5)
         assert not rep.passed
 
     def test_variable_radius_skipped(self, uniform_problem, closed_bundle):
@@ -634,6 +639,38 @@ class TestDualityGap:
         assert duality_gap(uniform_problem, u, u, m, VecField(g, w_vals)) \
             == duality_gap(uniform_problem, u, u, m, pair)
 
+    @pytest.mark.parametrize("kind", ["ball", "hull"])
+    def test_battery_on_w_w_is_the_battery_on_the_sign_split(self, kind):
+        # a nodal w is the pair (w, w): the battery gives the reports and
+        # gap details of the pair (max(w, 0), min(w, 0))
+        rng = np.random.default_rng(12)
+        if kind == "ball":
+            g = TorusGrid(1, (16,), 17, 1.0)
+            speed = IsotropicSpeed(1, 1.0)
+        else:                                       # a diamond with rest
+            g = TorusGrid(2, (5, 6), 7, 1.0)
+            vels = [s * 0.9 * np.eye(2)[a] for a in range(2) for s in (1.0, -1.0)]
+            maps = tuple((lambda x, v=v: np.broadcast_to(v, np.shape(x)))
+                         for v in (*vels, np.zeros(2)))
+            speed = FiniteControlsSpeed(2, maps, c0=0.9 / np.sqrt(2), c1=0.9)
+        shape = (g.nt, *g.nx)
+        problem = ProblemInstance(grid=g, speed=speed, cost=CostModel(4.0),
+                                  u_T=rng.standard_normal(g.nx), m0=0.5 + rng.random(g.nx))
+        m = DensityField(g, 0.5 + rng.random(shape))
+        f = ScalarField(g, cost_deriv_conj(problem.cost, m.values))
+        u = solve_value_function(problem, f)
+        w = VecField(g, 0.4 * rng.standard_normal((*shape, g.dim)) * m.values[..., None])
+        sign_split = (VecField(g, np.maximum(w.values, 0.0)),
+                      VecField(g, np.minimum(w.values, 0.0)))
+        results = []
+        for pair in ((w, w), sign_split):
+            details = {}
+            reports = certify.battery(problem, u, f, m, pair, seed=3, tol_gap=1e-3,
+                                      details=details)
+            results.append((reports_to_json(reports), json.dumps(details)))
+        assert results[0] == results[1]
+        assert json.loads(results[0][1])["max_split_excess"] > 0.0   # momenta were moved
+
     def test_memory_is_two_level_buffers_and_one_block(self, monkeypatch):
         # one level per block on 2D 16^2x17: the certificate holds the costs
         # of the intervals and the marched density, (nt, *nx) each, and a few
@@ -673,5 +710,5 @@ class TestDualityGap:
         assert duality_gap(problem, u, u, m, w, details=details) == np.inf
         assert details["B"] == np.inf and details["b_inf_without_rest"]
         assert details["max_split_load"] == pytest.approx(1.8)
-        report = certify.battery(problem, u, u, m, w, seed=0, tol_gap=1e-3)[-1]
+        report = certify.battery(problem, u, u, m, (w, w), seed=0, tol_gap=1e-3)[-1]
         assert report.name == "duality_gap" and not report.passed

@@ -744,6 +744,17 @@ class TestRefusedValues:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_infinite_horizon_field_file_exits_2(self, tmp_path, capsys):
+        # a u_T file whose header says T=inf would give a grid with dt = inf
+        path = _field_file(tmp_path / "u_T.field", TorusGrid(1, (32,), 2, 1.0), 0.0)
+        text = Path(path).read_text()
+        Path(path).write_text(text.replace(" T=1 ", " T=inf ", 1))
+        write_config(tmp_path / "cfg.json", problem={"u_T": {"file": path}})
+        assert main(["optimize", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "horizon must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (["reproduce", "--refine", "-1"], "--refine"),
         (["solve-transport", "--velocity", "v.field", "--paths", "-5"], "--paths"),

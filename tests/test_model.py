@@ -654,6 +654,13 @@ class TestCostFamily:
         with pytest.raises(ParameterError):
             CostModel(p=3.0, kappa=0.0)
 
+    @pytest.mark.parametrize("p,kappa", [(np.inf, 1.0), (np.nan, 1.0), (3.0, np.inf),
+                                         (3.0, np.nan)])
+    def test_non_finite_parameters_refused(self, p, kappa):
+        # p = inf would make q NaN
+        with pytest.raises(ParameterError):
+            CostModel(p=p, kappa=kappa)
+
 
 class TestProx:
     def test_nonpositive_input(self):
@@ -868,3 +875,24 @@ class TestNewtonRootTolerance:
     def test_large_rhs_regression(self):
         m = float(_solve_power_root(23949.0, 1.0, 14638.0, 1.0 / 3.0))
         assert abs(23949.0 * m + np.cbrt(m) - 14638.0) <= 1e-12 * (1.0 + 14638.0)
+
+
+class TestSpeedValidation:
+    """Radii that are not positive finite numbers are refused."""
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_isotropic_radius(self, radius):
+        with pytest.raises(ParameterError):
+            IsotropicSpeed(1, radius)
+        table = np.ones(8)
+        table[3] = radius
+        with pytest.raises(ParameterError):
+            IsotropicSpeed(1, table)
+
+    @pytest.mark.parametrize("c0,c1", [(np.nan, 1.0), (0.5, np.nan), (0.5, np.inf),
+                                       (np.inf, np.inf)])
+    def test_finite_radii(self, c0, c1):
+        maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (1.0, -1.0))
+        with pytest.raises(ParameterError):
+            FiniteControlsSpeed(1, maps, c0=c0, c1=c1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (closed_form_uniform_bundle, cone_faces_reference, hull_prox_reference,
                       make_gauss_problem, make_uniform_problem, prox_coned_reference,
                       split_by_sign_reference)
-from frontsteer import pdopt
+from frontsteer import certify, pdopt
 from frontsteer.certify import _lip_space
 from frontsteer.errors import NumericError, ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
@@ -43,6 +43,12 @@ def _components_last(w):
     """Component-major split momenta (2*dim, ...) as a bundle stores them,
     components last."""
     return np.moveaxis(w, 0, -1)
+
+
+def _bundle_split(bundle):
+    """A bundle's pair w_plus/w_minus on the nt - 1 intervals as one array
+    (nt - 1, *nx, 2*dim), components last."""
+    return np.concatenate([bundle.w_plus.values[:-1], bundle.w_minus.values[:-1]], axis=-1)
 
 
 def _gauss_problem(n):
@@ -215,12 +221,14 @@ def _split_project(problem, m, w):
 def certificate_reference(problem, u, m, w, details, project):
     """The whole-array certificate on split momenta w, shape (nt - 1, *nx,
     2*dim), kept as the bitwise reference of the blocked ``_certificate``
-    (``project``: of ``certificate``)."""
+    (``project``: of ``certificate``, whose excess is the move from the sign
+    split)."""
     grid = problem.grid
     vol = grid.cell_volume
     if project:
         w_in = _split_project(problem, m[:-1], w)
-        details["max_split_excess"] = float(np.max(np.abs(w_in - w)))
+        clipped = _components_last(split_by_sign(_halves(w)))
+        details["max_split_excess"] = float(np.max(np.abs(w_in - clipped)))
         w = w_in
     u = np.array(u, dtype=float)
     u[-1] = problem.u_T
@@ -430,7 +438,7 @@ class TestBlockedCertificate:
             # nt levels, as a bundle stores them: the last one is never read
             nodal = np.concatenate([nodal, np.full((1, *grid.nx, d), np.nan)])
         details = {}
-        got = certificate(prob, u, m, nodal, None, details)
+        got = certificate(prob, u, m, nodal, nodal, details)
         assert np.array(got).tobytes() == np.array(ref).tobytes()
         assert list(details) == list(expected)
         for key, value in expected.items():
@@ -650,6 +658,27 @@ class TestOptimize:
         with pytest.raises(NumericError, match="iteration 3$"):
             optimize(_gauss_problem(16), SolverConfig(max_iters=10))
 
+    def test_stop_test_and_battery_share_the_gap_rule(self, monkeypatch):
+        # a certificate reading A + B = -1e-8, below the round-off bound
+        # -1e-9, neither stops the run nor passes the battery's gap check
+        prob = _gauss_problem(16)
+        config = SolverConfig(max_iters=900, tol_cont=1e-3)
+        assert optimize(prob, config).diagnostics.converged
+        certify_iterate = pdopt._certificate
+
+        def negative(problem, *args, details=None, **kwargs):
+            a_val, _ = certify_iterate(problem, *args, details=details, **kwargs)
+            if details is not None:
+                details["B"] = -a_val - 1e-8
+            return a_val, -a_val - 1e-8
+
+        monkeypatch.setattr(pdopt, "_certificate", negative)
+        bundle = optimize(prob, config)
+        assert not bundle.diagnostics.converged
+        gap = certify.battery(prob, bundle.u, bundle.f, bundle.m,
+                              (bundle.w_plus, bundle.w_minus), seed=0, tol_gap=1e-3)[-1]
+        assert gap.name == "duality_gap" and not gap.passed
+
     def test_split_load_note(self):
         # 2D at dt = dx: the split ball lets the load reach sqrt(2*dim) c dt/dx
         # = 2, the march is scaled, and the non-converged run says so
@@ -666,7 +695,7 @@ class TestOptimize:
             bundle = optimize(prob, SolverConfig(max_iters=iters))
             details = {}
             _certificate(prob, bundle.u.values, bundle.m.values,
-                         _components(bundle.diagnostics.w_split), details=details)
+                         _components(_bundle_split(bundle)), details=details)
             assert details["max_split_load"] <= 1.0 + 1e-12
             at_round_off += details["max_split_load"] > 1.0
             assert not any("nt >=" in n for n in bundle.diagnostics.notes)
@@ -687,6 +716,12 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             SolverConfig(max_iters=0)
+
+    @pytest.mark.parametrize("bad", [dict(tol_gap=-1.0), dict(tol_cont=-1e-9),
+                                     dict(tol_gap=np.nan), dict(tol_cont=np.nan)])
+    def test_negative_or_nan_tolerance_refused(self, bad):
+        with pytest.raises(ParameterError):
+            SolverConfig(**bad)
 
 
 def _constant_maps(*vectors):
@@ -877,7 +912,8 @@ class TestInPlaceIteration:
         d = bundle.diagnostics
         assert d.iterations == 40 and not d.converged
         assert bundle.m.values.tobytes() == m.tobytes()
-        assert d.w_split.tobytes() == w.tobytes()
+        assert _bundle_split(bundle).tobytes() == w.tobytes()
+        assert not np.any(bundle.w_plus.values[-1]) and not np.any(bundle.w_minus.values[-1])
         assert seen[-1].tobytes() == (-y).tobytes()
         assert d.iter_history == checked == [1, 2, 4, 8, 16, 32, 40]
         assert np.array(d.gap_history).tobytes() == np.array(gaps).tobytes()

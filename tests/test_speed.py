@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import make_gauss_problem
-from frontsteer import certify, hj, pdopt
+from frontsteer import certify, hj, pdopt, transport
 from frontsteer.grid import ScalarField, VecField, read_field, write_field
-from frontsteer.model import CostModel, prox_cost_conj_coned
+from frontsteer.model import CostModel, cost_deriv_conj, prox_cost_conj_coned
 from frontsteer.transport import march_split
 
 pytest.importorskip("pytest_benchmark")
@@ -72,6 +72,22 @@ def test_certificate(benchmark):
     a_val, b_val = _timed(benchmark, grid.nt * grid.n_space, pdopt._certificate, problem,
                           -ws.y, ws.m, ws.w)
     assert np.isfinite(a_val) and a_val + b_val >= -1e-12
+
+
+def test_stored_certificate(benchmark):
+    # the certificate of a stored nodal bundle, as certify --bundle builds it
+    # in verify-2d: each block split by sign and projected into the ball
+    problem = make_gauss_problem(2, 32, 33, 4.0)
+    grid = problem.grid
+    v = certify.sample_admissible_field(problem.speed, grid, np.random.default_rng(0))
+    load = grid.dt * np.max(sum(np.abs(v.values[..., a]) / grid.dx[a] for a in range(grid.dim)))
+    v = VecField(grid, v.values * (0.9 / load))
+    m = transport.solve_continuity(problem.m0, v)
+    f = ScalarField(grid, cost_deriv_conj(problem.cost, m.values))
+    u = hj.solve_value_function(problem, f)
+    w = VecField(grid, m.values[..., None] * v.values)
+    gap = _timed(benchmark, grid.nt * grid.n_space, certify.duality_gap, problem, u, f, m, w)
+    assert np.isfinite(gap) and gap >= -1e-9
 
 
 def test_prox_p3(benchmark):
