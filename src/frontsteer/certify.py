@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField, _interp_plan, norm_lp
-from .model import IsotropicSpeed, SpeedModel, _component_norm, cost_deriv_conj
+from .model import SpeedModel, cost_deriv_conj
 from . import pdopt
 from .pdopt import ProblemInstance
 # unused here; perfbench/tracing.py wraps them in this namespace
@@ -239,64 +239,28 @@ def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -
     return _modes_on(_fourier_modes(rng, grid, modes), grid, 0, grid.nt)
 
 
-def _admissible_nodes(speed: SpeedModel, grid: TorusGrid) -> np.ndarray:
-    """The nodal data of ``_admissible_on``: the radii of a ball, (*nx), or
-    the velocities of a hull's controls, (M, *nx, dim)."""
-    if isinstance(speed, IsotropicSpeed):
-        return speed.radius_nodes(grid.nx)
-    return speed.velocities_at(np.stack(grid.meshgrid(), axis=-1))
-
-
-def _admissible_modes(speed: SpeedModel, grid: TorusGrid,
-                      rng: np.random.Generator) -> list[list]:
-    """The mode tables of one admissible field, one per component of a ball
-    or one logit per control of a hull: the order of these RNG draws fixes
-    every seeded bundle."""
-    count = grid.dim if isinstance(speed, IsotropicSpeed) else len(speed.velocities)
-    return [_fourier_modes(rng, grid) for _ in range(count)]
-
-
-def _admissible_on(speed: SpeedModel, nodes: np.ndarray, tables: list[list],
-                   grid: TorusGrid, k0: int, k1: int) -> np.ndarray:
-    """Levels k0..k1 - 1 of the admissible field of ``tables`` on ``nodes``
-    (``_admissible_nodes``), (k1 - k0, *nx, dim): a ball's raw field scaled
-    strictly inside the radius, or a hull's controls mixed by the softmax of
-    the logits.  Every operation is per node, so a block of levels has the
-    bits of the whole field."""
-    fields = [_modes_on(table, grid, k0, k1) for table in tables]
-    if isinstance(speed, IsotropicSpeed):
-        raw = np.stack(fields, axis=-1)
-        scale = 0.98 * nodes / (1.0 + _component_norm(raw))
-        raw *= scale[..., None]
-        return raw
-    logits = np.stack(fields)
-    lam = np.exp(logits - np.max(logits, axis=0))
-    lam /= np.sum(lam, axis=0)
-    return np.einsum("mt...,m...d->t...d", lam, nodes)
-
-
 def sample_admissible_field(speed: SpeedModel, grid: TorusGrid,
                             rng: np.random.Generator) -> VecField:
     """Smooth random velocity field with values in c(x,A) (strictly inside):
-    the field of ``_admissible_modes`` on all levels."""
-    tables = _admissible_modes(speed, grid, rng)
-    return VecField(grid, _admissible_on(speed, _admissible_nodes(speed, grid), tables,
-                                         grid, 0, grid.nt))
+    the speed's ``admissible`` mix of its smooth fields, drawn in order."""
+    count, mix = speed.admissible(grid)
+    tables = [_fourier_modes(rng, grid) for _ in range(count)]
+    return VecField(grid, mix([_modes_on(table, grid, 0, grid.nt) for table in tables]))
 
 
-def _sampled_pair(speed: SpeedModel, nodes: np.ndarray, grid: TorusGrid,
-                  rng: np.random.Generator, step: int):
+def _sampled_pair(count: int, mix, grid: TorusGrid, rng: np.random.Generator, step: int):
     """One sampled test pair of ``check_subsolution`` as two functions of a
-    block of levels (k0, k1): the admissible field v~ (``_admissible_on``)
-    and phi = w^2 / max(w^2) >= 0 of a smooth field w, whose maximum over
-    all levels is taken first, ``step`` levels at a time."""
-    v_tables = _admissible_modes(speed, grid, rng)
+    block of levels (k0, k1): v~, ``mix`` of ``count`` smooth fields as in
+    ``sample_admissible_field``, and phi = w^2 / max(w^2) >= 0 of a smooth
+    field w, whose maximum over all levels is taken first, ``step`` levels at
+    a time.  ``mix`` is per node: a block has the bits of the whole field."""
+    v_tables = [_fourier_modes(rng, grid) for _ in range(count)]
     w_table = _fourier_modes(rng, grid)
     mx = max(float(np.max(np.square(_modes_on(w_table, grid, k, min(k + step, grid.nt)))))
              for k in range(0, grid.nt, step))
 
     def v_on(k0: int, k1: int) -> np.ndarray:
-        return _admissible_on(speed, nodes, v_tables, grid, k0, k1)
+        return mix([_modes_on(table, grid, k0, k1) for table in v_tables])
 
     def phi_on(k0: int, k1: int) -> np.ndarray:
         phi = np.square(_modes_on(w_table, grid, k0, k1))
@@ -317,8 +281,8 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     ``pairs`` optionally supplies explicit (VecField, phi array) test pairs
     instead of random sampling.  A sampled pair is drawn as its Fourier
     modes, in the RNG order of ``sample_admissible_field`` and then
-    ``_fourier_scalar``: v~ is the admissible field of ``_admissible_modes``
-    and phi = w^2 / max(w^2) of one more smooth field w, its maximum taken
+    ``_fourier_scalar``: v~ is the speed's ``admissible`` mix of its smooth
+    fields and phi = w^2 / max(w^2) of one more smooth field w, its maximum taken
     in a first pass over all levels.  Pairs are streamed, each summed and
     dropped before the next is drawn, so memory does not grow with
     ``trials``.  The sums run over blocks of ``pdopt._block_levels`` levels
@@ -358,12 +322,12 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
 
     if pairs is None:
         rng = np.random.default_rng(seed)
-        nodes = _admissible_nodes(speed, grid)
+        count, mix = speed.admissible(grid)
     worst = (-np.inf, None)
     for trial in range(trials if pairs is None else len(pairs)):
         # a pair lives only for its own call
         if pairs is None:
-            gap = excess(*_sampled_pair(speed, nodes, grid, rng, step))
+            gap = excess(*_sampled_pair(count, mix, grid, rng, step))
         else:
             v, phi = pairs[trial]
             gap = excess(lambda k0, k1: v.values[k0:k1], lambda k0, k1: phi[k0:k1])
@@ -410,15 +374,14 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
     |x-y| <= beta*c0*(s-t) for beta = 1/2, and of the terminal upper bound
     u(t,x) <= u_T(x) + C (T-t)^alpha ||f||_p.
 
-    Supports isotropic speeds with constant radius only (the averaging
-    construction assumes a fixed ball of admissible velocities); other
-    speeds produce a skipped report."""
+    Supports speeds with a ``ball_radius`` only (the averaging construction
+    assumes a fixed ball of admissible velocities); other speeds produce a
+    skipped report."""
     grid = u.grid
-    # the averaging construction needs one fixed ball of admissible velocities
-    if not isinstance(speed, IsotropicSpeed) or isinstance(speed.radius, np.ndarray):
+    c0 = speed.ball_radius
+    if c0 is None:
         return CertReport(name="holder_bound", passed=True, lhs=0.0, rhs=0.0,
                           slack=0.0, skipped=True)
-    c0 = float(speed.radius)
     beta = 0.5
     alpha = 1.0 - (grid.dim + 1.0) / p
     norm_f = norm_lp(f, p)

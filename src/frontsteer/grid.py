@@ -30,7 +30,10 @@ class TorusGrid:
     horizon: float
 
     def __post_init__(self):
-        nx = tuple(int(n) for n in (self.nx if np.iterable(self.nx) else (self.nx,)))
+        nx = tuple(self.nx if np.iterable(self.nx) else (self.nx,))
+        if not all(float(n).is_integer() for n in nx):
+            raise ParameterError(f"nx entries must be integers, got {nx}")
+        nx = tuple(int(n) for n in nx)
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "horizon", float(self.horizon))
         if self.dim not in (1, 2):

@@ -15,10 +15,11 @@ Two speed variants are supported:
 
 Each speed owns the operators its callers need, evaluated on the nodes of a
 ``TorusGrid``: ``cone_violation`` for a nodal w in m*c(x,A), ``velocity_samples``
-for the HJ sweep, and for the split velocities (a, b), a >= 0 >= b per axis,
-of the primal-dual solver: ``split_hamiltonian``, the sup of -(a.D+u + b.D-u)
-over the ball {|(a, b)| <= c(x)} or the hull of the split maps (v_i^+, v_i^-)
-(``split_hull_faces``), which is H(x, p) = sup_{v in c(x,A)} -v.p at
+for the HJ sweep, ``admissible`` for the test fields of ``certify`` and
+``ball_radius`` for its Hoelder bound, and for the split velocities (a, b),
+a >= 0 >= b per axis, of the primal-dual solver: ``split_hamiltonian``, the
+sup of -(a.D+u + b.D-u) over the ball {|(a, b)| <= c(x)} or the hull of the
+split maps (v_i^+, v_i^-), which is H(x, p) = sup_{v in c(x,A)} -v.p at
 D+u = D-u = p, and ``split_project``, which moves momenta into m times the
 split set on the per-grid data of ``split_cone``.  Split arrays, hull faces
 and both joint proxes are component-major, (n, ..., *nx), as in ``transport``.
@@ -139,6 +140,22 @@ class IsotropicSpeed:
         c = self.radius_nodes(grid.nx)
         return float(np.max(_component_norm(w) - c * m))
 
+    @property
+    def ball_radius(self) -> float | None:
+        """The constant radius, or None for a radius table."""
+        return None if isinstance(self.radius, np.ndarray) else self.radius
+
+    def admissible(self, grid):
+        """(dim, mix): ``mix`` scales dim fields (levels, *nx), as one vector
+        raw, by 0.98 c(x) / (1 + |raw|) into velocities (levels, *nx, dim)."""
+        radii = self.radius_nodes(grid.nx)
+
+        def mix(fields):
+            raw = np.stack(fields, axis=-1)
+            raw *= (0.98 * radii / (1.0 + _component_norm(raw)))[..., None]
+            return raw
+        return grid.dim, mix
+
     def velocity_samples(self, grid) -> list[np.ndarray]:
         """Rest, then the 2*dim axis and 2^dim diagonal unit directions
         (duplicates dropped) scaled to the node radius; each (*nx, dim)."""
@@ -184,6 +201,8 @@ class FiniteControlsSpeed:
         pts = np.stack(np.meshgrid(*([np.linspace(0, 1, n_sample, endpoint=False)] * self.dim),
                                    indexing="ij"), axis=-1).reshape(-1, self.dim)
         vels = self.velocities_at(pts)                      # (M, n, dim)
+        if not np.all(np.isfinite(vels)):
+            raise ParameterError("velocity maps must give finite velocities")
         speeds = np.linalg.norm(vels, axis=-1)
         if np.max(speeds) > self.c1 + 1e-9:
             raise ParameterError(f"velocity exceeds declared c1={self.c1}")
@@ -225,9 +244,11 @@ class FiniteControlsSpeed:
         return bool(np.all(np.any(np.all(vels == 0.0, axis=-1), axis=0)))
 
     def split_cone(self, grid) -> HullFaces:
-        """The split hull's faces (``split_hull_faces``), the per-grid data of
-        ``split_project`` and of the joint prox ``prox_cost_conj_hull``."""
-        return self.split_hull_faces(grid)
+        """``hull_faces`` of the split generators (1, v_i^+(x), v_i^-(x)),
+        with at most 2*dim + 1 of them per face: the cone of (m, a*m, b*m)
+        over split velocities (a, b) in the hull of the split maps, the
+        per-grid data of ``split_project`` and of ``prox_cost_conj_hull``."""
+        return _cone_faces(self._split_node_velocities(grid))
 
     def split_project(self, grid, m: np.ndarray, w: np.ndarray,
                       cone: HullFaces | None = None) -> np.ndarray:
@@ -250,6 +271,21 @@ class FiniteControlsSpeed:
         pm, pw = _hull_prox(self.hull_faces(grid), m, w, 0.0, 0.5)
         return float(np.max(np.sqrt((m - pm) ** 2 + np.sum((w - pw) ** 2, axis=0))))
 
+    # the averaging construction of the Hoelder bound needs a ball
+    ball_radius = None
+
+    def admissible(self, grid):
+        """(M, mix): ``mix`` mixes the M maps on the nodes by the softmax of M
+        fields (levels, *nx) into velocities (levels, *nx, dim)."""
+        vels = self._node_velocities(grid)
+
+        def mix(fields):
+            logits = np.stack(fields)
+            lam = np.exp(logits - np.max(logits, axis=0))
+            lam /= np.sum(lam, axis=0)
+            return np.einsum("mt...,m...d->t...d", lam, vels)
+        return len(self.velocities), mix
+
     def velocity_samples(self, grid) -> list[np.ndarray]:
         """Rest, then each map on the grid nodes; each (*nx, dim)."""
         return [np.zeros((*grid.nx, grid.dim)), *self._node_velocities(grid)]
@@ -260,12 +296,6 @@ class FiniteControlsSpeed:
         of C(M, k) faces for M maps.  Faces whose generators are linearly
         dependent at a node get a zero inverse there."""
         return _cone_faces(np.moveaxis(self._node_velocities(grid), -1, 0))
-
-    def split_hull_faces(self, grid) -> HullFaces:
-        """``hull_faces`` of the split generators (1, v_i^+(x), v_i^-(x)),
-        with at most 2*dim + 1 of them per face: the cone of (m, a*m, b*m)
-        over split velocities (a, b) in the hull of the split maps."""
-        return _cone_faces(self._split_node_velocities(grid))
 
 
 def _cone_faces(vels: np.ndarray) -> HullFaces:
@@ -302,7 +332,7 @@ class HullFace(NamedTuple):
 class HullFaces(NamedTuple):
     """The velocity maps on the grid nodes, shape (n, M, *nx), and the faces
     of their cone; built once per grid by ``hull_faces`` (n = dim) or
-    ``split_hull_faces`` (n = 2*dim)."""
+    ``split_cone`` (n = 2*dim)."""
 
     vels: np.ndarray
     faces: tuple[HullFace, ...]
@@ -568,7 +598,7 @@ def prox_cost_conj_hull(model: CostModel, faces: HullFaces, m_bar, w_bar,
     """Exact joint prox of step*K*(m) plus the indicator of the finite-hull
     cone {(m, w): m >= 0, w in m*conv{v_i(x)}}, by face enumeration (see
     ``_hull_prox``, also for ``out``); ``faces`` comes from
-    ``FiniteControlsSpeed.hull_faces`` or ``split_hull_faces``.
+    ``FiniteControlsSpeed.hull_faces`` or ``split_cone``.
     Step 0 is the Euclidean projection onto the cone."""
     q = model.q
     return _hull_prox(faces, m_bar, w_bar, step * model.kappa ** (1.0 - q), q - 1.0, out)

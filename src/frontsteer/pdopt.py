@@ -134,8 +134,9 @@ class SolverConfig:
     sigma: float | None = None     # dual step (default 0.06)
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
+        if not (float(self.max_iters).is_integer() and self.max_iters >= 1):
+            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        self.max_iters = int(self.max_iters)
         if not (self.tol_gap >= 0 and self.tol_cont >= 0):      # 0 runs to max_iters
             raise ParameterError(f"tolerances must be >= 0, got {self.tol_gap}, {self.tol_cont}")
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
-from frontsteer.model import CostModel, HullFace, HullFaces, IsotropicSpeed, _solve_power_root
+from frontsteer.model import (CostModel, FiniteControlsSpeed, HullFace, HullFaces, IsotropicSpeed,
+                              _solve_power_root)
 from frontsteer.pdopt import OptimalBundle, ProblemInstance, SolverConfig, optimize
 
 
@@ -30,6 +31,31 @@ def make_gauss_problem(dim, n, nt, p):
     return ProblemInstance(grid=grid, speed=IsotropicSpeed(dim, 1.0), cost=CostModel(p),
                            u_T=np.prod([np.cos(2 * np.pi * c) for c in coords], axis=0),
                            m0=m0 / (np.sum(m0) * grid.cell_volume))
+
+
+def trial_speed(kind, dim):
+    """A ball of constant or nodal radius, or a hull of rotating controls
+    (2D) or of three controls, one of them varying (1D).  A nodal radius is
+    a table of 12 points per axis; the maps of a hull serve any grid."""
+    if kind == "ball":
+        return IsotropicSpeed(dim, 1.0)
+    x = np.arange(12) / 12
+    if kind == "nodal":
+        bump = 0.6 + 0.3 * np.cos(2 * np.pi * x) ** 2
+        return IsotropicSpeed(dim, bump if dim == 1 else np.outer(bump, np.ones(12)))
+    if dim == 1:
+        maps = (lambda p: np.ones(p.shape), lambda p: -np.ones(p.shape),
+                lambda p: 0.5 * np.sin(2 * np.pi * p))
+        return FiniteControlsSpeed(1, maps, c0=1.0, c1=1.0)
+
+    def rotated(e):
+        def v(p):
+            ang = 0.2 * np.sin(2 * np.pi * p[..., 0])
+            c, s = np.cos(ang), np.sin(ang)
+            return np.stack([c * e[0] - s * e[1], s * e[0] + c * e[1]], axis=-1)
+        return v
+    maps = tuple(rotated(e) for e in np.vstack([np.eye(2), -np.eye(2)]))
+    return FiniteControlsSpeed(2, maps, c0=0.7, c1=1.0)
 
 
 def closed_form_uniform_bundle(problem):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_uniform_bundle, make_uniform_problem, traced_peak
+from conftest import (closed_form_uniform_bundle, make_uniform_problem, traced_peak,
+                      trial_speed)
 from frontsteer.errors import ParameterError
 from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
                              constant_field, interp_space, norm_lp)
@@ -62,31 +63,6 @@ def admissible_pairs_reference(speed, grid, seed, trials):
         phi = fourier_scalar_reference(rng, grid) ** 2
         pairs.append((v, phi / np.max(phi)))
     return pairs
-
-
-def trial_speed(kind, dim):
-    """A ball of constant or nodal radius, or a hull of rotating controls
-    (2D) or of three controls, one of them varying (1D), for grids of 12
-    points per axis."""
-    if kind == "ball":
-        return IsotropicSpeed(dim, 1.0)
-    x = np.arange(12) / 12
-    if kind == "nodal":
-        bump = 0.6 + 0.3 * np.cos(2 * np.pi * x) ** 2
-        return IsotropicSpeed(dim, bump if dim == 1 else np.outer(bump, np.ones(12)))
-    if dim == 1:
-        maps = (lambda p: np.ones(p.shape), lambda p: -np.ones(p.shape),
-                lambda p: 0.5 * np.sin(2 * np.pi * p))
-        return FiniteControlsSpeed(1, maps, c0=1.0, c1=1.0)
-
-    def rotated(e):
-        def v(p):
-            ang = 0.2 * np.sin(2 * np.pi * p[..., 0])
-            c, s = np.cos(ang), np.sin(ang)
-            return np.stack([c * e[0] - s * e[1], s * e[0] + c * e[1]], axis=-1)
-        return v
-    maps = tuple(rotated(e) for e in np.vstack([np.eye(2), -np.eye(2)]))
-    return FiniteControlsSpeed(2, maps, c0=0.7, c1=1.0)
 
 
 SPEEDS = [(kind, dim) for dim in (1, 2) for kind in ("ball", "nodal", "hull")]
@@ -422,6 +398,18 @@ class TestSubsolution:
             # same draws in the same order
             assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("kind,dim", SPEEDS)
+    def test_sampled_fields_are_admissible(self, kind, dim):
+        # check_subsolution tests only velocities in c(x, A): strictly inside
+        # a ball, and in a hull up to the round-off of its projection
+        grid = TorusGrid(dim, (12,) * dim, 9, 1.0)
+        speed = trial_speed(kind, dim)
+        for seed in range(3):
+            v = certify.sample_admissible_field(speed, grid, np.random.default_rng(seed))
+            for v_k in v.values:
+                violation = speed.cone_violation(grid, np.ones(grid.nx), v_k)
+                assert (violation <= 1e-12) if kind == "hull" else (violation < 0.0)
+
     @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 30], ids=["default", "1", "2^30"])
     @pytest.mark.parametrize("kind,dim", SPEEDS)
     def test_streamed_trials_bitwise_equal_pairs_drawn_first(self, monkeypatch, kind, dim,
@@ -561,12 +549,14 @@ class TestHolder:
         rep = check_holder(u, f, 3.0, prob.speed, samples=1000, seed=5)
         assert not rep.passed
 
-    def test_variable_radius_skipped(self, uniform_problem, closed_bundle):
+    @pytest.mark.parametrize("kind", ["ball", "nodal", "hull"])
+    def test_variable_radius_skipped(self, uniform_problem, closed_bundle, kind):
+        # only a ball of constant radius runs: not a radius table, and not a
+        # hull, although c0 = c1 = 1 makes the 1D hull the unit interval
         u, f, _, _ = closed_bundle
-        radius = np.full(64, 1.0)
-        radius[0] = 0.9
-        rep = check_holder(u, f, 3.0, IsotropicSpeed(1, radius), samples=10, seed=0)
-        assert rep.skipped and rep.passed
+        speed = trial_speed(kind, 1)
+        rep = check_holder(u, f, 3.0, speed, samples=10, seed=0)
+        assert rep.skipped == (kind != "ball") and rep.passed
 
 
     @pytest.mark.parametrize("nx,nt,seed", [((48,), 49, 0), ((64,), 65, 3), ((12, 10), 9, 1),

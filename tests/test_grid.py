@@ -53,6 +53,7 @@ class TestTorusGrid:
         dict(dim=1, nx=(8,), nt=5, horizon=0.0),
         dict(dim=2, nx=(8,), nt=5, horizon=1.0),
         dict(dim=1, nx=(8,), nt=9.5, horizon=1.0),
+        dict(dim=1, nx=(8.7,), nt=5, horizon=1.0),
         dict(dim=1, nx=(8,), nt=float("nan"), horizon=1.0),
         dict(dim=1, nx=(8,), nt=5, horizon=float("inf")),
         dict(dim=1, nx=(8,), nt=5, horizon=float("nan")),

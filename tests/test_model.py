@@ -398,7 +398,7 @@ class TestHullProx:
         rng = np.random.default_rng(15)
         m_bar = rng.normal(0.5, 1.0, (2, *grid.nx))
         w_bar = components(0.8 * rng.standard_normal((2, *grid.nx, n)))
-        faces = s.split_hull_faces(grid)
+        faces = s.split_cone(grid)
         assert faces.vels.shape == (n, len(s.velocities), *grid.nx)
         m, w = prox_cost_conj_hull(model, faces, m_bar, w_bar, step)
         assert np.all(w[:grid.dim] >= 0.0) and np.all(w[grid.dim:] <= 0.0)
@@ -493,7 +493,7 @@ class TestSplitProject:
     def test_hull_lands_in_the_split_hull(self, speed):
         rng = np.random.default_rng(23)
         s = speed()
-        faces = s.split_hull_faces(GRID_2D)
+        faces = s.split_cone(GRID_2D)
         m, w = self._momenta(rng, GRID_2D)
         p = s.split_project(GRID_2D, m, w)
         assert np.all(p[:, m == 0] == 0.0) and np.any(np.abs(p - w) > 1e-3)
@@ -539,7 +539,7 @@ class TestComponentMajorHull:
         grid, s = _layout_hull(case)
         nodal = s._node_velocities(grid)
         for got, ref in ((s.hull_faces(grid), cone_faces_reference(nodal)),
-                         (s.split_hull_faces(grid),
+                         (s.split_cone(grid),
                           cone_faces_reference(split_by_sign_reference(nodal)))):
             assert got.vels.tobytes() == np.ascontiguousarray(components(ref.vels)).tobytes()
             assert len(got.faces) == len(ref.faces)
@@ -555,7 +555,7 @@ class TestComponentMajorHull:
         grid, s = _layout_hull(case)
         nodal = s._node_velocities(grid)
         if split:
-            faces, ref_faces = s.split_hull_faces(grid), \
+            faces, ref_faces = s.split_cone(grid), \
                 cone_faces_reference(split_by_sign_reference(nodal))
         else:
             faces, ref_faces = s.hull_faces(grid), cone_faces_reference(nodal)
@@ -896,3 +896,9 @@ class TestSpeedValidation:
         maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (1.0, -1.0))
         with pytest.raises(ParameterError):
             FiniteControlsSpeed(1, maps, c0=c0, c1=c1)
+
+    def test_nan_velocities(self):
+        # NaN compares false against c1 and in the support test
+        maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (np.nan, -1.0, 1.0))
+        with pytest.raises(ParameterError):
+            FiniteControlsSpeed(1, maps, c0=0.5, c1=1.0)

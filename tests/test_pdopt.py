@@ -716,6 +716,11 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             SolverConfig(max_iters=0)
+        # a non-integer budget would reach range() as a bare TypeError
+        for bad in (2.5, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                SolverConfig(max_iters=bad)
+        assert type(SolverConfig(max_iters=3.0).max_iters) is int
 
     @pytest.mark.parametrize("bad", [dict(tol_gap=-1.0), dict(tol_cont=-1e-9),
                                      dict(tol_gap=np.nan), dict(tol_cont=np.nan)])

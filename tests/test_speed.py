@@ -14,7 +14,7 @@ written and read back, over the mean time of both).
 import numpy as np
 import pytest
 
-from conftest import make_gauss_problem
+from conftest import make_gauss_problem, trial_speed
 from frontsteer import certify, hj, pdopt, transport
 from frontsteer.grid import ScalarField, VecField, read_field, write_field
 from frontsteer.model import CostModel, cost_deriv_conj, prox_cost_conj_coned
@@ -102,15 +102,18 @@ def test_prox_p3(benchmark):
     assert np.min(m) >= 0.0 and np.all(np.abs(w[0]) <= m * (1.0 + 1e-12))
 
 
-def test_subsolution(benchmark):
-    # the battery's subsolution check: ten sampled pairs on a 2D grid
+@pytest.mark.parametrize("kind", ["ball", "hull"])
+def test_subsolution(benchmark, kind):
+    # the battery's subsolution check: ten sampled pairs on a 2D grid, in
+    # the unit ball or in the hull of four rotating controls
     problem = make_gauss_problem(2, 32, 33, 4.0)
     grid = problem.grid
+    speed = problem.speed if kind == "ball" else trial_speed("hull", 2)
     rng = np.random.default_rng(0)
     u = ScalarField(grid, rng.standard_normal((grid.nt, *grid.nx)))
     f = ScalarField(grid, rng.random((grid.nt, *grid.nx)))
     report = _timed(benchmark, grid.nt * grid.n_space, certify.check_subsolution, u, f,
-                    problem.speed, trials=10, seed=0)
+                    speed, trials=10, seed=0)
     assert np.isfinite(report.lhs) and report.worst_location is not None
 
 
