@@ -11,7 +11,8 @@ Two speed variants are supported:
   the cone spanned by the generators g_i = (1, v_i(x)).  The cone check and
   the joint prox (``prox_cost_conj_hull``) are exact: they enumerate the
   faces of at most dim + 1 generators (``hull_faces``) and solve one scalar
-  equation per face in closed form, no iteration.
+  equation per face, in closed form for the cone check and at p = 3, by
+  Newton to round-off otherwise (``_solve_power_root``).
 
 Each speed owns the operators its callers need, evaluated on the nodes of a
 ``TorusGrid``: ``cone_violation`` for a nodal w in m*c(x,A), ``velocity_samples``
@@ -265,8 +266,9 @@ class FiniteControlsSpeed:
     def cone_violation(self, grid, m: np.ndarray, w: np.ndarray) -> float:
         """Largest distance from (m, w) to its projection onto the cone
         {(m, w): m >= 0, w in m*c(x,A)} over all nodes (0 inside, up to
-        round-off), for a nodal w."""
+        round-off), for a nodal w and an m that broadcasts to its nodes."""
         w = np.moveaxis(w, -1, 0)
+        m = np.broadcast_to(m, w.shape[1:])
         # coef = 0 leaves the projection; r = 1/2 only selects the root solver
         pm, pw = _hull_prox(self.hull_faces(grid), m, w, 0.0, 0.5)
         return float(np.max(np.sqrt((m - pm) ** 2 + np.sum((w - pw) ** 2, axis=0))))
@@ -402,19 +404,21 @@ def _solve_sqrt_root(lin, coef, rhs):
 
 def _solve_power_root(lin, coef, rhs, r):
     """Solve lin*m + coef*m^r = rhs elementwise over m >= 0 (all inputs
-    broadcastable, lin >= 1, coef >= 0, r > 0).  r = 1/2 (p = 3) has a closed
-    form; other r use monotone Newton with a bisection safeguard, tolerance
-    1e-12 * (1 + |rhs|) on the residual (a purely absolute 1e-12 lies below
-    the rounding of rhs once rhs > 1e4).  An entry whose residual meets the
-    tolerance is frozen after one more Newton step (kept if it lowers the
-    residual); later steps run over the entries still open, so an entry gets
-    the same bits as when solved alone.
+    broadcastable, lin >= 1, coef >= 0, r > 0); m = 0 where rhs <= 0.
+    r = 1/2 (p = 3) has a closed form.  Other r take plain Newton on the
+    convex form: in x = m^min(r, 1) the equation is h(x) = a*x^e + b*x - rhs
+    = 0, with e = max(1/r, r) >= 1 and (a, b) = (lin, coef) for r < 1,
+    (coef, lin) otherwise, so h is convex and increasing.  From
+    x0 = min((rhs/a)^(1/e), rhs/b), where h >= 0 and x0 is at most twice
+    the root, Newton decreases monotonically to the root; an entry stops at
+    the first step that does not decrease it, with no bracket and no
+    tolerance.  Later steps run over the entries still open, so an entry
+    gets the same bits as when solved alone.
 
     Scalar lin and coef stay scalars and the others are gathered to the open
-    entries (a contiguous rhs with every entry open is read in place).  The
-    steps run in place and the open entries' arrays are compressed one at a
-    time, so the solve holds the output, seven arrays of the open entries
-    and two temporaries."""
+    entries (a contiguous rhs with every entry open is read in place).  Each
+    step is formed in place in two arrays of the open entries, which are
+    compressed one at a time."""
     if r == 0.5:
         return _solve_sqrt_root(lin, coef, rhs)
     rhs = np.asarray(rhs, dtype=float)
@@ -422,67 +426,44 @@ def _solve_power_root(lin, coef, rhs, r):
     out = np.zeros(shape)
     pending = np.flatnonzero(np.broadcast_to(rhs, shape) > 0)   # rhs <= 0: root m = 0
 
-    def gather(a):
-        a = np.broadcast_to(np.asarray(a, dtype=float), shape)
-        if pending.size == a.size and a.flags.c_contiguous:
-            return a.reshape(-1)
-        return a.flat[pending]
+    def gather(v):
+        v = np.broadcast_to(np.asarray(v, dtype=float), shape)
+        if pending.size == v.size and v.flags.c_contiguous:
+            return v.reshape(-1)
+        return v.flat[pending]
 
-    lin, coef = (float(a) if np.ndim(a) == 0 else gather(a) for a in (lin, coef))
+    lin, coef = (float(v) if np.ndim(v) == 0 else gather(v) for v in (lin, coef))
     rhs = gather(rhs)
-    tol = 1e-12 * (1.0 + np.abs(rhs))
-    m = rhs / lin                             # g(rhs/lin) >= 0: start at the right
-    lo = np.zeros_like(m)
-    hi = m.copy()
-    for _ in range(200):
-        # the residual g = lin*m + coef*m^r - rhs and the Newton step
-        # m - g / g', each product and sum of the textbook form, formed in
-        # place; |g| takes the step's buffer first
-        g = m ** r
-        g *= coef
-        m_new = np.multiply(lin, m)
-        g += m_new
-        g -= rhs
-        done = np.abs(g, out=m_new) < tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.power(m, r - 1.0, out=m_new)
-            m_new *= coef * r
-            m_new += lin
-            np.divide(g, m_new, out=m_new)
-        np.subtract(m, m_new, out=m_new)
-        if np.any(done):
-            # one more Newton step takes a met residual on to round-off; it
-            # is kept only where it lowers the residual
-            last = m_new[done]
-            with np.errstate(invalid="ignore"):
-                g_last = last ** r
-                g_last *= coef if np.ndim(coef) == 0 else coef[done]
-                g_last += last * (lin if np.ndim(lin) == 0 else lin[done])
-                g_last -= rhs[done]
-            better = np.abs(g_last, out=g_last) <= np.abs(g[done])
-            np.copyto(last, m[done], where=~better)
-            out.flat[pending[done]] = last
-        # the bracket and the safeguarded step, then only the open entries
-        np.minimum(hi, m, out=hi, where=g > 0)
-        np.maximum(lo, m, out=lo, where=g < 0)
-        bad = ~np.isfinite(m_new) | (m_new <= lo) | (m_new >= hi)
-        m_new[bad] = 0.5 * (lo[bad] + hi[bad])
-        m = m_new
-        if np.any(done):
-            keep = ~done
-            # one array at a time, each old one freed as its copy is made
-            pending = pending[keep]
-            rhs = rhs[keep]
-            tol = tol[keep]
-            m = m[keep]
-            lo = lo[keep]
-            hi = hi[keep]
-            lin = lin if np.ndim(lin) == 0 else lin[keep]
-            coef = coef if np.ndim(coef) == 0 else coef[keep]
-        if not pending.size:
-            return out
-    raise NumericError(
-        f"power-root solve failed to converge; worst residual {np.max(np.abs(g[~done]))}")
+    e, a, b = (1.0 / r, lin, coef) if r < 1.0 else (r, coef, lin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.minimum((rhs / a) ** (1.0 / e), rhs / b)
+        for _ in range(100):
+            # x - h/h' with h = (a*x^(e-1) + b)*x - rhs, h' = e*a*x^(e-1) + b
+            d = x ** (e - 1.0)
+            d *= a
+            h = np.add(d, b)
+            h *= x
+            h -= rhs
+            d *= e
+            d += b
+            h /= d
+            x_new = np.subtract(x, h, out=d)
+            del h
+            more = x_new < x
+            if not np.all(more):
+                done = ~more
+                last = x[done]
+                out.flat[pending[done]] = last ** e if r < 1.0 else last
+                # one array at a time, each old one freed as its copy is made
+                pending = pending[more]
+                rhs = rhs[more]
+                x_new = x_new[more]
+                a = a if np.ndim(a) == 0 else a[more]
+                b = b if np.ndim(b) == 0 else b[more]
+            x = x_new
+            if not pending.size:
+                return out
+    raise NumericError(f"power-root Newton did not settle on {pending.size} entries")
 
 
 def prox_cost_conj(model: CostModel, m_bar, step: float):
@@ -490,8 +471,7 @@ def prox_cost_conj(model: CostModel, m_bar, step: float):
 
     Solves the scalar optimality condition m + step*k(m) = m_bar: in closed
     form for p = 3, where it is a quadratic in sqrt(m), otherwise by monotone
-    Newton iteration with a bisection safeguard (tolerance
-    1e-12 * (1 + |m_bar|)).
+    Newton iteration to round-off (``_solve_power_root``).
     Vectorized over arrays.
     """
     if not (step > 0):

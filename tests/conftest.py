@@ -95,36 +95,27 @@ def sqrt_root_masked(lin, coef, rhs):
 
 
 def power_root_reference(lin, coef, rhs, r):
-    """The Newton root of ``_solve_power_root`` in its allocating form, with
-    lin and coef gathered to full arrays and each step a fresh expression,
-    the form before the in-place steps; their bitwise reference."""
-    lin, coef, rhs = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                           for a in (lin, coef, rhs)))
+    """The Newton root of ``_solve_power_root`` in its allocating form: lin
+    and coef gathered to full arrays, every positive entry stepped each
+    round by a fresh expression and kept where the step does not decrease
+    it, the form before the in-place steps over the open entries; their
+    bitwise reference.  Arrays throughout, since numpy's scalar ``**`` may
+    differ from its array ``**`` in the last bit."""
+    lin, coef, rhs = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                           for v in (lin, coef, rhs)))
     out = np.zeros(rhs.shape)
-    pending = np.flatnonzero(rhs > 0)
-    lin, coef, rhs = (a.ravel()[pending] for a in (lin, coef, rhs))
-    tol = 1e-12 * (1.0 + np.abs(rhs))
-    m = rhs / lin
-    lo = np.zeros_like(m)
-    hi = m.copy()
-    while pending.size:
-        g = lin * m + coef * m ** r - rhs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m_new = m - g / (lin + coef * r * m ** (r - 1.0))
-        done = np.abs(g) < tol
-        if np.any(done):
-            last = m_new[done]
-            with np.errstate(invalid="ignore"):
-                g_last = lin[done] * last + coef[done] * last ** r - rhs[done]
-            better = np.abs(g_last) <= np.abs(g[done])
-            out.flat[pending[done]] = np.where(better, last, m[done])
-            keep = ~done
-            pending, lin, coef, rhs, tol, m, m_new, lo, hi, g = (
-                a[keep] for a in (pending, lin, coef, rhs, tol, m, m_new, lo, hi, g))
-        hi = np.where(g > 0, np.minimum(hi, m), hi)
-        lo = np.where(g < 0, np.maximum(lo, m), lo)
-        bad = ~np.isfinite(m_new) | (m_new <= lo) | (m_new >= hi)
-        m = np.where(bad, 0.5 * (lo + hi), m_new)
+    pos = rhs > 0
+    lin, coef, rhs = (v[pos] for v in (lin, coef, rhs))
+    e, a, b = (1.0 / r, lin, coef) if r < 1.0 else (r, coef, lin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.minimum((rhs / a) ** (1.0 / e), rhs / b)
+        while True:
+            d = a * x ** (e - 1.0)
+            x_new = x - ((d + b) * x - rhs) / (e * d + b)
+            if not np.any(x_new < x):
+                break
+            x = np.where(x_new < x, x_new, x)
+    out[pos] = x ** e if r < 1.0 else x
     return out
 
 

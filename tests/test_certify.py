@@ -409,6 +409,8 @@ class TestSubsolution:
             for v_k in v.values:
                 violation = speed.cone_violation(grid, np.ones(grid.nx), v_k)
                 assert (violation <= 1e-12) if kind == "hull" else (violation < 0.0)
+                # a scalar density broadcasts over the nodes
+                assert speed.cone_violation(grid, 1, v_k) == violation
 
     @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 30], ids=["default", "1", "2^30"])
     @pytest.mark.parametrize("kind,dim", SPEEDS)

@@ -710,6 +710,12 @@ class TestProx:
             m_bar, step = rng.uniform(0.01, 5), rng.uniform(0.01, 5)
             m = prox_cost_conj(c, m_bar, step)
             assert m + step * cost_deriv_conj(c, m) == pytest.approx(m_bar, abs=1e-10)
+        # p = 10: roots near 1e-76 and 1e-175, far below m_bar
+        c = CostModel(p=10.0)
+        for m_bar in (1e-9, 1e-20):
+            m = prox_cost_conj(c, m_bar, 0.25)
+            assert m > 0.0
+            assert m + 0.25 * cost_deriv_conj(c, m) == pytest.approx(m_bar, rel=1e-14)
 
     def test_step_validation(self):
         with pytest.raises(ParameterError):
@@ -829,26 +835,26 @@ _coef = st.one_of(st.just(0.0), _magnitude)
 
 
 class TestNewtonRootTolerance:
-    """The Newton branch (p != 3) converges to a tolerance relative to rhs."""
+    """The Newton branch (p != 3) reaches round-off relative to rhs."""
 
+    @pytest.mark.parametrize("r", [1.0 / 3.0, 1.0 / 9.0, 2.0])
     @settings(max_examples=300, deadline=None)
     @given(lin=_lin, coef=_coef, rhs=_magnitude)
-    def test_residual_relative_to_rhs(self, lin, coef, rhs):
-        # an absolute 1e-12 lay below the rounding of rhs: lin = 23949,
-        # rhs = 14638 raised NumericError
-        m = float(_solve_power_root(lin, coef, rhs, 1.0 / 3.0))
+    def test_residual_relative_to_rhs(self, r, lin, coef, rhs):
+        # r = 1/9 (p = 10) has roots near 1e-72, far below rhs
+        m = float(_solve_power_root(lin, coef, rhs, r))
         assert m >= 0.0
-        assert abs(lin * m + coef * np.cbrt(m) - rhs) <= 1e-12 * (1.0 + rhs)
+        assert abs(lin * m + coef * m ** r - rhs) <= 1e-12 * (1.0 + rhs)
 
     @pytest.mark.parametrize("r", [1.0 / 3.0, 2.0])
     def test_entry_bits_do_not_depend_on_the_other_entries(self, r):
-        # many entries converge in a few steps and one needs dozens: each is
-        # frozen when it converges, so it has the bits of its own solve
+        # the entries stop after different numbers of steps: each is dropped
+        # when it stops, so it has the bits of its own solve
         rng = np.random.default_rng(31)
         rhs = rng.uniform(0.5, 2.0, 200)
         coef = np.full(200, 0.01)
         rhs[:3] = [-1.0, 0.0, 1e-6]
-        coef[2] = 1e4                   # the slow entry (84 Newton steps at r = 1/3)
+        coef[2] = 1e4                   # a stiff entry (one Newton step at r = 1/3)
         mixed = _solve_power_root(1.0, coef, rhs, r)
         assert mixed.shape == (200,) and mixed[0] == 0.0 and mixed[1] == 0.0
         for i in range(200):
@@ -856,9 +862,9 @@ class TestNewtonRootTolerance:
             assert alone.tobytes() == mixed[i].tobytes()
         assert np.all(np.abs(mixed + coef * mixed ** r - rhs)[2:] <= 1e-12 * (1.0 + rhs[2:]))
 
-    @pytest.mark.parametrize("r", [1.0 / 3.0, 2.0])
+    @pytest.mark.parametrize("r", [1.0 / 3.0, 1.0 / 9.0, 2.0])
     def test_in_place_steps_give_the_allocating_bits(self, r):
-        # scalar and nodal lin and coef, rhs <= 0, coef = 0 and slow entries:
+        # scalar and nodal lin and coef, rhs <= 0, coef = 0 and stiff entries:
         # each step formed in place and the open entries compressed one
         # array at a time, with scalars kept scalar, give the bits of the
         # allocating form

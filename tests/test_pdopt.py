@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (closed_form_uniform_bundle, cone_faces_reference, hull_prox_reference,
                       make_gauss_problem, make_uniform_problem, prox_coned_reference,
                       split_by_sign_reference)
-from frontsteer import certify, pdopt
+from frontsteer import certify, cli, pdopt
 from frontsteer.certify import _lip_space
 from frontsteer.errors import NumericError, ParameterError
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
@@ -594,6 +594,17 @@ class TestOptimize:
         assert len(d.gap_history) == len(d.cont_history) == 6
         assert d.notes
 
+    def test_large_exponent_runs(self):
+        # p = 10 on 2D 8^2x17 with the CLI's gaussian m0 and cosine u_T: the
+        # prox's roots lie near 1e-72 and below, far under its right-hand sides
+        config = cli.load_config(None)
+        config["problem"].update(dim=2, nx=[8, 8], nt=17, cost={"p": 10.0, "kappa": 1.0},
+                                 u_T={"preset": "cosine"}, m0={"preset": "gaussian"})
+        bundle = optimize(cli.build_problem(config), SolverConfig(max_iters=4, tol_cont=1e-3))
+        d = bundle.diagnostics
+        assert d.iterations == 4 and not d.converged
+        assert np.all(np.isfinite(bundle.m.values)) and np.min(bundle.m.values) >= 0.0
+
     @pytest.mark.parametrize("tol_gap,tol_cont", [(1e-3, 1e-3), (1e-4, 1e-2)])
     def test_stop_on_the_first_pair_passing_both_tests(self, tol_gap, tol_cont):
         # every iteration passing the residual test is checked, so the stop
@@ -949,8 +960,8 @@ class TestInPlaceIteration:
 
     def test_iterations_hold_a_few_node_arrays_above_the_workspace(self, monkeypatch):
         # iterations 10-50 on 2D 16^2x33, p = 4, in units of one (nt, *nx)
-        # array.  Measured: 14.3 with the prox, whose Newton root solves the
-        # free and the active side in turn, each in about ten arrays of its
+        # array.  Measured: 10.5 with the prox, whose Newton root solves the
+        # free and the active side in turn, each in about six arrays of its
         # open entries (21.2 when both lin and coef were gathered to full
         # arrays and ten arrays were compressed at once), and 1.0 without it
         # (the Gram solve's FFT and the stencils' periodic faces; the rows'
@@ -964,7 +975,7 @@ class TestInPlaceIteration:
         for _ in range(10):
             ws.step()
         peak, left = self._traced_steps(ws, 40)
-        assert peak <= 15 * node and left < node
+        assert peak <= 12 * node and left < node
 
         def identity(model, cone, m_bar, w_bar, step, out):
             np.copyto(out[0], m_bar)

@@ -11,6 +11,8 @@ file round trip stores ``MB_per_s`` instead (the field's 8-byte values
 written and read back, over the mean time of both).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,9 +48,14 @@ def _timed(benchmark, nodes, fn, *args, **kwargs):
     return result
 
 
-@pytest.mark.parametrize("dim,n,p", [(1, 64, 3.0), (2, 32, 4.0)], ids=["1d-64x65", "2d-32^2x33"])
-def test_cp_iteration(benchmark, dim, n, p):
-    problem = make_gauss_problem(dim, n, n + 1, p)
+@pytest.mark.parametrize("dim,n,nt,p,kind", [(1, 64, 65, 3.0, "ball"), (2, 32, 33, 4.0, "ball"),
+                                             (2, 16, 33, 4.0, "hull")],
+                         ids=["1d-64x65", "2d-32^2x33", "2d-16^2x33-hull"])
+def test_cp_iteration(benchmark, dim, n, nt, p, kind):
+    # the hull case runs the four rotating controls of trial_speed('hull', 2)
+    problem = make_gauss_problem(dim, n, nt, p)
+    if kind == "hull":
+        problem = dataclasses.replace(problem, speed=trial_speed("hull", dim))
     ws = _warm_workspace(problem)
     cont = _timed(benchmark, problem.grid.nt * problem.grid.n_space, ws.step)
     assert np.isfinite(cont) and np.min(ws.m) >= 0.0
@@ -90,8 +97,10 @@ def test_stored_certificate(benchmark):
     assert np.isfinite(gap) and gap >= -1e-9
 
 
-def test_prox_p3(benchmark):
-    problem = make_gauss_problem(1, 64, 65, 3.0)
+@pytest.mark.parametrize("dim,n,p", [(1, 64, 3.0), (2, 32, 4.0)], ids=["1d-64x65", "2d-32^2x33"])
+def test_prox_p3(benchmark, dim, n, p):
+    # the closed-form root (p = 3) and the Newton root (p = 4)
+    problem = make_gauss_problem(dim, n, n + 1, p)
     grid = problem.grid
     ws = _warm_workspace(problem)
     # an iterate and the last clipped gradient step, as the prox meets them
@@ -99,7 +108,8 @@ def test_prox_p3(benchmark):
     m, w = np.empty_like(m_bar), np.empty_like(w_bar)
     _timed(benchmark, m_bar.size, prox_cost_conj_coned, problem.cost, ws.cone, m_bar, w_bar,
            pdopt._TAU * grid.dt, out=(m, w))
-    assert np.min(m) >= 0.0 and np.all(np.abs(w[0]) <= m * (1.0 + 1e-12))
+    norm = np.sqrt(np.sum(w * w, axis=0))
+    assert np.min(m) >= 0.0 and np.all(norm <= ws.cone * m * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("kind", ["ball", "hull"])
