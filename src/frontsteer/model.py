@@ -490,29 +490,20 @@ def prox_cost_conj_coned(model: CostModel, c, m_bar, w_bar, step: float, out=Non
 
     When the unconstrained density prox already dominates |w_bar|/c the
     momentum is kept; otherwise the cone is active and the optimality
-    condition becomes (1 + c^2) m + step*k(m) = m_bar + c*|w_bar|.  The
-    closed form (p = 3) solves both roots in one call, on the right-hand
-    sides stacked; Newton, which holds several arrays per entry, solves
-    them in turn.  The result (m, w) is written into the pair ``out`` if
-    given, which may be (m_bar, w_bar) themselves; w is w_bar scaled in one
-    product."""
+    condition becomes (1 + c^2) m + step*k(m) = m_bar + c*|w_bar|, solved
+    on these nodes only (the right-hand side is zeroed on the free ones).
+    The result (m, w) is written into the pair ``out`` if given, which may
+    be (m_bar, w_bar) themselves; w is w_bar scaled in one product."""
     q = model.q
     r = q - 1.0
     coef = step * model.kappa ** (1.0 - q)
     a = _component_norm(w_bar, axis=0)
-    if r == 0.5:
-        # the coefficients 1 and 1 + c^2, broadcast over m_bar
-        lin = np.ones((2, *(1,) * (np.ndim(m_bar) - np.ndim(c)), *np.shape(c)))
-        lin[1] += c * c
-        rhs = np.empty((2, *np.shape(m_bar)))
-        np.copyto(rhs[0], m_bar)
-        np.multiply(c, a, out=rhs[1])
-        rhs[1] += m_bar
-        m_free, m_act = _solve_sqrt_root(lin, coef, rhs)
-    else:
-        m_free = _solve_power_root(1.0, coef, m_bar, r)
-        m_act = _solve_power_root(1.0 + c * c, coef, m_bar + c * a, r)
+    m_free = _solve_power_root(1.0, coef, m_bar, r)
     free = a <= c * m_free
+    rhs = np.multiply(c, a)
+    rhs += m_bar
+    np.putmask(rhs, free, 0.0)
+    m_act = _solve_power_root(1.0 + c * c, coef, rhs, r)
     # a = 0 makes the node free (m_free >= 0), so only free nodes divide by 0
     scale = np.multiply(c, m_act)
     with np.errstate(divide="ignore", invalid="ignore"):

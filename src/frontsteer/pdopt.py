@@ -228,6 +228,16 @@ def _rows_adjoint(y: np.ndarray, grid: TorusGrid, gm: np.ndarray, gw: np.ndarray
     return gm, gw
 
 
+def _time_eigenbasis(nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of M0 =
+    tridiag(-1, [1, 2, ..., 2], -1), nt x nt: with h = pi/(4 nt + 2) and
+    j, k = 1..nt, eig[k] = 4 sin^2((2k - 1) h), q[j, k] = 2/sqrt(2 nt + 1)
+    cos((2j - 1)(2k - 1) h), read from one period of 8 nt + 4 samples."""
+    odd, h = np.arange(1, 2 * nt, 2), np.pi / (4 * nt + 2)
+    period = 2.0 / np.sqrt(2 * nt + 1) * np.cos(h * np.arange(8 * nt + 4))
+    return 4.0 * np.sin(h * odd) ** 2, np.take(period, np.multiply.outer(odd, odd), mode="wrap")
+
+
 def _gram_solver(grid: TorusGrid):
     """The exact solve x = (L L^T)^-1 b of the operator L of ``_rows``, for b
     of shape (nt, *nx).  The solve returns its own output buffer, which the
@@ -236,17 +246,16 @@ def _gram_solver(grid: TorusGrid):
     Per spatial Fourier mode xi, L L^T = M0 + lam_xi (I - e0 e0^T) with
     M0 = tridiag(-1, [1, 2, ..., 2], -1) from the time differences and
     lam_xi = 2 dt^2 sum_a (2 - 2 cos xi_a) / dx_a^2 from div div^T = -2 Laplacian,
-    which acts on rows 1..nt-1 only.  One eigh of M0 diagonalizes M0 + lam I
-    for every mode, and Sherman-Morrison removes the rank-one e0 term.
+    which acts on rows 1..nt-1 only.  The symmetric eigenbasis of M0
+    (``_time_eigenbasis``) diagonalizes M0 + lam I for every mode in both
+    time transforms, and Sherman-Morrison removes the rank-one e0 term.
 
     The transforms are those of ``np.fft.rfftn``/``irfftn`` over the space
     axes, taken axis by axis into buffers built here: the spectrum (its
     real view is also the second product), one more spectrum-sized product,
     one mode row and the output, so a solve allocates no (nt, *nx) array."""
     nt = grid.nt
-    time_block = 2.0 * np.eye(nt) - np.eye(nt, k=1) - np.eye(nt, k=-1)
-    time_block[0, 0] = 1.0
-    eig, q = np.linalg.eigh(time_block)
+    eig, q = _time_eigenbasis(nt)
     modes = (*grid.nx[:-1], grid.nx[-1] // 2 + 1)          # rfftn output shape
     lam = np.zeros(modes)
     for a, n in enumerate(grid.nx):
@@ -263,13 +272,12 @@ def _gram_solver(grid: TorusGrid):
     xa = np.empty_like(xb)
     row = np.empty_like(xb[0])
     out = np.empty((nt, *grid.nx))
-    q_t = q.T                  # a transposed view: a contiguous copy changes the bits
 
     def solve(b: np.ndarray) -> np.ndarray:
         np.fft.rfft(b, grid.nx[-1], last, out=spec)
         for a in range(grid.dim - 2, -1, -1):
             np.fft.fft(spec, grid.nx[a], a + 1, out=spec)
-        np.matmul(q_t, xb, out=xa)
+        np.matmul(q, xb, out=xa)
         np.multiply(xa, inv, out=xa)
         np.matmul(q, xa, out=xb)
         np.multiply(coef, xb[0], out=row)

@@ -16,8 +16,8 @@ from frontsteer.hj import solve_value_function
 from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed, cost, cost_conj
 from frontsteer.pdopt import (ProblemInstance, SolverConfig, certificate, _certificate,
                               _gram_solver, _rows, _rows_adjoint, _split_velocity,
-                              continuity_residual_rows, evaluate_A, evaluate_B,
-                              optimize, recover_f, recover_velocity,
+                              _time_eigenbasis, continuity_residual_rows, evaluate_A,
+                              evaluate_B, optimize, recover_f, recover_velocity,
                               subsolution_residual)
 from frontsteer.transport import (march_split, one_sided, solve_continuity,
                                   split_by_sign, split_divergence, split_load)
@@ -177,14 +177,37 @@ class TestOperators:
                 assert bwd[a].tobytes() == (
                     (field - np.roll(field, 1, ax)) / grid.dx[a]).tobytes()
 
+    @pytest.mark.parametrize("nt", [2, 9, 129])
     @pytest.mark.parametrize("dim,nx", GRIDS)
-    def test_gram_solve_inverts_l_lt(self, dim, nx):
-        grid = TorusGrid(dim, nx, 9, 0.7)
-        b = np.random.default_rng(13).standard_normal((9, *nx))
+    def test_gram_solve_inverts_l_lt(self, dim, nx, nt):
+        grid = TorusGrid(dim, nx, nt, 0.7)
+        b = np.random.default_rng(13).standard_normal((nt, *nx))
         x = _gram_solver(grid)(b)
-        back = _rows(*_rows_adjoint(x, grid, np.empty_like(b), np.empty((2 * dim, 8, *nx))),
-                     np.zeros(nx), grid)
+        back = _rows(*_rows_adjoint(x, grid, np.empty_like(b),
+                                    np.empty((2 * dim, nt - 1, *nx))), np.zeros(nx), grid)
         assert np.max(np.abs(back - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("nt", [2, 3, 65, 129, 257])
+    def test_time_eigenbasis_matches_eigh(self, nt):
+        # the closed form against LAPACK's eigh of the time block M0
+        block = 2.0 * np.eye(nt) - np.eye(nt, k=1) - np.eye(nt, k=-1)
+        block[0, 0] = 1.0
+        eig, q = _time_eigenbasis(nt)
+        assert np.max(np.abs(block @ q - q * eig)) <= 2e-15
+        assert np.max(np.abs(q @ q - np.eye(nt))) <= 1e-14
+        assert np.max(np.abs(eig - np.linalg.eigh(block)[0])) <= 1e-14
+        assert np.all(np.diff(eig) > 0)
+        assert q.tobytes() == q.T.copy().tobytes()
+
+    def test_gram_solver_calls_no_linalg(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for name in set(np.linalg.__all__) - {"LinAlgError"}:
+            monkeypatch.setattr(np.linalg, name, refused)
+        grid = TorusGrid(2, (6, 8), 33, 0.7)
+        b = np.random.default_rng(13).standard_normal((33, 6, 8))
+        assert np.all(np.isfinite(_gram_solver(grid)(b)))
 
     def test_subsolution_residual_uniform_closed_form(self, uniform_problem):
         u, f, _, _ = closed_form_uniform_bundle(uniform_problem)
@@ -795,12 +818,14 @@ class TestOptimizeFiniteControls:
 
 def _gram_reference(grid):
     """The Gram solve in its allocating form, ``np.fft.rfftn``/``irfftn``
-    over the space axes and fresh products, kept as the bitwise reference
-    of the solver's in-place transforms."""
+    over the space axes and fresh products, on the closed-form basis of
+    ``_time_eigenbasis`` written out; the bitwise reference of the solver's
+    in-place transforms."""
     nt = grid.nt
-    time_block = 2.0 * np.eye(nt) - np.eye(nt, k=1) - np.eye(nt, k=-1)
-    time_block[0, 0] = 1.0
-    eig, q = np.linalg.eigh(time_block)
+    j, k = np.ogrid[1:nt + 1, 1:nt + 1]
+    h = np.pi / (4 * nt + 2)
+    q = 2.0 / np.sqrt(2 * nt + 1) * np.cos(h * ((2 * j - 1) * (2 * k - 1) % (8 * nt + 4)))
+    eig = 4.0 * np.sin(h * (2 * k[0] - 1)) ** 2
     modes = (*grid.nx[:-1], grid.nx[-1] // 2 + 1)
     lam = np.zeros(modes)
     for a, n in enumerate(grid.nx):
@@ -814,7 +839,7 @@ def _gram_reference(grid):
 
     def solve(b):
         spec = np.fft.rfftn(b, axes=axes)
-        x = q @ (inv * (q.T @ spec.reshape(nt, -1).view(np.float64)))
+        x = q @ (inv * (q @ spec.reshape(nt, -1).view(np.float64)))
         x += g * (coef * x[0])
         return np.fft.irfftn(x.view(np.complex128).reshape(spec.shape), s=grid.nx, axes=axes)
 
@@ -908,8 +933,8 @@ class TestInPlaceIteration:
     @pytest.mark.parametrize("case", ["ball 1d p3", "radius table 1d p3", "ball 1d p4",
                                       "ball 2d p4", "pair hull 1d p3"])
     def test_forty_iterations_give_the_reference_bits(self, monkeypatch, case):
-        # the closed-form root (p = 3) on the stacked free and active sides,
-        # with constant and with nodal radii, and the Newton root (p = 4)
+        # the closed-form root (p = 3) on the free and the active side, with
+        # constant and with nodal radii, and the Newton root (p = 4)
         prob = {"ball 1d p3": lambda: _gauss_problem(16),
                 "radius table 1d p3": _radius_table_problem,
                 "ball 1d p4": lambda: make_gauss_problem(1, 16, 17, 4.0),
@@ -960,22 +985,21 @@ class TestInPlaceIteration:
 
     def test_iterations_hold_a_few_node_arrays_above_the_workspace(self, monkeypatch):
         # iterations 10-50 on 2D 16^2x33, p = 4, in units of one (nt, *nx)
-        # array.  Measured: 10.5 with the prox, whose Newton root solves the
-        # free and the active side in turn, each in about six arrays of its
-        # open entries (21.2 when both lin and coef were gathered to full
-        # arrays and ten arrays were compressed at once), and 1.0 without it
-        # (the Gram solve's FFT and the stencils' periodic faces; the rows'
-        # divergence lives in the workspace, and no stencil runs over a
-        # strided view that numpy would buffer).  Nothing stays behind but
-        # small Python objects (about 20 kB in 40 steps, kept by the
-        # interpreter's free lists).
+        # array.  Measured: 6.9 with the prox, whose Newton root solves the
+        # free side on every node and then the active side on the nodes where
+        # the cone binds, each in about six arrays of its open entries, and
+        # 1.0 without it (the Gram solve's FFT and the stencils' periodic
+        # faces; the rows' divergence lives in the workspace, and no stencil
+        # runs over a strided view that numpy would buffer).  Nothing stays
+        # behind but small Python objects (about 20 kB in 40 steps, kept by
+        # the interpreter's free lists).
         prob = make_gauss_problem(2, 16, 33, 4.0)
         node = 8 * prob.grid.nt * prob.grid.n_space
         ws = pdopt._Workspace(prob, 16.0, 0.06)
         for _ in range(10):
             ws.step()
         peak, left = self._traced_steps(ws, 40)
-        assert peak <= 12 * node and left < node
+        assert peak <= 9 * node and left < node
 
         def identity(model, cone, m_bar, w_bar, step, out):
             np.copyto(out[0], m_bar)

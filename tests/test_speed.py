@@ -61,6 +61,14 @@ def test_cp_iteration(benchmark, dim, n, nt, p, kind):
     assert np.isfinite(cont) and np.min(ws.m) >= 0.0
 
 
+def test_gram_solver_build(benchmark):
+    # the closed-form time eigenbasis and the Sherman-Morrison factors, once
+    # per workspace
+    grid = make_gauss_problem(1, 64, 129, 3.0).grid
+    solve = _timed(benchmark, grid.nt * grid.n_space, pdopt._gram_solver, grid)
+    assert solve(np.ones((grid.nt, *grid.nx))).shape == (grid.nt, *grid.nx)
+
+
 def test_certificate_march(benchmark):
     problem = make_gauss_problem(1, 64, 65, 3.0)
     grid = problem.grid
