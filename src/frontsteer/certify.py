@@ -52,10 +52,16 @@ __all__ = [
 
 @dataclass
 class CertReport:
+    """One check's record, as ``certificates.json`` prints it: the check's
+    ``name``, whether it ``passed``, the measured quantity ``lhs`` (signed
+    or a defect, per check), the ``slack`` it is judged against, the
+    ``worst_location`` (time level, node or level pair) where ``lhs`` was
+    taken, if any, and whether the check was ``skipped`` (``holder_bound``
+    on a speed without a ball radius; a skipped check passes)."""
+
     name: str
     passed: bool
     lhs: float
-    rhs: float
     slack: float
     worst_location: tuple | None = None
     skipped: bool = False
@@ -108,7 +114,7 @@ def check_ibp_inequality(u: ScalarField, f: ScalarField, m: DensityField,
         * (1.0 + float(np.max(np.abs(f.values)))) * (1.0 + grid.horizon)
     slack = c_report * _disc_scale(grid)
     return CertReport(name="ibp_inequality", passed=bool(quantity >= -slack),
-                      lhs=float(quantity), rhs=0.0, slack=float(slack),
+                      lhs=float(quantity), slack=float(slack),
                       worst_location=(t, s))
 
 
@@ -131,7 +137,7 @@ def check_weak_solution(problem: ProblemInstance, u: ScalarField, f: ScalarField
     k_of_m = cost_deriv_conj(problem.cost, m.values)
     pre_defect = float(np.max(np.abs(f.values - k_of_m)))
     if pre_defect > 1e-6 * (1.0 + float(np.max(np.abs(k_of_m)))):
-        return tuple(CertReport(name=name, passed=False, lhs=pre_defect, rhs=0.0, slack=1e-6)
+        return tuple(CertReport(name=name, passed=False, lhs=pre_defect, slack=1e-6)
                      for name in ("weak_identity_from_start", "weak_identity_to_end"))
     fm = np.sum(f.values * m.values, axis=tuple(range(1, grid.dim + 1))) * vol
     um = np.sum(u.values * m.values, axis=tuple(range(1, grid.dim + 1))) * vol
@@ -151,9 +157,9 @@ def check_weak_solution(problem: ProblemInstance, u: ScalarField, f: ScalarField
         if d2 > worst2[0]:
             worst2 = [d2, (int(j),)]
     r1 = CertReport(name="weak_identity_from_start", passed=bool(worst[0] <= slack),
-                    lhs=float(worst[0]), rhs=0.0, slack=slack, worst_location=worst[1])
+                    lhs=float(worst[0]), slack=slack, worst_location=worst[1])
     r2 = CertReport(name="weak_identity_to_end", passed=bool(worst2[0] <= slack),
-                    lhs=float(worst2[0]), rhs=0.0, slack=slack, worst_location=worst2[1])
+                    lhs=float(worst2[0]), slack=slack, worst_location=worst2[1])
     return r1, r2
 
 
@@ -196,7 +202,7 @@ def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
             worst = (loc_val, (k, *np.unravel_index(j, grid.nx)))
     rel = num / max(den, 1e-12)
     return CertReport(name="pointwise_hj", passed=bool(rel <= slack), lhs=float(rel),
-                      rhs=0.0, slack=slack,
+                      slack=slack,
                       worst_location=tuple(int(i) for i in worst[1]) if worst[1] else None)
 
 
@@ -335,7 +341,7 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
             worst = (gap, trial)
     slack = 2.0 * (1.0 + speed.c1) * (1.0 + grid.horizon) * _disc_scale(grid)
     return CertReport(name="subsolution", passed=bool(worst[0] <= slack),
-                      lhs=float(worst[0]), rhs=0.0, slack=float(slack),
+                      lhs=float(worst[0]), slack=float(slack),
                       worst_location=(worst[1],) if worst[1] is not None else None)
 
 
@@ -380,8 +386,8 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
     grid = u.grid
     c0 = speed.ball_radius
     if c0 is None:
-        return CertReport(name="holder_bound", passed=True, lhs=0.0, rhs=0.0,
-                          slack=0.0, skipped=True)
+        return CertReport(name="holder_bound", passed=True, lhs=0.0, slack=0.0,
+                          skipped=True)
     beta = 0.5
     alpha = 1.0 - (grid.dim + 1.0) / p
     norm_f = norm_lp(f, p)
@@ -423,7 +429,7 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
         if lhs_t - rhs_t > worst[0]:
             worst = (lhs_t - rhs_t, (t_idx, grid.nt - 1))
     return CertReport(name="holder_bound", passed=bool(worst[0] <= 0.0),
-                      lhs=float(worst[0]), rhs=0.0, slack=float(slack),
+                      lhs=float(worst[0]), slack=float(slack),
                       worst_location=worst[1])
 
 
@@ -462,5 +468,5 @@ def battery(problem: ProblemInstance, u: ScalarField, f: ScalarField,
     details["rel_gap"] = pdopt._relative_gap(a_val, b_val)
     reports.append(CertReport(
         name="duality_gap", passed=pdopt._gap_certified(a_val, b_val, tol_gap),
-        lhs=float(gap), rhs=0.0, slack=float(pdopt._gap_scale(a_val, b_val))))
+        lhs=float(gap), slack=float(pdopt._gap_scale(a_val, b_val))))
     return reports

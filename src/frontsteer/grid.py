@@ -7,7 +7,6 @@ space node) and are immutable once constructed.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -229,25 +228,6 @@ def interp_space(slice_values: np.ndarray, x: np.ndarray, nx: tuple[int, ...]) -
     return out.reshape(x.shape[:-1] + trailing)
 
 
-def interpolate(field: ScalarField, t: int, x) -> float | np.ndarray:
-    """Periodic multilinear interpolation of a scalar field at time level t.
-
-    Exact at nodes; reproduces constants and cell-local affine functions.
-    """
-    t = field.grid.check_time_index(t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != field.grid.dim:
-        raise ParameterError(f"point must have {field.grid.dim} coordinates")
-    out = interp_space(field.values[t], x, field.grid.nx)
-    return float(out) if out.ndim == 0 else out
-
-
-def integrate_space(field: ScalarField | DensityField, t: int) -> float:
-    """Nodal quadrature over the torus at one time level (weight prod(dx))."""
-    t = field.grid.check_time_index(t)
-    return float(np.sum(field.values[t]) * field.grid.cell_volume)
-
-
 def norm_lp(field: ScalarField | DensityField, p: float) -> float:
     """Discrete space-time L^p norm with weights dt * prod(dx).
 
@@ -260,10 +240,6 @@ def norm_lp(field: ScalarField | DensityField, p: float) -> float:
     wt = g.time_weights()
     per_level = np.sum(np.abs(field.values) ** p, axis=tuple(range(1, g.dim + 1)))
     return float((np.sum(per_level * wt) * g.cell_volume) ** (1.0 / p))
-
-
-def constant_field(grid: TorusGrid, value: float) -> ScalarField:
-    return ScalarField(grid, np.full((grid.nt, *grid.nx), float(value)))
 
 
 # -- field file format -------------------------------------------------------
@@ -296,8 +272,8 @@ def write_field(path, field, binary: bool = False) -> None:
                 fh.write((fmt % tuple(row.tolist())).encode())
 
 
-def _parse_header(header: str, path) -> tuple[str, TorusGrid, str | None]:
-    """Kind, grid and ``enc`` token (None if absent) of a field file header."""
+def _parse_header(header: str, path) -> tuple[str, TorusGrid, str]:
+    """Kind, grid and payload encoding (``enc``) of a field file header."""
     tokens = header.split()
     if len(tokens) < 7 or tokens[0] != FIELD_MAGIC or tokens[1] != FIELD_VERSION:
         raise ParameterError(f"not a {FIELD_MAGIC} {FIELD_VERSION} file: {path}")
@@ -308,13 +284,14 @@ def _parse_header(header: str, path) -> tuple[str, TorusGrid, str | None]:
         nt = int(kv["nt"])
         horizon = float(kv["T"])
         kind = kv["kind"]
+        enc = kv["enc"]
     except KeyError as exc:
         raise ParameterError(f"header of {path} lacks {exc.args[0]}=") from exc
     except ValueError as exc:
         raise ParameterError(f"malformed header in {path}: {exc}") from exc
     if kind not in _KINDS:
         raise ParameterError(f"unknown field kind {kind!r}")
-    return kind, TorusGrid(dim, nx, nt, horizon), kv.get("enc")
+    return kind, TorusGrid(dim, nx, nt, horizon), enc
 
 
 def _parse_text(fh, rows: int, per_row: int, path) -> np.ndarray:
@@ -342,31 +319,26 @@ def _parse_text(fh, rows: int, per_row: int, path) -> np.ndarray:
 
 
 def read_field(path):
-    """Read a field file written by write_field.  The header's ``enc`` token
-    selects the payload encoding; files without it (older v1 writers) are
-    read as binary when the payload is exactly 8 bytes per value.  The field
-    keeps the parsed payload, read-only, without a second copy."""
+    """Read a field file written by write_field.  The header's ``enc`` token,
+    ``text`` or ``f64le``, selects the payload encoding; a header without it
+    is refused.  The field keeps the parsed payload, read-only, without a
+    second copy."""
     with open(path, "rb") as fh:
         kind, grid, enc = _parse_header(fh.readline().decode(errors="replace"), path)
         comps = grid.dim if kind == "vector" else 1
         count = grid.nt * grid.n_space * comps
-        data = fh
-        if enc is None:
-            payload = fh.read()
-            enc = "f64le" if len(payload) == 8 * count else "text"
-            data = io.BytesIO(payload)
         if enc == "f64le":
             # a sized read fills one bytes object; read() would join the
             # buffered head to the rest, a second copy of the payload
-            payload = data.read(8 * count)
-            found = len(payload) + len(data.read())
+            payload = fh.read(8 * count)
+            found = len(payload) + len(fh.read())
             if found != 8 * count:
                 raise ParameterError(
                     f"expected {8 * count} payload bytes in {path}, found {found}")
             # read-only, over the immutable payload: the field keeps it uncopied
             flat = np.frombuffer(payload, dtype="<f8")
         elif enc == "text":
-            flat = _parse_text(data, grid.nt, count // grid.nt, path)
+            flat = _parse_text(fh, grid.nt, count // grid.nt, path)
             flat.setflags(write=False)
         else:
             raise ParameterError(f"unknown field encoding {enc!r} in {path}")

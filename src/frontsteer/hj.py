@@ -66,6 +66,7 @@ def solve_value_function(problem, obstacle: ScalarField) -> ScalarField:
         for plan in plans[1:]:
             np.minimum(best, _gather(values[k + 1], plan), out=best)
         values[k] = best + grid.dt * obstacle.values[k]
+    values.setflags(write=False)        # the field keeps it without a copy
     return ScalarField(grid, values)
 
 
@@ -174,7 +175,9 @@ class CounterexampleWindow:
         g = self.grid
         xw = self.scale * g.axis_coords(0)
         xw = np.where(xw > 3.0, xw - self.scale, xw)    # center the buffer at x=3
-        return ScalarField(g, _profile(self.eps, _cone_gap(g.times()[:, None], xw)))
+        values = _profile(self.eps, _cone_gap(g.times()[:, None], xw))
+        values.setflags(write=False)        # the field keeps it without a copy
+        return ScalarField(g, values)
 
     def exact_window(self, t_index: int) -> np.ndarray:
         return counterexample_exact(self.eps, self.grid.times()[t_index], self.window_x())

@@ -210,20 +210,15 @@ def _rows(m: np.ndarray, w: np.ndarray, m0: np.ndarray, grid: TorusGrid,
 
 
 def _rows_adjoint(y: np.ndarray, grid: TorusGrid, gm: np.ndarray, gw: np.ndarray,
-                  differences=None) -> tuple[np.ndarray, np.ndarray]:
+                  differences) -> tuple[np.ndarray, np.ndarray]:
     """L^T y: the time differences of y, and dt times the adjoint of the split
     divergence, div^T phi = (-D+ phi, -D- phi), on levels 1..nt-1; written
     into ``gm``, shaped as y, and ``gw``, shaped as the split momenta
     (2*dim, nt - 1, *nx).  ``differences`` is ``one_sided`` of y[1:] into
-    gw prepared once (``transport._differences``), taken fresh when not
-    given."""
-    d = grid.dim
+    gw, prepared once over the same arrays (``transport._differences``)."""
     np.subtract(y[:-1], y[1:], out=gm[:-1])
     gm[-1] = y[-1]
-    if differences is None:
-        one_sided(y[1:], grid, out=(gw[:d], gw[d:]))
-    else:
-        differences()
+    differences()
     gw *= -grid.dt
     return gm, gw
 

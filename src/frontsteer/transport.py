@@ -263,7 +263,8 @@ class TrajectoryEnsemble:
     narrowest unsigned integer type that holds n_space - 1 (uint8 up to 256
     nodes, uint16 up to 65536), so ``cells[k]`` is one contiguous level.
     ``positions`` gives the node coordinates of the same paths on demand,
-    shape (count, nt, dim).
+    shape (count, nt, dim).  ``weights`` is the mass each path carries; they
+    sum to the initial mass.
     """
 
     grid: TorusGrid
@@ -278,10 +279,6 @@ class TrajectoryEnsemble:
     @property
     def positions(self) -> np.ndarray:
         return _node_coords(self.grid, self.cells.T)
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def _node_coords(grid: TorusGrid, cells: np.ndarray) -> np.ndarray:

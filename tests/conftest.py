@@ -33,6 +33,11 @@ def make_gauss_problem(dim, n, nt, p):
                            m0=m0 / (np.sum(m0) * grid.cell_volume))
 
 
+def full_field(grid, value):
+    """The scalar field equal to ``value`` at every node and level."""
+    return ScalarField(grid, np.full((grid.nt, *grid.nx), float(value)))
+
+
 def trial_speed(kind, dim):
     """A ball of constant or nodal radius, or a hull of rotating controls
     (2D) or of three controls, one of them varying (1D).  A nodal radius is

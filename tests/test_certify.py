@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (closed_form_uniform_bundle, make_uniform_problem, traced_peak,
-                      trial_speed)
+from conftest import (closed_form_uniform_bundle, full_field, make_uniform_problem,
+                      traced_peak, trial_speed)
 from frontsteer.errors import ParameterError
-from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField,
-                             constant_field, interp_space, norm_lp)
+from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField, interp_space,
+                             norm_lp)
 from frontsteer.hj import (counterexample_instance, counterexample_speed,
                            solve_value_function)
 from frontsteer.model import CostModel, FiniteControlsSpeed, IsotropicSpeed, cost_deriv_conj
@@ -116,7 +116,7 @@ def pointwise_hj_net_reference(u, f, m, w):
             worst = (loc_val, (k, *np.unravel_index(j, grid.nx)))
     rel = num / max(den, 1e-12)
     return certify.CertReport(
-        name="pointwise_hj", passed=bool(rel <= 0.1), lhs=float(rel), rhs=0.0, slack=0.1,
+        name="pointwise_hj", passed=bool(rel <= 0.1), lhs=float(rel), slack=0.1,
         worst_location=tuple(int(i) for i in worst[1]) if worst[1] else None)
 
 
@@ -198,7 +198,7 @@ class TestIbpInequality:
         prob = ProblemInstance(grid=g, speed=uniform_problem.speed,
                                cost=uniform_problem.cost,
                                u_T=2.0 * np.ones(g.nx), m0=np.ones(g.nx))
-        f = constant_field(g, 0.0)
+        f = full_field(g, 0.0)
         u = solve_value_function(prob, f)
         m = DensityField(g, np.ones((g.nt, *g.nx)))
         rep = check_ibp_inequality(u, f, m, 0, g.nt - 1)
@@ -218,7 +218,7 @@ class TestIbpInequality:
 
     def test_grid_mismatch(self, uniform_problem, closed_bundle):
         u, f, m, _ = closed_bundle
-        other = constant_field(TorusGrid(1, (16,), 65, 1.0), 0.0)
+        other = full_field(TorusGrid(1, (16,), 65, 1.0), 0.0)
         with pytest.raises(ParameterError):
             check_ibp_inequality(other, f, m, 0, 4)
 
@@ -235,7 +235,7 @@ class TestWeakSolution:
         prob = ProblemInstance(grid=g, speed=uniform_problem.speed,
                                cost=uniform_problem.cost,
                                u_T=np.zeros(g.nx), m0=np.zeros(g.nx))
-        zero_s = constant_field(g, 0.0)
+        zero_s = full_field(g, 0.0)
         m = DensityField(g, np.zeros((g.nt, *g.nx)))
         r1, r2 = check_weak_solution(prob, zero_s, zero_s, m)
         assert r1.passed and r2.passed
@@ -270,7 +270,7 @@ class TestPointwiseHJ:
         F = 0.8
         tt = g.times().reshape(-1, 1)
         u = ScalarField(g, np.broadcast_to((1.0 - tt) * F, (g.nt, *g.nx)).copy())
-        f = constant_field(g, F)
+        f = full_field(g, F)
         m = DensityField(g, np.ones((g.nt, *g.nx)))
         w = VecField(g, np.zeros((g.nt, *g.nx, 1)))
         rep = check_pointwise_hj(u, f, m, w, w)
@@ -282,7 +282,7 @@ class TestPointwiseHJ:
         tt = g.times().reshape(-1, 1)
         u = ScalarField(g, np.broadcast_to(2.0 * (1.0 - tt) * F,
                                            (g.nt, *g.nx)).copy())
-        f = constant_field(g, F)
+        f = full_field(g, F)
         m = DensityField(g, np.ones((g.nt, *g.nx)))
         w = VecField(g, np.zeros((g.nt, *g.nx, 1)))
         rep = check_pointwise_hj(u, f, m, w, w)
@@ -324,7 +324,7 @@ class TestSubsolution:
 
     def test_zero_value_trivial(self, uniform_problem):
         g = uniform_problem.grid
-        u = constant_field(g, 0.0)
+        u = full_field(g, 0.0)
         rng = np.random.default_rng(2)
         f = ScalarField(g, np.abs(rng.standard_normal((g.nt, *g.nx))))
         rep = check_subsolution(u, f, uniform_problem.speed, trials=5, seed=0)
@@ -364,7 +364,7 @@ class TestSubsolution:
         # u = +t is a supersolution (passes); u = -t violates the inequality
         g = uniform_problem.grid
         tt = g.times().reshape(-1, 1)
-        f = constant_field(g, 0.0)
+        f = full_field(g, 0.0)
         phi = np.ones((g.nt, *g.nx))
         v = VecField(g, np.zeros((g.nt, *g.nx, 1)))
         up = ScalarField(g, np.broadcast_to(tt, (g.nt, *g.nx)).copy())
@@ -522,7 +522,7 @@ class TestHolder:
         u_T = 0.5 * np.cos(2 * np.pi * prob.grid.axis_coords(0))
         prob2 = ProblemInstance(grid=prob.grid, speed=prob.speed, cost=prob.cost,
                                 u_T=u_T, m0=np.ones(48))
-        f = constant_field(prob.grid, 0.0)
+        f = full_field(prob.grid, 0.0)
         u = solve_value_function(prob2, f)
         rep = check_holder(u, f, 3.0, prob.speed, samples=500, seed=4)
         assert rep.passed
@@ -584,7 +584,7 @@ class TestDualityGap:
     def test_suboptimal_primal_positive_gap(self, uniform_problem, closed_bundle):
         _, _, m, w = closed_bundle
         g = uniform_problem.grid
-        f0 = constant_field(g, 0.0)
+        f0 = full_field(g, 0.0)
         u0 = solve_value_function(uniform_problem, f0)    # u == 0
         gap = duality_gap(uniform_problem, u0, f0, m, w)
         assert gap == pytest.approx(2.0 / 3.0, abs=1e-12)

@@ -83,6 +83,20 @@ class TestSolveHJ:
         assert code == 2
         assert "parameter error:" in capsys.readouterr().err
 
+    def test_obstacle_without_encoding_token_exits_2(self, tmp_path, capsys):
+        # "0.03125" with its separator is 8 bytes per value, the length of a
+        # binary payload: only the header can tell the encoding
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        obstacle = tmp_path / "f.field"
+        obstacle.write_text("frontsteer-field v1 dim=1 nx=32 nt=33 T=1 kind=scalar\n"
+                            + (" ".join(["0.03125"] * 32) + "\n") * 33)
+        code = main(["solve-hj", "--config", str(cfg_path),
+                     "--obstacle", str(obstacle), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "lacks enc=" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestArguments:
     def test_refine_only_on_reproduce(self, tmp_path):
@@ -402,8 +416,12 @@ class TestCertifyCommand:
         assert code == 0
         assert (tmp_path / "recheck" / "certificates.json").read_bytes() \
             == (out / "certificates.json").read_bytes()
+        checks = json.loads((out / "certificates.json").read_text())["checks"]
+        assert len(checks) == 7 and all(
+            list(c) == ["name", "passed", "lhs", "slack", "worst_location", "skipped"]
+            for c in checks)
         details = json.loads((tmp_path / "recheck" / "manifest.json").read_text())["gap_details"]
-        gap = json.loads((out / "certificates.json").read_text())["checks"][-1]
+        gap = checks[-1]
         assert details["A"] + details["B"] == gap["lhs"] and gap["passed"]
         assert not details["b_inf_without_rest"]
 

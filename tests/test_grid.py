@@ -5,15 +5,24 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import interp_space_reference, traced_peak
+from conftest import full_field, interp_space_reference, traced_peak
 from frontsteer.errors import ParameterError
 from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField, _interp_plan,
-                             constant_field, integrate_space, interp_space,
-                             interpolate, norm_lp, read_field, wrap_unit, write_field)
+                             interp_space, norm_lp, read_field, wrap_unit, write_field)
 
 
 def grid1d(nx=8, nt=5, T=1.0):
     return TorusGrid(1, (nx,), nt, T)
+
+
+def interpolate(field, t, x):
+    """``interp_space`` of one level of ``field`` at the points ``x``."""
+    return interp_space(field.at(t), np.asarray(x, dtype=float), field.grid.nx)
+
+
+def integrate_space(field, t):
+    """Nodal quadrature of one level over the torus, weight ``cell_volume``."""
+    return float(np.sum(field.at(t)) * field.grid.cell_volume)
 
 
 class TestTorusGrid:
@@ -74,7 +83,7 @@ class TestTorusGrid:
             VecField(g, np.zeros((5, 8)))
 
     def test_fields_immutable(self):
-        f = constant_field(grid1d(), 1.0)
+        f = full_field(grid1d(), 1.0)
         with pytest.raises(ValueError):
             f.values[0, 0] = 2.0
 
@@ -114,7 +123,7 @@ class TestTorusGrid:
 
 class TestInterpolate:
     def test_constant(self):
-        f = constant_field(grid1d(), 3.5)
+        f = full_field(grid1d(), 3.5)
         assert interpolate(f, 2, [0.37]) == pytest.approx(3.5, abs=1e-15)
 
     def test_nodal_exactness(self):
@@ -161,7 +170,7 @@ class TestInterpolate:
             interpolate(f, 0, [-0.03]), abs=1e-14)
 
     def test_bad_time_index(self):
-        f = constant_field(grid1d(), 0.0)
+        f = full_field(grid1d(), 0.0)
         with pytest.raises(IndexError):
             interpolate(f, 9, [0.0])
 
@@ -214,10 +223,10 @@ class TestWrapUnit:
 
 class TestQuadrature:
     def test_constant_integral(self):
-        assert integrate_space(constant_field(grid1d(), 2.0), 0) == pytest.approx(2.0)
+        assert integrate_space(full_field(grid1d(), 2.0), 0) == pytest.approx(2.0)
 
     def test_zero(self):
-        assert integrate_space(constant_field(grid1d(), 0.0), 3) == 0.0
+        assert integrate_space(full_field(grid1d(), 0.0), 3) == 0.0
 
     def test_mean_times_volume(self):
         g = grid1d(nx=4)
@@ -233,19 +242,19 @@ class TestQuadrature:
         assert total == pytest.approx(parts, rel=1e-13)
 
     def test_norm_zero_field(self):
-        assert norm_lp(constant_field(grid1d(), 0.0), 3) == 0.0
+        assert norm_lp(full_field(grid1d(), 0.0), 3) == 0.0
 
     def test_norm_constant_unit_measure(self):
-        assert norm_lp(constant_field(grid1d(nx=32, nt=9), 1.7), 2) == pytest.approx(1.7)
+        assert norm_lp(full_field(grid1d(nx=32, nt=9), 1.7), 2) == pytest.approx(1.7)
 
     def test_norm_constant_closed_form(self):
         g = TorusGrid(1, (32,), 13, 3.0)
-        f = constant_field(g, 2.0)
+        f = full_field(g, 2.0)
         assert norm_lp(f, 3) == pytest.approx(2.0 * 3.0 ** (1 / 3), rel=1e-13)
 
     def test_norm_exponent_error(self):
         with pytest.raises(ParameterError):
-            norm_lp(constant_field(grid1d(), 1.0), 0.5)
+            norm_lp(full_field(grid1d(), 1.0), 0.5)
 
 
 class TestPeriodicShift:
@@ -343,17 +352,21 @@ class TestFieldFiles:
         back = read_field(path)
         assert np.array_equal(back.values, f.values)
 
-    def test_v1_file_without_encoding_token(self, tmp_path):
-        g = grid1d(nx=8, nt=3)
-        rng = np.random.default_rng(7)
-        vals = rng.random((3, 8))
-        header = "frontsteer-field v1 dim=1 nx=8 nt=3 T=1 kind=scalar\n".encode()
-        text, binary = tmp_path / "t.field", tmp_path / "b.field"
-        text.write_bytes(header + "".join(
-            " ".join(f"{v:.17g}" for v in row) + "\n" for row in vals).encode())
-        binary.write_bytes(header + vals.astype("<f8").tobytes())
-        assert np.array_equal(read_field(text).values, vals)
-        assert np.array_equal(read_field(binary).values, vals)
+    @pytest.mark.parametrize("payload", ["text", "binary", "eight_byte_text"])
+    def test_header_without_encoding_token_refused(self, tmp_path, payload):
+        # no guess from the payload length: a text payload of "0.03125 ",
+        # exactly 8 bytes per value, would read as binary (~1.6e-153)
+        vals = np.random.default_rng(7).random((3, 8))
+        if payload == "eight_byte_text":
+            vals = np.full((3, 8), 0.03125)
+        body = vals.astype("<f8").tobytes() if payload == "binary" else "".join(
+            " ".join(f"{v:.17g}" for v in row) + "\n" for row in vals).encode()
+        if payload == "eight_byte_text":
+            assert len(body) == 8 * vals.size
+        path = tmp_path / "f.field"
+        path.write_bytes(b"frontsteer-field v1 dim=1 nx=8 nt=3 T=1 kind=density\n" + body)
+        with pytest.raises(ParameterError, match="lacks enc="):
+            read_field(path)
 
     def test_encoding_mismatch_refused(self, tmp_path):
         g = grid1d(nx=8, nt=3)

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import full_field
+from frontsteer import grid as grid_module
 from frontsteer.errors import ParameterError
-from frontsteer.grid import ScalarField, TorusGrid, constant_field
+from frontsteer.grid import ScalarField, TorusGrid
 from frontsteer.hj import (counterexample_exact, counterexample_in_band,
                            counterexample_instance, counterexample_obstacle,
                            counterexample_speed, extract_front,
@@ -88,13 +90,13 @@ def make_problem(nx=32, nt=33, radius=1.0, u_T=None, dim=1):
 class TestSolveValueFunction:
     def test_zero_data_zero_solution(self):
         prob = make_problem()
-        u = solve_value_function(prob, constant_field(prob.grid, 0.0))
+        u = solve_value_function(prob, full_field(prob.grid, 0.0))
         assert np.all(u.values == 0.0)
 
     def test_constant_obstacle_accrues_linearly(self):
         prob = make_problem()
         F = 0.7
-        u = solve_value_function(prob, constant_field(prob.grid, F))
+        u = solve_value_function(prob, full_field(prob.grid, F))
         tt = prob.grid.times()
         expect = (1.0 - tt)[:, None] * F
         np.testing.assert_allclose(u.values, np.broadcast_to(expect, u.values.shape),
@@ -104,7 +106,7 @@ class TestSolveValueFunction:
         rng = np.random.default_rng(0)
         u_T = rng.random(32)
         prob = make_problem(u_T=u_T)
-        u = solve_value_function(prob, constant_field(prob.grid, 0.3))
+        u = solve_value_function(prob, full_field(prob.grid, 0.3))
         np.testing.assert_array_equal(u.values[-1], u_T)
 
     def test_hopf_lax_oracle_cosine(self):
@@ -116,7 +118,7 @@ class TestSolveValueFunction:
         prob = ProblemInstance(grid=grid, speed=IsotropicSpeed(1, 1.0),
                                cost=CostModel(3.0), u_T=np.cos(2 * np.pi * x),
                                m0=np.ones(nx))
-        u = solve_value_function(prob, constant_field(grid, 0.0))
+        u = solve_value_function(prob, full_field(grid, 0.0))
 
         def oracle(t_idx, x0):
             radius = 1.0 - t_idx * grid.dt
@@ -161,7 +163,7 @@ class TestSolveValueFunction:
         prob = make_problem(u_T=u_T)
         f = ScalarField(prob.grid, rng.random((33, 32)))
         u = solve_value_function(prob, f)
-        u0 = solve_value_function(prob, constant_field(prob.grid, 0.0))
+        u0 = solve_value_function(prob, full_field(prob.grid, 0.0))
         assert np.max(u.values) <= np.max(u_T) + 1.0 * np.max(f.values) + 1e-12
         assert np.all(u.values >= u0.values - 1e-12)
 
@@ -172,7 +174,7 @@ class TestSolveValueFunction:
         speed = FiniteControlsSpeed(1, vels, c0=0.8, c1=0.8)
         prob = ProblemInstance(grid=grid, speed=speed, cost=CostModel(3.0),
                                u_T=np.zeros(32), m0=np.ones(32))
-        u = solve_value_function(prob, constant_field(grid, 1.0))
+        u = solve_value_function(prob, full_field(grid, 1.0))
         np.testing.assert_allclose(u.values[0], 1.0, atol=1e-12)
 
     def test_flat_plan_bitwise_equal_reference(self):
@@ -197,11 +199,11 @@ class TestSolveValueFunction:
         prob = ProblemInstance(grid=grid, speed=IsotropicSpeed(1, 1.0),
                                cost=CostModel(3.0), u_T=np.zeros(8), m0=np.ones(8))
         with pytest.warns(UserWarning):
-            solve_value_function(prob, constant_field(grid, 0.0))
+            solve_value_function(prob, full_field(grid, 0.0))
 
     def test_grid_mismatch(self):
         prob = make_problem()
-        other = constant_field(TorusGrid(1, (16,), 33, 1.0), 0.0)
+        other = full_field(TorusGrid(1, (16,), 33, 1.0), 0.0)
         with pytest.raises(ParameterError):
             solve_value_function(prob, other)
 
@@ -311,12 +313,26 @@ class TestCounterexampleSolve:
         # at the canonical speed*dt = dx ratio the scheme is exact off-band
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_fields_keep_the_arrays_built_for_them(self, eps, monkeypatch):
+        # the obstacle and the value function hand their fresh arrays over
+        # read-only, so ScalarField keeps them instead of copying
+        passed = []
+        monkeypatch.setattr(grid_module, "_freeze",
+                            lambda values: passed.append(values) or values)
+        window = counterexample_instance(eps, window_points=21, nt=11)
+        prob = ProblemInstance(grid=window.grid, speed=counterexample_speed(window),
+                               cost=CostModel(3.0), u_T=np.zeros(window.grid.nx),
+                               m0=np.ones(window.grid.nx))
+        solve_value_function(prob, window.obstacle_field())
+        assert len(passed) == 2 and all(grid_module._shareable(v) for v in passed)
+
 
 class TestExtractFront:
     def test_trivial_cases(self):
         grid = TorusGrid(1, (8,), 3, 1.0)
-        assert extract_front(constant_field(grid, 1.0), 0, 0.0) == set()
-        assert extract_front(constant_field(grid, -1.0), 0, 0.0) == {
+        assert extract_front(full_field(grid, 1.0), 0, 0.0) == set()
+        assert extract_front(full_field(grid, -1.0), 0, 0.0) == {
             (i,) for i in range(8)}
 
     def test_obstacle_mode(self):

@@ -19,7 +19,7 @@ from frontsteer.pdopt import (ProblemInstance, SolverConfig, certificate, _certi
                               _time_eigenbasis, continuity_residual_rows, evaluate_A,
                               evaluate_B, optimize, recover_f, recover_velocity,
                               subsolution_residual)
-from frontsteer.transport import (march_split, one_sided, solve_continuity,
+from frontsteer.transport import (_differences, march_split, one_sided, solve_continuity,
                                   split_by_sign, split_divergence, split_load)
 
 
@@ -135,6 +135,14 @@ class TestObjectives:
 GRIDS = [(1, (16,)), (2, (6, 8)), (1, (17,)), (2, (7, 5))]
 
 
+def _adjoint(y, grid):
+    """``_rows_adjoint`` of y into fresh arrays, with its differences
+    prepared as ``_Workspace`` prepares them."""
+    d = grid.dim
+    gm, gw = np.empty_like(y), np.empty((2 * d, *y[1:].shape))
+    return _rows_adjoint(y, grid, gm, gw, _differences(y[1:], grid, gw[:d], gw[d:]))
+
+
 class TestOperators:
     @pytest.mark.parametrize("dim,nx", GRIDS)
     def test_rows_adjoint_exact(self, dim, nx):
@@ -144,7 +152,7 @@ class TestOperators:
         w = rng.standard_normal((2 * dim, 5, *nx))
         y = rng.standard_normal((6, *nx))
         lhs = np.sum(_rows(m, w, np.zeros(nx), grid) * y)
-        gm, gw = _rows_adjoint(y, grid, np.empty_like(m), np.empty_like(w))
+        gm, gw = _adjoint(y, grid)
         rhs = np.sum(m * gm) + np.sum(w * gw)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -183,8 +191,7 @@ class TestOperators:
         grid = TorusGrid(dim, nx, nt, 0.7)
         b = np.random.default_rng(13).standard_normal((nt, *nx))
         x = _gram_solver(grid)(b)
-        back = _rows(*_rows_adjoint(x, grid, np.empty_like(b),
-                                    np.empty((2 * dim, nt - 1, *nx))), np.zeros(nx), grid)
+        back = _rows(*_adjoint(x, grid), np.zeros(nx), grid)
         assert np.max(np.abs(back - b)) <= 1e-12 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("nt", [2, 3, 65, 129, 257])
