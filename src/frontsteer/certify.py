@@ -13,10 +13,11 @@ Space differences are ``transport.one_sided``, the adjoint of the split
 divergence that ``pdopt`` and the transport solver march with, paired with
 split velocities by ``transport.upwind_directional_derivative``.
 
-``check_subsolution`` streams its sampled test pairs, each drawn as its
-Fourier modes and summed one block of time levels at a time, on the block
-rule of the certificate (``pdopt._block_levels``): no check holds a whole
-sampled field, and no bit depends on the block size.
+``check_subsolution`` draws its sampled test pairs as their Fourier modes
+and sums them one block of time levels at a time, on the block rule of the
+certificate (``pdopt._block_levels``), each block's differences of u shared
+by all pairs: no check holds a whole sampled field, and no bit depends on
+the block size.
 
 ``battery`` runs all seven checks for ``optimize`` and ``certify`` on a
 bundle's pair (w_plus, w_minus), a nodal w being (w, w).  Its gap is the
@@ -209,33 +210,48 @@ def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
 # -- subsolution inequality against sampled admissible fields -----------------
 
 
-def _fourier_modes(rng: np.random.Generator, grid: TorusGrid,
-                   modes: int = 3) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The modes of one smooth random space-time field, in draw order: per
-    mode, its wave at each distinct value of ``x @ kvec`` over all levels,
-    (nt, distinct), and the index that gathers those values to the nodes.
-    Lattice nodes and an integer kvec repeat ``x @ kvec``, so a table is
-    much smaller than a field and one cos serves many nodes."""
-    t = grid.times()[:, None]
+def _fourier_modes(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -> tuple:
+    """The modes of one smooth random space-time field, drawn in order, as
+    one table: each mode's distinct values s of ``x @ kvec``, one after the
+    other in ``values``; ``params``, the mode's time frequency, phase and
+    amplitude at each of its values, (3, len(values)), so one evaluation
+    serves all modes; and ``inv``, (modes, n_space) in the narrowest
+    unsigned type, which gathers each mode's values to the nodes.  Lattice
+    nodes and an integer kvec repeat ``x @ kvec``, so a mode has at most
+    n_space values and one cos serves many nodes.  A field is three small
+    arrays, so a check can hold every draw's table."""
     x = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
-    table = []
+    rows, params, gathers, start = [], [], [], 0
     for _ in range(modes):
         kvec = rng.integers(-3, 4, size=grid.dim)
         omega = rng.uniform(-2.0, 2.0)
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.uniform(0.3, 1.0)
-        s, inv = np.unique(x @ kvec, return_inverse=True)
-        table.append((amp * np.cos(2 * np.pi * (s + omega * t) + phase), inv))
-    return table
+        values, inv = np.unique(x @ kvec, return_inverse=True)
+        rows.append(values)
+        params.append((omega, phase, amp))
+        gathers.append(inv + start)
+        start += len(values)
+    params = np.repeat(np.array(params).T, [len(v) for v in rows], axis=1)
+    return np.concatenate(rows), params, np.stack(gathers).astype(np.min_scalar_type(start - 1))
 
 
-def _modes_on(table: list, grid: TorusGrid, k0: int, k1: int) -> np.ndarray:
+def _modes_on(table: tuple, grid: TorusGrid, k0: int, k1: int) -> np.ndarray:
     """Levels k0..k1 - 1 of the field of the mode ``table``, (k1 - k0, *nx):
-    the waves gathered to the nodes and summed in draw order, so every
-    level has the bits it has in a whole-field evaluation."""
+    every mode's wave amp cos(2 pi (s + omega t) + phase) on those levels at
+    its values s, in one evaluation, gathered to the nodes and summed in
+    draw order, so every level has the bits it has in a whole-field
+    evaluation."""
+    values, (omega, phase, amp), inv = table
+    wave = grid.times()[k0:k1, None] * omega
+    wave += values
+    wave *= 2 * np.pi
+    wave += phase
+    np.cos(wave, out=wave)
+    wave *= amp
     out = np.zeros((k1 - k0, grid.n_space))
-    for wave, inv in table:
-        out += np.take(wave[k0:k1], inv, axis=1)
+    for index in inv:
+        out += np.take(wave, index, axis=1)
     return out.reshape(k1 - k0, *grid.nx)
 
 
@@ -258,18 +274,27 @@ def _sampled_pair(count: int, mix, grid: TorusGrid, rng: np.random.Generator, st
     """One sampled test pair of ``check_subsolution`` as two functions of a
     block of levels (k0, k1): v~, ``mix`` of ``count`` smooth fields as in
     ``sample_admissible_field``, and phi = w^2 / max(w^2) >= 0 of a smooth
-    field w, whose maximum over all levels is taken first, ``step`` levels at
-    a time.  ``mix`` is per node: a block has the bits of the whole field."""
+    field w.  The first call of phi takes the maximum over all levels,
+    ``step`` at a time, and keeps its own block from that pass (the whole
+    run when one block holds it).  ``mix`` is per node: a block has the bits
+    of the whole field."""
     v_tables = [_fourier_modes(rng, grid) for _ in range(count)]
     w_table = _fourier_modes(rng, grid)
-    mx = max(float(np.max(np.square(_modes_on(w_table, grid, k, min(k + step, grid.nt)))))
-             for k in range(0, grid.nt, step))
+    peaks = []
 
     def v_on(k0: int, k1: int) -> np.ndarray:
         return mix([_modes_on(table, grid, k0, k1) for table in v_tables])
 
     def phi_on(k0: int, k1: int) -> np.ndarray:
-        phi = np.square(_modes_on(w_table, grid, k0, k1))
+        w = None
+        if not peaks:
+            for k in range(0, grid.nt, step):
+                w_k = _modes_on(w_table, grid, k, min(k + step, grid.nt))
+                peaks.append(float(np.max(np.square(w_k))))
+                if k == k0:
+                    w = w_k[:k1 - k0]
+        phi = np.square(_modes_on(w_table, grid, k0, k1) if w is None else w)
+        mx = max(peaks)
         if mx > 0:
             phi /= mx
         return phi
@@ -288,57 +313,54 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     instead of random sampling.  A sampled pair is drawn as its Fourier
     modes, in the RNG order of ``sample_admissible_field`` and then
     ``_fourier_scalar``: v~ is the speed's ``admissible`` mix of its smooth
-    fields and phi = w^2 / max(w^2) of one more smooth field w, its maximum taken
-    in a first pass over all levels.  Pairs are streamed, each summed and
-    dropped before the next is drawn, so memory does not grow with
-    ``trials``.  The sums run over blocks of ``pdopt._block_levels`` levels
-    (2 at 64^2, one block for a 1D run at 64 points): a block evaluates v~
-    and phi from the pair's modes, takes the differences of u, and pairs
-    them with the sign split of v~ by ``upwind_directional_derivative``.  So beyond the pair's
-    mode tables the check holds one block's arrays, never a whole field.
-    Each level is summed on its own and added in level order, so the
-    report has the bits of a level-by-level pass over whole-field pairs,
-    whatever the block size."""
+    fields and phi = w^2 / max(w^2) of one more smooth field w, its maximum
+    taken over all levels with the first block (``_sampled_pair``).  Every
+    pair's modes are drawn first (a few short tables each), then the sums
+    run over blocks of ``pdopt._block_levels`` levels (2 at 64^2, one block
+    for a 1D run at 64 points): a block takes the differences of u once,
+    then for each pair evaluates v~ and phi from its modes and pairs them
+    with the sign split of v~ by ``upwind_directional_derivative``.  So
+    beyond the modes the check holds one block's arrays, never a whole
+    field.  Each level is summed on its own and added in level order, so
+    the report has the bits of a level-by-level pass over whole-field
+    pairs, whatever the block size."""
     grid = u.grid
     if f.grid != grid:
         raise ParameterError("fields live on different grids")
     vol = grid.cell_volume
     step = pdopt._block_levels(grid)
-
-    def excess(v_on, phi_on) -> float:
-        lhs = rhs = 0.0
-        for k0 in range(0, grid.nt - 1, step):
-            k1 = min(k0 + step, grid.nt - 1)
-            u_next = u.values[k0 + 1:k1 + 1]
+    if pairs is None:
+        rng = np.random.default_rng(seed)
+        count, mix = speed.admissible(grid)
+        fields = [_sampled_pair(count, mix, grid, rng, step) for _ in range(trials)]
+    else:
+        fields = [(lambda k0, k1, v=v: v.values[k0:k1], lambda k0, k1, phi=phi: phi[k0:k1])
+                  for v, phi in pairs]
+    lhs = [0.0] * len(fields)
+    rhs = [0.0] * len(fields)
+    for k0 in range(0, grid.nt - 1, step):
+        k1 = min(k0 + step, grid.nt - 1)
+        u_next = u.values[k0 + 1:k1 + 1]
+        # the differences of u on the block, shared by every pair
+        fwd, bwd = one_sided(u_next, grid)
+        du = u_next - u.values[k0:k1]
+        for trial, (v_on, phi_on) in enumerate(fields):
             phi = phi_on(k0, k1)
-            # the differences and the sign split live only for the pairing
-            dd = upwind_directional_derivative(*one_sided(u_next, grid),
-                                               split_by_sign(v_on(k0, k1)))
             # phi * (du + dt * dd), in place
+            dd = upwind_directional_derivative(fwd, bwd, split_by_sign(v_on(k0, k1)))
             dd *= grid.dt
-            dd += u_next - u.values[k0:k1]
+            dd += du
             dd *= phi
             # one sum per level, each over that level's contiguous nodes
             pairing = np.sum(dd.reshape(k1 - k0, -1), axis=1)
             costs = np.sum((f.values[k0:k1] * phi).reshape(k1 - k0, -1), axis=1)
             for pair_k, cost_k in zip(pairing.tolist(), costs.tolist()):
-                lhs += -vol * pair_k
-                rhs += vol * grid.dt * cost_k
-        return lhs - rhs
-
-    if pairs is None:
-        rng = np.random.default_rng(seed)
-        count, mix = speed.admissible(grid)
+                lhs[trial] += -vol * pair_k
+                rhs[trial] += vol * grid.dt * cost_k
     worst = (-np.inf, None)
-    for trial in range(trials if pairs is None else len(pairs)):
-        # a pair lives only for its own call
-        if pairs is None:
-            gap = excess(*_sampled_pair(count, mix, grid, rng, step))
-        else:
-            v, phi = pairs[trial]
-            gap = excess(lambda k0, k1: v.values[k0:k1], lambda k0, k1: phi[k0:k1])
-        if gap > worst[0]:
-            worst = (gap, trial)
+    for trial, (lhs_t, rhs_t) in enumerate(zip(lhs, rhs)):
+        if lhs_t - rhs_t > worst[0]:
+            worst = (lhs_t - rhs_t, trial)
     slack = 2.0 * (1.0 + speed.c1) * (1.0 + grid.horizon) * _disc_scale(grid)
     return CertReport(name="subsolution", passed=bool(worst[0] <= slack),
                       lhs=float(worst[0]), slack=float(slack),

@@ -253,11 +253,13 @@ def write_front_csv(path: Path, u: ScalarField, level: float = 0.0) -> None:
 
 
 def write_diagnostics_csv(path: Path, diag: pdopt.SolverDiagnostics) -> None:
+    """One row per checked iteration; tau, the primal step the iteration
+    took, comes last so the columns before it keep their places."""
     with open(path, "w") as fh:
-        fh.write("iter,A,B,gap,cont_residual\n")
-        for i, a, b, g, c in zip(diag.iter_history, diag.a_history, diag.b_history,
-                                 diag.gap_history, diag.cont_history):
-            fh.write(f"{i},{a:.17g},{b:.17g},{g:.17g},{c:.17g}\n")
+        fh.write("iter,A,B,gap,cont_residual,tau\n")
+        for i, a, b, g, c, t in zip(diag.iter_history, diag.a_history, diag.b_history,
+                                    diag.gap_history, diag.cont_history, diag.tau_history):
+            fh.write(f"{i},{a:.17g},{b:.17g},{g:.17g},{c:.17g},{t:.17g}\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -343,7 +345,7 @@ def cmd_optimize(args) -> int:
         "iterations": diag.iterations, "final_gap": diag.final_gap,
         "final_rel_gap": diag.final_rel_gap,
         "final_cont_residual": diag.cont_history[-1] if diag.cont_history else None,
-        "tau": diag.tau, "sigma": diag.sigma,
+        "tau": diag.tau, "sigma": diag.sigma, "step_changes": diag.step_changes,
         "wall_time_s": diag.wall_time, "notes": diag.notes,
         "all_checks_passed": all(r.passed for r in reports)})
     ok = diag.converged and all(r.passed for r in reports)

@@ -381,7 +381,7 @@ def cost_deriv_conj(model: CostModel, m) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _solve_sqrt_root(lin, coef, rhs):
+def _solve_sqrt_root(lin, coef, rhs, out=None):
     """Closed-form root of lin*m + coef*sqrt(m) = rhs over m >= 0: the
     quadratic lin*s^2 + coef*s - rhs in s = sqrt(m) has the nonnegative root
     s = 2*rhs+ / (coef + sqrt(coef^2 + 4*lin*rhs+)), free of cancellation,
@@ -390,8 +390,9 @@ def _solve_sqrt_root(lin, coef, rhs):
     the lin >= 1 of every caller the denominator is 0 only where coef = 0
     and rhs+ = 0; it is raised there to the least subnormal, which leaves
     every positive one as it is and makes that division 0 / 5e-324 = 0,
-    with no mask and no 0/0."""
-    s = np.fmax(rhs, 0.0, out=np.empty(np.broadcast(lin, coef, rhs).shape))
+    with no mask and no 0/0.  The roots go into ``out`` if given."""
+    s = np.fmax(rhs, 0.0, out=np.empty(np.broadcast(lin, coef, rhs).shape) if out is None
+                else out)
     den = np.multiply(4.0 * lin, s, out=np.empty_like(s))
     den += coef * coef
     np.sqrt(den, out=den)
@@ -402,7 +403,7 @@ def _solve_sqrt_root(lin, coef, rhs):
     return np.multiply(s, s, out=s)
 
 
-def _solve_power_root(lin, coef, rhs, r):
+def _solve_power_root(lin, coef, rhs, r, out=None):
     """Solve lin*m + coef*m^r = rhs elementwise over m >= 0 (all inputs
     broadcastable, lin >= 1, coef >= 0, r > 0); m = 0 where rhs <= 0.
     r = 1/2 (p = 3) has a closed form.  Other r take plain Newton on the
@@ -418,13 +419,19 @@ def _solve_power_root(lin, coef, rhs, r):
     Scalar lin and coef stay scalars and the others are gathered to the open
     entries (a contiguous rhs with every entry open is read in place).  Each
     step is formed in place in two arrays of the open entries, which are
-    compressed one at a time."""
+    compressed one at a time.  The roots go into ``out`` if given, a buffer
+    of the broadcast shape that overlaps no input."""
     if r == 0.5:
-        return _solve_sqrt_root(lin, coef, rhs)
+        return _solve_sqrt_root(lin, coef, rhs, out)
     rhs = np.asarray(rhs, dtype=float)
     shape = np.broadcast_shapes(np.shape(lin), np.shape(coef), rhs.shape)
-    out = np.zeros(shape)
+    if out is None:
+        out = np.zeros(shape)
+    else:
+        out.fill(0.0)
     pending = np.flatnonzero(np.broadcast_to(rhs, shape) > 0)   # rhs <= 0: root m = 0
+    if not pending.size:
+        return out
 
     def gather(v):
         v = np.broadcast_to(np.asarray(v, dtype=float), shape)
@@ -435,6 +442,7 @@ def _solve_power_root(lin, coef, rhs, r):
     lin, coef = (float(v) if np.ndim(v) == 0 else gather(v) for v in (lin, coef))
     rhs = gather(rhs)
     e, a, b = (1.0 / r, lin, coef) if r < 1.0 else (r, coef, lin)
+    del lin, coef           # a compressed a or b must free its old copy
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.minimum((rhs / a) ** (1.0 / e), rhs / b)
         for _ in range(100):
@@ -448,19 +456,21 @@ def _solve_power_root(lin, coef, rhs, r):
             d += b
             h /= d
             x_new = np.subtract(x, h, out=d)
-            del h
+            del h, d
             more = x_new < x
-            if not np.all(more):
-                done = ~more
-                last = x[done]
-                out.flat[pending[done]] = last ** e if r < 1.0 else last
-                # one array at a time, each old one freed as its copy is made
-                pending = pending[more]
-                rhs = rhs[more]
-                x_new = x_new[more]
-                a = a if np.ndim(a) == 0 else a[more]
-                b = b if np.ndim(b) == 0 else b[more]
-            x = x_new
+            if np.all(more):
+                x = x_new
+                continue
+            done = ~more
+            last = x[done]
+            out.flat[pending[done]] = last ** e if r < 1.0 else last
+            # one array at a time, each old one freed as its copy is made
+            x = x_new[more]
+            del x_new
+            pending = pending[more]
+            rhs = rhs[more]
+            a = a if np.ndim(a) == 0 else a[more]
+            b = b if np.ndim(b) == 0 else b[more]
             if not pending.size:
                 return out
     raise NumericError(f"power-root Newton did not settle on {pending.size} entries")
@@ -488,30 +498,39 @@ def prox_cost_conj_coned(model: CostModel, c, m_bar, w_bar, step: float, out=Non
     {(m, w): m >= 0, |w| <= c*m} (isotropic speeds), for momenta w_bar
     stored component-major, shape (n, *m_bar.shape).
 
-    When the unconstrained density prox already dominates |w_bar|/c the
-    momentum is kept; otherwise the cone is active and the optimality
-    condition becomes (1 + c^2) m + step*k(m) = m_bar + c*|w_bar|, solved
-    on these nodes only (the right-hand side is zeroed on the free ones).
-    The result (m, w) is written into the pair ``out`` if given, which may
-    be (m_bar, w_bar) themselves; w is w_bar scaled in one product."""
+    The momentum is kept where the unconstrained density prox, the root of
+    m + step*k(m) = m_bar, dominates t = |w_bar|/c; that root is increasing
+    in m_bar, so these free nodes are those with t + step*k(t) <= m_bar,
+    and those with w_bar = 0.  On the others the cone is active and the
+    condition becomes (1 + c^2) m + step*k(m) = m_bar + c*|w_bar|.  One root
+    solve serves both, with the coefficient 1 or 1 + c^2 and the right-hand
+    side per node.  The result (m, w) is written into the pair ``out`` if
+    given, which may be (m_bar, w_bar) themselves; w is w_bar scaled in one
+    product."""
     q = model.q
     r = q - 1.0
     coef = step * model.kappa ** (1.0 - q)
     a = _component_norm(w_bar, axis=0)
-    m_free = _solve_power_root(1.0, coef, m_bar, r)
-    free = a <= c * m_free
-    rhs = np.multiply(c, a)
+    # t + step*k(t), then the right-hand side, in one buffer; t, then the
+    # coefficient, in another
+    lin = np.divide(a, c)
+    rhs = lin ** r
+    rhs *= coef
+    rhs += lin
+    free = rhs <= m_bar
+    free |= a == 0.0
+    np.multiply(c, a, out=rhs)
     rhs += m_bar
-    np.putmask(rhs, free, 0.0)
-    m_act = _solve_power_root(1.0 + c * c, coef, rhs, r)
-    # a = 0 makes the node free (m_free >= 0), so only free nodes divide by 0
-    scale = np.multiply(c, m_act)
+    np.copyto(rhs, m_bar, where=free)
+    np.copyto(lin, 1.0 + c * c)
+    lin[free] = 1.0
+    m, w = (np.empty(m_bar.shape), np.empty(w_bar.shape)) if out is None else out
+    _solve_power_root(lin, coef, rhs, r, out=m)
+    # only free nodes can have a = 0, and they are not scaled
+    scale = np.multiply(c, m, out=rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale /= a
     np.putmask(scale, free, 1.0)
-    m, w = (np.empty_like(m_act), np.empty_like(w_bar)) if out is None else out
-    np.copyto(m, m_act)
-    np.putmask(m, free, m_free)
     np.multiply(w_bar, scale, out=w)
     return m, w
 

@@ -25,31 +25,48 @@ momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
 2*dim components.  The multiplier, sign-flipped, converges to the value
 function u.
 
+``optimize`` over-relaxes the iteration (Condat, JOTA 2013, Thm 3.1: any
+rho in (0, 2) converges under tau*sigma < 1).  From (x, y) it takes the
+prox point x~ and the dual point y~ = y + sigma (L L^T)^-1 rows(2 x~ - x),
+then moves x and y to x~ + (rho - 1)(x~ - x) and y~ + (rho - 1)(y~ - y),
+and the rows of x alike, as they are affine.  Iterations 1-16, which hold
+the record checks, take plain steps (rho = 1); later ones rho = 1.7.  The
+relaxed x may leave the cone, so the pair (y~, x~) is the one certified,
+stopped on and returned.  With default steps ``optimize`` also balances its
+two stop tests by halving or doubling tau every 32nd iteration, at most 8
+times in a run (see ``optimize``).
+
 The loop runs in place on one ``_Workspace`` built before it.  Its split
 momenta are component-major, as in ``transport``, w = (w+_1..w+_dim,
 w-_1..w-_dim) of shape (2*dim, nt - 1, *nx); the bundle's pair holds them
-components last, transposed once at the end.  Besides the state (m and y,
-(nt, *nx) each, and w, 2*dim times that) the workspace holds the
-adjoint's gm and gw (gw also takes the gradient step), the divergence of
-the rows with its flux and term, two row buffers that take turns as r and
-r_bar, the rows scaled for the residual, and the Gram solver's spectrum,
-product and output buffers: (2 + 2*dim) node arrays of state and about
-(10 + 2*dim) of workspace, plus the solver's factors (two of about one
-node array each and the nt x nt eigenbasis).  The stencils of the rows
-and of the adjoint are sliced once, when the workspace is built
+components last, transposed once at the end.  The state is x = (m, w) with
+its rows and y, and the prox point x~ = (m~, w~) with its rows, each x with
+its rows in one flat buffer, so one ufunc call relaxes it; y~ lives in the
+Gram solver's output buffer.  Besides that state (m, y and each rows
+(nt, *nx), w 2*dim times that, so (3 + 2*dim) node arrays for x and y and
+(2 + 2*dim) for x~) the workspace holds the adjoint's gm and gw (which
+also take the gradient step), the divergence of the rows of x~ with its
+flux and term, one buffer for the squared residual and then the
+extrapolated rows, and the Gram solver's spectrum, product and output
+buffers: about (8 + 2*dim) node arrays, plus the solver's factors (two of
+about one node array each and the nt x nt eigenbasis).  Against plain CP
+that is 2 + 2*dim node arrays more for x~ and its rows, less the second row
+buffer that plain CP's extrapolated rows took.  The stencils of the rows and
+of the adjoint are sliced once, when the workspace is built
 (``transport._divergence``, ``transport._differences``).  The prox writes
-m and w in place.  Each iteration does the floating-point operations of
-the textbook allocating loop in the same order, so the iterates are the
-same bits.
+x~ in place.  Each iteration does the floating-point operations of the
+textbook allocating loop in the same order, so the iterates are the same
+bits.
 
 The gap A + B that ``optimize`` records and stops on is a certificate
-(``_certificate``): A belongs to the primal point u = -y, u(T) = u_T,
+(``_certificate``): A belongs to the primal point u = -y~, u(T) = u_T,
 f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
-the iterate's split velocities, both exactly feasible, so A + B >= 0 by
+the split velocities of x~, both exactly feasible, so A + B >= 0 by
 summation by parts and the discrete optimal value lies in [-A, B].
 ``optimize`` builds it only on the iterations that can stop the run (those
-with a continuity residual at most tol_cont), on the last one and on
-iterations 1, 2, 4, 8, ... for a log-spaced record, and judged by
+with a continuity residual at most tol_cont), on the last one, on
+iterations 1, 2, 4, 8, ... for a log-spaced record and, with default
+steps, on every 32nd while the steps may still switch, and judges it by
 ``_gap_certified``, as in ``certify.battery``.  The public ``certificate``
 certifies the stored pairs (w+, w-) of ``certify.duality_gap``, a nodal w
 as (w, w), split by sign and moved into the split set block by block, so a
@@ -80,6 +97,16 @@ from .transport import (_CFL_SLACK, _differences, _divergence, _march_levels, on
 # default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
 _TAU = 16.0
 _SIGMA = 0.06
+# the over-relaxation from iteration _PLAIN_ITERS + 1 on; rho in (0, 2)
+# converges under tau*sigma < 1 (Condat, JOTA 2013, Thm 3.1)
+_RHO = 1.7
+_PLAIN_ITERS = 16
+# the step switch of default steps: every _SWITCH_EVERY iterations, at most
+# _MAX_STEP_CHANGES times over a run, tau halves or doubles within
+# [_TAU_MIN, _TAU_MAX], with sigma = _TAU * _SIGMA / tau
+_SWITCH_EVERY = 32
+_MAX_STEP_CHANGES = 8
+_TAU_MIN, _TAU_MAX = 1.0, 64.0
 # a block of time levels of the certificate and of certify.check_subsolution
 # holds about this many bytes of split momenta or velocities: 2 levels at
 # 64^2, 256 at 64 points in 1D (one block for 64x65); no bit depends on it
@@ -144,8 +171,10 @@ class SolverConfig:
 @dataclass
 class SolverDiagnostics:
     """Records of ``optimize``, one per checked iteration: its number, the
-    certified A, B and gap A + B (see ``_certificate``) and the continuity
-    residual of the iterate."""
+    certified A, B and gap A + B (see ``_certificate``), the continuity
+    residual of the prox point and the tau it was taken with; each change
+    of the steps as (iteration, tau, sigma), taken after that iteration; and
+    the final steps ``tau`` and ``sigma``."""
 
     iterations: int = 0
     converged: bool = False
@@ -154,6 +183,8 @@ class SolverDiagnostics:
     a_history: list = field(default_factory=list)
     b_history: list = field(default_factory=list)
     cont_history: list = field(default_factory=list)
+    tau_history: list = field(default_factory=list)
+    step_changes: list = field(default_factory=list)
     wall_time: float = 0.0
     tau: float = 0.0
     sigma: float = 0.0
@@ -515,102 +546,157 @@ def _certificate(problem: ProblemInstance, u: np.ndarray, m: np.ndarray,
 # -- the solver --------------------------------------------------------------
 
 
+def _flat_views(*shapes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer and its consecutive C-contiguous views of the given
+    shapes, so one ufunc call updates all of them."""
+    flat = np.empty(sum(math.prod(s) for s in shapes))
+    views, start = [], 0
+    for shape in shapes:
+        views.append(flat[start:start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return flat, views
+
+
 class _Workspace:
-    """The CP iterate (m, w, y) and every buffer its iteration reuses, built
-    once before the loop (see the module docstring): w component-major,
-    (2*dim, nt - 1, *nx); gm and gw, the adjoint and the gradient step; the
-    divergence of the rows with its flux and term, three (nt - 1, *nx)
-    arrays behind the prepared ``divergence``; ``differences``, the prepared
-    one-sided differences of y into gw; the row buffers r, r_bar and
-    scaled; and the Gram solver.  ``step`` runs one iteration in place, with
-    no (nt, *nx) array allocated outside the prox."""
+    """The CP state and every buffer its iteration reuses, built once before
+    the loop (see the module docstring).  The state is the relaxed iterate
+    x = (m, w) with its rows r, in one flat buffer ``x``, and y; the prox
+    point x~ = (m_prox, w_prox) with its rows r_prox, in ``x_prox`` laid out
+    as ``x``, and y_prox, the Gram solver's output buffer; w and w_prox
+    component-major, (2*dim, nt - 1, *nx).  The buffers: gm and gw, the
+    adjoint and the gradient step; the divergence of the rows of x~ with
+    its flux and term, three (nt - 1, *nx) arrays behind the prepared
+    ``divergence``; ``differences``, the prepared one-sided differences of
+    y into gw; ``scaled``, which takes the squared residual and then the
+    extrapolated rows 2 r_prox - r; and the Gram solver.  ``step`` runs one
+    iteration in place, with no (nt, *nx) array allocated outside the prox
+    and the Gram solve."""
 
     def __init__(self, problem: ProblemInstance, tau: float, sigma: float):
         grid = problem.grid
-        self.problem, self.tau, self.sigma = problem, tau, sigma
+        d = grid.dim
+        self.problem = problem
         # the joint prox takes nodal radii for balls and split face data for
         # finite hulls, built once here; the prox names stay globals for the tracer
         self.iso = isinstance(problem.speed, IsotropicSpeed)
         self.cone = problem.speed.split_cone(grid)
         self.gram_solve = _gram_solver(grid)
-        self.tau_u_T = tau * problem.u_T
-        self.prox_step = tau * grid.dt
-        self.m = np.full((grid.nt, *grid.nx), problem.mass)
-        self.w = np.zeros((2 * grid.dim, grid.nt - 1, *grid.nx))
-        self.y = np.zeros((grid.nt, *grid.nx))
+        self.set_steps(tau, sigma)
+        level, split = (grid.nt, *grid.nx), (2 * d, grid.nt - 1, *grid.nx)
+        self.x, (self.m, self.w, self.r) = _flat_views(level, split, level)
+        self.x_prox, (self.m_prox, self.w_prox, self.r_prox) = _flat_views(level, split, level)
+        self.m.fill(problem.mass)
+        self.w.fill(0.0)
+        self.y = np.zeros(level)
         self.gm = np.empty_like(self.y)
         self.gw = np.empty_like(self.w)
         # the stencils of the rows and of the adjoint, sliced once: the
-        # divergence of w (with its flux and term) and the differences of y
-        d = grid.dim
-        self.divergence = _divergence(self.w[:d], self.w[d:], grid,
+        # divergence of w_prox (with its flux and term) and the differences of y
+        self.divergence = _divergence(self.w_prox[:d], self.w_prox[d:], grid,
                                       *(np.empty((grid.nt - 1, *grid.nx)) for _ in range(3)))
         self.differences = _differences(self.y[1:], grid, self.gw[:d], self.gw[d:])
-        self.r = _rows(self.m, self.w, problem.m0, grid, divergence=self.divergence)
-        self.r_bar = self.r.copy()
-        self.scaled = np.empty_like(self.r)
+        self.scaled = np.empty_like(self.y)
         self.vol = grid.cell_volume
+        # y starts at the first dual step of plain CP from y = 0
+        _rows(self.m, self.w, problem.m0, grid, out=self.r)
+        first = self.gram_solve(self.r)
+        first *= sigma
+        self.y += first
 
-    def step(self) -> float:
-        """One iteration in place; returns the weighted L2 continuity
-        residual of the new iterate."""
+    def set_steps(self, tau: float, sigma: float) -> None:
+        """The primal and dual steps of the next iterations."""
+        grid = self.problem.grid
+        self.tau, self.sigma = tau, sigma
+        self.tau_u_T = tau * self.problem.u_T
+        self.prox_step = tau * grid.dt
+
+    def step(self, rho: float = 1.0) -> float:
+        """One iteration in place, relaxed by rho (1: plain CP); returns the
+        weighted L2 continuity residual of the prox point x~."""
         problem, tau = self.problem, self.tau
         grid = problem.grid
         d = grid.dim
-        m, w, y, gm, gw = self.m, self.w, self.y, self.gm, self.gw
-        dual_step = self.gram_solve(self.r_bar)
-        dual_step *= self.sigma
-        y += dual_step
+        gm, gw, m_prox, w_prox = self.gm, self.gw, self.m_prox, self.w_prox
 
-        # gradient step, then the prox and cone step in place on m and w
-        _rows_adjoint(y, grid, gm, gw, self.differences)
+        # the gradient step from (x, y) into gm and gw, then the prox and
+        # cone step into x~
+        _rows_adjoint(self.y, grid, gm, gw, self.differences)
         gm *= tau
-        m -= gm
+        m_half = np.subtract(self.m, gm, out=gm)
         gw *= tau
-        w_half = np.subtract(w, gw, out=gw)
-        m[-1] -= self.tau_u_T
-        np.maximum(m[-1], 0.0, out=m[-1])
+        w_half = np.subtract(self.w, gw, out=gw)
+        m_half[-1] -= self.tau_u_T
+        np.maximum(m_half[-1], 0.0, out=m_prox[-1])
         if self.iso:
             # the SOC is symmetric under sign flips, so the prox onto its
             # part with w+ >= 0 >= w- is the SOC prox of the clipped point
             np.maximum(w_half[:d], 0.0, out=w_half[:d])
             np.minimum(w_half[d:], 0.0, out=w_half[d:])
-            prox_cost_conj_coned(problem.cost, self.cone, m[:-1], w_half, self.prox_step,
-                                 out=(m[:-1], w))
+            prox_cost_conj_coned(problem.cost, self.cone, m_half[:-1], w_half, self.prox_step,
+                                 out=(m_prox[:-1], w_prox))
         else:
-            prox_cost_conj_hull(problem.cost, self.cone, m[:-1], w_half, self.prox_step,
-                                out=(m[:-1], w))
+            prox_cost_conj_hull(problem.cost, self.cone, m_half[:-1], w_half, self.prox_step,
+                                out=(m_prox[:-1], w_prox))
 
-        # _rows is affine, so the rows of the extrapolated point 2 z - z_prev
-        # need no second application: r_bar = (r - r_prev) + r, in the buffer
-        # of r_prev
-        r_prev, r = self.r, self.r_bar
-        _rows(m, w, problem.m0, grid, out=r, divergence=self.divergence)
-        np.subtract(r, r_prev, out=r_prev)
-        r_prev += r
-        self.r, self.r_bar = r, r_prev
-        # the weighted L2 norm of the physical rows r/dt, squared in place
-        scaled = np.divide(r, grid.dt, out=self.scaled)
+        r, r_prox = self.r, self.r_prox
+        _rows(m_prox, w_prox, problem.m0, grid, out=r_prox, divergence=self.divergence)
+        # the weighted L2 norm of the physical rows r_prox/dt, squared in place
+        scaled = np.divide(r_prox, grid.dt, out=self.scaled)
         np.multiply(scaled, scaled, out=scaled)
-        return math.sqrt(scaled.sum() * grid.dt * self.vol)
+        cont = math.sqrt(scaled.sum() * grid.dt * self.vol)
+
+        # the dual step at the rows of 2 x~ - x: _rows is affine, so they
+        # are (r_prox - r) + r_prox, formed in scaled
+        r_bar = np.subtract(r_prox, r, out=scaled)
+        r_bar += r_prox
+        y_prox = self.gram_solve(r_bar)
+        y_prox *= self.sigma
+        y_prox += self.y
+        self.y_prox = y_prox
+
+        # z <- z~ + (rho - 1)(z~ - z) for x with its rows (affine too) and y
+        for z, z_prox in ((self.x, self.x_prox), (self.y, y_prox)):
+            z -= z_prox
+            z *= 1.0 - rho
+            z += z_prox
+        return cont
 
 
 def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> OptimalBundle:
-    """Preconditioned primal-dual iteration for the discrete dual problem.
+    """Over-relaxed preconditioned primal-dual iteration for the discrete
+    dual problem, in place on one ``_Workspace``.
 
-    Per iteration: the dual step y += sigma (L L^T)^-1 r_bar on the
-    continuity multiplier, a gradient step on (m, w+, w-) through the
-    adjoint, and the exact pointwise joint prox of K* and the velocity cone
-    (see the module docstring), in place on one ``_Workspace``.  Every
-    iteration computes the continuity residual of the iterate.  The
-    certified A, B and gap of ``_certificate`` are built where they can
-    matter: on iterations whose residual is at most tol_cont, on iteration
-    max_iters and on iterations 1, 2, 4, 8, ...  Each
-    such check is recorded in the diagnostics with its iteration number.
-    The run stops once the relative certified gap is at most tol_gap and the
-    residual at most tol_cont, at two iterations in a row (both therefore
-    checked); at max_iters it stops with a non-converged flag and says in
-    ``notes`` whether the certificate had to scale the iterate's velocities.
+    Per iteration (``_Workspace.step``): from the iterate x = (m, w+, w-)
+    and the multiplier y, a gradient step through the adjoint and the exact
+    pointwise joint prox of K* and the velocity cone (see the module
+    docstring) give the prox point x~; the dual step gives
+    y~ = y + sigma (L L^T)^-1 rows(2 x~ - x); then x <- x~ + (rho - 1)(x~ - x)
+    and y <- y~ + (rho - 1)(y~ - y).  Iterations 1-16, which hold the record
+    checks 1, 2, 4, 8 and 16, take plain steps (rho = 1); later ones
+    rho = 1.7.  y starts at sigma (L L^T)^-1 rows(x0), the first dual step of
+    plain CP from y = 0.
+
+    The pair (y~, x~) is feasible (x~ is in the cone, and the relaxed x need
+    not be), so it is the one checked, stopped on and returned.  Every
+    iteration computes its continuity residual.  The certified A, B and gap
+    of ``_certificate`` are built where they can matter: on iterations whose
+    residual is at most tol_cont, on iteration max_iters, on iterations 1,
+    2, 4, 8, ... and, with default steps, on every 32nd while the steps may
+    still switch.  Each such check is recorded in the
+    diagnostics with its iteration number and its tau.  The run stops once
+    the relative certified gap is at most tol_gap and the residual at most
+    tol_cont, at two iterations in a row (both therefore checked); at
+    max_iters it stops with a non-converged flag and says in ``notes``
+    whether the certificate had to scale the iterate's velocities.
+
+    With default steps, each 32nd iteration balances the two stop tests:
+    tau halves when the gap test passes and the residual test fails, and
+    doubles in the reverse case, within [1, 64], sigma = 0.96 / tau, the new
+    steps taken from the next iteration.  The steps change at most 8 times
+    in a run, so the iteration is plain relaxed CP from the last change on
+    (the bounded adaptivity of Goldstein et al., arXiv:1305.0546); the
+    diagnostics list each change as (iteration, tau, sigma).  A given
+    ``SolverConfig.tau`` or ``sigma`` fixes the steps.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -620,31 +706,34 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     if problem.mass == 0:
         warnings.warn("m0 has zero mass; returning the trivial bundle", stacklevel=2)
 
+    adaptive = config.tau is None and config.sigma is None
     tau = config.tau if config.tau is not None else _TAU
     sigma = config.sigma if config.sigma is not None else _SIGMA
     if not (tau > 0 and sigma > 0):
         raise ParameterError("step sizes must be positive")
     if tau * sigma >= 1.0:
         raise ParameterError(f"step rule violated: tau*sigma = {tau * sigma:.4g} >= 1")
-    diag.tau, diag.sigma = tau, sigma
     dim = grid.dim
 
     ws = _Workspace(problem, tau, sigma)
-    m, w, y = ws.m, ws.w, ws.y
     met = False
     cert_details: dict = {}
 
     for it in range(1, config.max_iters + 1):
-        cont = ws.step()
+        cont = ws.step(1.0 if it <= _PLAIN_ITERS else _RHO)
         # a NaN or inf iterate shows in its rows, checked or not
         if not math.isfinite(cont):
             raise NumericError(f"non-finite iterate at iteration {it}")
         # only an iteration that passes the residual test can stop the run;
-        # the last one and powers of two are checked for the record
+        # the last one, powers of two for the record and the iterations
+        # where the steps may still switch are checked too
         met_before, met = met, False
-        if cont <= config.tol_cont or it == config.max_iters or it & (it - 1) == 0:
-            # the prox keeps w in the split set: no projection needed
-            a_val, b_val = _certificate(problem, -y, m, w, details=cert_details)
+        on_switch = (adaptive and it % _SWITCH_EVERY == 0
+                     and len(diag.step_changes) < _MAX_STEP_CHANGES)
+        if cont <= config.tol_cont or it == config.max_iters or on_switch or it & (it - 1) == 0:
+            # the prox keeps w_prox in the split set: no projection needed
+            a_val, b_val = _certificate(problem, -ws.y_prox, ws.m_prox, ws.w_prox,
+                                        details=cert_details)
             gap = a_val + b_val
             if np.isnan(gap):
                 raise NumericError(f"non-finite iterate at iteration {it}")
@@ -653,7 +742,16 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
             diag.b_history.append(b_val)
             diag.gap_history.append(gap)
             diag.cont_history.append(cont)
-            met = _gap_certified(a_val, b_val, config.tol_gap) and cont <= config.tol_cont
+            diag.tau_history.append(ws.tau)
+            gap_met = _gap_certified(a_val, b_val, config.tol_gap)
+            cont_met = cont <= config.tol_cont
+            met = gap_met and cont_met
+            if on_switch and gap_met != cont_met:
+                # a small tau moves y faster, which the residual test needs
+                tau = max(ws.tau / 2, _TAU_MIN) if gap_met else min(ws.tau * 2, _TAU_MAX)
+                if tau != ws.tau:
+                    ws.set_steps(tau, _TAU * _SIGMA / tau)
+                    diag.step_changes.append((it, ws.tau, ws.sigma))
         # both tests must hold at two iterations in a row: the residual of
         # an early iterate can dip below tol_cont once while u is still
         # first-order off (the gap sees its error only to second order)
@@ -676,16 +774,17 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
                    if cert_details["b_inf_without_rest"] else "")
                 + f"; nt >= {int(np.ceil((grid.nt - 1) * peak - 1e-9)) + 1} keeps "
                 f"this load <= 1 (balls: dt <= dx/(sqrt(2*dim)*c) for any iterate)")
+    diag.tau, diag.sigma = ws.tau, ws.sigma
 
     diag.wall_time = time.perf_counter() - t0
 
-    u_vals = -y
+    u_vals = -ws.y_prox
     u_vals[-1] = problem.u_T
     # the bundle's layout: components last, a zero last level
     w_plus, w_minus = (np.zeros((grid.nt, *grid.nx, dim)) for _ in range(2))
-    w_plus[:-1] = np.moveaxis(w[:dim], 0, -1)
-    w_minus[:-1] = np.moveaxis(w[dim:], 0, -1)
-    m_field = DensityField(grid, m)
+    w_plus[:-1] = np.moveaxis(ws.w_prox[:dim], 0, -1)
+    w_minus[:-1] = np.moveaxis(ws.w_prox[dim:], 0, -1)
+    m_field = DensityField(grid, ws.m_prox)
     return OptimalBundle(
         u=ScalarField(grid, u_vals),
         f=recover_f(problem, m_field),

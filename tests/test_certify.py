@@ -412,6 +412,46 @@ class TestSubsolution:
                 # a scalar density broadcasts over the nodes
                 assert speed.cone_violation(grid, 1, v_k) == violation
 
+    @pytest.mark.parametrize("nx", [(64,), (12,), (16, 16), (12, 12), (5, 6), (64, 64)])
+    def test_mode_tables_gather_each_nodes_own_value(self, nx):
+        # every node gathers its own x @ kvec, bit for bit, from at most
+        # n_space values per mode
+        grid = TorusGrid(len(nx), nx, 5, 1.0)
+        x = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
+        draws, ref = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(20):
+            values, params, inv = certify._fourier_modes(draws, grid)
+            assert len(inv) == 3 and inv.dtype == np.min_scalar_type(len(values) - 1)
+            for index in inv:
+                kvec = ref.integers(-3, 4, size=grid.dim)
+                drawn = ref.uniform(-2.0, 2.0), ref.uniform(0, 2 * np.pi), ref.uniform(0.3, 1.0)
+                assert index.max() - index.min() < grid.n_space
+                # the mode's frequency, phase and amplitude at each of its values
+                assert {tuple(p) for p in params.T[index].tolist()} == {drawn}
+                assert values[index].tobytes() == (x @ kvec).tobytes()
+
+    @pytest.mark.parametrize("nx,nt,block_bytes", [((16, 16), 17, 1), ((64,), 65, None)],
+                             ids=["2d-level-blocks", "1d-one-block"])
+    @pytest.mark.parametrize("kind", ["ball", "hull"])
+    def test_shared_block_differences_give_the_two_pass_bits(self, monkeypatch, kind, nx, nt,
+                                                            block_bytes):
+        # the differences of u, taken once per block for all pairs, and the
+        # maximum of phi's field, taken with the first block (in 1D at 64
+        # points the whole run), give the bits of one pass per pair after a
+        # separate pass for the maximum
+        grid = TorusGrid(len(nx), nx, nt, 1.0)
+        speed = trial_speed(kind, grid.dim)
+        rng = np.random.default_rng(5)
+        shape = (grid.nt, *grid.nx)
+        u = ScalarField(grid, rng.standard_normal(shape))
+        f = ScalarField(grid, rng.random(shape))
+        if block_bytes is not None:
+            monkeypatch.setattr(pdopt, "_BLOCK_BYTES", block_bytes)
+        rep = check_subsolution(u, f, speed, trials=10, seed=2)
+        lhs, trial = subsolution_reference(u, f, admissible_pairs_reference(speed, grid, 2, 10))
+        assert np.float64(rep.lhs).tobytes() == np.float64(lhs).tobytes()
+        assert rep.worst_location == (trial,)
+
     @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 30], ids=["default", "1", "2^30"])
     @pytest.mark.parametrize("kind,dim", SPEEDS)
     def test_streamed_trials_bitwise_equal_pairs_drawn_first(self, monkeypatch, kind, dim,
@@ -443,10 +483,11 @@ class TestSubsolution:
                  for trials in (1, 10)}
         assert peaks[10] <= 1.5 * peaks[1]
 
-    def test_memory_is_one_draw_and_a_few_levels(self, monkeypatch):
-        # at one level per block, the check holds one pair's mode tables and
-        # a few one-level arrays (8 measured); a whole-field pair alone would
-        # take 13 levels of split velocities here, and its draw 36
+    def test_memory_is_the_draws_and_a_few_levels(self, monkeypatch):
+        # at one level per block, the check holds every pair's modes (their
+        # values, parameters and gather indices, 141 kB for ten pairs here)
+        # and a few one-level arrays (8.2 measured); a whole-field pair alone
+        # would take 13 levels of split velocities here
         grid = TorusGrid(2, (16, 16), 17, 1.0)
         rng = np.random.default_rng(6)
         shape = (grid.nt, *grid.nx)
@@ -454,8 +495,8 @@ class TestSubsolution:
         f = ScalarField(grid, rng.random(shape))
         speed = IsotropicSpeed(2, 1.0)
         draws = np.random.default_rng(3)
-        tables = sum(wave.nbytes + inv.nbytes for _ in range(grid.dim + 1)
-                     for wave, inv in certify._fourier_modes(draws, grid))
+        tables = sum(array.nbytes for _ in range(10 * (grid.dim + 1))
+                     for array in certify._fourier_modes(draws, grid))
         monkeypatch.setattr(pdopt, "_BLOCK_BYTES", 1)
         _, peak = traced_peak(check_subsolution, u, f, speed, trials=10, seed=3)
         level = 8 * grid.n_space * 2 * grid.dim

@@ -371,6 +371,22 @@ def test_diagnostics_iter_column(gaussian_bundle):
     assert len(its) < stop
 
 
+def test_diagnostics_tau_column_follows_the_step_changes(gaussian_bundle):
+    # tau is the last column; each row's tau is the one in effect at its
+    # iteration, a change taking effect after the iteration that made it;
+    # the manifest holds the changes and the final steps
+    _, out = gaussian_bundle
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "iter,A,B,gap,cont_residual,tau"
+    manifest = json.loads((out / "manifest.json").read_text())
+    changes = manifest["step_changes"]
+    assert changes and all(it % 32 == 0 for it, _, _ in changes)
+    for line in lines[1:]:
+        it, tau = int(line.split(",")[0]), float(line.split(",")[-1])
+        assert tau == next((t for c_it, t, _ in reversed(changes) if c_it < it), 16.0)
+    assert [manifest["tau"], manifest["sigma"]] == changes[-1][1:]
+
+
 def test_manifests_record_the_relative_gap(gaussian_bundle, tmp_path):
     # next to the absolute gap: optimize's final_rel_gap and certify's
     # gap_details.rel_gap, the (A + B) / max(|A|, |B|, 1e-10) tol_gap bounds

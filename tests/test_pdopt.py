@@ -656,9 +656,10 @@ class TestOptimize:
         assert its[first:] == list(range(its[first], n + 1))
 
     def test_certificates_only_where_they_can_stop_the_run(self, monkeypatch):
-        # the cost of the check, counted instead of timed: 64x65 stops at 455
+        # the cost of the check, counted instead of timed: 64x65 stops at 260
         # with the gap met long before the residual, so only the powers of
-        # two, the stop and the iteration before it are certified
+        # two to 16, the multiples of 32 (where the steps may switch), the
+        # stop and the iteration before it are certified
         calls = []
         certify_iterate = pdopt._certificate
 
@@ -669,8 +670,8 @@ class TestOptimize:
         monkeypatch.setattr(pdopt, "_certificate", counted)
         d = optimize(_gauss_problem(64), SolverConfig(max_iters=5000, tol_gap=1e-3,
                                                       tol_cont=1e-3)).diagnostics
-        assert d.converged and d.iterations == 455
-        assert len(calls) == len(d.iter_history) <= int(np.log2(455)) + 1 + 2
+        assert d.converged and d.iterations == 260
+        assert len(calls) == len(d.iter_history) <= 5 + 260 // 32 + 2
 
     def test_overflowing_iterate_raises(self):
         # u_T = -1e308 sends m(T) to +inf in the first gradient step; the
@@ -754,6 +755,43 @@ class TestOptimize:
         assert d.final_gap <= 1e-3 * max(abs(d.a_history[-1]), abs(d.b_history[-1]))
         assert min(d.gap_history) >= -1e-12
 
+    @pytest.mark.parametrize("n,nt,stop,cap", [(64, 65, 260, 300), (64, 129, 1132, 1300),
+                                               (64, 257, 953, 1100), (128, 129, 502, 600)])
+    def test_relaxed_switched_steps_stop_the_1d_gauss_instances(self, n, nt, stop, cap):
+        # default steps, relaxed from iteration 17 and switched every 32nd
+        # (456, 10,966, 5,236 and 847 iterations with plain CP at tau = 16)
+        d = optimize(make_gauss_problem(1, n, nt, 3.0), SolverConfig(
+            max_iters=cap, tol_gap=1e-3, tol_cont=1e-3)).diagnostics
+        assert d.converged and d.iterations == stop and not d.notes
+        assert len(d.step_changes) <= pdopt._MAX_STEP_CHANGES
+
+    @pytest.mark.parametrize("steps", [dict(tau=16.0, sigma=0.06), dict(tau=16.0),
+                                       dict(sigma=0.06)])
+    def test_given_steps_stay_fixed(self, steps):
+        # 64x65 halves tau at 224 and 256 with default steps; a given tau or
+        # sigma turns the switch and its checks off
+        prob = make_gauss_problem(1, 64, 65, 3.0)
+        config = dict(max_iters=300, tol_gap=1e-3, tol_cont=1e-3)
+        assert optimize(prob, SolverConfig(**config)).diagnostics.step_changes
+        d = optimize(prob, SolverConfig(**config, **steps)).diagnostics
+        assert d.step_changes == [] and (d.tau, d.sigma) == (16.0, 0.06)
+        assert set(d.tau_history) == {16.0}
+        # nothing can switch, so only the record and the stop test are checked
+        assert all(it & (it - 1) == 0 or cont <= 1e-3
+                   for it, cont in zip(d.iter_history, d.cont_history))
+
+    def test_step_changes_stay_within_their_bound(self, monkeypatch):
+        # 64x129 halves tau four times unbounded (16 -> 1); bounded at two,
+        # the steps stay at tau = 4 from the second change on
+        monkeypatch.setattr(pdopt, "_MAX_STEP_CHANGES", 2)
+        d = optimize(make_gauss_problem(1, 64, 129, 3.0), SolverConfig(
+            max_iters=1200, tol_gap=1e-3, tol_cont=1e-3)).diagnostics
+        assert [(tau, sigma) for _, tau, sigma in d.step_changes] == [(8.0, 0.12), (4.0, 0.24)]
+        assert all(it % 32 == 0 for it, _, _ in d.step_changes)
+        last = d.step_changes[-1][0]
+        assert {t for it, t in zip(d.iter_history, d.tau_history) if it > last} == {4.0}
+        assert (d.tau, d.sigma) == (4.0, 0.24)
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             SolverConfig(max_iters=0)
@@ -810,7 +848,7 @@ class TestOptimizeFiniteControls:
         # inside the ball's quarter disc |(a, b)| <= 0.9 m: both runs certify,
         # and the pair's optimum cannot lie below the ball's
         grid = TorusGrid(1, (16,), 17, 1.0)
-        # steps balanced for this instance: 493 and 514 iterations
+        # steps balanced for this instance: 405 and 309 iterations
         config = SolverConfig(max_iters=3000, tol_gap=1e-3, tol_cont=1e-3, tau=1.0, sigma=0.96)
         pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
         finite = optimize(_finite_problem(grid, pair, p=3.0), config).diagnostics
@@ -875,9 +913,11 @@ def _rows_adjoint_reference(y, grid):
 
 
 def cp_reference(problem, iters, tau=16.0, sigma=0.06):
-    """The CP loop of ``optimize`` written with fresh arrays for every
-    intermediate, checked on the same iterations (tol_cont = 0): (m, w, y,
-    checked iterations, gaps) after ``iters`` iterations."""
+    """The relaxed CP loop of ``optimize`` written with fresh arrays for
+    every intermediate, checked on the same iterations (tol_cont = 0): the
+    prox point (m, w, y) that optimize returns, the checked iterations and
+    their gaps after ``iters`` iterations.  Plain steps through iteration
+    16, then rho = 1.7, with fixed steps (no check can move them)."""
     grid = problem.grid
     dim = grid.dim
     iso = isinstance(problem.speed, IsotropicSpeed)
@@ -889,33 +929,37 @@ def cp_reference(problem, iters, tau=16.0, sigma=0.06):
     gram_solve = _gram_reference(grid)
     m = np.full((grid.nt, *grid.nx), problem.mass)
     w = np.zeros((grid.nt - 1, *grid.nx, 2 * dim))
-    y = np.zeros((grid.nt, *grid.nx))
     r = _rows_reference(m, w, problem.m0, grid)
-    r_bar = r
+    y = np.zeros((grid.nt, *grid.nx)) + sigma * gram_solve(r)
     checked, gaps = [], []
     for it in range(1, iters + 1):
-        y += sigma * gram_solve(r_bar)
+        rho = 1.0 if it <= 16 else 1.7
         gm, gw = _rows_adjoint_reference(y, grid)
-        m = m - tau * gm
+        m_half = m - tau * gm
         w_half = w - tau * gw
-        m[-1] -= tau * problem.u_T
-        np.maximum(m[-1], 0.0, out=m[-1])
+        m_half[-1] -= tau * problem.u_T
+        m_prox = np.empty_like(m)
+        m_prox[-1] = np.maximum(m_half[-1], 0.0)
         if iso:
             np.maximum(w_half[..., :dim], 0.0, out=w_half[..., :dim])
             np.minimum(w_half[..., dim:], 0.0, out=w_half[..., dim:])
-            m[:-1], w = prox_coned_reference(problem.cost, cone, m[:-1], w_half,
-                                              tau * grid.dt)
+            m_prox[:-1], w_prox = prox_coned_reference(problem.cost, cone, m_half[:-1], w_half,
+                                                       tau * grid.dt)
         else:
-            m[:-1], w = hull_prox_reference(cone, m[:-1], w_half, coef, problem.cost.q - 1.0)
-        r_prev, r = r, _rows_reference(m, w, problem.m0, grid)
-        r_bar = r + (r - r_prev)
-        cont = float(np.sqrt(np.sum((r / grid.dt) * (r / grid.dt))
+            m_prox[:-1], w_prox = hull_prox_reference(cone, m_half[:-1], w_half, coef,
+                                                      problem.cost.q - 1.0)
+        r_prox = _rows_reference(m_prox, w_prox, problem.m0, grid)
+        y_prox = y + sigma * gram_solve(r_prox + (r_prox - r))
+        cont = float(np.sqrt(np.sum((r_prox / grid.dt) * (r_prox / grid.dt))
                              * grid.dt * grid.cell_volume))
-        if cont <= 0.0 or it == iters or it & (it - 1) == 0:
-            a_val, b_val = _certificate(problem, -y, m, _components(w))
+        if cont <= 0.0 or it == iters or it % 32 == 0 or it in (1, 2, 4, 8, 16):
+            a_val, b_val = _certificate(problem, -y_prox, m_prox, _components(w_prox))
             checked.append(it)
             gaps.append(a_val + b_val)
-    return m, w, y, checked, gaps
+        # x~ + (rho - 1)(x~ - x), in the order of the in-place update
+        m, w, r, y = (z_prox + (1.0 - rho) * (z - z_prox)
+                      for z, z_prox in ((m, m_prox), (w, w_prox), (r, r_prox), (y, y_prox)))
+    return m_prox, w_prox, y_prox, checked, gaps
 
 
 def _radius_table_problem():
@@ -992,14 +1036,14 @@ class TestInPlaceIteration:
 
     def test_iterations_hold_a_few_node_arrays_above_the_workspace(self, monkeypatch):
         # iterations 10-50 on 2D 16^2x33, p = 4, in units of one (nt, *nx)
-        # array.  Measured: 6.9 with the prox, whose Newton root solves the
-        # free side on every node and then the active side on the nodes where
-        # the cone binds, each in about six arrays of its open entries, and
-        # 1.0 without it (the Gram solve's FFT and the stencils' periodic
-        # faces; the rows' divergence lives in the workspace, and no stencil
-        # runs over a strided view that numpy would buffer).  Nothing stays
-        # behind but small Python objects (about 20 kB in 40 steps, kept by
-        # the interpreter's free lists).
+        # array.  Measured: 8.7 with the prox, which holds the norm of the
+        # momenta, the nodal coefficient and right-hand side of its one
+        # Newton root, and the root's own five arrays of its open entries
+        # and their index, and 1.0 without it (the Gram solve's FFT and the
+        # stencils' periodic faces; the rows' divergence lives in the
+        # workspace, and no stencil runs over a strided view that numpy
+        # would buffer).  Nothing stays behind but small Python objects
+        # (about 20 kB in 40 steps, kept by the interpreter's free lists).
         prob = make_gauss_problem(2, 16, 33, 4.0)
         node = 8 * prob.grid.nt * prob.grid.n_space
         ws = pdopt._Workspace(prob, 16.0, 0.06)

@@ -35,9 +35,11 @@ def benchmark(benchmark, request):
 
 
 def _warm_workspace(problem, steps=20):
+    """A workspace after ``steps`` iterations of optimize's schedule: plain,
+    then relaxed."""
     ws = pdopt._Workspace(problem, pdopt._TAU, pdopt._SIGMA)
-    for _ in range(steps):
-        ws.step()
+    for it in range(1, steps + 1):
+        ws.step(1.0 if it <= pdopt._PLAIN_ITERS else pdopt._RHO)
     return ws
 
 
@@ -57,8 +59,9 @@ def test_cp_iteration(benchmark, dim, n, nt, p, kind):
     if kind == "hull":
         problem = dataclasses.replace(problem, speed=trial_speed("hull", dim))
     ws = _warm_workspace(problem)
-    cont = _timed(benchmark, problem.grid.nt * problem.grid.n_space, ws.step)
-    assert np.isfinite(cont) and np.min(ws.m) >= 0.0
+    cont = _timed(benchmark, problem.grid.nt * problem.grid.n_space, ws.step, pdopt._RHO)
+    # the relaxed iterate may leave the cone; the prox point may not
+    assert np.isfinite(cont) and np.min(ws.m_prox) >= 0.0
 
 
 def test_gram_solver_build(benchmark):
@@ -73,19 +76,19 @@ def test_certificate_march(benchmark):
     problem = make_gauss_problem(1, 64, 65, 3.0)
     grid = problem.grid
     ws = _warm_workspace(problem)
-    v, _ = pdopt._split_velocity(ws.m[:-1], ws.w, grid)
+    v, _ = pdopt._split_velocity(ws.m_prox[:-1], ws.w_prox, grid)
     marched = _timed(benchmark, grid.nt * grid.n_space, march_split, problem.m0, v, grid)
     mass = np.sum(marched, axis=1) * grid.cell_volume
     np.testing.assert_allclose(mass, problem.mass, rtol=1e-12)
 
 
 def test_certificate(benchmark):
-    # one certificate of an iterate, as optimize builds it on a checked iteration
+    # one certificate of the prox pair, as optimize builds it on a checked iteration
     problem = make_gauss_problem(1, 64, 65, 3.0)
     grid = problem.grid
     ws = _warm_workspace(problem)
     a_val, b_val = _timed(benchmark, grid.nt * grid.n_space, pdopt._certificate, problem,
-                          -ws.y, ws.m, ws.w)
+                          -ws.y_prox, ws.m_prox, ws.w_prox)
     assert np.isfinite(a_val) and a_val + b_val >= -1e-12
 
 
@@ -111,8 +114,8 @@ def test_prox_p3(benchmark, dim, n, p):
     problem = make_gauss_problem(dim, n, n + 1, p)
     grid = problem.grid
     ws = _warm_workspace(problem)
-    # an iterate and the last clipped gradient step, as the prox meets them
-    m_bar, w_bar = ws.m[:-1].copy(), ws.gw.copy()
+    # the last gradient step, clipped, as the prox met it
+    m_bar, w_bar = ws.gm[:-1].copy(), ws.gw.copy()
     m, w = np.empty_like(m_bar), np.empty_like(w_bar)
     _timed(benchmark, m_bar.size, prox_cost_conj_coned, problem.cost, ws.cone, m_bar, w_bar,
            pdopt._TAU * grid.dt, out=(m, w))
