@@ -345,7 +345,7 @@ def cmd_optimize(args) -> int:
         "iterations": diag.iterations, "final_gap": diag.final_gap,
         "final_rel_gap": diag.final_rel_gap,
         "final_cont_residual": diag.cont_history[-1] if diag.cont_history else None,
-        "tau": diag.tau, "sigma": diag.sigma, "step_changes": diag.step_changes,
+        "tau": diag.tau, "step_changes": diag.step_changes,
         "wall_time_s": diag.wall_time, "notes": diag.notes,
         "all_checks_passed": all(r.passed for r in reports)})
     ok = diag.converged and all(r.passed for r in reports)

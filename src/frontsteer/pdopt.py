@@ -17,13 +17,14 @@ Capuzzo-Dolcetta, SIAM J. Numer. Anal. 2010), and the level march of
 The iteration is PDHG with the dual step preconditioned by the exact
 (L L^T)^-1 of the constraint operator L (the G-prox PDHG of Jacobs, Leger,
 Li & Osher, SIAM J. Numer. Anal. 2019), so its step rule is tau*sigma < 1
-whatever the grid.  L has constant coefficients on the torus, so L L^T is
-one tridiagonal matrix in time per spatial Fourier mode, solved exactly
-(``_gram_solver``).  Each primal step ends in the exact pointwise joint prox
-of K* and the velocity cone: for balls the SOC prox of the sign-clipped
-momentum, for finite hulls the face enumeration of ``prox_cost_conj_hull`` in
-2*dim components.  The multiplier, sign-flipped, converges to the value
-function u.
+whatever the grid, and only the ratio tau/sigma is free: the dual step is
+always sigma = 0.96/tau, so tau is the one step knob.  L has constant
+coefficients on the torus, so L L^T is one tridiagonal matrix in time per
+spatial Fourier mode, solved exactly (``_gram_solver``).  Each primal step
+ends in the exact pointwise joint prox of K* and the velocity cone: for
+balls the SOC prox of the sign-clipped momentum, for finite hulls the face
+enumeration of ``prox_cost_conj_hull`` in 2*dim components.  The
+multiplier, sign-flipped, converges to the value function u.
 
 ``optimize`` over-relaxes the iteration (Condat, JOTA 2013, Thm 3.1: any
 rho in (0, 2) converges under tau*sigma < 1).  From (x, y) it takes the
@@ -94,16 +95,18 @@ from .model import prox_cost_conj  # unused here; perfbench/tracing.py wraps it 
 from .transport import (_CFL_SLACK, _differences, _divergence, _march_levels, one_sided,
                         split_by_sign, split_divergence, split_load)
 
-# default steps: tau*sigma = 0.96 < 1, with the ratio tuned on 64x65 and 128x129
+# the default primal step, with the ratio tau/sigma tuned on 64x65 and
+# 128x129; every tau, default, switched or given, takes the dual step
+# sigma = _STEP_PRODUCT / tau, so tau*sigma = 0.96 < 1
 _TAU = 16.0
-_SIGMA = 0.06
+_STEP_PRODUCT = 0.96
 # the over-relaxation from iteration _PLAIN_ITERS + 1 on; rho in (0, 2)
 # converges under tau*sigma < 1 (Condat, JOTA 2013, Thm 3.1)
 _RHO = 1.7
 _PLAIN_ITERS = 16
 # the step switch of default steps: every _SWITCH_EVERY iterations, at most
 # _MAX_STEP_CHANGES times over a run, tau halves or doubles within
-# [_TAU_MIN, _TAU_MAX], with sigma = _TAU * _SIGMA / tau
+# [_TAU_MIN, _TAU_MAX]
 _SWITCH_EVERY = 32
 _MAX_STEP_CHANGES = 8
 _TAU_MIN, _TAU_MAX = 1.0, 64.0
@@ -157,8 +160,7 @@ class SolverConfig:
     max_iters: int = 5000
     tol_gap: float = 1e-3          # relative duality gap
     tol_cont: float = 1e-4         # weighted L2 continuity residual
-    tau: float | None = None       # primal step (default 16); tau*sigma < 1
-    sigma: float | None = None     # dual step (default 0.06)
+    tau: float | None = None       # primal step, fixed if given (None: 16, switched)
 
     def __post_init__(self):
         if not (float(self.max_iters).is_integer() and self.max_iters >= 1):
@@ -166,6 +168,8 @@ class SolverConfig:
         self.max_iters = int(self.max_iters)
         if not (self.tol_gap >= 0 and self.tol_cont >= 0):      # 0 runs to max_iters
             raise ParameterError(f"tolerances must be >= 0, got {self.tol_gap}, {self.tol_cont}")
+        if self.tau is not None and not (0 < self.tau < math.inf):
+            raise ParameterError(f"tau must be positive and finite, got {self.tau}")
 
 
 @dataclass
@@ -173,8 +177,8 @@ class SolverDiagnostics:
     """Records of ``optimize``, one per checked iteration: its number, the
     certified A, B and gap A + B (see ``_certificate``), the continuity
     residual of the prox point and the tau it was taken with; each change
-    of the steps as (iteration, tau, sigma), taken after that iteration; and
-    the final steps ``tau`` and ``sigma``."""
+    of the steps as (iteration, tau), taken after that iteration; and the
+    final step ``tau`` (the dual step is 0.96/tau)."""
 
     iterations: int = 0
     converged: bool = False
@@ -187,7 +191,6 @@ class SolverDiagnostics:
     step_changes: list = field(default_factory=list)
     wall_time: float = 0.0
     tau: float = 0.0
-    sigma: float = 0.0
     notes: list = field(default_factory=list)
 
     @property
@@ -572,7 +575,7 @@ class _Workspace:
     iteration in place, with no (nt, *nx) array allocated outside the prox
     and the Gram solve."""
 
-    def __init__(self, problem: ProblemInstance, tau: float, sigma: float):
+    def __init__(self, problem: ProblemInstance, tau: float):
         grid = problem.grid
         d = grid.dim
         self.problem = problem
@@ -581,7 +584,7 @@ class _Workspace:
         self.iso = isinstance(problem.speed, IsotropicSpeed)
         self.cone = problem.speed.split_cone(grid)
         self.gram_solve = _gram_solver(grid)
-        self.set_steps(tau, sigma)
+        self.set_steps(tau)
         level, split = (grid.nt, *grid.nx), (2 * d, grid.nt - 1, *grid.nx)
         self.x, (self.m, self.w, self.r) = _flat_views(level, split, level)
         self.x_prox, (self.m_prox, self.w_prox, self.r_prox) = _flat_views(level, split, level)
@@ -600,13 +603,14 @@ class _Workspace:
         # y starts at the first dual step of plain CP from y = 0
         _rows(self.m, self.w, problem.m0, grid, out=self.r)
         first = self.gram_solve(self.r)
-        first *= sigma
+        first *= self.sigma
         self.y += first
 
-    def set_steps(self, tau: float, sigma: float) -> None:
-        """The primal and dual steps of the next iterations."""
+    def set_steps(self, tau: float) -> None:
+        """The primal step of the next iterations and its dual step
+        sigma = 0.96/tau."""
         grid = self.problem.grid
-        self.tau, self.sigma = tau, sigma
+        self.tau, self.sigma = tau, _STEP_PRODUCT / tau
         self.tau_u_T = tau * self.problem.u_T
         self.prox_step = tau * grid.dt
 
@@ -691,12 +695,12 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
 
     With default steps, each 32nd iteration balances the two stop tests:
     tau halves when the gap test passes and the residual test fails, and
-    doubles in the reverse case, within [1, 64], sigma = 0.96 / tau, the new
-    steps taken from the next iteration.  The steps change at most 8 times
-    in a run, so the iteration is plain relaxed CP from the last change on
-    (the bounded adaptivity of Goldstein et al., arXiv:1305.0546); the
-    diagnostics list each change as (iteration, tau, sigma).  A given
-    ``SolverConfig.tau`` or ``sigma`` fixes the steps.
+    doubles in the reverse case, within [1, 64], the new steps taken from
+    the next iteration.  The steps change at most 8 times in a run, so the
+    iteration is plain relaxed CP from the last change on (the bounded
+    adaptivity of Goldstein et al., arXiv:1305.0546); the diagnostics list
+    each change as (iteration, tau).  A given ``SolverConfig.tau`` fixes the
+    steps.  Every tau, default, switched or given, runs with sigma = 0.96/tau.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -706,16 +710,10 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     if problem.mass == 0:
         warnings.warn("m0 has zero mass; returning the trivial bundle", stacklevel=2)
 
-    adaptive = config.tau is None and config.sigma is None
-    tau = config.tau if config.tau is not None else _TAU
-    sigma = config.sigma if config.sigma is not None else _SIGMA
-    if not (tau > 0 and sigma > 0):
-        raise ParameterError("step sizes must be positive")
-    if tau * sigma >= 1.0:
-        raise ParameterError(f"step rule violated: tau*sigma = {tau * sigma:.4g} >= 1")
+    adaptive = config.tau is None
     dim = grid.dim
 
-    ws = _Workspace(problem, tau, sigma)
+    ws = _Workspace(problem, _TAU if adaptive else config.tau)
     met = False
     cert_details: dict = {}
 
@@ -750,8 +748,8 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
                 # a small tau moves y faster, which the residual test needs
                 tau = max(ws.tau / 2, _TAU_MIN) if gap_met else min(ws.tau * 2, _TAU_MAX)
                 if tau != ws.tau:
-                    ws.set_steps(tau, _TAU * _SIGMA / tau)
-                    diag.step_changes.append((it, ws.tau, ws.sigma))
+                    ws.set_steps(tau)
+                    diag.step_changes.append((it, tau))
         # both tests must hold at two iterations in a row: the residual of
         # an early iterate can dip below tol_cont once while u is still
         # first-order off (the gap sees its error only to second order)
@@ -774,7 +772,7 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
                    if cert_details["b_inf_without_rest"] else "")
                 + f"; nt >= {int(np.ceil((grid.nt - 1) * peak - 1e-9)) + 1} keeps "
                 f"this load <= 1 (balls: dt <= dx/(sqrt(2*dim)*c) for any iterate)")
-    diag.tau, diag.sigma = ws.tau, ws.sigma
+    diag.tau = ws.tau
 
     diag.wall_time = time.perf_counter() - t0
 

@@ -1,11 +1,16 @@
 """Shared fixtures: the canonical instances and their solved bundles."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frontsteer
 from frontsteer.grid import DensityField, ScalarField, TorusGrid, VecField
 from frontsteer.model import (CostModel, FiniteControlsSpeed, HullFace, HullFaces, IsotropicSpeed,
                               _solve_power_root)
@@ -88,6 +93,20 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def optimize_in_fresh_process(cfg_path, out, blas_threads):
+    """The finished process of ``frontsteer optimize`` on ``cfg_path`` into
+    ``out``, run by ``python -m frontsteer.cli`` in a fresh process whose
+    BLAS and OpenMP pools hold ``blas_threads`` threads, also passed as
+    --threads."""
+    src = str(Path(frontsteer.__file__).resolve().parents[1])
+    threads = str(blas_threads)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "frontsteer.cli", "optimize",
+                           "--config", str(cfg_path), "--out", str(out), "--threads", threads],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 def sqrt_root_masked(lin, coef, rhs):

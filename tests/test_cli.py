@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import frontsteer
+from conftest import optimize_in_fresh_process
 from frontsteer import cli
 from frontsteer.cli import DEFAULT_CONFIG, build_solver_config, load_config, main
 from frontsteer.grid import ScalarField, TorusGrid, VecField, read_field, write_field
@@ -220,6 +221,11 @@ class TestConfigErrors:
         assert f"config error: unknown {where} key(s) {keys};" in err
         assert not (tmp_path / "o").exists()
 
+    def test_sigma_is_an_unknown_solver_key(self, tmp_path, capsys):
+        # the dual step is 0.96/tau, so a config that sets it is refused
+        self._assert_unknown_keys(tmp_path, capsys, {"solver": {"tau": 8.0, "sigma": 0.12}},
+                                  "solver", "'sigma'")
+
     def test_unknown_problem_keys(self, tmp_path, capsys):
         self._assert_unknown_keys(tmp_path, capsys, {"problem": {"Tend": 2.0, "nxx": [8]}},
                                   "problem", "'Tend', 'nxx'")
@@ -332,13 +338,13 @@ class TestOptimize:
         assert manifest["notes"] == []
 
     def test_diagnostics_deterministic_across_threads(self, tmp_path):
+        # fresh processes at 1 and 2 BLAS threads
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["optimize", "--config", str(cfg_path), "--out", str(out_a),
-                     "--threads", "1"]) == 0
-        assert main(["optimize", "--config", str(cfg_path), "--out", str(out_b),
-                     "--threads", "4"]) == 0
+        for out, threads in ((out_a, 1), (out_b, 2)):
+            proc = optimize_in_fresh_process(cfg_path, out, threads)
+            assert proc.returncode == 0, proc.stderr
         assert (out_a / "diagnostics.csv").read_bytes() \
             == (out_b / "diagnostics.csv").read_bytes()
         assert (out_a / "certificates.json").read_bytes() \
@@ -374,17 +380,17 @@ def test_diagnostics_iter_column(gaussian_bundle):
 def test_diagnostics_tau_column_follows_the_step_changes(gaussian_bundle):
     # tau is the last column; each row's tau is the one in effect at its
     # iteration, a change taking effect after the iteration that made it;
-    # the manifest holds the changes and the final steps
+    # the manifest holds the changes and the final step, tau only
     _, out = gaussian_bundle
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "iter,A,B,gap,cont_residual,tau"
     manifest = json.loads((out / "manifest.json").read_text())
     changes = manifest["step_changes"]
-    assert changes and all(it % 32 == 0 for it, _, _ in changes)
+    assert changes and all(it % 32 == 0 for it, _ in changes)
     for line in lines[1:]:
         it, tau = int(line.split(",")[0]), float(line.split(",")[-1])
-        assert tau == next((t for c_it, t, _ in reversed(changes) if c_it < it), 16.0)
-    assert [manifest["tau"], manifest["sigma"]] == changes[-1][1:]
+        assert tau == next((t for c_it, t in reversed(changes) if c_it < it), 16.0)
+    assert manifest["tau"] == changes[-1][1] and "sigma" not in manifest
 
 
 def test_manifests_record_the_relative_gap(gaussian_bundle, tmp_path):

@@ -581,11 +581,11 @@ class TestOptimize:
 
     def test_deep_convergence_weak_duality_floor(self):
         # drive the uniform instance to near machine precision: the final gap
-        # must sit above the weak-duality floor
+        # must sit above the weak-duality floor (16 iterations, gap -1.1e-16)
         prob = make_uniform_problem(nx=32, nt=33)
         norm = 2.231
         cfg = SolverConfig(max_iters=40000, tol_gap=1e-11, tol_cont=1e-10,
-                           sigma=0.98 * 0.125 / norm, tau=0.98 / (0.125 * norm))
+                           tau=0.98 / (0.125 * norm))
         bundle = optimize(prob, cfg)
         d = bundle.diagnostics
         assert d.converged
@@ -607,12 +607,6 @@ class TestOptimize:
         assert d.converged
         assert np.max(np.abs(bundle.m.values - 1.0)) <= 1e-2
         assert d.b_history[-1] == pytest.approx(0.75, abs=1e-3)
-
-    def test_step_rule_violation_refused(self, uniform_problem):
-        with pytest.raises(ParameterError):
-            optimize(uniform_problem, SolverConfig(max_iters=10, tau=10.0, sigma=10.0))
-        with pytest.raises(ParameterError):
-            optimize(uniform_problem, SolverConfig(max_iters=10, tau=20.0, sigma=0.05))
 
     def test_non_converged_flag(self):
         bundle = optimize(_gauss_problem(32), SolverConfig(max_iters=30))
@@ -745,11 +739,10 @@ class TestOptimize:
 
     @pytest.mark.parametrize("n,cap", [(64, 600), (128, 1000)])
     def test_default_steps_stop_within_the_iteration_budget(self, n, cap):
-        # tau = 16, sigma = 0.06 pinned: grid-independent counts (460 and 850
-        # measured when the steps were chosen)
+        # tau = 16 given, so no switch: relaxed CP stops at 275 and 513
         prob = _gauss_problem(n)
         bundle = optimize(prob, SolverConfig(max_iters=cap, tol_gap=1e-3, tol_cont=1e-3,
-                                             tau=16.0, sigma=0.06))
+                                             tau=16.0))
         d = bundle.diagnostics
         assert d.converged and d.iterations <= cap and not d.notes
         assert d.final_gap <= 1e-3 * max(abs(d.a_history[-1]), abs(d.b_history[-1]))
@@ -765,17 +758,17 @@ class TestOptimize:
         assert d.converged and d.iterations == stop and not d.notes
         assert len(d.step_changes) <= pdopt._MAX_STEP_CHANGES
 
-    @pytest.mark.parametrize("steps", [dict(tau=16.0, sigma=0.06), dict(tau=16.0),
-                                       dict(sigma=0.06)])
-    def test_given_steps_stay_fixed(self, steps):
-        # 64x65 halves tau at 224 and 256 with default steps; a given tau or
-        # sigma turns the switch and its checks off
+    @pytest.mark.parametrize("tau,stop", [(16.0, 275), (8.0, 432), (32.0, 786)])
+    def test_given_steps_stay_fixed(self, tau, stop):
+        # 64x65 halves tau at 224 and 256 with default steps; a given tau
+        # turns the switch and its checks off and runs with sigma = 0.96/tau
         prob = make_gauss_problem(1, 64, 65, 3.0)
-        config = dict(max_iters=300, tol_gap=1e-3, tol_cont=1e-3)
+        config = dict(max_iters=1000, tol_gap=1e-3, tol_cont=1e-3)
         assert optimize(prob, SolverConfig(**config)).diagnostics.step_changes
-        d = optimize(prob, SolverConfig(**config, **steps)).diagnostics
-        assert d.step_changes == [] and (d.tau, d.sigma) == (16.0, 0.06)
-        assert set(d.tau_history) == {16.0}
+        d = optimize(prob, SolverConfig(**config, tau=tau)).diagnostics
+        assert d.converged and d.iterations == stop
+        assert d.step_changes == [] and d.tau == tau and set(d.tau_history) == {tau}
+        assert pdopt._Workspace(prob, tau).sigma == 0.96 / tau
         # nothing can switch, so only the record and the stop test are checked
         assert all(it & (it - 1) == 0 or cont <= 1e-3
                    for it, cont in zip(d.iter_history, d.cont_history))
@@ -786,11 +779,11 @@ class TestOptimize:
         monkeypatch.setattr(pdopt, "_MAX_STEP_CHANGES", 2)
         d = optimize(make_gauss_problem(1, 64, 129, 3.0), SolverConfig(
             max_iters=1200, tol_gap=1e-3, tol_cont=1e-3)).diagnostics
-        assert [(tau, sigma) for _, tau, sigma in d.step_changes] == [(8.0, 0.12), (4.0, 0.24)]
-        assert all(it % 32 == 0 for it, _, _ in d.step_changes)
+        assert [tau for _, tau in d.step_changes] == [8.0, 4.0]
+        assert all(it % 32 == 0 for it, _ in d.step_changes)
         last = d.step_changes[-1][0]
         assert {t for it, t in zip(d.iter_history, d.tau_history) if it > last} == {4.0}
-        assert (d.tau, d.sigma) == (4.0, 0.24)
+        assert d.tau == 4.0
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -806,6 +799,11 @@ class TestOptimize:
     def test_negative_or_nan_tolerance_refused(self, bad):
         with pytest.raises(ParameterError):
             SolverConfig(**bad)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_tau_not_positive_and_finite_refused(self, tau):
+        with pytest.raises(ParameterError, match="tau"):
+            SolverConfig(tau=tau)
 
 
 def _constant_maps(*vectors):
@@ -848,8 +846,8 @@ class TestOptimizeFiniteControls:
         # inside the ball's quarter disc |(a, b)| <= 0.9 m: both runs certify,
         # and the pair's optimum cannot lie below the ball's
         grid = TorusGrid(1, (16,), 17, 1.0)
-        # steps balanced for this instance: 405 and 309 iterations
-        config = SolverConfig(max_iters=3000, tol_gap=1e-3, tol_cont=1e-3, tau=1.0, sigma=0.96)
+        # a step balanced for this instance: 405 and 309 iterations
+        config = SolverConfig(max_iters=3000, tol_gap=1e-3, tol_cont=1e-3, tau=1.0)
         pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
         finite = optimize(_finite_problem(grid, pair, p=3.0), config).diagnostics
         ball = optimize(_finite_problem(grid, IsotropicSpeed(1, 0.9), p=3.0), config).diagnostics
@@ -912,12 +910,14 @@ def _rows_adjoint_reference(y, grid):
     return gm, -grid.dt * np.stack(fwd + bwd, axis=-1)
 
 
-def cp_reference(problem, iters, tau=16.0, sigma=0.06):
+def cp_reference(problem, iters, tau=16.0):
     """The relaxed CP loop of ``optimize`` written with fresh arrays for
     every intermediate, checked on the same iterations (tol_cont = 0): the
     prox point (m, w, y) that optimize returns, the checked iterations and
     their gaps after ``iters`` iterations.  Plain steps through iteration
-    16, then rho = 1.7, with fixed steps (no check can move them)."""
+    16, then rho = 1.7, with fixed steps (no check can move them) and
+    sigma = 0.96/tau."""
+    sigma = 0.96 / tau
     grid = problem.grid
     dim = grid.dim
     iso = isinstance(problem.speed, IsotropicSpeed)
@@ -1046,7 +1046,7 @@ class TestInPlaceIteration:
         # (about 20 kB in 40 steps, kept by the interpreter's free lists).
         prob = make_gauss_problem(2, 16, 33, 4.0)
         node = 8 * prob.grid.nt * prob.grid.n_space
-        ws = pdopt._Workspace(prob, 16.0, 0.06)
+        ws = pdopt._Workspace(prob, 16.0)
         for _ in range(10):
             ws.step()
         peak, left = self._traced_steps(ws, 40)

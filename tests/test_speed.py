@@ -37,7 +37,7 @@ def benchmark(benchmark, request):
 def _warm_workspace(problem, steps=20):
     """A workspace after ``steps`` iterations of optimize's schedule: plain,
     then relaxed."""
-    ws = pdopt._Workspace(problem, pdopt._TAU, pdopt._SIGMA)
+    ws = pdopt._Workspace(problem, pdopt._TAU)
     for it in range(1, steps + 1):
         ws.step(1.0 if it <= pdopt._PLAIN_ITERS else pdopt._RHO)
     return ws
