@@ -361,7 +361,7 @@ def check_subsolution(u: ScalarField, f: ScalarField, speed: SpeedModel,
     for trial, (lhs_t, rhs_t) in enumerate(zip(lhs, rhs)):
         if lhs_t - rhs_t > worst[0]:
             worst = (lhs_t - rhs_t, trial)
-    slack = 2.0 * (1.0 + speed.c1) * (1.0 + grid.horizon) * _disc_scale(grid)
+    slack = 2.0 * (1.0 + speed.max_speed(grid)) * (1.0 + grid.horizon) * _disc_scale(grid)
     return CertReport(name="subsolution", passed=bool(worst[0] <= slack),
                       lhs=float(worst[0]), slack=float(slack),
                       worst_location=(worst[1],) if worst[1] is not None else None)

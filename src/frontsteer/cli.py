@@ -55,7 +55,7 @@ DEFAULT_CONFIG = {
 # The forms a section takes in place of its default, which have no defaults:
 # their values only give each key its type, and every key is required.  A
 # finite speed, and a field file for a u_T / m0 slice or a speed radius.
-FINITE_SPEED = {"variant": "finite", "velocities": [[0.0]], "c0": 0.0, "c1": 0.0}
+FINITE_SPEED = {"variant": "finite", "velocities": [[0.0]]}
 FIELD_FILE = {"file": ""}
 
 
@@ -196,7 +196,7 @@ def build_speed(entry: dict, grid: TorusGrid):
     if entry["variant"] == "isotropic":
         radius = entry["radius"]
         if isinstance(radius, dict):
-            radius = np.array(read_field(radius["file"]).values[0])
+            radius = _load_slice(radius, grid, None)
         return IsotropicSpeed(grid.dim, radius)
     if not entry["velocities"]:
         raise ConfigError("finite speed variant needs 'velocities'")
@@ -204,7 +204,7 @@ def build_speed(entry: dict, grid: TorusGrid):
     if any(v.shape != (grid.dim,) for v in consts):
         raise ConfigError(f"each velocity must have {grid.dim} components")
     maps = [(lambda x, vv=v: np.broadcast_to(vv, np.shape(x))) for v in consts]
-    return FiniteControlsSpeed(grid.dim, tuple(maps), c0=entry["c0"], c1=entry["c1"])
+    return FiniteControlsSpeed(grid.dim, tuple(maps))
 
 
 def build_problem(config: dict) -> pdopt.ProblemInstance:

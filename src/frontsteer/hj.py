@@ -54,9 +54,10 @@ def solve_value_function(problem, obstacle: ScalarField) -> ScalarField:
     if obstacle.grid != grid:
         raise ParameterError("obstacle field is on a different grid")
     diam = float(np.sqrt(np.sum(np.square(grid.dx))))
-    if problem.speed.c1 * grid.dt > 4.0 * diam:
+    reach = problem.speed.max_speed(grid) * grid.dt
+    if reach > 4.0 * diam:
         warnings.warn(
-            f"large time step: c1*dt = {problem.speed.c1 * grid.dt:.3g} exceeds "
+            f"large time step: max speed*dt = {reach:.3g} exceeds "
             f"4 cell diameters; accuracy may degrade", stacklevel=2)
     plans = [_gather_plan(grid, v) for v in problem.speed.velocity_samples(grid)]
     values = np.empty((grid.nt, *grid.nx))

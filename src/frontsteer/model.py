@@ -16,14 +16,16 @@ Two speed variants are supported:
 
 Each speed owns the operators its callers need, evaluated on the nodes of a
 ``TorusGrid``: ``cone_violation`` for a nodal w in m*c(x,A), ``velocity_samples``
-for the HJ sweep, ``admissible`` for the test fields of ``certify`` and
-``ball_radius`` for its Hoelder bound, and for the split velocities (a, b),
-a >= 0 >= b per axis, of the primal-dual solver: ``split_hamiltonian``, the
-sup of -(a.D+u + b.D-u) over the ball {|(a, b)| <= c(x)} or the hull of the
-split maps (v_i^+, v_i^-), which is H(x, p) = sup_{v in c(x,A)} -v.p at
-D+u = D-u = p, and ``split_project``, which moves momenta into m times the
-split set on the per-grid data of ``split_cone``.  Split arrays, hull faces
-and both joint proxes are component-major, (n, ..., *nx), as in ``transport``.
+for the HJ sweep, ``max_speed`` for the velocity cap, the subsolution slack
+and the HJ time-step warning, ``admissible`` for the test fields of
+``certify`` and ``ball_radius`` for its Hoelder bound, and for the split
+velocities (a, b), a >= 0 >= b per axis, of the primal-dual solver:
+``split_hamiltonian``, the sup of -(a.D+u + b.D-u) over the ball
+{|(a, b)| <= c(x)} or the hull of the split maps (v_i^+, v_i^-), which is
+H(x, p) = sup_{v in c(x,A)} -v.p at D+u = D-u = p, and ``split_project``,
+which moves momenta into m times the split set on the per-grid data of
+``split_cone``.  Split arrays, hull faces and both joint proxes are
+component-major, (n, ..., *nx), as in ``transport``.
 
 The cost family is the homogeneous power law K(f) = kappa*|f|^p / p with
 conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
@@ -91,13 +93,9 @@ class IsotropicSpeed:
                 raise ParameterError(f"speed radius must be positive and finite, got {r}")
             object.__setattr__(self, "radius", r)
 
-    @property
-    def c0(self) -> float:
-        return float(np.min(self.radius))
-
-    @property
-    def c1(self) -> float:
-        return float(np.max(self.radius))
+    def max_speed(self, grid) -> float:
+        """The largest radius on the grid nodes."""
+        return float(np.max(self.radius_nodes(grid.nx)))
 
     def radius_nodes(self, nx: tuple[int, ...]) -> np.ndarray:
         """Radius sampled on the grid nodes (tables must match the grid)."""
@@ -180,42 +178,38 @@ class FiniteControlsSpeed:
     """Convex hull of finitely many velocity maps x -> c(x, a_i).
 
     Each entry of ``velocities`` is a callable taking points of shape
-    (..., dim) and returning vectors of shape (..., dim).  ``c0``/``c1`` are
-    the declared inner/outer radii; they are spot-checked on a node sample.
+    (..., dim) and returning vectors of shape (..., dim).  The hull's radii
+    follow from the maps: the outer one on a grid is ``max_speed``, and an
+    inner one, 0 strictly inside the hull, is spot-checked on a node sample.
     Cone membership and the joint prox are exact (see ``hull_faces``).
     """
 
     dim: int
     velocities: tuple = ()
-    c0: float = 0.0
-    c1: float = 0.0
 
     def __post_init__(self):
         if not self.velocities:
             raise ParameterError("FiniteControlsSpeed needs at least one velocity map")
-        if not (0 < self.c0 <= self.c1 < np.inf):
-            raise ParameterError(f"need 0 < c0 <= c1 < inf, got c0={self.c0}, c1={self.c1}")
         object.__setattr__(self, "velocities", tuple(self.velocities))
         self._verify_radii()
 
     def _verify_radii(self, n_sample: int = 8):
+        """The maps give finite velocities, and their hull holds a ball
+        B(0, c0) with c0 > 0: its support is positive in every direction of
+        a fan, at each point of an n_sample^dim lattice."""
         pts = np.stack(np.meshgrid(*([np.linspace(0, 1, n_sample, endpoint=False)] * self.dim),
                                    indexing="ij"), axis=-1).reshape(-1, self.dim)
         vels = self.velocities_at(pts)                      # (M, n, dim)
         if not np.all(np.isfinite(vels)):
             raise ParameterError("velocity maps must give finite velocities")
-        speeds = np.linalg.norm(vels, axis=-1)
-        if np.max(speeds) > self.c1 + 1e-9:
-            raise ParameterError(f"velocity exceeds declared c1={self.c1}")
         if self.dim == 1:
             fan = np.array([[1.0], [-1.0]])
         else:
             ang = 2 * np.pi * np.arange(64) / 64
             fan = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         support = np.max(np.einsum("mnd,kd->mnk", vels, fan), axis=0)
-        if np.min(support) < self.c0 - 1e-9:
-            raise ParameterError(
-                f"hull does not contain the ball of radius c0={self.c0}")
+        if np.min(support) <= 0:
+            raise ParameterError("the hull of the velocity maps must hold 0 strictly inside")
 
     def velocities_at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -224,6 +218,10 @@ class FiniteControlsSpeed:
     def _node_velocities(self, grid) -> np.ndarray:
         """The maps evaluated on the grid nodes, shape (M, *nx, dim)."""
         return self.velocities_at(np.stack(grid.meshgrid(), axis=-1))
+
+    def max_speed(self, grid) -> float:
+        """The largest |v_i(x)| over the maps and the grid nodes."""
+        return float(np.max(_component_norm(self._node_velocities(grid))))
 
     def _split_node_velocities(self, grid) -> np.ndarray:
         """The split maps (v_i^+, v_i^-) on the grid nodes, shape (2*dim, M, *nx)."""

@@ -30,12 +30,12 @@ multiplier, sign-flipped, converges to the value function u.
 rho in (0, 2) converges under tau*sigma < 1).  From (x, y) it takes the
 prox point x~ and the dual point y~ = y + sigma (L L^T)^-1 rows(2 x~ - x),
 then moves x and y to x~ + (rho - 1)(x~ - x) and y~ + (rho - 1)(y~ - y),
-and the rows of x alike, as they are affine.  Iterations 1-16, which hold
-the record checks, take plain steps (rho = 1); later ones rho = 1.7.  The
-relaxed x may leave the cone, so the pair (y~, x~) is the one certified,
-stopped on and returned.  With default steps ``optimize`` also balances its
-two stop tests by halving or doubling tau every 32nd iteration, at most 8
-times in a run (see ``optimize``).
+and the rows of x alike, as they are affine.  Iterations 1-16 take plain
+steps (rho = 1), later ones rho = 1.7; that count is set by the iterations
+to the stop (see ``optimize``).  The relaxed x may leave the cone, so the
+pair (y~, x~) is the one certified, stopped on and returned.  With default
+steps ``optimize`` also balances its two stop tests by halving or doubling
+tau every 32nd iteration, at most 8 times in a run (see ``optimize``).
 
 The loop runs in place on one ``_Workspace`` built before it.  Its split
 momenta are component-major, as in ``transport``, w = (w+_1..w+_dim,
@@ -401,14 +401,15 @@ def recover_f(problem: ProblemInstance, m: DensityField) -> ScalarField:
 
 def recover_velocity(m: DensityField, w: VecField, floor: float = 1e-10,
                      speed: SpeedModel | None = None) -> VecField:
-    """v = w/m where m > floor, 0 elsewhere; clipped to the speed bound."""
+    """v = w/m where m > floor, 0 elsewhere; clipped to the speed's
+    ``max_speed`` on the grid."""
     if not (floor > 0):
         raise ParameterError("floor must be positive")
     mask = m.values > floor
     v = np.zeros_like(w.values)
     np.divide(w.values, m.values[..., None], out=v, where=mask[..., None])
     if speed is not None:
-        cap = speed.c1
+        cap = speed.max_speed(m.grid)
         norm = _component_norm(v)
         over = norm > cap
         if np.any(over):
@@ -675,10 +676,15 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
     pointwise joint prox of K* and the velocity cone (see the module
     docstring) give the prox point x~; the dual step gives
     y~ = y + sigma (L L^T)^-1 rows(2 x~ - x); then x <- x~ + (rho - 1)(x~ - x)
-    and y <- y~ + (rho - 1)(y~ - y).  Iterations 1-16, which hold the record
-    checks 1, 2, 4, 8 and 16, take plain steps (rho = 1); later ones
-    rho = 1.7.  y starts at sigma (L L^T)^-1 rows(x0), the first dual step of
-    plain CP from y = 0.
+    and y <- y~ + (rho - 1)(y~ - y).  Iterations 1-16 take plain steps
+    (rho = 1), later ones rho = 1.7.  The record checks among them certify
+    the pair (y~, x~) whatever rho; the count is set by the iterations to the
+    stop.  On the 1D p = 3 gauss instances 64x65, 64x129, 64x257 and 128x129
+    at tol_gap = tol_cont = 1e-3, 16 plain steps stop them at 260, 1,132,
+    953 and 502, and relaxing from iteration 1 at 278, 1,068, 938 and 531:
+    16 wins on 64x65 and 128x129, the instances the steps were tuned on.
+    y starts at sigma (L L^T)^-1 rows(x0), the first dual step of plain CP
+    from y = 0.
 
     The pair (y~, x~) is feasible (x~ is in the cone, and the relaxed x need
     not be), so it is the one checked, stopped on and returned.  Every

@@ -56,7 +56,7 @@ def trial_speed(kind, dim):
     if dim == 1:
         maps = (lambda p: np.ones(p.shape), lambda p: -np.ones(p.shape),
                 lambda p: 0.5 * np.sin(2 * np.pi * p))
-        return FiniteControlsSpeed(1, maps, c0=1.0, c1=1.0)
+        return FiniteControlsSpeed(1, maps)
 
     def rotated(e):
         def v(p):
@@ -65,7 +65,16 @@ def trial_speed(kind, dim):
             return np.stack([c * e[0] - s * e[1], s * e[0] + c * e[1]], axis=-1)
         return v
     maps = tuple(rotated(e) for e in np.vstack([np.eye(2), -np.eye(2)]))
-    return FiniteControlsSpeed(2, maps, c0=0.7, c1=1.0)
+    return FiniteControlsSpeed(2, maps)
+
+
+def between_lattice_hull():
+    """The 1D hull of the maps +-(0.5 + 0.5 sin^2(16 pi x)): speed 0.5 on
+    the 8-point lattice that ``FiniteControlsSpeed`` samples, and 1.0 at
+    x = 1/32 + k/16, nodes of a 64-point grid."""
+    def speed(x):
+        return 0.5 + 0.5 * np.sin(16 * np.pi * x) ** 2
+    return FiniteControlsSpeed(1, (speed, lambda x: -speed(x)))
 
 
 def closed_form_uniform_bundle(problem):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (closed_form_uniform_bundle, full_field, make_uniform_problem,
-                      traced_peak, trial_speed)
+from conftest import (between_lattice_hull, closed_form_uniform_bundle, full_field,
+                      make_uniform_problem, traced_peak, trial_speed)
 from frontsteer.errors import ParameterError
 from frontsteer.grid import (DensityField, ScalarField, TorusGrid, VecField, interp_space,
                              norm_lp)
@@ -503,6 +503,21 @@ class TestSubsolution:
         assert peak <= tables + 10 * level
 
 
+def test_hull_bounds_come_from_its_maps_on_the_grid():
+    # the maps reach 1.0 only between the points of the lattice the
+    # constructor samples: the velocity cap and the subsolution slack read
+    # the speed on the grid's nodes
+    grid = TorusGrid(1, (64,), 11, 1.0)
+    speed = between_lattice_hull()
+    assert speed.max_speed(grid) == 1.0
+    ones = np.ones((grid.nt, 64))
+    v = recover_velocity(DensityField(grid, ones), VecField(grid, ones[..., None]), speed=speed)
+    assert np.all(v.values == 1.0)
+    zero = full_field(grid, 0.0)
+    rep = check_subsolution(zero, zero, speed, trials=2)
+    assert rep.slack == 2.0 * (1.0 + 1.0) * (1.0 + grid.horizon) * certify._disc_scale(grid)
+
+
 class TestHolder:
     def test_constant_monotone_in_beta(self):
         assert holder_constant(3.0, 1, 1.0, 0.0) < holder_constant(3.0, 1, 1.0, 0.5)
@@ -685,7 +700,7 @@ class TestDualityGap:
             vels = [s * 0.9 * np.eye(2)[a] for a in range(2) for s in (1.0, -1.0)]
             maps = tuple((lambda x, v=v: np.broadcast_to(v, np.shape(x)))
                          for v in (*vels, np.zeros(2)))
-            speed = FiniteControlsSpeed(2, maps, c0=0.9 / np.sqrt(2), c1=0.9)
+            speed = FiniteControlsSpeed(2, maps)
         shape = (g.nt, *g.nx)
         problem = ProblemInstance(grid=g, speed=speed, cost=CostModel(4.0),
                                   u_T=rng.standard_normal(g.nx), m0=0.5 + rng.random(g.nx))
@@ -732,7 +747,7 @@ class TestDualityGap:
         # the hull of {+-0.9}: B = +inf, and details say why
         g = TorusGrid(1, (16,), 9, 1.0)
         maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (0.9, -0.9))
-        speed = FiniteControlsSpeed(1, maps, c0=0.9, c1=0.9)
+        speed = FiniteControlsSpeed(1, maps)
         assert not speed.split_contains_rest(g)
         problem = ProblemInstance(grid=g, speed=speed, cost=CostModel(3.0),
                                   u_T=np.zeros(16), m0=np.ones(16))

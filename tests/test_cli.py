@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,10 @@ import frontsteer
 from conftest import optimize_in_fresh_process
 from frontsteer import cli
 from frontsteer.cli import DEFAULT_CONFIG, build_solver_config, load_config, main
+from frontsteer.errors import ConfigError
 from frontsteer.grid import ScalarField, TorusGrid, VecField, read_field, write_field
 from frontsteer.hj import counterexample_instance
+from frontsteer.model import FiniteControlsSpeed
 from frontsteer.pdopt import SolverConfig
 
 
@@ -145,9 +148,23 @@ class TestConfigErrors:
         self._assert_config_error(tmp_path, capsys,
                                   problem={"cost": {"p": "abc"}})
 
-    def test_finite_speed_without_radii(self, tmp_path, capsys):
-        self._assert_config_error(tmp_path, capsys, problem={"speed": {
-            "variant": "finite", "velocities": [[1.0], [-1.0]]}})
+    def test_finite_speed_without_rest_inside(self, tmp_path, capsys):
+        # the hull [0.5, 1] does not hold 0 strictly inside
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, problem={"speed": {
+            "variant": "finite", "velocities": [[1.0], [0.5]]}})
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "must hold 0 strictly inside" in capsys.readouterr().err
+
+    def test_radius_table_on_another_grid(self, tmp_path):
+        # a radius table is read like a u_T / m0 slice: its grid is checked
+        # as it is loaded, and the error names its file
+        path = _field_file(tmp_path / "r.field", TorusGrid(1, (32,), 2, 1.0), 1.0)
+        config = load_config(None)
+        config["problem"]["speed"]["radius"] = {"file": path}
+        with pytest.raises(ConfigError, match=f"field file {path} has space shape"):
+            cli.build_problem(config)
 
     @pytest.mark.parametrize("radius", ["abc", {"path": "r.field"}])
     def test_malformed_speed_radius(self, tmp_path, capsys, radius):
@@ -234,13 +251,18 @@ class TestConfigErrors:
         ({"variant": "isotropic", "radious": 0.25}, "problem.speed (isotropic)",
          "'radious'"),
         ({"radious": 0.25}, "problem.speed (isotropic)", "'radious'"),
-        ({"variant": "finite", "velocities": [[1.0], [-1.0]], "c0": 1.0, "c1": 1.0,
-          "radius": 0.5}, "problem.speed (finite)", "'radius'"),
+        ({"variant": "finite", "velocities": [[1.0], [-1.0]], "radius": 0.5},
+         "problem.speed (finite)", "'radius'"),
         ({"radius": {"file": "r.field", "scale": 2.0}}, "problem.speed.radius", "'scale'"),
+        ({"variant": "finite", "velocities": [[1.0], [-1.0]], "c0": 1.0},
+         "problem.speed (finite)", "'c0'"),
+        ({"variant": "finite", "velocities": [[1.0], [-1.0]], "c1": 1.0},
+         "problem.speed (finite)", "'c1'"),
     ])
     def test_unknown_speed_keys(self, tmp_path, capsys, speed, where, keys):
-        # the keys depend on the variant: a finite hull has no radius, and a
-        # tabulated radius names only its file
+        # the keys depend on the variant: a finite hull has no radius, nor
+        # radii, which follow from its maps, and a tabulated radius names
+        # only its file
         self._assert_unknown_keys(tmp_path, capsys, {"problem": {"speed": speed}},
                                   where, keys)
 
@@ -499,7 +521,7 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("speed", [
         {"variant": "isotropic", "radius": 1.0},
-        {"variant": "finite", "c0": 0.63, "c1": 0.9,     # the diamond with rest
+        {"variant": "finite",  # the diamond with rest
          "velocities": [[0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9], [0.0, 0.0]]},
     ], ids=["ball", "hull"])
     def test_nodal_bundle_certifies_like_its_split_pair(self, tmp_path, speed):
@@ -826,7 +848,7 @@ class TestManifestConfig:
 
     @pytest.mark.parametrize("speed", [
         {"variant": "isotropic", "radius": 0.5},
-        {"variant": "finite", "velocities": [[1.0], [-0.5]], "c0": 0.5, "c1": 1.0},
+        {"variant": "finite", "velocities": [[1.0], [-0.5]]},
         "tabulated",
     ], ids=["isotropic", "finite", "tabulated"])
     def test_optimize_speeds(self, tmp_path, speed):
@@ -895,3 +917,13 @@ def test_readme_config_is_the_default(tmp_path):
     example = readme.split("\n## CLI\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     (tmp_path / "readme.json").write_text(example)
     assert load_config(str(tmp_path / "readme.json")) == load_config(None)
+
+
+def test_readme_finite_speed_builds(tmp_path):
+    # the finite-speed snippet of README's config notes loads and builds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = re.search(r'`(\{"variant": "finite".*?\})`', readme, re.S).group(1)
+    write_config(tmp_path / "cfg.json", problem={"speed": json.loads(snippet)})
+    problem = cli.build_problem(load_config(str(tmp_path / "cfg.json")))
+    assert isinstance(problem.speed, FiniteControlsSpeed)
+    assert problem.speed.max_speed(problem.grid) == 1.0

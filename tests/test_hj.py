@@ -1,9 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import full_field
+from conftest import between_lattice_hull, full_field
 from frontsteer import grid as grid_module
 from frontsteer.errors import ParameterError
 from frontsteer.grid import ScalarField, TorusGrid
@@ -171,7 +172,7 @@ class TestSolveValueFunction:
         grid = TorusGrid(1, (32,), 33, 1.0)
         vels = (lambda x: np.broadcast_to([0.8], np.shape(x)),
                 lambda x: np.broadcast_to([-0.8], np.shape(x)))
-        speed = FiniteControlsSpeed(1, vels, c0=0.8, c1=0.8)
+        speed = FiniteControlsSpeed(1, vels)
         prob = ProblemInstance(grid=grid, speed=speed, cost=CostModel(3.0),
                                u_T=np.zeros(32), m0=np.ones(32))
         u = solve_value_function(prob, full_field(grid, 1.0))
@@ -185,7 +186,7 @@ class TestSolveValueFunction:
                 lambda x: np.broadcast_to([-0.7, 0.2], np.shape(x)),
                 lambda x: np.broadcast_to([0.1, 0.75], np.shape(x)),
                 lambda x: np.broadcast_to([0.05, -0.8], np.shape(x)))
-        speed = FiniteControlsSpeed(2, vels, c0=0.2, c1=1.0)
+        speed = FiniteControlsSpeed(2, vels)
         rng = np.random.default_rng(4)
         prob = ProblemInstance(grid=grid, speed=speed, cost=CostModel(4.0),
                                u_T=np.cos(2 * np.pi * (xs[0] + 2 * xs[1])),
@@ -200,6 +201,27 @@ class TestSolveValueFunction:
                                cost=CostModel(3.0), u_T=np.zeros(8), m0=np.ones(8))
         with pytest.warns(UserWarning):
             solve_value_function(prob, full_field(grid, 0.0))
+
+    @pytest.mark.parametrize("kind", ["ball", "hull"])
+    def test_large_step_warning_reads_the_max_speed(self, kind):
+        # dt = 0.1 against 4 cell diameters, 0.0625: a top speed of 1.0 warns
+        # and one of 0.5 does not.  The fast hull reaches 1.0 only between the
+        # points of the lattice its constructor samples
+        grid = TorusGrid(1, (64,), 11, 1.0)
+        if kind == "ball":
+            fast, slow = IsotropicSpeed(1, 1.0), IsotropicSpeed(1, 0.5)
+        else:
+            fast = between_lattice_hull()
+            slow = FiniteControlsSpeed(1, tuple(
+                (lambda x, c=c: np.full(np.shape(x), c)) for c in (0.5, -0.5)))
+        for speed, warns in ((fast, True), (slow, False)):
+            prob = ProblemInstance(grid=grid, speed=speed, cost=CostModel(3.0),
+                                   u_T=np.zeros(64), m0=np.ones(64))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve_value_function(prob, full_field(grid, 0.0))
+            assert [str(w.message).split(" exceeds")[0] for w in caught] \
+                == ["large time step: max speed*dt = 0.1"] * warns
 
     def test_grid_mismatch(self):
         prob = make_problem()

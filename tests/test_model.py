@@ -19,7 +19,7 @@ def square_speed():
     """Finite control set whose hull is the unit diamond |w|_1 <= 0.9...
     actually the hull of the four axis velocities of length 0.9."""
     return FiniteControlsSpeed(
-        2, constant_maps([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]), c0=0.6, c1=0.9)
+        2, constant_maps([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]))
 
 
 def constant_maps(*vectors):
@@ -32,7 +32,7 @@ def xdep_speed():
     vels = (lambda x: np.stack([0.7 + 0.1 * np.sin(2 * np.pi * x[..., 1]),
                                 0.1 * np.cos(2 * np.pi * x[..., 0])], axis=-1),
             *constant_maps([-0.7, 0.2], [0.1, 0.75], [0.05, -0.8]))
-    return FiniteControlsSpeed(2, vels, c0=0.2, c1=1.0)
+    return FiniteControlsSpeed(2, vels)
 
 
 def nodes(grid, vec):
@@ -123,8 +123,9 @@ class TestHamiltonian:
         grid = TorusGrid(1, (nx,), 2, 1.0)
         radius = 1.0 + 0.5 * np.sin(2 * np.pi * np.arange(nx) / nx)
         s = IsotropicSpeed(1, radius)
-        assert s.c0 == pytest.approx(0.5)
-        assert s.c1 == pytest.approx(1.5)
+        lo, hi = float(np.min(s.radius_nodes(grid.nx))), s.max_speed(grid)
+        assert lo == pytest.approx(0.5)
+        assert hi == pytest.approx(1.5)
         # discrete Lipschitz constant of the radius table
         lip = float(np.max(np.abs(np.roll(radius, -1) - radius))) * nx
         rng = np.random.default_rng(1)
@@ -133,7 +134,7 @@ class TestHamiltonian:
             p = rng.standard_normal(1)
             h = hamiltonian(s, grid, nodes(grid, p))
             hx, hy = h[i], h[j]
-            assert s.c0 * abs(p[0]) - 1e-12 <= hx <= s.c1 * abs(p[0]) + 1e-12
+            assert lo * abs(p[0]) - 1e-12 <= hx <= hi * abs(p[0]) + 1e-12
             # geodesic torus distance via the node chain
             dist = min(abs(i - j), nx - abs(i - j)) / nx
             assert abs(hx - hy) <= lip * dist * abs(p[0]) + 1e-10
@@ -148,7 +149,7 @@ class TestHamiltonian:
                                        IsotropicSpeed(1, 0.7), "triple"])
     def test_equal_differences_give_the_closed_form_bits(self, speed):
         if speed == "triple":
-            speed = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9], [0.3]), c0=0.9, c1=0.9)
+            speed = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9], [0.3]))
         grid = TorusGrid(speed.dim, (12, 10)[:speed.dim], 3, 1.0)
         p = np.random.default_rng(4).standard_normal((20, *grid.nx, speed.dim))
         p[0] = 0.0
@@ -191,7 +192,7 @@ class TestSplitHamiltonian:
                                    hamiltonian_reference(s, grid, p), rtol=1e-15)
 
     def test_finite_hull_vertices(self):
-        pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]))
         grid = TorusGrid(1, (4,), 2, 1.0)
         fwd = np.full((1, 4), 1.0)
         bwd = np.full((1, 4), -2.0)
@@ -310,7 +311,7 @@ class TestHullProx:
 
     def test_triangle_edge_outside(self):
         verts = np.array([[0.9, 0.1], [-0.5, 0.75], [-0.3, -0.8]])
-        s = FiniteControlsSpeed(2, constant_maps(*verts), c0=0.3, c1=0.91)
+        s = FiniteControlsSpeed(2, constant_maps(*verts))
         edge = verts[1] - verts[0]
         normal = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
         normal *= np.sign(normal @ verts[0])                  # outward
@@ -373,7 +374,7 @@ class TestHullProx:
         # dependent generators; the hull, and so the prox, stay the square's
         square = [[0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]]
         padded = FiniteControlsSpeed(
-            2, constant_maps(*square, [-0.9, 0.0], [0.45, 0.45]), c0=0.6, c1=0.9)
+            2, constant_maps(*square, [-0.9, 0.0], [0.45, 0.45]))
         model = CostModel(p=3.0)
         rng = np.random.default_rng(14)
         m_bar = rng.normal(0.3, 1.0, (20, *GRID_2D.nx))
@@ -390,7 +391,7 @@ class TestHullProx:
     def test_split_faces_match_brute_force(self, speed, step):
         if speed == "pair":
             grid = TorusGrid(1, (4,), 3, 1.0)
-            s = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+            s = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]))
         else:
             grid, s = GRID_2D, square_speed()
         n = 2 * grid.dim
@@ -414,7 +415,7 @@ class TestHullProx:
     @pytest.mark.parametrize("p", [3.0, 4.0])
     def test_pair_matches_isotropic_prox(self, p):
         grid = TorusGrid(1, (16,), 3, 1.0)
-        pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        pair = FiniteControlsSpeed(1, constant_maps([0.9], [-0.9]))
         model = CostModel(p=p, kappa=1.3)
         rng = np.random.default_rng(13)
         m_bar = rng.normal(0.2, 1.0, (50, 16))
@@ -514,15 +515,15 @@ def _layout_hull(case):
     without rest, one with x-dependent maps."""
     if case == "pair 1d":
         return TorusGrid(1, (6,), 3, 1.0), FiniteControlsSpeed(
-            1, constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+            1, constant_maps([0.9], [-0.9]))
     if case == "triple 1d":
         return TorusGrid(1, (6,), 3, 1.0), FiniteControlsSpeed(
-            1, constant_maps([0.9], [-0.5], [0.0]), c0=0.5, c1=0.9)
+            1, constant_maps([0.9], [-0.5], [0.0]))
     if case == "square 2d":
         return GRID_2D, square_speed()
     if case == "resting square 2d":
         return GRID_2D, FiniteControlsSpeed(2, constant_maps(
-            [0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9], [0.0, 0.0]), c0=0.6, c1=0.9)
+            [0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9], [0.0, 0.0]))
     return TorusGrid(2, (6, 5), 3, 1.0), xdep_speed()
 
 
@@ -884,7 +885,9 @@ class TestNewtonRootTolerance:
 
 
 class TestSpeedValidation:
-    """Radii that are not positive finite numbers are refused."""
+    """Radii that are not positive finite numbers are refused, and so are
+    velocity maps that give non-finite velocities or whose hull does not hold
+    0 strictly inside."""
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf],
                              ids=["zero", "negative", "nan", "inf"])
@@ -896,15 +899,17 @@ class TestSpeedValidation:
         with pytest.raises(ParameterError):
             IsotropicSpeed(1, table)
 
-    @pytest.mark.parametrize("c0,c1", [(np.nan, 1.0), (0.5, np.nan), (0.5, np.inf),
-                                       (np.inf, np.inf)])
-    def test_finite_radii(self, c0, c1):
-        maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (1.0, -1.0))
-        with pytest.raises(ParameterError):
-            FiniteControlsSpeed(1, maps, c0=c0, c1=c1)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_velocities(self, bad):
+        # a NaN would pass the support test, which compares false on it
+        maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (bad, -1.0, 1.0))
+        with pytest.raises(ParameterError, match="finite velocities"):
+            FiniteControlsSpeed(1, maps)
 
-    def test_nan_velocities(self):
-        # NaN compares false against c1 and in the support test
-        maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (np.nan, -1.0, 1.0))
-        with pytest.raises(ParameterError):
-            FiniteControlsSpeed(1, maps, c0=0.5, c1=1.0)
+    @pytest.mark.parametrize("slow", [0.5, 0.0])
+    def test_hull_without_rest_strictly_inside(self, slow):
+        # the paper's hull holds a ball B(0, c0) with c0 > 0: [0.5, 1] misses
+        # 0, and [0, 1] has it on its boundary
+        maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (1.0, slow))
+        with pytest.raises(ParameterError, match="0 strictly inside"):
+            FiniteControlsSpeed(1, maps)

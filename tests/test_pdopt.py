@@ -290,16 +290,15 @@ def _oracle_case(case):
         prob = _finite_problem(grid, IsotropicSpeed(2, 0.5 + rng.random((5, 6))), p=4.0)
     elif case == "hull with rest 2d":                # load 1.35: scaled, B finite
         grid = TorusGrid(2, (5, 6), 5, 1.0)
-        speed = FiniteControlsSpeed(2, _constant_maps(*diamond, [0.0, 0.0]),
-                                    c0=0.9 / np.sqrt(2), c1=0.9)
+        speed = FiniteControlsSpeed(2, _constant_maps(*diamond, [0.0, 0.0]))
         prob = _finite_problem(grid, speed, p=4.0)
     elif case == "hull without rest 2d":             # load 1.35: B = +inf
         grid = TorusGrid(2, (6, 6), 5, 1.0)
-        speed = FiniteControlsSpeed(2, _constant_maps(*diamond), c0=0.9 / np.sqrt(2), c1=0.9)
+        speed = FiniteControlsSpeed(2, _constant_maps(*diamond))
         prob = _finite_problem(grid, speed, p=4.0)
     else:                                            # pair without rest, load <= 0.9
         grid = TorusGrid(1, (16,), 17, 1.0)
-        speed = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        speed = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]))
         prob = _finite_problem(grid, speed, p=3.0)
     m = rng.random((grid.nt, *grid.nx)) * (rng.random((grid.nt, *grid.nx)) > 0.2)
     w = 3.0 * rng.standard_normal((grid.nt - 1, *grid.nx, 2 * grid.dim))
@@ -354,8 +353,7 @@ class TestCertificate:
         else:
             axes = [s * 0.9 * np.eye(dim)[a] for a in range(dim) for s in (1.0, -1.0)]
             rest = [np.zeros(dim)] if speed == "resting diamond" else []
-            speed = FiniteControlsSpeed(dim, _constant_maps(*axes, *rest),
-                                        c0=0.9 / np.sqrt(dim), c1=0.9)
+            speed = FiniteControlsSpeed(dim, _constant_maps(*axes, *rest))
         prob = _finite_problem(grid, speed, p=4.0)
         m = rng.random((grid.nt, *grid.nx))
         w = 3.0 * rng.standard_normal((grid.nt - 1, *grid.nx, 2 * dim))
@@ -375,7 +373,7 @@ class TestCertificate:
 
     def test_finite_hull_weak_duality(self):
         grid = TorusGrid(1, (16,), 17, 1.0)
-        pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]))
         prob = _finite_problem(grid, pair, p=3.0)
         rng = np.random.default_rng(5)
         m = rng.random((grid.nt, 16))
@@ -391,8 +389,8 @@ class TestCertificate:
         # the square's split hull (B = +inf), inside once the zero map is added
         grid = TorusGrid(2, (6, 6), 3, 1.0)
         maps = ([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9])
-        square = FiniteControlsSpeed(2, _constant_maps(*maps), c0=0.6, c1=0.9)
-        resting = FiniteControlsSpeed(2, _constant_maps(*maps, [0.0, 0.0]), c0=0.6, c1=0.9)
+        square = FiniteControlsSpeed(2, _constant_maps(*maps))
+        resting = FiniteControlsSpeed(2, _constant_maps(*maps, [0.0, 0.0]))
         assert not square.split_contains_rest(grid) and resting.split_contains_rest(grid)
         m = np.ones((grid.nt, *grid.nx))
         w = np.zeros((grid.nt - 1, *grid.nx, 4))
@@ -512,7 +510,7 @@ class TestRecover:
     def test_recover_velocity_speed_cap(self):
         grid = TorusGrid(1, (8,), 3, 1.0)
         m = DensityField(grid, np.full((3, 8), 0.5))
-        w_vals = np.full((3, 8, 1), 0.6)           # w/m = 1.2 > c1 = 1
+        w_vals = np.full((3, 8, 1), 0.6)           # w/m = 1.2 > max speed 1
         v = recover_velocity(m, VecField(grid, w_vals), speed=IsotropicSpeed(1, 1.0))
         assert np.max(np.abs(v.values)) <= 1.0 + 1e-12
 
@@ -825,13 +823,12 @@ class TestOptimizeFiniteControls:
     def test_iterates_stay_in_the_cone(self, case):
         if case == "1d_pair":
             grid = TorusGrid(1, (16,), 17, 1.0)
-            speed = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+            speed = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]))
             prob, iters = _finite_problem(grid, speed, p=3.0), 300
         else:
             grid = TorusGrid(2, (8, 8), 9, 1.0)
             speed = FiniteControlsSpeed(
-                2, _constant_maps([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]),
-                c0=0.6, c1=0.9)
+                2, _constant_maps([0.9, 0.0], [-0.9, 0.0], [0.0, 0.9], [0.0, -0.9]))
             prob, iters = _finite_problem(grid, speed, p=4.0), 50
         bundle = optimize(prob, SolverConfig(max_iters=iters, tol_gap=1e-12,
                                              tol_cont=1e-12))
@@ -848,7 +845,7 @@ class TestOptimizeFiniteControls:
         grid = TorusGrid(1, (16,), 17, 1.0)
         # a step balanced for this instance: 405 and 309 iterations
         config = SolverConfig(max_iters=3000, tol_gap=1e-3, tol_cont=1e-3, tau=1.0)
-        pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+        pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]))
         finite = optimize(_finite_problem(grid, pair, p=3.0), config).diagnostics
         ball = optimize(_finite_problem(grid, IsotropicSpeed(1, 0.9), p=3.0), config).diagnostics
         assert finite.converged and ball.converged
@@ -973,7 +970,7 @@ def _radius_table_problem():
 
 def _pair_problem():
     grid = TorusGrid(1, (16,), 17, 1.0)
-    pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]), c0=0.9, c1=0.9)
+    pair = FiniteControlsSpeed(1, _constant_maps([0.9], [-0.9]))
     return _finite_problem(grid, pair, p=3.0)
 
 
