@@ -25,7 +25,8 @@ velocities (a, b), a >= 0 >= b per axis, of the primal-dual solver:
 H(x, p) = sup_{v in c(x,A)} -v.p at D+u = D-u = p, and ``split_project``,
 which moves momenta into m times the split set on the per-grid data of
 ``split_cone``.  Split arrays, hull faces and both joint proxes are
-component-major, (n, ..., *nx), as in ``transport``.
+component-major, (n, ..., *nx), as in ``transport``.  ``ProblemInstance``
+refuses a speed on the nodes of its grid by its ``check_nodes``.
 
 The cost family is the homogeneous power law K(f) = kappa*|f|^p / p with
 conjugate K*(m) = kappa^(1-q)*|m|^q / q and k = dK*/dm.
@@ -96,6 +97,10 @@ class IsotropicSpeed:
     def max_speed(self, grid) -> float:
         """The largest radius on the grid nodes."""
         return float(np.max(self.radius_nodes(grid.nx)))
+
+    def check_nodes(self, grid) -> None:
+        """Refuse a radius table whose shape is not the grid's."""
+        self.radius_nodes(grid.nx)
 
     def radius_nodes(self, nx: tuple[int, ...]) -> np.ndarray:
         """Radius sampled on the grid nodes (tables must match the grid)."""
@@ -180,7 +185,8 @@ class FiniteControlsSpeed:
     Each entry of ``velocities`` is a callable taking points of shape
     (..., dim) and returning vectors of shape (..., dim).  The hull's radii
     follow from the maps: the outer one on a grid is ``max_speed``, and an
-    inner one, 0 strictly inside the hull, is spot-checked on a node sample.
+    inner one, 0 strictly inside the hull, is checked on the grid's nodes by
+    ``check_nodes``, which ``ProblemInstance`` calls.
     Cone membership and the joint prox are exact (see ``hull_faces``).
     """
 
@@ -191,25 +197,23 @@ class FiniteControlsSpeed:
         if not self.velocities:
             raise ParameterError("FiniteControlsSpeed needs at least one velocity map")
         object.__setattr__(self, "velocities", tuple(self.velocities))
-        self._verify_radii()
 
-    def _verify_radii(self, n_sample: int = 8):
-        """The maps give finite velocities, and their hull holds a ball
-        B(0, c0) with c0 > 0: its support is positive in every direction of
-        a fan, at each point of an n_sample^dim lattice."""
-        pts = np.stack(np.meshgrid(*([np.linspace(0, 1, n_sample, endpoint=False)] * self.dim),
-                                   indexing="ij"), axis=-1).reshape(-1, self.dim)
-        vels = self.velocities_at(pts)                      # (M, n, dim)
+    def check_nodes(self, grid) -> None:
+        """Refuse maps that give a non-finite velocity on the grid nodes, or
+        whose hull there does not hold a ball B(0, c0) with c0 > 0: its
+        support must be positive in every direction of a fan (2 in 1D, 64 in
+        2D), taken one direction at a time, so the check holds M node-sized
+        arrays, not M x 64."""
+        vels = np.moveaxis(self._node_velocities(grid), -1, 0)      # (dim, M, *nx)
+        # a NaN would pass the support test, which compares false on it
         if not np.all(np.isfinite(vels)):
             raise ParameterError("velocity maps must give finite velocities")
-        if self.dim == 1:
-            fan = np.array([[1.0], [-1.0]])
-        else:
-            ang = 2 * np.pi * np.arange(64) / 64
-            fan = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        support = np.max(np.einsum("mnd,kd->mnk", vels, fan), axis=0)
-        if np.min(support) <= 0:
-            raise ParameterError("the hull of the velocity maps must hold 0 strictly inside")
+        ang = 2 * np.pi * np.arange(64) / 64
+        fan = [(1.0,), (-1.0,)] if grid.dim == 1 else zip(np.cos(ang), np.sin(ang))
+        for direction in fan:
+            if np.min(np.max(_dot(vels, direction), axis=0)) <= 0:
+                raise ParameterError(
+                    "the hull of the velocity maps must hold 0 strictly inside")
 
     def velocities_at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

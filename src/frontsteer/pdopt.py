@@ -124,7 +124,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One complete control problem: grid, speed set, cost family, data."""
+    """One complete control problem: grid, speed set, cost family, data.
+    The speed is checked on the grid's nodes (``check_nodes``)."""
 
     grid: TorusGrid
     speed: SpeedModel
@@ -145,6 +146,7 @@ class ProblemInstance:
         if not (self.cost.p > self.grid.dim + 1):
             raise ParameterError(
                 f"cost exponent p={self.cost.p} must exceed dim+1={self.grid.dim + 1}")
+        self.speed.check_nodes(self.grid)
         u_T.setflags(write=False)
         m0.setflags(write=False)
         object.__setattr__(self, "u_T", u_T)

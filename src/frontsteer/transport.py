@@ -256,29 +256,24 @@ def upwind_directional_derivative(fwd: np.ndarray, bwd: np.ndarray,
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Sampled paths of the split march's Markov chain, with per-path mass.
+    """Sampled paths of the split march's Markov chain, each carrying the
+    same mass.
 
     ``cells`` holds the flat node index (C order over ``grid.nx``) of every
     path at every time level, time-major: shape (nt, count), in the
     narrowest unsigned integer type that holds n_space - 1 (uint8 up to 256
     nodes, uint16 up to 65536), so ``cells[k]`` is one contiguous level.
-    ``positions`` gives the node coordinates of the same paths on demand,
-    shape (count, nt, dim).  ``weights`` is the mass each path carries; they
-    sum to the initial mass.
+    ``weight`` is the mass each path carries, mass(m0) / count, so the
+    paths together carry the initial mass.
     """
 
     grid: TorusGrid
     cells: np.ndarray          # (nt, count), np.min_scalar_type(n_space - 1)
-    weights: np.ndarray        # (count,)
-    seed: int
+    weight: float
 
     @property
     def count(self) -> int:
         return self.cells.shape[1]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return _node_coords(self.grid, self.cells.T)
 
 
 def _node_coords(grid: TorusGrid, cells: np.ndarray) -> np.ndarray:
@@ -334,7 +329,8 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     a_a dt/dx_a, to i - e_a with probability -b_a dt/dx_a, and stays
     otherwise.  The expected histogram at every level is therefore the march
     of m0 / mass(m0), so ``pushforward_distance`` measures Monte-Carlo error
-    only (``pushforward_floor``).
+    only (``pushforward_floor``).  Every path carries the same mass,
+    mass(m0) / count, the ensemble's one ``weight``.
 
     Level 0's cell draws and each step's uniforms (one per path) come from
     Philox keyed by (seed, level), so an ensemble is reproducible from the
@@ -381,23 +377,22 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
             for e in range(stride - 1):
                 at += jumps[e][cur] <= uniform
             np.take(neighbours, at, out=cells[k + 1, c0:c1])
-    weights = np.full(count, mass / count)
-    return TrajectoryEnsemble(grid=grid, cells=cells, weights=weights, seed=int(seed))
+    return TrajectoryEnsemble(grid=grid, cells=cells, weight=mass / count)
 
 
 def pushforward_distance(ens: TrajectoryEnsemble, m: DensityField, t: int) -> float:
-    """L1 distance between the normalized path histogram and m(t)/mass; lies
-    in [0, 2]."""
+    """L1 distance between the path histogram at level t, p = counts /
+    count (every path carries the same mass), and m(t)/mass; lies in
+    [0, 2], and is 2 where m(t) carries no mass."""
     if ens.grid != m.grid:
         raise ParameterError("ensemble and density live on different grids")
-    hist = np.bincount(ens.cells[ens.grid.check_time_index(t)], weights=ens.weights,
-                       minlength=ens.grid.n_space).reshape(ens.grid.nx)
-    p_hat = hist / np.sum(hist)
+    counts = np.bincount(ens.cells[ens.grid.check_time_index(t)],
+                         minlength=ens.grid.n_space).reshape(ens.grid.nx)
     slice_m = m.at(t)
     mass = np.sum(slice_m)
     if mass <= 0:
-        return 2.0 if np.sum(hist) > 0 else 0.0
-    return float(np.sum(np.abs(p_hat - slice_m / mass)))
+        return 2.0
+    return float(np.sum(np.abs(counts / ens.count - slice_m / mass)))
 
 
 def pushforward_floor(m: DensityField, t: int, count: int) -> float:
@@ -417,11 +412,11 @@ def write_trajectories(path, ens: TrajectoryEnsemble) -> None:
     per_path = row * grid.nt
     cols = np.empty((grid.nt, grid.dim + 3))     # path_id, t, x_1..x_N, weight
     cols[:, 1] = grid.times()
+    cols[:, -1] = ens.weight
     with open(path, "w") as fh:
         xs = ",".join(f"x{a + 1}" for a in range(grid.dim))
         fh.write(f"path_id,t,{xs},weight\n")
         for i in range(ens.count):
             cols[:, 0] = i
             cols[:, 2:-1] = _node_coords(grid, ens.cells[:, i])
-            cols[:, -1] = ens.weights[i]
             fh.write(per_path % tuple(cols.ravel().tolist()))

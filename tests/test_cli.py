@@ -157,6 +157,21 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "must hold 0 strictly inside" in capsys.readouterr().err
 
+    def test_finite_speed_without_rest_at_some_grid_nodes(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # maps 1 and -0.5 + 0.75 sin^2(16 pi x): their hull is [0.25, 1] at
+        # the 16 nodes j = 2 (mod 4) of 64, and holds 0 at x = k/16
+        maps = (lambda x: np.ones(np.shape(x)),
+                lambda x: -0.5 + 0.75 * np.sin(16 * np.pi * x) ** 2)
+        monkeypatch.setattr(cli, "build_speed",
+                            lambda entry, grid: FiniteControlsSpeed(grid.dim, maps))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, problem={"nx": [64], "nt": 9})
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "must hold 0 strictly inside" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_radius_table_on_another_grid(self, tmp_path):
         # a radius table is read like a u_T / m0 slice: its grid is checked
         # as it is loaded, and the error names its file
@@ -703,7 +718,10 @@ class TestSolveTransport:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mass_drift"] <= 1e-12
-        assert (out / "trajectories.csv").exists()
+        rows = (out / "trajectories.csv").read_text().splitlines()[1:]
+        assert len(rows) == 500 * grid.nt
+        # every path carries mass / count, written to 17 digits, so exactly
+        assert {float(row.rsplit(",", 1)[1]) for row in rows} == {problem.mass / 500}
         # the paths' histogram at T against m(T), next to its Monte-Carlo floor
         assert 0 < manifest["pushforward_floor"] < 1
         assert 0 <= manifest["pushforward_l1"] <= 3 * manifest["pushforward_floor"]
@@ -727,7 +745,10 @@ class TestReproduce:
 def test_optimize_runs_without_scipy(tmp_path):
     """The package's runtime needs only numpy: a fresh interpreter that
     imports ``frontsteer.cli`` and runs ``optimize`` with its certification
-    battery loads no scipy module.  (This process already holds scipy.)"""
+    battery loads no scipy module.  (This process already holds scipy.)
+    Its set-up, the import and ``build_problem``, loads neither scipy nor
+    ``numpy.random``, whose import the battery's first generator pays for
+    later in the run."""
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, problem={"nx": [16], "nt": 17, "u_T": {"preset": "cosine"},
                                     "m0": {"preset": "gaussian"}},
@@ -735,11 +756,15 @@ def test_optimize_runs_without_scipy(tmp_path):
     out = tmp_path / "out"
     script = (
         "import json, sys\n"
+        "def loaded(*names):\n"
+        "    return sorted(m for m in sys.modules for n in names\n"
+        "                  if (m + '.').startswith(n + '.'))\n"
         "import frontsteer, frontsteer.cli\n"
+        f"frontsteer.cli.build_problem(frontsteer.cli.load_config({str(cfg_path)!r}))\n"
+        "setup = loaded('scipy', 'numpy.random')\n"
         f"code = frontsteer.cli.main(['optimize', '--config', {str(cfg_path)!r}, "
         f"'--out', {str(out)!r}])\n"
-        "print(json.dumps({'code': code, 'scipy': sorted(\n"
-        "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))}))\n")
+        "print(json.dumps({'code': code, 'setup': setup, 'scipy': loaded('scipy')}))\n")
     src = str(Path(frontsteer.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -749,6 +774,7 @@ def test_optimize_runs_without_scipy(tmp_path):
     assert result["code"] == 1                      # capped at 5 iterations
     checks = json.loads((out / "certificates.json").read_text())["checks"]
     assert "holder_bound" in {c["name"] for c in checks}
+    assert result["setup"] == []
     assert result["scipy"] == []
 
 

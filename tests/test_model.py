@@ -12,6 +12,7 @@ from frontsteer.grid import TorusGrid
 from frontsteer.model import (CostModel, FiniteControlsSpeed, IsotropicSpeed,
                               _component_norm, _solve_power_root, _solve_sqrt_root, cost, cost_conj, cost_deriv_conj,
                               prox_cost_conj, prox_cost_conj_coned, prox_cost_conj_hull)
+from frontsteer.pdopt import ProblemInstance
 from frontsteer.transport import split_by_sign
 
 
@@ -884,10 +885,25 @@ class TestNewtonRootTolerance:
         assert abs(23949.0 * m + np.cbrt(m) - 14638.0) <= 1e-12 * (1.0 + 14638.0)
 
 
+def problem_on(grid, speed):
+    """A problem on grid with the given speed and plain data."""
+    return ProblemInstance(grid=grid, speed=speed, cost=CostModel(grid.dim + 2.0),
+                           u_T=np.zeros(grid.nx), m0=np.ones(grid.nx))
+
+
+def sin2_maps():
+    """1.0 and -0.5 + 0.75 sin^2(16 pi x): at x = j/64 the second is 0.25
+    where j = 2 (mod 4), so the hull [0.25, 1] there misses 0, and -0.5 or
+    -0.125 elsewhere, all of x = k/16 included."""
+    return (lambda x: np.ones(np.shape(x)),
+            lambda x: -0.5 + 0.75 * np.sin(16 * np.pi * x) ** 2)
+
+
 class TestSpeedValidation:
-    """Radii that are not positive finite numbers are refused, and so are
-    velocity maps that give non-finite velocities or whose hull does not hold
-    0 strictly inside."""
+    """Radii that are not positive finite numbers are refused, and so are,
+    on the nodes of a problem's grid, radius tables of another shape and
+    velocity maps that give non-finite velocities or whose hull does not
+    hold 0 strictly inside."""
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf],
                              ids=["zero", "negative", "nan", "inf"])
@@ -899,12 +915,18 @@ class TestSpeedValidation:
         with pytest.raises(ParameterError):
             IsotropicSpeed(1, table)
 
+    def test_radius_table_on_another_grid(self):
+        speed = IsotropicSpeed(1, np.ones(8))
+        problem_on(TorusGrid(1, (8,), 3, 1.0), speed)
+        with pytest.raises(ParameterError, match="radius table shape"):
+            problem_on(TorusGrid(1, (16,), 3, 1.0), speed)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_velocities(self, bad):
         # a NaN would pass the support test, which compares false on it
         maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (bad, -1.0, 1.0))
         with pytest.raises(ParameterError, match="finite velocities"):
-            FiniteControlsSpeed(1, maps)
+            problem_on(TorusGrid(1, (8,), 3, 1.0), FiniteControlsSpeed(1, maps))
 
     @pytest.mark.parametrize("slow", [0.5, 0.0])
     def test_hull_without_rest_strictly_inside(self, slow):
@@ -912,4 +934,25 @@ class TestSpeedValidation:
         # 0, and [0, 1] has it on its boundary
         maps = tuple((lambda x, c=c: np.full(np.shape(x), c)) for c in (1.0, slow))
         with pytest.raises(ParameterError, match="0 strictly inside"):
-            FiniteControlsSpeed(1, maps)
+            problem_on(TorusGrid(1, (8,), 3, 1.0), FiniteControlsSpeed(1, maps))
+
+    def test_hull_checked_on_every_grid_node(self):
+        speed = FiniteControlsSpeed(1, sin2_maps())
+        problem_on(TorusGrid(1, (16,), 3, 1.0), speed)
+        with pytest.raises(ParameterError, match="0 strictly inside"):
+            problem_on(TorusGrid(1, (64,), 3, 1.0), speed)
+        # in 2D, the hull of (1, +-1) and (-0.5 + 0.75 sin^2(16 pi x_1), 0)
+        maps = (*constant_maps([1.0, 1.0], [1.0, -1.0]),
+                lambda x: np.stack([sin2_maps()[1](x[..., 0]), np.zeros(x.shape[:-1])], -1))
+        speed = FiniteControlsSpeed(2, maps)
+        problem_on(TorusGrid(2, (16, 8), 3, 1.0), speed)
+        with pytest.raises(ParameterError, match="0 strictly inside"):
+            problem_on(TorusGrid(2, (64, 8), 3, 1.0), speed)
+
+    def test_hull_check_holds_no_fan_of_node_arrays(self):
+        # one direction at a time: a few node arrays per map (16 in all for
+        # 4 maps), where the 64 directions at once would hold 64 per map
+        grid = TorusGrid(2, (128, 128), 2, 1.0)
+        speed = square_speed()
+        _, peak = traced_peak(speed.check_nodes, grid)
+        assert peak <= 8 * 4 * grid.n_space * 8

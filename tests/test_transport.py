@@ -215,9 +215,10 @@ class TestSampleTrajectories:
     def test_zero_velocity_constant_paths(self):
         grid = TorusGrid(1, (32,), 9, 1.0)
         ens = sample_trajectories(np.ones(32), const_velocity(grid, [0.0]), 50, seed=1)
+        positions = transport._node_coords(grid, ens.cells.T)
         for k in range(grid.nt):
             np.testing.assert_array_equal(ens.cells[k], ens.cells[0])
-            np.testing.assert_array_equal(ens.positions[:, k], ens.positions[:, 0])
+            np.testing.assert_array_equal(positions[:, k], positions[:, 0])
 
     def test_load_one_moves_every_path_one_cell_per_step(self):
         # dt = 1/8, dx = 1/32 and |v| = 1/4: every jump has probability 1
@@ -256,7 +257,7 @@ class TestSampleTrajectories:
         grid = TorusGrid(1, (32,), 9, 1.0)
         m0 = np.linspace(0.5, 1.5, 32)
         ens = sample_trajectories(m0, const_velocity(grid, [0.0]), 123, seed=3)
-        assert np.sum(ens.weights) == pytest.approx(np.sum(m0) / 32, rel=1e-12)
+        assert ens.weight * ens.count == pytest.approx(np.sum(m0) / 32, rel=1e-12)
 
     def test_zero_mass_refused(self):
         grid = TorusGrid(1, (32,), 9, 1.0)
@@ -300,11 +301,12 @@ class TestSampleTrajectories:
         ens = sample_trajectories(np.ones((6, 5)), v, 33, seed=4)
         assert ens.cells.shape == (grid.nt, 33) and ens.cells.dtype == np.uint8
         assert ens.cells.flags.c_contiguous and ens.count == 33
-        assert ens.positions.shape == (33, grid.nt, grid.dim)
+        positions = transport._node_coords(grid, ens.cells.T)
+        assert positions.shape == (33, grid.nt, grid.dim)
         i, j = np.unravel_index(ens.cells.T, grid.nx)
-        assert ens.positions[..., 0].tobytes() == grid.axis_coords(0)[i].tobytes()
-        assert ens.positions[..., 1].tobytes() == grid.axis_coords(1)[j].tobytes()
-        assert np.all((ens.positions >= 0.0) & (ens.positions < 1.0))
+        assert positions[..., 0].tobytes() == grid.axis_coords(0)[i].tobytes()
+        assert positions[..., 1].tobytes() == grid.axis_coords(1)[j].tobytes()
+        assert np.all((positions >= 0.0) & (positions < 1.0))
 
     @pytest.mark.parametrize("count", [37, 2000])
     def test_cells_bitwise_equal_per_path_reference(self, count):
@@ -359,12 +361,12 @@ class TestSampleTrajectories:
         assert chunked.cells.tobytes() == whole.cells.tobytes()
 
     def test_memory_is_one_cell_itemsize_per_path_and_level(self):
-        # the stored cells (uint8 at 256 nodes) and the weights (float64),
-        # then one level's jump table, the neighbour table and one chunk's
-        # scratch: a uniform (float64) and a pick index (int32), and for a
-        # moment a gathered probability (float64) and a comparison (bool),
-        # 21 bytes per path of a chunk, allowed 32; float64 positions alone
-        # would take 16 bytes per path and level here
+        # the stored cells (uint8 at 256 nodes), then one level's jump
+        # table, the neighbour table and one chunk's scratch: a uniform
+        # (float64) and a pick index (int32), and for a moment a gathered
+        # probability (float64) and a comparison (bool), 21 bytes per path
+        # of a chunk, allowed 32; no per-path float64 is held, and float64
+        # positions alone would take 16 bytes per path and level here
         grid = TorusGrid(2, (16, 16), 17, 1.0)
         rng = np.random.default_rng(3)
         v = VecField(grid, rng.uniform(-0.45, 0.45, (17, 16, 16, 2)))
@@ -375,7 +377,7 @@ class TestSampleTrajectories:
         assert ens.cells.dtype == np.uint8
         assert ens.cells.nbytes == itemsize * grid.nt * count
         tables = 8 * grid.n_space * 2 * grid.dim + itemsize * grid.n_space * 5
-        assert peak <= itemsize * grid.nt * count + 8 * count + tables + 32 * transport._CHUNK
+        assert peak <= itemsize * grid.nt * count + tables + 32 * transport._CHUNK
 
 
 class TestPushforward:
@@ -414,8 +416,17 @@ class TestPushforward:
         grid = TorusGrid(1, (4,), 3, 1.0)
         m = solve_continuity(np.ones(4), const_velocity(grid, [0.0]))
         cells = np.tile(np.arange(4, dtype=np.int32), (3, 1))
-        ens = TrajectoryEnsemble(grid=grid, cells=cells, weights=np.full(4, 0.25), seed=0)
+        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=0.25)
         assert pushforward_distance(ens, m, 1) == pytest.approx(0.0, abs=1e-14)
+
+    def test_hand_built_histogram_half_off(self):
+        # the histogram (1/2, 1/4, 0, 1/4) against the uniform 1/4: exactly 1/2
+        grid = TorusGrid(1, (4,), 3, 1.0)
+        m = solve_continuity(np.ones(4), const_velocity(grid, [0.0]))
+        cells = np.tile(np.array([0, 0, 1, 3], dtype=np.uint8), (3, 1))
+        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=0.25)
+        for k in range(grid.nt):
+            assert pushforward_distance(ens, m, k) == 0.5
 
     def test_disjoint_supports_total_variation(self):
         grid = TorusGrid(1, (8,), 3, 1.0)
@@ -423,25 +434,25 @@ class TestPushforward:
         m0[:2] = 1.0                                   # density on the left
         m = solve_continuity(m0, const_velocity(grid, [0.0]))
         cells = np.full((3, 5), 6, dtype=np.int32)     # paths on the right
-        ens = TrajectoryEnsemble(grid=grid, cells=cells, weights=np.full(5, 0.05), seed=0)
+        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=0.05)
         assert pushforward_distance(ens, m, 0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("weight", [1 / 3, 5e-324])
     @pytest.mark.parametrize("time_major", [False, True])
-    def test_csv_bytes_equal_row_by_row_reference(self, tmp_path, time_major):
+    def test_csv_bytes_equal_row_by_row_reference(self, tmp_path, time_major, weight):
         grid = TorusGrid(2, (4, 4), 3, 0.7)
         cells = np.random.default_rng(12).integers(0, 16, (3, 5)).astype(np.int32)
         cells[0, 0], cells[2, 1] = 0, 15
         if not time_major:
             cells = np.ascontiguousarray(cells.T).T      # a path-major array's view
-        ens = TrajectoryEnsemble(grid=grid, cells=cells,
-                                 weights=np.array([0.2, 5e-324, -0.0, 1 / 3, 0.1]), seed=0)
+        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=weight)
         write_trajectories(tmp_path / "paths.csv", ens)
         rows = ["path_id,t,x1,x2,weight\n"]
         for i in range(ens.count):
             for k, t in enumerate(grid.times()):
                 i0, i1 = np.unravel_index(cells[k, i], grid.nx)
                 xs = f"{i0 / 4:.17g},{i1 / 4:.17g}"
-                rows.append(f"{i},{t:.17g},{xs},{ens.weights[i]:.17g}\n")
+                rows.append(f"{i},{t:.17g},{xs},{weight:.17g}\n")
         assert (tmp_path / "paths.csv").read_bytes() == "".join(rows).encode()
 
     def test_csv_serialization(self, tmp_path):
