@@ -146,6 +146,9 @@ class ProblemInstance:
         if not (self.cost.p > self.grid.dim + 1):
             raise ParameterError(
                 f"cost exponent p={self.cost.p} must exceed dim+1={self.grid.dim + 1}")
+        if self.speed.dim != self.grid.dim:
+            raise ParameterError(
+                f"speed is {self.speed.dim}-d but the grid is {self.grid.dim}-d")
         self.speed.check_nodes(self.grid)
         u_T.setflags(write=False)
         m0.setflags(write=False)
@@ -416,6 +419,7 @@ def recover_velocity(m: DensityField, w: VecField, floor: float = 1e-10,
         over = norm > cap
         if np.any(over):
             v[over] *= (cap / norm[over])[..., None]
+    v.setflags(write=False)             # the field takes v as it is, without a copy
     return VecField(m.grid, v)
 
 

@@ -31,6 +31,7 @@ table one level at a time too.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -237,7 +238,9 @@ def solve_continuity(m0: np.ndarray, v: VecField) -> DensityField:
     floor, top = np.min(m), np.max(m)
     if floor < -1e-12 * max(1.0, top, -floor):
         raise ParameterError(f"density went negative ({floor}) despite CFL check")
-    return DensityField(grid, np.maximum(m, 0.0, out=m))
+    np.maximum(m, 0.0, out=m)
+    m.setflags(write=False)             # the field takes m as it is, without a copy
+    return DensityField(grid, m)
 
 
 def upwind_directional_derivative(fwd: np.ndarray, bwd: np.ndarray,
@@ -257,23 +260,34 @@ def upwind_directional_derivative(fwd: np.ndarray, bwd: np.ndarray,
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Sampled paths of the split march's Markov chain, each carrying the
-    same mass.
+    same mass, stored as their first cells and their moves.
 
-    ``cells`` holds the flat node index (C order over ``grid.nx``) of every
-    path at every time level, time-major: shape (nt, count), in the
-    narrowest unsigned integer type that holds n_space - 1 (uint8 up to 256
-    nodes, uint16 up to 65536), so ``cells[k]`` is one contiguous level.
-    ``weight`` is the mass each path carries, mass(m0) / count, so the
-    paths together carry the initial mass.
+    ``start`` holds each path's flat node index (C order over ``grid.nx``)
+    at level 0, shape (count,), in the narrowest unsigned integer type that
+    holds n_space - 1 (uint8 up to 256 nodes, uint16 up to 65536).
+    ``moves`` holds each step's code, the jump it takes as an index into the
+    neighbour table (0..2*dim, ``_neighbour_table``), two steps to a byte:
+    shape (nt // 2, count), uint8, step k in the low 4 bits of row k // 2
+    for even k and in the high 4 bits for odd k.  ``cells_at(t)`` walks
+    ``start`` through the table to level t.  ``weight`` is the mass each
+    path carries, mass(m0) / count, so the paths together carry the initial
+    mass.
     """
 
     grid: TorusGrid
-    cells: np.ndarray          # (nt, count), np.min_scalar_type(n_space - 1)
+    start: np.ndarray          # (count,), np.min_scalar_type(n_space - 1)
+    moves: np.ndarray          # (nt // 2, count) uint8, two 4-bit codes a byte
     weight: float
 
     @property
     def count(self) -> int:
-        return self.cells.shape[1]
+        return self.start.shape[0]
+
+    def cells_at(self, t: int) -> np.ndarray:
+        """The flat node index of every path at level t, shape (count,), in
+        the dtype of ``start``."""
+        t = self.grid.check_time_index(t)
+        return next(itertools.islice(_walk(self, 0, self.count), t, None))
 
 
 def _node_coords(grid: TorusGrid, cells: np.ndarray) -> np.ndarray:
@@ -310,11 +324,44 @@ def _jump_table(split: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def _neighbour_table(grid: TorusGrid, dtype) -> np.ndarray:
     """Flat table of (2*dim + 1) entries per cell, of the cells' dtype: the
     cell after the jumps +e_0, .., -e_{dim-1} of ``_jump_table`` on the
-    torus, then the cell itself (no jump)."""
+    torus, then the cell itself (no jump).  Entry cell * (2*dim + 1) + code
+    is where a step of that code leads."""
     idx = np.arange(grid.n_space, dtype=dtype).reshape(grid.nx)
     plus = [np.roll(idx, -1, axis=a) for a in range(grid.dim)]
     minus = [np.roll(idx, 1, axis=a) for a in range(grid.dim)]
     return np.stack([*plus, *minus, idx], axis=-1).ravel()
+
+
+def _move(cells: np.ndarray, code: np.ndarray, neighbours: np.ndarray, stride: int,
+          at: np.ndarray) -> None:
+    """Move ``cells`` in place by their step codes through the neighbour
+    table of ``stride`` entries per cell, with ``at`` as scratch, int32: a
+    narrow cell index times the stride would wrap."""
+    np.multiply(cells, stride, out=at, dtype=at.dtype)
+    at += code
+    np.take(neighbours, at, out=cells)
+
+
+def _walk(ens: TrajectoryEnsemble, c0: int, c1: int):
+    """The cells of paths c0..c1 - 1 level after level, from ``start``
+    through the neighbour table by each step's code: a generator of one
+    array, overwritten in place at every step, so a caller keeps a level by
+    copying it.  Its scratch is O(c1 - c0)."""
+    grid = ens.grid
+    neighbours = _neighbour_table(grid, ens.start.dtype)
+    stride = 2 * grid.dim + 1
+    cells = ens.start[c0:c1].copy()
+    code = np.empty(len(cells), dtype=np.uint8)
+    at = np.empty(len(cells), dtype=np.int32)
+    yield cells
+    for k in range(grid.nt - 1):
+        row = ens.moves[k // 2, c0:c1]
+        if k % 2:
+            np.right_shift(row, 4, out=code)
+        else:
+            np.bitwise_and(row, 15, out=code)
+        _move(cells, code, neighbours, stride, at)
+        yield cells
 
 
 def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
@@ -335,13 +382,13 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     Level 0's cell draws and each step's uniforms (one per path) come from
     Philox keyed by (seed, level), so an ensemble is reproducible from the
     seed and path i is the same whatever ``count`` is.  Step k builds level
-    k's cumulative table (2*dim, n_space) from v[k] split by sign, compares
-    each path's uniform with its cell's entries and moves it through a fixed
-    neighbour table, ``_CHUNK`` paths at a time: a level's stream drawn
-    chunk after chunk gives the same uniforms, and the scratch is one
-    chunk's.  Cells are stored time-major in the narrowest unsigned type
-    that holds every cell index, (nt, count): 2 bytes per path and level at
-    64^2 nodes, 1 byte up to 256 nodes.
+    k's cumulative table (2*dim, n_space) from v[k] split by sign, counts
+    the entries of each path's cell that its uniform reaches, which is the
+    step's code, and moves the path through a fixed neighbour table,
+    ``_CHUNK`` paths at a time: a level's stream drawn chunk after chunk
+    gives the same uniforms, and the scratch is one chunk's.  The sampler
+    holds one running cell per path; the ensemble stores the level-0 cells
+    and the codes, half a byte per path and step (``TrajectoryEnsemble``).
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -351,33 +398,41 @@ def sample_trajectories(m0: np.ndarray, v: VecField, count: int,
     if not mass > 0:
         raise ParameterError("initial density has zero total mass")
     _check_cfl(v)
-    cells = np.empty((grid.nt, count), dtype=np.min_scalar_type(grid.n_space - 1))
-    neighbours = _neighbour_table(grid, cells.dtype)
+    start = np.empty(count, dtype=np.min_scalar_type(grid.n_space - 1))
+    # every row is written by its even step first, then OR-ed by its odd one
+    moves = np.empty((grid.nt // 2, count), dtype=np.uint8)
+    neighbours = _neighbour_table(grid, start.dtype)
     stride = 2 * grid.dim + 1
     chunks = [(c0, min(c0 + _CHUNK, count)) for c0 in range(0, count, _CHUNK)]
-    # one chunk's scratch, reused: uniforms, neighbour-table indices; a split
+    # one chunk's scratch, reused: uniforms, codes, neighbour-table indices; a split
     draw = np.empty(min(count, _CHUNK))
+    code = np.empty(min(count, _CHUNK), dtype=np.uint8)
     pick = np.empty(min(count, _CHUNK), dtype=np.int32)
     split = np.empty((2 * grid.dim, *grid.nx))
     cum = np.cumsum(m0.ravel() / np.sum(m0))
     cum[-1] = 1.0
     stream = _level_rng(seed, 0)
     for c0, c1 in chunks:
-        cells[0, c0:c1] = np.searchsorted(cum, stream.random(out=draw[:c1 - c0]), side="right")
+        start[c0:c1] = np.searchsorted(cum, stream.random(out=draw[:c1 - c0]), side="right")
+    cells = start.copy()                                   # each path's cell at level k
     for k in range(grid.nt - 1):
         jumps = _jump_table(split_by_sign(v.values[k], out=split), grid)
         stream = _level_rng(seed, k + 1)
+        row = moves[k // 2]
         for c0, c1 in chunks:
             uniform = stream.random(out=draw[:c1 - c0])
-            cur, at = cells[k, c0:c1], pick[:c1 - c0]
-            # in int32: a narrow cell index times the stride would wrap
-            np.multiply(cur, stride, out=at, dtype=at.dtype)
+            cur, step, at = cells[c0:c1], code[:c1 - c0], pick[:c1 - c0]
+            step[...] = 0
             # fancy indexing casts narrow indices in small buffers, where take
             # would copy them whole to intp
             for e in range(stride - 1):
-                at += jumps[e][cur] <= uniform
-            np.take(neighbours, at, out=cells[k + 1, c0:c1])
-    return TrajectoryEnsemble(grid=grid, cells=cells, weight=mass / count)
+                step += jumps[e][cur] <= uniform
+            _move(cur, step, neighbours, stride, at)
+            if k % 2:
+                row[c0:c1] |= np.left_shift(step, 4, out=step)
+            else:
+                row[c0:c1] = step
+    return TrajectoryEnsemble(grid=grid, start=start, moves=moves, weight=mass / count)
 
 
 def pushforward_distance(ens: TrajectoryEnsemble, m: DensityField, t: int) -> float:
@@ -386,8 +441,7 @@ def pushforward_distance(ens: TrajectoryEnsemble, m: DensityField, t: int) -> fl
     [0, 2], and is 2 where m(t) carries no mass."""
     if ens.grid != m.grid:
         raise ParameterError("ensemble and density live on different grids")
-    counts = np.bincount(ens.cells[ens.grid.check_time_index(t)],
-                         minlength=ens.grid.n_space).reshape(ens.grid.nx)
+    counts = np.bincount(ens.cells_at(t), minlength=ens.grid.n_space).reshape(ens.grid.nx)
     slice_m = m.at(t)
     mass = np.sum(slice_m)
     if mass <= 0:
@@ -405,18 +459,24 @@ def pushforward_floor(m: DensityField, t: int, count: int) -> float:
 
 
 def write_trajectories(path, ens: TrajectoryEnsemble) -> None:
-    """CSV rows: path_id, t, x_1..x_N, weight, with node coordinates built
-    one path at a time; one ``%`` format per path."""
+    """CSV rows: path_id, t, x_1..x_N, weight.  Paths are walked through all
+    levels ``_CHUNK`` at a time, so the cells held are O(nt * _CHUNK); node
+    coordinates are built one path at a time, one ``%`` format per path."""
     grid = ens.grid
     row = "%d," + ",".join(["%.17g"] * (grid.dim + 2)) + "\n"
     per_path = row * grid.nt
     cols = np.empty((grid.nt, grid.dim + 3))     # path_id, t, x_1..x_N, weight
     cols[:, 1] = grid.times()
     cols[:, -1] = ens.weight
+    block = np.empty((grid.nt, min(ens.count, _CHUNK)), dtype=ens.start.dtype)
     with open(path, "w") as fh:
         xs = ",".join(f"x{a + 1}" for a in range(grid.dim))
         fh.write(f"path_id,t,{xs},weight\n")
-        for i in range(ens.count):
-            cols[:, 0] = i
-            cols[:, 2:-1] = _node_coords(grid, ens.cells[:, i])
-            fh.write(per_path % tuple(cols.ravel().tolist()))
+        for c0 in range(0, ens.count, _CHUNK):
+            c1 = min(c0 + _CHUNK, ens.count)
+            for k, cells in enumerate(_walk(ens, c0, c1)):
+                block[k, :c1 - c0] = cells
+            for i in range(c0, c1):
+                cols[:, 0] = i
+                cols[:, 2:-1] = _node_coords(grid, block[:, i - c0])
+                fh.write(per_path % tuple(cols.ravel().tolist()))

@@ -49,10 +49,41 @@ def chain_reference(m0, v, count, seed):
     return cells
 
 
+def stacked_cells(ens):
+    """Every path's cell at every level, (nt, count), level by level from
+    ``cells_at``."""
+    return np.stack([ens.cells_at(k) for k in range(ens.grid.nt)])
+
+
+def walk_reference(grid, start, codes):
+    """Cells (nt, count) of paths from ``start`` by step codes (nt - 1,
+    count), moved by index arithmetic: code a < dim is +e_a, dim + a is
+    -e_a, 2*dim stays."""
+    d = grid.dim
+    idx = np.stack(np.unravel_index(np.asarray(start, dtype=np.intp), grid.nx))
+    cells = [np.ravel_multi_index(idx, grid.nx)]
+    for code in codes:
+        for a in range(d):
+            idx[a] = (idx[a] + (code == a) - (code == d + a)) % grid.nx[a]
+        cells.append(np.ravel_multi_index(idx, grid.nx))
+    return np.stack(cells)
+
+
+def hand_built(grid, start, codes, weight):
+    """The ensemble of paths from ``start`` by step codes (nt - 1, count),
+    the codes packed two to a byte as the sampler stores them."""
+    codes = np.asarray(codes, dtype=np.uint8).reshape(grid.nt - 1, -1)
+    moves = np.zeros((grid.nt // 2, codes.shape[1]), dtype=np.uint8)
+    moves |= codes[0::2]
+    moves[:len(codes) // 2] |= codes[1::2] << 4
+    start = np.asarray(start, dtype=np.min_scalar_type(grid.n_space - 1))
+    return TrajectoryEnsemble(grid=grid, start=start, moves=moves, weight=weight)
+
+
 def cell_steps(ens):
     """Per-axis index change of every path at every step, wrapped into
     [-n/2, n/2), shape (nt - 1, count, dim)."""
-    idx = np.stack(np.unravel_index(ens.cells, ens.grid.nx), axis=-1)
+    idx = np.stack(np.unravel_index(stacked_cells(ens), ens.grid.nx), axis=-1)
     n = np.array(ens.grid.nx)
     return (np.diff(idx, axis=0) + n // 2) % n - n // 2
 
@@ -65,15 +96,17 @@ def gaussian_bump(x, center, sigma=0.05):
 class TestSolveContinuity:
     def test_marches_one_split_level_at_a_time(self):
         # 2D 64^2x65 at load <= 0.8, in units of one density array.
-        # Measured: 2.13, the density, its frozen copy in the field and that
-        # copy's finiteness mask; each level is split by sign in a level
-        # buffer and clamped in place (5.1 when all nt - 1 levels were split
-        # at once and the clamp made a copy)
+        # Measured: 1.20, the density, which the field takes read-only as it
+        # is, and its finiteness mask; each level is split by sign in a
+        # level buffer and clamped in place (2.19 when the field copied the
+        # writable density, 5.1 when all nt - 1 levels were split at once
+        # and the clamp made a copy)
         grid = TorusGrid(2, (64, 64), 65, 1.0)
         rng = np.random.default_rng(5)
         v = VecField(grid, rng.uniform(-0.4, 0.4, (65, 64, 64, 2)))
         m, peak = traced_peak(solve_continuity, rng.random((64, 64)), v)
-        assert peak <= 2.5 * m.values.nbytes
+        assert peak <= 1.5 * m.values.nbytes
+        assert not m.values.flags.writeable
         assert np.min(m.values) >= 0.0
 
     @pytest.mark.parametrize("dim,nx", [(1, (5,)), (1, (64,)), (2, (6, 7))])
@@ -215,9 +248,12 @@ class TestSampleTrajectories:
     def test_zero_velocity_constant_paths(self):
         grid = TorusGrid(1, (32,), 9, 1.0)
         ens = sample_trajectories(np.ones(32), const_velocity(grid, [0.0]), 50, seed=1)
-        positions = transport._node_coords(grid, ens.cells.T)
+        # every step's code is 2, stay, in both halves of every byte
+        assert np.all(ens.moves == 2 | 2 << 4)
+        cells = stacked_cells(ens)
+        positions = transport._node_coords(grid, cells.T)
         for k in range(grid.nt):
-            np.testing.assert_array_equal(ens.cells[k], ens.cells[0])
+            np.testing.assert_array_equal(cells[k], ens.start)
             np.testing.assert_array_equal(positions[:, k], positions[:, 0])
 
     def test_load_one_moves_every_path_one_cell_per_step(self):
@@ -226,12 +262,12 @@ class TestSampleTrajectories:
         steps = np.arange(grid.nt)[:, None]
         for vel, sign in ((0.25, 1), (-0.25, -1)):
             ens = sample_trajectories(np.ones(32), const_velocity(grid, [vel]), 20, seed=2)
-            np.testing.assert_array_equal(ens.cells, (ens.cells[0] + sign * steps) % 32)
+            np.testing.assert_array_equal(stacked_cells(ens), (ens.start + sign * steps) % 32)
         # 2D, along the second axis only: dt = 1/4, dx_1 = 1/16
         grid = TorusGrid(2, (8, 16), 5, 1.0)
         ens = sample_trajectories(np.ones((8, 16)), const_velocity(grid, [0.0, -0.25]),
                                   20, seed=3)
-        rows, cols = np.unravel_index(ens.cells, grid.nx)
+        rows, cols = np.unravel_index(stacked_cells(ens), grid.nx)
         np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
         np.testing.assert_array_equal(cols, (cols[0] - np.arange(grid.nt)[:, None]) % 16)
 
@@ -240,9 +276,10 @@ class TestSampleTrajectories:
         v = const_velocity(grid, [0.2])
         a = sample_trajectories(np.ones(32), v, 100, seed=7)
         b = sample_trajectories(np.ones(32), v, 100, seed=7)
-        np.testing.assert_array_equal(a.cells, b.cells)
+        assert a.start.tobytes() == b.start.tobytes()
+        assert a.moves.tobytes() == b.moves.tobytes()
         c = sample_trajectories(np.ones(32), v, 100, seed=8)
-        assert np.any(c.cells != a.cells)
+        assert np.any(stacked_cells(c) != stacked_cells(a))
 
     def test_path_does_not_depend_on_count(self):
         grid = TorusGrid(2, (16, 16), 17, 1.0)
@@ -251,7 +288,8 @@ class TestSampleTrajectories:
         m0 = rng.random((16, 16))
         few = sample_trajectories(m0, v, 100, seed=5)
         many = sample_trajectories(m0, v, 1000, seed=5)
-        assert few.cells.tobytes() == np.ascontiguousarray(many.cells[:, :100]).tobytes()
+        assert stacked_cells(few).tobytes() \
+            == np.ascontiguousarray(stacked_cells(many)[:, :100]).tobytes()
 
     def test_total_weight_matches_mass(self):
         grid = TorusGrid(1, (32,), 9, 1.0)
@@ -291,7 +329,8 @@ class TestSampleTrajectories:
         assert np.any(steps != 0)
         # a jump along axis a has the sign of v_a in the cell it leaves
         vel = v.values[:-1].reshape(grid.nt - 1, -1, 2)
-        here = np.take_along_axis(vel, ens.cells[:-1, :, None].astype(np.intp), axis=1)
+        here = np.take_along_axis(vel, stacked_cells(ens)[:-1, :, None].astype(np.intp),
+                                  axis=1)
         assert np.all(steps * here >= 0)
         assert np.all((steps == 0) | (here != 0))
 
@@ -299,11 +338,13 @@ class TestSampleTrajectories:
         grid = TorusGrid(2, (6, 5), 7, 1.0)
         v = VecField(grid, np.random.default_rng(5).uniform(-0.4, 0.4, (7, 6, 5, 2)))
         ens = sample_trajectories(np.ones((6, 5)), v, 33, seed=4)
-        assert ens.cells.shape == (grid.nt, 33) and ens.cells.dtype == np.uint8
-        assert ens.cells.flags.c_contiguous and ens.count == 33
-        positions = transport._node_coords(grid, ens.cells.T)
+        assert ens.start.shape == (33,) and ens.start.dtype == np.uint8
+        assert ens.moves.shape == (grid.nt // 2, 33) and ens.moves.dtype == np.uint8
+        assert ens.moves.flags.c_contiguous and ens.count == 33
+        cells = stacked_cells(ens)
+        positions = transport._node_coords(grid, cells.T)
         assert positions.shape == (33, grid.nt, grid.dim)
-        i, j = np.unravel_index(ens.cells.T, grid.nx)
+        i, j = np.unravel_index(cells.T, grid.nx)
         assert positions[..., 0].tobytes() == grid.axis_coords(0)[i].tobytes()
         assert positions[..., 1].tobytes() == grid.axis_coords(1)[j].tobytes()
         assert np.all((positions >= 0.0) & (positions < 1.0))
@@ -315,8 +356,8 @@ class TestSampleTrajectories:
         v = VecField(grid, rng.uniform(-0.28, 0.28, (9, 16, 12, 2)))
         m0 = rng.random((16, 12))
         ens = sample_trajectories(m0, v, count, seed=13)
-        assert ens.cells.dtype == np.uint8          # 192 nodes
-        assert ens.cells.astype(np.int32).tobytes() \
+        assert ens.start.dtype == np.uint8          # 192 nodes
+        assert stacked_cells(ens).astype(np.int32).tobytes() \
             == chain_reference(m0, v, count, seed=13).tobytes()
 
     @pytest.mark.parametrize("nx,vmax,dtype", [
@@ -329,8 +370,8 @@ class TestSampleTrajectories:
         v = VecField(grid, rng.uniform(-vmax, vmax, (grid.nt, *nx, grid.dim)))
         m0 = rng.random(nx)
         ens = sample_trajectories(m0, v, 300, seed=14)
-        assert ens.cells.dtype == dtype
-        assert ens.cells.astype(np.int32).tobytes() \
+        assert ens.start.dtype == dtype
+        assert stacked_cells(ens).astype(np.int32).tobytes() \
             == chain_reference(m0, v, 300, seed=14).tobytes()
 
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 53])
@@ -343,7 +384,7 @@ class TestSampleTrajectories:
         v = VecField(grid, rng.uniform(-0.28, 0.28, (9, 16, 12, 2)))
         m0 = rng.random((16, 12))
         ens = sample_trajectories(m0, v, count, seed=15)
-        assert ens.cells.astype(np.int32).tobytes() \
+        assert stacked_cells(ens).astype(np.int32).tobytes() \
             == chain_reference(m0, v, count, seed=15).tobytes()
 
     def test_chunks_bitwise_equal_one_chunk(self, monkeypatch):
@@ -357,27 +398,54 @@ class TestSampleTrajectories:
         chunked = sample_trajectories(m0, v, count, seed=16)
         monkeypatch.setattr(transport, "_CHUNK", count)
         whole = sample_trajectories(m0, v, count, seed=16)
-        assert chunked.cells.dtype == np.uint16
-        assert chunked.cells.tobytes() == whole.cells.tobytes()
+        assert chunked.start.dtype == np.uint16
+        assert chunked.start.tobytes() == whole.start.tobytes()
+        assert chunked.moves.tobytes() == whole.moves.tobytes()
 
-    def test_memory_is_one_cell_itemsize_per_path_and_level(self):
-        # the stored cells (uint8 at 256 nodes), then one level's jump
+    @pytest.mark.parametrize("nx,nt,vmax,dtype", [
+        ((16, 16), 17, 0.45, np.uint8),     # 256 nodes
+        ((24, 16), 33, 0.45, np.uint16),    # 384 nodes; dt/dx_a = 3/4, 1/2
+    ])
+    def test_memory_is_half_a_byte_per_path_and_step(self, nx, nt, vmax, dtype):
+        # the stored moves, two 4-bit codes a byte, the start cells and the
+        # running cells (one itemsize each per path), then one level's jump
         # table, the neighbour table and one chunk's scratch: a uniform
-        # (float64) and a pick index (int32), and for a moment a gathered
-        # probability (float64) and a comparison (bool), 21 bytes per path
-        # of a chunk, allowed 32; no per-path float64 is held, and float64
-        # positions alone would take 16 bytes per path and level here
-        grid = TorusGrid(2, (16, 16), 17, 1.0)
+        # (float64), a code (uint8) and a pick index (int32), and for a
+        # moment a gathered probability (float64) and a comparison (bool),
+        # 22 bytes per path of a chunk, allowed 32; no per-path float64 is
+        # held, and a cell per path and level would take 2 * 33 bytes per
+        # path on the uint16 grid against 16 + 4 here
+        grid = TorusGrid(2, nx, nt, 1.0)
         rng = np.random.default_rng(3)
-        v = VecField(grid, rng.uniform(-0.45, 0.45, (17, 16, 16, 2)))
-        m0 = rng.random((16, 16))
+        v = VecField(grid, rng.uniform(-vmax, vmax, (nt, *nx, 2)))
+        m0 = rng.random(nx)
         count = 3 * transport._CHUNK + 5
         ens, peak = traced_peak(sample_trajectories, m0, v, count, seed=1)
-        itemsize = ens.cells.itemsize
-        assert ens.cells.dtype == np.uint8
-        assert ens.cells.nbytes == itemsize * grid.nt * count
+        itemsize = ens.start.itemsize
+        assert ens.start.dtype == dtype and ens.moves.dtype == np.uint8
+        assert ens.moves.nbytes == grid.nt // 2 * count
         tables = 8 * grid.n_space * 2 * grid.dim + itemsize * grid.n_space * 5
-        assert peak <= itemsize * grid.nt * count + tables + 32 * transport._CHUNK
+        assert peak <= grid.nt // 2 * count + 2 * itemsize * count + tables \
+            + 32 * transport._CHUNK
+
+    @pytest.mark.parametrize("nt", [2, 3, 8, 9])
+    def test_cells_at_walks_the_codes(self, nt):
+        # the low half of a byte is the even step, the high half the odd
+        # one; at even nt the last row's high half is unused
+        grid = TorusGrid(2, (5, 4), nt, 1.0)
+        rng = np.random.default_rng(nt)
+        start = rng.integers(0, 20, 40)
+        codes = rng.integers(0, 5, (nt - 1, 40))
+        ens = hand_built(grid, start, codes, 0.1)
+        assert ens.moves.shape == (nt // 2, 40) and ens.count == 40
+        cells = stacked_cells(ens)
+        assert cells.dtype == np.uint8
+        assert cells.astype(np.intp).tobytes() == walk_reference(grid, start, codes).tobytes()
+        # each call walks afresh: a level is not a view of another
+        assert ens.cells_at(0) is not ens.cells_at(0)
+        assert ens.cells_at(0).tobytes() == ens.start.tobytes()
+        with pytest.raises(IndexError):
+            ens.cells_at(nt)
 
 
 class TestPushforward:
@@ -415,16 +483,17 @@ class TestPushforward:
     def test_identical_distributions_zero(self):
         grid = TorusGrid(1, (4,), 3, 1.0)
         m = solve_continuity(np.ones(4), const_velocity(grid, [0.0]))
-        cells = np.tile(np.arange(4, dtype=np.int32), (3, 1))
-        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=0.25)
-        assert pushforward_distance(ens, m, 1) == pytest.approx(0.0, abs=1e-14)
+        # one cell per path, every path one cell right, then back
+        ens = hand_built(grid, np.arange(4), [[0] * 4, [1] * 4], 0.25)
+        for k in range(grid.nt):
+            assert pushforward_distance(ens, m, k) == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_built_histogram_half_off(self):
-        # the histogram (1/2, 1/4, 0, 1/4) against the uniform 1/4: exactly 1/2
+        # the histogram (1/2, 1/4, 0, 1/4), shifted one cell right at each
+        # step, against the uniform 1/4: exactly 1/2
         grid = TorusGrid(1, (4,), 3, 1.0)
         m = solve_continuity(np.ones(4), const_velocity(grid, [0.0]))
-        cells = np.tile(np.array([0, 0, 1, 3], dtype=np.uint8), (3, 1))
-        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=0.25)
+        ens = hand_built(grid, [0, 0, 1, 3], np.zeros((2, 4)), 0.25)
         for k in range(grid.nt):
             assert pushforward_distance(ens, m, k) == 0.5
 
@@ -433,19 +502,27 @@ class TestPushforward:
         m0 = np.zeros(8)
         m0[:2] = 1.0                                   # density on the left
         m = solve_continuity(m0, const_velocity(grid, [0.0]))
-        cells = np.full((3, 5), 6, dtype=np.int32)     # paths on the right
-        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=0.05)
-        assert pushforward_distance(ens, m, 0) == pytest.approx(2.0)
+        # paths on the right: one cell further right, then back
+        ens = hand_built(grid, np.full(5, 6), [[0] * 5, [1] * 5], 0.05)
+        for k in range(grid.nt):
+            assert pushforward_distance(ens, m, k) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("weight", [1 / 3, 5e-324])
     @pytest.mark.parametrize("time_major", [False, True])
-    def test_csv_bytes_equal_row_by_row_reference(self, tmp_path, time_major, weight):
-        grid = TorusGrid(2, (4, 4), 3, 0.7)
-        cells = np.random.default_rng(12).integers(0, 16, (3, 5)).astype(np.int32)
-        cells[0, 0], cells[2, 1] = 0, 15
+    @pytest.mark.parametrize("chunk", [2, 1 << 14])
+    def test_csv_bytes_equal_row_by_row_reference(self, tmp_path, monkeypatch, time_major,
+                                                  weight, chunk):
+        # chunks of 2 paths walk 5 paths in three blocks, the last of one path
+        monkeypatch.setattr(transport, "_CHUNK", chunk)
+        grid = TorusGrid(2, (4, 4), 4, 0.7)
+        rng = np.random.default_rng(12)
+        start, codes = rng.integers(0, 16, 5), rng.integers(0, 5, (3, 5))
+        start[0] = 0
+        cells = walk_reference(grid, start, codes)
+        ens = hand_built(grid, start, codes, weight)
         if not time_major:
-            cells = np.ascontiguousarray(cells.T).T      # a path-major array's view
-        ens = TrajectoryEnsemble(grid=grid, cells=cells, weight=weight)
+            moves = np.ascontiguousarray(ens.moves.T).T   # a path-major array's view
+            ens = TrajectoryEnsemble(grid=grid, start=ens.start, moves=moves, weight=weight)
         write_trajectories(tmp_path / "paths.csv", ens)
         rows = ["path_id,t,x1,x2,weight\n"]
         for i in range(ens.count):
