@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import DensityField, ScalarField, TorusGrid, VecField, _interp_plan, norm_lp
-from .model import SpeedModel, cost_deriv_conj
+from .model import SpeedModel, _component_norm, cost_deriv_conj
 from . import pdopt
 from .pdopt import ProblemInstance
 # unused here; perfbench/tracing.py wraps them in this namespace
@@ -142,38 +142,46 @@ def check_weak_solution(problem: ProblemInstance, u: ScalarField, f: ScalarField
 
     checked at n_levels evenly spaced time levels; the relative defect of
     each must stay within slack.  Both require f = k(m) nodewise first, or
-    fail with the defect max |f - k(m)| and its relative slack 1e-6."""
+    fail with the defect max |f - k(m)| and its relative slack 1e-6.  k(m)
+    and the level sums <f m>, <u m> are taken one block of
+    ``pdopt._block_levels`` levels at a time (2 at 64^2, one block for a 1D
+    run at 64 points), with the bits of whole-field sums."""
     grid = problem.grid
     vol = grid.cell_volume
-    k_of_m = cost_deriv_conj(problem.cost, m.values)
-    pre_defect = float(np.max(np.abs(f.values - k_of_m)))
-    if pre_defect > 1e-6 * (1.0 + float(np.max(np.abs(k_of_m)))):
+    axes = tuple(range(1, grid.dim + 1))
+    step = pdopt._block_levels(grid)
+    sums = np.empty((4, grid.nt))
+    for k0 in range(0, grid.nt, step):
+        block = slice(k0, k0 + step)
+        u_b, f_b, m_b = u.values[block], f.values[block], m.values[block]
+        k_of_m = cost_deriv_conj(problem.cost, m_b)
+        sums[:, block] = (np.max(np.abs(k_of_m), axis=axes),
+                          np.max(np.abs(f_b - k_of_m), axis=axes),
+                          np.sum(f_b * m_b, axis=axes) * vol, np.sum(u_b * m_b, axis=axes) * vol)
+    peak_k, defect, fm, um = sums
+    pre_defect = float(np.max(defect))
+    if pre_defect > 1e-6 * (1.0 + float(np.max(peak_k))):
         return tuple(CertReport(name=name, passed=False, lhs=pre_defect, slack=1e-6)
                      for name in ("weak_identity_from_start", "weak_identity_to_end"))
-    fm = np.sum(f.values * m.values, axis=tuple(range(1, grid.dim + 1))) * vol
-    um = np.sum(u.values * m.values, axis=tuple(range(1, grid.dim + 1))) * vol
     u0m0 = float(np.sum(u.values[0] * problem.m0) * vol)
     uTmT = float(np.sum(problem.u_T * m.values[-1]) * vol)
     # the levels are nondecreasing: a set dedupes them (np.unique would
     # import numpy.ma)
     levels = sorted(set(np.linspace(0, grid.nt - 1, n_levels).astype(int).tolist()))
     scale = max(abs(u0m0), abs(uTmT), grid.dt * float(np.sum(np.abs(fm))), 1e-10)
-    worst = [0.0, None]
-    worst2 = [0.0, None]
-    for j in levels:
-        run_0t = grid.dt * float(np.sum(fm[:j]))
-        run_tT = grid.dt * float(np.sum(fm[j:-1])) if j < grid.nt - 1 else 0.0
-        d1 = abs(u0m0 - (um[j] + run_0t)) / scale
-        d2 = abs(um[j] - (uTmT + run_tT)) / scale
-        if d1 > worst[0]:
-            worst = [d1, (int(j),)]
-        if d2 > worst2[0]:
-            worst2 = [d2, (int(j),)]
-    r1 = CertReport(name="weak_identity_from_start", passed=bool(worst[0] <= slack),
-                    lhs=float(worst[0]), slack=slack, worst_location=worst[1])
-    r2 = CertReport(name="weak_identity_to_end", passed=bool(worst2[0] <= slack),
-                    lhs=float(worst2[0]), slack=slack, worst_location=worst2[1])
-    return r1, r2
+    reports = []
+    for name, defects in (
+            ("weak_identity_from_start",
+             [abs(u0m0 - (um[j] + grid.dt * float(np.sum(fm[:j])))) / scale for j in levels]),
+            ("weak_identity_to_end",
+             [abs(um[j] - (uTmT + grid.dt * float(np.sum(fm[j:-1])))) / scale for j in levels])):
+        worst, where = 0.0, None
+        for j, defect_j in zip(levels, defects):
+            if defect_j > worst:
+                worst, where = defect_j, (j,)
+        reports.append(CertReport(name=name, passed=bool(worst <= slack), lhs=float(worst),
+                                  slack=slack, worst_location=where))
+    return tuple(reports)
 
 
 # -- pointwise HJ on the support of m ----------------------------------------
@@ -222,19 +230,19 @@ def check_pointwise_hj(u: ScalarField, f: ScalarField, m: DensityField,
 # -- subsolution inequality against sampled admissible fields -----------------
 
 
-def _fourier_modes(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -> tuple:
-    """The modes of one smooth random space-time field, drawn in order, as
-    one table: each mode's distinct values s of ``x @ kvec``, one after the
-    other in ``values``; ``params``, the mode's time frequency, phase and
-    amplitude at each of its values, (3, len(values)), so one evaluation
-    serves all modes; and ``inv``, (modes, n_space) in the narrowest
+def _fourier_modes(rng: np.random.Generator, grid: TorusGrid) -> tuple:
+    """The three modes of one smooth random space-time field, drawn in
+    order, as one table: each mode's distinct values s of ``x @ kvec``, one
+    after the other in ``values``; ``params``, the mode's time frequency,
+    phase and amplitude at each of its values, (3, len(values)), so one
+    evaluation serves all modes; and ``inv``, (3, n_space) in the narrowest
     unsigned type, which gathers each mode's values to the nodes.  Lattice
     nodes and an integer kvec repeat ``x @ kvec``, so a mode has at most
     n_space values and one cos serves many nodes.  A field is three small
     arrays, so a check can hold every draw's table."""
     x = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
     rows, params, gathers, start = [], [], [], 0
-    for _ in range(modes):
+    for _ in range(3):
         kvec = rng.integers(-3, 4, size=grid.dim)
         omega = rng.uniform(-2.0, 2.0)
         phase = rng.uniform(0, 2 * np.pi)
@@ -267,10 +275,10 @@ def _modes_on(table: tuple, grid: TorusGrid, k0: int, k1: int) -> np.ndarray:
     return out.reshape(k1 - k0, *grid.nx)
 
 
-def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid, modes: int = 3) -> np.ndarray:
+def _fourier_scalar(rng: np.random.Generator, grid: TorusGrid) -> np.ndarray:
     """Smooth random field over space-time, O(1) amplitude: the modes of
     ``_fourier_modes`` on all levels."""
-    return _modes_on(_fourier_modes(rng, grid, modes), grid, 0, grid.nt)
+    return _modes_on(_fourier_modes(rng, grid), grid, 0, grid.nt)
 
 
 def sample_admissible_field(speed: SpeedModel, grid: TorusGrid,
@@ -414,9 +422,19 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
     |x-y| <= beta*c0*(s-t) for beta = 1/2, and of the terminal upper bound
     u(t,x) <= u_T(x) + C (T-t)^alpha ||f||_p.
 
+    The samples are drawn from ``default_rng(seed)`` as arrays, in this
+    order: the levels t, then s > t, each axis's node index of x, the
+    directions of y - x, then the uniforms of its radius.  Both bounds of
+    all samples are then taken in one array pass, u(s, y) over the corner
+    plan of ``interp_space``, which gives each point the value it gets
+    alone, and (s-t)^alpha by scalar powers.  The worst excess is the first
+    largest, a sample's pair bound before its terminal bound.
+
     Supports speeds with a ``ball_radius`` only (the averaging construction
     assumes a fixed ball of admissible velocities); other speeds produce a
     skipped report."""
+    if samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {samples}")
     grid = u.grid
     c0 = speed.ball_radius
     if c0 is None:
@@ -430,41 +448,29 @@ def check_holder(u: ScalarField, f: ScalarField, p: float, speed: SpeedModel,
     # covers |u_disc - u| at the two sampled points, first-order in (dx, dt)
     slack = (1.0 + _lip_space(u.values, grid)) * _disc_scale(grid)
     rng = np.random.default_rng(seed)
-    # every sample's draws first, in the order of a sample-by-sample loop
-    draws = []
-    for _ in range(samples):
-        t_idx = int(rng.integers(0, grid.nt - 1))
-        s_idx = int(rng.integers(t_idx + 1, grid.nt))
-        dt_pair = (s_idx - t_idx) * grid.dt
-        x_idx = tuple(int(rng.integers(0, n)) for n in grid.nx)
-        x = np.array([i / n for i, n in zip(x_idx, grid.nx)])
-        delta = rng.uniform(-1.0, 1.0, size=grid.dim)
-        nrm = np.linalg.norm(delta)
-        radius = beta * c0 * dt_pair * rng.uniform(0.0, 1.0)
-        y = x + (delta / nrm * radius if nrm > 0 else 0.0)
-        draws.append((t_idx, s_idx, dt_pair, x_idx, y))
-    # then u(s, y) of all samples in one pass over the corner plan of
-    # ``interp_space``, which gives each point the value it gets alone
+    t = rng.integers(0, grid.nt - 1, size=samples)
+    s = rng.integers(t + 1, grid.nt)
+    x_idx = [rng.integers(0, n, size=samples) for n in grid.nx]
+    delta = rng.uniform(-1.0, 1.0, size=(samples, grid.dim))
+    radius = beta * c0 * ((s - t) * grid.dt) * rng.uniform(0.0, 1.0, size=samples)
+    # y = x + delta / |delta| * radius, and x where delta = 0
+    nrm = _component_norm(delta)[:, None]
+    y = np.divide(delta, nrm, out=np.zeros_like(delta), where=nrm > 0) * radius[:, None]
+    y += np.stack(x_idx, axis=-1) / grid.nx
     levels = u.values.reshape(grid.nt, -1)
-    s_all = np.array([d[1] for d in draws], dtype=int)
     u_sy = np.zeros(samples)
-    for idx, weight in _interp_plan(np.array([d[4] for d in draws]).reshape(-1, grid.dim),
-                                    grid.nx):
-        u_sy += levels[s_all, idx] * weight
-    worst = (-np.inf, None)
-    for (t_idx, s_idx, dt_pair, x_idx, _), at_y in zip(draws, u_sy.tolist()):
-        lhs = float(u.values[t_idx][x_idx]) - at_y
-        rhs = c_pair * norm_f * dt_pair ** alpha + slack
-        if lhs - rhs > worst[0]:
-            worst = (lhs - rhs, (t_idx, s_idx))
-        # terminal bound at the same space point
-        lhs_t = float(u.values[t_idx][x_idx]) - float(u.values[-1][x_idx])
-        rhs_t = c_term * norm_f * ((grid.nt - 1 - t_idx) * grid.dt) ** alpha + slack
-        if lhs_t - rhs_t > worst[0]:
-            worst = (lhs_t - rhs_t, (t_idx, grid.nt - 1))
-    return CertReport(name="holder_bound", passed=bool(worst[0] <= 0.0),
-                      lhs=float(worst[0]), slack=float(slack),
-                      worst_location=worst[1])
+    for idx, weight in _interp_plan(y, grid.nx):
+        u_sy += levels[s, idx] * weight
+    at_x = np.ravel_multi_index(x_idx, grid.nx)
+    rise = np.array([(j * grid.dt) ** alpha for j in range(grid.nt)])
+    # each sample's pair bound, then its terminal bound
+    excess = np.stack([levels[t, at_x] - u_sy - (c_pair * norm_f * rise[s - t] + slack),
+                       levels[t, at_x] - levels[-1, at_x]
+                       - (c_term * norm_f * rise[grid.nt - 1 - t] + slack)], axis=1)
+    i, terminal = divmod(int(np.argmax(excess)), 2)
+    return CertReport(name="holder_bound", passed=bool(excess[i, terminal] <= 0.0),
+                      lhs=float(excess[i, terminal]), slack=float(slack),
+                      worst_location=(int(t[i]), grid.nt - 1 if terminal else int(s[i])))
 
 
 # -- duality gap and the battery ---------------------------------------------

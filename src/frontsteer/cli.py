@@ -240,26 +240,26 @@ def write_manifest(out: Path, config: dict, extra: dict) -> None:
         fh.write("\n")
 
 
-def write_front_csv(path: Path, u: ScalarField, level: float = 0.0) -> None:
+def write_front_csv(path: Path, u: ScalarField) -> None:
+    """The cells of the sublevel set {u <= 0} at every time level."""
     grid = u.grid
     with open(path, "w") as fh:
         cols = ",".join(f"i{a}" for a in range(grid.dim))
         fh.write(f"level,t,{cols}\n")
         for k in range(grid.nt):
-            cells = sorted(hj.extract_front(u, k, level))
-            t = k * grid.dt
-            for cell in cells:
-                fh.write(f"{k},{t:.17g}," + ",".join(str(i) for i in cell) + "\n")
+            for cell in sorted(hj.extract_front(u, k, 0.0)):
+                fh.write(f"{k},{k * grid.dt:.17g}," + ",".join(map(str, cell)) + "\n")
 
 
 def write_diagnostics_csv(path: Path, diag: pdopt.SolverDiagnostics) -> None:
-    """One row per checked iteration; tau, the primal step the iteration
-    took, comes last so the columns before it keep their places."""
+    """One row per checked iteration, its gap A + B formed here; tau, the
+    primal step the iteration took, comes last so the columns before it
+    keep their places."""
     with open(path, "w") as fh:
         fh.write("iter,A,B,gap,cont_residual,tau\n")
-        for i, a, b, g, c, t in zip(diag.iter_history, diag.a_history, diag.b_history,
-                                    diag.gap_history, diag.cont_history, diag.tau_history):
-            fh.write(f"{i},{a:.17g},{b:.17g},{g:.17g},{c:.17g},{t:.17g}\n")
+        for i, a, b, c, t in zip(diag.iter_history, diag.a_history, diag.b_history,
+                                 diag.cont_history, diag.tau_history):
+            fh.write(f"{i},{a:.17g},{b:.17g},{a + b:.17g},{c:.17g},{t:.17g}\n")
 
 
 # -- subcommands ---------------------------------------------------------------

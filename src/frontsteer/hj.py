@@ -191,13 +191,13 @@ class CounterexampleWindow:
         return (d <= -margin) | (d >= self.eps + margin)
 
 
-def counterexample_instance(eps: float, window_points: int = 401,
-                            nt: int = 201) -> CounterexampleWindow:
+def counterexample_instance(eps: float, window_points: int, nt: int) -> CounterexampleWindow:
     """Build the discrete counterexample embedding on a unit-period torus.
 
     The window [0,2] occupies half the torus (scale 4); unit window speed
-    becomes torus radius 1/4.  With the canonical 401 x 201 grid the CFL
-    ratio is exactly 1, so semi-Lagrangian feet land on nodes.
+    becomes torus radius 1/4.  With the canonical 401 x 201 grid of
+    ``reproduce`` (``cli.DEFAULT_CONFIG``) the CFL ratio is exactly 1, so
+    semi-Lagrangian feet land on nodes.
     """
     if window_points < 5:
         raise ParameterError("window needs at least 5 points")

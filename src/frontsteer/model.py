@@ -10,9 +10,12 @@ Two speed variants are supported:
   admissible set is their convex hull, and w in m*c(x,A) means (m, w) lies in
   the cone spanned by the generators g_i = (1, v_i(x)).  The cone check and
   the joint prox (``prox_cost_conj_hull``) are exact: they enumerate the
-  faces of at most dim + 1 generators (``hull_faces``) and solve one scalar
-  equation per face, in closed form for the cone check and at p = 3, by
-  Newton to round-off otherwise (``_solve_power_root``).
+  faces of the cone and solve one scalar equation per face, in closed form
+  for the cone check and at p = 3, by Newton to round-off otherwise
+  (``_solve_power_root``).  The cone check runs on the faces of at most
+  dim + 1 generators (``hull_faces``); the solver's prox runs on the split
+  generators (1, v_i^+(x), v_i^-(x)), faces of up to 2*dim + 1 of them
+  (``split_cone``).
 
 Each speed owns the operators its callers need, evaluated on the nodes of a
 ``TorusGrid``: ``cone_violation`` for a nodal w in m*c(x,A), ``velocity_samples``
@@ -129,12 +132,12 @@ class IsotropicSpeed:
         return self.radius_nodes(grid.nx)
 
     def split_project(self, grid, m: np.ndarray, w: np.ndarray,
-                      cone: np.ndarray | None = None) -> np.ndarray:
+                      cone: np.ndarray) -> np.ndarray:
         """Sign-clipped split momenta w, (2*dim, ..., *nx), scaled onto
         |w| = c(x)*m beyond a relative 1e-12 (the prox's round-off, left so an
         iterate keeps its certificate): the nearest point of m times the ball.
-        ``cone`` is ``split_cone(grid)``, built here when not given."""
-        cap = (self.split_cone(grid) if cone is None else cone) * m
+        ``cone`` is ``split_cone(grid)``."""
+        cap = cone * m
         norm = _component_norm(w, axis=0)
         over = norm > cap * (1.0 + 1e-12)
         return w * np.divide(cap, norm, out=np.ones_like(norm), where=over)
@@ -161,19 +164,14 @@ class IsotropicSpeed:
         return grid.dim, mix
 
     def velocity_samples(self, grid) -> list[np.ndarray]:
-        """Rest, then the 2*dim axis and 2^dim diagonal unit directions
-        (duplicates dropped) scaled to the node radius; each (*nx, dim)."""
+        """Rest, then the 2*dim axis unit directions and, in 2D, the four
+        diagonal ones (in 1D they are the axis ones), scaled to the node
+        radius; each (*nx, dim)."""
         dim = grid.dim
-        dirs = []
-        for a in range(dim):
-            for s in (1.0, -1.0):
-                e = np.zeros(dim)
-                e[a] = s
-                dirs.append(e)
-        for signs in itertools.product((1.0, -1.0), repeat=dim):
-            d = np.array(signs) / np.sqrt(dim)
-            if not any(np.allclose(d, seen) for seen in dirs):
-                dirs.append(d)
+        dirs = [np.where(np.arange(dim) == a, s, 0.0) for a in range(dim) for s in (1.0, -1.0)]
+        if dim == 2:
+            dirs += [np.array(signs) / np.sqrt(2) for signs in
+                     itertools.product((1.0, -1.0), repeat=2)]
         r = self.radius_nodes(grid.nx)
         return [np.zeros((*grid.nx, dim))] + [r[..., None] * d for d in dirs]
 
@@ -254,13 +252,11 @@ class FiniteControlsSpeed:
         return _cone_faces(self._split_node_velocities(grid))
 
     def split_project(self, grid, m: np.ndarray, w: np.ndarray,
-                      cone: HullFaces | None = None) -> np.ndarray:
+                      cone: HullFaces) -> np.ndarray:
         """Sign-clipped split momenta w moved into m times the split hull: the
         projection (m', w') of (m, w) onto the split cone, rescaled to w' m/m'
         (m' > 0 where m > 0: (m, w) has a positive product with each generator).
-        ``cone`` is ``split_cone(grid)``, built here when not given."""
-        if cone is None:
-            cone = self.split_cone(grid)
+        ``cone`` is ``split_cone(grid)``."""
         # coef = 0 leaves the projection; r = 1/2 only selects the root solver
         pm, pw = _hull_prox(cone, m, w, 0.0, 0.5)
         return pw * np.divide(m, pm, out=np.zeros_like(pm), where=pm > 0)

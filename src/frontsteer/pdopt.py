@@ -26,55 +26,18 @@ balls the SOC prox of the sign-clipped momentum, for finite hulls the face
 enumeration of ``prox_cost_conj_hull`` in 2*dim components.  The
 multiplier, sign-flipped, converges to the value function u.
 
-``optimize`` over-relaxes the iteration (Condat, JOTA 2013, Thm 3.1: any
-rho in (0, 2) converges under tau*sigma < 1).  From (x, y) it takes the
-prox point x~ and the dual point y~ = y + sigma (L L^T)^-1 rows(2 x~ - x),
-then moves x and y to x~ + (rho - 1)(x~ - x) and y~ + (rho - 1)(y~ - y),
-and the rows of x alike, as they are affine.  Iterations 1-16 take plain
-steps (rho = 1), later ones rho = 1.7; that count is set by the iterations
-to the stop (see ``optimize``).  The relaxed x may leave the cone, so the
-pair (y~, x~) is the one certified, stopped on and returned.  With default
-steps ``optimize`` also balances its two stop tests by halving or doubling
-tau every 32nd iteration, at most 8 times in a run (see ``optimize``).
-
-The loop runs in place on one ``_Workspace`` built before it.  Its split
+``optimize`` over-relaxes the iteration and, with default steps, balances
+its two stop tests by switching tau; it runs in place on one ``_Workspace``,
+whose iterates are the bits of the textbook allocating loop.  The split
 momenta are component-major, as in ``transport``, w = (w+_1..w+_dim,
 w-_1..w-_dim) of shape (2*dim, nt - 1, *nx); the bundle's pair holds them
-components last, transposed once at the end.  The state is x = (m, w) with
-its rows and y, and the prox point x~ = (m~, w~) with its rows, each x with
-its rows in one flat buffer, so one ufunc call relaxes it; y~ lives in the
-Gram solver's output buffer.  Besides that state (m, y and each rows
-(nt, *nx), w 2*dim times that, so (3 + 2*dim) node arrays for x and y and
-(2 + 2*dim) for x~) the workspace holds the adjoint's gm and gw (which
-also take the gradient step), the divergence of the rows of x~ with its
-flux and term, one buffer for the squared residual and then the
-extrapolated rows, and the Gram solver's spectrum, product and output
-buffers: about (8 + 2*dim) node arrays, plus the solver's factors (two of
-about one node array each and the nt x nt eigenbasis).  Against plain CP
-that is 2 + 2*dim node arrays more for x~ and its rows, less the second row
-buffer that plain CP's extrapolated rows took.  The stencils of the rows and
-of the adjoint are sliced once, when the workspace is built
-(``transport._divergence``, ``transport._differences``).  The prox writes
-x~ in place.  Each iteration does the floating-point operations of the
-textbook allocating loop in the same order, so the iterates are the same
-bits.
+components last.
 
 The gap A + B that ``optimize`` records and stops on is a certificate
-(``_certificate``): A belongs to the primal point u = -y~, u(T) = u_T,
-f = max(HJ residual of u, 0), and B to the dual point that marches m0 with
-the split velocities of x~, both exactly feasible, so A + B >= 0 by
-summation by parts and the discrete optimal value lies in [-A, B].
-``optimize`` builds it only on the iterations that can stop the run (those
-with a continuity residual at most tol_cont), on the last one, on
-iterations 1, 2, 4, 8, ... for a log-spaced record and, with default
-steps, on every 32nd while the steps may still switch, and judges it by
-``_gap_certified``, as in ``certify.battery``.  The public ``certificate``
-certifies the stored pairs (w+, w-) of ``certify.duality_gap``, a nodal w
-as (w, w), split by sign and moved into the split set block by block, so a
-bundle re-certifies to the gap ``optimize`` recorded.  Both build A and B
-in one pass over blocks of ``_block_levels`` time levels, holding two
-level-sized (nt, *nx) buffers plus one block, never a full momentum or
-velocity array, and give the bits of a whole-array pass.
+(``_certificate``) of two exactly feasible points, so the discrete optimal
+value lies in [-A, B].  The public ``certificate`` certifies the stored
+pairs (w+, w-) of ``certify.duality_gap``, so a bundle re-certifies to the
+gap ``optimize`` recorded.
 """
 
 from __future__ import annotations
@@ -180,15 +143,14 @@ class SolverConfig:
 @dataclass
 class SolverDiagnostics:
     """Records of ``optimize``, one per checked iteration: its number, the
-    certified A, B and gap A + B (see ``_certificate``), the continuity
-    residual of the prox point and the tau it was taken with; each change
-    of the steps as (iteration, tau), taken after that iteration; and the
-    final step ``tau`` (the dual step is 0.96/tau)."""
+    certified A and B (see ``_certificate``), the continuity residual of
+    the prox point and the tau it was taken with; each change of the steps
+    as (iteration, tau), taken after that iteration; and the final step
+    ``tau`` (the dual step is 0.96/tau).  The gap of a check is A + B."""
 
     iterations: int = 0
     converged: bool = False
     iter_history: list = field(default_factory=list)
-    gap_history: list = field(default_factory=list)
     a_history: list = field(default_factory=list)
     b_history: list = field(default_factory=list)
     cont_history: list = field(default_factory=list)
@@ -200,15 +162,15 @@ class SolverDiagnostics:
 
     @property
     def final_gap(self) -> float:
-        return self.gap_history[-1] if self.gap_history else float("nan")
+        """A + B of the last check."""
+        return self.a_history[-1] + self.b_history[-1] if self.a_history else float("nan")
 
     @property
     def final_rel_gap(self) -> float:
         """The relative gap of the last check, the figure tol_gap bounds
         (``_relative_gap``)."""
-        if not self.gap_history:
-            return float("nan")
-        return _relative_gap(self.a_history[-1], self.b_history[-1])
+        return (_relative_gap(self.a_history[-1], self.b_history[-1]) if self.a_history
+                else float("nan"))
 
 
 @dataclass(frozen=True)
@@ -377,19 +339,14 @@ def evaluate_A(problem: ProblemInstance, u: ScalarField, f: ScalarField) -> floa
     return _a_value(problem, u.values[0], cost(problem.cost, f.values[:-1]))
 
 
-def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField,
-               details: dict | None = None) -> float:
+def evaluate_B(problem: ProblemInstance, m: DensityField, w: VecField) -> float:
     """B(m, w) = int u_T m(T) dx + iint K*(m) dx dt, or the +inf sentinel if
-    the cone constraint w in m*c(x,A) is violated beyond 1e-8.  Pass a dict
-    as ``details`` to receive the max violation."""
+    the cone constraint w in m*c(x,A) is violated beyond 1e-8 (the speed's
+    ``cone_violation``)."""
     grid = problem.grid
     if m.grid != grid or w.grid != grid:
         raise ParameterError("fields live on a different grid")
-    viol = problem.speed.cone_violation(grid, m.values, w.values)
-    if details is not None:
-        details["max_violation"] = viol
-        details["feasible"] = viol <= 1e-8
-    if viol > 1e-8:
+    if problem.speed.cone_violation(grid, m.values, w.values) > 1e-8:
         return float("inf")
     return _b_value(problem, m.values[-1], cost_conj(problem.cost, m.values[:-1]))
 
@@ -569,18 +526,25 @@ def _flat_views(*shapes) -> tuple[np.ndarray, list[np.ndarray]]:
 
 class _Workspace:
     """The CP state and every buffer its iteration reuses, built once before
-    the loop (see the module docstring).  The state is the relaxed iterate
-    x = (m, w) with its rows r, in one flat buffer ``x``, and y; the prox
+    the loop.  The state is the relaxed iterate x = (m, w) with its rows r,
+    in one flat buffer ``x``, so one ufunc call relaxes it, and y; the prox
     point x~ = (m_prox, w_prox) with its rows r_prox, in ``x_prox`` laid out
     as ``x``, and y_prox, the Gram solver's output buffer; w and w_prox
-    component-major, (2*dim, nt - 1, *nx).  The buffers: gm and gw, the
+    component-major, (2*dim, nt - 1, *nx).  That is (3 + 2*dim) node arrays
+    for x and y and (2 + 2*dim) for x~.  The buffers: gm and gw, the
     adjoint and the gradient step; the divergence of the rows of x~ with
     its flux and term, three (nt - 1, *nx) arrays behind the prepared
     ``divergence``; ``differences``, the prepared one-sided differences of
     y into gw; ``scaled``, which takes the squared residual and then the
-    extrapolated rows 2 r_prox - r; and the Gram solver.  ``step`` runs one
-    iteration in place, with no (nt, *nx) array allocated outside the prox
-    and the Gram solve."""
+    extrapolated rows 2 r_prox - r; and the Gram solver's spectrum, product
+    and output buffers.  So about (8 + 2*dim) node arrays besides the state,
+    plus the solver's factors (two of about one node array each and the
+    nt x nt eigenbasis); against plain CP that is 2 + 2*dim node arrays
+    more for x~ and its rows, less the second row buffer that plain CP's
+    extrapolated rows took.  ``step`` runs one iteration in place, with no
+    (nt, *nx) array allocated outside the prox and the Gram solve, and does
+    the floating-point operations of the textbook allocating loop in the
+    same order, so the iterates are the same bits."""
 
     def __init__(self, problem: ProblemInstance, tau: float):
         grid = problem.grid
@@ -744,13 +708,11 @@ def optimize(problem: ProblemInstance, config: SolverConfig | None = None) -> Op
             # the prox keeps w_prox in the split set: no projection needed
             a_val, b_val = _certificate(problem, -ws.y_prox, ws.m_prox, ws.w_prox,
                                         details=cert_details)
-            gap = a_val + b_val
-            if np.isnan(gap):
+            if np.isnan(a_val + b_val):
                 raise NumericError(f"non-finite iterate at iteration {it}")
             diag.iter_history.append(it)
             diag.a_history.append(a_val)
             diag.b_history.append(b_val)
-            diag.gap_history.append(gap)
             diag.cont_history.append(cont)
             diag.tau_history.append(ws.tau)
             gap_met = _gap_certified(a_val, b_val, config.tol_gap)

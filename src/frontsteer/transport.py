@@ -136,17 +136,13 @@ def _differences(phi: np.ndarray, grid: TorusGrid, fwd: np.ndarray, bwd: np.ndar
     return _prepared(calls, fwd)
 
 
-def one_sided(phi: np.ndarray, grid: TorusGrid,
-              out: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+def one_sided(phi: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward differences (D+ phi, D- phi) over the space axes,
     the adjoint of ``split_divergence`` up to sign: div^T phi = (-D+ phi,
     -D- phi).  phi has shape (..., *nx) with arbitrary leading axes, each
-    result is component-major, (dim, ..., *nx), written into the pair
-    ``out`` (C-contiguous) if given.  The stencils are flat shifts with the
-    periodic faces written over (``_differences``)."""
-    fwd, bwd = (np.empty((grid.dim, *phi.shape)), np.empty((grid.dim, *phi.shape))) \
-        if out is None else out
+    result is component-major, (dim, ..., *nx).  The stencils are flat
+    shifts with the periodic faces written over (``_differences``)."""
+    fwd, bwd = np.empty((grid.dim, *phi.shape)), np.empty((grid.dim, *phi.shape))
     _differences(np.ascontiguousarray(phi), grid, fwd, bwd)()
     return fwd, bwd
 

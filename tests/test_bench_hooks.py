@@ -3,6 +3,7 @@
 (``perfbench/workloads.py``).  A refactor that drops, renames or re-signs
 one of those names should fail here, not in the benchmark run."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "frontsteer"
 
 
 def _load(name):
@@ -32,6 +34,27 @@ def _traced_calls():
 def test_traced_name_resolves(owner, attr):
     assert callable(getattr(owner, attr))
 
+
+
+def _unused_imports(path):
+    """The names a module imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "__init__"),
+                         ids=lambda p: p.stem)
+def test_unused_imports_are_traced_names(path):
+    """A module imports a name it never reads only for the traced run to
+    wrap it in that namespace."""
+    wrapped = {attr for owner, attr, _layer, _hook in _traced_calls()
+               if getattr(owner, "__name__", None) == f"frontsteer.{path.stem}"}
+    assert _unused_imports(path) <= wrapped
 
 
 def test_bundle_certificate_of_an_optimize_bundle_is_finite(tmp_path):

@@ -126,9 +126,9 @@ def closed_bundle(uniform_problem):
 
 
 def holder_reference(u, f, p, c0, samples, seed):
-    """``check_holder``'s sample loop with one ``interp_space`` call per
-    sample, the form before the interpolations were gathered in one pass:
-    (worst excess, its level pair)."""
+    """``check_holder`` sample by sample: the arrays it draws, in its order,
+    then each sample evaluated alone, with one ``interp_space`` call and
+    scalar arithmetic: (worst excess, its level pair)."""
     grid = u.grid
     beta = 0.5
     alpha = 1.0 - (grid.dim + 1.0) / p
@@ -137,18 +137,22 @@ def holder_reference(u, f, p, c0, samples, seed):
     c_term = holder_constant(p, grid.dim, c0, 0.0)
     slack = (1.0 + certify._lip_space(u.values, grid)) * certify._disc_scale(grid)
     rng = np.random.default_rng(seed)
+    ts = rng.integers(0, grid.nt - 1, size=samples)
+    ss = rng.integers(ts + 1, grid.nt)
+    nodes = np.stack([rng.integers(0, n, size=samples) for n in grid.nx], axis=-1)
+    deltas = rng.uniform(-1.0, 1.0, size=(samples, grid.dim))
+    uniforms = rng.uniform(0.0, 1.0, size=samples)
     worst = (-np.inf, None)
-    for _ in range(samples):
-        t_idx = int(rng.integers(0, grid.nt - 1))
-        s_idx = int(rng.integers(t_idx + 1, grid.nt))
+    for t_idx, s_idx, node, delta, uniform in zip(ts.tolist(), ss.tolist(), nodes.tolist(),
+                                                   deltas.tolist(), uniforms.tolist()):
         dt_pair = (s_idx - t_idx) * grid.dt
-        x_idx = tuple(int(rng.integers(0, n)) for n in grid.nx)
-        x = np.array([i / n for i, n in zip(x_idx, grid.nx)])
-        delta = rng.uniform(-1.0, 1.0, size=grid.dim)
-        nrm = np.linalg.norm(delta)
-        radius = beta * c0 * dt_pair * rng.uniform(0.0, 1.0)
-        y = x + (delta / nrm * radius if nrm > 0 else 0.0)
-        lhs = float(u.values[t_idx][x_idx]) - float(interp_space(u.values[s_idx], y, grid.nx))
+        x_idx = tuple(node)
+        radius = beta * c0 * dt_pair * uniform
+        nrm = math.sqrt(sum(d * d for d in delta))
+        y = [i / n + (d / nrm * radius if nrm > 0 else 0.0)
+             for i, n, d in zip(x_idx, grid.nx, delta)]
+        lhs = float(u.values[t_idx][x_idx]) - float(interp_space(u.values[s_idx], np.array(y),
+                                                                 grid.nx))
         rhs = c_pair * norm_f * dt_pair ** alpha + slack
         if lhs - rhs > worst[0]:
             worst = (lhs - rhs, (t_idx, s_idx))
@@ -271,6 +275,38 @@ class TestWeakSolution:
         assert [r.name for r in reports] == ["weak_identity_from_start", "weak_identity_to_end"]
         for r in reports:
             assert not r.passed and r.lhs == pytest.approx(0.5) and r.slack == 1e-6
+
+    @pytest.mark.parametrize("defect", [0.0, 1e-3])
+    def test_one_block_at_a_time_gives_the_whole_field_bits(self, defect):
+        # k(m), its defect against f and the level sums <f m>, <u m> of a
+        # 64^2x65 run, one block of 2 levels at a time: the reports of
+        # whole-field sums, past the precondition and failing it, at about
+        # 4.1 blocks of memory (whole fields took about 98)
+        grid = TorusGrid(2, (64, 64), 65, 1.0)
+        rng = np.random.default_rng(2)
+        m = rng.random((grid.nt, *grid.nx))
+        u = rng.standard_normal(m.shape)
+        prob = ProblemInstance(grid=grid, speed=IsotropicSpeed(2, 1.0), cost=CostModel(4.0),
+                               u_T=u[-1], m0=m[0])
+        k_of_m = cost_deriv_conj(prob.cost, m)
+        f = k_of_m + defect * rng.random(m.shape)
+        fields = (ScalarField(grid, u), ScalarField(grid, f), DensityField(grid, m))
+        reports, peak = traced_peak(check_weak_solution, prob, *fields)
+        assert peak <= 5 * pdopt._block_levels(grid) * m[0].nbytes
+        vol, axes = grid.cell_volume, (1, 2)
+        pre_defect = float(np.max(np.abs(f - k_of_m)))
+        if pre_defect > 1e-6 * (1.0 + float(np.max(np.abs(k_of_m)))):
+            assert [r.lhs for r in reports] == [pre_defect] * 2
+            return
+        fm, um = (np.sum(a * m, axis=axes) * vol for a in (f, u))
+        u0m0, uTmT = float(np.sum(u[0] * m[0]) * vol), float(np.sum(u[-1] * m[-1]) * vol)
+        scale = max(abs(u0m0), abs(uTmT), grid.dt * float(np.sum(np.abs(fm))), 1e-10)
+        levels = sorted(set(np.linspace(0, grid.nt - 1, 8).astype(int).tolist()))
+        from_start = [abs(u0m0 - (um[j] + grid.dt * float(np.sum(fm[:j])))) / scale
+                      for j in levels]
+        to_end = [abs(um[j] - (uTmT + (grid.dt * float(np.sum(fm[j:-1]))
+                                       if j < grid.nt - 1 else 0.0))) / scale for j in levels]
+        assert [r.lhs for r in reports] == [max(from_start), max(to_end)]
 
 
 class TestPointwiseHJ:
@@ -620,6 +656,13 @@ class TestHolder:
         monkeypatch.setattr(certify, "holder_constant", lambda *args: 0.01 * constant(*args))
         rep = check_holder(u, f, 3.0, prob.speed, samples=1000, seed=5)
         assert not rep.passed
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_refused(self, closed_bundle, samples):
+        # no sample would leave the worst excess at -inf, a pass on nothing
+        u, f, _, _ = closed_bundle
+        with pytest.raises(ParameterError, match="samples"):
+            check_holder(u, f, 3.0, IsotropicSpeed(1, 1.0), samples=samples)
 
     @pytest.mark.parametrize("kind", ["ball", "nodal", "hull"])
     def test_variable_radius_skipped(self, uniform_problem, closed_bundle, kind):

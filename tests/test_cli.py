@@ -414,6 +414,14 @@ def test_diagnostics_iter_column(gaussian_bundle):
     assert len(its) < stop
 
 
+def test_diagnostics_gap_column_is_a_plus_b(gaussian_bundle):
+    # the gap is formed from the A and B of its row, with their bits
+    _, out = gaussian_bundle
+    for line in (out / "diagnostics.csv").read_text().splitlines()[1:]:
+        a_val, b_val, gap = line.split(",")[1:4]
+        assert float(gap) == float(a_val) + float(b_val)
+
+
 def test_diagnostics_tau_column_follows_the_step_changes(gaussian_bundle):
     # tau is the last column; each row's tau is the one in effect at its
     # iteration, a change taking effect after the iteration that made it;

@@ -469,11 +469,11 @@ class TestSplitProject:
         s = IsotropicSpeed(2, radius)
         cap = s.radius_nodes(GRID_2D.nx)
         m, w = self._momenta(rng, GRID_2D)
-        p = s.split_project(GRID_2D, m, w)
+        p = s.split_project(GRID_2D, m, w, s.split_cone(GRID_2D))
         assert np.all(p[:2] >= 0.0) and np.all(p[2:] <= 0.0)
         assert np.all(np.linalg.norm(p, axis=0) <= cap * m * (1.0 + 1e-12))
         assert np.any(p != w)
-        assert np.array_equal(s.split_project(GRID_2D, m, p), p)
+        assert np.array_equal(s.split_project(GRID_2D, m, p, s.split_cone(GRID_2D)), p)
         # the variational inequality of a projection onto a convex set
         for _ in range(20):
             z = components(np.abs(rng.standard_normal(components_last(w).shape)))
@@ -489,7 +489,7 @@ class TestSplitProject:
         w = components(np.abs(rng.standard_normal((3, *GRID_2D.nx, 4))))
         w[2:] *= -1.0
         w *= 0.8 * m * (1.0 + 1e-14) / np.linalg.norm(w, axis=0)
-        assert np.array_equal(s.split_project(GRID_2D, m, w), w)
+        assert np.array_equal(s.split_project(GRID_2D, m, w, s.split_cone(GRID_2D)), w)
 
     @pytest.mark.parametrize("speed", [square_speed, xdep_speed])
     def test_hull_lands_in_the_split_hull(self, speed):
@@ -497,7 +497,7 @@ class TestSplitProject:
         s = speed()
         faces = s.split_cone(GRID_2D)
         m, w = self._momenta(rng, GRID_2D)
-        p = s.split_project(GRID_2D, m, w)
+        p = s.split_project(GRID_2D, m, w, faces)
         assert np.all(p[:, m == 0] == 0.0) and np.any(np.abs(p - w) > 1e-3)
         # (m, p) lies in the split cone: its projection onto it is itself
         pm, pw = prox_cost_conj_hull(CostModel(p=3.0), faces, m, p, 0.0)
@@ -507,7 +507,7 @@ class TestSplitProject:
         lam = rng.random((len(s.velocities), *m.shape))
         lam /= np.sum(lam, axis=0)
         inside = m * np.einsum("i...,di...->d...", lam, faces.vels)
-        np.testing.assert_allclose(s.split_project(GRID_2D, m, inside), inside,
+        np.testing.assert_allclose(s.split_project(GRID_2D, m, inside, faces), inside,
                                    rtol=0, atol=1e-12)
 
 
@@ -603,7 +603,8 @@ class TestComponentMajorHull:
             faces = cone_faces_reference(split_by_sign_reference(s._node_velocities(grid)))
             pm, pw = hull_prox_reference(faces, m, w, 0.0, 0.5)
             ref = pw * np.divide(m, pm, out=np.zeros_like(pm), where=pm > 0)[..., None]
-        got = s.split_project(grid, m, split_by_sign((w[..., :grid.dim], w[..., grid.dim:])))
+        got = s.split_project(grid, m, split_by_sign((w[..., :grid.dim], w[..., grid.dim:])),
+                              s.split_cone(grid))
         assert got.tobytes() == np.ascontiguousarray(components(ref)).tobytes()
 
     @pytest.mark.parametrize("case", LAYOUT_HULLS)
